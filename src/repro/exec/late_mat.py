@@ -1001,7 +1001,7 @@ def _batch_tables_by_bars(
             counts_all = counts_mat[idx].sum(axis=0)
             first_all = first_mat[idx].min(axis=0)
             present = np.flatnonzero(first_all < domain)
-            order = np.argsort(first_all[present], kind="stable")
+            order = np.argsort(first_all[present], kind="stable")  # repro: noqa RPR008 -- ranks num_codes first-rids, not a dense-id inversion
             group_codes = present[order]
             counts = counts_all[group_codes]
         else:

@@ -9,11 +9,15 @@ output scan producing one row per group (γ_agg).  Lineage:
   group-id column the build phase computes — reuse principle P4: the
   structure built for normal execution doubles as the forward index.
 
-Inject builds the backward index's buckets during execution with growable
-rid vectors (10 / 1.5x policy; per-group cardinality hints pre-allocate —
-Smoke-I-TC).  Defer instead pins the group-id column and returns a thunk;
-finalization later performs one exact-allocation counting sort and never
-resizes (paper: reuse the pinned hash table during user think time).
+Inject reuses the aggregation's group layout as the backward index (or,
+when emulating tuple-at-a-time appends, fills growable rid vectors: 10 /
+1.5x policy, per-group cardinality hints pre-allocate — Smoke-I-TC).
+Defer instead pins the group-id column and returns a thunk;
+finalization later counts the groups, allocates the CSR exactly once and
+fills it with one O(n) radix ordering of the dense ids
+(:func:`~repro.lineage.indexes.stable_group_order`), never resizing
+(paper: reuse the pinned hash table during user think time).  Either way
+the forward rid array *is* the group-id column — shared, not copied.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from ...expr.ast import evaluate
 from ...lineage.capture import CaptureConfig, CaptureMode, IndexOrThunk
-from ...lineage.indexes import GrowableRidIndex, RidArray, RidIndex
+from ...lineage.indexes import GrowableRidIndex, RidArray, RidIndex, stable_group_order
 from ...plan.logical import GroupBy
 from ...storage.table import Schema, Table
 from .. import morsel
@@ -72,7 +76,7 @@ def inject_backward_index(
     growable = GrowableRidIndex(num_groups, capacities)
     for lo, hi in chunk_ranges(group_ids.shape[0], chunk_size):
         chunk = group_ids[lo:hi]
-        order = np.argsort(chunk, kind="stable")
+        order = stable_group_order(chunk, num_groups)
         sorted_ids = chunk[order]
         boundaries = np.nonzero(np.diff(sorted_ids))[0] + 1
         starts = np.concatenate(([0], boundaries))
@@ -154,11 +158,12 @@ def execute_groupby(
             else:
                 local_backward = RidIndex.empty(0)
         if config.forward:
-            local_forward = RidArray(group_ids.copy())
+            # P4: the build's group-id column is the forward index as is.
+            local_forward = RidArray(group_ids)
 
     if node.having is not None:
         keep = np.asarray(evaluate(node.having, output, params), dtype=bool)
-        kept = np.nonzero(keep)[0].astype(np.int64)
+        kept = np.flatnonzero(keep)
         output = output.take(kept)
         local_backward = _filter_backward(local_backward, kept)
         local_forward = _filter_forward(local_forward, keep, kept)
@@ -196,7 +201,7 @@ def execute_distinct(
             else:
                 local_backward = RidIndex.from_group_ids(group_ids, num_groups)
         if config.forward:
-            local_forward = RidArray(group_ids.copy())
+            local_forward = RidArray(group_ids)
     return output, local_backward, local_forward
 
 
@@ -206,11 +211,19 @@ def _filter_backward(entry, kept: np.ndarray):
         return None
     if callable(entry):
         def thunk(entry=entry, kept=kept) -> RidIndex:
-            full = entry()
-            return RidIndex.from_buckets([full.lookup(int(g)) for g in kept])
+            return _kept_buckets(entry(), kept)
 
         return thunk
-    return RidIndex.from_buckets([entry.lookup(int(g)) for g in kept])
+    return _kept_buckets(entry, kept)
+
+
+def _kept_buckets(full: RidIndex, kept: np.ndarray) -> RidIndex:
+    """The kept groups' buckets, in ``kept`` order, as one CSR: a single
+    vectorized gather instead of one ``lookup`` per group."""
+    offsets = np.empty(kept.shape[0] + 1, dtype=np.int64)
+    offsets[0] = 0
+    np.cumsum(full.counts()[kept], out=offsets[1:])
+    return RidIndex(offsets, full.lookup_many(kept))
 
 
 def _filter_forward(entry, keep_mask: np.ndarray, kept: np.ndarray):

@@ -32,6 +32,7 @@ from ...lineage.indexes import (
     RidArray,
     RidIndex,
     invert_rid_array,
+    stable_group_order,
 )
 from ...storage.table import Table
 from .. import morsel
@@ -102,7 +103,7 @@ def probe_pkfk(
         def probe_range(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
             matches = position[right_ids[lo:hi]]
             mask = matches != NO_MATCH
-            return matches[mask], np.nonzero(mask)[0].astype(np.int64) + lo
+            return matches[mask], np.flatnonzero(mask) + lo
 
         parts = morsel.run_tasks(
             [lambda lo=lo, hi=hi: probe_range(lo, hi) for lo, hi in ranges],
@@ -115,7 +116,7 @@ def probe_pkfk(
     matches = position[right_ids] if right_ids.size else np.empty(0, np.int64)
     mask = matches != NO_MATCH
     out_left = matches[mask]
-    out_right = np.nonzero(mask)[0].astype(np.int64)
+    out_right = np.flatnonzero(mask)
     return JoinMatches(out_left, out_right, num_left, right_ids.shape[0])
 
 
@@ -238,7 +239,7 @@ def compute_matches_oriented(
     swapped = probe(right_ids, left_ids, num_keys, num_right, workers, counter)
     out_left = swapped.out_right  # probe side rows == canonical left
     out_right = swapped.out_left  # build side rows == canonical right
-    order = np.argsort(out_right, kind="stable")
+    order = stable_group_order(out_right, num_right)
     return JoinMatches(out_left[order], out_right[order], num_left, num_right)
 
 
@@ -257,7 +258,7 @@ def inject_forward_index(
     growable = GrowableRidIndex(num_keys, capacities)
     for lo, hi in chunk_ranges(targets.shape[0], chunk_size):
         chunk = targets[lo:hi]
-        order = np.argsort(chunk, kind="stable")
+        order = stable_group_order(chunk, num_keys)
         sorted_ids = chunk[order]
         boundaries = np.nonzero(np.diff(sorted_ids))[0] + 1
         starts = np.concatenate(([0], boundaries))

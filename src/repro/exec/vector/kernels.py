@@ -20,6 +20,7 @@ import numpy as np
 
 from ...errors import PlanError
 from ...expr.ast import evaluate
+from ...lineage.indexes import stable_group_order
 from ...plan.logical import AggCall
 from ...storage.table import Table
 from .. import morsel
@@ -111,7 +112,7 @@ def _rank_first_occurrence(first_idx: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     ``(order, rank)`` where ``order`` lists value positions in
     first-seen order and ``rank`` is its inverse permutation.  Shared by
     both factorize paths so group numbering cannot diverge."""
-    order = np.argsort(first_idx, kind="stable")
+    order = np.argsort(first_idx, kind="stable")  # repro: noqa RPR008 -- ranks num_groups distinct rids, not a dense-id inversion
     rank = np.empty(order.shape[0], dtype=np.int64)
     rank[order] = np.arange(order.shape[0], dtype=np.int64)
     return order, rank
@@ -150,13 +151,15 @@ def _codes_for(arr: np.ndarray) -> Tuple[np.ndarray, int]:
 class GroupLayout:
     """Sorted layout of rows by group: the substrate for exact aggregation.
 
-    ``order`` is a stable argsort of the group ids; ``offsets`` delimit each
-    group's segment.  Shared by all aggregates of one GROUP BY so the sort
+    ``order`` lists member rids group by group, in rid order within a
+    group (:func:`~repro.lineage.indexes.stable_group_order` — an O(n)
+    radix order over the dense ids); ``offsets`` delimit each group's
+    segment.  Shared by all aggregates of one GROUP BY so the ordering
     happens once (this is also precisely the backward rid index layout —
-    the reuse principle P4 at work).  The sort is deferred until an
-    aggregate (or the backward-index reuse path) actually needs member
-    order: COUNT-style aggregation reads only ``counts()``, so the
-    crossfilter re-aggregation shape never sorts at all.
+    the reuse principle P4 at work).  It is deferred until an aggregate
+    (or the backward-index reuse path) actually needs member order:
+    COUNT-style aggregation reads only ``counts()``, so the crossfilter
+    re-aggregation shape never orders at all.
     """
 
     __slots__ = ("_order", "offsets", "group_ids", "num_groups")
@@ -173,7 +176,7 @@ class GroupLayout:
         self._order = None
         # Morsel-parallel when workers > 1: per-morsel int64 partials
         # summed at the merge — exact, so offsets are bit-identical to
-        # serial.  The deferred argsort in `order` stays serial.
+        # serial.  The deferred ordering in `order` stays serial.
         counts = morsel.bincount(group_ids, num_groups, workers, counter)
         self.offsets = np.empty(num_groups + 1, dtype=np.int64)
         self.offsets[0] = 0
@@ -182,7 +185,7 @@ class GroupLayout:
     @property
     def order(self) -> np.ndarray:
         if self._order is None:
-            self._order = np.argsort(self.group_ids, kind="stable").astype(np.int64)
+            self._order = stable_group_order(self.group_ids, self.num_groups)
         return self._order
 
     def counts(self) -> np.ndarray:

@@ -91,7 +91,7 @@ def _first_occurrence_entries(
     if combined.size == 0:
         return np.empty(0, dtype=np.int64)
     _, first_idx = np.unique(combined, return_index=True)
-    order = np.argsort(first_idx, kind="stable")
+    order = np.argsort(first_idx, kind="stable")  # repro: noqa RPR008 -- ranks num_values distinct rids, not a dense-id inversion
     values = np.unique(combined)
     return values[order]
 

@@ -56,6 +56,31 @@ def _values_distinct(values: np.ndarray) -> bool:
     return int(np.unique(values).size) == values.size
 
 
+def stable_group_order(ids: np.ndarray, num_groups: int) -> np.ndarray:
+    """Rids ordered by dense id, ties in rid order — bit-identical to
+    ``np.argsort(ids, kind="stable")`` for ids in ``[0, num_groups)``.
+
+    This is the one kernel every rid inversion (group -> members, target
+    -> sources) goes through.  numpy's stable argsort radix-sorts keys of
+    16 bits or fewer in O(n) but runs a comparison sort on wider ones, so
+    the ids are narrowed to the smallest key that holds ``num_groups``;
+    up to 2**32 groups, two stable 16-bit passes (low half, then high
+    half — LSD radix) give the same unique stable order.
+
+    The caller guarantees the range: narrowing wraps out-of-range ids
+    silently, so validate (count) before ordering.
+    """
+    if num_groups <= 1 << 8:
+        return np.argsort(ids.astype(np.uint8), kind="stable")
+    if num_groups <= 1 << 16:
+        return np.argsort(ids.astype(np.uint16), kind="stable")
+    if num_groups <= 1 << 32:
+        by_low = np.argsort(ids.astype(np.uint16), kind="stable")
+        high = (ids >> 16).astype(np.uint16)
+        return by_low[np.argsort(high[by_low], kind="stable")]
+    return np.argsort(ids, kind="stable")
+
+
 class RidArray:
     """A 1-to-1 lineage index: ``key rid -> single rid`` (or NO_MATCH)."""
 
@@ -169,29 +194,35 @@ class RidIndex:
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def from_group_ids(
-        cls,
-        group_ids: np.ndarray,
-        num_groups: int,
-        counts: Optional[np.ndarray] = None,
-    ) -> "RidIndex":
+    def from_group_ids(cls, group_ids: np.ndarray, num_groups: int) -> "RidIndex":
         """Build ``group -> member rids`` from a dense group-id column.
 
-        This is the Defer construction: cardinalities (``counts``) are known
-        (or computed in one vectorized pass), the CSR arrays are allocated
-        exactly once, and buckets are filled with a stable counting sort —
-        no resizing ever happens.
+        This is the Defer construction: cardinalities are counted in one
+        vectorized pass, the CSR arrays are allocated exactly once, and
+        buckets are filled by :func:`stable_group_order` (an O(n) radix
+        order for up to 2**32 groups) — no resizing ever happens.
+
+        The count doubles as the range check, and it runs *before* the
+        ids are narrowed for ordering: a damaged id (negative, or
+        ``>= num_groups`` — e.g. a corrupt recovered forward array)
+        raises :class:`LineageError` instead of wrapping into some other
+        group's bucket.
         """
         group_ids = _as_rids(group_ids)
-        if counts is None:
+        try:
             counts = np.bincount(group_ids, minlength=num_groups)
+        except ValueError as exc:  # bincount rejects negative ids
+            raise LineageError(f"negative group id: {exc}") from exc
+        if counts.shape[0] != num_groups:
+            raise LineageError(
+                f"group id {counts.shape[0] - 1} out of range [0, {num_groups})"
+            )
         offsets = np.empty(num_groups + 1, dtype=np.int64)
         offsets[0] = 0
-        np.cumsum(np.asarray(counts, dtype=np.int64), out=offsets[1:])
-        # A stable sort by group id lays member rids out bucket-by-bucket in
-        # original order; counts (exact, from the same ids) delimit buckets.
-        values = np.argsort(group_ids, kind="stable").astype(np.int64)
-        index = cls(offsets, values)
+        np.cumsum(counts, out=offsets[1:])
+        # A stable order by group id lays member rids out bucket-by-bucket
+        # in original order; counts (exact, from the same ids) delimit buckets.
+        index = cls(offsets, stable_group_order(group_ids, num_groups))
         index._inverse_of = group_ids
         # An argsort is a permutation: every member rid lands in exactly
         # one bucket, so the partition property holds by construction.
@@ -378,7 +409,7 @@ def invert_rid_array(arr: RidArray, codomain_size: int) -> RidIndex:
     information, which is what lets Defer build one from the other.
     """
     matched = arr.values != NO_MATCH
-    sources = np.nonzero(matched)[0].astype(np.int64)
+    sources = np.flatnonzero(matched)
     targets = arr.values[matched]
     if targets.size and (targets.min() < 0 or targets.max() >= codomain_size):
         raise LineageError("rid array values exceed the stated codomain size")
@@ -386,8 +417,7 @@ def invert_rid_array(arr: RidArray, codomain_size: int) -> RidIndex:
     offsets = np.empty(codomain_size + 1, dtype=np.int64)
     offsets[0] = 0
     np.cumsum(counts, out=offsets[1:])
-    order = np.argsort(targets, kind="stable")
-    return RidIndex(offsets, sources[order])
+    return RidIndex(offsets, sources[stable_group_order(targets, codomain_size)])
 
 
 def invert_rid_index(idx: RidIndex, codomain_size: int) -> RidIndex:
@@ -400,8 +430,7 @@ def invert_rid_index(idx: RidIndex, codomain_size: int) -> RidIndex:
     offsets = np.empty(codomain_size + 1, dtype=np.int64)
     offsets[0] = 0
     np.cumsum(counts, out=offsets[1:])
-    order = np.argsort(targets, kind="stable")
-    return RidIndex(offsets, keys[order])
+    return RidIndex(offsets, keys[stable_group_order(targets, codomain_size)])
 
 
 def compose(first: LineageIndex, second: LineageIndex) -> LineageIndex:

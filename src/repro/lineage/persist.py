@@ -77,15 +77,19 @@ def _is_canonical_inverse(backward: RidIndex, forward) -> bool:
         return False
     # Fast path: the groupby capture paths tag the index with the very
     # group-id array they inverted; matching it against the forward
-    # values replaces the structural walk with one memcmp-speed compare.
+    # values replaces the structural walk with one memcmp-speed compare —
+    # or none at all when the forward index shares the very buffer, as
+    # the group-by and DISTINCT capture paths arrange.
     # Sanitize builds skip the shortcut so the structural check keeps
     # cross-checking the tagged construction paths.
     source = getattr(backward, "_inverse_of", None)
     if (
         source is not None
         and not sanitize.enabled()
-        and source.shape == ids.shape
-        and np.array_equal(source, ids)
+        and (
+            source is ids
+            or (source.shape == ids.shape and np.array_equal(source, ids))
+        )
     ):
         return True
     if ids.size == 0:

@@ -1,5 +1,7 @@
 """Clean-restart recovery: replay, checkpoints, epochs, degradation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,43 @@ class TestCorruptionHandling:
         db.close()
         db.durability.checkpoint_path.write_bytes(b"garbage")
         with pytest.raises(RecoveryError):
+            open_db(durable_dir)
+
+    @pytest.mark.parametrize(
+        "bad_id",
+        [
+            257,  # >= output_size (4); as a narrowed uint8 key it wraps to group 1
+            -1,  # passes the forward array's NO_MATCH check; wraps to 255
+        ],
+    )
+    def test_damaged_group_ids_behind_inverse_marker(self, durable_dir, bad_id):
+        # The backward index of an unfiltered group-by is checkpointed as
+        # an ``inverse`` marker and rebuilt from the forward group ids.
+        # A damaged id must be caught by the count, before the ids are
+        # narrowed for ordering: never a silently wrapped bucket layout.
+        db = open_db(durable_dir)
+        db.sql(
+            "SELECT z, COUNT(*) AS c FROM t GROUP BY z",
+            options=ExecOptions(capture=CaptureMode.INJECT, name="va"),
+        )
+        db.checkpoint()
+        db.close()
+
+        path = db.durability.checkpoint_path
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        manifest = json.loads(arrays["__manifest"].tobytes().decode())
+        lineage = manifest["entries"][0]["result"]["lineage"]
+        assert lineage["output_size"] == 4
+        assert lineage["backward"]["t"] == {"kind": "inverse"}
+        slot = lineage["forward"]["t"]["slot"] + "_values"
+        ids = arrays[slot].copy()
+        ids[3] = bad_id
+        arrays[slot] = ids
+        with open(path, "wb") as handle:
+            np.savez(handle, **arrays)
+
+        with pytest.raises(RecoveryError, match="group id"):
             open_db(durable_dir)
 
     def test_group_commit_batch_recovers_together(self, durable_dir):

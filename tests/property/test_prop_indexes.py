@@ -13,13 +13,69 @@ from repro.lineage import (
     invert_rid_array,
     invert_rid_index,
 )
+from repro.lineage.indexes import stable_group_order
 
-group_ids = st.integers(min_value=1, max_value=12).flatmap(
+#: Group counts on both sides of each narrowing boundary of
+#: ``stable_group_order``: uint8 (<= 2**8), uint16 (<= 2**16), the
+#: two-pass 16-bit radix (<= 2**32) and the plain-argsort fallback.
+BOUNDARY_GROUPS = [1, 2, 255, 256, 257, 65_535, 65_536, 65_537, 2**32, 2**32 + 1]
+
+group_ids = st.one_of(
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from(BOUNDARY_GROUPS[2:8]),
+    st.integers(min_value=13, max_value=200_000),
+).flatmap(
     lambda g: st.tuples(
         st.just(g),
         st.lists(st.integers(min_value=0, max_value=g - 1), min_size=0, max_size=80),
     )
 )
+
+ID_DTYPES = [
+    np.int8, np.int16, np.int32, np.int64,
+    np.uint8, np.uint16, np.uint32, np.uint64,
+]
+
+
+@st.composite
+def dense_ids(draw):
+    """``(ids, num_groups)`` with ids in ``[0, num_groups)`` of any integer
+    dtype.  Ids come from a small pool so ties are common, and the pool
+    is seeded with values sharing their low 16 bits so the two-pass
+    radix's first pass ties on ids above 2**16."""
+    dtype = draw(st.sampled_from(ID_DTYPES))
+    limit = int(np.iinfo(dtype).max) + 1
+    g = min(
+        draw(st.one_of(st.sampled_from(BOUNDARY_GROUPS), st.integers(1, 2**34))),
+        limit,
+    )
+    pool = draw(st.lists(st.integers(0, g - 1), min_size=1, max_size=6))
+    pool += [
+        v % 65_536 + k * 65_536
+        for v in pool[:2]
+        for k in (1, 3, 70_000)
+        if v % 65_536 + k * 65_536 < g
+    ]
+    ids = draw(st.lists(st.sampled_from(pool), max_size=150))
+    return np.asarray(ids, dtype=dtype), g
+
+
+@given(dense_ids())
+@settings(max_examples=300)
+def test_stable_group_order_equals_stable_argsort(data):
+    ids, g = data
+    order = stable_group_order(ids, g)
+    assert order.dtype == np.intp
+    assert np.array_equal(order, np.argsort(ids, kind="stable"))
+
+
+def test_stable_group_order_edges():
+    empty = np.empty(0, dtype=np.int64)
+    for g in (0, 1, 300, 70_000, 2**33):
+        assert stable_group_order(empty, g).size == 0
+    single = np.zeros(7, dtype=np.int64)
+    for g in (1, 300, 70_000, 2**33):
+        assert stable_group_order(single, g).tolist() == list(range(7))
 
 
 @given(group_ids)
@@ -31,9 +87,11 @@ def test_from_group_ids_partitions_rows(data):
     # Invariant I2: buckets are disjoint and complete.
     all_rids = np.sort(idx.lookup_many(np.arange(g))) if g else np.empty(0)
     assert np.array_equal(all_rids, np.arange(ids.size))
-    for key in range(g):
-        bucket = idx.lookup(key)
+    assert np.array_equal(idx.counts(), np.bincount(ids, minlength=g))
+    for key in np.unique(ids):  # every other bucket is empty (counts above)
+        bucket = idx.lookup(int(key))
         assert (ids[bucket] == key).all()
+        assert (np.diff(bucket) > 0).all()  # members in rid order
 
 
 @given(group_ids)
@@ -46,8 +104,8 @@ def test_inversion_roundtrip(data):
     idx = RidIndex.from_group_ids(ids, g)
     inv = invert_rid_index(idx, ids.size)
     # Invariant I1: o in forward(b) iff b in backward(o).
-    for key in range(g):
-        for rid in idx.lookup(key):
+    for key in np.unique(ids):  # every other bucket is empty
+        for rid in idx.lookup(int(key)):
             assert key in inv.lookup(int(rid)).tolist()
     for rid in range(ids.size):
         for key in inv.lookup(rid):

@@ -65,6 +65,13 @@ class TestRidIndex:
         assert idx.lookup(0).tolist() == [1, 3]
         assert idx.lookup(1).tolist() == [0, 2, 4]
 
+    @pytest.mark.parametrize("bad_id", [2, 257, 65_537, -1])
+    def test_from_group_ids_rejects_ids_before_narrowing(self, bad_id):
+        # Each bad id would wrap into a valid group once narrowed to
+        # uint8/uint16; the count must reject it first.
+        with pytest.raises(LineageError, match="group id"):
+            RidIndex.from_group_ids(np.array([0, 1, bad_id, 1]), 2)
+
     def test_lookup_many_concatenates_bags(self):
         idx = RidIndex.from_buckets([np.array([1]), np.array([2, 3])])
         assert idx.lookup_many([1, 0, 1]).tolist() == [2, 3, 1, 2, 3]

@@ -189,6 +189,45 @@ class TestRPR007DurableWritesOnly:
         assert codes('open(path, "wb")\n', "src/repro/apps/report.py") == []
 
 
+class TestRPR008StableGroupOrderOnly:
+    def test_flags_np_stable_argsort_in_exec(self):
+        src = 'order = np.argsort(chunk, kind="stable")\n'
+        assert codes(src, "src/repro/exec/vector/groupby.py") == ["RPR008"]
+
+    def test_flags_method_form_in_lineage(self):
+        src = 'order = targets.argsort(kind="stable")\n'
+        assert codes(src, "src/repro/lineage/indexes.py") == ["RPR008"]
+
+    def test_passes_kernel_call_and_unstable_sorts(self):
+        src = (
+            "order = stable_group_order(ids, num_groups)\n"
+            "order = np.argsort(values)\n"
+            'order = np.argsort(values, kind="quicksort")\n'
+        )
+        assert codes(src, "src/repro/exec/vector/join.py") == []
+
+    def test_kernel_body_is_exempt(self):
+        src = (
+            "def stable_group_order(ids, num_groups):\n"
+            '    return np.argsort(ids.astype(np.uint16), kind="stable")\n'
+        )
+        assert codes(src, "src/repro/lineage/indexes.py") == []
+        # Only the kernel in indexes.py: a same-named helper elsewhere is not.
+        assert codes(src, "src/repro/exec/late_mat.py") == ["RPR008"]
+
+    def test_justified_noqa_waives(self):
+        src = (
+            'order = np.argsort(first_idx, kind="stable")'
+            "  # repro: noqa RPR008 -- ranks first occurrences\n"
+        )
+        assert codes(src, "src/repro/exec/vector/kernels.py") == []
+
+    def test_out_of_scope_elsewhere(self):
+        src = 'order = np.argsort(ids, kind="stable")\n'
+        assert codes(src, "src/repro/apps/crossfilter.py") == []
+        assert codes(src, "benchmarks/bench_x.py") == []
+
+
 class TestSuppressions:
     def test_justified_noqa_waives(self):
         src = 'raise ValueError("x")  # repro: noqa RPR004 -- fixture needs a builtin\n'
@@ -226,8 +265,10 @@ class TestRuleMetadata:
             assert rule.name
             assert rule.__doc__ and "Autofix hint" in rule.__doc__
 
-    def test_seven_rules_active(self):
-        assert len(ALL_RULES) == 7
+    def test_eight_rules_active(self):
+        assert [rule.code for rule in ALL_RULES] == [
+            f"RPR00{i}" for i in range(1, 9)
+        ]
 
 
 class TestRepositoryIsClean:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import Database, ExecOptions
 from repro.errors import PlanError
 from repro.exec.vector.groupby import inject_backward_index
 from repro.exec.vector.join import compute_matches, join_lineage_locals
@@ -20,6 +21,7 @@ from repro.plan.logical import (
     ThetaJoin,
     col,
 )
+from repro.storage import Table
 
 
 class TestKernels:
@@ -195,6 +197,48 @@ class TestGroupBy:
         )
         res = small_db.execute(plan)
         assert (np.asarray(res.table.column("z2")) % 2 == 0).all()
+
+
+class TestHavingBackwardFilter:
+    """HAVING under capture restricts the backward index to the kept
+    groups with one vectorized gather; it must be bit-identical to
+    rebuilding it bucket by bucket from the unfiltered index."""
+
+    NUM_GROUPS = 12_000
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        rng = np.random.default_rng(21)
+        db = Database()
+        db.create_table(
+            "t",
+            Table(
+                {
+                    "z": rng.integers(0, self.NUM_GROUPS, 40_000),
+                    "v": rng.random(40_000),
+                }
+            ),
+        )
+        return db
+
+    @staticmethod
+    def _plan(having):
+        return GroupBy(
+            Scan("t"), [(col("z"), "z")], [AggCall("count", None, "c")], having=having
+        )
+
+    @pytest.mark.parametrize("mode", [CaptureMode.INJECT, CaptureMode.DEFER])
+    @pytest.mark.parametrize("backend", ["vector", "compiled"])
+    def test_equals_per_bucket_build(self, db, backend, mode):
+        options = ExecOptions(capture=mode, backend=backend)
+        full = db.execute(self._plan(None), options=options)
+        filtered = db.execute(self._plan(col("c") >= 4), options=options)
+        assert full.table.num_rows >= 10_000
+        whole = full.lineage.backward_index("t")
+        kept = np.flatnonzero(full.table.column("c") >= 4)
+        assert 0 < kept.size < full.table.num_rows
+        expected = RidIndex.from_buckets([whole.lookup(int(g)) for g in kept])
+        assert filtered.lineage.backward_index("t") == expected
 
 
 class TestProjectDistinct:

@@ -5,10 +5,12 @@ linters cannot see: lineage may only be composed through the shared
 folds, handed-out rid arrays are read-only, timings counters must be
 spelled from one registry, exceptions must come from the ``errors.py``
 taxonomy, catalog reads in executor code must carry epochs, internal
-callers must not use the deprecated ``ExecOptions`` kwarg shims, and
+callers must not use the deprecated ``ExecOptions`` kwarg shims,
 durable-path modules must write files only through the fsync/rename
-helpers.  Each rule in :mod:`tools.lint.rules` machine-checks one of
-them over the stdlib ``ast`` — no third-party dependencies.
+helpers, and rids are ordered by dense id only through the radix
+kernel ``stable_group_order``.  Each rule in :mod:`tools.lint.rules`
+machine-checks one of them over the stdlib ``ast`` — no third-party
+dependencies.
 
 Suppression
 -----------
