@@ -363,72 +363,6 @@ def test_distinct_projection(latemat_db):
     _record("distinct_projection", "hand_rolled", hand_rolled)
 
 
-#: Statements timed on the morsel-parallel axis: the group-by
-#: re-aggregation (gather + bincount heavy) and the snowflake chain
-#: (probe heavy) — the two hot kernels the morsel layer parallelizes.
-PARALLEL_AXES = {
-    "parallel_reaggregate": (
-        "SELECT carrier, COUNT(*) AS cnt "
-        "FROM Lb(view, 'ontime', :bars) GROUP BY carrier"
-    ),
-    "parallel_chain_reaggregate": (
-        "SELECT hemisphere, COUNT(*) AS cnt FROM Lb(view, 'ontime', :bars) "
-        "JOIN carriers ON ontime.carrier = carriers.carrier_id "
-        "JOIN regions ON carriers.region = regions.region "
-        "JOIN continents ON regions.continent = continents.continent "
-        "GROUP BY hemisphere"
-    ),
-}
-
-PARALLEL_WORKERS = 4
-
-
-def test_parallel_speedup(latemat_db):
-    """Morsel-driven parallel kernels vs serial on the two hottest pushed
-    shapes.  Equivalence is asserted bit-identically first (the
-    deterministic-merge contract), then both arms are timed.  The
-    serial arm pins ``parallel=1`` explicitly so a CI-set
-    ``REPRO_PARALLEL`` cannot leak into the baseline."""
-    db = latemat_db
-    bars = _bars(db)
-    serial_opts = ExecOptions(parallel=1)
-    par_opts = ExecOptions(parallel=PARALLEL_WORKERS)
-    for name, statement in PARALLEL_AXES.items():
-        plan = db.parse(statement)
-        serial = db.execute(plan, params={"bars": bars}, options=serial_opts)
-        par = db.execute(plan, params={"bars": bars}, options=par_opts)
-        assert serial.table.to_rows() == par.table.to_rows()
-        serial_s = _record(
-            name,
-            "serial",
-            lambda: db.execute(plan, params={"bars": bars}, options=serial_opts),
-        )
-        par_s = _record(
-            name,
-            f"parallel{PARALLEL_WORKERS}",
-            lambda: db.execute(plan, params={"bars": bars}, options=par_opts),
-        )
-        RESULTS[name]["speedup_x"] = round(serial_s / par_s, 2) if par_s else 0.0
-
-
-def test_parallel_speedup_gate(latemat_db):
-    """Acceptance: ≥1.5x over serial at 4 morsel workers on the parallel
-    axes.  Only meaningful with real cores — skipped on boxes with
-    fewer than 4 CPUs (threads would time-slice one core and the gate
-    would measure scheduler noise, not the morsel layer) and at smoke
-    scales (morsels don't amortize dispatch on tiny inputs)."""
-    if scale() < 1.0:
-        pytest.skip("parallel speedup gate applies at REPRO_SCALE >= 1 only")
-    if (os.cpu_count() or 1) < PARALLEL_WORKERS:
-        pytest.skip(
-            f"parallel speedup gate needs >= {PARALLEL_WORKERS} CPUs, "
-            f"got {os.cpu_count()}"
-        )
-    for name in PARALLEL_AXES:
-        variants = RESULTS[name]
-        assert variants["speedup_x"] >= 1.5, (name, variants)
-
-
 def test_wal_overhead(latemat_db, tmp_path_factory):
     """Durability tax: the full capture-query-plus-registration path on a
     durable database (WAL append + fsync before acknowledgment) vs the

@@ -139,12 +139,10 @@ class ExecOptions:
     late_materialize:
         ``False`` disables the lineage-scan push-down rewrite
         (:mod:`repro.plan.rewrite`) — the benchmarks' baseline.
-    parallel:
-        Morsel worker target for the hot kernels (rid gathers, hop
-        probes, group-by aggregation; see :mod:`repro.exec.morsel`).
-        ``None`` defers to the ``REPRO_PARALLEL`` environment default,
-        which itself defaults to serial.  Output rows and lineage are
-        bit-identical at any worker count.
+
+    Every statement runs its kernels serially on the calling thread;
+    concurrency lives between statements (``DatabaseServer``'s reader
+    pool and writer thread), never inside one.
     """
 
     capture: Union[CaptureConfig, CaptureMode, None] = None
@@ -152,7 +150,6 @@ class ExecOptions:
     name: Optional[str] = None
     pin: bool = False
     late_materialize: bool = True
-    parallel: Optional[int] = None
 
     def with_(self, **changes) -> "ExecOptions":
         """A copy with the given fields replaced (per-call overrides on
@@ -1222,7 +1219,6 @@ class Database:
             late_materialize=options.late_materialize,
             rewrites=rewrites,
             lineage_cache=cache,
-            parallel=options.parallel,
         )
         query_result = QueryResult(
             self, plan, result, statement=statement, options=options

@@ -49,7 +49,6 @@ from ...plan.rewrite import RewriteIndex, match_late_materialization
 from ...plan.schema import infer_schema, join_output_fields
 from ...storage.catalog import Catalog
 from ...storage.table import ColumnType, Schema, Table
-from .. import morsel
 from ..late_mat import PushedStats, execute_pushed, fold_push_stats
 from ..lineage_scan import execute_lineage_scan
 from ..timings import (
@@ -57,7 +56,6 @@ from ..timings import (
     LATE_MAT_DISTINCTS,
     LATE_MAT_JOINS,
     LATE_MAT_SUBTREES,
-    MORSEL_TASKS,
 )
 from ..vector.executor import ExecResult, check_relation_pruning
 from .codegen import (
@@ -103,15 +101,10 @@ class CompiledExecutor:
         late_materialize: bool = True,
         rewrites: Optional[RewriteIndex] = None,
         lineage_cache: Optional[LineageResolutionCache] = None,
-        parallel: Optional[int] = None,
     ) -> ExecResult:
         """Run ``plan``.  ``rewrites`` / ``lineage_cache`` are the
-        prepared-statement fast-path handles (see the vector backend).
-        ``parallel`` morsel-parallelizes the shared pushed path only —
-        the per-row codegen pipeline stays serial by design (its
-        generated loops carry cross-row state)."""
+        prepared-statement fast-path handles (see the vector backend)."""
         config = capture or CaptureConfig.none()
-        workers = morsel.resolve_parallel(parallel)
         scan_keys = assign_source_keys(plan)
         # Validate pruning entries up front: a misspelled `relations`
         # entry must not discard a finished (possibly expensive) run.
@@ -120,8 +113,6 @@ class CompiledExecutor:
         state = _ExecState(
             self, config, params, late_materialize,
             rewrites=rewrites, cache=lineage_cache,
-            workers=workers,
-            morsel_counter=morsel.MorselCounter() if workers > 1 else None,
         )
         table, node = state.run(plan, scan_keys)
         elapsed = time.perf_counter() - start
@@ -134,8 +125,6 @@ class CompiledExecutor:
         if state.pushed_distincts:
             timings[LATE_MAT_DISTINCTS] = float(state.pushed_distincts)
         fold_push_stats(timings, state.push_stats)
-        if state.morsel_counter is not None and state.morsel_counter.tasks:
-            timings[MORSEL_TASKS] = float(state.morsel_counter.tasks)
         return ExecResult(table, lineage, timings)
 
 
@@ -148,8 +137,6 @@ class _ExecState:
         late_mat: bool = True,
         rewrites: Optional[RewriteIndex] = None,
         cache: Optional[LineageResolutionCache] = None,
-        workers: int = 1,
-        morsel_counter: Optional[morsel.MorselCounter] = None,
     ):
         self.executor = executor
         self.catalog = executor.catalog
@@ -158,8 +145,6 @@ class _ExecState:
         self.late_mat = bool(late_mat)
         self.rewrites = rewrites
         self.cache = cache
-        self.workers = workers
-        self.morsel_counter = morsel_counter
         self.pushed_subtrees = 0
         self.pushed_joins = 0
         self.pushed_distincts = 0
@@ -217,8 +202,6 @@ class _ExecState:
                 run_child=self._exec,
                 cache=self.cache,
                 stats=self.push_stats,
-                workers=self.workers,
-                counter=self.morsel_counter,
             )
 
         if isinstance(plan, SetOp):

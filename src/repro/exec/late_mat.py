@@ -79,7 +79,6 @@ from ..substrate.stats import (
     JoinSideStats,
     choose_build_side,
 )
-from . import morsel
 from .lineage_scan import resolve_scan_source, scan_node_lineage
 from .timings import (
     LATE_MAT_BUILD_SWAPS,
@@ -138,17 +137,10 @@ def _slice_names(source: Table, columns) -> List[str]:
     return source.schema.names[:1]
 
 
-def _gather(
-    source: Table,
-    rids: np.ndarray,
-    names: Sequence[str],
-    workers: int = 1,
-    counter: Optional[morsel.MorselCounter] = None,
-) -> Table:
-    """Narrow gather: one (morsel-parallel) fancy-index per listed
-    column, nothing else."""
+def _gather(source: Table, rids: np.ndarray, names: Sequence[str]) -> Table:
+    """Narrow gather: one fancy-index per listed column, nothing else."""
     return Table(
-        {n: morsel.gather(source.column(n), rids, workers, counter) for n in names},
+        {n: source.column(n)[rids] for n in names},
         Schema([(n, source.schema.type_of(n)) for n in names]),
     )
 
@@ -233,12 +225,7 @@ class _ChainState:
             leaf.node,
         )
 
-    def column_values(
-        self,
-        name: str,
-        workers: int = 1,
-        counter: Optional[morsel.MorselCounter] = None,
-    ) -> np.ndarray:
+    def column_values(self, name: str) -> np.ndarray:
         """One output column of this chain node, gathered through the
         leaf's position array (never more rows than currently survive)."""
         idx = self._index.get(name)
@@ -253,11 +240,11 @@ class _ChainState:
         pos = self.positions[leaf_idx]
         if leaf.table is not None:
             values = leaf.table.column(src)
-            return values if pos is None else morsel.gather(values, pos, workers, counter)
+            return values if pos is None else values[pos]
         base = leaf.source.column(src)
         if pos is None:
-            return morsel.gather(base, leaf.rids, workers, counter)
-        return morsel.gather(base, morsel.gather(leaf.rids, pos, workers, counter), workers, counter)
+            return base[leaf.rids]
+        return base[leaf.rids[pos]]
 
     def key_stats(self, keys: Sequence[str], catalog: Catalog) -> JoinSideStats:
         """Cardinality + key-uniqueness statistics for this node as one
@@ -310,12 +297,10 @@ class _ChainContext:
     __slots__ = (
         "catalog", "results", "config", "params",
         "next_key", "run_child", "cache", "stats",
-        "workers", "counter",
     )
 
     def __init__(
-        self, catalog, results, config, params, next_key, run_child, cache, stats,
-        workers=1, counter=None,
+        self, catalog, results, config, params, next_key, run_child, cache, stats
     ):
         self.catalog = catalog
         self.results = results
@@ -325,8 +310,6 @@ class _ChainContext:
         self.run_child = run_child
         self.cache = cache
         self.stats = stats
-        self.workers = workers
-        self.counter = counter
 
 
 def _resolve_scan_side(
@@ -337,8 +320,6 @@ def _resolve_scan_side(
     config: CaptureConfig,
     params: Optional[dict],
     cache: Optional[LineageResolutionCache],
-    workers: int = 1,
-    counter: Optional[morsel.MorselCounter] = None,
 ) -> _JoinInput:
     """Resolve a lineage-backed chain leaf to ``(source, surviving rids)``
     plus its node lineage, filtering in the rid domain (identical to the
@@ -350,8 +331,7 @@ def _resolve_scan_side(
     )
     if side.predicate is not None:
         pred_table = _gather(
-            source, rids, _slice_names(source, side.predicate.columns()),
-            workers, counter,
+            source, rids, _slice_names(source, side.predicate.columns())
         )
         mask = np.asarray(
             evaluate(side.predicate, pred_table, params), dtype=bool
@@ -375,8 +355,6 @@ def _chain_select(
     predicate,
     config: CaptureConfig,
     params: Optional[dict],
-    workers: int = 1,
-    counter: Optional[morsel.MorselCounter] = None,
 ) -> _ChainState:
     """A pushed ``Select`` over a chain node, in the position domain:
     gather only the predicate's columns, narrow every leaf's positions to
@@ -396,7 +374,7 @@ def _chain_select(
         # Constant predicate: one cheap stand-in column carries the rows.
         names = _slice_names(_StandInSchema(state.schema), referenced)
     pred_table = Table(
-        {n: state.column_values(n, workers, counter) for n in names},
+        {n: state.column_values(n) for n in names},
         Schema([(n, state.schema.type_of(n)) for n in names]),
     )
     mask = np.asarray(evaluate(predicate, pred_table, params), dtype=bool)
@@ -428,16 +406,12 @@ def _run_hop(hop: PushedJoinHop, ctx: _ChainContext) -> _ChainState:
         right = _run_hop(hop.right, ctx)
         state = _join_states(hop, left, right, ctx)
         if hop.predicate is not None:
-            state = _chain_select(
-                state, hop.predicate, ctx.config, ctx.params,
-                ctx.workers, ctx.counter,
-            )
+            state = _chain_select(state, hop.predicate, ctx.config, ctx.params)
         return state
     if hop.scan is not None:
         leaf = _resolve_scan_side(
             hop, ctx.next_key(), ctx.catalog, ctx.results,
             ctx.config, ctx.params, ctx.cache,
-            ctx.workers, ctx.counter,
         )
     else:
         table, node = ctx.run_child(hop.plan)
@@ -456,8 +430,8 @@ def _join_states(
     from .vector.join import compute_matches_oriented, join_lineage_locals
 
     join = hop.join
-    left_keys = [left.column_values(k, ctx.workers, ctx.counter) for k in join.left_keys]
-    right_keys = [right.column_values(k, ctx.workers, ctx.counter) for k in join.right_keys]
+    left_keys = [left.column_values(k) for k in join.left_keys]
+    right_keys = [right.column_values(k) for k in join.right_keys]
     decision = choose_build_side(
         left.key_stats(join.left_keys, ctx.catalog),
         right.key_stats(join.right_keys, ctx.catalog),
@@ -469,8 +443,7 @@ def _join_states(
         if decision.pkfk and not join.pkfk:
             ctx.stats.pkfk_detected += 1
     matches = compute_matches_oriented(
-        left_keys, right_keys, decision.build_left, decision.pkfk,
-        workers=ctx.workers, counter=ctx.counter,
+        left_keys, right_keys, decision.build_left, decision.pkfk
     )
 
     fields = join_output_fields(left.schema, right.schema)
@@ -507,12 +480,7 @@ def _join_states(
     )
 
 
-def _gather_chain_output(
-    state: _ChainState,
-    columns,
-    workers: int = 1,
-    counter: Optional[morsel.MorselCounter] = None,
-) -> Table:
+def _gather_chain_output(state: _ChainState, columns) -> Table:
     """Materialize the chain's narrow output table: only the referenced
     columns (or, for ``columns=None``, the full core schema), gathered at
     the final surviving positions only — the late gather."""
@@ -537,7 +505,7 @@ def _gather_chain_output(
             )
         ]
     return Table(
-        {n: state.column_values(n, workers, counter) for n in keep},
+        {n: state.column_values(n) for n in keep},
         Schema([(n, state.schema.type_of(n)) for n in keep]),
     )
 
@@ -552,8 +520,6 @@ def execute_pushed(
     run_child: RunChild,
     cache: Optional[LineageResolutionCache] = None,
     stats: Optional[PushedStats] = None,
-    workers: int = 1,
-    counter: Optional[morsel.MorselCounter] = None,
 ) -> Tuple[Table, NodeLineage]:
     """Execute a pushed tree; returns ``(output table, node lineage)``.
 
@@ -561,9 +527,7 @@ def execute_pushed(
     lineage-scan leaf); ``run_child`` executes a plain chain leaf through
     the backend's own recursion; ``stats`` (when provided) accumulates
     the run's chain-hop / build-side / pk-fk decisions for the executors'
-    ``timings`` counters.  ``workers > 1`` runs the rid gathers, hop
-    probes, and group-by kernels morsel-parallel (bit-identical output,
-    see :mod:`repro.exec.morsel`).
+    ``timings`` counters.
     """
     from ..expr.ast import evaluate
     from .vector.groupby import execute_distinct, execute_groupby
@@ -572,8 +536,7 @@ def execute_pushed(
         if stats is not None:
             stats.chain_hops += pushed.chain_hops
         ctx = _ChainContext(
-            catalog, results, config, params, next_key, run_child, cache, stats,
-            workers, counter,
+            catalog, results, config, params, next_key, run_child, cache, stats
         )
         state = _run_hop(pushed.join, ctx)
         if pushed.predicate is not None:
@@ -581,8 +544,8 @@ def execute_pushed(
             # the position domain (only its columns gathered, standard
             # selection lineage) so the late gather below sees only the
             # final survivors.
-            state = _chain_select(state, pushed.predicate, config, params, workers, counter)
-        table = _gather_chain_output(state, pushed.columns, workers, counter)
+            state = _chain_select(state, pushed.predicate, config, params)
+        table = _gather_chain_output(state, pushed.columns)
         node = state.node
         if pushed.groupby is None and pushed.project is None:
             return table, node
@@ -594,8 +557,7 @@ def execute_pushed(
 
         if pushed.predicate is not None:
             pred_table = _gather(
-                source, rids, _slice_names(source, pushed.predicate.columns()),
-                workers, counter,
+                source, rids, _slice_names(source, pushed.predicate.columns())
             )
             mask = np.asarray(
                 evaluate(pushed.predicate, pred_table, params), dtype=bool
@@ -615,9 +577,7 @@ def execute_pushed(
             # itself, full schema, late-gathered at the surviving rids.
             return source.take(rids), node
 
-        table = _gather(
-            source, rids, _slice_names(source, pushed.columns), workers, counter
-        )
+        table = _gather(source, rids, _slice_names(source, pushed.columns))
 
     if pushed.groupby is not None:
         # The tree's static output schema (keys + aggregate types),
@@ -625,8 +585,7 @@ def execute_pushed(
         # materializing executors do.
         schema = infer_schema(pushed.groupby, catalog)
         table, local_bw, local_fw = execute_groupby(
-            table, pushed.groupby, config, params, schema,
-            workers=workers, counter=counter,
+            table, pushed.groupby, config, params, schema
         )
         node = compose_node(table.num_rows, node, local_bw, local_fw)
 
@@ -690,8 +649,6 @@ def execute_pushed_batch(
     catalog: Catalog,
     results: Optional[Mapping[str, object]],
     params_list: Sequence[Optional[dict]],
-    workers: int = 1,
-    counter: Optional[morsel.MorselCounter] = None,
     lineage_cache=None,
 ) -> List[Table]:
     """Execute one :func:`batchable_pushed` tree for N parameter bindings
@@ -744,9 +701,7 @@ def execute_pushed_batch(
         scan, catalog, results, params_list, cache=lineage_cache
     )
     if decomposed is not None:
-        tables = _batch_tables_by_bars(
-            pushed, catalog, decomposed, params_list[0], workers, counter
-        )
+        tables = _batch_tables_by_bars(pushed, catalog, decomposed, params_list[0])
         if tables is not None:
             return tables
         # Per-bar matrices would be too large (high-cardinality group
@@ -768,8 +723,7 @@ def execute_pushed_batch(
             scan, catalog, results, params_list, cache=lineage_cache
         )
     return _batch_tables_from_sets(
-        pushed, catalog, source, rid_sets, domain, params_list[0],
-        workers, counter,
+        pushed, catalog, source, rid_sets, domain, params_list[0]
     )
 
 
@@ -778,8 +732,6 @@ def _shared_batch_codes(
     source: Table,
     rows: np.ndarray,
     shared_params: Optional[dict],
-    workers: int,
-    counter: Optional[morsel.MorselCounter],
 ):
     """The shared head of both batch stages: evaluate the pushed
     predicate over ``rows`` (one gather of only the predicate's
@@ -793,8 +745,7 @@ def _shared_batch_codes(
     mask = None
     if pushed.predicate is not None:
         pred_table = _gather(
-            source, rows, _slice_names(source, pushed.predicate.columns()),
-            workers, counter,
+            source, rows, _slice_names(source, pushed.predicate.columns())
         )
         mask = np.asarray(
             evaluate(pushed.predicate, pred_table, shared_params), dtype=bool
@@ -802,9 +753,7 @@ def _shared_batch_codes(
         rows = rows[mask]
 
     gb = pushed.groupby
-    kept_table = _gather(
-        source, rows, _slice_names(source, pushed.columns), workers, counter
-    )
+    kept_table = _gather(source, rows, _slice_names(source, pushed.columns))
     key_arrays = [
         np.asarray(evaluate(e, kept_table, shared_params)) for e, _ in gb.keys
     ]
@@ -871,8 +820,6 @@ def _batch_tables_from_sets(
     rid_sets: Sequence[np.ndarray],
     domain: int,
     shared_params: Optional[dict],
-    workers: int,
-    counter: Optional[morsel.MorselCounter],
 ) -> List[Table]:
     """Set-based batch stage: one shared pass over the bindings' rid
     **union**, then one ``code_of_rid`` gather + subset grouping per
@@ -888,7 +835,7 @@ def _batch_tables_from_sets(
         union = rid_sets[0]
 
     mask, codes, num_codes, key_by_code = _shared_batch_codes(
-        pushed, source, union, shared_params, workers, counter
+        pushed, source, union, shared_params
     )
     if mask is not None:
         union = union[mask]
@@ -924,8 +871,6 @@ def _batch_tables_by_bars(
     catalog: Catalog,
     decomposed,
     shared_params: Optional[dict],
-    workers: int,
-    counter: Optional[morsel.MorselCounter],
 ) -> Optional[List[Table]]:
     """Per-bar batch stage, for partition-shaped backward indexes.
 
@@ -963,7 +908,7 @@ def _batch_tables_by_bars(
     )
 
     mask, codes_kept, num_codes, key_by_code = _shared_batch_codes(
-        pushed, source, rows, shared_params, workers, counter
+        pushed, source, rows, shared_params
     )
     if n_bars * max(num_codes, 1) > _BAR_MATRIX_MAX_CELLS:
         return None

@@ -39,10 +39,10 @@ LATE_MAT_BUILD_SWAPS = "late_mat_build_swaps"
 #: Chain hops probed with the pk-fk fast path (build keys unique).
 LATE_MAT_PKFK_DETECTED = "late_mat_pkfk_detected"
 
-#: Morsel tasks dispatched to the shared worker pool during this
-#: execution (0 / absent when the run was serial).  Folded once on the
-#: coordinating thread after each kernel's merge — workers never touch
-#: the timings dict (see CONTRIBUTING.md, "Parallel execution contract").
+#: Registered but never written: the engine runs every kernel serially,
+#: so nothing in ``src/`` sets this key.  It stays because ``perfbench``
+#: still reads it into a count-exact metric that must stay 0; drop it
+#: together with that metric.
 MORSEL_TASKS = "morsel_tasks"
 
 #: Every registered timings key.  Tests assert BENCH-gated keys appear

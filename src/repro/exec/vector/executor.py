@@ -47,7 +47,6 @@ from ...plan.logical import (
     assign_source_keys,
     source_leaves,
 )
-from .. import morsel
 from ..late_mat import PushedStats, execute_pushed, fold_push_stats
 from ..lineage_scan import execute_lineage_scan
 from ..timings import (
@@ -55,7 +54,6 @@ from ..timings import (
     LATE_MAT_DISTINCTS,
     LATE_MAT_JOINS,
     LATE_MAT_SUBTREES,
-    MORSEL_TASKS,
 )
 from ...lineage.cache import LineageResolutionCache
 from ...plan.rewrite import RewriteIndex, match_late_materialization
@@ -116,8 +114,6 @@ class _RunState:
     rewrites: Optional[RewriteIndex] = None
     cache: Optional[LineageResolutionCache] = None
     push_stats: PushedStats = field(default_factory=PushedStats)
-    workers: int = 1
-    morsel_counter: Optional[morsel.MorselCounter] = None
 
     def next_key(self, scan_keys: List[str]) -> str:
         key = scan_keys[self.scan_cursor]
@@ -155,17 +151,13 @@ class VectorExecutor:
         late_materialize: bool = True,
         rewrites: Optional[RewriteIndex] = None,
         lineage_cache: Optional[LineageResolutionCache] = None,
-        parallel: Optional[int] = None,
     ) -> ExecResult:
         """Run ``plan``.  ``rewrites`` / ``lineage_cache`` are the
         prepared-statement fast-path handles: a precomputed
         late-materialization index (skips per-run structural matching)
         and a shared rid-resolution cache (skips repeated ``Lb``/``Lf``
-        resolution across a session's statements).  ``parallel`` is the
-        morsel worker target (``None`` = ``REPRO_PARALLEL`` env or
-        serial); output is bit-identical at any worker count."""
+        resolution across a session's statements)."""
         config = capture or CaptureConfig.none()
-        workers = morsel.resolve_parallel(parallel)
         scan_keys = self._assign_scan_keys(plan)
         # Validate pruning entries up front: a misspelled `relations`
         # entry must not discard a finished (possibly expensive) run.
@@ -174,8 +166,6 @@ class VectorExecutor:
             late_mat=bool(late_materialize),
             rewrites=rewrites,
             cache=lineage_cache,
-            workers=workers,
-            morsel_counter=morsel.MorselCounter() if workers > 1 else None,
         )
         start = time.perf_counter()
         table, node = self._run(plan, config, params, scan_keys, state)
@@ -189,8 +179,6 @@ class VectorExecutor:
         if state.pushed_distincts:
             timings[LATE_MAT_DISTINCTS] = float(state.pushed_distincts)
         fold_push_stats(timings, state.push_stats)
-        if state.morsel_counter is not None and state.morsel_counter.tasks:
-            timings[MORSEL_TASKS] = float(state.morsel_counter.tasks)
         return ExecResult(table, lineage, timings)
 
     # -- helpers -------------------------------------------------------------------
@@ -227,8 +215,6 @@ class VectorExecutor:
                 run_child=lambda p: self._run(p, config, params, scan_keys, state),
                 cache=state.cache,
                 stats=state.push_stats,
-                workers=state.workers,
-                counter=state.morsel_counter,
             )
 
         if isinstance(plan, Scan):
@@ -283,8 +269,7 @@ class VectorExecutor:
             )
             schema = infer_schema(plan, self.catalog)
             out, local_bw, local_fw = execute_groupby(
-                child_table, plan, config, params, schema,
-                workers=state.workers, counter=state.morsel_counter,
+                child_table, plan, config, params, schema
             )
             node = compose_node(out.num_rows, child_node, local_bw, local_fw)
             return out, node
@@ -297,8 +282,7 @@ class VectorExecutor:
                 plan.right, config, params, scan_keys, state
             )
             matches = compute_matches(
-                left_table, right_table, plan.left_keys, plan.right_keys, plan.pkfk,
-                workers=state.workers, counter=state.morsel_counter,
+                left_table, right_table, plan.left_keys, plan.right_keys, plan.pkfk
             )
             fields = join_output_fields(left_table.schema, right_table.schema)
             src_names = left_table.schema.names + right_table.schema.names

@@ -31,7 +31,6 @@ from ...lineage.capture import CaptureConfig, CaptureMode, IndexOrThunk
 from ...lineage.indexes import GrowableRidIndex, RidArray, RidIndex, stable_group_order
 from ...plan.logical import GroupBy
 from ...storage.table import Schema, Table
-from .. import morsel
 from .kernels import GroupLayout, chunk_ranges, compute_aggregate, factorize
 
 
@@ -95,20 +94,12 @@ def execute_groupby(
     params: Optional[dict],
     output_schema: Schema,
     label: str = "groupby",
-    workers: int = 1,
-    counter: Optional[morsel.MorselCounter] = None,
 ) -> Tuple[Table, Optional[IndexOrThunk], Optional[IndexOrThunk]]:
-    """Run aggregation; returns ``(output, local backward, local forward)``.
-
-    ``workers > 1`` runs the layout bincount and the per-aggregate value
-    gathers morsel-parallel; group assignment (``factorize``) and the
-    reduceat reductions stay serial, so output rows and lineage are
-    bit-identical to the serial run.
-    """
+    """Run aggregation; returns ``(output, local backward, local forward)``."""
     group_ids, num_groups, representatives, key_arrays = build_groups(
         child, node.keys, params
     )
-    layout = GroupLayout(group_ids, num_groups, workers, counter) if num_groups else None
+    layout = GroupLayout(group_ids, num_groups) if num_groups else None
 
     columns: Dict[str, np.ndarray] = {}
     for (_expr, alias), arr in zip(node.keys, key_arrays, strict=True):
@@ -119,9 +110,7 @@ def execute_groupby(
                 0, dtype=output_schema.type_of(agg.alias).numpy_dtype
             )
         else:
-            columns[agg.alias] = compute_aggregate(
-                agg, layout, child, params, workers, counter
-            )
+            columns[agg.alias] = compute_aggregate(agg, layout, child, params)
     output = Table(columns, output_schema)
 
     local_backward: Optional[IndexOrThunk] = None

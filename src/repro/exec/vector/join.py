@@ -35,7 +35,6 @@ from ...lineage.indexes import (
     stable_group_order,
 )
 from ...storage.table import Table
-from .. import morsel
 from .kernels import chunk_ranges, factorize
 
 
@@ -82,37 +81,16 @@ def probe_pkfk(
     right_ids: np.ndarray,
     num_keys: int,
     num_left: int,
-    workers: int = 1,
-    counter: Optional[morsel.MorselCounter] = None,
 ) -> JoinMatches:
     """Probe for a pk-fk join (left keys unique).  Raises if they are not.
 
-    The probe side is morsel-parallel: each morsel scans its slice of
-    the (shared, read-only) position array and emits matches with probe
-    rows offset by the morsel base; concatenating in morsel order *is*
-    the canonical right-row-major order, so no sort is needed and the
-    output is bit-identical to serial.
+    One gather through the left-key position array; matches come out in
+    probe-row order, which is the canonical right-row-major order.
     """
     position = np.full(num_keys, NO_MATCH, dtype=np.int64)
     position[left_ids] = np.arange(num_left, dtype=np.int64)
     if np.unique(left_ids).shape[0] != num_left:
         raise PlanError("pk-fk join requested but left keys are not unique")
-    ranges = morsel.morsel_ranges(right_ids.shape[0]) if workers > 1 else []
-    if len(ranges) > 1:
-
-        def probe_range(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-            matches = position[right_ids[lo:hi]]
-            mask = matches != NO_MATCH
-            return matches[mask], np.flatnonzero(mask) + lo
-
-        parts = morsel.run_tasks(
-            [lambda lo=lo, hi=hi: probe_range(lo, hi) for lo, hi in ranges],
-            workers,
-            counter,
-        )
-        out_left = np.concatenate([p[0] for p in parts])
-        out_right = np.concatenate([p[1] for p in parts])
-        return JoinMatches(out_left, out_right, num_left, right_ids.shape[0])
     matches = position[right_ids] if right_ids.size else np.empty(0, np.int64)
     mask = matches != NO_MATCH
     out_left = matches[mask]
@@ -125,38 +103,18 @@ def probe_mn(
     right_ids: np.ndarray,
     num_keys: int,
     num_left: int,
-    workers: int = 1,
-    counter: Optional[morsel.MorselCounter] = None,
 ) -> JoinMatches:
     """Probe for a general m:n join; emits every (left, right) key match.
 
-    Build stays serial (one CSR counting sort); the probe side splits
-    into morsels that look up their bucket slices independently.  Bucket
-    entries are ascending within each probe row and morsels concatenate
-    in probe-row order, so the merged output is the canonical order with
-    no re-sort.
+    Build is one CSR counting sort over the left keys; the probe looks up
+    every right row's bucket.  Bucket entries are ascending within each
+    probe row and rows are emitted in probe-row order, so the output is
+    the canonical order with no re-sort.
     """
     if num_keys == 0:
         empty = np.empty(0, dtype=np.int64)
         return JoinMatches(empty, empty, num_left, right_ids.shape[0])
     buckets = RidIndex.from_group_ids(left_ids, num_keys)
-    ranges = morsel.morsel_ranges(right_ids.shape[0]) if workers > 1 else []
-    if len(ranges) > 1:
-        bucket_counts = buckets.counts()
-
-        def probe_range(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-            ids = right_ids[lo:hi]
-            out_right = np.repeat(np.arange(lo, hi, dtype=np.int64), bucket_counts[ids])
-            return buckets.lookup_many(ids), out_right
-
-        parts = morsel.run_tasks(
-            [lambda lo=lo, hi=hi: probe_range(lo, hi) for lo, hi in ranges],
-            workers,
-            counter,
-        )
-        out_left = np.concatenate([p[0] for p in parts])
-        out_right = np.concatenate([p[1] for p in parts])
-        return JoinMatches(out_left, out_right, num_left, right_ids.shape[0])
     counts = buckets.counts()[right_ids] if right_ids.size else np.empty(0, np.int64)
     out_right = np.repeat(
         np.arange(right_ids.shape[0], dtype=np.int64), counts
@@ -171,15 +129,11 @@ def compute_matches(  # the single entry point the executor and benches use
     left_keys: Sequence[str],
     right_keys: Sequence[str],
     pkfk: bool,
-    workers: int = 1,
-    counter: Optional[morsel.MorselCounter] = None,
 ) -> JoinMatches:
     return compute_matches_narrow(
         [left.column(k) for k in left_keys],
         [right.column(k) for k in right_keys],
         pkfk,
-        workers=workers,
-        counter=counter,
     )
 
 
@@ -187,8 +141,6 @@ def compute_matches_narrow(
     left_key_cols: Sequence[np.ndarray],
     right_key_cols: Sequence[np.ndarray],
     pkfk: bool,
-    workers: int = 1,
-    counter: Optional[morsel.MorselCounter] = None,
 ) -> JoinMatches:
     """Probe with pre-gathered key columns only — the late-materializing
     join path (:mod:`repro.exec.late_mat`) hands in one rid-gathered
@@ -197,8 +149,8 @@ def compute_matches_narrow(
     left_ids, right_ids, num_keys = _key_ids(left_key_cols, right_key_cols)
     num_left = int(left_key_cols[0].shape[0])
     if pkfk:
-        return probe_pkfk(left_ids, right_ids, num_keys, num_left, workers, counter)
-    return probe_mn(left_ids, right_ids, num_keys, num_left, workers, counter)
+        return probe_pkfk(left_ids, right_ids, num_keys, num_left)
+    return probe_mn(left_ids, right_ids, num_keys, num_left)
 
 
 def compute_matches_oriented(
@@ -206,8 +158,6 @@ def compute_matches_oriented(
     right_key_cols: Sequence[np.ndarray],
     build_left: bool,
     build_pkfk: bool,
-    workers: int = 1,
-    counter: Optional[morsel.MorselCounter] = None,
 ) -> JoinMatches:
     """Probe with an *explicit* build side, emitting matches in the
     canonical build-left order regardless of which side actually built.
@@ -233,10 +183,10 @@ def compute_matches_oriented(
     num_right = int(right_key_cols[0].shape[0])
     if build_left:
         if build_pkfk:
-            return probe_pkfk(left_ids, right_ids, num_keys, num_left, workers, counter)
-        return probe_mn(left_ids, right_ids, num_keys, num_left, workers, counter)
+            return probe_pkfk(left_ids, right_ids, num_keys, num_left)
+        return probe_mn(left_ids, right_ids, num_keys, num_left)
     probe = probe_pkfk if build_pkfk else probe_mn
-    swapped = probe(right_ids, left_ids, num_keys, num_right, workers, counter)
+    swapped = probe(right_ids, left_ids, num_keys, num_right)
     out_left = swapped.out_right  # probe side rows == canonical left
     out_right = swapped.out_left  # build side rows == canonical right
     order = stable_group_order(out_right, num_right)

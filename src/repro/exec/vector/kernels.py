@@ -23,7 +23,6 @@ from ...expr.ast import evaluate
 from ...lineage.indexes import stable_group_order
 from ...plan.logical import AggCall
 from ...storage.table import Table
-from .. import morsel
 
 
 #: Dense-domain factorize threshold: below this (or 4x the input size) the
@@ -164,20 +163,11 @@ class GroupLayout:
 
     __slots__ = ("_order", "offsets", "group_ids", "num_groups")
 
-    def __init__(
-        self,
-        group_ids: np.ndarray,
-        num_groups: int,
-        workers: int = 1,
-        counter: Optional[morsel.MorselCounter] = None,
-    ):
+    def __init__(self, group_ids: np.ndarray, num_groups: int):
         self.group_ids = group_ids
         self.num_groups = num_groups
         self._order = None
-        # Morsel-parallel when workers > 1: per-morsel int64 partials
-        # summed at the merge — exact, so offsets are bit-identical to
-        # serial.  The deferred ordering in `order` stays serial.
-        counts = morsel.bincount(group_ids, num_groups, workers, counter)
+        counts = np.bincount(group_ids, minlength=num_groups)
         self.offsets = np.empty(num_groups + 1, dtype=np.int64)
         self.offsets[0] = 0
         np.cumsum(counts, out=self.offsets[1:])
@@ -197,14 +187,11 @@ def compute_aggregate(
     layout: GroupLayout,
     child: Table,
     params: Optional[dict] = None,
-    workers: int = 1,
-    counter: Optional[morsel.MorselCounter] = None,
 ) -> np.ndarray:
     """Evaluate one aggregate over every group.
 
-    Only the value *gather* into group order runs morsel-parallel (a
-    permutation — element-identical for any worker count); the reduceat
-    reductions stay serial so float sums never reassociate.
+    Values are gathered into group order (``layout.order``) once and
+    reduced per group segment with ``reduceat``.
     """
     n_groups = layout.num_groups
     if agg.func == "count" and agg.arg is None:
@@ -222,7 +209,7 @@ def compute_aggregate(
         combined = layout.group_ids.astype(np.int64) * domain + codes
         uniq = np.unique(combined)
         return np.bincount(uniq // domain, minlength=n_groups).astype(np.int64)
-    sorted_vals = morsel.gather(values, layout.order, workers, counter)
+    sorted_vals = values[layout.order]
     if sorted_vals.dtype == bool:
         # Boolean predicates aggregate as 0/1 counts (e.g. TPC-H Q12's
         # CASE-like sums); reduceat over bool would compute logical OR.

@@ -247,7 +247,6 @@ class Snapshot:
             late_materialize=opts.late_materialize,
             rewrites=rewrites,
             lineage_cache=self.lineage_cache,
-            parallel=opts.parallel,
         )
         return QueryResult(self._database, plan, result, options=opts)
 
@@ -518,9 +517,8 @@ class DatabaseServer:
         from time import perf_counter
 
         from .api import QueryResult, _as_config
-        from .exec import morsel
         from .exec.late_mat import batchable_pushed, execute_pushed_batch
-        from .exec.timings import EXECUTE, LATE_MAT_SUBTREES, MORSEL_TASKS
+        from .exec.timings import EXECUTE, LATE_MAT_SUBTREES
         from .exec.vector.executor import ExecResult
         from .expr.ast import Param
 
@@ -548,8 +546,6 @@ class DatabaseServer:
                     f"prepared statement is missing parameter(s) "
                     f"{sorted(missing)}; expected {sorted(prepared.param_names)}"
                 )
-        workers = morsel.resolve_parallel(opts.parallel)
-        counter = morsel.MorselCounter() if workers > 1 else None
         start = perf_counter()
         try:
             tables = execute_pushed_batch(
@@ -557,24 +553,21 @@ class DatabaseServer:
                 snap.catalog,
                 snap.results,
                 params_list,
-                workers=workers,
-                counter=counter,
                 lineage_cache=snap.lineage_cache,
             )
         except StaleBindingError:
             # Let the per-binding fallback re-bind and retry.
             return None
         elapsed = perf_counter() - start
-        out = []
-        for table in tables:
-            timings = {EXECUTE: elapsed, LATE_MAT_SUBTREES: 1.0}
-            if counter is not None and counter.tasks:
-                timings[MORSEL_TASKS] = float(counter.tasks)
-            result = ExecResult(table, None, timings)
-            out.append(
-                QueryResult(self._db, prepared.plan, result, options=opts)
+        return [
+            QueryResult(
+                self._db,
+                prepared.plan,
+                ExecResult(table, None, {EXECUTE: elapsed, LATE_MAT_SUBTREES: 1.0}),
+                options=opts,
             )
-        return out
+            for table in tables
+        ]
 
     def submit_query(
         self,

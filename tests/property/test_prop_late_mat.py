@@ -3,30 +3,13 @@ from the materialize-then-scan path — identical output rows *and* identical
 captured lineage — across random tables, predicates, aggregates, and rid
 subsets, on both backends."""
 
-import os
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Database, ExecOptions
 from repro.lineage.capture import CaptureMode
 from repro.storage import Table
-
-
-@pytest.fixture(scope="module", autouse=True)
-def tiny_morsels():
-    """Shrink morsels to 5 rows so the ≤40-row Hypothesis tables split
-    into several morsels and ``parallel=4`` exercises real boundaries
-    (including ones cutting through a group key's run)."""
-    old = os.environ.get("REPRO_MORSEL_SIZE")
-    os.environ["REPRO_MORSEL_SIZE"] = "5"
-    yield
-    if old is None:
-        os.environ.pop("REPRO_MORSEL_SIZE", None)
-    else:
-        os.environ["REPRO_MORSEL_SIZE"] = old
 
 
 rows_strategy = st.lists(
@@ -107,11 +90,10 @@ def _assert_same_lineage(db, pushed, materialized):
     st.integers(min_value=0, max_value=len(STATEMENTS) - 1),
     st.lists(st.integers(min_value=0, max_value=4), max_size=6),
     st.sampled_from(["vector", "compiled"]),
-    st.sampled_from([1, 4]),
 )
 @settings(deadline=None)  # example budget governed by the profile
 def test_pushed_path_matches_materialized(
-    rows, cut, stmt_idx, subset, backend, parallel
+    rows, cut, stmt_idx, subset, backend
 ):
     db = _db(rows)
     prev = db.result("prev")
@@ -121,15 +103,12 @@ def test_pushed_path_matches_materialized(
     params = {"cut": cut, "bars": rids, "rows": rids}
 
     plan = db.parse(stmt)
-    # The pushed arm runs at the sampled worker count, the materialized
-    # arm always serially: rows AND lineage must stay bit-identical, so
-    # this doubles as the morsel determinism property.
+    # Pushed arm vs materialized arm: rows AND lineage must stay
+    # bit-identical.
     pushed = db.execute(
         plan,
         params=params,
-        options=ExecOptions(
-            capture=CaptureMode.INJECT, backend=backend, parallel=parallel
-        ),
+        options=ExecOptions(capture=CaptureMode.INJECT, backend=backend),
     )
     materialized = db.execute(
         plan,

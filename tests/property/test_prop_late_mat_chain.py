@@ -19,30 +19,13 @@ Runs under the shared Hypothesis profiles (``tier1`` default, the
 scheduled CI job's ``--hypothesis-profile=ci-deep`` for the deep pass).
 """
 
-import os
-
 import numpy as np
-import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from repro.api import Database, ExecOptions
 from repro.lineage.capture import CaptureMode
-
 from repro.storage import Table
-
-
-@pytest.fixture(scope="module", autouse=True)
-def tiny_morsels():
-    """Shrink morsels to 5 rows so ``parallel=4`` splits the tiny
-    Hypothesis tables across real morsel boundaries at every chain hop."""
-    old = os.environ.get("REPRO_MORSEL_SIZE")
-    os.environ["REPRO_MORSEL_SIZE"] = "5"
-    yield
-    if old is None:
-        os.environ.pop("REPRO_MORSEL_SIZE", None)
-    else:
-        os.environ["REPRO_MORSEL_SIZE"] = old
 
 
 # Fact rows: k links to d1 (chain), m links to e1 (snowflake branch).
@@ -257,11 +240,10 @@ def _assert_same_lineage(db, pushed, materialized):
     st.integers(min_value=0, max_value=31),
     st.lists(st.integers(min_value=0, max_value=3), max_size=5),
     st.sampled_from(["vector", "compiled"]),
-    st.sampled_from([1, 4]),
 )
 @settings(deadline=None)  # example budget governed by the profile
 def test_pushed_chain_matches_materialized(
-    rows, d1, d2, d3, e1, spec, cut, subset, backend, parallel
+    rows, d1, d2, d3, e1, spec, cut, subset, backend
 ):
     db = _db(rows, d1, d2, d3, e1)
     stmt = _statement(spec)
@@ -272,14 +254,12 @@ def test_pushed_chain_matches_materialized(
 
     plan = db.parse(stmt)
     _note_plan(stmt, plan, params)
-    # Pushed arm at the sampled worker count vs serial materialized arm:
-    # per-hop morsel-parallel probes must stay bit-identical to serial.
+    # Pushed arm vs materialized arm: the flattened per-hop probes must
+    # stay bit-identical to the hop-by-hop materialized joins.
     pushed = db.execute(
         plan,
         params=params,
-        options=ExecOptions(
-            capture=CaptureMode.INJECT, backend=backend, parallel=parallel
-        ),
+        options=ExecOptions(capture=CaptureMode.INJECT, backend=backend),
     )
     materialized = db.execute(
         plan,

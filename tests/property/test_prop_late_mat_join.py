@@ -9,31 +9,14 @@ rewrite (:mod:`repro.plan.rewrite`): every statement here contains a
 linear-stack suite (``test_prop_late_mat.py``) never exercises.
 """
 
-import os
-
 import numpy as np
-import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from repro.api import Database, ExecOptions
 from repro.lineage.capture import CaptureMode
-
 from repro.storage import Table
 
-
-@pytest.fixture(scope="module", autouse=True)
-def tiny_morsels():
-    """Shrink morsels to 5 rows so ``parallel=4`` splits the tiny
-    Hypothesis tables across real morsel boundaries (hop probes and
-    late gathers included)."""
-    old = os.environ.get("REPRO_MORSEL_SIZE")
-    os.environ["REPRO_MORSEL_SIZE"] = "5"
-    yield
-    if old is None:
-        os.environ.pop("REPRO_MORSEL_SIZE", None)
-    else:
-        os.environ["REPRO_MORSEL_SIZE"] = old
 
 fact_rows = st.lists(
     st.tuples(
@@ -161,11 +144,10 @@ def _assert_same_lineage(db, pushed, materialized):
     st.integers(min_value=0, max_value=len(STATEMENTS) - 1),
     st.lists(st.integers(min_value=0, max_value=4), max_size=6),
     st.sampled_from(["vector", "compiled"]),
-    st.sampled_from([1, 4]),
 )
 @settings(deadline=None)  # example budget governed by the profile
 def test_pushed_join_distinct_matches_materialized(
-    rows, drows, cut, stmt_idx, subset, backend, parallel
+    rows, drows, cut, stmt_idx, subset, backend
 ):
     db = _db(rows, drows)
     prev = db.result("prev")
@@ -176,14 +158,12 @@ def test_pushed_join_distinct_matches_materialized(
 
     plan = db.parse(stmt)
     _note_plan(stmt, plan, params)
-    # Pushed arm at the sampled worker count vs serial materialized arm:
-    # morsel-parallel probes/gathers must stay bit-identical to serial.
+    # Pushed arm vs materialized arm: rid-domain probes and late gathers
+    # must stay bit-identical to the materialized joins.
     pushed = db.execute(
         plan,
         params=params,
-        options=ExecOptions(
-            capture=CaptureMode.INJECT, backend=backend, parallel=parallel
-        ),
+        options=ExecOptions(capture=CaptureMode.INJECT, backend=backend),
     )
     materialized = db.execute(
         plan,
