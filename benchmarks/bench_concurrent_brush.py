@@ -6,20 +6,19 @@ brush is serialized behind a refresh, and what N snapshot readers
 sustain when the writer refreshes on its own cadence.  Four throughput
 axes, all brushes/second on the same statement:
 
-* ``concurrent_brush_serialized_rw_per_s`` — one thread alternating
+* ``serialized_rw`` — one thread alternating
   {refresh the base table + re-register the view; brush}: every brush
   pays a fresh epoch, the no-serving-layer baseline.
-* ``concurrent_brush_readers_{1,4,8}_per_s`` — a
+* ``readers_{1,4,8}`` — a
   :class:`~repro.serve.DatabaseServer` with a background writer doing
   the same refresh on a ~10 ms cadence while N reader threads brush a
   hot bar pool against pinned snapshots.  Within one epoch window the
   per-snapshot answer memo collapses repeated questions.  The reader
-  axes are reported, not gated against each other: how far throughput
+  axes are measured, not gated against each other: how far throughput
   grows from 1 to 8 readers depends on the CPU count.
 
-Medians are merged into ``BENCH_latemat.json`` next to the
-late-materialization axes (same artifact, disjoint keys).  Gates apply
-at ``REPRO_SCALE >= 1`` only.
+Throughputs collect in the module's ``RESULTS`` dict, which the gates
+read.  Gates apply at ``REPRO_SCALE >= 1`` only.
 """
 
 import threading
@@ -27,7 +26,6 @@ import time
 
 import numpy as np
 import pytest
-from bench_lineage_scan_late_mat import merge_bench_json
 
 from repro.api import Database, ExecOptions
 from repro.bench.harness import scale, scaled
@@ -46,7 +44,7 @@ PAYLOAD_COLS = 6
 HOT_BARS = 8
 WRITER_CADENCE_S = 0.010
 
-#: brushes/second per axis, collected across tests and emitted once.
+#: brushes/second per axis, collected across tests for the gates.
 RESULTS = {}
 
 
@@ -65,24 +63,6 @@ def brush_db():
     )
     db.sql(VIEW, options=VIEW_OPTS)
     return db
-
-
-@pytest.fixture(scope="module", autouse=True)
-def emit_json():
-    yield
-    medians = {
-        f"concurrent_brush_{axis}_per_s": round(value, 1)
-        for axis, value in sorted(RESULTS.items())
-    }
-    if "serialized_rw" in RESULTS and "readers_4" in RESULTS:
-        medians["concurrent_brush_speedup_4_vs_serialized"] = round(
-            RESULTS["readers_4"] / RESULTS["serialized_rw"], 2
-        )
-    if "batched_8users" in RESULTS and "unbatched_8users" in RESULTS:
-        medians["concurrent_brush_batched_speedup_8users"] = round(
-            RESULTS["batched_8users"] / RESULTS["unbatched_8users"], 2
-        )
-    merge_bench_json(medians)
 
 
 def _refresh(db):

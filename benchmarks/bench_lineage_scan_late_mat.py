@@ -14,16 +14,12 @@ and a DISTINCT projection) timed on three paths:
 * **hand-rolled** — the paper-style interaction kernel the rewrite is
   chasing: a direct backward-index probe plus numpy gather/bincount.
 
-Per-benchmark median milliseconds are written to ``BENCH_latemat.json``
-(override the path with ``BENCH_LATEMAT_PATH``) so CI and the roadmap can
-track the pushed-path speedup as a machine-readable artifact.  A smoke
-run at tiny ``REPRO_SCALE`` exercises all three paths and the equivalence
-assertions; the ≥2x speedup gate only applies at full scale.
+Per-benchmark median milliseconds collect in the module's ``RESULTS``
+dict, which the speedup and WAL-overhead gates read; the repo's tracked
+perf trajectory is ``perfbench/``.  A smoke run at tiny ``REPRO_SCALE``
+exercises all three paths and the equivalence assertions; the ≥2x
+speedup gate only applies at full scale.
 """
-
-import json
-import os
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,59 +102,6 @@ def latemat_db():
         options=ExecOptions(capture=CaptureMode.INJECT, name="view", pin=True),
     )
     return db
-
-
-@pytest.fixture(scope="module", autouse=True)
-def emit_json():
-    yield
-    medians_ms = {
-        f"{name}_{variant}": ms
-        for name, variants in sorted(RESULTS.items())
-        for variant, ms in sorted(variants.items())
-    }
-    speedups = {
-        name: round(v["materialized"] / v["pushed"], 2)
-        for name, v in sorted(RESULTS.items())
-        if v.get("pushed")
-    }
-    merge_bench_json(
-        medians_ms, {"speedup_vs_materialized": speedups}
-    )
-
-
-def merge_bench_json(medians_ms, extra_sections=None):
-    """Merge one bench module's medians into ``BENCH_latemat.json``.
-
-    The artifact is shared by several modules (this one and
-    ``bench_concurrent_brush.py``), each owning a disjoint key set;
-    merging instead of overwriting lets either run standalone without
-    erasing the other's axes.  A stale ``scale`` mismatch invalidates
-    the whole file — mixed-scale medians are not comparable.
-
-    The write is atomic (temp file in the same directory, then
-    ``os.replace``): the old read-modify-``write_text`` could be torn by
-    a concurrent merger — CI legs running bench modules in separate
-    processes would race, and a reader (or the other merger's
-    read-back) could observe a half-written artifact.  ``os.replace``
-    makes each merge all-or-nothing; the last writer wins whole-file,
-    never a byte-level interleaving."""
-    path = Path(os.environ.get("BENCH_LATEMAT_PATH", "BENCH_latemat.json"))
-    payload = {"scale": scale(), "medians_ms": {}}
-    if path.exists():
-        try:
-            existing = json.loads(path.read_text())
-        except (ValueError, OSError):
-            existing = {}
-        if existing.get("scale") == scale():
-            payload = existing
-            payload.setdefault("medians_ms", {})
-    payload["medians_ms"].update(medians_ms)
-    payload["medians_ms"] = dict(sorted(payload["medians_ms"].items()))
-    for section, values in (extra_sections or {}).items():
-        payload[section] = values
-    tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-    tmp.write_text(json.dumps(payload, indent=2) + "\n")
-    os.replace(tmp, path)
 
 
 def _bars(db):

@@ -16,9 +16,9 @@ aggregate under a name, then drives it entirely from SQL:
   key slices and gather payload only at matching rows, DISTINCT dedups
   the gathered slices before materializing anything full-width.
 
-Execution is configured with :class:`repro.ExecOptions` — the loose
-``capture=`` / ``backend=`` / ``name=`` keyword arguments still work but
-are deprecated (one ``DeprecationWarning`` per call site).
+Execution is configured with one value, :class:`repro.ExecOptions`
+(capture, backend, result name, pin, late materialization), passed as
+``options=`` to ``sql``/``execute``/``prepare``/``session``.
 
 The second half demonstrates the **prepared / session API**, the way
 interactive workloads should issue these statements:

@@ -12,7 +12,7 @@ Run:  python examples/provenance_and_refresh.py
 
 import numpy as np
 
-from repro.api import Database
+from repro.api import Database, ExecOptions
 from repro.lineage.capture import CaptureMode
 from repro.lineage.refresh import AggregateRefresher
 from repro.lineage.semantics import (
@@ -22,6 +22,8 @@ from repro.lineage.semantics import (
 )
 from repro.plan.logical import AggCall, GroupBy, HashJoin, Scan, col
 from repro.storage import Table
+
+INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
 
 def appendix_e() -> None:
@@ -38,7 +40,7 @@ def appendix_e() -> None:
         keys=[(col("cname"), "cname"), (col("pname"), "pname")],
         aggs=[AggCall("count", None, "cnt")],
     )
-    res = db.execute(plan, capture=CaptureMode.INJECT)
+    res = db.execute(plan, options=INJECT)
     print(res.table.pretty())
     for o in range(len(res.table)):
         name = res.table.column("cname")[o]
@@ -70,7 +72,7 @@ def refresh_demo() -> None:
             AggCall("max", col("reading"), "peak"),
         ],
     )
-    res = db.execute(plan, capture=CaptureMode.INJECT)
+    res = db.execute(plan, options=INJECT)
     refresher = AggregateRefresher(db, plan, res)
 
     # A late-arriving correction rewrites 50 readings.

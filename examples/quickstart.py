@@ -9,7 +9,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.api import Database
+from repro.api import Database, ExecOptions
 from repro.lineage.capture import CaptureMode
 from repro.storage import Table
 
@@ -35,7 +35,7 @@ def main() -> None:
     result = db.sql(
         "SELECT region, COUNT(*) AS orders, SUM(amount) AS revenue "
         "FROM sales GROUP BY region",
-        capture=CaptureMode.INJECT,
+        options=ExecOptions(capture=CaptureMode.INJECT),
     )
     print("Base query output:")
     print(result.table.pretty())
@@ -69,7 +69,7 @@ def main() -> None:
     )
     deferred = db.sql(
         "SELECT region, COUNT(*) AS orders FROM sales GROUP BY region",
-        capture=CaptureMode.DEFER,
+        options=ExecOptions(capture=CaptureMode.DEFER),
     )
     deferred.backward([0], "sales")  # triggers finalization
     print(f"\nBaseline ran in {baseline.execute_seconds*1000:.2f}ms; "

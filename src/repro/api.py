@@ -16,12 +16,6 @@ and the late-materialization toggle:
 >>> db.sql("SELECT z, COUNT(*) AS c FROM t GROUP BY z",
 ...        options=ExecOptions(capture=CaptureMode.INJECT, name="prev"))
 
-The pre-existing loose keyword arguments (``capture=``, ``backend=``,
-``name=``, ``pin=``, ``late_materialize=`` on :meth:`Database.execute` /
-:meth:`Database.sql`) still work as thin shims that fold into
-``ExecOptions``, but they are **deprecated** and emit a
-``DeprecationWarning`` once per call site.
-
 Prepared statements and sessions
 --------------------------------
 Interactive workloads (crossfilter, linked brushing) issue the *same*
@@ -90,9 +84,7 @@ occurrence specifically, while ``"t"`` raises for being ambiguous.
 
 from __future__ import annotations
 
-import sys
 import threading
-import warnings
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, replace as _dc_replace
@@ -143,6 +135,10 @@ class ExecOptions:
     Every statement runs its kernels serially on the calling thread;
     concurrency lives between statements (``DatabaseServer``'s reader
     pool and writer thread), never inside one.
+
+    Construction (including :meth:`with_`) validates ``backend`` and
+    ``capture``, so an options value that exists is one every execution
+    path can run.
     """
 
     capture: Union[CaptureConfig, CaptureMode, None] = None
@@ -151,36 +147,40 @@ class ExecOptions:
     pin: bool = False
     late_materialize: bool = True
 
+    def __post_init__(self) -> None:
+        if self.backend not in ("vector", "compiled"):
+            raise PlanError(
+                f"unknown backend {self.backend!r}; use 'vector' or 'compiled'"
+            )
+        if self.capture is not None and not isinstance(
+            self.capture, (CaptureMode, CaptureConfig)
+        ):
+            raise PlanError(f"invalid capture specification {self.capture!r}")
+
+    @property
+    def config(self) -> CaptureConfig:
+        """``capture`` as the full :class:`CaptureConfig` executors take."""
+        if self.capture is None:
+            return CaptureConfig.none()
+        if isinstance(self.capture, CaptureMode):
+            return CaptureConfig(mode=self.capture)
+        return self.capture
+
     def with_(self, **changes) -> "ExecOptions":
         """A copy with the given fields replaced (per-call overrides on
         top of session-level defaults)."""
         return _dc_replace(self, **changes)
 
 
-#: Sentinel distinguishing "kwarg not passed" from an explicit ``None``.
-_UNSET = object()
-
-#: Call sites (filename, lineno) that already received the legacy-kwarg
-#: deprecation warning — each site warns exactly once per process.
-_LEGACY_WARNED_SITES: set = set()
-
-
-def _warn_legacy_exec_kwargs(names) -> None:
-    try:
-        frame = sys._getframe(3)  # _warn < _resolve_options < sql/execute < user
-        site = (frame.f_code.co_filename, frame.f_lineno)
-    except ValueError:  # pragma: no cover - no caller frame
-        site = None
-    if site in _LEGACY_WARNED_SITES:
-        return
-    _LEGACY_WARNED_SITES.add(site)
-    warnings.warn(
-        f"Database.execute/sql keyword(s) {', '.join(names)} are "
-        "deprecated; pass options=ExecOptions(...) instead "
-        "(session-level defaults via Database.session)",
-        DeprecationWarning,
-        stacklevel=4,
-    )
+def require_params(param_names: FrozenSet[str], params: Optional[dict]) -> None:
+    """Raise before execution starts unless ``params`` binds every slot
+    in ``param_names`` (a prepared plan's :func:`plan_param_names`)."""
+    missing = param_names - set(params or ())
+    if missing:
+        raise PlanError(
+            f"prepared statement is missing parameter(s) "
+            f"{sorted(missing)}; expected {sorted(param_names)}"
+        )
 
 
 def normalize_statement(text: str) -> str:
@@ -737,12 +737,7 @@ class PreparedQuery:
         ``prepared.options.with_(backend="compiled")``).  Missing
         parameters raise before execution starts.
         """
-        missing = self.param_names - set(params or ())
-        if missing:
-            raise PlanError(
-                f"prepared statement is missing parameter(s) "
-                f"{sorted(missing)}; expected {sorted(self.param_names)}"
-            )
+        require_params(self.param_names, params)
         opts = options if options is not None else self.options
         return self.database._execute_plan(
             self.plan, opts, params,
@@ -1088,58 +1083,28 @@ class Database:
     def execute(
         self,
         plan: LogicalPlan,
-        capture=_UNSET,
         params: Optional[dict] = None,
-        backend=_UNSET,
-        name=_UNSET,
-        pin=_UNSET,
-        late_materialize=_UNSET,
         options: Optional[ExecOptions] = None,
     ) -> QueryResult:
-        """Execute a logical plan.
-
-        Execution behaviour is configured through ``options``
-        (:class:`ExecOptions`).  The loose keyword arguments are
-        **deprecated** shims that fold into the options value (warning
-        once per call site); they override the corresponding ``options``
-        fields when both are given.
-        """
-        opts = self._resolve_options(
-            options,
-            capture=capture,
-            backend=backend,
-            name=name,
-            pin=pin,
-            late_materialize=late_materialize,
-        )
+        """Execute a logical plan, configured by ``options``
+        (:class:`ExecOptions`; the defaults when omitted)."""
+        opts = options if options is not None else ExecOptions()
         return self._execute_plan(plan, opts, params)
 
     def sql(
         self,
         statement: str,
-        capture=_UNSET,
         params: Optional[dict] = None,
-        backend=_UNSET,
-        name=_UNSET,
-        pin=_UNSET,
-        late_materialize=_UNSET,
         options: Optional[ExecOptions] = None,
     ) -> QueryResult:
-        """Parse and execute a SQL statement (see :mod:`repro.sql`).
+        """Parse and execute a SQL statement (see :mod:`repro.sql`),
+        configured by ``options`` as in :meth:`execute`.
 
         One-shot form: every call re-parses and re-binds.  Repeated
         statements should go through :meth:`prepare` or a
-        :meth:`session` (which memoizes by statement text).  The loose
-        keyword arguments are deprecated shims — see :meth:`execute`.
+        :meth:`session` (which memoizes by statement text).
         """
-        opts = self._resolve_options(
-            options,
-            capture=capture,
-            backend=backend,
-            name=name,
-            pin=pin,
-            late_materialize=late_materialize,
-        )
+        opts = options if options is not None else ExecOptions()
         plan = self.parse(statement)
         return self._execute_plan(plan, opts, params, statement=statement)
 
@@ -1176,14 +1141,6 @@ class Database:
 
     # -- internals ---------------------------------------------------------------
 
-    def _resolve_options(self, options: Optional[ExecOptions], **legacy) -> ExecOptions:
-        passed = {k: v for k, v in legacy.items() if v is not _UNSET}
-        base = options if options is not None else ExecOptions()
-        if passed:
-            _warn_legacy_exec_kwargs(sorted(passed))
-            base = base.with_(**passed)
-        return base
-
     def _execute_plan(
         self,
         plan: LogicalPlan,
@@ -1203,18 +1160,12 @@ class Database:
             # Validate up front: a bad name must not discard a finished
             # (possibly expensive) execution.
             _check_result_name(options.name)
-        config = _as_config(options.capture)
-        if options.backend == "vector":
-            executor = self._vector
-        elif options.backend == "compiled":
-            executor = self._compiled_executor()
-        else:
-            raise PlanError(
-                f"unknown backend {options.backend!r}; use 'vector' or 'compiled'"
-            )
+        executor = (
+            self._vector if options.backend == "vector" else self._compiled_executor()
+        )
         result = executor.execute(
             plan,
-            config,
+            options.config,
             params,
             late_materialize=options.late_materialize,
             rewrites=rewrites,
@@ -1244,13 +1195,3 @@ def _check_result_name(name: str) -> None:
             "(or is a keyword); lineage-consuming SQL could not "
             "reference it"
         )
-
-
-def _as_config(capture) -> CaptureConfig:
-    if capture is None:
-        return CaptureConfig.none()
-    if isinstance(capture, CaptureMode):
-        return CaptureConfig(mode=capture)
-    if isinstance(capture, CaptureConfig):
-        return capture
-    raise PlanError(f"invalid capture specification {capture!r}")

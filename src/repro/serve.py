@@ -53,7 +53,7 @@ from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .errors import CatalogError, PlanError, ServingError, StaleBindingError
+from .errors import CatalogError, ServingError, StaleBindingError
 from .lineage.cache import LineageResolutionCache
 from .plan.logical import LogicalPlan
 from .plan.rewrite import RewriteIndex, precompute_rewrites
@@ -230,7 +230,7 @@ class Snapshot:
         rewrites: Optional[RewriteIndex] = None,
     ):
         """Execute a bound plan against this pinned view."""
-        from .api import ExecOptions, QueryResult, _as_config
+        from .api import ExecOptions, QueryResult
 
         opts = options or self._default_options or ExecOptions()
         if opts.name is not None:
@@ -242,7 +242,7 @@ class Snapshot:
         executor = self._executor(opts.backend)
         result = executor.execute(
             plan,
-            _as_config(opts.capture),
+            opts.config,
             params,
             late_materialize=opts.late_materialize,
             rewrites=rewrites,
@@ -258,14 +258,10 @@ class Snapshot:
                 from .exec.vector.executor import VectorExecutor
 
                 executor = VectorExecutor(self.catalog, results=self.results)
-            elif backend == "compiled":
+            else:
                 from .exec.compiled.executor import CompiledExecutor
 
                 executor = CompiledExecutor(self.catalog, results=self.results)
-            else:
-                raise PlanError(
-                    f"unknown backend {backend!r}; use 'vector' or 'compiled'"
-                )
             with self._lock:
                 executor = self._executors.setdefault(backend, executor)
         return executor
@@ -437,6 +433,8 @@ class DatabaseServer:
         """Execute one read statement on the calling thread against
         ``snapshot`` (latest if omitted), through the shared prepared-plan
         memo and the snapshot's answer memo."""
+        from .api import require_params
+
         snap = snapshot if snapshot is not None else self._snapshot
         opts = options if options is not None else self._options
         prepared = self._prepare(statement)
@@ -454,12 +452,7 @@ class DatabaseServer:
                 cached = snap.cached_answer(key)
                 if cached is not None:
                     return cached
-        missing = prepared.param_names - set(params or ())
-        if missing:
-            raise PlanError(
-                f"prepared statement is missing parameter(s) "
-                f"{sorted(missing)}; expected {sorted(prepared.param_names)}"
-            )
+        require_params(prepared.param_names, params)
         try:
             result = snap.execute_plan(
                 prepared.plan, params, opts, rewrites=prepared.rewrites
@@ -516,7 +509,7 @@ class DatabaseServer:
         statement/bindings are not batch-eligible (caller falls back)."""
         from time import perf_counter
 
-        from .api import QueryResult, _as_config
+        from .api import QueryResult, require_params
         from .exec.late_mat import batchable_pushed, execute_pushed_batch
         from .exec.timings import EXECUTE, LATE_MAT_SUBTREES
         from .exec.vector.executor import ExecResult
@@ -524,28 +517,20 @@ class DatabaseServer:
 
         if opts.name is not None or not opts.late_materialize:
             return None
-        if opts.backend not in ("vector", "compiled"):
-            return None
         if len(params_list) < 2:
             return None
         prepared = self._prepare(statement)
         pushed = prepared.rewrites.lookup(prepared.plan)
         if pushed is None:
             return None
-        config = _as_config(opts.capture)
-        if not batchable_pushed(pushed, config):
+        if not batchable_pushed(pushed, opts.config):
             return None
         rid_param = pushed.scan.rids
         assert isinstance(rid_param, Param)  # guaranteed by batchable_pushed
         if not _params_shared_except(params_list, rid_param.name):
             return None
         for params in params_list:
-            missing = prepared.param_names - set(params or ())
-            if missing:
-                raise PlanError(
-                    f"prepared statement is missing parameter(s) "
-                    f"{sorted(missing)}; expected {sorted(prepared.param_names)}"
-                )
+            require_params(prepared.param_names, params)
         start = perf_counter()
         try:
             tables = execute_pushed_batch(

@@ -428,6 +428,20 @@ class TestSqlBatch:
             with pytest.raises(PlanError, match="bars"):
                 server.sql_batch(self.COUNT_BRUSH, [{"bars": [0]}, {}])
 
+    def test_missing_param_raises_on_every_server_path(self):
+        """``server.sql``, the coalesced batch and the per-binding batch
+        fallback (SUM is not batchable) share one missing-parameter
+        check and raise before executing."""
+        from repro.errors import PlanError
+
+        db = _make_db()
+        with db.serve(readers=2) as server:
+            with pytest.raises(PlanError, match=r"missing parameter.*\['bars'\]"):
+                server.sql(self.COUNT_BRUSH)
+            for stmt in (self.COUNT_BRUSH, BRUSH):
+                with pytest.raises(PlanError, match="missing parameter"):
+                    server.sql_batch(stmt, [{}, {}])
+
     def test_batch_respects_pinned_snapshot(self):
         db = _make_db()
         with db.serve(readers=2) as server:

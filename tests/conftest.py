@@ -8,6 +8,9 @@ the Hypothesis profiles the property suites run under.
 
 Property tests that want the profile to govern their example count set
 ``@settings(deadline=None)`` without pinning ``max_examples``.
+
+The suites are warning-strict: a ``DeprecationWarning`` fails the test
+that triggered it (see :func:`pytest_configure`).
 """
 
 import sys
@@ -31,6 +34,16 @@ if not any(arg.startswith("--hypothesis-profile") for arg in sys.argv):
     # plugin applied any --hypothesis-profile option — so only install
     # the tier-1 default when no profile was requested explicitly.
     hypothesis_settings.load_profile("tier1")
+
+
+def pytest_configure(config):
+    config.addinivalue_line("filterwarnings", "error::DeprecationWarning")
+    # Hypothesis imports libcst only to report a failing example, and
+    # that import warns; without this narrow exception the report of a
+    # real failure would itself become a warning error.
+    config.addinivalue_line(
+        "filterwarnings", "ignore:mypy_extensions.TypedDict:DeprecationWarning"
+    )
 
 
 @pytest.fixture

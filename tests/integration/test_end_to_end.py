@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import Database
+from repro.api import Database, ExecOptions
 from repro.datagen import make_zipf_table
 from repro.lineage.capture import CaptureMode
 from repro.plan.logical import AggCall, col
@@ -14,6 +14,8 @@ from repro.workload import (
     Workload,
     execute_with_workload,
 )
+
+INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
 
 class TestLinkedBrushingFlow:
@@ -42,11 +44,11 @@ class TestLinkedBrushingFlow:
     def test_backward_then_forward_highlights(self, db):
         v1 = db.sql(
             "SELECT product, SUM(revenue) AS rev FROM sales GROUP BY product",
-            capture=CaptureMode.INJECT,
+            options=INJECT,
         )
         v2 = db.sql(
             "SELECT product, SUM(profit) AS prof FROM sales GROUP BY product",
-            capture=CaptureMode.INJECT,
+            options=INJECT,
         )
         selected = [0, 2]
         shared = v1.backward(selected, "sales")
@@ -70,15 +72,13 @@ class TestDrillDownFlow:
     def test_consuming_query_chain(self, db):
         overview = db.sql(
             "SELECT z, COUNT(*) AS c, SUM(v) AS s FROM zipf GROUP BY z",
-            capture=CaptureMode.INJECT,
+            options=INJECT,
         )
         # Zoom: drill into the largest group.
         big = int(np.argmax(overview.table.column("c")))
         subset = overview.backward_table([big], "zipf")
         db.create_table("drill", subset, replace=True)
-        detail = db.sql(
-            "SELECT COUNT(*) AS c FROM drill WHERE v < 50", capture=None
-        )
+        detail = db.sql("SELECT COUNT(*) AS c FROM drill WHERE v < 50")
         v = subset.column("v")
         assert detail.table.column("c")[0] == int((v < 50).sum())
 
@@ -88,15 +88,14 @@ class TestDrillDownFlow:
         relation *is* ``Lb(overview, 'zipf')`` — no manual table staging."""
         overview = db.sql(
             "SELECT z, COUNT(*) AS c, SUM(v) AS s FROM zipf GROUP BY z",
-            capture=CaptureMode.INJECT,
-            name="overview",
+            options=INJECT.with_(name="overview"),
         )
         big = int(np.argmax(overview.table.column("c")))
         detail = db.sql(
             "SELECT COUNT(*) AS c FROM Lb(overview, 'zipf', :bars) "
             "WHERE v < 50",
             params={"bars": [big]},
-            backend=backend,
+            options=ExecOptions(backend=backend),
         )
         subset = overview.backward_table([big], "zipf")
         assert detail.table.column("c")[0] == int(
@@ -107,7 +106,7 @@ class TestDrillDownFlow:
             "SELECT z, COUNT(*) AS c FROM Lb(overview, 'zipf', :bars) "
             "GROUP BY z",
             params={"bars": [big]},
-            backend=backend,
+            options=ExecOptions(backend=backend),
         )
         assert regroup.table.column("c")[0] == overview.table.column("c")[big]
 
@@ -116,26 +115,24 @@ class TestDrillDownFlow:
         other."""
         v1 = db.sql(
             "SELECT z, COUNT(*) AS c FROM zipf GROUP BY z",
-            capture=CaptureMode.INJECT,
-            name="v1",
+            options=INJECT.with_(name="v1"),
         )
         v2 = db.sql(
             "SELECT z, SUM(v) AS s FROM zipf GROUP BY z",
-            capture=CaptureMode.INJECT,
-            name="v2",
+            options=INJECT.with_(name="v2"),
         )
         marks = [0, 3]
         shared_sql = db.sql(
             "SELECT * FROM Lb(v1, 'zipf', :marks)",
             params={"marks": marks},
-            capture=CaptureMode.INJECT,
+            options=INJECT,
         )
         shared = shared_sql.backward(np.arange(len(shared_sql)), "zipf")
         assert np.array_equal(shared, v1.backward(marks, "zipf"))
         derived = db.sql(
             "SELECT * FROM Lf('zipf', v2, :rids)",
             params={"rids": shared},
-            capture=CaptureMode.INJECT,
+            options=INJECT,
         )
         highlighted = derived.backward(np.arange(len(derived)), "v2")
         assert np.array_equal(highlighted, v2.forward("zipf", shared))
@@ -167,7 +164,7 @@ class TestMultiSessionConsistency:
             db.create_table("zipf", make_zipf_table(5_000, 30, seed=12))
             res = db.sql(
                 "SELECT z, COUNT(*) AS c FROM zipf GROUP BY z",
-                capture=CaptureMode.INJECT,
+                options=INJECT,
             )
             results.append(res.backward([3], "zipf"))
         assert np.array_equal(results[0], results[1])
@@ -177,7 +174,7 @@ class TestMultiSessionConsistency:
         db.create_table("zipf", make_zipf_table(1_000, 10))
         res = db.sql(
             "SELECT z, COUNT(*) AS c FROM zipf GROUP BY z",
-            capture=CaptureMode.INJECT,
+            options=INJECT,
         )
         before = res.backward([0], "zipf").copy()
         db.create_table("zipf", make_zipf_table(500, 5, seed=99), replace=True)

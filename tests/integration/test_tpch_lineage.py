@@ -9,15 +9,18 @@ invariant I4.
 import numpy as np
 import pytest
 
+from repro.api import ExecOptions
 from repro.baselines import build_logic_idx, logical_capture
 from repro.lineage.capture import CaptureMode
 from repro.tpch import q1, q3, q10, q12
+
+INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
 
 class TestQ1:
     @pytest.fixture(scope="class")
     def result(self, tpch_db):
-        return tpch_db.execute(q1(), capture=CaptureMode.INJECT)
+        return tpch_db.execute(q1(), options=INJECT)
 
     def test_backward_bruteforce(self, tpch_db, result):
         li = tpch_db.table("lineitem")
@@ -66,8 +69,8 @@ class TestQ1:
             )
 
     def test_defer_and_compiled_agree(self, tpch_db, result):
-        defer = tpch_db.execute(q1(), capture=CaptureMode.DEFER)
-        comp = tpch_db.execute(q1(), capture=CaptureMode.INJECT, backend="compiled")
+        defer = tpch_db.execute(q1(), options=ExecOptions(capture=CaptureMode.DEFER))
+        comp = tpch_db.execute(q1(), options=INJECT.with_(backend="compiled"))
         for o in range(len(result.table)):
             expected = result.backward([o], "lineitem")
             assert np.array_equal(defer.backward([o], "lineitem"), expected)
@@ -77,7 +80,7 @@ class TestQ1:
 class TestQ3:
     @pytest.fixture(scope="class")
     def result(self, tpch_db):
-        return tpch_db.execute(q3(), capture=CaptureMode.INJECT)
+        return tpch_db.execute(q3(), options=INJECT)
 
     def test_backward_lineitem_bruteforce(self, tpch_db, result):
         li = tpch_db.table("lineitem")
@@ -106,7 +109,7 @@ class TestQ3:
 
 class TestQ10:
     def test_nation_lineage_via_customer(self, tpch_db):
-        res = tpch_db.execute(q10(), capture=CaptureMode.INJECT)
+        res = tpch_db.execute(q10(), options=INJECT)
         customer = tpch_db.table("customer")
         for o in range(min(10, len(res.table))):
             cust_rids = res.backward([o], "customer")
@@ -115,7 +118,7 @@ class TestQ10:
             assert res.backward([o], "nation").tolist() == [nation_key]
 
     def test_revenue_matches_lineage_subset(self, tpch_db):
-        res = tpch_db.execute(q10(), capture=CaptureMode.INJECT)
+        res = tpch_db.execute(q10(), options=INJECT)
         li = tpch_db.table("lineitem")
         for o in range(min(10, len(res.table))):
             rids = res.backward([o], "lineitem")
@@ -128,7 +131,7 @@ class TestQ10:
 
 class TestQ12:
     def test_counts_match_lineage_partition(self, tpch_db):
-        res = tpch_db.execute(q12(), capture=CaptureMode.INJECT)
+        res = tpch_db.execute(q12(), options=INJECT)
         orders = tpch_db.table("orders")
         for o in range(len(res.table)):
             order_rids = res.backward([o], "orders")
@@ -140,7 +143,7 @@ class TestQ12:
             assert res.table.column("high_line_count")[o] == high
 
     def test_lineitem_predicate_respected(self, tpch_db):
-        res = tpch_db.execute(q12(), capture=CaptureMode.INJECT)
+        res = tpch_db.execute(q12(), options=INJECT)
         li = tpch_db.table("lineitem")
         all_rids = res.lineage.backward_index("lineitem").values
         assert (li.column("l_commitdate")[all_rids] < li.column("l_receiptdate")[all_rids]).all()

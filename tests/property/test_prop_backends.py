@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Database
+from repro.api import Database, ExecOptions
 from repro.lineage.capture import CaptureMode
 from repro.plan.logical import (
     AggCall,
@@ -18,6 +18,8 @@ from repro.plan.logical import (
     col,
 )
 from repro.storage import Table
+
+INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
 tables = st.lists(
     st.tuples(
@@ -96,8 +98,8 @@ PLAN_BUILDERS = [
 def test_backends_agree(rows, rows2, cutoff, plan_idx):
     db = _db(rows, rows2)
     plan = PLAN_BUILDERS[plan_idx](cutoff)
-    vec = db.execute(plan, capture=CaptureMode.INJECT)
-    comp = db.execute(plan, capture=CaptureMode.INJECT, backend="compiled")
+    vec = db.execute(plan, options=INJECT)
+    comp = db.execute(plan, options=INJECT.with_(backend="compiled"))
     assert vec.table.to_rows() == comp.table.to_rows()
     if vec.lineage is None:
         return
@@ -128,7 +130,7 @@ def test_lineage_roundtrip_invariant(rows, cutoff):
         [(col("k"), "k")],
         [AggCall("count", None, "c")],
     )
-    res = db.execute(plan, capture=CaptureMode.INJECT)
+    res = db.execute(plan, options=INJECT)
     bw = res.lineage.backward_index("t")
     fw = res.lineage.forward_index("t")
     for o in range(len(res.table)):
@@ -148,8 +150,8 @@ def test_defer_equals_inject_everywhere(rows, rows2):
         [(col("k"), "k")],
         [AggCall("sum", col("w"), "s")],
     )
-    inject = db.execute(plan, capture=CaptureMode.INJECT)
-    defer = db.execute(plan, capture=CaptureMode.DEFER)
+    inject = db.execute(plan, options=INJECT)
+    defer = db.execute(plan, options=ExecOptions(capture=CaptureMode.DEFER))
     assert inject.table.to_rows() == defer.table.to_rows()
     for rel in inject.lineage.relations:
         for o in range(len(inject.table)):

@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Database
+from repro.api import Database, ExecOptions
 from repro.baselines import (
     LazyLineageEvaluator,
     build_logic_idx,
@@ -14,6 +14,8 @@ from repro.baselines import (
 from repro.lineage.capture import CaptureMode
 from repro.plan.logical import AggCall, GroupBy, Scan, Select, col
 from repro.storage import Table
+
+INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
 rows = st.lists(
     st.tuples(
@@ -48,7 +50,7 @@ def _setup(data, cutoff):
 @settings(max_examples=80, deadline=None)
 def test_all_capture_techniques_agree(data, cutoff):
     db, plan = _setup(data, cutoff)
-    smoke = db.execute(plan, capture=CaptureMode.INJECT)
+    smoke = db.execute(plan, options=INJECT)
     lazy = LazyLineageEvaluator(db, plan)
     cap = logical_capture(db.catalog, plan, "rid")
     logic, _ = build_logic_idx(cap, {"t": db.table("t").num_rows})
@@ -67,7 +69,7 @@ def test_all_capture_techniques_agree(data, cutoff):
 @settings(max_examples=60, deadline=None)
 def test_forward_agrees_between_smoke_and_lazy(data, cutoff):
     db, plan = _setup(data, cutoff)
-    smoke = db.execute(plan, capture=CaptureMode.INJECT)
+    smoke = db.execute(plan, options=INJECT)
     lazy = LazyLineageEvaluator(db, plan)
     n = db.table("t").num_rows
     probes = list(range(min(n, 10)))

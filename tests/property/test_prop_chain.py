@@ -9,11 +9,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Database
+from repro.api import Database, ExecOptions
 from repro.lineage.capture import CaptureMode
 from repro.lineage.chain import SUBSET_RELATION, execute_over_lineage
 from repro.plan.logical import AggCall, GroupBy, Scan, col
 from repro.storage import Table
+
+INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
 rows = st.lists(
     st.tuples(
@@ -42,7 +44,7 @@ def test_chain_backward_equals_direct_recomputation(data, bar_seed):
     )
     overview = db.execute(
         GroupBy(Scan("t"), [(col("g"), "g")], [AggCall("count", None, "c")]),
-        capture=CaptureMode.INJECT,
+        options=INJECT,
     )
     bar = bar_seed % len(overview.table)
     drill = execute_over_lineage(
@@ -84,7 +86,7 @@ def test_chain_forward_covers_exactly_subset(data):
     )
     overview = db.execute(
         GroupBy(Scan("t"), [(col("g"), "g")], [AggCall("count", None, "c")]),
-        capture=CaptureMode.INJECT,
+        options=INJECT,
     )
     drill = execute_over_lineage(
         db,

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Database
+from repro.api import Database, ExecOptions
 from repro.lineage.capture import CaptureMode
 from repro.storage import Table
+
+INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
 COLUMNS = ("k", "p", "v")
 
@@ -73,8 +75,8 @@ def test_generated_sql_executes_on_both_backends(data, where, aggs, keys, tail):
     ).strip()
     if "ORDER BY c" in tail and " c" not in aggs.split(",")[0]:
         sql = sql.replace("ORDER BY c", "ORDER BY " + first_key)
-    vec = db.sql(sql, capture=CaptureMode.INJECT)
-    comp = db.sql(sql, capture=CaptureMode.INJECT, backend="compiled")
+    vec = db.sql(sql, options=INJECT)
+    comp = db.sql(sql, options=INJECT.with_(backend="compiled"))
     assert len(vec) == len(comp)
     for a, b in zip(vec.table.to_rows(), comp.table.to_rows(), strict=True):
         for x, y in zip(a, b, strict=True):
@@ -91,7 +93,7 @@ def test_generated_sql_executes_on_both_backends(data, where, aggs, keys, tail):
 def test_generated_sql_lineage_partitions_filtered_input(data, where, keys):
     db = _db(data)
     sql = f"SELECT {keys.split(',')[0].strip()}, COUNT(*) AS c FROM t {where} GROUP BY {keys}"
-    res = db.sql(sql, capture=CaptureMode.INJECT)
+    res = db.sql(sql, options=INJECT)
     # union of all backward buckets == rows passing WHERE
     if len(res) == 0:
         return

@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Database
+from repro.api import Database, ExecOptions
 from repro.expr.ast import Col
 from repro.lineage.capture import CaptureMode
 from repro.plan.logical import AggCall, GroupBy, Scan, col
@@ -42,7 +42,7 @@ def _setup(data):
         [(col("k"), "k")],
         [AggCall("count", None, "c"), AggCall("sum", col("v"), "s")],
     )
-    res = db.execute(plan, capture=CaptureMode.INJECT)
+    res = db.execute(plan, options=ExecOptions(capture=CaptureMode.INJECT))
     return db, res
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import ExecOptions
 from repro.baselines import (
     LazyLineageEvaluator,
     build_logic_idx,
@@ -22,6 +23,8 @@ from repro.plan.logical import (
     col,
 )
 
+INJECT = ExecOptions(capture=CaptureMode.INJECT)
+
 
 @pytest.fixture
 def groupby_plan():
@@ -34,7 +37,7 @@ def groupby_plan():
 
 class TestLazy:
     def test_backward_matches_smoke(self, small_db, groupby_plan):
-        smoke = small_db.execute(groupby_plan, capture=CaptureMode.INJECT)
+        smoke = small_db.execute(groupby_plan, options=INJECT)
         lazy = LazyLineageEvaluator(small_db, groupby_plan)
         for o in range(len(smoke.table)):
             assert np.array_equal(
@@ -42,7 +45,7 @@ class TestLazy:
             )
 
     def test_forward_matches_smoke(self, small_db, groupby_plan):
-        smoke = small_db.execute(groupby_plan, capture=CaptureMode.INJECT)
+        smoke = small_db.execute(groupby_plan, options=INJECT)
         lazy = LazyLineageEvaluator(small_db, groupby_plan)
         probe = [0, 10, 500, 1999]
         assert np.array_equal(lazy.forward(probe), smoke.forward("zipf", probe))
@@ -90,7 +93,7 @@ class TestLazy:
 class TestLogical:
     def test_rid_annotation_roundtrip(self, small_db, groupby_plan):
         cap = logical_capture(small_db.catalog, groupby_plan, "rid")
-        smoke = small_db.execute(groupby_plan, capture=CaptureMode.INJECT)
+        smoke = small_db.execute(groupby_plan, options=INJECT)
         assert cap.output.equals(smoke.table, sort=True)
         for o in range(len(cap.output)):
             assert np.array_equal(
@@ -111,7 +114,7 @@ class TestLogical:
     def test_logic_idx_equals_smoke_indexes(self, small_db, groupby_plan):
         cap = logical_capture(small_db.catalog, groupby_plan, "rid")
         lineage, seconds = build_logic_idx(cap, {"zipf": 2000})
-        smoke = small_db.execute(groupby_plan, capture=CaptureMode.INJECT)
+        smoke = small_db.execute(groupby_plan, options=INJECT)
         assert seconds >= 0
         for o in range(len(cap.output)):
             assert np.array_equal(
@@ -125,7 +128,7 @@ class TestLogical:
     def test_join_shape_capture(self, small_db):
         plan = HashJoin(Scan("gids"), Scan("zipf"), ("id",), ("z",), pkfk=True)
         cap = logical_capture(small_db.catalog, plan, "rid")
-        smoke = small_db.execute(plan, capture=CaptureMode.INJECT)
+        smoke = small_db.execute(plan, options=INJECT)
         assert len(cap.output) == len(smoke.table)
         assert set(cap.rid_columns) == {"gids", "zipf"}
         lineage, _ = build_logic_idx(cap, {"gids": 20, "zipf": 2000})
@@ -141,7 +144,7 @@ class TestLogical:
 class TestPhysical:
     def test_phys_mem_builds_equivalent_indexes(self, small_db, groupby_plan):
         cap = physical_capture(small_db, groupby_plan, "zipf")
-        smoke = small_db.execute(groupby_plan, capture=CaptureMode.INJECT)
+        smoke = small_db.execute(groupby_plan, options=INJECT)
         bw = cap.store.backward_index()
         for o in range(cap.output_rows):
             assert np.array_equal(
@@ -154,7 +157,7 @@ class TestPhysical:
         cap = physical_capture(
             small_db, groupby_plan, "zipf", store_cls=PhysBdbStore
         )
-        smoke = small_db.execute(groupby_plan, capture=CaptureMode.INJECT)
+        smoke = small_db.execute(groupby_plan, options=INJECT)
         for o in (0, 1):
             got = np.sort(np.fromiter(cap.store.backward_cursor(o), dtype=np.int64))
             assert np.array_equal(got, smoke.backward([o], "zipf"))

@@ -86,44 +86,3 @@ class TestTechniqueRegistry:
             run.base_seconds + run.extra["finalize"]
         )
 
-
-class TestMergeBenchJson:
-    """The shared BENCH artifact merge: atomic (temp file + os.replace,
-    no torn reads) and cumulative across bench modules run as separate
-    processes with disjoint key sets."""
-
-    SNIPPET = (
-        "import sys, bench_lineage_scan_late_mat as b; "
-        "b.merge_bench_json({sys.argv[1]: float(sys.argv[2])})"
-    )
-
-    def _merge_in_subprocess(self, tmp_path, key, value):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        root = Path(__file__).resolve().parents[2]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(root / "src"), str(root / "benchmarks")]
-        )
-        env["BENCH_LATEMAT_PATH"] = str(tmp_path / "BENCH_latemat.json")
-        subprocess.run(
-            [sys.executable, "-c", self.SNIPPET, key, str(value)],
-            check=True,
-            env=env,
-            cwd=tmp_path,
-        )
-
-    def test_two_processes_merge_disjoint_keys(self, tmp_path):
-        import json
-
-        self._merge_in_subprocess(tmp_path, "axis_a_ms", 1.5)
-        self._merge_in_subprocess(tmp_path, "axis_b_ms", 2.5)
-        payload = json.loads((tmp_path / "BENCH_latemat.json").read_text())
-        assert payload["medians_ms"] == {"axis_a_ms": 1.5, "axis_b_ms": 2.5}
-        assert payload["scale"] == scale()
-        # Atomic replace leaves no temp droppings behind.
-        leftovers = [p.name for p in tmp_path.iterdir() if ".tmp" in p.name]
-        assert leftovers == []

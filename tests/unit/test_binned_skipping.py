@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import ExecOptions
 from repro.errors import LineageError
 from repro.lineage.capture import CaptureMode
 from repro.plan.logical import AggCall, GroupBy, Scan, col
@@ -12,7 +13,7 @@ from repro.workload.skipping import BinnedPartitioner, PartitionedRidIndex
 @pytest.fixture
 def backward(small_db):
     plan = GroupBy(Scan("zipf"), [(col("z"), "z")], [AggCall("count", None, "c")])
-    res = small_db.execute(plan, capture=CaptureMode.INJECT)
+    res = small_db.execute(plan, options=ExecOptions(capture=CaptureMode.INJECT))
     return res.lineage.backward_index("zipf")
 
 

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.api import ExecOptions
 from repro.errors import LineageError
 from repro.lineage.capture import CaptureMode
 from repro.lineage.chain import SUBSET_RELATION, execute_over_lineage
 from repro.lineage.persist import load_lineage, save_lineage
 from repro.plan.logical import AggCall, GroupBy, Scan, Select, col
+
+INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
 
 @pytest.fixture
@@ -15,7 +18,7 @@ def overview(small_db):
     plan = GroupBy(
         Scan("zipf"), [(col("z"), "z")], [AggCall("count", None, "c")]
     )
-    return small_db.execute(plan, capture=CaptureMode.INJECT)
+    return small_db.execute(plan, options=INJECT)
 
 
 def _drill_plan():
@@ -115,7 +118,7 @@ class TestPersistence:
             [(col("z"), "z")],
             [AggCall("count", None, "c")],
         )
-        res = small_db.execute(plan, capture=CaptureMode.DEFER)
+        res = small_db.execute(plan, options=ExecOptions(capture=CaptureMode.DEFER))
         path = str(tmp_path / "deferred.npz")
         save_lineage(res.lineage, path)
         restored = load_lineage(path)
@@ -127,7 +130,7 @@ class TestPersistence:
         from repro.plan.logical import HashJoin
 
         plan = HashJoin(Scan("zipf"), Scan("zipf"), ("z",), ("z",))
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         path = str(tmp_path / "selfjoin.npz")
         save_lineage(res.lineage, path)
         restored = load_lineage(path)

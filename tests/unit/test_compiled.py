@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import ExecOptions
 from repro.exec.compiled import CompiledExecutor
 from repro.lineage.capture import CaptureConfig, CaptureMode
 from repro.plan.logical import (
@@ -16,6 +17,9 @@ from repro.plan.logical import (
     ThetaJoin,
     col,
 )
+
+INJECT = ExecOptions(capture=CaptureMode.INJECT)
+COMPILED = ExecOptions(backend="compiled")
 
 
 @pytest.fixture
@@ -69,15 +73,15 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("name", sorted(PLANS))
     def test_tables_match_vector_backend(self, small_db, name):
         plan = PLANS[name]()
-        vec = small_db.execute(plan, capture=CaptureMode.INJECT)
-        comp = small_db.execute(plan, capture=CaptureMode.INJECT, backend="compiled")
+        vec = small_db.execute(plan, options=INJECT)
+        comp = small_db.execute(plan, options=INJECT.with_(backend="compiled"))
         _tables_equal(vec.table, comp.table)
 
     @pytest.mark.parametrize("name", sorted(PLANS))
     def test_lineage_matches_vector_backend(self, small_db, name):
         plan = PLANS[name]()
-        vec = small_db.execute(plan, capture=CaptureMode.INJECT)
-        comp = small_db.execute(plan, capture=CaptureMode.INJECT, backend="compiled")
+        vec = small_db.execute(plan, options=INJECT)
+        comp = small_db.execute(plan, options=INJECT.with_(backend="compiled"))
         for rel in vec.lineage.relations:
             n = len(vec.table)
             probes = list(range(min(n, 8)))
@@ -98,7 +102,7 @@ class TestBackendEquivalence:
         a build row fanning out through an m:n join into *several* groups
         must keep every forward edge — the compiled group-by block used a
         1-to-1 scatter where later groups overwrote earlier ones."""
-        from repro.api import Database, ExecOptions
+        from repro.api import Database
         from repro.storage import Table
 
         db = Database()
@@ -112,10 +116,7 @@ class TestBackendEquivalence:
         )
         stmt = "SELECT g, COUNT(*) AS c FROM t JOIN d ON t.k = d.k GROUP BY g"
         for backend in ("vector", "compiled"):
-            res = db.sql(
-                stmt,
-                options=ExecOptions(capture=CaptureMode.INJECT, backend=backend),
-            )
+            res = db.sql(stmt, options=INJECT.with_(backend=backend))
             # The single t row reaches both output groups.
             assert res.forward("t", [0]).tolist() == [0, 1], backend
             assert res.forward("d", [0, 1]).tolist() == [0, 1], backend
@@ -137,7 +138,7 @@ class TestCodegen:
         assert "{}" in cex.last_source  # ht initialization
 
     def test_capture_none_produces_no_lineage(self, small_db):
-        res = small_db.execute(PLANS["groupby"](), backend="compiled")
+        res = small_db.execute(PLANS["groupby"](), options=COMPILED)
         assert res.lineage is None
 
     def test_having_in_compiled_backend(self, small_db):
@@ -147,8 +148,8 @@ class TestCodegen:
             [AggCall("count", None, "c")],
             having=col("c") > 150,
         )
-        vec = small_db.execute(plan, capture=CaptureMode.INJECT)
-        comp = small_db.execute(plan, capture=CaptureMode.INJECT, backend="compiled")
+        vec = small_db.execute(plan, options=INJECT)
+        comp = small_db.execute(plan, options=INJECT.with_(backend="compiled"))
         _tables_equal(vec.table, comp.table)
         for i in range(len(vec.table)):
             assert np.array_equal(
@@ -161,7 +162,7 @@ class TestCodegen:
 
         plan = Select(Scan("zipf"), col("v") < Param("p"))
         vec = small_db.execute(plan, params={"p": 33.0})
-        comp = small_db.execute(plan, params={"p": 33.0}, backend="compiled")
+        comp = small_db.execute(plan, params={"p": 33.0}, options=COMPILED)
         _tables_equal(vec.table, comp.table)
 
 
@@ -210,7 +211,7 @@ class TestCompiledChainPush:
 
     @pytest.fixture
     def chain_db(self):
-        from repro.api import Database, ExecOptions
+        from repro.api import Database
         from repro.storage import Table
 
         db = Database()
@@ -237,18 +238,16 @@ class TestCompiledChainPush:
         )
         db.sql(
             "SELECT k, COUNT(*) AS c FROM t GROUP BY k",
-            options=ExecOptions(capture=CaptureMode.INJECT, name="prev"),
+            options=INJECT.with_(name="prev"),
         )
         return db
 
     def test_chain_pushes_as_one_core(self, chain_db):
-        from repro.api import ExecOptions
-
         stmt = (
             "SELECT name, COUNT(*) AS c FROM Lb(prev, 't', :bars) "
             "JOIN d1 ON t.k = d1.k JOIN d2 ON d1.g = d2.g GROUP BY name"
         )
-        opts = ExecOptions(capture=CaptureMode.INJECT, backend="compiled")
+        opts = INJECT.with_(backend="compiled")
         pushed = chain_db.sql(stmt, params={"bars": [0, 1]}, options=opts)
         materialized = chain_db.sql(
             stmt,
@@ -265,7 +264,6 @@ class TestCompiledChainPush:
             )
 
     def test_theta_join_has_no_chain_counters(self, chain_db):
-        from repro.api import ExecOptions
         from repro.expr.ast import Col
         from repro.plan.logical import LineageScan
 
@@ -275,21 +273,18 @@ class TestCompiledChainPush:
             [],
             [AggCall("count", None, "c")],
         )
-        opts = ExecOptions(backend="compiled")
-        res = chain_db.execute(plan, options=opts)
+        res = chain_db.execute(plan, options=COMPILED)
         off = chain_db.execute(
-            plan, options=opts.with_(late_materialize=False)
+            plan, options=COMPILED.with_(late_materialize=False)
         )
         assert res.table.to_rows() == off.table.to_rows()
         for key in self.CHAIN_COUNTERS:
             assert key not in res.timings, key
 
     def test_lineage_free_join_has_no_chain_counters(self, chain_db):
-        from repro.api import ExecOptions
-
         res = chain_db.sql(
             "SELECT COUNT(*) AS c FROM d1 JOIN d2 ON d1.g = d2.g",
-            options=ExecOptions(backend="compiled"),
+            options=COMPILED,
         )
         for key in self.CHAIN_COUNTERS:
             assert key not in res.timings, key

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import Database
+from repro.api import Database, ExecOptions
 from repro.errors import (
     CatalogError,
     LineageError,
@@ -15,6 +15,8 @@ from repro.errors import (
 from repro.lineage.capture import CaptureMode
 from repro.plan.logical import AggCall, GroupBy, HashJoin, Scan, Select, col
 from repro.storage import Table
+
+INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
 
 class TestErrorTaxonomy:
@@ -63,7 +65,7 @@ class TestEmptyRelations:
 
     def test_select_over_empty(self, empty_db):
         res = empty_db.sql(
-            "SELECT * FROM empty WHERE v > 0", capture=CaptureMode.INJECT
+            "SELECT * FROM empty WHERE v > 0", options=INJECT
         )
         assert len(res) == 0
         assert res.lineage.backward_index("empty").num_keys == 0
@@ -71,13 +73,13 @@ class TestEmptyRelations:
     def test_groupby_over_empty(self, empty_db):
         res = empty_db.sql(
             "SELECT k, COUNT(*) AS c FROM empty GROUP BY k",
-            capture=CaptureMode.INJECT,
+            options=INJECT,
         )
         assert len(res) == 0
 
     def test_join_with_empty_side(self, empty_db):
         plan = HashJoin(Scan("one"), Scan("empty"), ("k",), ("k",), pkfk=True)
-        res = empty_db.execute(plan, capture=CaptureMode.INJECT)
+        res = empty_db.execute(plan, options=INJECT)
         assert len(res) == 0
         assert res.lineage.forward("one", [0]).size == 0
 
@@ -89,7 +91,7 @@ class TestEmptyRelations:
 
     def test_compiled_backend_empty(self, empty_db):
         plan = GroupBy(Scan("empty"), [(col("k"), "k")], [AggCall("count", None, "c")])
-        res = empty_db.execute(plan, capture=CaptureMode.INJECT, backend="compiled")
+        res = empty_db.execute(plan, options=INJECT.with_(backend="compiled"))
         assert len(res) == 0
 
 
@@ -100,7 +102,7 @@ class TestSingleRowRelations:
         res = db.sql(
             "SELECT k, SUM(v) AS s, MIN(v) AS mn, MAX(v) AS mx, AVG(v) AS a "
             "FROM t GROUP BY k",
-            capture=CaptureMode.INJECT,
+            options=INJECT,
         )
         assert res.table.to_rows() == [(7, 3.5, 3.5, 3.5, 3.5)]
         assert res.backward([0], "t").tolist() == [0]
@@ -110,18 +112,18 @@ class TestSingleRowRelations:
 class TestLineageEdgeCases:
     def test_backward_of_empty_rid_list(self, small_db):
         plan = GroupBy(Scan("zipf"), [(col("z"), "z")], [AggCall("count", None, "c")])
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         assert res.backward([], "zipf").size == 0
 
     def test_out_of_range_output_rid(self, small_db):
         plan = GroupBy(Scan("zipf"), [(col("z"), "z")], [AggCall("count", None, "c")])
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         with pytest.raises(LineageError):
             res.backward([10_000], "zipf")
 
     def test_negative_rid(self, small_db):
         plan = GroupBy(Scan("zipf"), [(col("z"), "z")], [AggCall("count", None, "c")])
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         with pytest.raises(LineageError):
             res.backward([-1], "zipf")
 
@@ -131,6 +133,6 @@ class TestLineageEdgeCases:
             [(col("z"), "z")],
             [AggCall("count", None, "c")],
         )
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         for o in range(len(res.table)):
             assert res.backward([o], "zipf").size > 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import ExecOptions
 from repro.errors import CaptureDisabledError, LineageError, PlanError
 from repro.lineage.capture import CaptureConfig, CaptureMode
 from repro.plan.logical import (
@@ -14,6 +15,8 @@ from repro.plan.logical import (
     col,
 )
 
+INJECT = ExecOptions(capture=CaptureMode.INJECT)
+
 
 class TestComposition:
     def test_select_then_groupby_composes_to_base(self, small_db):
@@ -23,7 +26,7 @@ class TestComposition:
             [(col("z"), "z")],
             [AggCall("count", None, "c")],
         )
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         for i in range(len(res.table)):
             rids = res.lineage.backward([i], "zipf")
             assert (table.column("v")[rids] < 40.0).all()
@@ -36,7 +39,7 @@ class TestComposition:
             [(col("id"), "id")],
             [AggCall("sum", col("v"), "s")],
         )
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         assert set(res.lineage.relations) == {"gids", "zipf"}
         gid = int(res.table.column("id")[0])
         assert res.lineage.backward([0], "gids").tolist() == [gid]
@@ -49,7 +52,7 @@ class TestComposition:
             [(col("id"), "id")],
             [AggCall("count", None, "c")],
         )
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         out = res.lineage.forward("gids", [3])
         matching = np.nonzero(res.table.column("id") == 3)[0]
         assert np.array_equal(out, matching)
@@ -59,7 +62,7 @@ class TestComposition:
             Scan("zipf"), [(col("z"), "z")], [AggCall("count", None, "c")]
         )
         plan = HashJoin(counts, Scan("zipf2"), ("z",), ("z",), pkfk=True)
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         # every zipf2 row joins the aggregate of its z value
         zipf = small_db.table("zipf")
         for out in (0, len(res.table) - 1):
@@ -69,7 +72,7 @@ class TestComposition:
 
     def test_self_join_occurrence_keys(self, small_db):
         plan = HashJoin(Scan("zipf"), Scan("zipf"), ("z",), ("z",))
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         assert res.lineage.relations == ["zipf#0", "zipf#1"]
         with pytest.raises(LineageError, match="scanned multiple times"):
             res.lineage.backward([0], "zipf")
@@ -81,7 +84,7 @@ class TestComposition:
             [(col("z"), "z")],
             [AggCall("count", None, "c")],
         )
-        res = small_db.execute(plan, capture=CaptureMode.DEFER)
+        res = small_db.execute(plan, options=ExecOptions(capture=CaptureMode.DEFER))
         assert res.lineage.finalize_seconds == 0.0
         res.lineage.backward([0], "zipf")
         assert res.lineage.finalize_seconds > 0.0
@@ -91,7 +94,7 @@ class TestPruning:
     def test_relation_pruning(self, small_db):
         plan = HashJoin(Scan("gids"), Scan("zipf"), ("id",), ("z",), pkfk=True)
         config = CaptureConfig.inject(relations={"zipf"})
-        res = small_db.execute(plan, capture=config)
+        res = small_db.execute(plan, options=ExecOptions(capture=config))
         assert res.lineage.relations == ["zipf"]
         with pytest.raises(CaptureDisabledError):
             res.lineage.backward([0], "gids")
@@ -99,7 +102,7 @@ class TestPruning:
     def test_direction_pruning_backward_only(self, small_db):
         plan = GroupBy(Scan("zipf"), [(col("z"), "z")], [AggCall("count", None, "c")])
         config = CaptureConfig.inject(forward=False)
-        res = small_db.execute(plan, capture=config)
+        res = small_db.execute(plan, options=ExecOptions(capture=config))
         res.lineage.backward([0], "zipf")
         with pytest.raises(CaptureDisabledError):
             res.lineage.forward("zipf", [0])
@@ -107,7 +110,7 @@ class TestPruning:
     def test_direction_pruning_forward_only(self, small_db):
         plan = GroupBy(Scan("zipf"), [(col("z"), "z")], [AggCall("count", None, "c")])
         config = CaptureConfig.inject(backward=False)
-        res = small_db.execute(plan, capture=config)
+        res = small_db.execute(plan, options=ExecOptions(capture=config))
         res.lineage.forward("zipf", [0])
         with pytest.raises(CaptureDisabledError):
             res.lineage.backward([0], "zipf")
@@ -120,7 +123,7 @@ class TestPruning:
 class TestApiSurface:
     def test_backward_table_materializes_subset(self, small_db):
         plan = GroupBy(Scan("zipf"), [(col("z"), "z")], [AggCall("count", None, "c")])
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         sub = res.backward_table([0], "zipf")
         assert len(sub) == res.table.column("c")[0]
 
@@ -131,17 +134,17 @@ class TestApiSurface:
 
     def test_unknown_backend(self, small_db):
         with pytest.raises(PlanError):
-            small_db.execute(Scan("zipf"), backend="quantum")
+            small_db.execute(Scan("zipf"), options=ExecOptions(backend="quantum"))
 
     def test_capture_mode_shorthand(self, small_db):
-        res = small_db.execute(Scan("zipf"), capture=CaptureMode.INJECT)
+        res = small_db.execute(Scan("zipf"), options=INJECT)
         assert res.lineage is not None
 
     def test_invalid_capture_spec(self, small_db):
         with pytest.raises(PlanError):
-            small_db.execute(Scan("zipf"), capture="yes please")
+            small_db.execute(Scan("zipf"), options=ExecOptions(capture="yes please"))
 
     def test_timings_populated(self, small_db):
-        res = small_db.execute(Scan("zipf"), capture=CaptureMode.INJECT)
+        res = small_db.execute(Scan("zipf"), options=INJECT)
         assert res.execute_seconds > 0
         assert res.total_seconds >= res.execute_seconds

@@ -7,7 +7,7 @@ tie-break."""
 import numpy as np
 import pytest
 
-from repro.api import Database, ResultRegistry
+from repro.api import Database, ExecOptions, ResultRegistry
 from repro.errors import PlanError, SqlError
 from repro.expr.ast import Col
 from repro.lineage.capture import CaptureConfig, CaptureMode
@@ -30,6 +30,8 @@ from repro.plan.rewrite import (
     match_late_materialization,
 )
 from repro.storage import Table
+
+INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
 BACKENDS = ("vector", "compiled")
 
@@ -54,8 +56,7 @@ def db():
 def prev(db):
     return db.sql(
         "SELECT z, COUNT(*) AS c FROM t GROUP BY z",
-        capture=CaptureMode.INJECT,
-        name="prev",
+        options=INJECT.with_(name="prev"),
     )
 
 
@@ -253,13 +254,12 @@ class TestPushedExecution:
     def test_pushed_marks_timings(self, db, prev, backend):
         res = db.sql(
             "SELECT z, COUNT(*) AS c FROM Lb(prev, 't') GROUP BY z",
-            backend=backend,
+            options=ExecOptions(backend=backend),
         )
         assert res.timings.get("late_mat_subtrees") == 1.0
         off = db.sql(
             "SELECT z, COUNT(*) AS c FROM Lb(prev, 't') GROUP BY z",
-            backend=backend,
-            late_materialize=False,
+            options=ExecOptions(backend=backend, late_materialize=False),
         )
         assert "late_mat_subtrees" not in off.timings
         assert res.table.to_rows() == off.table.to_rows()
@@ -269,7 +269,7 @@ class TestPushedExecution:
         res = db.sql(
             "SELECT z, COUNT(*) AS c FROM Lb(prev, 't') WHERE v > 10 "
             "GROUP BY z ORDER BY c DESC",
-            backend=backend,
+            options=ExecOptions(backend=backend),
         )
         assert res.timings.get("late_mat_subtrees") == 1.0
         assert res.table.column("c").tolist() == [3, 1, 1]
@@ -291,10 +291,13 @@ class TestPushedExecution:
             "(SELECT * FROM Lb(prev, 't', :bars) WHERE v > 10) AS s "
             "JOIN names ON s.z = names.z GROUP BY label"
         )
-        res = db.execute(plan, params={"bars": [0, 1]}, backend=backend)
+        opts = ExecOptions(backend=backend)
+        res = db.execute(plan, params={"bars": [0, 1]}, options=opts)
         assert res.timings.get("late_mat_subtrees") == 1.0
         off = db.execute(
-            plan, params={"bars": [0, 1]}, backend=backend, late_materialize=False
+            plan,
+            params={"bars": [0, 1]},
+            options=opts.with_(late_materialize=False),
         )
         assert res.table.to_rows() == off.table.to_rows()
 
@@ -314,7 +317,7 @@ class TestPushedExecution:
             "SELECT label, COUNT(*) AS c FROM Lb(prev, 't', :bars) "
             "JOIN names ON t.z = names.z WHERE v > 10 GROUP BY label",
             params={"bars": [0, 1]},
-            backend=backend,
+            options=ExecOptions(backend=backend),
         )
         assert res.timings.get("late_mat_subtrees") == 1.0
         assert res.timings.get("late_mat_joins") == 1.0
@@ -323,8 +326,7 @@ class TestPushedExecution:
             "SELECT label, COUNT(*) AS c FROM Lb(prev, 't', :bars) "
             "JOIN names ON t.z = names.z WHERE v > 10 GROUP BY label",
             params={"bars": [0, 1]},
-            backend=backend,
-            late_materialize=False,
+            options=ExecOptions(backend=backend, late_materialize=False),
         )
         assert "late_mat_joins" not in off.timings
         assert res.table.to_rows() == off.table.to_rows()
@@ -334,25 +336,23 @@ class TestPushedExecution:
         res = db.sql(
             "SELECT DISTINCT z FROM Lb(prev, 't', :bars)",
             params={"bars": [0, 1]},
-            backend=backend,
+            options=ExecOptions(backend=backend),
         )
         assert res.timings.get("late_mat_subtrees") == 1.0
         assert res.timings.get("late_mat_distincts") == 1.0
         off = db.sql(
             "SELECT DISTINCT z FROM Lb(prev, 't', :bars)",
             params={"bars": [0, 1]},
-            backend=backend,
-            late_materialize=False,
+            options=ExecOptions(backend=backend, late_materialize=False),
         )
         assert res.table.to_rows() == off.table.to_rows()
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_distinct_lineage_identical_to_materialized(self, db, prev, backend):
         stmt = "SELECT DISTINCT w FROM Lb(prev, 't') WHERE v > 10"
-        on = db.sql(stmt, capture=CaptureMode.INJECT, backend=backend)
+        on = db.sql(stmt, options=INJECT.with_(backend=backend))
         off = db.sql(
-            stmt, capture=CaptureMode.INJECT, backend=backend,
-            late_materialize=False,
+            stmt, options=INJECT.with_(backend=backend, late_materialize=False),
         )
         probes = list(range(len(on)))
         assert np.array_equal(on.backward(probes, "t"), off.backward(probes, "t"))
@@ -375,12 +375,12 @@ class TestPushedExecution:
             "JOIN names ON t.z = names.z GROUP BY label"
         )
         on = db.sql(
-            stmt, capture=CaptureMode.INJECT, params={"bars": [0, 2]},
-            backend=backend,
+            stmt, params={"bars": [0, 2]},
+            options=INJECT.with_(backend=backend),
         )
         off = db.sql(
-            stmt, capture=CaptureMode.INJECT, params={"bars": [0, 2]},
-            backend=backend, late_materialize=False,
+            stmt, params={"bars": [0, 2]},
+            options=INJECT.with_(backend=backend, late_materialize=False),
         )
         probes = list(range(len(on)))
         for rel in ("t", "names"):
@@ -407,15 +407,17 @@ class TestPushedExecution:
             [(col("nope"), "nope")],
             [AggCall("count", None, "c")],
         )
+        opts = ExecOptions(backend=backend)
         with pytest.raises(Exception, match="nope"):
-            db.execute(plan, backend=backend)
+            db.execute(plan, options=opts)
         with pytest.raises(Exception, match="nope"):
-            db.execute(plan, backend=backend, late_materialize=False)
+            db.execute(plan, options=opts.with_(late_materialize=False))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_count_star_only_touches_no_columns(self, db, prev, backend):
         res = db.sql(
-            "SELECT COUNT(*) AS c FROM Lb(prev, 't')", backend=backend
+            "SELECT COUNT(*) AS c FROM Lb(prev, 't')",
+            options=ExecOptions(backend=backend),
         )
         assert res.timings.get("late_mat_subtrees") == 1.0
         assert res.table.column("c").tolist() == [6]
@@ -425,14 +427,14 @@ class TestPushedExecution:
         """Regression: a predicate-only stack must output every source
         column, not just the predicate's (SELECT * emits no Project)."""
         res = db.sql(
-            "SELECT * FROM Lb(prev, 't') WHERE v > 12", backend=backend
+            "SELECT * FROM Lb(prev, 't') WHERE v > 12",
+            options=ExecOptions(backend=backend),
         )
         assert res.timings.get("late_mat_subtrees") == 1.0
         assert res.table.schema.names == ["z", "v", "w"]
         off = db.sql(
             "SELECT * FROM Lb(prev, 't') WHERE v > 12",
-            backend=backend,
-            late_materialize=False,
+            options=ExecOptions(backend=backend, late_materialize=False),
         )
         assert res.table.to_rows() == off.table.to_rows()
 
@@ -441,7 +443,7 @@ class TestPushedExecution:
         """Regression: DISTINCT above a pushed Select sees all columns."""
         res = db.sql(
             "SELECT DISTINCT z FROM Lb(prev, 't') WHERE v > 10",
-            backend=backend,
+            options=ExecOptions(backend=backend),
         )
         assert res.table.column("z").tolist() == [1, 2, 3]
 
@@ -449,7 +451,7 @@ class TestPushedExecution:
     def test_order_by_over_filtered_scan(self, db, prev, backend):
         res = db.sql(
             "SELECT * FROM Lb(prev, 't') WHERE v > 12 ORDER BY v DESC",
-            backend=backend,
+            options=ExecOptions(backend=backend),
         )
         assert res.table.column("v").tolist() == [15.0, 14.0, 13.0]
 
@@ -458,15 +460,15 @@ class TestPushedExecution:
         res = db.sql(
             "SELECT z FROM Lf('t', prev, :rows) WHERE c > 1",
             params={"rows": [0, 2, 5]},
-            backend=backend,
+            options=ExecOptions(backend=backend),
         )
         assert res.timings.get("late_mat_subtrees") == 1.0
         assert res.table.column("z").tolist() == [1, 2]
 
     def test_pushed_lineage_identical_to_materialized(self, db, prev):
         stmt = "SELECT z, COUNT(*) AS c FROM Lb(prev, 't') WHERE v > 10 GROUP BY z"
-        on = db.sql(stmt, capture=CaptureMode.INJECT)
-        off = db.sql(stmt, capture=CaptureMode.INJECT, late_materialize=False)
+        on = db.sql(stmt, options=INJECT)
+        off = db.sql(stmt, options=INJECT.with_(late_materialize=False))
         probes = list(range(len(on)))
         assert np.array_equal(on.backward(probes, "t"), off.backward(probes, "t"))
         base_probes = list(range(db.table("t").num_rows))
@@ -477,19 +479,18 @@ class TestPushedExecution:
     def test_pushed_defer_capture(self, db, prev):
         on = db.sql(
             "SELECT z, COUNT(*) AS c FROM Lb(prev, 't') GROUP BY z",
-            capture=CaptureMode.DEFER,
+            options=ExecOptions(capture=CaptureMode.DEFER),
         )
         off = db.sql(
             "SELECT z, COUNT(*) AS c FROM Lb(prev, 't') GROUP BY z",
-            capture=CaptureMode.DEFER,
-            late_materialize=False,
+            options=ExecOptions(capture=CaptureMode.DEFER, late_materialize=False),
         )
         assert np.array_equal(on.backward([1], "t"), off.backward([1], "t"))
 
     def test_pushed_relations_pruning(self, db, prev):
         res = db.sql(
             "SELECT z, COUNT(*) AS c FROM Lb(prev, 't') GROUP BY z",
-            capture=CaptureConfig.inject(relations={"t"}),
+            options=ExecOptions(capture=CaptureConfig.inject(relations={"t"})),
         )
         assert res.lineage.relations == ["t"]
 
@@ -511,10 +512,11 @@ class TestPushedExecution:
     ):
         scan = LineageScan(result="prev", relation="t", direction="backward")
         plan = Select(scan, col("nope") > 1)
+        opts = ExecOptions(backend=backend)
         with pytest.raises(Exception, match="nope"):
-            db.execute(plan, backend=backend)
+            db.execute(plan, options=opts)
         with pytest.raises(Exception, match="nope"):
-            db.execute(plan, backend=backend, late_materialize=False)
+            db.execute(plan, options=opts.with_(late_materialize=False))
 
 
 class TestChainExecution:
@@ -547,15 +549,15 @@ class TestChainExecution:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_chain_counts_hops_and_matches_materialized(self, chain_db, backend):
-        res = chain_db.sql(
-            self.CHAIN, params={"bars": [0, 1]}, backend=backend
-        )
+        opts = ExecOptions(backend=backend)
+        res = chain_db.sql(self.CHAIN, params={"bars": [0, 1]}, options=opts)
         assert res.timings.get("late_mat_subtrees") == 1.0
         assert res.timings.get("late_mat_joins") == 1.0
         assert res.timings.get("late_mat_chain_hops") == 1.0
         off = chain_db.sql(
-            self.CHAIN, params={"bars": [0, 1]}, backend=backend,
-            late_materialize=False,
+            self.CHAIN,
+            params={"bars": [0, 1]},
+            options=opts.with_(late_materialize=False),
         )
         assert "late_mat_chain_hops" not in off.timings
         assert res.table.to_rows() == off.table.to_rows()
@@ -564,12 +566,11 @@ class TestChainExecution:
     def test_chain_lineage_identical_to_materialized(self, chain_db, backend):
         on = chain_db.sql(
             self.CHAIN, params={"bars": [0, 2]},
-            capture=CaptureMode.INJECT, backend=backend,
+            options=INJECT.with_(backend=backend),
         )
         off = chain_db.sql(
             self.CHAIN, params={"bars": [0, 2]},
-            capture=CaptureMode.INJECT, backend=backend,
-            late_materialize=False,
+            options=INJECT.with_(backend=backend, late_materialize=False),
         )
         probes = list(range(len(on)))
         for rel in ("t", "names", "cats"):
@@ -586,14 +587,13 @@ class TestChainExecution:
         res = chain_db.sql(
             self.CHAIN + " ORDER BY c DESC",
             params={"bars": [0, 1, 2]},
-            backend=backend,
+            options=ExecOptions(backend=backend),
         )
         assert res.timings.get("late_mat_chain_hops") == 1.0
         off = chain_db.sql(
             self.CHAIN + " ORDER BY c DESC",
             params={"bars": [0, 1, 2]},
-            backend=backend,
-            late_materialize=False,
+            options=ExecOptions(backend=backend, late_materialize=False),
         )
         assert res.table.to_rows() == off.table.to_rows()
 
@@ -624,8 +624,9 @@ class TestBuildSideDecisions:
         return db
 
     def _both_paths(self, sdb, stmt, backend="vector"):
-        pushed = sdb.sql(stmt, backend=backend)
-        materialized = sdb.sql(stmt, backend=backend, late_materialize=False)
+        opts = ExecOptions(backend=backend)
+        pushed = sdb.sql(stmt, options=opts)
+        materialized = sdb.sql(stmt, options=opts.with_(late_materialize=False))
         assert pushed.table.to_rows() == materialized.table.to_rows()
         return pushed
 
@@ -646,8 +647,7 @@ class TestBuildSideDecisions:
         build left *and* takes the pk-fk probe the plan never asserted."""
         sdb.sql(
             "SELECT z, COUNT(*) AS c FROM names GROUP BY z",
-            capture=CaptureMode.INJECT,
-            name="prevd",
+            options=INJECT.with_(name="prevd"),
         )
         res = self._both_paths(
             sdb,
@@ -710,8 +710,7 @@ class TestBuildSideDecisions:
         re-counted as a stats detection."""
         sdb.sql(
             "SELECT z, COUNT(*) AS c FROM names GROUP BY z",
-            capture=CaptureMode.INJECT,
-            name="prevd",
+            options=INJECT.with_(name="prevd"),
         )
         scan = LineageScan(result="prevd", relation="names", direction="backward")
         plan = GroupBy(
@@ -720,7 +719,7 @@ class TestBuildSideDecisions:
             [AggCall("count", None, "c")],
         )
         res = sdb.execute(plan)
-        off = sdb.execute(plan, late_materialize=False)
+        off = sdb.execute(plan, options=ExecOptions(late_materialize=False))
         assert res.table.to_rows() == off.table.to_rows()
         assert "late_mat_build_swaps" not in res.timings
         assert "late_mat_pkfk_detected" not in res.timings
@@ -749,8 +748,9 @@ class TestChainFallbackBoundary:
             [],
             [AggCall("count", None, "c")],
         )
-        res = db.execute(plan, backend=backend)
-        off = db.execute(plan, backend=backend, late_materialize=False)
+        opts = ExecOptions(backend=backend)
+        res = db.execute(plan, options=opts)
+        off = db.execute(plan, options=opts.with_(late_materialize=False))
         assert res.table.to_rows() == off.table.to_rows()
         self._assert_no_chain_counters(res)
 
@@ -761,8 +761,9 @@ class TestChainFallbackBoundary:
             [],
             [AggCall("count", None, "c")],
         )
-        res = db.execute(plan, backend=backend)
-        off = db.execute(plan, backend=backend, late_materialize=False)
+        opts = ExecOptions(backend=backend)
+        res = db.execute(plan, options=opts)
+        off = db.execute(plan, options=opts.with_(late_materialize=False))
         assert res.table.to_rows() == off.table.to_rows()
         assert res.table.column("c").tolist() == [36]
         self._assert_no_chain_counters(res)
@@ -771,7 +772,7 @@ class TestChainFallbackBoundary:
     def test_lineage_free_join_has_no_counters(self, db, prev, backend):
         res = db.sql(
             "SELECT COUNT(*) AS c FROM t JOIN t ON t.z = t.z",
-            backend=backend,
+            options=ExecOptions(backend=backend),
         )
         self._assert_no_chain_counters(res)
         assert "late_mat_subtrees" not in res.timings
@@ -790,7 +791,7 @@ class TestChainFallbackBoundary:
         res = db.sql(
             "SELECT label, COUNT(*) AS c FROM Lb(prev, 't') "
             "JOIN names ON t.z = names.z GROUP BY label",
-            backend=backend,
+            options=ExecOptions(backend=backend),
         )
         assert res.timings.get("late_mat_joins") == 1.0
         assert "late_mat_chain_hops" not in res.timings
@@ -800,7 +801,7 @@ class TestResultRegistryBounds:
     def _result(self, db):
         return db.sql(
             "SELECT z, COUNT(*) AS c FROM t GROUP BY z",
-            capture=CaptureMode.INJECT,
+            options=INJECT,
         )
 
     def test_lru_eviction(self, db):
@@ -818,7 +819,7 @@ class TestResultRegistryBounds:
 
     def test_sql_consumption_refreshes_recency(self, db):
         db.sql("SELECT z, COUNT(*) AS c FROM t GROUP BY z",
-               capture=CaptureMode.INJECT, name="a")
+               options=INJECT.with_(name="a"))
         db.register_result("b", self._result(db), max_results=2)
         db.sql("SELECT COUNT(*) AS c FROM Lb(a, 't')")  # touches 'a'
         db.register_result("c", self._result(db))
@@ -833,7 +834,7 @@ class TestResultRegistryBounds:
     def test_constructor_bound(self):
         db = Database(max_results=1)
         db.create_table("t", Table({"z": np.array([1, 2], dtype=np.int64)}))
-        r = db.sql("SELECT z FROM t", capture=CaptureMode.INJECT)
+        r = db.sql("SELECT z FROM t", options=INJECT)
         db.register_result("a", r)
         db.register_result("b", r)
         assert db.results() == ["b"]

@@ -10,9 +10,11 @@ import pytest
 
 from repro.baselines.logical import logical_capture
 from repro.datagen import make_zipf_table
-from repro.api import Database
+from repro.api import Database, ExecOptions
 from repro.lineage.capture import CaptureMode
 from repro.plan.logical import AggCall, GroupBy, Scan, col
+
+INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
 
 @pytest.fixture
@@ -31,13 +33,13 @@ def _wide_groupby(num_aggs: int):
 
 class TestNormalizedRepresentation:
     def test_backward_index_size_is_input_bound(self, db):
-        res = db.execute(_wide_groupby(1), capture=CaptureMode.INJECT)
+        res = db.execute(_wide_groupby(1), options=INJECT)
         bw = res.lineage.backward_index("zipf")
         assert bw.num_edges == 10_000
 
     def test_smoke_size_independent_of_output_width(self, db):
-        narrow = db.execute(_wide_groupby(1), capture=CaptureMode.INJECT)
-        wide = db.execute(_wide_groupby(8), capture=CaptureMode.INJECT)
+        narrow = db.execute(_wide_groupby(1), options=INJECT)
+        wide = db.execute(_wide_groupby(8), options=INJECT)
         assert (
             narrow.lineage.memory_bytes() == wide.lineage.memory_bytes()
         )
@@ -58,7 +60,7 @@ class TestNormalizedRepresentation:
         assert len(tup.annotated.schema) > len(rid.annotated.schema)
 
     def test_memory_bytes_breakdown(self, db):
-        res = db.execute(_wide_groupby(1), capture=CaptureMode.INJECT)
+        res = db.execute(_wide_groupby(1), options=INJECT)
         total = res.lineage.memory_bytes()
         bw = res.lineage.backward_index("zipf").memory_bytes()
         fw = res.lineage.forward_index("zipf").memory_bytes()
@@ -67,8 +69,9 @@ class TestNormalizedRepresentation:
     def test_pruned_direction_halves_storage(self, db):
         from repro.lineage.capture import CaptureConfig
 
-        both = db.execute(_wide_groupby(1), capture=CaptureMode.INJECT)
+        both = db.execute(_wide_groupby(1), options=INJECT)
         bw_only = db.execute(
-            _wide_groupby(1), capture=CaptureConfig.inject(forward=False)
+            _wide_groupby(1),
+            options=ExecOptions(capture=CaptureConfig.inject(forward=False)),
         )
         assert bw_only.lineage.memory_bytes() < both.lineage.memory_bytes()

@@ -4,7 +4,7 @@ resolution, and the batched QueryLineage lookup API."""
 import numpy as np
 import pytest
 
-from repro.api import Database
+from repro.api import Database, ExecOptions
 from repro.errors import (
     CaptureDisabledError,
     LineageError,
@@ -15,6 +15,8 @@ from repro.lineage.capture import CaptureConfig, CaptureMode
 from repro.plan.logical import LineageScan, Scan, assign_source_keys
 from repro.sql.parser import RawLineageRef, RawParam, parse
 from repro.storage import Table
+
+INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
 BACKENDS = ("vector", "compiled")
 
@@ -38,8 +40,7 @@ def db():
 def prev(db):
     return db.sql(
         "SELECT z, COUNT(*) AS c FROM t GROUP BY z",
-        capture=CaptureMode.INJECT,
-        name="prev",
+        options=INJECT.with_(name="prev"),
     )
 
 
@@ -129,7 +130,7 @@ class TestLineageScanExecution:
     def test_acceptance_query(self, db, prev, backend):
         res = db.sql(
             "SELECT z, COUNT(*) AS c FROM Lb(prev, 't') GROUP BY z",
-            backend=backend,
+            options=ExecOptions(backend=backend),
         )
         # Lb over every output row is all contributing rows of t.
         assert res.table.column("z").tolist() == [1, 2, 3]
@@ -140,13 +141,16 @@ class TestLineageScanExecution:
         res = db.sql(
             "SELECT * FROM Lb(prev, 't', :bars)",
             params={"bars": [1]},
-            backend=backend,
+            options=ExecOptions(backend=backend),
         )
         assert res.table.column("z").tolist() == [2, 2, 2]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_rid_subset_literal(self, db, prev, backend):
-        res = db.sql("SELECT * FROM Lb(prev, 't', (0, 2))", backend=backend)
+        res = db.sql(
+            "SELECT * FROM Lb(prev, 't', (0, 2))",
+            options=ExecOptions(backend=backend),
+        )
         assert res.table.column("z").tolist() == [1, 1, 3]
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -154,7 +158,7 @@ class TestLineageScanExecution:
         res = db.sql(
             "SELECT * FROM Lf('t', prev, :rows)",
             params={"rows": [2, 3]},
-            backend=backend,
+            options=ExecOptions(backend=backend),
         )
         # Rows 2,3 of t have z == 2, which is prev's output mark 1.
         assert res.table.column("z").tolist() == [2]
@@ -164,7 +168,7 @@ class TestLineageScanExecution:
     def test_where_and_projection_over_lineage_scan(self, db, prev, backend):
         res = db.sql(
             "SELECT v FROM Lb(prev, 't') WHERE z = 2",
-            backend=backend,
+            options=ExecOptions(backend=backend),
         )
         assert res.table.column("v").tolist() == [12.0, 13.0, 14.0]
 
@@ -172,7 +176,7 @@ class TestLineageScanExecution:
         res = db.sql(
             "SELECT * FROM Lb(prev, 't', :bars)",
             params={"bars": [1]},
-            capture=CaptureMode.INJECT,
+            options=INJECT,
         )
         rids = res.backward(np.arange(len(res)), "t")
         assert np.array_equal(rids, prev.backward([1], "t"))
@@ -183,7 +187,7 @@ class TestLineageScanExecution:
         res = db.sql(
             "SELECT * FROM Lf('t', prev, :rows)",
             params={"rows": [0]},
-            capture=CaptureMode.INJECT,
+            options=INJECT,
         )
         assert res.backward(np.arange(len(res)), "prev").tolist() == [0]
 
@@ -193,8 +197,7 @@ class TestLineageScanExecution:
         # Re-registering 'prev' re-targets the already-bound plan.
         db.sql(
             "SELECT z, COUNT(*) AS c FROM t WHERE z = 3 GROUP BY z",
-            capture=CaptureMode.INJECT,
-            name="prev",
+            options=INJECT.with_(name="prev"),
         )
         second = db.execute(plan).table.column("z").tolist()
         assert first == [1, 1] and second == [3]
@@ -235,16 +238,14 @@ class TestLineageScanExecution:
         )
         db.sql(
             "SELECT z, COUNT(*) AS c FROM t AS a GROUP BY z",
-            capture=CaptureMode.INJECT,
-            name="res",
+            options=INJECT.with_(name="res"),
         )
         plan = db.parse("SELECT z FROM Lb(res, 'a', 0)")
         db.execute(plan)  # fine: alias 'a' resolves to t
         # Re-register so the alias 'a' now points at a different table.
         db.sql(
             "SELECT label, COUNT(*) AS c FROM u AS a GROUP BY label",
-            capture=CaptureMode.INJECT,
-            name="res",
+            options=INJECT.with_(name="res"),
         )
         with pytest.raises(PlanError, match="re-parse"):
             db.execute(plan)
@@ -254,8 +255,7 @@ class TestLineageScanExecution:
         db.execute(plan)  # fine while the schema matches
         db.sql(
             "SELECT z, SUM(v) AS total, COUNT(*) AS c FROM t GROUP BY z",
-            capture=CaptureMode.INJECT,
-            name="prev",
+            options=INJECT.with_(name="prev"),
         )
         with pytest.raises(PlanError, match="different schema"):
             db.execute(plan)
@@ -275,18 +275,17 @@ class TestLineageScanExecution:
         lineage under the resolved base table, like an aliased Scan."""
         db.sql(
             "SELECT z, COUNT(*) AS c FROM t AS a GROUP BY z",
-            capture=CaptureMode.INJECT,
-            name="aliased",
+            options=INJECT.with_(name="aliased"),
         )
         sub = db.sql(
-            "SELECT * FROM Lb(aliased, 'a', 0)", capture=CaptureMode.INJECT
+            "SELECT * FROM Lb(aliased, 'a', 0)", options=INJECT
         )
         assert sub.backward(np.arange(len(sub)), "t").tolist() == [0, 1]
         # relations pruning by base name also matches the aliased scan
         # (the occurrence key stays the literal reference 'a').
         pruned = db.sql(
             "SELECT * FROM Lb(aliased, 'a', 0)",
-            capture=CaptureConfig.inject(relations={"t"}),
+            options=ExecOptions(capture=CaptureConfig.inject(relations={"t"})),
         )
         assert pruned.lineage.relations == ["a"]
         assert pruned.backward([0], "t").tolist() == [0]
@@ -298,14 +297,14 @@ class TestLineageScanExecution:
         occurrence key both resolve to the underlying catalog table."""
         db.sql(
             "SELECT a.z FROM t AS a JOIN t AS b ON a.z = b.z",
-            capture=CaptureMode.INJECT,
-            name="selfjoin",
+            options=INJECT.with_(name="selfjoin"),
         )
+        opts = ExecOptions(backend=backend)
         with pytest.raises(LineageError, match="multiple times"):
-            db.sql("SELECT z FROM Lb(selfjoin, 't', 0)", backend=backend)
-        via_alias = db.sql("SELECT z FROM Lb(selfjoin, 'a', 0)", backend=backend)
+            db.sql("SELECT z FROM Lb(selfjoin, 't', 0)", options=opts)
+        via_alias = db.sql("SELECT z FROM Lb(selfjoin, 'a', 0)", options=opts)
         via_key = db.sql(
-            "SELECT z FROM Lb(selfjoin, 't#0', 0) AS x", backend=backend
+            "SELECT z FROM Lb(selfjoin, 't#0', 0) AS x", options=opts
         )
         assert via_alias.table.column("z").tolist() == [1]
         assert via_key.table.column("z").tolist() == [1]
@@ -345,7 +344,7 @@ class TestResultRegistry:
     def test_bad_name_rejected_before_execution(self, db):
         # Validated up front: the query must not run and then be lost.
         with pytest.raises(PlanError, match="keyword"):
-            db.sql("SELECT z FROM t", name="order")
+            db.sql("SELECT z FROM t", options=ExecOptions(name="order"))
 
     def test_drop_result(self, db, prev):
         db.drop_result("prev")
@@ -377,7 +376,7 @@ class TestAliasLineage:
     """Satellite regression: SQL aliases resolve in lineage lookups."""
 
     def test_single_scan_alias(self, db):
-        res = db.sql("SELECT z FROM t AS a", capture=CaptureMode.INJECT)
+        res = db.sql("SELECT z FROM t AS a", options=INJECT)
         assert res.backward([0], "a").tolist() == [0]
         assert res.backward([0], "t").tolist() == [0]  # base name still works
 
@@ -385,8 +384,7 @@ class TestAliasLineage:
     def test_self_join_alias_backward(self, db, backend):
         res = db.sql(
             "SELECT a.z FROM t AS a JOIN t AS b ON a.z = b.z",
-            capture=CaptureMode.INJECT,
-            backend=backend,
+            options=INJECT.with_(backend=backend),
         )
         # Output row 0 joins t row 0 with itself; row 1 joins a-row 1
         # with b-row 0 (probe order).
@@ -398,7 +396,7 @@ class TestAliasLineage:
     def test_occurrence_keys_still_resolve(self, db):
         res = db.sql(
             "SELECT a.z FROM t AS a JOIN t AS b ON a.z = b.z",
-            capture=CaptureMode.INJECT,
+            options=INJECT,
         )
         assert set(res.lineage.relations) == {"t#0", "t#1"}
         assert res.backward([0], "t#0").tolist() == [0]
@@ -406,13 +404,13 @@ class TestAliasLineage:
     def test_unqualified_self_join_name_is_ambiguous(self, db):
         res = db.sql(
             "SELECT a.z FROM t AS a JOIN t AS b ON a.z = b.z",
-            capture=CaptureMode.INJECT,
+            options=INJECT,
         )
         with pytest.raises(LineageError, match="multiple times"):
             res.backward([0], "t")
 
     def test_forward_via_alias(self, db):
-        res = db.sql("SELECT z FROM t AS a", capture=CaptureMode.INJECT)
+        res = db.sql("SELECT z FROM t AS a", options=INJECT)
         assert res.forward("a", [2]).tolist() == [2]
 
     def test_alias_shadowing_base_table_is_ambiguous(self, db):
@@ -424,8 +422,7 @@ class TestAliasLineage:
         )
         res = db.sql(
             "SELECT x.z FROM a AS x JOIN t AS a ON x.z = a.z",
-            capture=CaptureMode.INJECT,
-            name="shadow",
+            options=INJECT.with_(name="shadow"),
         )
         with pytest.raises(LineageError, match="alias of another"):
             res.backward([0], "a")
@@ -444,8 +441,9 @@ class TestAliasPruning:
     def test_prune_by_alias_captures(self, db, backend):
         res = db.sql(
             "SELECT z FROM t AS a",
-            capture=CaptureConfig.inject(relations={"a"}),
-            backend=backend,
+            options=ExecOptions(
+                capture=CaptureConfig.inject(relations={"a"}), backend=backend
+            ),
         )
         assert res.lineage.relations == ["t"]
         assert res.backward([0], "a").tolist() == [0]
@@ -453,7 +451,7 @@ class TestAliasPruning:
     def test_prune_one_side_of_self_join_by_alias(self, db):
         res = db.sql(
             "SELECT a.z FROM t AS a JOIN t AS b ON a.z = b.z",
-            capture=CaptureConfig.inject(relations={"b"}),
+            options=ExecOptions(capture=CaptureConfig.inject(relations={"b"})),
         )
         assert res.lineage.relations == ["t#1"]
         res.backward([0], "b")
@@ -465,15 +463,19 @@ class TestAliasPruning:
         with pytest.raises(LineageError, match="matched no scanned relation"):
             db.sql(
                 "SELECT z FROM t AS a",
-                capture=CaptureConfig.inject(relations={"typo"}),
-                backend=backend,
+                options=ExecOptions(
+                    capture=CaptureConfig.inject(relations={"typo"}),
+                    backend=backend,
+                ),
             )
 
     def test_partially_unmatched_entry_raises(self, db):
         with pytest.raises(LineageError, match="typo"):
             db.sql(
                 "SELECT z FROM t",
-                capture=CaptureConfig.inject(relations={"t", "typo"}),
+                options=ExecOptions(
+                    capture=CaptureConfig.inject(relations={"t", "typo"})
+                ),
             )
 
 
@@ -501,7 +503,7 @@ class TestBatchedLookups:
         )
         res = db.sql(
             "SELECT z, COUNT(*) AS c FROM big GROUP BY z",
-            capture=CaptureMode.INJECT,
+            options=INJECT,
         )
         all_groups = [list(range(len(res))), [0]]
         got_all, got_one = res.lineage.backward_batch(all_groups, "big")
@@ -512,7 +514,7 @@ class TestBatchedLookups:
         assert np.array_equal(again, res.backward([1], "big"))
 
     def test_batch_respects_aliases(self, db):
-        res = db.sql("SELECT z FROM t AS a", capture=CaptureMode.INJECT)
+        res = db.sql("SELECT z FROM t AS a", options=INJECT)
         (got,) = res.lineage.backward_batch([[0, 1]], "a")
         assert got.tolist() == [0, 1]
 
@@ -534,8 +536,7 @@ class TestSourceKeys:
         must not share a key with the synthesized keys of other t scans."""
         db.sql(
             "SELECT a.z FROM t AS a JOIN t AS b ON a.z = b.z",
-            capture=CaptureMode.INJECT,
-            name="sj",
+            options=INJECT.with_(name="sj"),
         )
         plan = db.parse(
             "SELECT x.z FROM Lb(sj, 't#0', 0) AS x "
@@ -543,7 +544,7 @@ class TestSourceKeys:
         )
         keys = assign_source_keys(plan)
         assert len(set(keys)) == 3
-        res = db.execute(plan, capture=CaptureMode.INJECT)
+        res = db.execute(plan, options=INJECT)
         # All three occurrences captured; alias lookups hit the right one.
         assert len(res.lineage.relations) == 3
         assert res.backward([0], "x").tolist() == [0]

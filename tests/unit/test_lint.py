@@ -129,27 +129,6 @@ class TestRPR005EpochThreading:
         assert codes("t = catalog.get(name)\n", "src/repro/sql/binder.py") == []
 
 
-class TestRPR006NoDeprecatedExecKwargs:
-    def test_flags_loose_sql_kwargs(self):
-        assert codes("db.sql(q, capture=mode, name='v')\n", "benchmarks/b.py") == [
-            "RPR006"
-        ]
-
-    def test_flags_db_execute_late_materialize(self):
-        assert codes(
-            "db.execute(plan, late_materialize=False)\n", "benchmarks/b.py"
-        ) == ["RPR006"]
-
-    def test_passes_exec_options(self):
-        src = "db.sql(q, options=ExecOptions(capture=mode, name='v'))\n"
-        assert codes(src, "benchmarks/b.py") == []
-
-    def test_executor_execute_is_not_the_shim(self):
-        # VectorExecutor.execute takes late_materialize as a real param.
-        src = "executor.execute(plan, late_materialize=False)\n"
-        assert codes(src, "src/repro/api.py") == []
-
-
 class TestRPR007DurableWritesOnly:
     PATH = "src/repro/lineage/persist.py"
 
@@ -265,9 +244,10 @@ class TestRuleMetadata:
             assert rule.name
             assert rule.__doc__ and "Autofix hint" in rule.__doc__
 
-    def test_eight_rules_active(self):
+    def test_seven_rules_active(self):
+        # A retired code is never reused: noqa comments cite codes.
         assert [rule.code for rule in ALL_RULES] == [
-            f"RPR00{i}" for i in range(1, 9)
+            "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR007", "RPR008",
         ]
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import ExecOptions
 from repro.exec.vector.nested import theta_matches
 from repro.lineage.capture import CaptureMode
 from repro.plan.logical import CrossProduct, Scan, ThetaJoin, col
@@ -59,7 +60,7 @@ class TestThetaChunking:
     def test_predicate_touching_both_sides_with_rename(self, small_db):
         # zipf θ-join zipf2 on z < z_r: right-side z is renamed.
         plan = ThetaJoin(Scan("zipf"), Scan("zipf2"), col("z") < col("z_r"))
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=ExecOptions(capture=CaptureMode.INJECT))
         assert (res.table.column("z") < res.table.column("z_r")).all()
 
     def test_cross_product_row_count(self, tables, small_db):

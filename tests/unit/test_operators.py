@@ -28,6 +28,8 @@ from repro.plan.logical import (
 )
 from repro.storage import Table
 
+INJECT = ExecOptions(capture=CaptureMode.INJECT)
+
 
 class TestKernels:
     def test_factorize_first_occurrence_order(self):
@@ -97,7 +99,7 @@ class TestSelect:
     def test_correctness_and_lineage(self, small_db):
         table = small_db.table("zipf")
         plan = Select(Scan("zipf"), col("v") < 30.0)
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         expected = np.nonzero(table.column("v") < 30.0)[0]
         assert len(res.table) == expected.size
         bw = res.lineage.backward_index("zipf")
@@ -110,7 +112,7 @@ class TestSelect:
 
     def test_empty_result(self, small_db):
         plan = Select(Scan("zipf"), col("v") < -1.0)
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         assert len(res.table) == 0
         assert res.lineage.backward_index("zipf").num_keys == 0
 
@@ -121,7 +123,7 @@ class TestSelect:
             hints=CardinalityHints(selectivity={"select": 0.5})
         )
         plan = Select(Scan("zipf"), col("v") < 30.0)
-        res = small_db.execute(plan, capture=config)
+        res = small_db.execute(plan, options=ExecOptions(capture=config))
         assert len(res.table) > 0  # correctness unaffected by hints
 
 
@@ -155,21 +157,23 @@ class TestGroupBy:
             assert res.table.column("cd")[i] == 1
 
     def test_backward_partitions_input(self, small_db):
-        res = small_db.execute(self._plan(), capture=CaptureMode.INJECT)
+        res = small_db.execute(self._plan(), options=INJECT)
         bw = res.lineage.backward_index("zipf")
         all_rids = np.sort(bw.lookup_many(np.arange(bw.num_keys)))
         assert np.array_equal(all_rids, np.arange(small_db.table("zipf").num_rows))
 
     def test_forward_inverse_of_backward(self, small_db):
-        res = small_db.execute(self._plan(), capture=CaptureMode.INJECT)
+        res = small_db.execute(self._plan(), options=INJECT)
         bw = res.lineage.backward_index("zipf")
         fw = res.lineage.forward_index("zipf")
         for g in range(bw.num_keys):
             assert (fw.values[bw.lookup(g)] == g).all()
 
     def test_defer_equals_inject(self, small_db):
-        inject = small_db.execute(self._plan(), capture=CaptureMode.INJECT)
-        defer = small_db.execute(self._plan(), capture=CaptureMode.DEFER)
+        inject = small_db.execute(self._plan(), options=INJECT)
+        defer = small_db.execute(
+            self._plan(), options=ExecOptions(capture=CaptureMode.DEFER)
+        )
         for g in range(len(inject.table)):
             assert np.array_equal(
                 inject.lineage.backward([g], "zipf"),
@@ -180,8 +184,8 @@ class TestGroupBy:
     def test_emulated_appends_equal_reuse_path(self, small_db):
         config = CaptureConfig.inject()
         config.emulate_tuple_appends = True
-        emulated = small_db.execute(self._plan(), capture=config)
-        reuse = small_db.execute(self._plan(), capture=CaptureMode.INJECT)
+        emulated = small_db.execute(self._plan(), options=ExecOptions(capture=config))
+        reuse = small_db.execute(self._plan(), options=INJECT)
         for g in range(len(reuse.table)):
             assert np.array_equal(
                 emulated.lineage.backward([g], "zipf"),
@@ -203,7 +207,7 @@ class TestGroupBy:
             [AggCall("count", None, "c")],
             having=col("c") > 150,
         )
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         assert (res.table.column("c") > 150).all()
         table = small_db.table("zipf")
         for i in range(len(res.table)):
@@ -212,7 +216,7 @@ class TestGroupBy:
 
     def test_keyless_aggregate_single_group(self, small_db):
         plan = GroupBy(Scan("zipf"), [], [AggCall("count", None, "c")])
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         assert len(res.table) == 1
         assert res.lineage.backward([0], "zipf").size == 2000
 
@@ -278,7 +282,7 @@ class TestHavingBackwardFilter:
 class TestProjectDistinct:
     def test_distinct_lineage_collects_duplicates(self, small_db):
         plan = Project(Scan("zipf"), [(col("z"), "z")], distinct=True)
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         table = small_db.table("zipf")
         for i in range(len(res.table)):
             rids = res.lineage.backward([i], "zipf")
@@ -287,14 +291,14 @@ class TestProjectDistinct:
 
     def test_bag_project_has_identity_lineage(self, small_db):
         plan = Project(Scan("zipf"), [(col("v") * 2.0, "v2")])
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         assert res.lineage.backward([7], "zipf").tolist() == [7]
 
 
 class TestHashJoin:
     def test_pkfk_output_matches_bruteforce(self, small_db):
         plan = HashJoin(Scan("gids"), Scan("zipf"), ("id",), ("z",), pkfk=True)
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         zipf = small_db.table("zipf")
         assert len(res.table) == zipf.num_rows  # every z has a gid
         # probe-order output: row k corresponds to zipf row k
@@ -302,7 +306,7 @@ class TestHashJoin:
 
     def test_pkfk_four_local_indexes(self, small_db):
         plan = HashJoin(Scan("gids"), Scan("zipf"), ("id",), ("z",), pkfk=True)
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         zipf = small_db.table("zipf")
         bw_r = res.lineage.backward_index("zipf")
         assert isinstance(bw_r, RidArray)
@@ -319,7 +323,7 @@ class TestHashJoin:
 
     def test_mn_join_bruteforce(self, small_db):
         plan = HashJoin(Scan("zipf2"), Scan("zipf"), ("z",), ("z",))
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         z2 = small_db.table("zipf2").column("z")
         z1 = small_db.table("zipf").column("z")
         expected = sum(
@@ -329,7 +333,7 @@ class TestHashJoin:
 
     def test_mn_lineage_roundtrip(self, small_db):
         plan = HashJoin(Scan("zipf2"), Scan("zipf"), ("z",), ("z",))
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         bw = res.lineage.backward_index("zipf2")
         fw = res.lineage.forward_index("zipf2")
         for out in (0, len(res.table) // 2, len(res.table) - 1):
@@ -344,7 +348,7 @@ class TestHashJoin:
             ("z",),
             pkfk=True,
         )
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         assert len(res.table) == 0
 
     def test_join_matches_kernel_direct(self, small_db):
@@ -359,7 +363,7 @@ class TestHashJoin:
 class TestNestedLoop:
     def test_theta_join_bruteforce(self, small_db):
         plan = ThetaJoin(Scan("gids"), Scan("zipf2"), col("id") > col("z"))
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         gids = small_db.table("gids")
         z2 = small_db.table("zipf2")
         expected = sum(
@@ -369,7 +373,7 @@ class TestNestedLoop:
 
     def test_theta_lineage_roundtrip(self, small_db):
         plan = ThetaJoin(Scan("gids"), Scan("zipf2"), col("id") > col("z"))
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         if len(res.table):
             src = res.lineage.backward([0], "zipf2")
             fwd = res.lineage.forward("zipf2", src)
@@ -377,7 +381,7 @@ class TestNestedLoop:
 
     def test_cross_product_closed_form(self, small_db):
         plan = CrossProduct(Scan("gids"), Scan("zipf2"))
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         n_l, n_r = 20, 300
         assert len(res.table) == n_l * n_r
         # output k comes from left k // n_r and right k % n_r

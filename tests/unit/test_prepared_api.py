@@ -1,18 +1,18 @@
-"""The prepared-statement / session API surface: ExecOptions folding and
-deprecation shims, PreparedQuery caching, Session sharing, the
-LineageResolutionCache, registry byte budgets, and base-relation epoch
-guards."""
+"""The prepared-statement / session API surface: ExecOptions validation
+and the one execute/sql signature, PreparedQuery caching, Session
+sharing, the LineageResolutionCache, registry byte budgets, and
+base-relation epoch guards."""
 
-import warnings
+import inspect
 
 import numpy as np
 import pytest
 
 import repro.api as api
-from repro.api import Database, ExecOptions, plan_param_names
+from repro.api import Database, ExecOptions, Session, plan_param_names
 from repro.errors import PlanError, StaleBindingError
 from repro.lineage.cache import LineageResolutionCache
-from repro.lineage.capture import CaptureMode
+from repro.lineage.capture import CaptureConfig, CaptureMode
 from repro.storage import Table
 
 CAPTURE = ExecOptions(capture=CaptureMode.INJECT)
@@ -49,57 +49,37 @@ class TestExecOptions:
         assert other.capture is CaptureMode.INJECT
         assert opts.backend == "vector" and opts.name is None  # unchanged
 
-    def test_unknown_backend_rejected(self, db):
-        with pytest.raises(PlanError, match="backend"):
-            db.sql("SELECT z FROM t", options=ExecOptions(backend="nope"))
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(PlanError, match="unknown backend 'nope'"):
+            ExecOptions(backend="nope")
+        with pytest.raises(PlanError, match="unknown backend 'nope'"):
+            CAPTURE.with_(backend="nope")
+        with pytest.raises(PlanError, match="invalid capture"):
+            ExecOptions(capture="yes please")
+
+    def test_config_property(self):
+        assert ExecOptions().config.mode is CaptureMode.NONE
+        assert CAPTURE.config.mode is CaptureMode.INJECT
+        config = CaptureConfig.inject(relations={"t"})
+        assert ExecOptions(capture=config).config is config
 
 
-class TestDeprecationShims:
-    def _call(self, db):
-        return db.sql("SELECT z FROM t", capture=None)
+class TestOneSurface:
+    """``ExecOptions`` is the only way to say how a statement runs:
+    ``Database.execute``/``sql`` have exactly the ``Session`` shape."""
 
-    def test_legacy_kwargs_warn_exactly_once_per_call_site(self, db):
-        api._LEGACY_WARNED_SITES.clear()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(5):
-                self._call(db)  # one call site, five calls
-            db.sql("SELECT z FROM t", capture=None)  # a second call site
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 2
-        assert "ExecOptions" in str(deprecations[0].message)
+    def test_signatures_match_session(self):
+        for method, first in ((Database.sql, "statement"), (Database.execute, "plan")):
+            params = list(inspect.signature(method).parameters)
+            assert params == ["self", first, "params", "options"]
+            session_method = getattr(Session, method.__name__)
+            assert list(inspect.signature(session_method).parameters) == params
 
-    def test_options_path_does_not_warn(self, db):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            db.sql("SELECT z FROM t", options=ExecOptions())
-            db.execute(db.parse("SELECT z FROM t"), options=CAPTURE)
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-
-    def test_legacy_kwargs_override_options_fields(self, db):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = db.sql(
-                "SELECT z FROM t",
-                capture=CaptureMode.INJECT,
-                options=ExecOptions(capture=None),
-            )
-        assert res.lineage is not None
-
-    def test_legacy_kwargs_still_execute(self, db):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = db.sql(
-                "SELECT z, COUNT(*) AS c FROM t GROUP BY z",
-                capture=CaptureMode.INJECT,
-                name="legacy",
-                pin=True,
-            )
-        assert db.result("legacy") is res
+    def test_loose_kwargs_raise_type_error(self, db):
+        with pytest.raises(TypeError, match="capture"):
+            db.sql("SELECT z FROM t", capture=CaptureMode.INJECT)
+        with pytest.raises(TypeError, match="late_materialize"):
+            db.execute(db.parse("SELECT z FROM t"), late_materialize=False)
 
 
 class TestPreparedQuery:

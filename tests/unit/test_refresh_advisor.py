@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.api import Database
+from repro.api import Database, ExecOptions
 from repro.datagen import make_zipf_table
 from repro.errors import WorkloadError
 from repro.lineage.capture import CaptureMode
 from repro.lineage.refresh import AggregateRefresher, multi_backward, multi_forward
 from repro.plan.logical import AggCall, GroupBy, Scan, Select, col
 from repro.workload.advisor import CostModel, QueryProfile, calibrate, recommend
+
+INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
 
 @pytest.fixture
@@ -32,7 +34,7 @@ def view(db):
             AggCall("max", col("v"), "mx"),
         ],
     )
-    result = db.execute(plan, capture=CaptureMode.INJECT)
+    result = db.execute(plan, options=INJECT)
     return plan, result
 
 
@@ -40,7 +42,7 @@ class TestMultiQueries:
     def test_multi_backward(self, tpch_db):
         from repro.tpch import q3
 
-        res = tpch_db.execute(q3(), capture=CaptureMode.INJECT)
+        res = tpch_db.execute(q3(), options=INJECT)
         out = multi_backward(res.lineage, [0], ["customer", "orders", "lineitem"])
         assert set(out) == {"customer", "orders", "lineitem"}
         assert out["orders"].size == 1
@@ -111,7 +113,7 @@ class TestRefresh:
             [(col("z"), "z")],
             [AggCall("count", None, "c")],
         )
-        res = db.execute(sel_plan, capture=CaptureMode.INJECT)
+        res = db.execute(sel_plan, options=INJECT)
         with pytest.raises(WorkloadError, match="base scan"):
             AggregateRefresher(db, sel_plan, res)
 
@@ -121,7 +123,7 @@ class TestRefresh:
             [(col("z"), "z")],
             [AggCall("count_distinct", col("v"), "cd")],
         )
-        res = db.execute(plan, capture=CaptureMode.INJECT)
+        res = db.execute(plan, options=INJECT)
         with pytest.raises(WorkloadError, match="algebraic"):
             AggregateRefresher(db, plan, res)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import Database
+from repro.api import Database, ExecOptions
 from repro.lineage.capture import CaptureMode
 from repro.lineage.semantics import (
     how_provenance,
@@ -12,6 +12,8 @@ from repro.lineage.semantics import (
 )
 from repro.plan.logical import AggCall, GroupBy, HashJoin, Scan, col
 from repro.storage import Table
+
+INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
 
 @pytest.fixture
@@ -42,7 +44,7 @@ def appendix_e_result(appendix_e_db):
         keys=[(col("cname"), "cname"), (col("pname"), "pname")],
         aggs=[AggCall("count", None, "cnt")],
     )
-    return appendix_e_db.execute(plan, capture=CaptureMode.INJECT)
+    return appendix_e_db.execute(plan, options=INJECT)
 
 
 class TestAppendixEExample:
@@ -89,7 +91,7 @@ class TestGeneral:
         plan = GroupBy(
             Scan("zipf"), [(col("z"), "z")], [AggCall("count", None, "c")]
         )
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         which = which_provenance(res.lineage, 0, ["zipf"])
         assert np.array_equal(which["zipf"], res.backward([0], "zipf"))
 
@@ -101,7 +103,7 @@ class TestGeneral:
             keys=[(col("cname"), "cname")],
             aggs=[AggCall("count", None, "cnt")],
         )
-        res = appendix_e_db.execute(plan, capture=CaptureMode.INJECT)
+        res = appendix_e_db.execute(plan, options=INJECT)
         o = _rid_of(res, "Bob")
         witnesses = why_provenance(res.lineage, o, ["A", "B"])
         assert len(witnesses) == 2

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import ExecOptions
 from repro.exec.compiled.setops_ref import reference_setop
 from repro.exec.vector.setops import execute_setop
 from repro.lineage.capture import CaptureConfig, CaptureMode
@@ -108,7 +109,7 @@ class TestSemantics:
             Project(Scan("zipf"), [(col("z"), "z")]),
             Project(Scan("zipf2"), [(col("z"), "z")]),
         )
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=ExecOptions(capture=CaptureMode.INJECT))
         assert res.lineage.relations == ["zipf"]
 
     def test_multi_column_rows_compared_as_tuples(self):

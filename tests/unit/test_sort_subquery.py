@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.api import ExecOptions
 from repro.errors import PlanError, SqlError
 from repro.lineage.capture import CaptureMode
 from repro.plan.logical import Scan, Sort
+
+INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
 
 class TestSortOperator:
@@ -43,7 +46,7 @@ class TestSortOperator:
 
     def test_lineage_is_permutation(self, small_db):
         plan = Sort(Scan("zipf"), [("v", False)])
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         bw = res.lineage.backward_index("zipf")
         assert np.array_equal(np.sort(bw.values), np.arange(2000))
         # roundtrip: forward(backward(o)) == o
@@ -53,7 +56,7 @@ class TestSortOperator:
 
     def test_limit_cuts_forward_lineage(self, small_db):
         plan = Sort(Scan("zipf"), [("v", False)], limit=10)
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         kept = res.lineage.backward_index("zipf").values
         v = small_db.table("zipf").column("v")
         outside = int(np.argmax(v))  # max v cannot be in the 10 smallest
@@ -68,8 +71,8 @@ class TestSortOperator:
 
     def test_compiled_backend_matches(self, small_db):
         plan = Sort(Scan("zipf"), [("z", False), ("v", True)], limit=50)
-        vec = small_db.execute(plan, capture=CaptureMode.INJECT)
-        comp = small_db.execute(plan, capture=CaptureMode.INJECT, backend="compiled")
+        vec = small_db.execute(plan, options=INJECT)
+        comp = small_db.execute(plan, options=INJECT.with_(backend="compiled"))
         assert vec.table.to_rows() == comp.table.to_rows()
         assert np.array_equal(
             vec.lineage.backward(list(range(50)), "zipf"),
@@ -81,7 +84,7 @@ class TestSqlOrderLimit:
     def test_order_by_desc_limit(self, small_db):
         res = small_db.sql(
             "SELECT z, COUNT(*) AS c FROM zipf GROUP BY z ORDER BY c DESC LIMIT 3",
-            capture=CaptureMode.INJECT,
+            options=INJECT,
         )
         assert len(res) == 3
         assert (np.diff(res.table.column("c")) <= 0).all()
@@ -109,7 +112,7 @@ class TestDerivedTables:
         res = small_db.sql(
             "SELECT d.z FROM (SELECT z, COUNT(*) AS c FROM zipf GROUP BY z) d "
             "WHERE d.c > 100",
-            capture=CaptureMode.INJECT,
+            options=INJECT,
         )
         counts = small_db.sql("SELECT z, COUNT(*) AS c FROM zipf GROUP BY z")
         expected = {
@@ -121,7 +124,7 @@ class TestDerivedTables:
         res = small_db.sql(
             "SELECT d.z FROM (SELECT z, COUNT(*) AS c FROM zipf GROUP BY z) d "
             "WHERE d.c > 100",
-            capture=CaptureMode.INJECT,
+            options=INJECT,
         )
         zipf = small_db.table("zipf")
         for o in range(len(res)):
@@ -133,7 +136,7 @@ class TestDerivedTables:
             "SELECT agg.z, agg.c, gids.payload "
             "FROM (SELECT z, COUNT(*) AS c FROM zipf GROUP BY z) agg "
             "JOIN gids ON agg.z = gids.id",
-            capture=CaptureMode.INJECT,
+            options=INJECT,
         )
         assert set(res.lineage.relations) == {"zipf", "gids"}
         gid = int(res.table.column("z")[0])

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.api import ExecOptions
 from repro.errors import SqlError
 from repro.lineage.capture import CaptureMode
 from repro.plan.logical import CrossProduct, GroupBy, HashJoin, Project, Select
 from repro.sql import parse, parse_sql
 from repro.sql.lexer import tokenize
+
+INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
 
 class TestLexer:
@@ -185,7 +188,7 @@ class TestSqlLineage:
     def test_sql_query_with_capture(self, small_db):
         result = small_db.sql(
             "SELECT z, COUNT(*) AS c FROM zipf GROUP BY z",
-            capture=CaptureMode.INJECT,
+            options=INJECT,
         )
         rids = result.backward([0], "zipf")
         z0 = result.table.column("z")[0]
@@ -195,7 +198,7 @@ class TestSqlLineage:
     def test_sql_setop_lineage(self, small_db):
         result = small_db.sql(
             "SELECT z FROM zipf WHERE z < 3 UNION SELECT z FROM zipf2 WHERE z < 2",
-            capture=CaptureMode.INJECT,
+            options=INJECT,
         )
         assert set(result.lineage.relations) == {"zipf", "zipf2"}
 
@@ -204,7 +207,7 @@ class TestSelfJoins:
     def test_alias_self_join(self, small_db):
         res = small_db.sql(
             "SELECT * FROM zipf z1, zipf z2 WHERE z1.z = z2.z",
-            capture=CaptureMode.INJECT,
+            options=INJECT,
         )
         assert res.lineage.relations == ["zipf#0", "zipf#1"]
         assert "z_r" in res.table.schema

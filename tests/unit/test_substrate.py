@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.api import ExecOptions
+from repro.lineage.capture import CaptureMode
 from repro.substrate import (
     BerkeleyDBSim,
     CardinalityHints,
@@ -16,6 +18,8 @@ from repro.substrate.stats import (
     choose_build_side,
     collect_column_stats,
 )
+
+INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
 
 class TestBdbSim:
@@ -277,28 +281,26 @@ class TestChooseBuildSide:
 
 class TestHintsFromLineage:
     def test_counts_match_group_sizes(self, small_db):
-        from repro.lineage.capture import CaptureMode
         from repro.plan.logical import AggCall, GroupBy, Scan, col
         from repro.substrate.stats import hints_from_lineage
 
         plan = GroupBy(
             Scan("zipf"), [(col("z"), "z")], [AggCall("count", None, "c")]
         )
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         hints = hints_from_lineage(res.lineage, "zipf", "groupby")
         counts = hints.group_count_for("groupby")
         assert np.array_equal(counts, np.asarray(res.table.column("c")))
 
     def test_hints_eliminate_resizes_on_rerun(self, small_db):
         from repro.exec.vector.groupby import inject_backward_index
-        from repro.lineage.capture import CaptureMode
         from repro.plan.logical import AggCall, GroupBy, Scan, col
         from repro.substrate.stats import hints_from_lineage
 
         plan = GroupBy(
             Scan("zipf"), [(col("z"), "z")], [AggCall("count", None, "c")]
         )
-        res = small_db.execute(plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(plan, options=INJECT)
         hints = hints_from_lineage(res.lineage, "zipf", "groupby")
         group_ids = res.lineage.forward_index("zipf").values
         _, resizes = inject_backward_index(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import ExecOptions
 from repro.lineage.capture import CaptureMode
 from repro.tpch import (
     q1,
@@ -16,6 +17,8 @@ from repro.tpch import (
     q1c_lazy,
     q3,
 )
+
+INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
 
 class TestQueries:
@@ -53,13 +56,13 @@ class TestQueries:
         assert len(np.unique(keys)) == len(keys)
 
     def test_q10_joins_all_four_tables(self, tpch_db):
-        res = tpch_db.execute(q10(), capture=CaptureMode.INJECT)
+        res = tpch_db.execute(q10(), options=INJECT)
         assert set(res.lineage.relations) == {
             "nation", "customer", "orders", "lineitem",
         }
 
     def test_q10_returnflag_lineage(self, tpch_db):
-        res = tpch_db.execute(q10(), capture=CaptureMode.INJECT)
+        res = tpch_db.execute(q10(), options=INJECT)
         li = tpch_db.table("lineitem")
         rids = res.lineage.backward([0], "lineitem")
         assert (li.column("l_returnflag")[rids] == "R").all()
@@ -73,7 +76,7 @@ class TestQueries:
         assert (high + low > 0).all()
 
     def test_q12_high_low_partition_lineage(self, tpch_db):
-        res = tpch_db.execute(q12(), capture=CaptureMode.INJECT)
+        res = tpch_db.execute(q12(), options=INJECT)
         total = res.table.column("high_line_count") + res.table.column(
             "low_line_count"
         )
@@ -85,7 +88,7 @@ class TestQueries:
 class TestVariants:
     @pytest.fixture()
     def bar0(self, tpch_db):
-        res = tpch_db.execute(q1(), capture=CaptureMode.INJECT)
+        res = tpch_db.execute(q1(), options=INJECT)
         flag = res.table.column("l_returnflag")[0]
         status = res.table.column("l_linestatus")[0]
         subset = res.backward_table([0], "lineitem")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import ExecOptions
 from repro.errors import WorkloadError
 from repro.expr.ast import Col
 from repro.lineage.capture import CaptureMode
@@ -22,6 +23,8 @@ from repro.workload import (
     predicate_mask,
     prune_capture,
 )
+
+INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
 
 @pytest.fixture
@@ -81,7 +84,7 @@ class TestPartitioning:
 
     def test_partitioned_lookup_equals_filter(self, small_db, groupby_plan):
         table = small_db.table("zipf")
-        res = small_db.execute(groupby_plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(groupby_plan, options=INJECT)
         backward = res.lineage.backward_index("zipf")
         # Partition by a coarse bucket of v.
         bucketed = table.with_column(
@@ -100,7 +103,7 @@ class TestPartitioning:
 
     def test_lookup_full_reassembles_bucket(self, small_db, groupby_plan):
         table = small_db.table("zipf")
-        res = small_db.execute(groupby_plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(groupby_plan, options=INJECT)
         backward = res.lineage.backward_index("zipf")
         part = AttributePartitioner(table, ["z"])
         index = PartitionedRidIndex(backward, part)
@@ -110,7 +113,7 @@ class TestPartitioning:
             )
 
     def test_out_of_range_errors(self, small_db, groupby_plan):
-        res = small_db.execute(groupby_plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(groupby_plan, options=INJECT)
         part = AttributePartitioner(small_db.table("zipf"), ["z"])
         index = PartitionedRidIndex(res.lineage.backward_index("zipf"), part)
         from repro.errors import LineageError
@@ -124,7 +127,7 @@ class TestPartitioning:
 class TestSelectionPushdown:
     def test_filter_backward_index(self, small_db, groupby_plan):
         table = small_db.table("zipf")
-        res = small_db.execute(groupby_plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(groupby_plan, options=INJECT)
         backward = res.lineage.backward_index("zipf")
         mask = predicate_mask(table, Col("v") < 20.0)
         filtered = filter_backward_index(backward, mask)
@@ -135,7 +138,7 @@ class TestSelectionPushdown:
 
     def test_empty_predicate_result(self, small_db, groupby_plan):
         table = small_db.table("zipf")
-        res = small_db.execute(groupby_plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(groupby_plan, options=INJECT)
         filtered = filter_backward_index(
             res.lineage.backward_index("zipf"),
             predicate_mask(table, Col("v") < -5.0),
@@ -146,7 +149,7 @@ class TestSelectionPushdown:
 class TestCube:
     def test_cube_matches_direct_aggregation(self, small_db, groupby_plan):
         table = small_db.table("zipf")
-        res = small_db.execute(groupby_plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(groupby_plan, options=INJECT)
         fw = res.lineage.forward_index("zipf").values
         bucket = (table.column("v") // 10).astype(np.int64)
         keyed = table.with_column("vbucket", bucket)
@@ -164,7 +167,7 @@ class TestCube:
                 assert s == pytest.approx(table.column("v")[sel].sum())
 
     def test_count_distinct_rejected(self, small_db, groupby_plan):
-        res = small_db.execute(groupby_plan, capture=CaptureMode.INJECT)
+        res = small_db.execute(groupby_plan, options=INJECT)
         with pytest.raises(WorkloadError, match="algebraic"):
             LineageCube(
                 small_db.table("zipf"),

@@ -4,8 +4,7 @@ Smoke's correctness rests on cross-cutting invariants that generic
 linters cannot see: lineage may only be composed through the shared
 folds, handed-out rid arrays are read-only, timings counters must be
 spelled from one registry, exceptions must come from the ``errors.py``
-taxonomy, catalog reads in executor code must carry epochs, internal
-callers must not use the deprecated ``ExecOptions`` kwarg shims,
+taxonomy, catalog reads in executor code must carry epochs,
 durable-path modules must write files only through the fsync/rename
 helpers, and rids are ordered by dense id only through the radix
 kernel ``stable_group_order``.  Each rule in :mod:`tools.lint.rules`

@@ -1,4 +1,4 @@
-"""The eight repo-specific AST rules (see package docstring for noqa).
+"""The seven repo-specific AST rules (see package docstring for noqa).
 
 Every rule carries its error code, the invariant it enforces, and an
 autofix hint in its docstring; ``python -m tools.lint --list-rules``
@@ -36,12 +36,6 @@ BUILTIN_EXCEPTIONS = frozenset(
         "ValueError",
         "ZeroDivisionError",
     }
-)
-
-#: The ExecOptions deprecation-shim kwargs (RPR006); internal callers
-#: must pass ``options=ExecOptions(...)`` instead.
-DEPRECATED_EXEC_KWARGS = frozenset(
-    {"capture", "backend", "name", "pin", "late_materialize"}
 )
 
 #: In-place ndarray methods flagged on handout arrays (RPR002).
@@ -386,55 +380,6 @@ class EpochThreading(Rule):
                 )
 
 
-class NoDeprecatedExecKwargs(Rule):
-    """Internal callers must not use the ExecOptions deprecation shims.
-
-    Invariant: ``Database.sql`` / ``Database.execute`` accept legacy
-    loose kwargs (``capture=``, ``backend=``, ``name=``, ``pin=``,
-    ``late_materialize=``) only as a migration shim that warns once per
-    call site; library and benchmark code must pass
-    ``options=ExecOptions(...)`` so the shim can eventually be deleted.
-
-    Autofix hint: wrap the kwargs:
-    ``db.sql(stmt, options=ExecOptions(capture=..., name=...))``.
-    """
-
-    code = "RPR006"
-    name = "no-deprecated-exec-kwargs"
-
-    #: ``.execute`` is only the Database entry point when called on a
-    #: database-ish receiver; executor.execute's ``late_materialize`` is
-    #: a real parameter, not a shim.
-    EXECUTE_RECEIVERS = ("db", "database")
-
-    def applies(self, ctx) -> bool:
-        return True
-
-    def check(self, ctx) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("sql", "execute")
-            ):
-                continue
-            if node.func.attr == "execute":
-                receiver = (dotted(node.func.value) or "").split(".")[-1]
-                if receiver not in self.EXECUTE_RECEIVERS:
-                    continue
-            bad = sorted(
-                kw.arg
-                for kw in node.keywords
-                if kw.arg in DEPRECATED_EXEC_KWARGS
-            )
-            if bad:
-                yield (
-                    node.lineno, node.col_offset,
-                    f"deprecated loose exec kwarg(s) {', '.join(bad)}; pass "
-                    "options=ExecOptions(...)",
-                )
-
-
 class DurableWritesOnly(Rule):
     """Durable-path file writes must go through the fsync helpers.
 
@@ -563,7 +508,6 @@ ALL_RULES: List[Rule] = [
     TimingsRegistry(),
     ReproErrorsOnly(),
     EpochThreading(),
-    NoDeprecatedExecKwargs(),
     DurableWritesOnly(),
     StableGroupOrderOnly(),
 ]
