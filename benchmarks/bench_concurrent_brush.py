@@ -162,8 +162,8 @@ BARS_PER_USER = 4
 def _user_bars(order):
     """Per-user brush selections: 4 overlapping hot bars each (the
     paper's "bar or set of bars"), staggered so every hot bar is shared
-    by 4 users — the crossfilter-typical overlap the union-coalescing
-    batch path amortizes."""
+    by 4 users — the crossfilter-typical overlap the per-bar batch pass
+    amortizes."""
     return [
         np.array(
             [int(order[(u + k) % HOT_BARS]) for k in range(BARS_PER_USER)],
@@ -175,8 +175,9 @@ def _user_bars(order):
 
 def test_batched_brush(brush_db):
     """Multi-brush batching: N users' same-view brushes coalesced into
-    one backward CSR pass + one shared position-domain execution
-    (``DatabaseServer.sql_batch``) vs N independent ``sql`` calls.
+    one per-bar pass — each distinct bar resolved once, group keys
+    factorized once (``DatabaseServer.sql_batch``) — vs N independent
+    ``sql`` calls.
 
     The answer memo is off in **both** arms: with it on, the unbatched
     loop would be measuring cache hits and the comparison would say
@@ -196,6 +197,7 @@ def test_batched_brush(brush_db):
         assert len(batched) == len(singles)
         for single, batch in zip(singles, batched, strict=True):
             assert single.table.to_rows() == batch.table.to_rows()
+        assert server.stats()["batch_coalesced"] == 1
 
         deadline = time.perf_counter() + _measure_seconds()
         unbatched_brushes = 0

@@ -753,11 +753,11 @@ class ConcurrentCrossfilter:
 
         Semantically equivalent to N :meth:`brush_many` calls, but each
         per-view re-aggregation statement goes through
-        :meth:`~repro.serve.DatabaseServer.sql_batch`, which coalesces
-        the N ``Lb`` resolutions into one CSR backward pass and executes
-        the predicate/gather/group-key work once over the union of the
-        users' rid sets — the multi-user amortization of the paper's
-        "millions of users" serving story.
+        :meth:`~repro.serve.DatabaseServer.sql_batch`, which resolves
+        each distinct bar once, runs the predicate/gather/group-key work
+        once over those bars' rows, and answers each user as a sum of
+        per-bar group counts — the multi-user amortization of the
+        paper's "millions of users" serving story.
         """
         session = self.session
         if dimension not in session.views:

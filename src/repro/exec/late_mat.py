@@ -644,86 +644,64 @@ def batchable_pushed(pushed: PushedLineageQuery, config: CaptureConfig) -> bool:
     return True
 
 
+#: Cap on ``num_bars * num_codes``, the cells of the per-bar count and
+#: first-rid matrices (int64 each) — the one batch allocation that grows
+#: with bars × groups.  Beyond it :func:`execute_pushed_batch` declines
+#: and the caller runs the bindings one by one.
+_BAR_MATRIX_MAX_CELLS = 1 << 21
+
+
 def execute_pushed_batch(
     pushed: PushedLineageQuery,
     catalog: Catalog,
     results: Optional[Mapping[str, object]],
     params_list: Sequence[Optional[dict]],
     lineage_cache=None,
-) -> List[Table]:
+) -> Optional[List[Table]]:
     """Execute one :func:`batchable_pushed` tree for N parameter bindings
     in a single shared pass; returns one output table per binding, each
     bit-identical to what :func:`execute_pushed` produces for that
-    binding alone.
+    binding alone — or ``None`` when the shared pass does not apply and
+    the caller must execute the bindings one by one.
 
-    The serving workload shape (N concurrent brushes against one view)
-    makes per-binding work almost entirely redundant: the bindings' rid
-    subsets overlap, and per-binding execution re-resolves, re-gathers,
-    and — dominant for string group keys — re-factorizes the shared
-    rows N times.  This path instead:
+    It applies when the view's backward index is a **partition** (each
+    base rid in at most one bar's bucket — the GROUP BY crossfilter
+    shape) and the per-bar matrices fit :data:`_BAR_MATRIX_MAX_CELLS`.
+    Each binding's rid set is then the disjoint union of its bars'
+    buckets, so N overlapping brushes share almost all their work:
 
-    1. resolves every binding's ``Lb`` in **one**
-       :meth:`~repro.lineage.capture.QueryLineage.backward_batch` CSR
-       pass (shared index materialization and dedup scratch);
-    2. forms the sorted-distinct **union** of the rid sets with one
-       bitmap over the base-row domain (O(domain + Σ|rids|) — no sort:
-       ``np.flatnonzero`` of the flags is already ascending);
-    3. evaluates the pushed predicate and gathers / factorizes the
-       group keys **once** over the union, then scatters the shared
-       codes into a rid-indexed map (``-1`` = outside the filtered
-       union);
-    4. maps each binding's rids to codes in **one** gather and derives
-       its groups with :func:`~repro.exec.vector.kernels.subset_groups`
-       — first-occurrence code order is provably the group order
-       ``factorize`` assigns on the binding's own rows — aggregating
-       the ``COUNT(*)`` columns with one bincount.
-
-    When the view's backward index is a **partition** (each base rid in
-    at most one bar's bucket — the GROUP BY crossfilter shape), the
-    shared pass decomposes further *per bar*
-    (:func:`~repro.exec.lineage_scan.resolve_scan_bars_batch` +
-    :func:`_batch_tables_by_bars`): per-bar count and first-rid vectors
-    are computed once over disjoint bar segments totalling the union
-    mass, and each binding's answer reduces to summing / minimizing a
-    handful of ``num_codes``-sized vectors — no per-binding pass over
-    its Σ rows at all.  Non-partition indexes (or very wide brushes) use
-    the set-based stage (:func:`_batch_tables_from_sets`).
+    1. every distinct bar across the bindings resolves **once**
+       (:func:`~repro.exec.lineage_scan.resolve_scan_bars`, through the
+       rid cache under single-bar keys);
+    2. the pushed predicate and the group keys are evaluated / factorized
+       **once** over the concatenated bar segments, whose total size is
+       the union mass (:func:`_shared_batch_codes`);
+    3. one pass over all segments builds per-bar count and first-rid
+       matrices, and each binding's answer reduces to a handful of
+       ``num_codes``-sized vector sums / mins
+       (:func:`_batch_tables_by_bars`) — no per-binding pass over its
+       rows at all.
 
     Callers must ensure all bindings agree on every parameter except the
     scan's rid parameter (shared predicate/key evaluation reads the
     first binding's params); ``DatabaseServer.sql_batch`` checks this
     and falls back otherwise.
     """
-    from .lineage_scan import resolve_scan_bars_batch, resolve_scan_sources_batch
+    from .lineage_scan import resolve_rid_spec, resolve_scan_bars
 
-    scan = pushed.scan
-    decomposed = resolve_scan_bars_batch(
-        scan, catalog, results, params_list, cache=lineage_cache
+    probes = [
+        np.unique(resolve_rid_spec(pushed.scan.rids, params, 0))
+        for params in params_list
+    ]
+    bar_ids = np.unique(np.concatenate(probes))
+    resolved = resolve_scan_bars(
+        pushed.scan, catalog, results, bar_ids, cache=lineage_cache
     )
-    if decomposed is not None:
-        tables = _batch_tables_by_bars(pushed, catalog, decomposed, params_list[0])
-        if tables is not None:
-            return tables
-        # Per-bar matrices would be too large (high-cardinality group
-        # keys): reassemble each binding's set from its disjoint bar
-        # segments and run the set-based stage instead.
-        source, probes, bar_ids, bar_sets, _name, domain, _epoch = decomposed
-        rid_sets = [
-            np.unique(
-                np.concatenate(
-                    [bar_sets[j] for j in np.searchsorted(bar_ids, probe)]
-                )
-            )
-            if probe.size
-            else np.empty(0, dtype=np.int64)
-            for probe in probes
-        ]
-    else:
-        source, rid_sets, _name, domain, _epoch = resolve_scan_sources_batch(
-            scan, catalog, results, params_list, cache=lineage_cache
-        )
-    return _batch_tables_from_sets(
-        pushed, catalog, source, rid_sets, domain, params_list[0]
+    if resolved is None:
+        return None
+    source, rows, lengths = resolved
+    return _batch_tables_by_bars(
+        pushed, catalog, source, rows, lengths, probes, bar_ids, params_list[0]
     )
 
 
@@ -733,12 +711,12 @@ def _shared_batch_codes(
     rows: np.ndarray,
     shared_params: Optional[dict],
 ):
-    """The shared head of both batch stages: evaluate the pushed
-    predicate over ``rows`` (one gather of only the predicate's
-    columns), then gather / factorize the group keys once over the
-    survivors.  Returns ``(mask, codes, num_codes, key_by_code)`` where
-    ``mask`` is None without a predicate and ``codes`` aligns with the
-    surviving rows (``rows[mask]``)."""
+    """The shared head of the batch pass: evaluate the pushed predicate
+    over ``rows`` (one gather of only the predicate's columns), then
+    gather / factorize the group keys once over the survivors.  Returns
+    ``(mask, codes, num_codes, key_by_code)`` where ``mask`` is None
+    without a predicate and ``codes`` aligns with the surviving rows
+    (``rows[mask]``)."""
     from ..expr.ast import evaluate
     from .vector.kernels import factorize
 
@@ -813,69 +791,22 @@ def _batch_output_table(
     return table
 
 
-def _batch_tables_from_sets(
-    pushed: PushedLineageQuery,
-    catalog: Catalog,
-    source: Table,
-    rid_sets: Sequence[np.ndarray],
-    domain: int,
-    shared_params: Optional[dict],
-) -> List[Table]:
-    """Set-based batch stage: one shared pass over the bindings' rid
-    **union**, then one ``code_of_rid`` gather + subset grouping per
-    binding (steps 2-4 of :func:`execute_pushed_batch`'s docstring)."""
-    from .vector.kernels import subset_groups
-
-    if len(rid_sets) > 1:
-        flags = np.zeros(domain, dtype=bool)
-        for rids in rid_sets:
-            flags[rids] = True
-        union = np.flatnonzero(flags)
-    else:
-        union = rid_sets[0]
-
-    mask, codes, num_codes, key_by_code = _shared_batch_codes(
-        pushed, source, union, shared_params
-    )
-    if mask is not None:
-        union = union[mask]
-    # rid -> shared code over the base-row domain; -1 marks rows outside
-    # the (predicate-filtered) union.  Each binding then maps its rids to
-    # codes in ONE gather — no per-binding selection vectors.
-    code_of_rid = np.full(domain, -1, dtype=np.int64)
-    code_of_rid[union] = codes
-    schema = infer_schema(pushed.groupby, catalog)
-
-    tables: List[Table] = []
-    for rids in rid_sets:
-        sub = code_of_rid[rids]
-        if mask is not None:
-            sub = sub[sub >= 0]
-        group_codes, counts = subset_groups(sub, num_codes)
-        tables.append(
-            _batch_output_table(
-                pushed, schema, group_codes, counts, key_by_code, shared_params
-            )
-        )
-    return tables
-
-
-#: Cap on ``num_bars * num_codes`` for the per-bar count / first-rid
-#: matrices (int64 cells); beyond it the decomposed stage hands back to
-#: the set-based stage rather than allocate tens of MB.
-_BAR_MATRIX_MAX_CELLS = 1 << 21
-
-
 def _batch_tables_by_bars(
     pushed: PushedLineageQuery,
     catalog: Catalog,
-    decomposed,
+    source: Table,
+    rows: np.ndarray,
+    lengths: np.ndarray,
+    probes: Sequence[np.ndarray],
+    bar_ids: np.ndarray,
     shared_params: Optional[dict],
 ) -> Optional[List[Table]]:
-    """Per-bar batch stage, for partition-shaped backward indexes.
+    """The per-bar stage of :func:`execute_pushed_batch`.
 
-    Each binding's rid set is the disjoint union of its bars' backward
-    buckets, so per-binding aggregates decompose exactly:
+    ``rows`` concatenates the sorted, pairwise disjoint backward sets of
+    ``bar_ids`` (``lengths[j]`` rids for bar ``j``), and ``probes[i]`` is
+    binding ``i``'s sorted distinct bars.  Per-binding aggregates
+    decompose exactly over bars:
 
     * ``counts`` — a binding's per-group count is the **sum** of its
       bars' per-group counts (disjointness: no row counted twice);
@@ -884,58 +815,35 @@ def _batch_tables_by_bars(
       rids, i.e. ascending *minimum member rid*; a binding's minimum rid
       for a group is the **min** over its bars' per-group minimum rids.
 
-    So one pass over the concatenated (disjoint, union-sized) bar
-    segments builds a ``counts`` matrix and a ``first-rid`` matrix of
-    shape ``(num_bars, num_codes)``, and each binding's output reduces
-    to ``counts[bars].sum(axis=0)`` / ``first[bars].min(axis=0)`` plus a
-    ``num_codes``-sized argsort — independent of the binding's row
+    So one pass over all segments — a bincount over the cell ``bar ×
+    num_codes + code`` — builds a ``counts`` matrix and a ``first-rid``
+    matrix of shape ``(num_bars, num_codes)``, and each binding's output
+    reduces to ``counts[bars].sum(axis=0)`` / ``first[bars].min(axis=0)``
+    plus a ``num_codes``-sized argsort — independent of the binding's row
     count.  Returns ``None`` when the matrices would exceed
-    :data:`_BAR_MATRIX_MAX_CELLS` (caller falls back to the set-based
-    stage).
+    :data:`_BAR_MATRIX_MAX_CELLS`.
     """
-    source, probes, bar_ids, bar_sets, _name, domain, _epoch = decomposed
-    n_bars = int(bar_ids.shape[0])
-    seg_offsets = np.zeros(n_bars + 1, dtype=np.int64)
-    if n_bars:
-        np.cumsum(
-            np.fromiter(
-                (s.shape[0] for s in bar_sets), dtype=np.int64, count=n_bars
-            ),
-            out=seg_offsets[1:],
-        )
-    rows = (
-        np.concatenate(bar_sets) if n_bars else np.empty(0, dtype=np.int64)
-    )
-
-    mask, codes_kept, num_codes, key_by_code = _shared_batch_codes(
+    mask, codes, num_codes, key_by_code = _shared_batch_codes(
         pushed, source, rows, shared_params
     )
-    if n_bars * max(num_codes, 1) > _BAR_MATRIX_MAX_CELLS:
+    n_bars = int(bar_ids.shape[0])
+    n_cells = n_bars * num_codes
+    if n_cells > _BAR_MATRIX_MAX_CELLS:
         return None
-    if mask is None:
-        codes = codes_kept
-    else:
-        # Align codes with the full segment layout; -1 = filtered out.
-        codes = np.full(rows.shape[0], -1, dtype=np.int64)
-        codes[mask] = codes_kept
-
-    counts_mat = np.zeros((n_bars, num_codes), dtype=np.int64)
+    cells = np.repeat(np.arange(n_bars, dtype=np.int64) * num_codes, lengths)
+    if mask is not None:
+        cells, rows = cells[mask], rows[mask]
+    cells += codes
+    counts_mat = np.bincount(cells, minlength=n_cells).reshape(n_bars, num_codes)
     # Sentinel `domain` (> any rid) so min() over bars ignores absent
     # groups; a group is present for a binding iff its min stays < domain.
-    first_mat = np.full((n_bars, num_codes), domain, dtype=np.int64)
-    for j in range(n_bars):
-        seg = codes[seg_offsets[j] : seg_offsets[j + 1]]
-        seg_rids = rows[seg_offsets[j] : seg_offsets[j + 1]]
-        if mask is not None:
-            keep = seg >= 0
-            seg = seg[keep]
-            seg_rids = seg_rids[keep]
-        if seg.size == 0:
-            continue
-        counts_mat[j] = np.bincount(seg, minlength=num_codes)
-        # Bar buckets are sorted ascending; the reversed scatter leaves,
-        # per code, the bar's smallest member rid (later writes win).
-        first_mat[j][seg[::-1]] = seg_rids[::-1]
+    domain = source.num_rows
+    first_mat = np.full(n_cells, domain, dtype=np.int64)
+    # Bar buckets are sorted ascending and each cell belongs to one bar;
+    # the reversed scatter leaves, per cell, the bar's smallest member
+    # rid (later writes win).
+    first_mat[cells[::-1]] = rows[::-1]
+    first_mat = first_mat.reshape(n_bars, num_codes)
 
     schema = infer_schema(pushed.groupby, catalog)
     tables: List[Table] = []

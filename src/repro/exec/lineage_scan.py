@@ -123,6 +123,15 @@ def resolve_rid_spec(rids_expr, params: Optional[dict], default_size: int) -> np
 
 
 def _resolve_result(plan: LineageScan, results: Optional[Mapping[str, object]]):
+    """The named prior result plus the registry epoch governing cache
+    validity for it.
+
+    The epoch must come from the registry this execution reads (a live
+    registry, or a pinned snapshot view) — a shared cache deriving it
+    from its own live registry would file a snapshot's rids under the
+    current epoch.  Plain-mapping fixtures have no epochs; ``None`` lets
+    the cache fall back to identity tokens.
+    """
     if results is None or plan.result not in results:
         known = sorted(results) if results else []
         raise PlanError(
@@ -135,7 +144,96 @@ def _resolve_result(plan: LineageScan, results: Optional[Mapping[str, object]]):
             f"result {plan.result!r} was executed without lineage capture; "
             "re-run it with capture enabled to consume its lineage"
         )
-    return result
+    epoch_of = getattr(results, "epoch", None)
+    registry_epoch = epoch_of(plan.result) if callable(epoch_of) else None
+    return result, registry_epoch
+
+
+def _backward_base(plan: LineageScan, catalog: Catalog, result):
+    """The traced base table of a backward scan, after the epoch and
+    schema-drift guards.  Returns ``(base, base_name, epoch,
+    captured_epoch)``."""
+    base_name = resolve_base_table(catalog, result.lineage, plan.relation)
+    base, epoch = catalog.get_versioned(base_name)
+    captured_epoch = result.lineage.base_epoch(plan.relation)
+    if captured_epoch is not None and captured_epoch != epoch:
+        # Same-shape replacement would otherwise answer with stale rids
+        # against the new rows (shrink/schema drift is caught by
+        # _check_backward_rids and below even without epochs).
+        raise PlanError(
+            f"base relation {base_name!r} was replaced since result "
+            f"{plan.result!r} captured its lineage (epoch "
+            f"{captured_epoch} vs {epoch}); re-run the base query"
+        )
+    if plan.schema is not None and base.schema != plan.schema:
+        # Re-registration may re-resolve the relation reference to a
+        # different base table (or the table may have been replaced);
+        # reading it against the bound schema would corrupt operators
+        # above this scan.
+        raise StaleBindingError(
+            f"relation {plan.relation!r} of result {plan.result!r} now "
+            f"resolves to schema {base.schema!r}, but the plan was "
+            f"bound against {plan.schema!r}; re-parse the statement"
+        )
+    return base, base_name, epoch, captured_epoch
+
+
+def _resolve_backward(
+    plan: LineageScan,
+    result,
+    probe: Optional[np.ndarray],
+    cache: Optional[LineageResolutionCache],
+    registry_epoch,
+) -> np.ndarray:
+    """The (memoized) backward rid set of the output rids ``probe``
+    (``None`` = every output row)."""
+
+    def compute() -> np.ndarray:
+        out_rids = (
+            np.arange(result.table.num_rows, dtype=np.int64)
+            if probe is None
+            else probe
+        )
+        return result.lineage.backward(out_rids, plan.relation)
+
+    if cache is None:
+        return compute()
+    return cache.resolve(
+        plan.result, result, "backward", plan.relation,
+        LineageResolutionCache.subset_key(probe), compute, epoch=registry_epoch,
+    )
+
+
+def _check_backward_rids(
+    plan: LineageScan,
+    rids: np.ndarray,
+    max_rid: int,
+    base: Table,
+    base_name: str,
+    epoch: int,
+    captured_epoch: Optional[int],
+) -> None:
+    """Shrink guard over resolved backward ``rids`` (``max_rid`` is their
+    largest value, ``-1`` when empty), plus the sanitizer's full
+    re-validation."""
+    if max_rid >= base.num_rows:
+        # A captured rid beyond the current table means the base relation
+        # shrank since capture.
+        raise PlanError(
+            f"result {plan.result!r} holds lineage rids beyond "
+            f"relation {base_name!r} ({base.num_rows} rows); the base "
+            "table was replaced — re-run the base query"
+        )
+    if sanitize.enabled():
+        # Every resolved rid in-domain and the capture epoch live — the
+        # production guards only check the largest rid and the recorded
+        # epoch; debug mode re-validates the whole resolution.
+        sanitize.check_rid_bounds(
+            rids, base.num_rows, f"Lb({plan.result!r}, {base_name!r})"
+        )
+        sanitize.check_epoch(
+            captured_epoch, epoch, base_name, f"Lb({plan.result!r})"
+        )
 
 
 def resolve_scan_source(
@@ -150,8 +248,9 @@ def resolve_scan_source(
 
     The source table is the traced base relation for backward scans and
     the prior result's output for forward scans; ``rids`` index into it.
-    All registry-resolution and drift guards live here so the
-    materializing path (:func:`execute_lineage_scan`) and the pushed path
+    All registry-resolution and drift guards live here (and in the
+    helpers :func:`resolve_scan_bars` shares) so the materializing path
+    (:func:`execute_lineage_scan`) and the pushed path
     (:func:`repro.exec.late_mat.execute_pushed`) reject exactly the same
     states.  ``epoch`` is the traced base relation's catalog replacement
     epoch (``None`` for forward scans, whose source is a prior result).
@@ -163,84 +262,29 @@ def resolve_scan_source(
     statements resolve lineage once.  Cached rid arrays are read-only;
     both execution paths only gather through them.
     """
-    result = _resolve_result(plan, results)
-    lineage = result.lineage
-    # The epoch governing cache validity must come from the registry this
-    # execution reads (a live registry, or a pinned snapshot view) — a
-    # shared cache deriving it from its own live registry would file a
-    # snapshot's rids under the current epoch.  Plain-mapping fixtures
-    # have no epochs; None lets the cache fall back to identity tokens.
-    epoch_of = getattr(results, "epoch", None)
-    registry_epoch = epoch_of(plan.result) if callable(epoch_of) else None
+    result, registry_epoch = _resolve_result(plan, results)
 
     if plan.direction == "backward":
-        base_name = resolve_base_table(catalog, lineage, plan.relation)
-        base, epoch = catalog.get_versioned(base_name)
-        captured_epoch = lineage.base_epoch(plan.relation)
-        if captured_epoch is not None and captured_epoch != epoch:
-            # Same-shape replacement would otherwise answer with stale
-            # rids against the new rows (shrink/schema drift is caught
-            # below even without epochs).
-            raise PlanError(
-                f"base relation {base_name!r} was replaced since result "
-                f"{plan.result!r} captured its lineage (epoch "
-                f"{captured_epoch} vs {epoch}); re-run the base query"
-            )
-        if plan.schema is not None and base.schema != plan.schema:
-            # Re-registration may re-resolve the relation reference to a
-            # different base table (or the table may have been replaced);
-            # reading it against the bound schema would corrupt operators
-            # above this scan.
-            raise StaleBindingError(
-                f"relation {plan.relation!r} of result {plan.result!r} now "
-                f"resolves to schema {base.schema!r}, but the plan was "
-                f"bound against {plan.schema!r}; re-parse the statement"
-            )
-        if plan.rids is None:
-            out_rids = None  # trace every output row
-            subset_key = LineageResolutionCache.subset_key(None)
-        else:
-            out_rids = resolve_rid_spec(plan.rids, params, result.table.num_rows)
-            subset_key = LineageResolutionCache.subset_key(out_rids)
-
-        def compute_backward() -> np.ndarray:
-            probe = (
-                np.arange(result.table.num_rows, dtype=np.int64)
-                if out_rids is None
-                else out_rids
-            )
-            return lineage.backward(probe, plan.relation)
-
-        if cache is not None:
-            rids = cache.resolve(
-                plan.result, result, "backward", plan.relation,
-                subset_key, compute_backward, epoch=registry_epoch,
-            )
-        else:
-            rids = compute_backward()
-        if rids.size and int(rids[-1]) >= base.num_rows:
-            # rids are sorted; a captured rid beyond the current table
-            # means the base relation shrank since capture.
-            raise PlanError(
-                f"result {plan.result!r} holds lineage rids beyond "
-                f"relation {base_name!r} ({base.num_rows} rows); the base "
-                "table was replaced — re-run the base query"
-            )
-        if sanitize.enabled():
-            # Every resolved rid in-domain and the capture epoch live —
-            # the production guards above only check the tail/recorded
-            # epoch; debug mode re-validates the whole resolution.
-            sanitize.check_rid_bounds(
-                rids, base.num_rows, f"Lb({plan.result!r}, {base_name!r})"
-            )
-            sanitize.check_epoch(
-                captured_epoch, epoch, base_name, f"Lb({plan.result!r})"
-            )
+        base, base_name, epoch, captured_epoch = _backward_base(
+            plan, catalog, result
+        )
+        probe = (
+            None
+            if plan.rids is None  # trace every output row
+            else resolve_rid_spec(plan.rids, params, result.table.num_rows)
+        )
+        rids = _resolve_backward(plan, result, probe, cache, registry_epoch)
+        # rids are sorted, so the tail is the largest.
+        _check_backward_rids(
+            plan, rids, int(rids[-1]) if rids.size else -1,
+            base, base_name, epoch, captured_epoch,
+        )
         # Register under the resolved base table (like an aliased Scan),
         # so downstream lookups and pruning by base name keep working even
         # when the Lb argument was an alias or occurrence key.
         return base, rids, base_name, base.num_rows, epoch
 
+    lineage = result.lineage
     if plan.schema is not None and result.table.schema != plan.schema:
         # The binder froze the prior result's schema into the plan;
         # silently reading shifted columns would corrupt any operator
@@ -280,224 +324,51 @@ def resolve_scan_source(
     return result.table, rids, plan.result, result.table.num_rows, None
 
 
-def _registry_epoch(results, name: str) -> Optional[int]:
-    """The registry replacement epoch governing cache validity for
-    ``name`` — see the comment in :func:`resolve_scan_source`."""
-    epoch_of = getattr(results, "epoch", None)
-    return epoch_of(name) if callable(epoch_of) else None
-
-
-def _check_backward_batch(
+def resolve_scan_bars(
     plan: LineageScan,
     catalog: Catalog,
     results: Optional[Mapping[str, object]],
-):
-    """Shared prologue of the batched backward resolvers: registry
-    lookup plus every epoch / schema-drift guard of the per-binding
-    path.  Returns ``(result, lineage, base, base_name, epoch,
-    captured_epoch)``."""
-    if plan.direction != "backward":
-        raise PlanError("batched lineage resolution supports backward scans only")
-    result = _resolve_result(plan, results)
-    lineage = result.lineage
-    base_name = resolve_base_table(catalog, lineage, plan.relation)
-    base, epoch = catalog.get_versioned(base_name)
-    captured_epoch = lineage.base_epoch(plan.relation)
-    if captured_epoch is not None and captured_epoch != epoch:
-        raise PlanError(
-            f"base relation {base_name!r} was replaced since result "
-            f"{plan.result!r} captured its lineage (epoch "
-            f"{captured_epoch} vs {epoch}); re-run the base query"
-        )
-    if plan.schema is not None and base.schema != plan.schema:
-        raise StaleBindingError(
-            f"relation {plan.relation!r} of result {plan.result!r} now "
-            f"resolves to schema {base.schema!r}, but the plan was "
-            f"bound against {plan.schema!r}; re-parse the statement"
-        )
-    return result, lineage, base, base_name, epoch, captured_epoch
-
-
-def resolve_scan_sources_batch(
-    plan: LineageScan,
-    catalog: Catalog,
-    results: Optional[Mapping[str, object]],
-    params_list,
+    bar_ids: np.ndarray,
     cache: Optional[LineageResolutionCache] = None,
-) -> Tuple[Table, list, str, int, Optional[int]]:
-    """Batched :func:`resolve_scan_source` for N parameter bindings of one
-    *backward* lineage scan — the multi-brush serving shape, where N
-    concurrent users' statements differ only in the rid subset bound to
-    the scan's parameter.
+) -> Optional[Tuple[Table, np.ndarray, np.ndarray]]:
+    """Resolve a *backward* lineage scan once per bar: the batched form
+    of :func:`resolve_scan_source` behind
+    :func:`repro.exec.late_mat.execute_pushed_batch`.
 
-    Every guard of the per-binding path applies (registry lookup, epoch
-    and schema drift, shrink, sanitizer bounds), but the index
-    materialization and dedup scratch are shared through **one**
-    :meth:`~repro.lineage.capture.QueryLineage.backward_batch` CSR pass
-    instead of N independent ``backward`` calls.  The resolution
-    ``cache`` is consulted per binding first (``peek``), only the misses
-    go through the coalesced CSR pass, and the computed sets are stored
-    back — so a steady-state brush workload pays the same zero
-    resolutions the per-binding path would, while a cold batch pays one
-    pass instead of N.
+    Applies only when the scan's backward index is a *partition* (every
+    base rid in at most one bar's bucket — the GROUP BY view shape,
+    :meth:`~repro.lineage.indexes.RidIndex.is_partitioned`): any brush's
+    backward set is then the disjoint union of its bars' buckets.
+    Returns ``None`` otherwise.  Else returns ``(source, rows, lengths)``
+    where ``rows`` concatenates, for each of the sorted distinct
+    ``bar_ids`` in turn, that bar's sorted backward rid set of
+    ``lengths[j]`` rids.
 
-    Returns ``(source, [rids...], source_name, domain, epoch)`` with one
-    sorted-distinct rid array per binding, each bit-identical to what
-    :func:`resolve_scan_source` computes for that binding alone.
+    The registry, epoch and schema guards run once for the batch; each
+    bar resolves through ``cache`` under the single-bar subset key a
+    one-bar brush through :func:`resolve_scan_source` files, so single
+    brushes and batches share entries.
     """
-    result, lineage, base, base_name, epoch, captured_epoch = (
-        _check_backward_batch(plan, catalog, results)
-    )
-    probes = [
-        resolve_rid_spec(plan.rids, params, result.table.num_rows)
-        for params in params_list
-    ]
-    rid_sets: list = [None] * len(probes)
-    if cache is not None:
-        registry_epoch = _registry_epoch(results, plan.result)
-        keys = [LineageResolutionCache.subset_key(p) for p in probes]
-        miss_idx = []
-        for i, key in enumerate(keys):
-            got = cache.peek(
-                plan.result, result, "backward", plan.relation, key,
-                epoch=registry_epoch,
-            )
-            if got is None:
-                miss_idx.append(i)
-            else:
-                rid_sets[i] = got
-        if miss_idx:
-            computed = lineage.backward_batch(
-                [probes[i] for i in miss_idx], plan.relation
-            )
-            for i, rids in zip(miss_idx, computed):
-                rid_sets[i] = cache.store(
-                    plan.result, result, "backward", plan.relation,
-                    keys[i], rids, epoch=registry_epoch,
-                )
-    else:
-        rid_sets = lineage.backward_batch(probes, plan.relation)
-    for rids in rid_sets:
-        if rids.size and int(rids[-1]) >= base.num_rows:
-            raise PlanError(
-                f"result {plan.result!r} holds lineage rids beyond "
-                f"relation {base_name!r} ({base.num_rows} rows); the base "
-                "table was replaced — re-run the base query"
-            )
-        if sanitize.enabled():
-            sanitize.check_rid_bounds(
-                rids, base.num_rows, f"Lb({plan.result!r}, {base_name!r})"
-            )
-    if sanitize.enabled():
-        sanitize.check_epoch(
-            captured_epoch, epoch, base_name, f"Lb({plan.result!r})"
-        )
-    return base, rid_sets, base_name, base.num_rows, epoch
-
-
-#: Above this many distinct bars the per-bar decomposition stops paying
-#: (per-bar vectors grow with the bar count while the set-based path's
-#: cost does not); fall back to set-based resolution.
-_BAR_DECOMPOSE_MAX_BARS = 4096
-
-
-def resolve_scan_bars_batch(
-    plan: LineageScan,
-    catalog: Catalog,
-    results: Optional[Mapping[str, object]],
-    params_list,
-    cache: Optional[LineageResolutionCache] = None,
-):
-    """Per-bar decomposition of :func:`resolve_scan_sources_batch`.
-
-    When the scan's backward index is a *partition* (every base rid in at
-    most one output bucket — the GROUP BY crossfilter-view shape,
-    detected via :meth:`~repro.lineage.indexes.RidIndex.is_partitioned`),
-    each binding's backward set is the **disjoint union** of per-bar
-    buckets.  Resolving per distinct bar instead of per binding means:
-
-    * overlapping brushes resolve each shared bar once, not once per
-      user, and the ``cache`` memoizes *per-bar* sets — reusable across
-      any combination of future brushes over the same view;
-    * downstream, per-bar aggregates can be computed over segments whose
-      total size is the **union** mass (each base row appears in exactly
-      one segment), and per-binding answers reduce to tiny
-      ``num_codes``-sized vector sums — see
-      :func:`repro.exec.late_mat.execute_pushed_batch`.
-
-    Returns ``None`` when the decomposition does not apply (non-partition
-    index, or more than :data:`_BAR_DECOMPOSE_MAX_BARS` distinct bars) —
-    callers fall back to set-based resolution.  Otherwise returns
-    ``(source, probes, bar_ids, bar_sets, source_name, domain, epoch)``
-    where ``probes[i]`` is binding ``i``'s sorted-deduped bar probe,
-    ``bar_ids`` the sorted distinct bars across all bindings, and
-    ``bar_sets[j]`` the sorted backward rid set of ``bar_ids[j]``.  All
-    guards of the per-binding path apply (epoch / schema drift, shrink,
-    sanitizer bounds).
-    """
-    result, lineage, base, base_name, epoch, captured_epoch = (
-        _check_backward_batch(plan, catalog, results)
-    )
-    index = lineage.backward_index(plan.relation)
-    partitioned = getattr(index, "is_partitioned", None)
-    if partitioned is None or not partitioned():
+    result, registry_epoch = _resolve_result(plan, results)
+    base, base_name, epoch, captured_epoch = _backward_base(plan, catalog, result)
+    if not result.lineage.backward_index(plan.relation).is_partitioned():
         return None
-    probes = [
-        np.unique(resolve_rid_spec(plan.rids, params, result.table.num_rows))
-        for params in params_list
-    ]
-    bar_ids = (
-        np.unique(np.concatenate(probes)) if probes
-        else np.empty(0, dtype=np.int64)
-    )
     n_bars = int(bar_ids.shape[0])
-    if n_bars > _BAR_DECOMPOSE_MAX_BARS:
-        return None
-    bar_sets: list = [None] * n_bars
-    bar_probes = [bar_ids[j : j + 1] for j in range(n_bars)]
-    if cache is not None:
-        registry_epoch = _registry_epoch(results, plan.result)
-        # Single-bar subset keys: identical to what a one-bar brush
-        # through the per-binding path would file, so both populations
-        # share entries.
-        keys = [LineageResolutionCache.subset_key(p) for p in bar_probes]
-        miss_idx = []
-        for j, key in enumerate(keys):
-            got = cache.peek(
-                plan.result, result, "backward", plan.relation, key,
-                epoch=registry_epoch,
-            )
-            if got is None:
-                miss_idx.append(j)
-            else:
-                bar_sets[j] = got
-        if miss_idx:
-            computed = lineage.backward_batch(
-                [bar_probes[j] for j in miss_idx], plan.relation
-            )
-            for j, rids in zip(miss_idx, computed):
-                bar_sets[j] = cache.store(
-                    plan.result, result, "backward", plan.relation,
-                    keys[j], rids, epoch=registry_epoch,
-                )
-    else:
-        bar_sets = lineage.backward_batch(bar_probes, plan.relation)
-    for rids in bar_sets:
-        if rids.size and int(rids[-1]) >= base.num_rows:
-            raise PlanError(
-                f"result {plan.result!r} holds lineage rids beyond "
-                f"relation {base_name!r} ({base.num_rows} rows); the base "
-                "table was replaced — re-run the base query"
-            )
-        if sanitize.enabled():
-            sanitize.check_rid_bounds(
-                rids, base.num_rows, f"Lb({plan.result!r}, {base_name!r})"
-            )
-    if sanitize.enabled():
-        sanitize.check_epoch(
-            captured_epoch, epoch, base_name, f"Lb({plan.result!r})"
-        )
-    return base, probes, bar_ids, bar_sets, base_name, base.num_rows, epoch
+    bar_sets = [
+        _resolve_backward(plan, result, bar_ids[j : j + 1], cache, registry_epoch)
+        for j in range(n_bars)
+    ]
+    lengths = np.fromiter(
+        (s.shape[0] for s in bar_sets), dtype=np.int64, count=n_bars
+    )
+    rows = np.concatenate(bar_sets) if n_bars else np.empty(0, dtype=np.int64)
+    # Each bar's set is sorted, so the largest rid is the largest tail.
+    tails = rows[np.cumsum(lengths)[lengths > 0] - 1]
+    _check_backward_rids(
+        plan, rows, int(tails.max()) if tails.size else -1,
+        base, base_name, epoch, captured_epoch,
+    )
+    return base, rows, lengths
 
 
 def scan_node_lineage(

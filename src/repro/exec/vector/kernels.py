@@ -75,37 +75,6 @@ def factorize(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, int, np.ndarray
     return group_ids, int(uniq.shape[0]), representatives
 
 
-def subset_groups(
-    codes: np.ndarray, num_codes: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Group one row *subset* by its shared dense codes: returns
-    ``(group_codes, counts)`` where ``group_codes`` lists the distinct
-    codes present in the subset in **first-occurrence order** and
-    ``counts[g]`` is the subset's row count for ``group_codes[g]``.
-
-    The multi-brush batch path factorizes the union of all users' rows
-    once, then derives each user's groups from the shared codes with
-    pure integer ops instead of N per-user factorize passes.  Two subset
-    rows share a code iff they share a key tuple, and :func:`factorize`
-    numbers groups by first occurrence — so emitting the subset's codes
-    in first-occurrence order (with per-code key values looked up from
-    the union's representatives) reproduces *bit-identically* the output
-    ``factorize`` + bincount would build from the subset's own gathered
-    key values, which is what keeps batched brushes equal to per-user
-    runs."""
-    n = int(codes.shape[0])
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    first = np.full(num_codes, -1, dtype=np.int64)
-    first[codes[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
-    present = np.flatnonzero(first >= 0)
-    order, _rank = _rank_first_occurrence(first[present])
-    group_codes = present[order]
-    counts = np.bincount(codes, minlength=num_codes)[group_codes].astype(np.int64)
-    return group_codes, counts
-
-
 def _rank_first_occurrence(first_idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Rank distinct values by their first input occurrence: returns
     ``(order, rank)`` where ``order`` lists value positions in

@@ -11,7 +11,11 @@ trace the same ``(result, relation, rid subset)``.
 owned by a :class:`~repro.api.PreparedQuery` and *shared* across every
 statement of a :class:`~repro.api.Session`, so a brush's per-view
 statements resolve lineage once and repeated identical brushes resolve it
-zero times.
+zero times.  The serving layer's multi-brush batch
+(:func:`~repro.exec.lineage_scan.resolve_scan_bars`) goes through the same
+:meth:`~LineageResolutionCache.resolve`, one entry per distinct bar under
+the key a one-bar brush files, so single and batched brushes share
+entries.
 
 Correctness rests on two invariants:
 
@@ -211,60 +215,6 @@ class LineageResolutionCache:
             self._entries[key] = (epoch, rids)
             self._entries.move_to_end(key)
             self.misses += 1
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-        return rids
-
-    def peek(
-        self,
-        name: str,
-        result: object,
-        direction: str,
-        relation: str,
-        subset_key: object,
-        epoch: object = None,
-    ) -> Optional[np.ndarray]:
-        """Cached rids when the entry is live, else ``None`` — no compute.
-
-        The peek half of :meth:`resolve`, for the batched resolution path
-        (:func:`~repro.exec.lineage_scan.resolve_scan_sources_batch`):
-        peek every binding first, coalesce the misses into one CSR pass,
-        then :meth:`store` the computed sets.  Counts hits/misses exactly
-        as :meth:`resolve` would (a miss is counted here, not at store
-        time, so the pair never double-counts)."""
-        key = (name, direction, relation, subset_key)
-        if epoch is None:
-            epoch = self._epoch(name, result)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[0] == epoch:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return entry[1]
-            self.misses += 1
-        return None
-
-    def store(
-        self,
-        name: str,
-        result: object,
-        direction: str,
-        relation: str,
-        subset_key: object,
-        rids: np.ndarray,
-        epoch: object = None,
-    ) -> np.ndarray:
-        """Insert one resolved rid array (stored read-only) — the store
-        half of :meth:`resolve`, for callers that computed a batch of
-        misses in one coalesced pass.  Returns the (now frozen) array."""
-        key = (name, direction, relation, subset_key)
-        if epoch is None:
-            epoch = self._epoch(name, result)
-        rids = np.asarray(rids)
-        rids.setflags(write=False)
-        with self._lock:
-            self._entries[key] = (epoch, rids)
-            self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
         return rids

@@ -31,13 +31,11 @@ nothing.
 Batched lookups
 ---------------
 :meth:`QueryLineage.backward` / :meth:`~QueryLineage.forward` answer one
-lineage query; :meth:`~QueryLineage.backward_batch` /
-:meth:`~QueryLineage.forward_batch` answer many in one call, resolving
-the index once and deduplicating through a reusable flag array at the CSR
-level instead of an ``np.unique`` sort per call.  The batch API is the
-fast path offered to interactive lineage-consuming traffic (many probes
-per interaction); ``bench_fig09_lineage_query.py`` compares it against
-the per-call path.
+lineage query; :meth:`~QueryLineage.backward_batch` answers many backward
+queries in one call, resolving the index once and deduplicating through a
+reusable flag array at the CSR level instead of an ``np.unique`` sort per
+call.  ``bench_fig09_lineage_query.py`` compares it against the per-call
+path.
 """
 
 from __future__ import annotations
@@ -373,15 +371,6 @@ class QueryLineage:
         index = self._materialize(self._backward, key)
         return self._distinct_many(
             [index.lookup_many(group) for group in out_rid_groups], "b", key
-        )
-
-    def forward_batch(self, in_rid_groups, relation: str) -> List[np.ndarray]:
-        """Batched Lf: one distinct output-rid array per group of base rids
-        (see :meth:`backward_batch`)."""
-        key = self._resolve_key(relation, self._forward)
-        index = self._materialize(self._forward, key)
-        return self._distinct_many(
-            [index.lookup_many(group) for group in in_rid_groups], "f", key
         )
 
     def base_epoch(self, relation: str) -> Optional[int]:

@@ -272,7 +272,7 @@ class Snapshot:
         with self._lock:
             return self._answers.get(key)
 
-    def store_answer(self, key: object, result) -> None:
+    def remember_answer(self, key: object, result) -> None:
         with self._lock:
             self._answers.setdefault(key, result)
 
@@ -405,6 +405,9 @@ class DatabaseServer:
         self._lineage_cache = LineageResolutionCache(max_entries=2048)
         self._prepared_lock = threading.Lock()
         self._prepared: "OrderedDict[str, _Prepared]" = OrderedDict()
+        # sql_batch calls by route (guarded by _prepared_lock).
+        self._batch_coalesced = 0
+        self._batch_fallback = 0
         self._write_lock = threading.Lock()
         self._writes: "queue.SimpleQueue" = queue.SimpleQueue()
         self._version = itertools.count(1)
@@ -466,7 +469,7 @@ class DatabaseServer:
                 prepared.plan, params, opts, rewrites=prepared.rewrites
             )
         if key is not None and len(snap._answers) < self.MAX_ANSWERS:
-            snap.store_answer(key, result)
+            snap.remember_answer(key, result)
         return result
 
     def sql_batch(
@@ -482,15 +485,17 @@ class DatabaseServer:
 
         When the prepared plan is the crossfilter re-aggregation shape
         (a batchable pushed lineage subtree — see
-        :func:`~repro.exec.late_mat.batchable_pushed`) and the bindings
+        :func:`~repro.exec.late_mat.batchable_pushed`), the bindings
         agree on every parameter except the lineage scan's rid subset,
-        the N resolutions coalesce into **one** CSR backward pass and one
-        shared position-domain execution (predicate, gather, key
-        evaluation, factorization run once over the union of rid sets;
-        per-binding answers fall out of selection vectors).  Anything
-        else falls back to per-binding :meth:`sql` — the batch form is an
-        optimization, never a semantic change: answers are bit-identical
-        to the per-binding loop.
+        and the view's backward index is a partition, the N brushes
+        coalesce into one per-bar pass
+        (:func:`~repro.exec.late_mat.execute_pushed_batch`): each
+        distinct bar resolves once, the predicate and group keys run once
+        over the bars' rows, and each binding's answer is a sum over its
+        bars' per-group counts.  Anything else falls back to per-binding
+        :meth:`sql` — the batch form is an optimization, never a
+        semantic change: answers are bit-identical to the per-binding
+        loop.  :meth:`stats` counts which route each call took.
         """
         snap = snapshot if snapshot is not None else self._snapshot
         opts = options if options is not None else self._options
@@ -498,11 +503,16 @@ class DatabaseServer:
         if not params_list:
             return []
         results = self._try_execute_batch(statement, params_list, opts, snap)
-        if results is not None:
-            return results
-        return [
-            self.sql(statement, params, opts, snap) for params in params_list
-        ]
+        with self._prepared_lock:
+            if results is None:
+                self._batch_fallback += 1
+            else:
+                self._batch_coalesced += 1
+        if results is None:
+            results = [
+                self.sql(statement, params, opts, snap) for params in params_list
+            ]
+        return results
 
     def _try_execute_batch(self, statement, params_list, opts, snap):
         """The coalesced path of :meth:`sql_batch`, or ``None`` when the
@@ -542,6 +552,8 @@ class DatabaseServer:
             )
         except StaleBindingError:
             # Let the per-binding fallback re-bind and retry.
+            return None
+        if tables is None:
             return None
         elapsed = perf_counter() - start
         return [
@@ -737,9 +749,15 @@ class DatabaseServer:
         self.close()
 
     def stats(self) -> dict:
-        """Serving counters (for benchmarks and tests)."""
+        """Serving counters (for benchmarks and tests).
+
+        ``batch_coalesced`` / ``batch_fallback`` count :meth:`sql_batch`
+        calls answered by the shared per-bar pass and by the per-binding
+        loop."""
         return {
             "version": self._snapshot.version,
             "prepared": len(self._prepared),
             "lineage_cache": self._lineage_cache.stats(),
+            "batch_coalesced": self._batch_coalesced,
+            "batch_fallback": self._batch_fallback,
         }

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     CaptureMode,
@@ -14,6 +16,7 @@ from repro import (
     Table,
 )
 from repro.errors import SqlError
+from repro.serve import DatabaseServer
 
 BRUSH = "SELECT z, SUM(w) AS s FROM Lb(v, 't', :bars) GROUP BY z"
 REGISTER = "SELECT z, SUM(w) AS s FROM t GROUP BY z"
@@ -360,6 +363,27 @@ class TestCloseRace:
                 future.result(timeout=30)
 
 
+def _assert_batch_route(server, stmt, params_list, route):
+    """``sql_batch`` equals the per-binding ``sql`` loop in schema, rows,
+    column dtypes and order, and took ``route`` ("coalesced" or
+    "fallback") exactly once."""
+    before = server.stats()
+    singles = [server.sql(stmt, params=p) for p in params_list]
+    batched = server.sql_batch(stmt, params_list)
+    after = server.stats()
+    assert len(batched) == len(singles)
+    for single, batch in zip(singles, batched, strict=True):
+        assert single.table.schema == batch.table.schema
+        assert single.table.to_rows() == batch.table.to_rows()
+        for name in single.table.schema.names:
+            assert single.table.column(name).dtype == batch.table.column(name).dtype
+    taken = {
+        r: after[f"batch_{r}"] - before[f"batch_{r}"]
+        for r in ("coalesced", "fallback")
+    }
+    assert taken == {r: int(r == route) for r in taken}, taken
+
+
 class TestSqlBatch:
     """Multi-brush batching through the serving layer: N bindings of one
     statement answered in one coalesced pass, bit-identical to N
@@ -368,14 +392,6 @@ class TestSqlBatch:
     COUNT_BRUSH = (
         "SELECT z, COUNT(*) AS c FROM Lb(v, 't', :bars) GROUP BY z"
     )
-
-    def _assert_batch_matches_singles(self, server, stmt, params_list):
-        singles = [server.sql(stmt, params=p) for p in params_list]
-        batched = server.sql_batch(stmt, params_list)
-        assert len(batched) == len(singles)
-        for single, batch in zip(singles, batched):
-            assert single.table.schema == batch.table.schema
-            assert single.table.to_rows() == batch.table.to_rows()
 
     def test_batched_equals_singles_on_coalesced_path(self):
         db = _make_db()
@@ -387,8 +403,8 @@ class TestSqlBatch:
             {"bars": np.array([0, 0, 2], dtype=np.int64)},  # duplicates
         ]
         with db.serve(readers=2) as server:
-            self._assert_batch_matches_singles(
-                server, self.COUNT_BRUSH, params_list
+            _assert_batch_route(
+                server, self.COUNT_BRUSH, params_list, "coalesced"
             )
 
     def test_batched_equals_singles_on_fallback_statement(self):
@@ -397,7 +413,7 @@ class TestSqlBatch:
         db = _make_db()
         params_list = [{"bars": [0]}, {"bars": [1, 2]}]
         with db.serve(readers=2) as server:
-            self._assert_batch_matches_singles(server, BRUSH, params_list)
+            _assert_batch_route(server, BRUSH, params_list, "fallback")
 
     def test_disagreeing_shared_params_fall_back(self):
         db = _make_db()
@@ -410,14 +426,14 @@ class TestSqlBatch:
             {"bars": [0, 1], "cut": 4.0},  # same bars, different cut
         ]
         with db.serve(readers=2) as server:
-            self._assert_batch_matches_singles(server, stmt, params_list)
+            _assert_batch_route(server, stmt, params_list, "fallback")
 
     def test_single_binding_and_empty_list(self):
         db = _make_db()
         with db.serve(readers=2) as server:
             assert server.sql_batch(self.COUNT_BRUSH, []) == []
-            self._assert_batch_matches_singles(
-                server, self.COUNT_BRUSH, [{"bars": [1]}]
+            _assert_batch_route(
+                server, self.COUNT_BRUSH, [{"bars": [1]}], "fallback"
             )
 
     def test_missing_param_raises(self):
@@ -457,3 +473,128 @@ class TestSqlBatch:
             )
             for b, a in zip(before, after):
                 assert b.table.to_rows() == a.table.to_rows()
+
+
+#: Bars of the two property views: ``v`` groups ``t`` by ``z`` (its
+#: backward index is a partition), ``vj`` groups an m:n join of ``t`` and
+#: ``s`` by ``s.y`` (a ``t`` row reaches several ``y`` bars, so it is not).
+_V_BARS = 6
+_VJ_BARS = 3
+_SELECT_LISTS = (
+    "g, COUNT(*) AS c",
+    "COUNT(*) AS c, g",  # reordering bag projection
+    "COUNT(*) AS c",  # key-dropping bag projection
+)
+
+
+@pytest.fixture(scope="module")
+def batch_server():
+    rng = np.random.default_rng(26)
+    n = 60
+    # The first rows cover every z so v's bars are 0.._V_BARS-1.
+    z = np.concatenate([np.arange(_V_BARS), rng.integers(0, _V_BARS, n - _V_BARS)])
+    db = Database()
+    db.create_table(
+        "t",
+        Table({
+            "z": z.astype(np.int64),
+            "g": np.array(["a", "b", "c", "d"], dtype=object)[rng.integers(0, 4, n)],
+            "w": np.round(rng.random(n), 2),
+            "k": rng.integers(0, 3, n),
+        }),
+    )
+    db.create_table(
+        "s",
+        Table({
+            "k": np.array([0, 0, 1, 2, 2], dtype=np.int64),
+            "y": np.array([0, 1, 2, 0, 2], dtype=np.int64),
+        }),
+    )
+    inject = ExecOptions(capture=CaptureMode.INJECT, pin=True)
+    db.sql("SELECT z, COUNT(*) AS c FROM t GROUP BY z", options=inject.with_(name="v"))
+    db.sql(
+        "SELECT s.y, COUNT(*) AS c FROM t JOIN s ON t.k = s.k GROUP BY s.y",
+        options=inject.with_(name="vj"),
+    )
+    assert db.result("v").lineage.backward_index("t").is_partitioned()
+    assert not db.result("vj").lineage.backward_index("t").is_partitioned()
+    assert len(db.result("vj")) == _VJ_BARS
+    with DatabaseServer(db, readers=1, memoize_answers=False) as server:
+        yield server
+
+
+@st.composite
+def _batch_cases(draw):
+    """A random batch: view, statement shape and per-user bar lists.
+    The small bar domains make duplicates, unsorted bars, empty brushes
+    and overlap between users common."""
+    view = draw(st.sampled_from(["v", "vj"]))
+    n_bars = _V_BARS if view == "v" else _VJ_BARS
+    users = draw(
+        st.lists(
+            st.lists(st.integers(0, n_bars - 1), max_size=8),
+            min_size=1, max_size=6,
+        )
+    )
+    where = draw(st.booleans())
+    stmt = (
+        f"SELECT {draw(st.sampled_from(_SELECT_LISTS))} "
+        f"FROM Lb({view}, 't', :bars)"
+        + (" WHERE w >= :cut" if where else "")
+        + " GROUP BY g"
+    )
+    shared = {"cut": draw(st.sampled_from([0.0, 0.5, 0.95, 1.5]))} if where else {}
+    params_list = [{"bars": bars, **shared} for bars in users]
+    coalesces = view == "v" and len(users) >= 2
+    return stmt, params_list, "coalesced" if coalesces else "fallback"
+
+
+class TestSqlBatchProperty:
+    """Every ``sql_batch`` route equals the per-binding ``sql`` loop,
+    and :meth:`DatabaseServer.stats` names the route taken: the per-bar
+    pass for two or more bindings over a partitioned view, the loop for a
+    single binding or a non-partitioned (m:n join) view."""
+
+    @settings(deadline=None)
+    @given(case=_batch_cases())
+    def test_batch_equals_per_binding_sql(self, batch_server, case):
+        stmt, params_list, route = case
+        _assert_batch_route(batch_server, stmt, params_list, route)
+
+    def test_distinct_bars_beyond_cache_capacity(self):
+        # More distinct bars than the server's rid cache holds: every
+        # bar's set is used straight from its resolution, so evictions
+        # during the batch cannot lose one.
+        n = 2600
+        rng = np.random.default_rng(3)
+        db = Database()
+        db.create_table(
+            "big",
+            Table({"id": np.arange(n), "g": rng.integers(0, 5, n)}),
+        )
+        db.sql(
+            "SELECT id, COUNT(*) AS c FROM big GROUP BY id",
+            options=ExecOptions(capture=CaptureMode.INJECT, name="vb", pin=True),
+        )
+        stmt = "SELECT g, COUNT(*) AS c FROM Lb(vb, 'big', :bars) GROUP BY g"
+        params_list = [
+            {"bars": np.arange(0, 1400)},
+            {"bars": np.arange(2599, 999, -1)},
+            {"bars": rng.integers(0, n, 300)},
+        ]
+        with DatabaseServer(db, readers=1, memoize_answers=False) as server:
+            capacity = server._lineage_cache.max_entries
+            assert n > capacity
+            _assert_batch_route(server, stmt, params_list, "coalesced")
+            assert server.stats()["lineage_cache"]["entries"] <= capacity
+
+    def test_cell_cap_falls_back(self, batch_server, monkeypatch):
+        from repro.exec import late_mat
+
+        stmt = "SELECT g, COUNT(*) AS c FROM Lb(v, 't', :bars) GROUP BY g"
+        params_list = [{"bars": [0, 1]}, {"bars": [1, 2, 3]}]
+        # 4 bars x 4 group codes = 16 cells.
+        monkeypatch.setattr(late_mat, "_BAR_MATRIX_MAX_CELLS", 15)
+        _assert_batch_route(batch_server, stmt, params_list, "fallback")
+        monkeypatch.setattr(late_mat, "_BAR_MATRIX_MAX_CELLS", 16)
+        _assert_batch_route(batch_server, stmt, params_list, "coalesced")

@@ -486,12 +486,6 @@ class TestBatchedLookups:
         for group, got in zip(groups, batched, strict=True):
             assert np.array_equal(got, prev.backward(group, "t"))
 
-    def test_forward_batch_matches_per_call(self, db, prev):
-        groups = [[0], [2, 3, 4], [0, 5]]
-        batched = prev.lineage.forward_batch(groups, "t")
-        for group, got in zip(groups, batched, strict=True):
-            assert np.array_equal(got, prev.forward("t", group))
-
     def test_large_batch_uses_flag_dedup(self):
         # Cross the _DEDUP_FLAGS_MIN threshold with duplicate-heavy input.
         db = Database()

@@ -7,12 +7,7 @@ from repro.api import Database, ExecOptions
 from repro.errors import PlanError
 from repro.exec.vector.groupby import inject_backward_index
 from repro.exec.vector.join import compute_matches, join_lineage_locals
-from repro.exec.vector.kernels import (
-    GroupLayout,
-    chunk_ranges,
-    factorize,
-    subset_groups,
-)
+from repro.exec.vector.kernels import GroupLayout, chunk_ranges, factorize
 from repro.lineage.capture import CaptureConfig, CaptureMode
 from repro.lineage.indexes import NO_MATCH, RidArray, RidIndex
 from repro.plan.logical import (
@@ -64,35 +59,6 @@ class TestKernels:
     def test_chunk_ranges_cover(self):
         ranges = list(chunk_ranges(10, 3))
         assert ranges == [(0, 3), (3, 6), (6, 9), (9, 10)]
-
-
-class TestSubsetGroups:
-    """The batch path's subset grouping must reproduce exactly what
-    factorize + bincount would build from the subset's own key values."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_factorize_on_subset(self, seed):
-        rng = np.random.default_rng(seed)
-        keys = rng.integers(0, 6, 80)
-        codes, num_codes, reps = factorize([keys])
-        pick = np.sort(rng.choice(80, size=31, replace=False))
-        group_codes, counts = subset_groups(codes[pick], num_codes)
-        # Oracle: factorize the subset's own gathered keys.
-        sub_codes, sub_n, sub_reps = factorize([keys[pick]])
-        assert np.array_equal(keys[reps][group_codes], keys[pick][sub_reps])
-        assert np.array_equal(
-            counts, np.bincount(sub_codes, minlength=sub_n)
-        )
-
-    def test_empty_subset(self):
-        group_codes, counts = subset_groups(np.empty(0, dtype=np.int64), 5)
-        assert group_codes.size == 0 and counts.size == 0
-
-    def test_first_occurrence_order(self):
-        codes = np.array([3, 3, 0, 2, 0, 3], dtype=np.int64)
-        group_codes, counts = subset_groups(codes, 4)
-        assert group_codes.tolist() == [3, 0, 2]
-        assert counts.tolist() == [3, 2, 1]
 
 
 class TestSelect:
