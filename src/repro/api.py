@@ -43,7 +43,10 @@ shared :class:`~repro.lineage.cache.LineageResolutionCache`:
 Within a session, the N per-view statements of one brush resolve the
 brushed lineage **once**: the cache memoizes resolved backward/forward
 rid sets per ``(result, relation, rid-subset)`` and invalidates entries
-by registry epoch when a result name is re-registered.  ``Session.sql``
+by registry epoch when a result name is re-registered.  Capture-off
+brushes over a GROUP BY view skip rid resolution altogether: each keeps
+a per-bar memo in the same cache (:func:`repro.exec.late_mat.execute_pushed`)
+and merges the brushed bars' partial answers.  ``Session.sql``
 also re-prepares transparently when a cached plan's frozen schema drifts
 (:class:`~repro.errors.StaleBindingError`).
 
@@ -692,7 +695,8 @@ class PreparedQuery:
     late-materialization rewrite decisions
     (:class:`~repro.plan.rewrite.RewriteIndex`), and owns (or shares — see
     :class:`Session`) a :class:`~repro.lineage.cache.LineageResolutionCache`
-    memoizing resolved ``Lb``/``Lf`` rid sets across runs.  ``run()``
+    memoizing resolved ``Lb``/``Lf`` rid sets and per-bar partial answers
+    across runs.  ``run()``
     binds ``:params`` without re-planning; all parameter slots — scalar
     predicates, ``IN :list``, and lineage-scan rid arguments — survive
     binding.
@@ -763,8 +767,11 @@ class Session:
       per-statement ``options=`` arguments override them wholesale (use
       ``session.options.with_(...)`` for field-wise overrides).
     * All statements prepared through the session share one
-      :class:`~repro.lineage.cache.LineageResolutionCache`, so the N
-      per-view statements of one brush resolve the brushed lineage once.
+      :class:`~repro.lineage.cache.LineageResolutionCache`: capturing
+      statements resolve a brush's lineage once across the N per-view
+      statements, and each capture-off brush statement over a GROUP BY
+      view keeps its per-bar memo there, so a brush re-visiting bars
+      merges memoized partials instead of scanning their rows again.
     * :meth:`sql` memoizes prepared statements by normalized text
       (whitespace collapsed, keywords case-folded — see
       :func:`normalize_statement`) and transparently re-prepares on

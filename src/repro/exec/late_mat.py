@@ -9,7 +9,12 @@ output*:
 
 1. resolve the traced rid array(s) against the result registry
    (:func:`repro.exec.lineage_scan.resolve_scan_source`, so every
-   schema-drift and shrink guard of the materializing path applies);
+   schema-drift and shrink guard of the materializing path applies) —
+   or, for a capture-off statement over one backward scan of a GROUP BY
+   view with a shared :class:`~repro.lineage.cache.LineageResolutionCache`,
+   answer from its **per-bar memo** instead: partial answers per brushed
+   bar (the paper's partial data cube, §4.2), filled lazily from the
+   bar's CSR slice and merged per brush (:func:`_memo_tables`);
 2. evaluate pushed predicates on rid-gathered slices of **only the
    predicates' columns**, narrowing the rid arrays to survivors;
 3. for a join core, probe the chain hop by hop: each hop gathers **only
@@ -60,8 +65,10 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import SchemaError
-from ..lineage.cache import LineageResolutionCache
+from .. import sanitize
+from ..errors import LineageError, SchemaError
+from ..expr.ast import Col, Param, collect_params, evaluate
+from ..lineage.cache import LineageResolutionCache, param_fingerprint
 from ..lineage.capture import CaptureConfig
 from ..lineage.composer import (
     NodeLineage,
@@ -79,12 +86,19 @@ from ..substrate.stats import (
     JoinSideStats,
     choose_build_side,
 )
-from .lineage_scan import resolve_scan_source, scan_node_lineage
+from .lineage_scan import (
+    resolve_rid_spec,
+    resolve_scan_partition,
+    resolve_scan_source,
+    scan_node_lineage,
+)
 from .timings import (
     LATE_MAT_BUILD_SWAPS,
     LATE_MAT_CHAIN_HOPS,
     LATE_MAT_PKFK_DETECTED,
 )
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 #: Executes one plan subtree through the calling backend's own recursion
 #: (used for the plain, non-lineage leaves of a pushed join chain).
@@ -143,6 +157,13 @@ def _gather(source: Table, rids: np.ndarray, names: Sequence[str]) -> Table:
         {n: source.column(n)[rids] for n in names},
         Schema([(n, source.schema.type_of(n)) for n in names]),
     )
+
+
+def _passing(predicate, source: Table, rids: np.ndarray, params) -> np.ndarray:
+    """Mask of the ``rids`` whose rows pass ``predicate``, evaluated over
+    a gather of only its own columns."""
+    pred_table = _gather(source, rids, _slice_names(source, predicate.columns()))
+    return np.asarray(evaluate(predicate, pred_table, params), dtype=bool)
 
 
 class _JoinInput:
@@ -324,19 +345,11 @@ def _resolve_scan_side(
     """Resolve a lineage-backed chain leaf to ``(source, surviving rids)``
     plus its node lineage, filtering in the rid domain (identical to the
     linear pushed path's scan+Select handling)."""
-    from ..expr.ast import evaluate
-
     source, rids, source_name, domain, epoch = resolve_scan_source(
         side.scan, catalog, results, params, cache
     )
     if side.predicate is not None:
-        pred_table = _gather(
-            source, rids, _slice_names(source, side.predicate.columns())
-        )
-        mask = np.asarray(
-            evaluate(side.predicate, pred_table, params), dtype=bool
-        )
-        rids = rids[mask]
+        rids = rids[_passing(side.predicate, source, rids, params)]
     node = scan_node_lineage(
         side.scan, key, rids, source_name, domain, config, epoch
     )
@@ -361,8 +374,6 @@ def _chain_select(
     the passing rows, and compose the same 1-to-1 selection locals the
     materializing path's :func:`~repro.exec.vector.select.execute_select`
     builds."""
-    from ..expr.ast import evaluate
-
     referenced = predicate.columns()
     names = [n for n in state.schema.names if n in referenced]
     missing = sorted(set(referenced) - set(state.schema.names))
@@ -510,6 +521,19 @@ def _gather_chain_output(state: _ChainState, columns) -> Table:
     )
 
 
+def _project(project, table: Table, params: Optional[dict]) -> Table:
+    """A projection's expressions over ``table`` (no dedup)."""
+    aliases = [alias for _, alias in project.exprs]
+    if aliases == table.schema.names and all(
+        isinstance(expr, Col) and expr.name == alias for expr, alias in project.exprs
+    ):
+        return table  # SELECT k, COUNT(*) AS c ... GROUP BY k
+    return Table(
+        {alias: np.asarray(evaluate(expr, table, params)) for expr, alias in project.exprs},
+        Schema([(alias, infer_expr_type(expr, table.schema)) for expr, alias in project.exprs]),
+    )
+
+
 def execute_pushed(
     pushed: PushedLineageQuery,
     catalog: Catalog,
@@ -527,9 +551,9 @@ def execute_pushed(
     lineage-scan leaf); ``run_child`` executes a plain chain leaf through
     the backend's own recursion; ``stats`` (when provided) accumulates
     the run's chain-hop / build-side / pk-fk decisions for the executors'
-    ``timings`` counters.
+    ``timings`` counters.  With ``cache``, shapes :func:`_memo_kind`
+    accepts answer from the statement's per-bar memo in that cache.
     """
-    from ..expr.ast import evaluate
     from .vector.groupby import execute_distinct, execute_groupby
 
     if pushed.join is not None:
@@ -551,18 +575,23 @@ def execute_pushed(
             return table, node
     else:
         scan = pushed.scan
+        answered = None
+        if cache is not None:
+            answered = _memo_tables(pushed, catalog, results, config, [params], cache)
+        if answered is not None:
+            # Capture is off on this path: the node carries metadata only.
+            (table,), part = answered
+            node = scan_node_lineage(
+                scan, next_key(), _EMPTY, part.base_name, part.base.num_rows,
+                config, part.epoch,
+            )
+            return table, compose_node(table.num_rows, node, None, None)
         source, rids, source_name, domain, epoch = resolve_scan_source(
             scan, catalog, results, params, cache
         )
 
         if pushed.predicate is not None:
-            pred_table = _gather(
-                source, rids, _slice_names(source, pushed.predicate.columns())
-            )
-            mask = np.asarray(
-                evaluate(pushed.predicate, pred_table, params), dtype=bool
-            )
-            rids = rids[mask]
+            rids = rids[_passing(pushed.predicate, source, rids, params)]
 
         # Selection in the rid domain composes away: the scan's node
         # lineage over the *surviving* rids equals the materialized
@@ -592,17 +621,7 @@ def execute_pushed(
     if pushed.project is not None:
         # Over the aggregate output when a GroupBy ran (e.g. dropping
         # hidden HAVING aggregates), else over the gathered slices.
-        columns = {
-            alias: np.asarray(evaluate(expr, table, params))
-            for expr, alias in pushed.project.exprs
-        }
-        schema = Schema(
-            [
-                (alias, infer_expr_type(expr, table.schema))
-                for expr, alias in pushed.project.exprs
-            ]
-        )
-        table = Table(columns, schema)
+        table = _project(pushed.project, table, params)
         if pushed.project.distinct:
             # Set semantics: dedup the projected slices with group
             # lineage, exactly as the executors' DISTINCT does (3.2.1).
@@ -613,255 +632,244 @@ def execute_pushed(
     return table, node
 
 
-def batchable_pushed(pushed: PushedLineageQuery, config: CaptureConfig) -> bool:
-    """Whether N same-plan executions differing only in the rid subset
-    bound to the lineage scan's parameter can coalesce into one shared
-    pass (:func:`execute_pushed_batch`).
+def _memo_kind(pushed: PushedLineageQuery, config: CaptureConfig) -> Optional[str]:
+    """Which per-bar partial answers ``pushed`` (see :func:`_memo_tables`),
+    or ``None`` when the memo does not apply: capture must be off and the
+    core one *backward* lineage scan with a rid argument, whose value no
+    other expression reads.
 
-    Restricted to the crossfilter re-aggregation shape: a single
-    *backward* lineage-scan core (no join), a parameterized rid subset,
-    capture disabled (brush statements run ``capture=None``), and a
-    ``COUNT(*)``-only GROUP BY with no HAVING, optionally under a bag
-    projection.  Everything else falls back to per-binding execution.
+    * ``"groups"`` — a ``COUNT(*)``-only GROUP BY without HAVING,
+      optionally under a bag projection;
+    * ``"distinct"`` — ``SELECT DISTINCT`` over the scan;
+    * ``"rows"`` — predicate-only and bag-projection trees.
     """
-    from ..expr.ast import Param
+    scan = pushed.scan
+    if config.enabled or scan is None or scan.direction != "backward" or scan.rids is None:
+        return None
+    gb, project = pushed.groupby, pushed.project
+    distinct = project is not None and project.distinct
+    if gb is not None and (
+        distinct
+        or gb.having is not None
+        or any(agg.func != "count" or agg.arg is not None for agg in gb.aggs)
+    ):
+        return None
+    if isinstance(scan.rids, Param):
+        exprs = [pushed.predicate] if pushed.predicate is not None else []
+        exprs += [e for e, _ in gb.keys] if gb is not None else []
+        exprs += [e for e, _ in project.exprs] if project is not None else []
+        if any(scan.rids.name in collect_params(e) for e in exprs):
+            return None
+    if gb is not None:
+        return "groups"
+    return "distinct" if distinct else "rows"
 
-    if config.enabled:
-        return False
-    if pushed.join is not None or pushed.scan is None:
-        return False
-    if pushed.scan.direction != "backward":
-        return False
-    if not isinstance(pushed.scan.rids, Param):
-        return False
-    gb = pushed.groupby
-    if gb is None or gb.having is not None:
-        return False
-    if any(agg.func != "count" or agg.arg is not None for agg in gb.aggs):
-        return False
-    if pushed.project is not None and pushed.project.distinct:
-        return False
-    return True
+
+class _BarMemo:
+    """Per-bar partial answers of one pushed statement over one (view,
+    base table) state: one entry of the shared
+    :class:`~repro.lineage.cache.LineageResolutionCache`, filled lazily.
+    A bar maps to ``None`` when no row survives, else to a list of arrays
+    — a ``"rows"`` bar to ``[sorted surviving rids]``, a ``"groups"`` /
+    ``"distinct"`` bar to ``[key columns..., counts, first rids]`` with
+    one entry per group in first-occurrence order."""
+
+    __slots__ = ("pinned", "schema", "bars")
+
+    def __init__(self, pinned: tuple, schema: Optional[Schema]):
+        self.pinned = pinned  # objects whose ids key the cache entry
+        self.schema = schema  # group-shape output schema (before a bag projection)
+        self.bars: Dict[int, object] = {}
 
 
-#: Cap on ``num_bars * num_codes``, the cells of the per-bar count and
-#: first-rid matrices (int64 each) — the one batch allocation that grows
-#: with bars × groups.  Beyond it :func:`execute_pushed_batch` declines
-#: and the caller runs the bindings one by one.
-_BAR_MATRIX_MAX_CELLS = 1 << 21
+def _split_by(owner: np.ndarray, n: int, columns: List[np.ndarray]) -> list:
+    """``columns``, aligned with the ascending ``owner`` ids, cut into one
+    block per owner ``0..n-1`` (``None`` for an owner without rows)."""
+    bounds = np.searchsorted(owner, np.arange(n + 1)).tolist()
+    return [
+        [c[lo:hi] for c in columns] if hi > lo else None
+        for lo, hi in zip(bounds[:-1], bounds[1:], strict=True)
+    ]
+
+
+def _fill_bars(pushed, kind: str, part, bars: List[int], params: Optional[dict]) -> list:
+    """Partials of ``bars`` from one pass over their concatenated CSR
+    slices of the backward index: the predicate, the key gather and the
+    factorize each run once, with the bar as the leading group key, so
+    each bar's groups come out as one block in first-occurrence order."""
+    from .vector.kernels import factorize
+
+    buckets = [part.bucket(bar) for bar in bars]
+    rids = np.concatenate(buckets)
+    owner = np.repeat(np.arange(len(bars)), [b.size for b in buckets])
+    source = part.base
+    if pushed.predicate is not None:
+        keep = _passing(pushed.predicate, source, rids, params)
+        rids, owner = rids[keep], owner[keep]
+    if kind == "rows":
+        return _split_by(owner, len(bars), [sanitize.freeze(rids)])
+    table = _gather(source, rids, _slice_names(source, pushed.columns))
+    if kind == "groups":
+        keys = [np.asarray(evaluate(e, table, params)) for e, _ in pushed.groupby.keys]
+    else:
+        projected = _project(pushed.project, table, params)
+        keys = [projected.column(n) for n in projected.schema.names]
+    codes, num, reps = factorize([owner] + keys)
+    columns = [k[reps] for k in keys] + [np.bincount(codes, minlength=num), rids[reps]]
+    return _split_by(owner[reps], len(bars), [sanitize.freeze(c) for c in columns])
+
+
+def _merge_groups(groups: List[List[list]]) -> list:
+    """Per binding, ``[key columns..., counts]`` from its bars' partials
+    ``groups[i]`` (``None`` when it has none), groups ordered by first
+    rid — what factorize's first-occurrence order over the binding's
+    sorted rids gives.  The bars partition the base, so first rids are
+    distinct: order the partials by first rid, factorize their key
+    values, and each group's first partial holds its minimum rid and the
+    key values at that rid; counts sum.  All bindings share one
+    factorize, the binding being the leading key."""
+    from .vector.kernels import factorize
+
+    parts = [p for g in groups for p in g]
+    if not parts:
+        return [None] * len(groups)
+    if len(groups) == 1 and len(parts) == 1:
+        return [[a.copy() for a in parts[0][:-1]]]
+    sizes = [sum(p[-1].size for p in g) for g in groups]
+    binding = np.repeat(np.arange(len(groups)), sizes)
+    columns = [np.concatenate(cols) for cols in zip(*parts, strict=True)]
+    if len(groups) == 1:
+        order = np.argsort(columns[-1])
+    else:
+        order = np.lexsort((columns[-1], binding))
+    keys = [c[order] for c in columns[:-2]]
+    # Parts are concatenated binding by binding: ``binding`` is in order.
+    codes, num, reps = factorize([binding] + keys)
+    counts = np.bincount(codes, weights=columns[-2][order], minlength=num)
+    return _split_by(binding[reps], len(groups), [k[reps] for k in keys] + [counts.astype(np.int64)])
+
+
+def _groups_table(pushed, kind, schema: Schema, merged, params) -> Table:
+    """One binding's output from its merged groups."""
+    if merged is None:
+        table = Table.empty(schema)
+    elif kind == "distinct":
+        return Table(dict(zip(schema.names, merged[:-1], strict=True)), schema)
+    else:
+        gb = pushed.groupby
+        names = [alias for _, alias in gb.keys] + [agg.alias for agg in gb.aggs]
+        merged = merged + [merged[-1].copy() for _ in gb.aggs[1:]]
+        table = Table(dict(zip(names, merged, strict=True)), schema)
+    if kind == "distinct" or pushed.project is None:
+        return table
+    return _project(pushed.project, table, params)
+
+
+def _rows_table(pushed, source: Table, parts: List[list], params) -> Table:
+    """One binding's output from its bars' surviving rids."""
+    rids = np.concatenate([p[0] for p in parts] or [_EMPTY])
+    if len(parts) > 1:
+        rids = np.sort(rids, kind="stable")  # sorted runs: one timsort merge
+    if pushed.project is None:
+        return source.take(rids)
+    table = _gather(source, rids, _slice_names(source, pushed.columns))
+    return _project(pushed.project, table, params)
+
+
+def _memo_answers(pushed, kind, memo, part, params_list, cache) -> List[Table]:
+    """Each binding's output table, merged from its bars' partials; the
+    bars no brush filled before are filled together first."""
+    num_keys = part.index.num_keys
+    per_binding = []
+    for params in params_list:
+        bars = sorted(set(resolve_rid_spec(pushed.scan.rids, params, 0).tolist()))
+        if bars and (bars[0] < 0 or bars[-1] >= num_keys):
+            raise LineageError(f"rids out of range [0, {num_keys})")
+        per_binding.append(bars)
+    missing = sorted({bar for bars in per_binding for bar in bars if bar not in memo.bars})
+    if missing:
+        filled = _fill_bars(pushed, kind, part, missing, params_list[0])
+        for bar, partial in zip(missing, filled, strict=True):
+            memo.bars.setdefault(bar, partial)
+    requested = sum(map(len, per_binding))
+    cache.count_bars(len(missing), requested - len(missing))
+    groups = [
+        [p for p in map(memo.bars.__getitem__, bars) if p is not None]
+        for bars in per_binding
+    ]
+    if kind == "rows":
+        return [
+            _rows_table(pushed, part.base, parts, params)
+            for parts, params in zip(groups, params_list, strict=True)
+        ]
+    return [
+        _groups_table(pushed, kind, memo.schema, m, params)
+        for m, params in zip(_merge_groups(groups), params_list, strict=True)
+    ]
+
+
+def _memo_tables(
+    pushed: PushedLineageQuery,
+    catalog: Catalog,
+    results: Optional[Mapping[str, object]],
+    config: CaptureConfig,
+    params_list: Sequence[Optional[dict]],
+    cache: LineageResolutionCache,
+):
+    """Answer ``pushed`` for each binding from its per-bar memo; returns
+    ``(tables, partition)``, or ``None`` when the memo does not apply
+    (:func:`_memo_kind`, or an index that is not a partition).
+
+    The memo is one cache entry per (pushed tree, parameters other than
+    the rid argument), live while the registry epoch of the view, the
+    catalog epoch of its base table and the identity of both objects are
+    unchanged.  The guards of
+    :func:`~repro.exec.lineage_scan.resolve_scan_source` run once per
+    call; the shrink guard once per bar fill.  All bindings must agree on
+    every parameter but the rid argument.
+    """
+    kind = _memo_kind(pushed, config)
+    if kind is None:
+        return None
+    scan = pushed.scan
+    shared = {
+        k: v for k, v in (params_list[0] or {}).items()
+        if not (isinstance(scan.rids, Param) and k == scan.rids.name)
+    }
+    part = resolve_scan_partition(scan, catalog, results)
+    if part is None:
+        return None
+
+    def build() -> _BarMemo:
+        schema = None
+        if kind == "groups":
+            schema = infer_schema(pushed.groupby, catalog)
+        elif kind == "distinct":
+            names = _slice_names(part.base, pushed.columns)
+            empty = _gather(part.base, _EMPTY, names)
+            schema = _project(pushed.project, empty, params_list[0]).schema
+        return _BarMemo((pushed, part.result, part.base), schema)
+
+    memo = cache.memo(
+        (scan.result, "bars", scan.relation, (id(pushed), param_fingerprint(shared))),
+        (part.registry_epoch, part.epoch, id(part.result), id(part.base)),
+        build,
+    )
+    return _memo_answers(pushed, kind, memo, part, params_list, cache), part
 
 
 def execute_pushed_batch(
     pushed: PushedLineageQuery,
     catalog: Catalog,
     results: Optional[Mapping[str, object]],
+    config: CaptureConfig,
     params_list: Sequence[Optional[dict]],
-    lineage_cache=None,
+    cache: LineageResolutionCache,
 ) -> Optional[List[Table]]:
-    """Execute one :func:`batchable_pushed` tree for N parameter bindings
-    in a single shared pass; returns one output table per binding, each
-    bit-identical to what :func:`execute_pushed` produces for that
-    binding alone — or ``None`` when the shared pass does not apply and
-    the caller must execute the bindings one by one.
-
-    It applies when the view's backward index is a **partition** (each
-    base rid in at most one bar's bucket — the GROUP BY crossfilter
-    shape) and the per-bar matrices fit :data:`_BAR_MATRIX_MAX_CELLS`.
-    Each binding's rid set is then the disjoint union of its bars'
-    buckets, so N overlapping brushes share almost all their work:
-
-    1. every distinct bar across the bindings resolves **once**
-       (:func:`~repro.exec.lineage_scan.resolve_scan_bars`, through the
-       rid cache under single-bar keys);
-    2. the pushed predicate and the group keys are evaluated / factorized
-       **once** over the concatenated bar segments, whose total size is
-       the union mass (:func:`_shared_batch_codes`);
-    3. one pass over all segments builds per-bar count and first-rid
-       matrices, and each binding's answer reduces to a handful of
-       ``num_codes``-sized vector sums / mins
-       (:func:`_batch_tables_by_bars`) — no per-binding pass over its
-       rows at all.
-
-    Callers must ensure all bindings agree on every parameter except the
-    scan's rid parameter (shared predicate/key evaluation reads the
-    first binding's params); ``DatabaseServer.sql_batch`` checks this
-    and falls back otherwise.
-    """
-    from .lineage_scan import resolve_rid_spec, resolve_scan_bars
-
-    probes = [
-        np.unique(resolve_rid_spec(pushed.scan.rids, params, 0))
-        for params in params_list
-    ]
-    bar_ids = np.unique(np.concatenate(probes))
-    resolved = resolve_scan_bars(
-        pushed.scan, catalog, results, bar_ids, cache=lineage_cache
-    )
-    if resolved is None:
-        return None
-    source, rows, lengths = resolved
-    return _batch_tables_by_bars(
-        pushed, catalog, source, rows, lengths, probes, bar_ids, params_list[0]
-    )
-
-
-def _shared_batch_codes(
-    pushed: PushedLineageQuery,
-    source: Table,
-    rows: np.ndarray,
-    shared_params: Optional[dict],
-):
-    """The shared head of the batch pass: evaluate the pushed predicate
-    over ``rows`` (one gather of only the predicate's columns), then
-    gather / factorize the group keys once over the survivors.  Returns
-    ``(mask, codes, num_codes, key_by_code)`` where ``mask`` is None
-    without a predicate and ``codes`` aligns with the surviving rows
-    (``rows[mask]``)."""
-    from ..expr.ast import evaluate
-    from .vector.kernels import factorize
-
-    mask = None
-    if pushed.predicate is not None:
-        pred_table = _gather(
-            source, rows, _slice_names(source, pushed.predicate.columns())
-        )
-        mask = np.asarray(
-            evaluate(pushed.predicate, pred_table, shared_params), dtype=bool
-        )
-        rows = rows[mask]
-
-    gb = pushed.groupby
-    kept_table = _gather(source, rows, _slice_names(source, pushed.columns))
-    key_arrays = [
-        np.asarray(evaluate(e, kept_table, shared_params)) for e, _ in gb.keys
-    ]
-    n_kept = int(rows.shape[0])
-    if n_kept == 0:
-        codes, num_codes = np.empty(0, dtype=np.int64), 0
-        reps = np.empty(0, dtype=np.int64)
-    elif key_arrays:
-        codes, num_codes, reps = factorize(key_arrays)
-    else:
-        codes, num_codes = np.zeros(n_kept, dtype=np.int64), 1
-        reps = np.zeros(1, dtype=np.int64)
-    # Per-code representative key values (num_codes-sized): a code's key
-    # value is the same on every row of the code, so any binding's output
-    # key column is one tiny gather from these.
-    key_by_code = [arr[reps] for arr in key_arrays]
-    return mask, codes, num_codes, key_by_code
-
-
-def _batch_output_table(
-    pushed: PushedLineageQuery,
-    schema: Schema,
-    group_codes: np.ndarray,
-    counts: np.ndarray,
-    key_by_code: List[np.ndarray],
-    shared_params: Optional[dict],
-) -> Table:
-    """One binding's output table from its (first-occurrence ordered)
-    group codes and counts, plus the optional bag projection on top."""
-    from ..expr.ast import evaluate
-
-    gb = pushed.groupby
-    columns: Dict[str, np.ndarray] = {}
-    for (_expr, alias), by_code in zip(gb.keys, key_by_code, strict=True):
-        columns[alias] = by_code[group_codes]
-    for i, agg in enumerate(gb.aggs):
-        if counts.shape[0] == 0:
-            columns[agg.alias] = np.empty(
-                0, dtype=schema.type_of(agg.alias).numpy_dtype
-            )
-        else:
-            columns[agg.alias] = counts if i == 0 else counts.copy()
-    table = Table(columns, schema)
-    if pushed.project is not None:
-        table = Table(
-            {
-                alias: np.asarray(evaluate(expr, table, shared_params))
-                for expr, alias in pushed.project.exprs
-            },
-            Schema(
-                [
-                    (alias, infer_expr_type(expr, table.schema))
-                    for expr, alias in pushed.project.exprs
-                ]
-            ),
-        )
-    return table
-
-
-def _batch_tables_by_bars(
-    pushed: PushedLineageQuery,
-    catalog: Catalog,
-    source: Table,
-    rows: np.ndarray,
-    lengths: np.ndarray,
-    probes: Sequence[np.ndarray],
-    bar_ids: np.ndarray,
-    shared_params: Optional[dict],
-) -> Optional[List[Table]]:
-    """The per-bar stage of :func:`execute_pushed_batch`.
-
-    ``rows`` concatenates the sorted, pairwise disjoint backward sets of
-    ``bar_ids`` (``lengths[j]`` rids for bar ``j``), and ``probes[i]`` is
-    binding ``i``'s sorted distinct bars.  Per-binding aggregates
-    decompose exactly over bars:
-
-    * ``counts`` — a binding's per-group count is the **sum** of its
-      bars' per-group counts (disjointness: no row counted twice);
-    * ``group order`` — :func:`~repro.exec.vector.kernels.factorize`
-      numbers a binding's groups by first occurrence over its sorted
-      rids, i.e. ascending *minimum member rid*; a binding's minimum rid
-      for a group is the **min** over its bars' per-group minimum rids.
-
-    So one pass over all segments — a bincount over the cell ``bar ×
-    num_codes + code`` — builds a ``counts`` matrix and a ``first-rid``
-    matrix of shape ``(num_bars, num_codes)``, and each binding's output
-    reduces to ``counts[bars].sum(axis=0)`` / ``first[bars].min(axis=0)``
-    plus a ``num_codes``-sized argsort — independent of the binding's row
-    count.  Returns ``None`` when the matrices would exceed
-    :data:`_BAR_MATRIX_MAX_CELLS`.
-    """
-    mask, codes, num_codes, key_by_code = _shared_batch_codes(
-        pushed, source, rows, shared_params
-    )
-    n_bars = int(bar_ids.shape[0])
-    n_cells = n_bars * num_codes
-    if n_cells > _BAR_MATRIX_MAX_CELLS:
-        return None
-    cells = np.repeat(np.arange(n_bars, dtype=np.int64) * num_codes, lengths)
-    if mask is not None:
-        cells, rows = cells[mask], rows[mask]
-    cells += codes
-    counts_mat = np.bincount(cells, minlength=n_cells).reshape(n_bars, num_codes)
-    # Sentinel `domain` (> any rid) so min() over bars ignores absent
-    # groups; a group is present for a binding iff its min stays < domain.
-    domain = source.num_rows
-    first_mat = np.full(n_cells, domain, dtype=np.int64)
-    # Bar buckets are sorted ascending and each cell belongs to one bar;
-    # the reversed scatter leaves, per cell, the bar's smallest member
-    # rid (later writes win).
-    first_mat[cells[::-1]] = rows[::-1]
-    first_mat = first_mat.reshape(n_bars, num_codes)
-
-    schema = infer_schema(pushed.groupby, catalog)
-    tables: List[Table] = []
-    empty = np.empty(0, dtype=np.int64)
-    for probe in probes:
-        if probe.size and num_codes:
-            idx = np.searchsorted(bar_ids, probe)
-            counts_all = counts_mat[idx].sum(axis=0)
-            first_all = first_mat[idx].min(axis=0)
-            present = np.flatnonzero(first_all < domain)
-            order = np.argsort(first_all[present], kind="stable")  # repro: noqa RPR008 -- ranks num_codes first-rids, not a dense-id inversion
-            group_codes = present[order]
-            counts = counts_all[group_codes]
-        else:
-            group_codes, counts = empty, empty
-        tables.append(
-            _batch_output_table(
-                pushed, schema, group_codes, counts, key_by_code, shared_params
-            )
-        )
-    return tables
+    """:func:`execute_pushed` for N bindings that differ only in the rid
+    argument: the guards and the memo lookup run once, then each binding
+    is one merge of its bars' partials — bit-identical to running it
+    alone.  ``None`` when the per-bar memo does not apply and the caller
+    must run the bindings one by one."""
+    answered = _memo_tables(pushed, catalog, results, config, params_list, cache)
+    return None if answered is None else answered[0]

@@ -42,7 +42,7 @@ rows and captured lineage are identical by construction; pass
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from ..expr.ast import Const, Param
 from ..lineage.cache import LineageResolutionCache
 from ..lineage.capture import CaptureConfig, QueryLineage
 from ..lineage.composer import NodeLineage
+from ..lineage.indexes import RidIndex
 from ..plan.logical import LineageScan
 from ..storage.catalog import Catalog
 from ..storage.table import Table
@@ -249,7 +250,7 @@ def resolve_scan_source(
     The source table is the traced base relation for backward scans and
     the prior result's output for forward scans; ``rids`` index into it.
     All registry-resolution and drift guards live here (and in the
-    helpers :func:`resolve_scan_bars` shares) so the materializing path
+    helpers :func:`resolve_scan_partition` shares) so the materializing path
     (:func:`execute_lineage_scan`) and the pushed path
     (:func:`repro.exec.late_mat.execute_pushed`) reject exactly the same
     states.  ``epoch`` is the traced base relation's catalog replacement
@@ -324,51 +325,53 @@ def resolve_scan_source(
     return result.table, rids, plan.result, result.table.num_rows, None
 
 
-def resolve_scan_bars(
+class BarPartition(NamedTuple):
+    """A guarded backward scan whose index partitions its base relation
+    (every base rid in at most one bar's bucket — the GROUP BY view
+    shape, :meth:`~repro.lineage.indexes.RidIndex.is_partitioned`): any
+    brush's backward set is the disjoint union of its bars' buckets,
+    which the per-bar memo of :func:`repro.exec.late_mat.execute_pushed`
+    exploits."""
+
+    plan: LineageScan
+    result: object
+    registry_epoch: object
+    base: Table
+    base_name: str
+    epoch: int
+    captured_epoch: Optional[int]
+    index: RidIndex
+
+    def bucket(self, bar: int) -> np.ndarray:
+        """Bar ``bar``'s sorted backward rids, shrink-guarded."""
+        offsets, values = self.index.as_csr()
+        rids = values[offsets[bar] : offsets[bar + 1]]
+        if rids.size > 1 and not bool((rids[1:] > rids[:-1]).all()):
+            rids = np.sort(rids)
+        _check_backward_rids(
+            self.plan, rids, int(rids[-1]) if rids.size else -1,
+            self.base, self.base_name, self.epoch, self.captured_epoch,
+        )
+        return rids
+
+
+def resolve_scan_partition(
     plan: LineageScan,
     catalog: Catalog,
     results: Optional[Mapping[str, object]],
-    bar_ids: np.ndarray,
-    cache: Optional[LineageResolutionCache] = None,
-) -> Optional[Tuple[Table, np.ndarray, np.ndarray]]:
-    """Resolve a *backward* lineage scan once per bar: the batched form
-    of :func:`resolve_scan_source` behind
-    :func:`repro.exec.late_mat.execute_pushed_batch`.
-
-    Applies only when the scan's backward index is a *partition* (every
-    base rid in at most one bar's bucket — the GROUP BY view shape,
-    :meth:`~repro.lineage.indexes.RidIndex.is_partitioned`): any brush's
-    backward set is then the disjoint union of its bars' buckets.
-    Returns ``None`` otherwise.  Else returns ``(source, rows, lengths)``
-    where ``rows`` concatenates, for each of the sorted distinct
-    ``bar_ids`` in turn, that bar's sorted backward rid set of
-    ``lengths[j]`` rids.
-
-    The registry, epoch and schema guards run once for the batch; each
-    bar resolves through ``cache`` under the single-bar subset key a
-    one-bar brush through :func:`resolve_scan_source` files, so single
-    brushes and batches share entries.
-    """
+) -> Optional[BarPartition]:
+    """The registry, epoch and schema guards of
+    :func:`resolve_scan_source` for a *backward* scan, without resolving
+    any rids; ``None`` unless its index is a partitioned
+    :class:`~repro.lineage.indexes.RidIndex`."""
     result, registry_epoch = _resolve_result(plan, results)
     base, base_name, epoch, captured_epoch = _backward_base(plan, catalog, result)
-    if not result.lineage.backward_index(plan.relation).is_partitioned():
+    index = result.lineage.backward_index(plan.relation)
+    if not isinstance(index, RidIndex) or not index.is_partitioned():
         return None
-    n_bars = int(bar_ids.shape[0])
-    bar_sets = [
-        _resolve_backward(plan, result, bar_ids[j : j + 1], cache, registry_epoch)
-        for j in range(n_bars)
-    ]
-    lengths = np.fromiter(
-        (s.shape[0] for s in bar_sets), dtype=np.int64, count=n_bars
+    return BarPartition(
+        plan, result, registry_epoch, base, base_name, epoch, captured_epoch, index
     )
-    rows = np.concatenate(bar_sets) if n_bars else np.empty(0, dtype=np.int64)
-    # Each bar's set is sorted, so the largest rid is the largest tail.
-    tails = rows[np.cumsum(lengths)[lengths > 0] - 1]
-    _check_backward_rids(
-        plan, rows, int(tails.max()) if tails.size else -1,
-        base, base_name, epoch, captured_epoch,
-    )
-    return base, rows, lengths
 
 
 def scan_node_lineage(

@@ -11,11 +11,11 @@ trace the same ``(result, relation, rid subset)``.
 owned by a :class:`~repro.api.PreparedQuery` and *shared* across every
 statement of a :class:`~repro.api.Session`, so a brush's per-view
 statements resolve lineage once and repeated identical brushes resolve it
-zero times.  The serving layer's multi-brush batch
-(:func:`~repro.exec.lineage_scan.resolve_scan_bars`) goes through the same
-:meth:`~LineageResolutionCache.resolve`, one entry per distinct bar under
-the key a one-bar brush files, so single and batched brushes share
-entries.
+zero times.  The same entries hold each brush statement's **per-bar memo**
+(:meth:`~LineageResolutionCache.memo`, filled by
+:func:`~repro.exec.late_mat.execute_pushed`): partial answers per bar of a
+GROUP BY view, so a brush re-visiting bars merges partials instead of
+re-scanning rows, and single brushes and ``sql_batch`` share them.
 
 Correctness rests on two invariants:
 
@@ -76,6 +76,26 @@ ALL_RIDS = "*"
 SUBSET_KEY_INLINE_BYTES = 4096
 
 
+def param_fingerprint(params: Optional[dict]) -> tuple:
+    """Hashable fingerprint of a parameter binding (the memo keys of the
+    per-bar memo and the server's answer memo).  Scalars key by type and
+    ``repr``, not by value alone: ``1``, ``1.0`` and ``True`` — or ``0.0``
+    and ``-0.0`` — compare equal yet can answer with another dtype or
+    sign.  Numeric arrays key by :meth:`LineageResolutionCache.subset_key`;
+    object arrays, whose bytes are pointers, like sequences."""
+    items = []
+    for name in sorted(params or ()):
+        value = params[name]
+        array = isinstance(value, np.ndarray) and value.ndim > 0
+        if array and value.ndim == 1 and value.dtype != object:
+            items.append((name, LineageResolutionCache.subset_key(value)))
+        elif array or isinstance(value, (list, tuple)):
+            items.append((name, "seq", tuple((type(v), repr(v)) for v in value)))
+        else:
+            items.append((name, type(value), repr(value)))
+    return tuple(items)
+
+
 class LineageResolutionCache:
     """Memoizes resolved backward/forward rid sets per
     ``(result, relation, rid-subset)`` with epoch-based invalidation.
@@ -89,12 +109,15 @@ class LineageResolutionCache:
         if max_entries < 1:
             raise InvalidArgumentError("max_entries must be positive")
         self._registry = registry
-        self._entries: "OrderedDict[_CacheKey, Tuple[object, np.ndarray]]" = (
+        self._entries: "OrderedDict[_CacheKey, Tuple[object, object]]" = (
             OrderedDict()
         )
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
+        # Per-bar memo traffic (see memo()): bars filled vs found filled.
+        self.bar_fills = 0
+        self.bar_reuses = 0
         self._lock = threading.RLock()
         # Identity tokens for registries without epochs: id(result) ->
         # (weakref to the result, monotonic token).  See _epoch below.
@@ -203,21 +226,50 @@ class LineageResolutionCache:
         key = (name, direction, relation, subset_key)
         if epoch is None:
             epoch = self._epoch(name, result)
+        rids = self._lookup(key, epoch)
+        if rids is None:
+            rids = np.asarray(compute())
+            rids.setflags(write=False)
+            self._install(key, epoch, rids)
+        return rids
+
+    def memo(self, key: _CacheKey, epoch: object, build: Callable[[], object]) -> object:
+        """A derived per-statement artifact (the per-bar memo of
+        :func:`~repro.exec.late_mat.execute_pushed`) filed as one entry
+        under ``key`` — whose first element is the result name, so
+        :meth:`invalidate` covers it — and live while ``epoch`` is
+        unchanged.  ``epoch`` may hold ``id()``s of objects the built
+        value pins (so no other object can take those ids while the entry
+        lives).  Lookups count in ``hits``/``misses``."""
+        value = self._lookup(key, epoch)
+        if value is None:
+            value = build()
+            self._install(key, epoch, value)
+        return value
+
+    def count_bars(self, fills: int, reuses: int) -> None:
+        """Record one memo merge: ``fills`` bars computed, ``reuses``
+        found already filled."""
+        with self._lock:
+            self.bar_fills += fills
+            self.bar_reuses += reuses
+
+    def _lookup(self, key: _CacheKey, epoch: object) -> Optional[object]:
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and entry[0] == epoch:
                 self._entries.move_to_end(key)
                 self.hits += 1
                 return entry[1]
-        rids = np.asarray(compute())
-        rids.setflags(write=False)
+        return None
+
+    def _install(self, key: _CacheKey, epoch: object, value: object) -> None:
         with self._lock:
-            self._entries[key] = (epoch, rids)
+            self._entries[key] = (epoch, value)
             self._entries.move_to_end(key)
             self.misses += 1
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
-        return rids
 
     # -- maintenance ----------------------------------------------------------
 
@@ -238,5 +290,12 @@ class LineageResolutionCache:
             return len(self._entries)
 
     def stats(self) -> dict:
-        """Hit/miss counters plus the live entry count (for benchmarks)."""
-        return {"hits": self.hits, "misses": self.misses, "entries": len(self)}
+        """Hit/miss counters, the live entry count, and the per-bar memo's
+        fills/reuses (for benchmarks and ``DatabaseServer.stats``)."""
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "entries": len(self),
+            "bar_fills": self.bar_fills,
+            "bar_reuses": self.bar_reuses,
+        }

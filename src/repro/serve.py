@@ -54,7 +54,7 @@ from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import CatalogError, ServingError, StaleBindingError
-from .lineage.cache import LineageResolutionCache
+from .lineage.cache import LineageResolutionCache, param_fingerprint
 from .plan.logical import LogicalPlan
 from .plan.rewrite import RewriteIndex, precompute_rewrites
 from .storage.table import Table
@@ -67,9 +67,10 @@ class CatalogSnapshot:
     .Catalog` (``get`` / ``get_versioned`` / ``epoch`` / ``column_stats``
     / containment / iteration) so binder and executors run against it
     unchanged.  Column statistics delegate to the live catalog's
-    epoch-pinned memo — stats are keyed ``(name, epoch, column)``, so a
-    snapshot's lookups are filed under *its* epoch even after the live
-    catalog moves on.
+    epoch-pinned memo — stats are keyed ``(name, epoch, column)`` and
+    hit only for the very table they were computed over, so a
+    snapshot's lookups are filed under *its* epoch and table even after
+    the live catalog moves on.
     """
 
     def __init__(
@@ -299,32 +300,6 @@ class _Prepared:
         self.key = key
 
 
-def _param_fingerprint(params: Optional[dict]) -> Optional[tuple]:
-    """Hashable fingerprint of a parameter binding, or ``None`` when the
-    binding resists fingerprinting (then the answer memo is skipped —
-    correctness never depends on memoization)."""
-    if not params:
-        return ()
-    items = []
-    for name in sorted(params):
-        value = params[name]
-        if isinstance(value, np.ndarray):
-            items.append((name, LineageResolutionCache.subset_key(value)))
-        elif isinstance(value, (list, tuple)):
-            try:
-                items.append((name, ("seq",) + tuple(value)))
-            except TypeError:
-                return None
-        else:
-            items.append((name, value))
-    key = tuple(items)
-    try:
-        hash(key)
-    except TypeError:
-        return None
-    return key
-
-
 def _params_shared_except(params_list, free_name: str) -> bool:
     """Whether every binding in ``params_list`` agrees on every parameter
     except ``free_name`` (the lineage scan's rid subset).
@@ -443,18 +418,16 @@ class DatabaseServer:
         prepared = self._prepare(statement)
         key = None
         if self._memoize_answers:
-            fingerprint = _param_fingerprint(params)
-            if fingerprint is not None:
-                key = (
-                    prepared.key,
-                    fingerprint,
-                    opts.backend,
-                    opts.late_materialize,
-                    repr(opts.capture),
-                )
-                cached = snap.cached_answer(key)
-                if cached is not None:
-                    return cached
+            key = (
+                prepared.key,
+                param_fingerprint(params),
+                opts.backend,
+                opts.late_materialize,
+                repr(opts.capture),
+            )
+            cached = snap.cached_answer(key)
+            if cached is not None:
+                return cached
         require_params(prepared.param_names, params)
         try:
             result = snap.execute_plan(
@@ -483,19 +456,17 @@ class DatabaseServer:
         single pinned snapshot, returning one :class:`QueryResult` per
         binding (in submission order).
 
-        When the prepared plan is the crossfilter re-aggregation shape
-        (a batchable pushed lineage subtree — see
-        :func:`~repro.exec.late_mat.batchable_pushed`), the bindings
-        agree on every parameter except the lineage scan's rid subset,
-        and the view's backward index is a partition, the N brushes
-        coalesce into one per-bar pass
-        (:func:`~repro.exec.late_mat.execute_pushed_batch`): each
-        distinct bar resolves once, the predicate and group keys run once
-        over the bars' rows, and each binding's answer is a sum over its
-        bars' per-group counts.  Anything else falls back to per-binding
-        :meth:`sql` — the batch form is an optimization, never a
-        semantic change: answers are bit-identical to the per-binding
-        loop.  :meth:`stats` counts which route each call took.
+        When the prepared plan is a pushed lineage subtree the per-bar
+        memo answers (see :func:`~repro.exec.late_mat.execute_pushed`),
+        the bindings agree on every parameter except the lineage scan's
+        rid subset, and the view's backward index is a partition, the N
+        brushes coalesce (:func:`~repro.exec.late_mat.execute_pushed_batch`):
+        the guards and the memo lookup run once, then each binding is one
+        merge of its bars' memoized partials.  Anything else falls back
+        to per-binding :meth:`sql` — the batch form is an optimization,
+        never a semantic change: answers are bit-identical to the
+        per-binding loop.  :meth:`stats` counts which route each call
+        took.
         """
         snap = snapshot if snapshot is not None else self._snapshot
         opts = options if options is not None else self._options
@@ -520,7 +491,7 @@ class DatabaseServer:
         from time import perf_counter
 
         from .api import QueryResult, require_params
-        from .exec.late_mat import batchable_pushed, execute_pushed_batch
+        from .exec.late_mat import execute_pushed_batch
         from .exec.timings import EXECUTE, LATE_MAT_SUBTREES
         from .exec.vector.executor import ExecResult
         from .expr.ast import Param
@@ -531,12 +502,11 @@ class DatabaseServer:
             return None
         prepared = self._prepare(statement)
         pushed = prepared.rewrites.lookup(prepared.plan)
-        if pushed is None:
-            return None
-        if not batchable_pushed(pushed, opts.config):
+        if pushed is None or pushed.scan is None:
             return None
         rid_param = pushed.scan.rids
-        assert isinstance(rid_param, Param)  # guaranteed by batchable_pushed
+        if not isinstance(rid_param, Param):
+            return None
         if not _params_shared_except(params_list, rid_param.name):
             return None
         for params in params_list:
@@ -544,11 +514,8 @@ class DatabaseServer:
         start = perf_counter()
         try:
             tables = execute_pushed_batch(
-                pushed,
-                snap.catalog,
-                snap.results,
-                params_list,
-                lineage_cache=snap.lineage_cache,
+                pushed, snap.catalog, snap.results, opts.config,
+                params_list, snap.lineage_cache,
             )
         except StaleBindingError:
             # Let the per-binding fallback re-bind and retry.
@@ -752,8 +719,9 @@ class DatabaseServer:
         """Serving counters (for benchmarks and tests).
 
         ``batch_coalesced`` / ``batch_fallback`` count :meth:`sql_batch`
-        calls answered by the shared per-bar pass and by the per-binding
-        loop."""
+        calls answered by the per-bar memo and by the per-binding loop;
+        ``lineage_cache`` includes the memo's ``bar_fills`` /
+        ``bar_reuses``."""
         return {
             "version": self._snapshot.version,
             "prepared": len(self._prepared),

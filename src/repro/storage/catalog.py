@@ -43,7 +43,8 @@ class Catalog:
     def __init__(self):
         self._tables: Dict[str, Table] = {}
         self._epochs: Dict[str, int] = {}
-        self._column_stats: Dict[Tuple[str, int, str], ColumnStats] = {}
+        # (name, epoch, column) -> (the table scanned, its stats)
+        self._column_stats: Dict[Tuple[str, int, str], tuple] = {}
         self._lock = threading.RLock()
 
     def register(
@@ -117,15 +118,20 @@ class Catalog:
         views: the caller supplies the table and epoch it pinned, so a
         reader on an old snapshot memoizes under the old epoch while the
         live catalog has moved on.  The scan itself runs outside the
-        lock; two racing readers may both compute, one install wins.
+        lock; two racing readers may both compute, the last install wins.
+        A hit also requires the memoized stats to describe ``table``
+        itself: a ``preserve_rids`` replace keeps the epoch, and a reader
+        on an older snapshot must not file its table's stats for the new
+        one.
         """
         key = (name, epoch, column)
         with self._lock:
-            stats = self._column_stats.get(key)
-        if stats is None:
-            stats = collect_column_stats(table.column(column))
-            with self._lock:
-                stats = self._column_stats.setdefault(key, stats)
+            entry = self._column_stats.get(key)
+        if entry is not None and entry[0] is table:
+            return entry[1]
+        stats = collect_column_stats(table.column(column))
+        with self._lock:
+            self._column_stats[key] = (table, stats)
         return stats
 
     def snapshot_state(self) -> Tuple[Dict[str, Table], Dict[str, int]]:

@@ -25,7 +25,7 @@ class ColumnType(enum.Enum):
 
     @property
     def numpy_dtype(self):
-        return {_I: np.int64, _F: np.float64, _S: object}[self]
+        return _NUMPY_DTYPES[self._value_]
 
     @classmethod
     def infer(cls, array: np.ndarray) -> "ColumnType":
@@ -40,7 +40,7 @@ class ColumnType(enum.Enum):
         raise SchemaError(f"unsupported numpy dtype {array.dtype!r}")
 
 
-_I, _F, _S = ColumnType.INT, ColumnType.FLOAT, ColumnType.STR
+_NUMPY_DTYPES = {"int": np.int64, "float": np.float64, "str": object}
 
 
 class Schema:

@@ -209,3 +209,52 @@ class TestCatalogStatsHammer:
             stop.set()
             writer_thread.join(timeout=30)
         assert not errors
+
+
+class TestBarMemoHammer:
+    def test_concurrent_brushes_share_one_memo(self):
+        """Reader threads brushing overlapping bars fill and read one
+        per-bar memo: every answer equals the plain path, and the bar
+        counters add up (a lost update would break the sum)."""
+        import sys
+
+        from repro import CaptureMode, Database, ExecOptions
+        from repro.serve import DatabaseServer
+
+        rng = np.random.default_rng(5)
+        n, bars = 4000, 40
+        db = Database()
+        db.create_table("t", Table({
+            "z": rng.integers(0, bars, n),
+            "g": rng.integers(0, 25, n),
+            "w": rng.random(n),
+        }))
+        db.sql(
+            "SELECT z, COUNT(*) AS c FROM t GROUP BY z",
+            options=ExecOptions(capture=CaptureMode.INJECT, name="v", pin=True),
+        )
+        stmt = "SELECT g, COUNT(*) AS c FROM Lb(v, 't', :bars) WHERE w >= 0.25 GROUP BY g"
+        brushes = [rng.integers(0, bars, int(rng.integers(1, 9))) for _ in range(32)]
+        plain = ExecOptions(late_materialize=False)
+        expected = [
+            db.sql(stmt, params={"bars": b}, options=plain).table.to_rows() for b in brushes
+        ]
+        requested = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with DatabaseServer(db, readers=1, memoize_answers=False) as server:
+
+                def worker(seed):
+                    order = np.random.default_rng(seed).permutation(len(brushes))
+                    for i in order.tolist():
+                        got = server.sql(stmt, params={"bars": brushes[i]})
+                        assert got.table.to_rows() == expected[i]
+                        requested.append(len(set(brushes[i].tolist())))
+
+                _hammer(worker)
+                stats = server.stats()["lineage_cache"]
+        finally:
+            sys.setswitchinterval(interval)
+        assert stats["bar_fills"] + stats["bar_reuses"] == sum(requested)
+        assert stats["bar_fills"] >= len({b for br in brushes for b in br.tolist()})

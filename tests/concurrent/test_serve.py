@@ -118,6 +118,42 @@ class TestSnapshotIsolation:
             third = server.sql(BRUSH, params={"bars": [0]})
             assert third is not first
 
+    def test_old_snapshot_stats_never_describe_a_preserve_rids_replacement(self):
+        # preserve_rids keeps d's epoch; a reader still on the old
+        # snapshot recomputes d's key stats (unique) after the replace
+        # evicted them, and the live join must not trust them for the new
+        # d (duplicate keys) and pick the pk-fk probe.
+        db = Database()
+        db.create_table("f", Table({
+            "g": np.array([0, 0, 1, 1], dtype=np.int64),
+            "k": np.array([0, 0, 2, 2], dtype=np.int64),
+        }))
+        db.create_table("d", Table({
+            "k": np.array([0, 1, 2, 3], dtype=np.int64),
+            "y": np.array([5, 6, 7, 8], dtype=np.int64),
+        }))
+        db.sql(
+            "SELECT g, COUNT(*) AS c FROM f GROUP BY g",
+            options=ExecOptions(capture=CaptureMode.INJECT, name="v", pin=True),
+        )
+        stmt = (
+            "SELECT d.y, COUNT(*) AS c FROM Lb(v, 'f', :bars) "
+            "JOIN d ON f.k = d.k GROUP BY d.y"
+        )
+        duplicate_keys = Table({
+            "k": np.array([0, 0, 2, 2], dtype=np.int64),
+            "y": np.array([5, 6, 7, 8], dtype=np.int64),
+        })
+        with db.serve(readers=1) as server:
+            old = server.snapshot()
+            server.sql(stmt, params={"bars": [0, 1]}, snapshot=old)
+            server.write(lambda d: d.create_table(
+                "d", duplicate_keys, replace=True, preserve_rids=True
+            ))
+            server.sql(stmt, params={"bars": [0]}, snapshot=old)
+            live = server.sql(stmt, params={"bars": [0, 1]})
+        assert live.table.to_rows() == [(5, 2), (6, 2), (7, 2), (8, 2)]
+
     def test_prepared_plans_rebind_on_schema_drift(self):
         db = _make_db()
         with db.serve(readers=1) as server:
@@ -458,6 +494,31 @@ class TestSqlBatch:
                 with pytest.raises(PlanError, match="missing parameter"):
                     server.sql_batch(stmt, [{}, {}])
 
+    def test_batch_keys_come_from_each_bindings_own_first_rid(self):
+        # -0.0 == 0.0 groups together; the key value shown is the one at
+        # the binding's first rid of the group, exactly as `sql` shows it.
+        db = Database()
+        db.create_table("t", Table({
+            "g": np.array([1, 1, 0, 0, 1, 0], dtype=np.int64),
+            "k": np.array([-0.0, 2.0, 0.0, 3.0, 0.0, 5.0]),
+        }))
+        db.sql(
+            "SELECT g, COUNT(*) AS c FROM t GROUP BY g",
+            options=ExecOptions(capture=CaptureMode.INJECT, name="v", pin=True),
+        )
+        stmt = "SELECT k, COUNT(*) AS c FROM Lb(v, 't', :bars) GROUP BY k"
+        params_list = [{"bars": [0]}, {"bars": [1]}]
+        plain = ExecOptions(late_materialize=False)
+        with db.serve(readers=1) as server:
+            _assert_batch_route(server, stmt, params_list, "coalesced")
+            batched = server.sql_batch(stmt, params_list)
+            expected = [server.sql(stmt, params=p, options=plain) for p in params_list]
+        for want, batch in zip(expected, batched, strict=True):
+            keys = want.table.column("k")
+            assert np.array_equal(np.signbit(keys), np.signbit(batch.table.column("k")))
+        assert np.signbit(batched[0].table.column("k")).tolist() == [True, False]
+        assert np.signbit(batched[1].table.column("k")).tolist() == [False, False, False]
+
     def test_batch_respects_pinned_snapshot(self):
         db = _make_db()
         with db.serve(readers=2) as server:
@@ -587,14 +648,3 @@ class TestSqlBatchProperty:
             assert n > capacity
             _assert_batch_route(server, stmt, params_list, "coalesced")
             assert server.stats()["lineage_cache"]["entries"] <= capacity
-
-    def test_cell_cap_falls_back(self, batch_server, monkeypatch):
-        from repro.exec import late_mat
-
-        stmt = "SELECT g, COUNT(*) AS c FROM Lb(v, 't', :bars) GROUP BY g"
-        params_list = [{"bars": [0, 1]}, {"bars": [1, 2, 3]}]
-        # 4 bars x 4 group codes = 16 cells.
-        monkeypatch.setattr(late_mat, "_BAR_MATRIX_MAX_CELLS", 15)
-        _assert_batch_route(batch_server, stmt, params_list, "fallback")
-        monkeypatch.setattr(late_mat, "_BAR_MATRIX_MAX_CELLS", 16)
-        _assert_batch_route(batch_server, stmt, params_list, "coalesced")

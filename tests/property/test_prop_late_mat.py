@@ -144,3 +144,111 @@ def test_backends_agree_on_pushed_path(rows, cut, stmt_idx):
     )
     assert vec.table.to_rows() == comp.table.to_rows()
     _assert_same_lineage(db, vec, comp)
+
+
+# Third arm: capture-off statements through a Session answer from the
+# per-bar memo (execute_pushed over a partitioned backward index) and must
+# equal the materializing path in rows, dtypes and order — across keys
+# with -0.0/0.0 and NaN, composite keys, duplicate / unsorted / empty /
+# out-of-range bars, and several brushes sharing one memo.
+MEMO_STATEMENTS = [
+    "SELECT k, COUNT(*) AS c FROM Lb(prev, 't', :bars) GROUP BY k",
+    "SELECT f, COUNT(*) AS c FROM Lb(prev, 't', :bars) GROUP BY f",
+    "SELECT s, COUNT(*) AS c FROM Lb(prev, 't', :bars) WHERE v >= 10 GROUP BY s",
+    "SELECT s, f, COUNT(*) AS c FROM Lb(prev, 't', :bars) "
+    "WHERE v >= :cut GROUP BY s, f",
+    "SELECT COUNT(*) AS c, f FROM Lb(prev, 't', :bars) GROUP BY f",
+    "SELECT COUNT(*) AS c FROM Lb(prev, 't', :bars) WHERE v < :cut GROUP BY k",
+    "SELECT COUNT(*) AS c FROM Lb(prev, 't', :bars) WHERE v >= :cut",
+    "SELECT DISTINCT f FROM Lb(prev, 't', :bars)",
+    "SELECT DISTINCT s, k FROM Lb(prev, 't', :bars) WHERE v >= :cut",
+    "SELECT f, s FROM Lb(prev, 't', :bars) WHERE v >= :cut",
+    "SELECT v + k AS x FROM Lb(prev, 't', :bars)",
+    "SELECT * FROM Lb(prev, 't', :bars) WHERE k <> 1",
+]
+
+memo_rows_strategy = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=4),  # view key z (the bars)
+        st.integers(min_value=0, max_value=3),  # int key k
+        st.sampled_from([0.0, -0.0, 1.5, -2.0, float("nan")]),  # float key f
+        st.sampled_from(["a", "b", "c"]),  # string key s
+        st.integers(min_value=0, max_value=20),  # value v
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _memo_db(rows):
+    db = Database()
+    db.create_table(
+        "t",
+        Table(
+            {
+                "z": np.array([r[0] for r in rows], dtype=np.int64),
+                "k": np.array([r[1] for r in rows], dtype=np.int64),
+                "f": np.array([r[2] for r in rows], dtype=np.float64),
+                "s": np.array([r[3] for r in rows], dtype=object),
+                "v": np.array([r[4] for r in rows], dtype=np.int64),
+            }
+        ),
+    )
+    db.sql(
+        "SELECT z, COUNT(*) AS c FROM t GROUP BY z",
+        options=ExecOptions(capture=CaptureMode.INJECT, name="prev"),
+    )
+    return db
+
+
+def _assert_identical(got, want):
+    assert got.schema == want.schema
+    for name in want.schema.names:
+        a, b = got.column(name), want.column(name)
+        assert a.dtype == b.dtype
+        if a.dtype.kind == "f":
+            assert np.array_equal(a, b, equal_nan=True)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+        else:
+            assert a.tolist() == b.tolist()
+
+
+def _outcome(run):
+    try:
+        return run().table, None
+    except Exception as exc:  # noqa: BLE001 - both arms must fail alike
+        return None, type(exc)
+
+
+@given(
+    memo_rows_strategy,
+    st.integers(min_value=0, max_value=21),
+    st.lists(st.lists(st.integers(min_value=0, max_value=5), max_size=6), min_size=1, max_size=4),
+    st.booleans(),
+)
+@settings(deadline=None)  # example budget governed by the profile
+def test_memoized_path_matches_materialized(rows, cut, brushes, out_of_range):
+    db = _memo_db(rows)
+    n_bars = len(db.result("prev"))
+    # Duplicate, unsorted and empty brushes; optionally one bar past the end.
+    brushes = [[b % n_bars for b in bars] for bars in brushes]
+    if out_of_range:
+        brushes[0].append(n_bars)
+    session = db.session()
+    memoized_bars = 0
+    for stmt in MEMO_STATEMENTS:
+        for bars in brushes:
+            params = {"cut": cut, "bars": bars}
+            memo, memo_error = _outcome(lambda p=params: session.sql(stmt, params=p))
+            plain, plain_error = _outcome(
+                lambda p=params: db.sql(
+                    stmt, params=p, options=ExecOptions(late_materialize=False)
+                )
+            )
+            assert memo_error == plain_error
+            if plain_error is None:
+                _assert_identical(memo, plain)
+                memoized_bars += len(set(bars))
+    # Every answered brush went through the memo, bar by bar.
+    stats = session.lineage_cache.stats()
+    assert stats["bar_fills"] + stats["bar_reuses"] == memoized_bars
