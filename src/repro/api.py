@@ -88,10 +88,9 @@ occurrence specifically, while ``"t"`` raises for being ambiguous.
 from __future__ import annotations
 
 import threading
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, replace as _dc_replace
-from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterator, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -417,7 +416,6 @@ class ResultRegistry(Mapping):
         self._durability: Optional[DurabilityManager] = None
         self._refresher = None  # Callable[[EvictedStub], None]
         self._refreshing = threading.local()  # per-thread cycle guard
-        self._caches: "weakref.WeakSet" = weakref.WeakSet()
         # Guards the in-memory maps (entries / pins / epochs / stubs /
         # bytes) so reader threads resolving names while a writer
         # registers can never observe a half-applied mutation.  Re-entrant
@@ -518,15 +516,6 @@ class ResultRegistry(Mapping):
             return dict(self._entries), dict(self._epochs)
 
     # -- durability plumbing -----------------------------------------------
-
-    def attach_cache(self, cache) -> None:
-        """Track a rid-resolution cache (weakly) for wholesale
-        invalidation when durable state is recovered in place."""
-        self._caches.add(cache)
-
-    def invalidate_caches(self, name: Optional[str] = None) -> None:
-        for cache in list(self._caches):
-            cache.invalidate(name)
 
     def epochs_snapshot(self) -> Dict[str, int]:
         return dict(self._epochs)
@@ -720,15 +709,9 @@ class PreparedQuery:
         self.options = options
         self.statement = statement
         self.param_names = plan_param_names(plan)
-        self._rewrites: RewriteIndex = precompute_rewrites(plan)
-        self._cache = cache if cache is not None else LineageResolutionCache(
-            database._results
-        )
-
-    @property
-    def lineage_cache(self) -> LineageResolutionCache:
-        """The rid-resolution cache this statement resolves through."""
-        return self._cache
+        self.rewrites: RewriteIndex = precompute_rewrites(plan)
+        #: The rid-resolution cache this statement resolves through.
+        self.lineage_cache = cache if cache is not None else LineageResolutionCache()
 
     def run(
         self,
@@ -745,7 +728,7 @@ class PreparedQuery:
         opts = options if options is not None else self.options
         return self.database._execute_plan(
             self.plan, opts, params,
-            rewrites=self._rewrites, cache=self._cache,
+            rewrites=self.rewrites, cache=self.lineage_cache,
             statement=self.statement,
         )
 
@@ -756,6 +739,55 @@ class PreparedQuery:
     def __repr__(self) -> str:
         label = self.statement if self.statement is not None else type(self.plan).__name__
         return f"PreparedQuery({label!r}, params={sorted(self.param_names)})"
+
+
+class StatementMemo:
+    """Prepared statements by normalized text (:func:`normalize_statement`):
+    the one statement memo of :class:`Session` and
+    :class:`~repro.serve.DatabaseServer`.
+
+    A miss, or :meth:`rebind`, binds through the ``bind`` callable the
+    caller passes — a session binds against the live database, the
+    server against the snapshot it is reading.  Binding runs outside the
+    lock, so two threads racing one cold statement both bind and the
+    later install wins.
+    """
+
+    #: LRU bound — a caller interpolating values into SQL instead of
+    #: using :params would otherwise grow the memo without limit.
+    MAX_STATEMENTS = 256
+
+    def __init__(self):
+        self._entries: "OrderedDict[str, PreparedQuery]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: str, bind: Callable[[], PreparedQuery]) -> PreparedQuery:
+        """The entry for ``key`` (now most recently used), bound on a miss."""
+        with self._lock:
+            prepared = self._entries.get(key)
+            if prepared is not None:
+                self._entries.move_to_end(key)
+                return prepared
+        return self.rebind(key, bind)
+
+    def rebind(self, key: str, bind: Callable[[], PreparedQuery]) -> PreparedQuery:
+        """Bind ``key`` afresh (its frozen schemas went stale) and install
+        the result, evicting the least recently used entry past the bound."""
+        prepared = bind()
+        with self._lock:
+            self._entries[key] = prepared
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.MAX_STATEMENTS:
+                self._entries.popitem(last=False)
+        return prepared
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
 
 
 class Session:
@@ -774,21 +806,16 @@ class Session:
       merges memoized partials instead of scanning their rows again.
     * :meth:`sql` memoizes prepared statements by normalized text
       (whitespace collapsed, keywords case-folded — see
-      :func:`normalize_statement`) and transparently re-prepares on
-      :class:`~repro.errors.StaleBindingError` (a referenced result
-      re-registered with a different schema).
+      :func:`normalize_statement`) in a :class:`StatementMemo` and
+      transparently re-prepares on :class:`~repro.errors.StaleBindingError`
+      (a referenced result re-registered with a different schema).
     """
-
-    #: Bound on the by-text statement memo — a caller interpolating
-    #: values into SQL instead of using :params would otherwise grow it
-    #: without limit (the rid cache is LRU-bounded for the same reason).
-    MAX_STATEMENTS = 256
 
     def __init__(self, database: "Database", options: Optional[ExecOptions] = None):
         self.database = database
         self.options = options if options is not None else ExecOptions()
-        self.lineage_cache = LineageResolutionCache(database._results)
-        self._statements: "OrderedDict[str, PreparedQuery]" = OrderedDict()
+        self.lineage_cache = LineageResolutionCache()
+        self._statements = StatementMemo()
 
     def prepare(
         self,
@@ -819,24 +846,12 @@ class Session:
         frozen bindings went stale are re-prepared and retried once.
         """
         key = normalize_statement(statement)
-        prepared = self._statements.get(key)
-        if prepared is None:
-            prepared = self._memoize(key, statement)
-        else:
-            self._statements.move_to_end(key)
+        bind = lambda: self.prepare(statement)
+        prepared = self._statements.get(key, bind)
         try:
             return prepared.run(params, options=options)
         except StaleBindingError:
-            prepared = self._memoize(key, statement)
-            return prepared.run(params, options=options)
-
-    def _memoize(self, key: str, statement: str) -> PreparedQuery:
-        prepared = self.prepare(statement)
-        self._statements[key] = prepared
-        self._statements.move_to_end(key)
-        while len(self._statements) > self.MAX_STATEMENTS:
-            self._statements.popitem(last=False)
-        return prepared
+            return self._statements.rebind(key, bind).run(params, options=options)
 
     def execute(
         self,
@@ -899,8 +914,6 @@ class Database:
     ):
         self.catalog = Catalog()
         self._results = ResultRegistry(max_results, max_result_bytes)
-        self._vector = VectorExecutor(self.catalog, results=self._results)
-        self._compiled = None  # built lazily; codegen backend is optional
         if refresh_evicted is None:
             refresh_evicted = durable_path is not None
         self._refresh_policy = (
@@ -1157,8 +1170,9 @@ class Database:
         cache: Optional[LineageResolutionCache] = None,
         statement: Optional[str] = None,
     ) -> QueryResult:
-        """The one execution funnel: plain calls, prepared runs, and
-        session statements all end here.  ``rewrites`` / ``cache`` are
+        """The live database's execution path: plain calls, prepared
+        runs, and session statements all end here, then in
+        :func:`run_plan`.  ``rewrites`` / ``cache`` are
         the prepared-statement fast-path handles threaded through to the
         executors; ``statement`` is the SQL source text (when there is
         one), kept on the result so a durable registry can log and
@@ -1167,16 +1181,8 @@ class Database:
             # Validate up front: a bad name must not discard a finished
             # (possibly expensive) execution.
             _check_result_name(options.name)
-        executor = (
-            self._vector if options.backend == "vector" else self._compiled_executor()
-        )
-        result = executor.execute(
-            plan,
-            options.config,
-            params,
-            late_materialize=options.late_materialize,
-            rewrites=rewrites,
-            lineage_cache=cache,
+        result = run_plan(
+            self.catalog, self._results, plan, options, params, rewrites, cache
         )
         query_result = QueryResult(
             self, plan, result, statement=statement, options=options
@@ -1185,12 +1191,35 @@ class Database:
             self.register_result(options.name, query_result, pin=options.pin)
         return query_result
 
-    def _compiled_executor(self):
-        if self._compiled is None:
-            from .exec.compiled.executor import CompiledExecutor
 
-            self._compiled = CompiledExecutor(self.catalog, results=self._results)
-        return self._compiled
+def run_plan(
+    catalog,
+    results,
+    plan: LogicalPlan,
+    options: ExecOptions,
+    params: Optional[dict],
+    rewrites: Optional[RewriteIndex] = None,
+    cache: Optional[LineageResolutionCache] = None,
+) -> ExecResult:
+    """Run ``plan`` on the ``options.backend`` executor over one
+    ``(catalog, results)`` view — the live database's, or a pinned
+    snapshot's.  Executors hold nothing but that view, so one is built
+    per call; :meth:`Database._execute_plan` and
+    :meth:`~repro.serve.Snapshot.execute_plan` both end here."""
+    if options.backend == "vector":
+        executor = VectorExecutor(catalog, results=results)
+    else:
+        from .exec.compiled.executor import CompiledExecutor
+
+        executor = CompiledExecutor(catalog, results=results)
+    return executor.execute(
+        plan,
+        options.config,
+        params,
+        late_materialize=options.late_materialize,
+        rewrites=rewrites,
+        lineage_cache=cache,
+    )
 
 
 def _check_result_name(name: str) -> None:

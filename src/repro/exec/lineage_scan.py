@@ -124,15 +124,9 @@ def resolve_rid_spec(rids_expr, params: Optional[dict], default_size: int) -> np
 
 
 def _resolve_result(plan: LineageScan, results: Optional[Mapping[str, object]]):
-    """The named prior result plus the registry epoch governing cache
-    validity for it.
-
-    The epoch must come from the registry this execution reads (a live
-    registry, or a pinned snapshot view) — a shared cache deriving it
-    from its own live registry would file a snapshot's rids under the
-    current epoch.  Plain-mapping fixtures have no epochs; ``None`` lets
-    the cache fall back to identity tokens.
-    """
+    """The named prior result plus its epoch in ``results``, the registry
+    this execution reads (the live registry or a pinned snapshot view) —
+    the one epoch the rid cache files and checks entries under."""
     if results is None or plan.result not in results:
         known = sorted(results) if results else []
         raise PlanError(
@@ -145,9 +139,7 @@ def _resolve_result(plan: LineageScan, results: Optional[Mapping[str, object]]):
             f"result {plan.result!r} was executed without lineage capture; "
             "re-run it with capture enabled to consume its lineage"
         )
-    epoch_of = getattr(results, "epoch", None)
-    registry_epoch = epoch_of(plan.result) if callable(epoch_of) else None
-    return result, registry_epoch
+    return result, results.epoch(plan.result)
 
 
 def _backward_base(plan: LineageScan, catalog: Catalog, result):
@@ -200,8 +192,8 @@ def _resolve_backward(
     if cache is None:
         return compute()
     return cache.resolve(
-        plan.result, result, "backward", plan.relation,
-        LineageResolutionCache.subset_key(probe), compute, epoch=registry_epoch,
+        plan.result, "backward", plan.relation,
+        LineageResolutionCache.subset_key(probe), compute, registry_epoch,
     )
 
 
@@ -257,7 +249,8 @@ def resolve_scan_source(
     epoch (``None`` for forward scans, whose source is a prior result).
 
     ``cache`` memoizes the (dominant) rid-resolution step per ``(result,
-    relation, rid subset)`` — see
+    relation, rid subset)``, filed under the result's epoch in
+    ``results`` — see
     :class:`~repro.lineage.cache.LineageResolutionCache`; prepared
     statements and sessions share one cache so a brush's N per-view
     statements resolve lineage once.  Cached rid arrays are read-only;
@@ -312,8 +305,8 @@ def resolve_scan_source(
 
     if cache is not None:
         rids = cache.resolve(
-            plan.result, result, "forward", plan.relation,
-            subset_key, compute_forward, epoch=registry_epoch,
+            plan.result, "forward", plan.relation,
+            subset_key, compute_forward, registry_epoch,
         )
     else:
         rids = compute_forward()

@@ -9,7 +9,8 @@ trace the same ``(result, relation, rid subset)``.
 
 :class:`LineageResolutionCache` memoizes those resolutions.  One cache is
 owned by a :class:`~repro.api.PreparedQuery` and *shared* across every
-statement of a :class:`~repro.api.Session`, so a brush's per-view
+statement of a :class:`~repro.api.Session` (or of a
+:class:`~repro.serve.DatabaseServer`), so a brush's per-view
 statements resolve lineage once and repeated identical brushes resolve it
 zero times.  The same entries hold each brush statement's **per-bar memo**
 (:meth:`~LineageResolutionCache.memo`, filled by
@@ -20,14 +21,13 @@ re-scanning rows, and single brushes and ``sql_batch`` share them.
 Correctness rests on two invariants:
 
 * **Epoch-based invalidation** — every entry records the registry epoch of
-  the named result at resolution time
-  (:meth:`~repro.api.ResultRegistry.epoch` advances on re-registration).
-  A lookup whose stored epoch differs from the live epoch recomputes, so
-  re-registering a name can never serve another result's rids.  Registries
-  without epochs (plain dict fixtures) fall back to a weakref-backed
-  monotonic identity token of the result object — not ``id()``, whose
-  values CPython reuses after collection — which changes on replacement
-  all the same.
+  the named result at resolution time, taken from the registry the read
+  goes through (:meth:`~repro.api.ResultRegistry.epoch` for the live
+  database, :meth:`~repro.serve.RegistrySnapshot.epoch` for a pinned
+  snapshot; both advance on re-registration).  A lookup whose stored
+  epoch differs from the caller's recomputes, so re-registering a name
+  can never serve another result's rids.  The cache keeps no registry of
+  its own: the caller always passes the epoch.
 * **Immutability** — cached arrays are handed out with the writeable flag
   cleared; every consumer treats rid arrays as read-only (filters copy via
   fancy indexing), so sharing one array across statements is safe, and an
@@ -40,20 +40,17 @@ Thread-safety: lookups and installs take an internal lock, but
 ``compute()`` runs outside it, so two threads racing the same cold key
 both compute and one install wins — wasted work, never a wrong answer.
 This is what lets one cache be shared across the serving layer's reader
-pool (:mod:`repro.serve`).  Callers executing against a pinned snapshot
-must pass the snapshot's ``epoch`` explicitly: deriving the epoch from
-the cache's (live) registry would file an old snapshot's rids under the
-current epoch and serve them to current-epoch readers.
+pool (:mod:`repro.serve`): readers on different snapshots pass
+different epochs, so an old snapshot's rids are never filed under the
+current epoch.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import threading
-import weakref
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -98,17 +95,12 @@ def param_fingerprint(params: Optional[dict]) -> tuple:
 
 class LineageResolutionCache:
     """Memoizes resolved backward/forward rid sets per
-    ``(result, relation, rid-subset)`` with epoch-based invalidation.
+    ``(result, relation, rid-subset)``, each live while the caller's
+    registry epoch for the result is unchanged."""
 
-    ``registry`` is the owning database's result registry (anything with
-    an ``epoch(name) -> int`` method; plain mappings work too, degrading
-    to object-identity invalidation).
-    """
-
-    def __init__(self, registry=None, max_entries: int = 512):
+    def __init__(self, max_entries: int = 512):
         if max_entries < 1:
             raise InvalidArgumentError("max_entries must be positive")
-        self._registry = registry
         self._entries: "OrderedDict[_CacheKey, Tuple[object, object]]" = (
             OrderedDict()
         )
@@ -119,17 +111,6 @@ class LineageResolutionCache:
         self.bar_fills = 0
         self.bar_reuses = 0
         self._lock = threading.RLock()
-        # Identity tokens for registries without epochs: id(result) ->
-        # (weakref to the result, monotonic token).  See _epoch below.
-        self._ident_tokens: Dict[int, Tuple[Optional[weakref.ref], int]] = {}
-        self._ident_counter = itertools.count(1)
-        # Registries that recover durable state in place (Database.open
-        # replaying into a live registry) need to invalidate attached
-        # caches wholesale — epoch checks cover re-registration, but a
-        # recovery may rewind to a state the epoch line cannot describe.
-        attach = getattr(registry, "attach_cache", None)
-        if callable(attach):
-            attach(self)
 
     # -- keys -----------------------------------------------------------------
 
@@ -155,77 +136,25 @@ class LineageResolutionCache:
         digest = hashlib.blake2b(data, digest_size=16).digest()
         return (rids.dtype.str, rids.shape[0], digest)
 
-    def _epoch(self, name: str, result: object) -> object:
-        epoch = getattr(self._registry, "epoch", None)
-        if callable(epoch):
-            return epoch(name)
-        return self._ident_token(result)
-
-    def _ident_token(self, result: object) -> Tuple[str, int]:
-        """Monotonic identity token for registries without epochs.
-
-        A raw ``id(result)`` is unsound as an epoch surrogate: CPython
-        reuses addresses, so a new result allocated after the cached one
-        is garbage-collected can present the *same* id and be served the
-        old rids.  Instead each distinct live object gets a token from a
-        monotonic counter, with a weakref proving the mapping still
-        refers to the same object — a dead or mismatched weakref means
-        the id was reused, which mints a fresh token (a cache miss).
-        Objects that cannot be weak-referenced (``object()`` test
-        markers) are held by strong reference instead — a pinned object
-        can never be collected, so its id can never be reused.
-        """
-        key = id(result)
-        with self._lock:
-            entry = self._ident_tokens.get(key)
-            if entry is not None:
-                ref, token = entry
-                target = ref() if isinstance(ref, weakref.ref) else ref
-                if target is result:
-                    return ("ident", token)
-            token = next(self._ident_counter)
-            self_ref = weakref.ref(self)
-
-            def _drop(_dead, _key=key, _token=token, _self_ref=self_ref):
-                cache = _self_ref()
-                if cache is not None:
-                    with cache._lock:
-                        live = cache._ident_tokens.get(_key)
-                        if live is not None and live[1] == _token:
-                            del cache._ident_tokens[_key]
-
-            try:
-                ref = weakref.ref(result, _drop)
-            except TypeError:
-                ref = result
-            self._ident_tokens[key] = (ref, token)
-            return ("ident", token)
-
     # -- lookup ---------------------------------------------------------------
 
     def resolve(
         self,
         name: str,
-        result: object,
         direction: str,
         relation: str,
         subset_key: object,
         compute: Callable[[], np.ndarray],
-        epoch: object = None,
+        epoch: object,
     ) -> np.ndarray:
-        """The memoized resolution: cached rids when the entry is live
-        (same registry epoch), else ``compute()`` — stored read-only.
+        """The memoized resolution: cached rids when the entry was filed
+        under ``epoch`` (the registry epoch of ``name`` in the registry
+        being read), else ``compute()`` — stored read-only.
 
-        ``epoch`` overrides the epoch derived from the cache's own
-        registry.  Executors running against a pinned snapshot pass the
-        snapshot registry's epoch here so one cache shared across
-        snapshots never files an old epoch's rids under the live one.
         ``compute()`` runs without the lock held — it may execute index
         lookups or recursive resolution and must not deadlock readers.
         """
         key = (name, direction, relation, subset_key)
-        if epoch is None:
-            epoch = self._epoch(name, result)
         rids = self._lookup(key, epoch)
         if rids is None:
             rids = np.asarray(compute())
@@ -236,9 +165,8 @@ class LineageResolutionCache:
     def memo(self, key: _CacheKey, epoch: object, build: Callable[[], object]) -> object:
         """A derived per-statement artifact (the per-bar memo of
         :func:`~repro.exec.late_mat.execute_pushed`) filed as one entry
-        under ``key`` — whose first element is the result name, so
-        :meth:`invalidate` covers it — and live while ``epoch`` is
-        unchanged.  ``epoch`` may hold ``id()``s of objects the built
+        under ``key`` (whose first element is the result name) and live
+        while ``epoch`` is unchanged.  ``epoch`` may hold ``id()``s of objects the built
         value pins (so no other object can take those ids while the entry
         lives).  Lookups count in ``hits``/``misses``."""
         value = self._lookup(key, epoch)
@@ -273,17 +201,11 @@ class LineageResolutionCache:
 
     # -- maintenance ----------------------------------------------------------
 
-    def invalidate(self, name: Optional[str] = None) -> None:
-        """Drop entries for one result name, or everything when ``None``.
-
-        Epoch checks already catch re-registration; this is for explicit
-        memory release (``Session.close``)."""
+    def invalidate(self) -> None:
+        """Drop every entry.  Epoch checks already catch re-registration;
+        this is for explicit memory release (``Session.close``)."""
         with self._lock:
-            if name is None:
-                self._entries.clear()
-                return
-            for key in [k for k in self._entries if k[0] == name]:
-                del self._entries[key]
+            self._entries.clear()
 
     def __len__(self) -> int:
         with self._lock:

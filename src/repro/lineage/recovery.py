@@ -343,10 +343,8 @@ class DurabilityManager:
             next_seqno = max(
                 [watermark] + [r.seqno for r in scan.records]
             ) + 1
-            # Re-apply the (possibly different) live bounds, then drop
-            # any rid resolutions memoized against pre-recovery state.
+            # Re-apply the (possibly different) live bounds.
             registry._evict()
-            registry.invalidate_caches()
         self._wal = WriteAheadLog(
             self.wal_path, failpoints=self.failpoints, next_seqno=next_seqno
         )

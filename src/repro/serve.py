@@ -7,8 +7,8 @@ front on it —
 
 * :class:`Snapshot` — an immutable, consistently-pinned read view: the
   catalog's ``(tables, epochs)`` and the registry's ``(entries,
-  epochs)`` copied together, plus per-snapshot executors and an answer
-  memo.  Reads against a snapshot never see later writes.
+  epochs)`` copied together, plus an answer memo.  Reads against a
+  snapshot never see later writes.
 * :class:`DatabaseServer` — N pooled reader threads executing statements
   against pinned snapshots, and **one** writer thread applying queued
   mutations in submission order.  After each applied operation the
@@ -32,6 +32,13 @@ keyed by the *snapshot's* registry epochs (threaded through
 ``resolve_scan_source``), so old-epoch and new-epoch resolutions coexist
 without poisoning each other.
 
+One read path: the server is a concurrency shell over the read path a
+:class:`~repro.api.Session` uses.  Statements are
+:class:`~repro.api.PreparedQuery` objects held in one
+:class:`~repro.api.StatementMemo` (bound against the snapshot being
+read), and every execution ends in :func:`repro.api.run_plan`, the
+funnel the live database uses too.
+
 What a reader may never observe: a half-applied write, a table paired
 with another epoch's result entry, a rid set resolved against a
 different snapshot's registry epoch, or an acknowledged write that the
@@ -46,17 +53,25 @@ from __future__ import annotations
 import itertools
 import queue
 import threading
-from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
+from .api import (
+    ExecOptions,
+    PreparedQuery,
+    QueryResult,
+    StatementMemo,
+    normalize_statement,
+    require_params,
+    run_plan,
+)
 from .errors import CatalogError, ServingError, StaleBindingError
 from .lineage.cache import LineageResolutionCache, param_fingerprint
 from .plan.logical import LogicalPlan
-from .plan.rewrite import RewriteIndex, precompute_rewrites
+from .plan.rewrite import RewriteIndex
 from .storage.table import Table
 
 
@@ -97,9 +112,6 @@ class CatalogSnapshot:
     def epoch(self, name: str) -> int:
         return self._epochs.get(name, 0)
 
-    def epochs_snapshot(self) -> Dict[str, int]:
-        return dict(self._epochs)
-
     def column_stats(self, name: str, column: str):
         table, epoch = self.get_versioned(name)
         return self._stats_source.stats_for(name, table, epoch, column)
@@ -112,9 +124,6 @@ class CatalogSnapshot:
 
     def names(self):
         return sorted(self._tables)
-
-    def resolve(self, name: str, default: Optional[Table] = None):
-        return self._tables.get(name, default)
 
 
 class RegistrySnapshot(Mapping):
@@ -151,16 +160,15 @@ class Snapshot:
     """One immutable, consistently-pinned read view of a database.
 
     ``version`` is the serving version that published this view (the
-    count of write operations applied when it was taken).  Executors are
-    built lazily per snapshot — they are stateless across runs, holding
-    only the catalog/registry references, so per-snapshot instances cost
-    nothing and pin the right view.  ``sql`` is strictly read-only:
-    registration (``options.name``) raises :class:`ServingError`.
+    count of write operations applied when it was taken).  Execution
+    goes through :func:`repro.api.run_plan` over this view's catalog and
+    registry.  ``sql`` is strictly read-only: registration
+    (``options.name``) raises :class:`ServingError`.
 
     The per-snapshot **answer memo** caches whole ``QueryResult`` objects
-    by ``(plan identity, params, options)``.  Results are immutable, so
-    handing the same object to every reader asking the same question on
-    the same snapshot is sound — and it is what lets brush throughput
+    by ``(normalized statement text, params, options)``.  Results are
+    immutable, so handing the same object to every reader asking the same
+    question on the same snapshot is sound — and it is what lets brush throughput
     *scale* with readers even on one core: within one epoch window, N
     readers asking overlapping questions pay the resolution once.
     """
@@ -179,13 +187,10 @@ class Snapshot:
         self.catalog = catalog
         self.results = results
         self.lineage_cache = (
-            lineage_cache
-            if lineage_cache is not None
-            else LineageResolutionCache(results)
+            lineage_cache if lineage_cache is not None else LineageResolutionCache()
         )
         self._default_options = default_options
         self._lock = threading.Lock()
-        self._executors: Dict[str, object] = {}
         self._answers: Dict[object, object] = {}
 
     @classmethod
@@ -218,10 +223,13 @@ class Snapshot:
         """Parse, bind, and execute one read statement against this
         pinned view (one-shot; the server adds prepared-plan and answer
         memoization on top)."""
+        return self.execute_plan(self.parse(statement), params, options)
+
+    def parse(self, statement: str) -> LogicalPlan:
+        """Parse + bind a SQL statement against this pinned view."""
         from .sql import parse_sql
 
-        plan = parse_sql(statement, self.catalog, self.results)
-        return self.execute_plan(plan, params, options)
+        return parse_sql(statement, self.catalog, self.results)
 
     def execute_plan(
         self,
@@ -231,8 +239,6 @@ class Snapshot:
         rewrites: Optional[RewriteIndex] = None,
     ):
         """Execute a bound plan against this pinned view."""
-        from .api import ExecOptions, QueryResult
-
         opts = options or self._default_options or ExecOptions()
         if opts.name is not None:
             raise ServingError(
@@ -240,32 +246,11 @@ class Snapshot:
                 "snapshot reads are read-only; submit the statement "
                 "through DatabaseServer.write instead"
             )
-        executor = self._executor(opts.backend)
-        result = executor.execute(
-            plan,
-            opts.config,
-            params,
-            late_materialize=opts.late_materialize,
-            rewrites=rewrites,
-            lineage_cache=self.lineage_cache,
+        result = run_plan(
+            self.catalog, self.results, plan, opts, params, rewrites,
+            self.lineage_cache,
         )
         return QueryResult(self._database, plan, result, options=opts)
-
-    def _executor(self, backend: str):
-        with self._lock:
-            executor = self._executors.get(backend)
-        if executor is None:
-            if backend == "vector":
-                from .exec.vector.executor import VectorExecutor
-
-                executor = VectorExecutor(self.catalog, results=self.results)
-            else:
-                from .exec.compiled.executor import CompiledExecutor
-
-                executor = CompiledExecutor(self.catalog, results=self.results)
-            with self._lock:
-                executor = self._executors.setdefault(backend, executor)
-        return executor
 
     # -- answer memo -------------------------------------------------------
 
@@ -282,22 +267,6 @@ class Snapshot:
             f"Snapshot(version={self.version}, tables={len(self.catalog._tables)}, "
             f"results={len(self.results)})"
         )
-
-
-class _Prepared:
-    """One server-prepared statement: the bound plan, its rewrite index,
-    and its parameter names, shared by every reader and snapshot (plans
-    are immutable; stale frozen schemas raise and trigger a re-bind)."""
-
-    __slots__ = ("plan", "rewrites", "param_names", "key")
-
-    def __init__(self, plan: LogicalPlan, key: str):
-        from .api import plan_param_names
-
-        self.plan = plan
-        self.rewrites = precompute_rewrites(plan)
-        self.param_names = plan_param_names(plan)
-        self.key = key
 
 
 def _params_shared_except(params_list, free_name: str) -> bool:
@@ -350,8 +319,6 @@ class DatabaseServer:
     publishes a fresh snapshot (``version`` += 1).
     """
 
-    #: Bound on the by-text prepared-plan memo (mirrors Session).
-    MAX_STATEMENTS = 256
     #: Bound on per-snapshot memoized answers; mostly relevant for
     #: long-lived explicit snapshots — the rolling latest snapshot is
     #: replaced on every write.
@@ -364,8 +331,6 @@ class DatabaseServer:
         options=None,
         memoize_answers: bool = True,
     ):
-        from .api import ExecOptions
-
         if readers < 1:
             raise ServingError(f"readers must be positive, got {readers}")
         self._db = database
@@ -378,9 +343,9 @@ class DatabaseServer:
         # disjoint entries and a refresh-heavy workload keeps the stable
         # portion warm across epochs.
         self._lineage_cache = LineageResolutionCache(max_entries=2048)
-        self._prepared_lock = threading.Lock()
-        self._prepared: "OrderedDict[str, _Prepared]" = OrderedDict()
-        # sql_batch calls by route (guarded by _prepared_lock).
+        self._statements = StatementMemo()
+        # sql_batch calls by route (guarded by _stats_lock).
+        self._stats_lock = threading.Lock()
         self._batch_coalesced = 0
         self._batch_fallback = 0
         self._write_lock = threading.Lock()
@@ -409,23 +374,25 @@ class DatabaseServer:
         snapshot: Optional[Snapshot] = None,
     ):
         """Execute one read statement on the calling thread against
-        ``snapshot`` (latest if omitted), through the shared prepared-plan
+        ``snapshot`` (latest if omitted), through the shared statement
         memo and the snapshot's answer memo."""
-        from .api import require_params
-
         snap = snapshot if snapshot is not None else self._snapshot
         opts = options if options is not None else self._options
-        prepared = self._prepare(statement)
-        key = None
+        return self._sql(normalize_statement(statement), statement, params, opts, snap)
+
+    def _sql(self, key: str, statement: str, params, opts, snap: Snapshot):
+        bind = lambda: self._bind(statement, snap)
+        prepared = self._statements.get(key, bind)
+        answer_key = None
         if self._memoize_answers:
-            key = (
-                prepared.key,
+            answer_key = (
+                key,
                 param_fingerprint(params),
                 opts.backend,
                 opts.late_materialize,
                 repr(opts.capture),
             )
-            cached = snap.cached_answer(key)
+            cached = snap.cached_answer(answer_key)
             if cached is not None:
                 return cached
         require_params(prepared.param_names, params)
@@ -435,15 +402,22 @@ class DatabaseServer:
             )
         except StaleBindingError:
             # A referenced result/table changed shape since the plan was
-            # bound.  Re-bind against the snapshot actually being read
-            # and retry once.
-            prepared = self._prepare(statement, snapshot=snap, rebind=True)
+            # bound.  Re-bind against the snapshot being read and retry once.
+            prepared = self._statements.rebind(key, bind)
             result = snap.execute_plan(
                 prepared.plan, params, opts, rewrites=prepared.rewrites
             )
-        if key is not None and len(snap._answers) < self.MAX_ANSWERS:
-            snap.remember_answer(key, result)
+        if answer_key is not None and len(snap._answers) < self.MAX_ANSWERS:
+            snap.remember_answer(answer_key, result)
         return result
+
+    def _bind(self, statement: str, snap: Snapshot) -> PreparedQuery:
+        """The statement memo's bind step: bind against ``snap``, the
+        snapshot being read, sharing the server's rid cache."""
+        return PreparedQuery(
+            self._db, snap.parse(statement), self._options,
+            cache=self._lineage_cache, statement=statement,
+        )
 
     def sql_batch(
         self,
@@ -473,24 +447,24 @@ class DatabaseServer:
         params_list = list(params_list)
         if not params_list:
             return []
-        results = self._try_execute_batch(statement, params_list, opts, snap)
-        with self._prepared_lock:
+        key = normalize_statement(statement)
+        results = self._try_execute_batch(key, statement, params_list, opts, snap)
+        with self._stats_lock:
             if results is None:
                 self._batch_fallback += 1
             else:
                 self._batch_coalesced += 1
         if results is None:
             results = [
-                self.sql(statement, params, opts, snap) for params in params_list
+                self._sql(key, statement, params, opts, snap) for params in params_list
             ]
         return results
 
-    def _try_execute_batch(self, statement, params_list, opts, snap):
+    def _try_execute_batch(self, key, statement, params_list, opts, snap):
         """The coalesced path of :meth:`sql_batch`, or ``None`` when the
         statement/bindings are not batch-eligible (caller falls back)."""
         from time import perf_counter
 
-        from .api import QueryResult, require_params
         from .exec.late_mat import execute_pushed_batch
         from .exec.timings import EXECUTE, LATE_MAT_SUBTREES
         from .exec.vector.executor import ExecResult
@@ -500,7 +474,7 @@ class DatabaseServer:
             return None
         if len(params_list) < 2:
             return None
-        prepared = self._prepare(statement)
+        prepared = self._statements.get(key, lambda: self._bind(statement, snap))
         pushed = prepared.rewrites.lookup(prepared.plan)
         if pushed is None or pushed.scan is None:
             return None
@@ -562,31 +536,6 @@ class DatabaseServer:
                 self.sql, statement, params, options, snapshot
             )
 
-    def _prepare(
-        self,
-        statement: str,
-        snapshot: Optional[Snapshot] = None,
-        rebind: bool = False,
-    ) -> _Prepared:
-        from .api import normalize_statement
-        from .sql import parse_sql
-
-        key = normalize_statement(statement)
-        if not rebind:
-            with self._prepared_lock:
-                prepared = self._prepared.get(key)
-                if prepared is not None:
-                    self._prepared.move_to_end(key)
-                    return prepared
-        snap = snapshot if snapshot is not None else self._snapshot
-        prepared = _Prepared(parse_sql(statement, snap.catalog, snap.results), key)
-        with self._prepared_lock:
-            self._prepared[key] = prepared
-            self._prepared.move_to_end(key)
-            while len(self._prepared) > self.MAX_STATEMENTS:
-                self._prepared.popitem(last=False)
-        return prepared
-
     # -- write path --------------------------------------------------------
 
     def submit_write(self, fn: Callable[[object], object]) -> Future:
@@ -641,27 +590,31 @@ class DatabaseServer:
 
     def _apply_batch(self, batch) -> None:
         durability = self._db.durability
-        commit = durability.group_commit() if durability is not None else nullcontext()
         outcomes = []
         try:
-            with self._write_lock:
-                with commit:
-                    for future, fn in batch:
-                        if not future.set_running_or_notify_cancel():
-                            continue
-                        try:
-                            value = fn(self._db)
-                        except BaseException as exc:  # delivered via future
-                            outcomes.append((future, False, exc))
-                        else:
-                            outcomes.append((future, True, value))
-                        # One published snapshot per applied operation:
-                        # version numbers count operations, which is what
-                        # the isolation property checks against.
-                        self._snapshot = self._capture(next(self._version))
+            # The commit is entered inside the try: a barrier that fails on
+            # entry (closed WAL) fails this batch's futures, and the writer
+            # thread lives on to fail later batches the same way.
+            with self._write_lock, (
+                durability.group_commit() if durability is not None else nullcontext()
+            ):
+                for future, fn in batch:
+                    if not future.set_running_or_notify_cancel():
+                        continue
+                    try:
+                        value = fn(self._db)
+                    except BaseException as exc:  # delivered via future
+                        outcomes.append((future, False, exc))
+                    else:
+                        outcomes.append((future, True, value))
+                    # One published snapshot per applied operation:
+                    # version numbers count operations, which is what
+                    # the isolation property checks against.
+                    self._snapshot = self._capture(next(self._version))
         except BaseException as exc:
-            # The commit barrier itself failed (fsync error, injected
-            # fault): nothing in this batch is acknowledged as durable.
+            # The commit barrier itself failed (on entry, on fsync, or by
+            # injected fault): nothing in this batch is acknowledged as
+            # durable.
             for future, _ok, _value in outcomes:
                 if not future.done():
                     future.set_exception(exc)
@@ -724,7 +677,7 @@ class DatabaseServer:
         ``bar_reuses``."""
         return {
             "version": self._snapshot.version,
-            "prepared": len(self._prepared),
+            "prepared": len(self._statements),
             "lineage_cache": self._lineage_cache.stats(),
             "batch_coalesced": self._batch_coalesced,
             "batch_fallback": self._batch_fallback,

@@ -1,5 +1,5 @@
-"""Thread-safety hammering for the shared lineage rid-resolution cache
-and the catalog's column-stats memo.
+"""Thread-safety hammering for the shared lineage rid-resolution cache,
+the statement memo, and the catalog's column-stats memo.
 
 These tests assert the *contract*, not scheduling: no exceptions under
 contention, bounded entry counts, and counter bookkeeping that adds up.
@@ -8,11 +8,12 @@ isolation property in ``test_snapshot_isolation.py``; this file covers
 the data structures themselves.
 """
 
-import gc
+import sys
 import threading
 
 import numpy as np
 
+from repro.api import StatementMemo
 from repro.lineage.cache import LineageResolutionCache
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
@@ -37,24 +38,13 @@ def _hammer(worker, threads=THREADS):
         thread.start()
     for thread in pool:
         thread.join(timeout=60)
+        assert not thread.is_alive(), "hammer thread did not finish"
     assert not errors, errors[:3]
-
-
-class _Registry(dict):
-    """Epoch-bearing registry stub: epochs bump under test control."""
-
-    def __init__(self):
-        super().__init__()
-        self.epochs = {}
-
-    def epoch(self, name):
-        return self.epochs.get(name, 0)
 
 
 class TestCacheHammer:
     def test_mixed_keys_epochs_and_invalidations(self):
-        registry = _Registry()
-        cache = LineageResolutionCache(registry, max_entries=64)
+        cache = LineageResolutionCache(max_entries=64)
         names = [f"view{i}" for i in range(4)]
 
         def worker(seed):
@@ -67,7 +57,6 @@ class TestCacheHammer:
                 epoch = int(rng.integers(0, 3))
                 out = cache.resolve(
                     name,
-                    None,
                     "backward",
                     "t",
                     subset,
@@ -76,8 +65,6 @@ class TestCacheHammer:
                 )
                 assert not out.flags.writeable
                 if i % 97 == 0:
-                    cache.invalidate(name)
-                if i % 193 == 0:
                     cache.invalidate()
 
         _hammer(worker)
@@ -86,8 +73,7 @@ class TestCacheHammer:
         assert cache.hits + cache.misses == THREADS * ITERATIONS
 
     def test_lru_bound_holds_under_contention(self):
-        registry = _Registry()
-        cache = LineageResolutionCache(registry, max_entries=16)
+        cache = LineageResolutionCache(max_entries=16)
 
         def worker(seed):
             for i in range(ITERATIONS):
@@ -95,44 +81,45 @@ class TestCacheHammer:
                     np.array([seed, i], dtype=np.int64)
                 )
                 cache.resolve(
-                    "view", None, "backward", "t", subset, lambda: np.arange(2)
+                    "view", "backward", "t", subset, lambda: np.arange(2), 0
                 )
                 assert len(cache) <= 16
 
         _hammer(worker)
         assert len(cache) <= 16
 
-    def test_ident_tokens_survive_concurrent_gc(self):
-        """Epoch-less registries key by identity token; racing threads
-        resolving short-lived result objects (collected mid-run, with
-        explicit gc churn) must neither crash nor leak token entries."""
 
-        class _Result:
-            pass
-
-        cache = LineageResolutionCache({"view": None}, max_entries=64)
+class TestStatementMemoHammer:
+    def test_bound_holds_under_contention(self):
+        """Eight threads binding, hitting and re-binding overlapping keys:
+        no exception, the LRU bound is never exceeded, every lookup
+        returns the entry bound for its own key, and the memo ends up
+        holding exactly min(bound, keys touched) entries (a lost install
+        or a double eviction would break the count)."""
+        memo = StatementMemo()
+        bound = StatementMemo.MAX_STATEMENTS
+        keys = [f"select {i}" for i in range(bound + 64)]
+        touched = []
 
         def worker(seed):
+            rng = np.random.default_rng(seed)
             for i in range(ITERATIONS):
-                result = _Result()
-                out = cache.resolve(
-                    "view",
-                    result,
-                    "backward",
-                    "t",
-                    ("<i8", 1, bytes(8)),
-                    lambda: np.array([seed]),
-                )
-                assert out is not None
-                del result
-                if i % 50 == 0:
-                    gc.collect()
+                key = keys[int(rng.integers(0, len(keys)))]
+                touched.append(key)
+                if i % 7 == 0:
+                    entry = memo.rebind(key, lambda key=key: (key, seed))
+                else:
+                    entry = memo.get(key, lambda key=key: (key, seed))
+                assert entry[0] == key
+                assert len(memo) <= bound
 
-        _hammer(worker)
-        gc.collect()
-        # All hammered results are dead; their weakref callbacks must
-        # have reaped the token table.
-        assert len(cache._ident_tokens) == 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _hammer(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(memo) == min(bound, len(set(touched)))
 
 
 class TestLineageDedupScratch:
@@ -216,8 +203,6 @@ class TestBarMemoHammer:
         """Reader threads brushing overlapping bars fill and read one
         per-bar memo: every answer equals the plain path, and the bar
         counters add up (a lost update would break the sum)."""
-        import sys
-
         from repro import CaptureMode, Database, ExecOptions
         from repro.serve import DatabaseServer
 

@@ -1,7 +1,9 @@
 """Serving-layer contracts: snapshot isolation, writer serialization,
-group-committed durability, and reader/writer interleaving stress."""
+group-committed durability, reader/writer interleaving stress, and the
+statement memo the server shares with ``Session``."""
 
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from repro import (
     ServingError,
     Table,
 )
+from repro.api import StatementMemo, normalize_statement
 from repro.errors import SqlError
 from repro.serve import DatabaseServer
 
@@ -153,6 +156,37 @@ class TestSnapshotIsolation:
             server.sql(stmt, params={"bars": [0]}, snapshot=old)
             live = server.sql(stmt, params={"bars": [0, 1]})
         assert live.table.to_rows() == [(5, 2), (6, 2), (7, 2), (8, 2)]
+
+    def _pinned_reader_after_drop(self, run):
+        """Run ``run(server, statement, snapshot)`` for a statement the
+        server has never seen, on a snapshot pinned before ``v`` was
+        dropped; the answer must equal the snapshot's own one-shot read."""
+        stmt = "SELECT z, COUNT(*) AS c FROM Lb(v, 't', :bars) GROUP BY z"
+        db = _make_db()
+        with db.serve(readers=1) as server:
+            old = server.snapshot()
+            server.write(lambda d: d.drop_result("v"))
+            expected = old.sql(stmt, params={"bars": [0]}).table.to_rows()
+            assert run(server, stmt, old) == expected
+
+    def test_pinned_reader_binds_an_unseen_statement_against_its_snapshot(self):
+        self._pinned_reader_after_drop(
+            lambda server, stmt, snap: server.sql(
+                stmt, params={"bars": [0]}, snapshot=snap
+            ).table.to_rows()
+        )
+
+    def test_pinned_batch_binds_an_unseen_statement_against_its_snapshot(self):
+        def run(server, stmt, snap):
+            first, second = server.sql_batch(
+                stmt, [{"bars": [0]}, {"bars": [1]}], snapshot=snap
+            )
+            assert second.table.to_rows() == snap.sql(
+                stmt, params={"bars": [1]}
+            ).table.to_rows()
+            return first.table.to_rows()
+
+        self._pinned_reader_after_drop(run)
 
     def test_prepared_plans_rebind_on_schema_drift(self):
         db = _make_db()
@@ -532,7 +566,7 @@ class TestSqlBatch:
                 self.COUNT_BRUSH, [{"bars": [0]}, {"bars": [1]}],
                 snapshot=snap,
             )
-            for b, a in zip(before, after):
+            for b, a in zip(before, after, strict=True):
                 assert b.table.to_rows() == a.table.to_rows()
 
 
@@ -648,3 +682,86 @@ class TestSqlBatchProperty:
             assert n > capacity
             _assert_batch_route(server, stmt, params_list, "coalesced")
             assert server.stats()["lineage_cache"]["entries"] <= capacity
+
+
+@pytest.fixture(params=["session", "server"])
+def front(request):
+    """One read front over a fresh database: ``sql`` runs a statement,
+    ``memo`` is the front's statement memo, ``write`` applies a mutation
+    (through the writer thread for the server)."""
+    db = _make_db()
+    if request.param == "session":
+        session = db.session()
+        yield SimpleNamespace(sql=session.sql, memo=session._statements, write=lambda fn: fn(db))
+        session.close()
+    else:
+        with db.serve(readers=1) as server:
+            yield SimpleNamespace(sql=server.sql, memo=server._statements, write=server.write)
+
+
+class _Miss(Exception):
+    pass
+
+
+def _memo_entry(memo, statement):
+    """The memoized entry for ``statement``, or ``None`` on a miss (the
+    bind step raises, so a miss installs nothing)."""
+
+    def miss():
+        raise _Miss
+
+    try:
+        return memo.get(normalize_statement(statement), miss)
+    except _Miss:
+        return None
+
+
+class TestStatementMemo:
+    """The one statement memo behind ``Session.sql`` and
+    ``DatabaseServer.sql``."""
+
+    def test_distinct_statement_past_the_bound_evicts_least_recently_used(self, front):
+        bound = StatementMemo.MAX_STATEMENTS
+        texts = [f"SELECT z FROM t WHERE z = {i}" for i in range(bound + 1)]
+        for text in texts[:bound]:
+            front.sql(text)
+        front.sql(texts[0])  # texts[1] is now the least recently used
+        front.sql(texts[bound])
+        assert len(front.memo) == bound
+        assert _memo_entry(front.memo, texts[0]) is not None
+        assert _memo_entry(front.memo, texts[bound]) is not None
+        assert _memo_entry(front.memo, texts[1]) is None
+
+    def test_stale_binding_rebind_replaces_the_entry(self, front):
+        stmt = "SELECT * FROM Lf('t', v, :rows)"
+        assert len(front.sql(stmt, params={"rows": [0]})) == 1
+        first = _memo_entry(front.memo, stmt)
+        front.write(lambda d: d.sql(
+            "SELECT z FROM t",
+            options=ExecOptions(capture=CaptureMode.INJECT, name="v", pin=True),
+        ))
+        assert len(front.sql(stmt, params={"rows": [0]})) == 1
+        second = _memo_entry(front.memo, stmt)
+        assert second is not first
+        assert len(front.memo) == 1
+        assert front.memo.rebind(normalize_statement(stmt), lambda: first) is first
+        assert _memo_entry(front.memo, stmt) is first
+
+    def test_layout_and_keyword_case_variants_share_one_server_entry(self):
+        db = _make_db()
+        variants = [
+            BRUSH,
+            "select z, sum(w) as s\n  from lb(v, 't', :bars)  group by z",
+            "  Select z,  SUM(w) As s FROM LB(v, 't', :bars) Group  By z ",
+        ]
+        with db.serve(readers=1) as server:
+            snap = server.snapshot()
+            answers = [
+                server.sql(text, params={"bars": [0]}, snapshot=snap)
+                for text in variants
+            ]
+            assert server.stats()["prepared"] == 1
+            assert len(server._statements) == 1
+            # One answer-memo entry: every variant got the same result.
+            assert all(answer is answers[0] for answer in answers)
+            assert len(snap._answers) == 1

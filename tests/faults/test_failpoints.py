@@ -163,3 +163,24 @@ class TestFailpointPlumbing:
         db2 = open_db(durable_dir)
         assert db2.results() == ["va"]
         db2.close()
+
+    def test_closed_database_fails_server_writes_and_writer_survives(
+        self, durable_dir
+    ):
+        """A commit barrier that raises on entry fails this batch's
+        futures and every later batch's, and the writer thread lives on
+        (it used to die and leave every write waiting forever)."""
+        from repro.errors import DurabilityError
+
+        db = open_db(durable_dir)
+        server = db.serve(readers=1)
+        db.close()
+        try:
+            for _ in range(2):  # this batch and a later one
+                future = server.submit_write(lambda d: 42)
+                # The timeout only bounds the wait for a dead writer.
+                with pytest.raises(DurabilityError, match="closed"):
+                    future.result(timeout=10)
+                assert server._writer.is_alive()
+        finally:
+            server.close()

@@ -1,100 +1,13 @@
 """Regression tests for the lineage rid-resolution cache's keying.
 
-Two historical correctness holes, both fixed in ``lineage/cache.py``:
-
-* the plain-mapping epoch fallback keyed entries by ``id(result)``,
-  which CPython reuses after collection — a *new* result allocated at a
-  recycled address could be served the dead result's rids;
-* ``subset_key`` fingerprinted rid subsets by raw buffer bytes, so an
-  int32 subset and an int64 subset with identical bytes collided to one
-  entry.
+``subset_key`` once fingerprinted rid subsets by raw buffer bytes, so an
+int32 subset and an int64 subset with identical bytes collided to one
+entry.
 """
 
-import gc
-
 import numpy as np
-import pytest
 
 from repro.lineage.cache import LineageResolutionCache
-
-
-class _Result:
-    """Stand-in result object (weakref-able, unlike ``object()``)."""
-
-
-class TestIdentityFallback:
-    """Registries without epochs invalidate by result identity — which
-    must survive id reuse."""
-
-    def _resolve(self, cache, result, rids):
-        return cache.resolve(
-            "view", result, "backward", "t", "*", lambda: np.asarray(rids)
-        )
-
-    def test_id_reuse_does_not_serve_stale_rids(self):
-        cache = LineageResolutionCache({"view": None})  # plain mapping
-        first = _Result()
-        served = self._resolve(cache, first, [1, 2, 3])
-        assert list(served) == [1, 2, 3]
-        # Force id reuse: collect `first`, then allocate same-class
-        # objects until one lands on its recycled address (CPython's
-        # free lists make this nearly immediate).
-        dead_id = id(first)
-        del first
-        gc.collect()
-        reused = None
-        hoard = []
-        for _ in range(10_000):
-            candidate = _Result()
-            if id(candidate) == dead_id:
-                reused = candidate
-                break
-            hoard.append(candidate)  # keep failed candidates alive
-        if reused is None:
-            pytest.skip("allocator did not reuse the id; nothing to regress")
-        served = self._resolve(cache, reused, [7, 8])
-        assert list(served) == [7, 8], "stale rids served across id reuse"
-
-    def test_same_live_object_still_hits(self):
-        cache = LineageResolutionCache({"view": None})
-        result = _Result()
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return np.array([5])
-
-        cache.resolve("view", result, "backward", "t", "*", compute)
-        cache.resolve("view", result, "backward", "t", "*", compute)
-        assert len(calls) == 1
-
-    def test_replacement_object_misses(self):
-        cache = LineageResolutionCache({"view": None})
-        a, b = _Result(), _Result()
-        self._resolve(cache, a, [1])
-        assert list(self._resolve(cache, b, [2])) == [2]
-
-    def test_dead_token_entries_are_reaped(self):
-        cache = LineageResolutionCache({"view": None})
-        result = _Result()
-        self._resolve(cache, result, [1])
-        assert len(cache._ident_tokens) == 1
-        del result
-        gc.collect()
-        assert len(cache._ident_tokens) == 0
-
-    def test_non_weakrefable_results_stay_pinned_and_correct(self):
-        cache = LineageResolutionCache({"view": None})
-        marker = object()  # no __weakref__ slot
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return np.array([3])
-
-        cache.resolve("view", marker, "backward", "t", "*", compute)
-        cache.resolve("view", marker, "backward", "t", "*", compute)
-        assert len(calls) == 1
 
 
 class TestSubsetKeyDtype:
@@ -118,16 +31,15 @@ class TestSubsetKeyDtype:
         assert key_wide[2] == key_narrow[2]
 
     def test_resolution_does_not_collide_across_dtypes(self):
-        cache = LineageResolutionCache({"view": None})
-        result = _Result()
+        cache = LineageResolutionCache()
         wide = np.array([1], dtype=np.int64)
         narrow = np.array([1, 0], dtype=np.int32)
         out_wide = cache.resolve(
-            "view", result, "backward", "t",
-            LineageResolutionCache.subset_key(wide), lambda: np.array([10]),
+            "view", "backward", "t",
+            LineageResolutionCache.subset_key(wide), lambda: np.array([10]), 0,
         )
         out_narrow = cache.resolve(
-            "view", result, "backward", "t",
-            LineageResolutionCache.subset_key(narrow), lambda: np.array([20]),
+            "view", "backward", "t",
+            LineageResolutionCache.subset_key(narrow), lambda: np.array([20]), 0,
         )
         assert list(out_wide) == [10] and list(out_narrow) == [20]

@@ -166,9 +166,10 @@ class TestSession:
         session = db.session()
         stmt = "SELECT z FROM Lb(prev, 't', :bars)"
         session.sql(stmt, params={"bars": [0]})
-        first = session._statements[api.normalize_statement(stmt)]
+        key = api.normalize_statement(stmt)
+        first = session._statements.get(key, lambda: pytest.fail("not memoized"))
         session.sql(stmt, params={"bars": [1]})
-        assert session._statements[api.normalize_statement(stmt)] is first
+        assert session._statements.get(key, lambda: pytest.fail("evicted")) is first
 
     def test_sql_memo_normalizes_whitespace_and_keyword_case(self, db, prev):
         """Generated SQL differing only in layout or keyword casing must
@@ -262,7 +263,7 @@ class TestSession:
         session.sql("SELECT z FROM Lb(prev, 't', :bars)", params={"bars": [0]})
         with session:
             pass
-        assert session._statements == {}
+        assert len(session._statements) == 0
         assert len(session.lineage_cache) == 0
 
 
@@ -280,18 +281,9 @@ class TestLineageResolutionCache:
         cache = LineageResolutionCache(max_entries=2)
         for i in range(4):
             cache.resolve(
-                "r", object(), "backward", "t", bytes([i]),
-                lambda i=i: np.array([i]),
+                "r", "backward", "t", bytes([i]), lambda i=i: np.array([i]), 0
             )
         assert len(cache) == 2
-
-    def test_invalidate_by_name(self):
-        cache = LineageResolutionCache()
-        marker = object()
-        cache.resolve("a", marker, "backward", "t", "*", lambda: np.array([1]))
-        cache.resolve("b", marker, "backward", "t", "*", lambda: np.array([2]))
-        cache.invalidate("a")
-        assert len(cache) == 1
 
     def test_subset_key_small_subsets_stay_exact(self):
         a = LineageResolutionCache.subset_key(np.arange(16, dtype=np.int64))
@@ -318,7 +310,6 @@ class TestLineageResolutionCache:
 
     def test_large_subset_resolution_still_memoizes(self):
         cache = LineageResolutionCache()
-        marker = object()
         rids = np.arange(1_000_000, dtype=np.int64)
         key = LineageResolutionCache.subset_key(rids)
         calls = []
@@ -327,8 +318,8 @@ class TestLineageResolutionCache:
             calls.append(1)
             return np.array([7])
 
-        cache.resolve("a", marker, "backward", "t", key, compute)
-        cache.resolve("a", marker, "backward", "t", key, compute)
+        cache.resolve("a", "backward", "t", key, compute, 0)
+        cache.resolve("a", "backward", "t", key, compute, 0)
         assert len(calls) == 1
         assert cache.stats()["hits"] == 1
 
