@@ -3,19 +3,18 @@
 Paper shape: BT+FT under the 150ms threshold for all but a handful of
 very-high-lineage bars; spatiotemporal views respond <10ms.
 
-Beyond the paper's four hand-rolled techniques, three declarative axes
+Beyond the paper's four hand-rolled techniques, two declarative axes
 run the BT interaction as lineage-consuming SQL over registered views
 (``CrossfilterSession.from_database``):
 
-* ``sql-prepared`` — the prepared/session path: per-view statements are
-  parsed/bound/rewritten once, ``:bars`` binds into the cached plan, and
-  the session's :class:`~repro.lineage.cache.LineageResolutionCache`
+* ``sql-prepared`` — ``Database.sql``'s memoized path: per-view
+  statements are parsed/bound/rewritten once, ``:bars`` binds into the
+  cached plan, the late-materializing rewrite executes each
+  re-aggregation in the rid domain (:mod:`repro.plan.rewrite`), and the
+  database's :class:`~repro.lineage.cache.LineageResolutionCache`
   resolves each brush's rid set once across all views;
-* ``sql-pushed`` — one-shot statements per interaction, with the
-  late-materializing rewrite executing each re-aggregation in the rid
-  domain (:mod:`repro.plan.rewrite`);
-* ``sql-materialized`` — the same one-shot statements with the rewrite
-  disabled, i.e. the PR-1 materialize-then-scan baseline.
+* ``sql-materialized`` — the same statements with the rewrite disabled,
+  i.e. the PR-1 materialize-then-scan baseline.
 
 Two further axes add a *star-schema* view (``carrier_region``: the
 carrier's region, an attribute of a joined ``carriers`` lookup table).
@@ -23,10 +22,10 @@ Every brush then updates that view with a join-shaped lineage-consuming
 statement — ``GROUP BY`` over ``Lb(view, 'ontime', :bars) JOIN
 carriers`` — which the rewrite pushes *through the join*:
 
-* ``sql-pushed-join`` — prepared sessions with the joined view on the
+* ``sql-pushed-join`` — sessions with the joined view on the
   late-materializing path (narrow key probe, payload gathered at
   matching rows only);
-* ``sql-materialized-join`` — identical prepared sessions with only the
+* ``sql-materialized-join`` — identical sessions with only the
   rewrite disabled, so the axis pair isolates the join push itself:
   every join-shaped interaction materializes the full-width traced
   subset before joining.
@@ -38,13 +37,13 @@ per-brush re-aggregation is a multi-join chain — ``GROUP BY`` over
 rewrite flattens into **one** pushed rid-domain core with stats-chosen
 build sides per hop:
 
-* ``sql-pushed-chain`` — prepared snowflake sessions on the
+* ``sql-pushed-chain`` — snowflake sessions on the
   late-materializing chain path (before the chain rewrite, the outer
   join fell back to materializing the inner join's full output).
 
 Comparing those against ``bt`` shows how close crossfilter-over-SQL gets
 to the hand-rolled kernels: pushing materialization away closes most of
-the gap, and preparing the statements closes most of the rest on
+the gap, and the memoized statements close most of the rest on
 repeated-brush traffic.
 """
 
@@ -61,7 +60,7 @@ from repro.storage import Table
 
 TECHNIQUES = (
     "lazy", "bt", "bt+ft", "cube",
-    "sql-prepared", "sql-pushed", "sql-materialized",
+    "sql-prepared", "sql-materialized",
     "sql-pushed-join", "sql-materialized-join", "sql-pushed-chain",
 )
 
@@ -106,23 +105,17 @@ def sessions(ontime_table):
     )
     built["sql-prepared"] = CrossfilterSession.from_database(
         db, "ontime", VIEW_DIMENSIONS, "bt", late_materialize=True,
-        prepared=True,
-    )
-    built["sql-pushed"] = CrossfilterSession.from_database(
-        db, "ontime", VIEW_DIMENSIONS, "bt", late_materialize=True,
-        prepared=False,
     )
     built["sql-materialized"] = CrossfilterSession.from_database(
         db, "ontime", VIEW_DIMENSIONS, "bt", late_materialize=False,
-        prepared=False,
     )
     built["sql-pushed-join"] = CrossfilterSession.from_database(
         db, "ontime", JOIN_DIMENSIONS, "bt", late_materialize=True,
-        prepared=True, joins=CARRIER_JOIN,
+        joins=CARRIER_JOIN,
     )
     built["sql-materialized-join"] = CrossfilterSession.from_database(
         db, "ontime", JOIN_DIMENSIONS, "bt", late_materialize=False,
-        prepared=True, joins=CARRIER_JOIN,
+        joins=CARRIER_JOIN,
     )
     region_names = np.empty(NUM_REGIONS, dtype=object)
     region_names[:] = [f"region_{i}" for i in range(NUM_REGIONS)]
@@ -135,7 +128,7 @@ def sessions(ontime_table):
     )
     built["sql-pushed-chain"] = CrossfilterSession.from_database(
         db, "ontime", CHAIN_DIMENSIONS, "bt", late_materialize=True,
-        prepared=True, joins=SNOWFLAKE_JOIN,
+        joins=SNOWFLAKE_JOIN,
     )
     return built
 

@@ -1,5 +1,5 @@
 """Lineage consuming queries in SQL: Lb(...) and Lf(...) as relations,
-one-shot and *prepared*.
+as raw plans and as *prepared* statements.
 
 The paper's headline use case (Section 2.1) is queries whose *input* is
 the lineage of a prior result.  This walkthrough registers a captured
@@ -26,13 +26,15 @@ interactive workloads should issue these statements:
 * ``db.prepare(stmt)`` caches lex/parse/bind and the late-materialization
   rewrite once; ``run(params=...)`` only binds ``:params`` (including the
   rid argument of ``Lb``/``Lf`` and ``IN :list`` selections);
-* ``db.session()`` shares one lineage rid-resolution cache across all of
-  a session's statements, so a brush's N per-view statements resolve the
-  brushed rid set once — and repeated identical brushes, zero times.
+* ``db.sql`` memoizes statements by text, and every statement — through
+  ``db.sql``, ``db.prepare`` or a ``db.session()`` — resolves lineage
+  through the database's one rid-resolution cache, so a brush's N
+  per-view statements resolve the brushed rid set once — and repeated
+  identical brushes, zero times.
 
 Every step cross-checks against the Python-level lineage API and the
-one-shot path, so this is an executable specification of the
-SQL/lineage/prepared boundary.
+uncached raw-plan path (``db.execute(db.parse(...))``), so this is an
+executable specification of the SQL/lineage/prepared boundary.
 
 Run:  python examples/lineage_consuming_queries.py
 """
@@ -203,28 +205,30 @@ def main() -> None:
     )
     assert sorted(stmt.param_names) == ["bars", "products"]
     a = stmt.run(params={"bars": [bar], "products": [1, 2, 3]})
-    b = db.sql(
-        "SELECT product, COUNT(*) AS c FROM Lb(prev, 'sales', :bars) "
-        "WHERE product IN :products GROUP BY product",
-        params={"bars": [bar], "products": [1, 2, 3]},
+    b = db.execute(
+        stmt.plan, params={"bars": [bar], "products": [1, 2, 3]}
     )
     assert a.table.to_rows() == b.table.to_rows()
-    print(f"\nPrepared statement {stmt!r}\n  matches the one-shot path.")
+    print(f"\nPrepared statement {stmt!r}\n  matches the raw-plan path.")
 
-    # 8. Sessions: a brush's statements share one rid-resolution cache.
-    #    Both statements below trace (prev, 'sales', :bars) — the second
-    #    one reuses the first one's resolved rid set, and a repeated
-    #    brush reuses everything.
+    # 8. Sessions: a brush's statements share the database's one
+    #    rid-resolution cache.  Both statements below trace (prev,
+    #    'sales', :bars) — the second one reuses the first one's resolved
+    #    rid set, and a repeated brush reuses everything.
     sess = db.session(options=ExecOptions(
         capture=CaptureConfig.inject(forward=False)
     ))
+    db.lineage_cache.invalidate()  # count this brush's traffic alone
+    before = sess.lineage_cache.stats()
     for _ in range(2):  # two identical "brushes"
         sess.sql("SELECT region FROM Lb(prev, 'sales', :bars)",
                  params={"bars": [bar]})
         sess.sql("SELECT product, COUNT(*) AS c "
                  "FROM Lb(prev, 'sales', :bars) GROUP BY product",
                  params={"bars": [bar]})
-    stats = sess.lineage_cache.stats()
+    stats = {
+        key: value - before[key] for key, value in sess.lineage_cache.stats().items()
+    }
     assert stats["misses"] == 1 and stats["hits"] == 3
     print(f"Session lineage cache after 2 brushes x 2 statements: {stats} "
           "(one resolution served all four).")
@@ -235,7 +239,7 @@ def main() -> None:
            options=CAPTURE.with_(name="prev"))
     sess.sql("SELECT region FROM Lb(prev, 'sales', :bars)",
              params={"bars": [bar]})
-    assert sess.lineage_cache.stats()["misses"] == 2
+    assert sess.lineage_cache.stats()["misses"] - before["misses"] == 2
     print("Epoch-based invalidation re-resolved after re-registration.")
 
     # 10. Late materialization + preparation: the drill-down statement is
@@ -254,17 +258,17 @@ def main() -> None:
             res = fn()
         return res, (time.perf_counter() - start) / 20
 
-    pushed, pushed_s = timed(lambda: db.sql(text, params=params))
+    pushed, pushed_s = timed(lambda: db.execute(prepared.plan, params=params))
     prepped, prepped_s = timed(lambda: prepared.run(params))
-    materialized, materialized_s = timed(lambda: db.sql(
-        text, params=params, options=ExecOptions(late_materialize=False)
+    materialized, materialized_s = timed(lambda: db.execute(
+        prepared.plan, params=params, options=ExecOptions(late_materialize=False)
     ))
     assert prepped.timings.get("late_mat_subtrees") == 1.0
     assert "late_mat_subtrees" not in materialized.timings
     assert prepped.table.to_rows() == pushed.table.to_rows()
     assert prepped.table.to_rows() == materialized.table.to_rows()
     print(f"\nDrill-down per run: prepared {prepped_s * 1e3:.2f}ms vs "
-          f"one-shot pushed {pushed_s * 1e3:.2f}ms vs materialized "
+          f"raw-plan pushed {pushed_s * 1e3:.2f}ms vs materialized "
           f"{materialized_s * 1e3:.2f}ms (identical rows and lineage).")
 
     print("\nAll lineage-consuming SQL cross-checks passed.")

@@ -12,9 +12,10 @@ Quick tour::
     rids = res.backward([0], "zipf")       # backward lineage query
     outs = res.forward("zipf", rids)        # forward lineage query
 
-Repeated interactive statements should go through the prepared layer —
-``db.prepare(...)`` / ``db.session()`` — which caches plan binding and
-memoizes lineage rid-resolution across statements (see :mod:`repro.api`).
+Repeated statements cost one parse: ``db.sql`` memoizes plan binding by
+statement text and lineage rid-resolution across statements, in one
+memo and one cache per database that ``db.prepare(...)`` and
+``db.session()`` share (see :mod:`repro.api`).
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every reproduced figure.

@@ -33,22 +33,26 @@ precompute_rewrites`); parameter slots — scalar ``:p`` predicates,
 ``IN :values`` lists, and the rid argument of ``Lb``/``Lf`` — survive
 binding and are filled at ``run()`` time without re-planning.
 
-A :class:`Session` groups prepared statements under shared defaults and a
-shared :class:`~repro.lineage.cache.LineageResolutionCache`:
+The :class:`Database` owns one :class:`StatementMemo`, in which
+``Database.sql`` memoizes prepared statements by normalized text, and one
+:class:`~repro.lineage.cache.LineageResolutionCache`; a :class:`Session`
+(default options) and :class:`~repro.serve.DatabaseServer` read through
+both:
 
 >>> sess = db.session(options=ExecOptions(capture=CaptureMode.INJECT))
 >>> sess.sql("SELECT a, COUNT(*) AS c FROM Lb(v, 't', :bars) GROUP BY a",
 ...          params={"bars": bars})    # auto-prepared, memoized by text
 
-Within a session, the N per-view statements of one brush resolve the
-brushed lineage **once**: the cache memoizes resolved backward/forward
-rid sets per ``(result, relation, rid-subset)`` and invalidates entries
-by registry epoch when a result name is re-registered.  Capture-off
-brushes over a GROUP BY view skip rid resolution altogether: each keeps
-a per-bar memo in the same cache (:func:`repro.exec.late_mat.execute_pushed`)
-and merges the brushed bars' partial answers.  ``Session.sql``
-also re-prepares transparently when a cached plan's frozen schema drifts
-(:class:`~repro.errors.StaleBindingError`).
+The N per-view statements of one brush resolve the brushed lineage
+**once**: the cache memoizes resolved backward/forward rid sets per
+``(result, relation, rid-subset)`` and invalidates entries by registry
+epoch when a result name is re-registered.  Capture-off brushes over a
+GROUP BY view skip rid resolution altogether: each keeps a per-bar memo
+in the same cache (:func:`repro.exec.late_mat.execute_pushed`) and
+merges the brushed bars' partial answers.  ``Database.sql`` also
+re-prepares transparently when a table a memoized plan scans is replaced
+(:class:`~repro.errors.StaleBindingError`).  Raw plans
+(``Database.execute``) run uncached.
 
 Lineage consuming SQL
 ---------------------
@@ -88,6 +92,7 @@ occurrence specifically, while ``"t"`` raises for being ambiguous.
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, replace as _dc_replace
 from typing import Callable, Dict, FrozenSet, Iterator, Mapping, Optional, Tuple, Union
@@ -106,7 +111,7 @@ from .lineage.recovery import (
     reexecute_stub,
     stub_for,
 )
-from .plan.logical import LineageScan, LogicalPlan, walk
+from .plan.logical import LineageScan, LogicalPlan, Scan, walk
 from .plan.rewrite import RewriteIndex, precompute_rewrites
 from .storage.catalog import Catalog
 from .storage.table import Table
@@ -680,20 +685,21 @@ def _lineage_bytes(result: "QueryResult") -> int:
 class PreparedQuery:
     """A statement bound once, runnable many times.
 
-    Caches the lex/parse/bind product (the logical plan), the
+    Caches the lex/parse/bind product (the logical plan) and the
     late-materialization rewrite decisions
-    (:class:`~repro.plan.rewrite.RewriteIndex`), and owns (or shares — see
-    :class:`Session`) a :class:`~repro.lineage.cache.LineageResolutionCache`
-    memoizing resolved ``Lb``/``Lf`` rid sets and per-bar partial answers
-    across runs.  ``run()``
-    binds ``:params`` without re-planning; all parameter slots — scalar
-    predicates, ``IN :list``, and lineage-scan rid arguments — survive
-    binding.
+    (:class:`~repro.plan.rewrite.RewriteIndex`); every run resolves
+    ``Lb``/``Lf`` rid sets and per-bar partial answers through the
+    database's one :class:`~repro.lineage.cache.LineageResolutionCache`.
+    ``run()`` binds ``:params`` without re-planning; all parameter slots —
+    scalar predicates, ``IN :list``, and lineage-scan rid arguments —
+    survive binding.
 
-    Prepared plans freeze referenced schemas; if a referenced result is
-    re-registered with a different shape, ``run`` raises
+    Prepared plans freeze the relations they were bound against
+    (``catalog``, the live one by default) — binding reads data, not just
+    schemas (a join whose build keys are unique binds as pk-fk).  If one
+    was dropped or replaced since, ``run`` raises
     :class:`~repro.errors.StaleBindingError` — re-prepare the statement
-    (``Session.sql`` does this automatically).
+    (``Database.sql`` does this itself).
     """
 
     def __init__(
@@ -701,8 +707,8 @@ class PreparedQuery:
         database: "Database",
         plan: LogicalPlan,
         options: ExecOptions,
-        cache: Optional[LineageResolutionCache] = None,
         statement: Optional[str] = None,
+        catalog=None,
     ):
         self.database = database
         self.plan = plan
@@ -710,8 +716,16 @@ class PreparedQuery:
         self.statement = statement
         self.param_names = plan_param_names(plan)
         self.rewrites: RewriteIndex = precompute_rewrites(plan)
-        #: The rid-resolution cache this statement resolves through.
-        self.lineage_cache = cache if cache is not None else LineageResolutionCache()
+        #: The database's rid-resolution cache, which every run resolves
+        #: through (so its ``invalidate()`` is database-wide).
+        self.lineage_cache = database.lineage_cache
+        catalog = catalog if catalog is not None else database.catalog
+        nodes = list(walk(plan))
+        self._tables = {
+            node.table: weakref.ref(catalog.get(node.table))
+            for node in nodes if isinstance(node, Scan)
+        }
+        self._traced = {node.result for node in nodes if isinstance(node, LineageScan)}
 
     def run(
         self,
@@ -724,13 +738,25 @@ class PreparedQuery:
         ``prepared.options.with_(backend="compiled")``).  Missing
         parameters raise before execution starts.
         """
-        require_params(self.param_names, params)
         opts = options if options is not None else self.options
         return self.database._execute_plan(
-            self.plan, opts, params,
-            rewrites=self.rewrites, cache=self.lineage_cache,
-            statement=self.statement,
+            self.plan, opts, params, prepared=self, statement=self.statement
         )
+
+    def check_bound(self, catalog, results) -> None:
+        """Raise :class:`~repro.errors.StaleBindingError` unless every
+        table the plan scans is still the table it was bound against in
+        ``catalog`` and every result it traces is still in ``results`` —
+        the view about to run it, which a re-bind would bind against."""
+        gone = [
+            name for name, table in self._tables.items()
+            if name not in catalog or catalog.get(name) is not table()
+        ] + [name for name in self._traced if name not in results]
+        if gone:
+            raise StaleBindingError(
+                f"{gone} dropped or replaced since the statement was bound; "
+                "re-prepare it"
+            )
 
     def explain(self) -> str:
         """The cached logical plan as an ASCII tree."""
@@ -743,14 +769,16 @@ class PreparedQuery:
 
 class StatementMemo:
     """Prepared statements by normalized text (:func:`normalize_statement`):
-    the one statement memo of :class:`Session` and
-    :class:`~repro.serve.DatabaseServer`.
+    the one statement memo a :class:`Database` owns, which
+    ``Database.sql``, :class:`Session` and
+    :class:`~repro.serve.DatabaseServer` all read through.
 
-    A miss, or :meth:`rebind`, binds through the ``bind`` callable the
-    caller passes — a session binds against the live database, the
-    server against the snapshot it is reading.  Binding runs outside the
-    lock, so two threads racing one cold statement both bind and the
-    later install wins.
+    A miss, or a stale entry in :meth:`run`, binds through the ``bind``
+    callable the caller passes — ``Database.sql`` binds against the live
+    database, the server against the snapshot it is reading — and every
+    front runs an entry under its own caller's options.  Binding runs
+    outside the lock, so two threads racing one cold statement both bind
+    and the later install wins.
     """
 
     #: LRU bound — a caller interpolating values into SQL instead of
@@ -770,8 +798,16 @@ class StatementMemo:
                 return prepared
         return self.rebind(key, bind)
 
+    def run(self, key: str, bind: Callable[[], PreparedQuery], fn: Callable):
+        """``fn(entry)`` for ``key``'s entry; when the entry's binding is
+        stale, re-bind it and run ``fn`` once more."""
+        try:
+            return fn(self.get(key, bind))
+        except StaleBindingError:
+            return fn(self.rebind(key, bind))
+
     def rebind(self, key: str, bind: Callable[[], PreparedQuery]) -> PreparedQuery:
-        """Bind ``key`` afresh (its frozen schemas went stale) and install
+        """Bind ``key`` afresh (its frozen tables went stale) and install
         the result, evicting the least recently used entry past the bound."""
         prepared = bind()
         with self._lock:
@@ -781,54 +817,38 @@ class StatementMemo:
                 self._entries.popitem(last=False)
         return prepared
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
 
 class Session:
-    """Shared execution defaults plus shared caches for a group of
-    statements — the unit of interactive work (one dashboard, one
-    notebook cell block).
+    """Execution defaults for a group of statements — the unit of
+    interactive work (one dashboard, one notebook cell block).
 
-    * ``options`` are the session-level :class:`ExecOptions` defaults;
-      per-statement ``options=`` arguments override them wholesale (use
-      ``session.options.with_(...)`` for field-wise overrides).
-    * All statements prepared through the session share one
-      :class:`~repro.lineage.cache.LineageResolutionCache`: capturing
-      statements resolve a brush's lineage once across the N per-view
-      statements, and each capture-off brush statement over a GROUP BY
-      view keeps its per-bar memo there, so a brush re-visiting bars
-      merges memoized partials instead of scanning their rows again.
-    * :meth:`sql` memoizes prepared statements by normalized text
-      (whitespace collapsed, keywords case-folded — see
-      :func:`normalize_statement`) in a :class:`StatementMemo` and
-      transparently re-prepares on :class:`~repro.errors.StaleBindingError`
-      (a referenced result re-registered with a different schema).
+    ``options`` are the session-level :class:`ExecOptions` defaults;
+    per-statement ``options=`` arguments override them wholesale (use
+    ``session.options.with_(...)`` for field-wise overrides).  Everything
+    else belongs to the database: :meth:`sql` and :meth:`prepare` run
+    through its one :class:`StatementMemo` and rid-resolution cache, so
+    sessions running the same text share one prepared statement and its
+    memoized lineage, each under its own options.  :meth:`execute` runs a
+    raw plan uncached, like :meth:`Database.execute`.
     """
 
     def __init__(self, database: "Database", options: Optional[ExecOptions] = None):
         self.database = database
         self.options = options if options is not None else ExecOptions()
-        self.lineage_cache = LineageResolutionCache()
-        self._statements = StatementMemo()
+        #: The database's rid cache (so its ``invalidate()`` is database-wide).
+        self.lineage_cache = database.lineage_cache
 
     def prepare(
         self,
         statement_or_plan: Union[str, LogicalPlan],
         options: Optional[ExecOptions] = None,
     ) -> PreparedQuery:
-        """Prepare a statement (or plan) against this session's defaults
-        and shared lineage cache."""
-        return self.database.prepare(
-            statement_or_plan,
-            options=options if options is not None else self.options,
-            cache=self.lineage_cache,
-        )
+        """:meth:`Database.prepare` under the session defaults."""
+        return self.database.prepare(statement_or_plan, self._options(options))
 
     def sql(
         self,
@@ -836,22 +856,8 @@ class Session:
         params: Optional[dict] = None,
         options: Optional[ExecOptions] = None,
     ) -> QueryResult:
-        """Run a statement, auto-preparing and memoizing it by
-        *normalized* text (:func:`normalize_statement`: whitespace
-        collapsed, keywords case-folded, literals and identifiers exact).
-
-        The second execution of an equivalent text — including generated
-        SQL differing only in layout or keyword case — skips
-        lex/parse/bind and the rewrite match entirely.  Statements whose
-        frozen bindings went stale are re-prepared and retried once.
-        """
-        key = normalize_statement(statement)
-        bind = lambda: self.prepare(statement)
-        prepared = self._statements.get(key, bind)
-        try:
-            return prepared.run(params, options=options)
-        except StaleBindingError:
-            return self._statements.rebind(key, bind).run(params, options=options)
+        """:meth:`Database.sql` under the session defaults."""
+        return self.database.sql(statement, params, self._options(options))
 
     def execute(
         self,
@@ -859,25 +865,11 @@ class Session:
         params: Optional[dict] = None,
         options: Optional[ExecOptions] = None,
     ) -> QueryResult:
-        """Execute a logical plan under the session defaults, resolving
-        lineage through the shared cache."""
-        opts = options if options is not None else self.options
-        return self.database._execute_plan(
-            plan, opts, params, cache=self.lineage_cache
-        )
+        """:meth:`Database.execute` under the session defaults."""
+        return self.database.execute(plan, params, self._options(options))
 
-    def close(self) -> None:
-        """Release the session's caches (prepared plans and memoized rid
-        resolutions).  Registered results belong to the Database and are
-        not dropped here."""
-        self._statements.clear()
-        self.lineage_cache.invalidate()
-
-    def __enter__(self) -> "Session":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def _options(self, options: Optional[ExecOptions]) -> ExecOptions:
+        return options if options is not None else self.options
 
 
 class Database:
@@ -914,6 +906,10 @@ class Database:
     ):
         self.catalog = Catalog()
         self._results = ResultRegistry(max_results, max_result_bytes)
+        #: The one rid cache and statement memo of every front; built
+        #: before recovery, whose stub re-execution prepares statements.
+        self.lineage_cache = LineageResolutionCache()
+        self._statements = StatementMemo()
         if refresh_evicted is None:
             refresh_evicted = durable_path is not None
         self._refresh_policy = (
@@ -1069,33 +1065,20 @@ class Database:
         self,
         statement_or_plan: Union[str, LogicalPlan],
         options: Optional[ExecOptions] = None,
-        cache: Optional[LineageResolutionCache] = None,
     ) -> PreparedQuery:
-        """Bind a statement once and return a reusable
-        :class:`PreparedQuery` (see the module docstring).
-
-        ``cache`` shares an existing lineage rid-resolution cache (what
-        :meth:`Session.prepare` passes); by default the prepared query
-        owns a fresh one, so even a standalone prepared statement
-        memoizes its resolutions across runs.
-        """
+        """Bind a statement and return a reusable :class:`PreparedQuery`
+        (see the module docstring); unlike :meth:`sql`, every call binds
+        afresh."""
         if isinstance(statement_or_plan, str):
-            plan = self.parse(statement_or_plan)
-            statement = statement_or_plan
+            plan, statement = self.parse(statement_or_plan), statement_or_plan
         else:
-            plan = statement_or_plan
-            statement = None
-        return PreparedQuery(
-            self,
-            plan,
-            options if options is not None else ExecOptions(),
-            cache=cache,
-            statement=statement,
-        )
+            plan, statement = statement_or_plan, None
+        opts = options if options is not None else ExecOptions()
+        return PreparedQuery(self, plan, opts, statement=statement)
 
     def session(self, options: Optional[ExecOptions] = None) -> Session:
-        """Open a :class:`Session`: shared execution defaults plus a
-        shared lineage rid-resolution cache for a group of statements."""
+        """Open a :class:`Session`: execution defaults for a group of
+        statements that run through this database's memo and cache."""
         return Session(self, options)
 
     # -- execution ----------------------------------------------------------------
@@ -1117,16 +1100,21 @@ class Database:
         params: Optional[dict] = None,
         options: Optional[ExecOptions] = None,
     ) -> QueryResult:
-        """Parse and execute a SQL statement (see :mod:`repro.sql`),
-        configured by ``options`` as in :meth:`execute`.
+        """Execute a SQL statement (see :mod:`repro.sql`), configured by
+        ``options`` as in :meth:`execute`.
 
-        One-shot form: every call re-parses and re-binds.  Repeated
-        statements should go through :meth:`prepare` or a
-        :meth:`session` (which memoizes by statement text).
+        The memoized text path: a text equal under
+        :func:`normalize_statement` to one seen before skips
+        lex/parse/bind and the rewrite match; a stale binding is
+        re-prepared and retried once.  ``options`` and the result's
+        ``statement`` text come from this call, never from the memo entry.
         """
         opts = options if options is not None else ExecOptions()
-        plan = self.parse(statement)
-        return self._execute_plan(plan, opts, params, statement=statement)
+        return self._statements.run(
+            normalize_statement(statement),
+            lambda: self.prepare(statement),
+            lambda p: self._execute_plan(p.plan, opts, params, p, statement),
+        )
 
     def parse(self, statement: str) -> LogicalPlan:
         """Parse + bind a SQL statement into a logical plan (no execution)."""
@@ -1166,23 +1154,20 @@ class Database:
         plan: LogicalPlan,
         options: ExecOptions,
         params: Optional[dict],
-        rewrites: Optional[RewriteIndex] = None,
-        cache: Optional[LineageResolutionCache] = None,
+        prepared: Optional[PreparedQuery] = None,
         statement: Optional[str] = None,
     ) -> QueryResult:
-        """The live database's execution path: plain calls, prepared
-        runs, and session statements all end here, then in
-        :func:`run_plan`.  ``rewrites`` / ``cache`` are
-        the prepared-statement fast-path handles threaded through to the
-        executors; ``statement`` is the SQL source text (when there is
-        one), kept on the result so a durable registry can log and
-        re-execute it."""
+        """The live database's execution path: raw plans and prepared
+        runs both end here, then in :func:`run_plan`.  ``prepared`` is
+        the statement ``plan`` came from (``None`` for a raw plan);
+        ``statement`` is the SQL source text (when there is one), kept on
+        the result so a durable registry can log and re-execute it."""
         if options.name is not None:
             # Validate up front: a bad name must not discard a finished
             # (possibly expensive) execution.
             _check_result_name(options.name)
         result = run_plan(
-            self.catalog, self._results, plan, options, params, rewrites, cache
+            self.catalog, self._results, plan, options, params, prepared
         )
         query_result = QueryResult(
             self, plan, result, statement=statement, options=options
@@ -1198,14 +1183,23 @@ def run_plan(
     plan: LogicalPlan,
     options: ExecOptions,
     params: Optional[dict],
-    rewrites: Optional[RewriteIndex] = None,
-    cache: Optional[LineageResolutionCache] = None,
+    prepared: Optional[PreparedQuery] = None,
 ) -> ExecResult:
     """Run ``plan`` on the ``options.backend`` executor over one
     ``(catalog, results)`` view — the live database's, or a pinned
     snapshot's.  Executors hold nothing but that view, so one is built
     per call; :meth:`Database._execute_plan` and
-    :meth:`~repro.serve.Snapshot.execute_plan` both end here."""
+    :meth:`~repro.serve.Snapshot.execute_plan` both end here.
+
+    ``prepared`` is the :class:`PreparedQuery` ``plan`` came from: its
+    parameters and binding are checked against this view, and its rewrite
+    index and the database's rid cache ride along.  A raw plan (``None``)
+    matches rewrites live and runs uncached."""
+    rewrites = cache = None
+    if prepared is not None:
+        require_params(prepared.param_names, params)
+        prepared.check_bound(catalog, results)
+        rewrites, cache = prepared.rewrites, prepared.lineage_cache
     if options.backend == "vector":
         executor = VectorExecutor(catalog, results=results)
     else:

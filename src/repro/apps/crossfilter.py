@@ -26,15 +26,12 @@ Section 2.1).  Sessions built directly over a :class:`Table` keep the
 hand-rolled kernels (that construction has no engine to query), which is
 also what the Figure 13/14 benchmarks measure.
 
-Declarative sessions run their interactions through a **prepared
-execution session** (:meth:`repro.api.Database.session`) by default: the
-per-view statements of a brush are parsed/bound/rewritten once and
-memoized by text, and every statement shares one lineage rid-resolution
-cache, so a brush's N re-aggregations resolve the brushed rid set once
-(and repeated identical brushes resolve it zero times).
-``prepared=False`` keeps the one-shot ``Database.sql`` path per
-interaction — the ``sql-pushed`` baseline of the Figure 14 benchmark,
-against which the ``sql-prepared`` axis is measured.
+Declarative sessions run their interactions through ``Database.sql``,
+the database's memoized text path: the per-view statements of a brush
+are parsed/bound/rewritten once and memoized by text, and every
+statement shares the database's lineage rid-resolution cache, so a
+brush's N re-aggregations resolve the brushed rid set once (and repeated
+identical brushes resolve it zero times).
 
 Star-schema dimensions: ``from_database(..., joins={dim:
 DimensionJoin(...)})`` adds views whose binned attribute lives in a
@@ -182,16 +179,11 @@ class CrossfilterSession:
         self._result_names: Dict[str, str] = {}
         self._joins: Dict[str, DimensionJoin] = {}
         self._bar_orders: Dict[str, Dict[object, int]] = {}
-        # Prepared execution session (declarative constructions only):
-        # statements memoized by text + shared rid-resolution cache.
-        self._exec_session = None
-        self._rid_options = None
 
     @classmethod
     def from_database(
         cls, database, relation: str, dimensions: Sequence[str],
         technique: str = "bt+ft", late_materialize: bool = True,
-        prepared: bool = True,
         joins: Optional[Dict[str, DimensionJoin]] = None,
     ) -> "CrossfilterSession":
         """Build the views *declaratively*: each view is a SQL group-by
@@ -208,12 +200,10 @@ class CrossfilterSession:
         only the brushed and re-aggregated dimensions instead of
         copying the full traced subset.  ``late_materialize=False``
         forces the materialize-then-scan path (the Figure 14 benchmark's
-        baseline axis).  ``prepared=True`` (default) routes interactions
-        through one prepared :class:`repro.api.Session` — per-view
-        statements bind ``:bars`` into cached plans, and the session's
-        lineage cache resolves each brush's rid set once across all
-        views; ``prepared=False`` re-parses per interaction (the
-        ``sql-pushed`` benchmark baseline).  View results are registered
+        baseline axis).  Interactions run through ``Database.sql``:
+        per-view statements bind ``:bars`` into memoized plans, and the
+        database's lineage cache resolves each brush's rid set once
+        across all views.  View results are registered
         with ``pin=True`` so a bounded result registry
         (``Database(max_results=...)``) never evicts a live session's
         views; ``close()`` drops them.
@@ -270,17 +260,6 @@ class CrossfilterSession:
                 )
         session_id = next(_SESSION_IDS)
         start = time.perf_counter()
-        if prepared and sql_ok and technique in ("bt", "bt+ft"):
-            # One execution session for every interaction: statements are
-            # auto-prepared (memoized by text) and share a lineage
-            # rid-resolution cache across the per-view statements.
-            session._exec_session = database.session(
-                options=ExecOptions(late_materialize=session.late_materialize)
-            )
-            session._rid_options = ExecOptions(
-                capture=CaptureConfig.inject(forward=False),
-                late_materialize=session.late_materialize,
-            )
         for dim in session.dimensions:
             capture = (
                 CaptureConfig.none()
@@ -475,8 +454,7 @@ class CrossfilterSession:
         only backward lineage is captured (a forward index would cost
         O(base rows) per brush).  A star-schema view projects its fact
         join key: the joined attribute lives in the lookup table, and
-        the traced rows are fact rows either way.  Prepared sessions
-        bind ``:bars`` into the memoized plan instead of re-parsing."""
+        the traced rows are fact rows either way."""
         from ..lineage.capture import CaptureConfig
 
         joined = self._joins.get(dimension)
@@ -485,20 +463,14 @@ class CrossfilterSession:
             f"SELECT DISTINCT {column} FROM "
             f"Lb({self._result_names[dimension]}, '{self.relation}', :bars)"
         )
-        params = {"bars": np.asarray(list(bars), dtype=np.int64)}
-        if self._exec_session is not None:
-            subset = self._exec_session.sql(
-                statement, params=params, options=self._rid_options
-            )
-        else:
-            subset = self.database.sql(
-                statement,
-                params=params,
-                options=ExecOptions(
-                    capture=CaptureConfig.inject(forward=False),
-                    late_materialize=self.late_materialize,
-                ),
-            )
+        subset = self.database.sql(
+            statement,
+            params={"bars": np.asarray(list(bars), dtype=np.int64)},
+            options=ExecOptions(
+                capture=CaptureConfig.inject(forward=False),
+                late_materialize=self.late_materialize,
+            ),
+        )
         return subset.backward(np.arange(len(subset)), self.relation)
 
     def _view_statement(self, other_dim: str, brushed_dim: str) -> str:
@@ -528,15 +500,11 @@ class CrossfilterSession:
         self, brushed_dim: str, other: View, params: Dict[str, np.ndarray]
     ) -> np.ndarray:
         """One view's updated counts via its re-aggregation statement."""
-        statement = self._view_statement(other.dimension, brushed_dim)
-        if self._exec_session is not None:
-            res = self._exec_session.sql(statement, params=params)
-        else:
-            res = self.database.sql(
-                statement,
-                params=params,
-                options=ExecOptions(late_materialize=self.late_materialize),
-            )
+        res = self.database.sql(
+            self._view_statement(other.dimension, brushed_dim),
+            params=params,
+            options=ExecOptions(late_materialize=self.late_materialize),
+        )
         counts = np.zeros(other.num_bars, dtype=np.int64)
         order = self._bar_index(other)
         for value, cnt in zip(
@@ -550,8 +518,8 @@ class CrossfilterSession:
         other view with a GROUP BY *over the lineage scan* of the brushed
         bars — the paper's headline query shape.  Deliberately one
         statement per view (as the paper's BT issues one re-aggregation
-        per view); on a prepared session the statements share the lineage
-        cache, so the brushed rid set is resolved once and the N-1
+        per view); the statements share the database's lineage cache, so
+        the brushed rid set is resolved once and the N-1
         remaining statements only gather and aggregate.  Each statement
         is a GroupBy-over-LineageScan tree — joined to the lookup table
         for star-schema views — so the (default) pushed path aggregates
@@ -645,9 +613,6 @@ class CrossfilterSession:
                 except PlanError:
                     pass  # already dropped by the user
         self._result_names = {}
-        if self._exec_session is not None:
-            self._exec_session.close()
-            self._exec_session = None
 
     def serve(self, server) -> "ConcurrentCrossfilter":
         """Concurrent-session entry point: brush this (declarative)

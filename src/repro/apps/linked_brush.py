@@ -27,12 +27,13 @@ copy (the interaction consumes only the statements' *lineage*, and the
 backward union over deduplicated groups is the same rid set, so DISTINCT
 shrinks the materialized output without changing any answer).  Each
 view's two statements are
-**prepared once** (:meth:`repro.api.Session.prepare`) when the view is
+**prepared once** (:meth:`repro.api.Database.prepare`) when the view is
 added: every brush binds ``:marks`` / ``:rids`` into the cached plan
 instead of re-lexing and re-binding SQL, and all statements share the
-session's lineage rid-resolution cache, so brushing the same marks twice
-resolves their lineage once.  Views are registered with ``pin=True`` so
-a bounded result registry never evicts a live session's views.
+database's lineage rid-resolution cache, so brushing the same marks
+twice resolves their lineage once.  Views are registered with
+``pin=True`` so a bounded result registry never evicts a live session's
+views.
 """
 
 from __future__ import annotations
@@ -84,9 +85,6 @@ class LinkedBrushingSession:
         self.views: Dict[str, object] = {}
         self._session_id = next(_SESSION_IDS)
         self._sql_names: Dict[str, str] = {}  # view name -> registered name
-        # One execution session for all interactions: prepared statements
-        # plus a shared lineage rid-resolution cache.
-        self._exec_session = database.session(options=_BRUSH_OPTIONS)
         self._backward_stmts: Dict[str, object] = {}  # view -> PreparedQuery
         self._forward_stmts: Dict[str, object] = {}
 
@@ -95,7 +93,7 @@ class LinkedBrushingSession:
 
         Identifier-named views also get their two interaction statements
         (``Lb`` to the shared relation, ``Lf`` into the view) prepared
-        here, once, against the session's shared caches."""
+        here, once."""
         if name in self.views:
             raise WorkloadError(f"view {name!r} already registered")
         result = self.database.execute(
@@ -122,14 +120,16 @@ class LinkedBrushingSession:
             shared_col = self._narrow_projection(
                 self.database.table(self.shared_relation)
             )
-            self._backward_stmts[name] = self._exec_session.prepare(
+            self._backward_stmts[name] = self.database.prepare(
                 f"SELECT DISTINCT {shared_col} FROM Lb({registered}, "
-                f"'{self.shared_relation}', :marks)"
+                f"'{self.shared_relation}', :marks)",
+                _BRUSH_OPTIONS,
             )
             view_col = self._narrow_projection(result.table)
-            self._forward_stmts[name] = self._exec_session.prepare(
+            self._forward_stmts[name] = self.database.prepare(
                 f"SELECT DISTINCT {view_col} FROM Lf('{self.shared_relation}', "
-                f"{registered}, :rids)"
+                f"{registered}, :rids)",
+                _BRUSH_OPTIONS,
             )
         return result
 
@@ -166,7 +166,6 @@ class LinkedBrushingSession:
         self._sql_names = {}
         self._backward_stmts = {}
         self._forward_stmts = {}
-        self._exec_session.close()
 
     # -- lineage-consuming SQL interaction steps --------------------------------
 

@@ -30,8 +30,8 @@ from ..api import ExecOptions
 from ..lineage.capture import CaptureMode
 from ..plan.logical import AggCall, GroupBy, Project, Scan, col
 
-#: Session-level defaults for the profiling queries: every FD check
-#: captures inline and reads the indexes directly.
+#: Options of the profiling queries: every FD check captures inline and
+#: reads the indexes directly.
 _CAPTURE = ExecOptions(capture=CaptureMode.INJECT)
 
 
@@ -79,7 +79,7 @@ def check_fd_smoke_cd(database, table_name: str, determinant: str, dependent: st
         aggs=[AggCall("count_distinct", col(dependent), "distinct_b")],
         having=col("distinct_b") > 1,
     )
-    result = database.session(options=_CAPTURE).execute(plan)
+    result = database.execute(plan, options=_CAPTURE)
     values = result.table.column(determinant)
     index = result.lineage.backward_index(table_name)
     bipartite = {values[i]: index.lookup(i).copy() for i in range(len(result.table))}
@@ -94,9 +94,8 @@ def check_fd_smoke_ug(database, table_name: str, determinant: str, dependent: st
     start = time.perf_counter()
     q_a = Project(Scan(table_name), [(col(determinant), determinant)], distinct=True)
     q_b = Project(Scan(table_name), [(col(dependent), dependent)], distinct=True)
-    session = database.session(options=_CAPTURE)
-    res_a = session.execute(q_a)
-    res_b = session.execute(q_b)
+    res_a = database.execute(q_a, options=_CAPTURE)
+    res_b = database.execute(q_b, options=_CAPTURE)
     backward_a = res_a.lineage.backward_index(table_name)
     forward_a = res_a.lineage.forward_index(table_name)
     forward_b = res_b.lineage.forward_index(table_name)

@@ -26,11 +26,12 @@ class PlanError(ReproError):
 class StaleBindingError(PlanError):
     """A bound plan no longer matches the live catalog/registry state.
 
-    Raised when a prepared (or otherwise cached) plan's frozen schema
-    drifted — e.g. a named result was re-registered with a different
-    output schema, or its relation reference now resolves to a different
-    base table.  The fix is always the same: re-parse (re-prepare) the
-    statement.  :meth:`repro.api.Session.sql` does this automatically.
+    Raised when a prepared (or otherwise cached) plan's frozen relations
+    drifted — e.g. a scanned table was dropped or replaced (binding reads
+    its data), a named result was dropped, or a relation reference now
+    resolves to a different base table.  The fix is always the same:
+    re-parse (re-prepare) the statement.  ``Database.sql``,
+    ``Session.sql`` and ``DatabaseServer.sql`` do this automatically.
     """
 
 

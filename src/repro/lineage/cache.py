@@ -7,16 +7,16 @@ varying only the traced subset.  Every such statement pays a
 distinct-dedup) even though, within one brush, all N per-view statements
 trace the same ``(result, relation, rid subset)``.
 
-:class:`LineageResolutionCache` memoizes those resolutions.  One cache is
-owned by a :class:`~repro.api.PreparedQuery` and *shared* across every
-statement of a :class:`~repro.api.Session` (or of a
-:class:`~repro.serve.DatabaseServer`), so a brush's per-view
-statements resolve lineage once and repeated identical brushes resolve it
-zero times.  The same entries hold each brush statement's **per-bar memo**
-(:meth:`~LineageResolutionCache.memo`, filled by
-:func:`~repro.exec.late_mat.execute_pushed`): partial answers per bar of a
-GROUP BY view, so a brush re-visiting bars merges partials instead of
-re-scanning rows, and single brushes and ``sql_batch`` share them.
+:class:`LineageResolutionCache` memoizes those resolutions.  A
+:class:`~repro.api.Database` owns exactly one, which every prepared
+statement of every front resolves through (raw plans run uncached), so
+a brush's per-view statements resolve lineage once and repeated
+identical brushes resolve it zero times.  The same entries hold each
+brush statement's **per-bar memo** (:meth:`~LineageResolutionCache.memo`,
+filled by :func:`~repro.exec.late_mat.execute_pushed`): partial answers
+per bar of a GROUP BY view, so a brush re-visiting bars merges partials
+instead of re-scanning rows, and single brushes and ``sql_batch`` share
+them.
 
 Correctness rests on two invariants:
 
@@ -33,8 +33,9 @@ Correctness rests on two invariants:
   fancy indexing), so sharing one array across statements is safe, and an
   accidental in-place mutation raises instead of corrupting the cache.
 
-The cache is LRU-bounded (``max_entries``) so a long session brushing
-thousands of distinct subsets cannot hold every resolved rid set alive.
+The cache is LRU-bounded (:attr:`LineageResolutionCache.MAX_ENTRIES`) so
+a long session brushing thousands of distinct subsets cannot hold every
+resolved rid set alive.
 
 Thread-safety: lookups and installs take an internal lock, but
 ``compute()`` runs outside it, so two threads racing the same cold key
@@ -53,8 +54,6 @@ from collections import OrderedDict
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-
-from ..errors import InvalidArgumentError
 
 #: Key of one memoized resolution: (result name, direction, relation
 #: reference, rid-subset fingerprint).
@@ -98,13 +97,13 @@ class LineageResolutionCache:
     ``(result, relation, rid-subset)``, each live while the caller's
     registry epoch for the result is unchanged."""
 
-    def __init__(self, max_entries: int = 512):
-        if max_entries < 1:
-            raise InvalidArgumentError("max_entries must be positive")
+    #: LRU bound on memoized resolutions and per-bar memos.
+    MAX_ENTRIES = 512
+
+    def __init__(self):
         self._entries: "OrderedDict[_CacheKey, Tuple[object, object]]" = (
             OrderedDict()
         )
-        self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
         # Per-bar memo traffic (see memo()): bars filled vs found filled.
@@ -196,14 +195,16 @@ class LineageResolutionCache:
             self._entries[key] = (epoch, value)
             self._entries.move_to_end(key)
             self.misses += 1
-            while len(self._entries) > self.max_entries:
+            while len(self._entries) > self.MAX_ENTRIES:
                 self._entries.popitem(last=False)
 
     # -- maintenance ----------------------------------------------------------
 
     def invalidate(self) -> None:
         """Drop every entry.  Epoch checks already catch re-registration;
-        this is for explicit memory release (``Session.close``)."""
+        this is for explicit memory release and for timing cold runs.  The
+        cache is the database's one, so this drops every front's entries
+        and per-bar memos."""
         with self._lock:
             self._entries.clear()
 

@@ -1,9 +1,9 @@
 """Snapshot-isolated concurrent serving layer (paper Section 6.5's
 "millions of users" half: many readers brushing while refreshes land).
 
-A :class:`Database` is a single-caller object: its catalog, result
-registry, and caches assume one thread.  This module puts a serving
-front on it —
+A :class:`Database` is a single-writer object: its catalog and result
+registry assume one mutating thread.  This module puts a serving front
+on it —
 
 * :class:`Snapshot` — an immutable, consistently-pinned read view: the
   catalog's ``(tables, epochs)`` and the registry's ``(entries,
@@ -27,17 +27,16 @@ bit-identically, never a mix.
 Readers never block on writers: snapshot acquisition is a single
 attribute read of the latest published :class:`Snapshot` (atomic under
 the GIL), statement execution happens entirely against the pinned view,
-and the shared :class:`~repro.lineage.cache.LineageResolutionCache` is
-keyed by the *snapshot's* registry epochs (threaded through
+and the database's :class:`~repro.lineage.cache.LineageResolutionCache`
+is keyed by the *snapshot's* registry epochs (threaded through
 ``resolve_scan_source``), so old-epoch and new-epoch resolutions coexist
 without poisoning each other.
 
-One read path: the server is a concurrency shell over the read path a
-:class:`~repro.api.Session` uses.  Statements are
-:class:`~repro.api.PreparedQuery` objects held in one
-:class:`~repro.api.StatementMemo` (bound against the snapshot being
-read), and every execution ends in :func:`repro.api.run_plan`, the
-funnel the live database uses too.
+One read path: the server is a concurrency shell over the database's
+own.  Statements are :class:`~repro.api.PreparedQuery` objects in the
+database's :class:`~repro.api.StatementMemo` (a miss binds against the
+snapshot being read), and every execution ends in
+:func:`repro.api.run_plan`, the funnel the live database uses too.
 
 What a reader may never observe: a half-applied write, a table paired
 with another epoch's result entry, a rid set resolved against a
@@ -63,15 +62,13 @@ from .api import (
     ExecOptions,
     PreparedQuery,
     QueryResult,
-    StatementMemo,
     normalize_statement,
     require_params,
     run_plan,
 )
 from .errors import CatalogError, ServingError, StaleBindingError
-from .lineage.cache import LineageResolutionCache, param_fingerprint
+from .lineage.cache import param_fingerprint
 from .plan.logical import LogicalPlan
-from .plan.rewrite import RewriteIndex
 from .storage.table import Table
 
 
@@ -162,8 +159,9 @@ class Snapshot:
     ``version`` is the serving version that published this view (the
     count of write operations applied when it was taken).  Execution
     goes through :func:`repro.api.run_plan` over this view's catalog and
-    registry.  ``sql`` is strictly read-only: registration
-    (``options.name``) raises :class:`ServingError`.
+    registry; ``sql`` runs a raw plan, uncached.  Reads are strictly
+    read-only: registration (``options.name``) raises
+    :class:`ServingError`.
 
     The per-snapshot **answer memo** caches whole ``QueryResult`` objects
     by ``(normalized statement text, params, options)``.  Results are
@@ -179,16 +177,12 @@ class Snapshot:
         version: int,
         catalog: CatalogSnapshot,
         results: RegistrySnapshot,
-        lineage_cache: Optional[LineageResolutionCache] = None,
         default_options=None,
     ):
         self._database = database
         self.version = version
         self.catalog = catalog
         self.results = results
-        self.lineage_cache = (
-            lineage_cache if lineage_cache is not None else LineageResolutionCache()
-        )
         self._default_options = default_options
         self._lock = threading.Lock()
         self._answers: Dict[object, object] = {}
@@ -198,7 +192,6 @@ class Snapshot:
         cls,
         database,
         version: int = 0,
-        lineage_cache: Optional[LineageResolutionCache] = None,
         default_options=None,
     ) -> "Snapshot":
         """Pin the database's current state: both state copies are taken
@@ -213,7 +206,6 @@ class Snapshot:
             version,
             CatalogSnapshot(tables, cat_epochs, database.catalog),
             RegistrySnapshot(entries, reg_epochs),
-            lineage_cache=lineage_cache,
             default_options=default_options,
         )
 
@@ -221,8 +213,8 @@ class Snapshot:
 
     def sql(self, statement: str, params: Optional[dict] = None, options=None):
         """Parse, bind, and execute one read statement against this
-        pinned view (one-shot; the server adds prepared-plan and answer
-        memoization on top)."""
+        pinned view (one-shot and uncached; the server adds the statement
+        memo, the rid cache and answer memoization on top)."""
         return self.execute_plan(self.parse(statement), params, options)
 
     def parse(self, statement: str) -> LogicalPlan:
@@ -236,20 +228,13 @@ class Snapshot:
         plan: LogicalPlan,
         params: Optional[dict] = None,
         options=None,
-        rewrites: Optional[RewriteIndex] = None,
+        prepared: Optional[PreparedQuery] = None,
     ):
-        """Execute a bound plan against this pinned view."""
+        """Execute a bound plan against this pinned view; ``prepared``
+        as in :func:`repro.api.run_plan`."""
         opts = options or self._default_options or ExecOptions()
-        if opts.name is not None:
-            raise ServingError(
-                f"cannot register result {opts.name!r} through a snapshot: "
-                "snapshot reads are read-only; submit the statement "
-                "through DatabaseServer.write instead"
-            )
-        result = run_plan(
-            self.catalog, self.results, plan, opts, params, rewrites,
-            self.lineage_cache,
-        )
+        _check_read_only(opts)
+        result = run_plan(self.catalog, self.results, plan, opts, params, prepared)
         return QueryResult(self._database, plan, result, options=opts)
 
     # -- answer memo -------------------------------------------------------
@@ -266,6 +251,15 @@ class Snapshot:
         return (
             f"Snapshot(version={self.version}, tables={len(self.catalog._tables)}, "
             f"results={len(self.results)})"
+        )
+
+
+def _check_read_only(opts: ExecOptions) -> None:
+    if opts.name is not None:
+        raise ServingError(
+            f"cannot register result {opts.name!r} through a snapshot: "
+            "snapshot reads are read-only; submit the statement "
+            "through DatabaseServer.write instead"
         )
 
 
@@ -337,13 +331,6 @@ class DatabaseServer:
         self.readers = int(readers)
         self._options = options if options is not None else ExecOptions()
         self._memoize_answers = bool(memoize_answers)
-        # One rid-resolution cache shared by every snapshot: entries are
-        # keyed by the *snapshot* registry epochs (resolve_scan_source
-        # threads them through), so readers on different versions hit
-        # disjoint entries and a refresh-heavy workload keeps the stable
-        # portion warm across epochs.
-        self._lineage_cache = LineageResolutionCache(max_entries=2048)
-        self._statements = StatementMemo()
         # sql_batch calls by route (guarded by _stats_lock).
         self._stats_lock = threading.Lock()
         self._batch_coalesced = 0
@@ -374,15 +361,17 @@ class DatabaseServer:
         snapshot: Optional[Snapshot] = None,
     ):
         """Execute one read statement on the calling thread against
-        ``snapshot`` (latest if omitted), through the shared statement
-        memo and the snapshot's answer memo."""
+        ``snapshot`` (latest if omitted), through the database's
+        statement memo and the snapshot's answer memo."""
         snap = snapshot if snapshot is not None else self._snapshot
         opts = options if options is not None else self._options
         return self._sql(normalize_statement(statement), statement, params, opts, snap)
 
     def _sql(self, key: str, statement: str, params, opts, snap: Snapshot):
-        bind = lambda: self._bind(statement, snap)
-        prepared = self._statements.get(key, bind)
+        # Before the answer memo, whose key leaves the name out.
+        _check_read_only(opts)
+        statements, bind = self._db._statements, lambda: self._bind(statement, snap)
+        statements.get(key, bind)  # an answer hit is a use of the statement too
         answer_key = None
         if self._memoize_answers:
             answer_key = (
@@ -395,28 +384,19 @@ class DatabaseServer:
             cached = snap.cached_answer(answer_key)
             if cached is not None:
                 return cached
-        require_params(prepared.param_names, params)
-        try:
-            result = snap.execute_plan(
-                prepared.plan, params, opts, rewrites=prepared.rewrites
-            )
-        except StaleBindingError:
-            # A referenced result/table changed shape since the plan was
-            # bound.  Re-bind against the snapshot being read and retry once.
-            prepared = self._statements.rebind(key, bind)
-            result = snap.execute_plan(
-                prepared.plan, params, opts, rewrites=prepared.rewrites
-            )
+        result = statements.run(
+            key, bind, lambda p: snap.execute_plan(p.plan, params, opts, p)
+        )
         if answer_key is not None and len(snap._answers) < self.MAX_ANSWERS:
             snap.remember_answer(answer_key, result)
         return result
 
     def _bind(self, statement: str, snap: Snapshot) -> PreparedQuery:
         """The statement memo's bind step: bind against ``snap``, the
-        snapshot being read, sharing the server's rid cache."""
+        snapshot being read (a stale entry re-binds the same way)."""
         return PreparedQuery(
             self._db, snap.parse(statement), self._options,
-            cache=self._lineage_cache, statement=statement,
+            statement=statement, catalog=snap.catalog,
         )
 
     def sql_batch(
@@ -474,7 +454,7 @@ class DatabaseServer:
             return None
         if len(params_list) < 2:
             return None
-        prepared = self._statements.get(key, lambda: self._bind(statement, snap))
+        prepared = self._db._statements.get(key, lambda: self._bind(statement, snap))
         pushed = prepared.rewrites.lookup(prepared.plan)
         if pushed is None or pushed.scan is None:
             return None
@@ -487,9 +467,10 @@ class DatabaseServer:
             require_params(prepared.param_names, params)
         start = perf_counter()
         try:
+            prepared.check_bound(snap.catalog, snap.results)
             tables = execute_pushed_batch(
                 pushed, snap.catalog, snap.results, opts.config,
-                params_list, snap.lineage_cache,
+                params_list, prepared.lineage_cache,
             )
         except StaleBindingError:
             # Let the per-binding fallback re-bind and retry.
@@ -632,10 +613,7 @@ class DatabaseServer:
 
     def _capture(self, version: int) -> Snapshot:
         return Snapshot.capture(
-            self._db,
-            version=version,
-            lineage_cache=self._lineage_cache,
-            default_options=self._options,
+            self._db, version=version, default_options=self._options
         )
 
     # -- lifecycle ---------------------------------------------------------
@@ -673,12 +651,14 @@ class DatabaseServer:
 
         ``batch_coalesced`` / ``batch_fallback`` count :meth:`sql_batch`
         calls answered by the per-bar memo and by the per-binding loop;
-        ``lineage_cache`` includes the memo's ``bar_fills`` /
+        ``prepared`` and ``lineage_cache`` describe the database's
+        statement memo and rid cache, which every front shares;
+        ``lineage_cache`` includes the per-bar memo's ``bar_fills`` /
         ``bar_reuses``."""
         return {
             "version": self._snapshot.version,
-            "prepared": len(self._statements),
-            "lineage_cache": self._lineage_cache.stats(),
+            "prepared": len(self._db._statements),
+            "lineage_cache": self._db.lineage_cache.stats(),
             "batch_coalesced": self._batch_coalesced,
             "batch_fallback": self._batch_fallback,
         }

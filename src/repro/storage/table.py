@@ -131,7 +131,7 @@ class Table:
     lifetime of the table they reference.
     """
 
-    __slots__ = ("schema", "_columns", "_nrows")
+    __slots__ = ("schema", "_columns", "_nrows", "__weakref__")
 
     def __init__(self, columns: Mapping[str, np.ndarray], schema: Optional[Schema] = None):
         if schema is None:

@@ -43,8 +43,9 @@ def _hammer(worker, threads=THREADS):
 
 
 class TestCacheHammer:
-    def test_mixed_keys_epochs_and_invalidations(self):
-        cache = LineageResolutionCache(max_entries=64)
+    def test_mixed_keys_epochs_and_invalidations(self, monkeypatch):
+        monkeypatch.setattr(LineageResolutionCache, "MAX_ENTRIES", 64)
+        cache = LineageResolutionCache()
         names = [f"view{i}" for i in range(4)]
 
         def worker(seed):
@@ -68,12 +69,13 @@ class TestCacheHammer:
                     cache.invalidate()
 
         _hammer(worker)
-        assert len(cache) <= cache.max_entries
+        assert len(cache) <= 64
         # Every resolve either hit or missed; invalidation never loses one.
         assert cache.hits + cache.misses == THREADS * ITERATIONS
 
-    def test_lru_bound_holds_under_contention(self):
-        cache = LineageResolutionCache(max_entries=16)
+    def test_lru_bound_holds_under_contention(self, monkeypatch):
+        monkeypatch.setattr(LineageResolutionCache, "MAX_ENTRIES", 16)
+        cache = LineageResolutionCache()
 
         def worker(seed):
             for i in range(ITERATIONS):
@@ -221,8 +223,9 @@ class TestBarMemoHammer:
         stmt = "SELECT g, COUNT(*) AS c FROM Lb(v, 't', :bars) WHERE w >= 0.25 GROUP BY g"
         brushes = [rng.integers(0, bars, int(rng.integers(1, 9))) for _ in range(32)]
         plain = ExecOptions(late_materialize=False)
+        plan = db.parse(stmt)
         expected = [
-            db.sql(stmt, params={"bars": b}, options=plain).table.to_rows() for b in brushes
+            db.execute(plan, params={"bars": b}, options=plain).table.to_rows() for b in brushes
         ]
         requested = []
         interval = sys.getswitchinterval()

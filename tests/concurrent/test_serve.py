@@ -1,6 +1,6 @@
 """Serving-layer contracts: snapshot isolation, writer serialization,
 group-committed durability, reader/writer interleaving stress, and the
-statement memo the server shares with ``Session``."""
+one statement memo and rid cache a database owns for every front."""
 
 import threading
 from types import SimpleNamespace
@@ -19,6 +19,7 @@ from repro import (
 )
 from repro.api import StatementMemo, normalize_statement
 from repro.errors import SqlError
+from repro.lineage.cache import LineageResolutionCache
 from repro.serve import DatabaseServer
 
 BRUSH = "SELECT z, SUM(w) AS s FROM Lb(v, 't', :bars) GROUP BY z"
@@ -84,6 +85,17 @@ class TestSnapshotIsolation:
                 )
             with pytest.raises(ServingError, match="read-only"):
                 db.snapshot().sql(REGISTER, options=ExecOptions(name="v2"))
+
+    def test_registering_read_raises_even_when_the_answer_is_memoized(self):
+        db = _make_db()
+        named = ExecOptions(name="x")
+        with db.serve(readers=1) as server:
+            server.sql("SELECT z FROM t")  # memoizes the unnamed answer
+            with pytest.raises(ServingError, match="read-only"):
+                server.sql("SELECT z FROM t", options=named)
+            with pytest.raises(ServingError, match="read-only"):
+                server.sql_batch("SELECT z FROM t", [{}, {}], options=named)
+        assert "x" not in db.results()
 
     def test_registration_goes_through_write_path(self):
         db = _make_db()
@@ -678,25 +690,25 @@ class TestSqlBatchProperty:
             {"bars": rng.integers(0, n, 300)},
         ]
         with DatabaseServer(db, readers=1, memoize_answers=False) as server:
-            capacity = server._lineage_cache.max_entries
+            capacity = LineageResolutionCache.MAX_ENTRIES
             assert n > capacity
             _assert_batch_route(server, stmt, params_list, "coalesced")
             assert server.stats()["lineage_cache"]["entries"] <= capacity
 
 
-@pytest.fixture(params=["session", "server"])
+@pytest.fixture(params=["database", "session", "server"])
 def front(request):
     """One read front over a fresh database: ``sql`` runs a statement,
-    ``memo`` is the front's statement memo, ``write`` applies a mutation
-    (through the writer thread for the server)."""
+    ``memo`` is the database's statement memo, which every front reads
+    through, ``write`` applies a mutation (through the writer thread for
+    the server)."""
     db = _make_db()
-    if request.param == "session":
-        session = db.session()
-        yield SimpleNamespace(sql=session.sql, memo=session._statements, write=lambda fn: fn(db))
-        session.close()
-    else:
+    if request.param == "server":
         with db.serve(readers=1) as server:
-            yield SimpleNamespace(sql=server.sql, memo=server._statements, write=server.write)
+            yield SimpleNamespace(sql=server.sql, memo=db._statements, write=server.write)
+    else:
+        sql = db.sql if request.param == "database" else db.session().sql
+        yield SimpleNamespace(sql=sql, memo=db._statements, write=lambda fn: fn(db))
 
 
 class _Miss(Exception):
@@ -717,8 +729,8 @@ def _memo_entry(memo, statement):
 
 
 class TestStatementMemo:
-    """The one statement memo behind ``Session.sql`` and
-    ``DatabaseServer.sql``."""
+    """The one statement memo behind ``Database.sql``, ``Session.sql``
+    and ``DatabaseServer.sql``."""
 
     def test_distinct_statement_past_the_bound_evicts_least_recently_used(self, front):
         bound = StatementMemo.MAX_STATEMENTS
@@ -740,12 +752,27 @@ class TestStatementMemo:
             "SELECT z FROM t",
             options=ExecOptions(capture=CaptureMode.INJECT, name="v", pin=True),
         ))
+        entries = len(front.memo)
         assert len(front.sql(stmt, params={"rows": [0]})) == 1
         second = _memo_entry(front.memo, stmt)
         assert second is not first
-        assert len(front.memo) == 1
+        assert len(front.memo) == entries  # replaced, not added
         assert front.memo.rebind(normalize_statement(stmt), lambda: first) is first
         assert _memo_entry(front.memo, stmt) is first
+
+    def test_same_schema_table_replacement_rebinds(self, front):
+        """The binder reads data (unique build keys bind the join as
+        pk-fk), so replacing a scanned table under the same schema must
+        re-bind, not run the stale pk-fk plan."""
+        stmt = "SELECT u.k, t.w FROM u JOIN t ON u.k = t.z"
+        front.write(lambda d: d.create_table("u", Table({"k": np.array([0, 1])})))
+        assert len(front.sql(stmt)) == 4
+        first = _memo_entry(front.memo, stmt)
+        dup = Table({"k": np.array([0, 0, 2])})
+        front.write(lambda d: d.create_table("u", dup, replace=True))
+        rows = sorted(front.sql(stmt).table.to_rows())
+        assert rows == [(0, 1.0), (0, 1.0), (0, 2.0), (0, 2.0), (2, 5.0)]
+        assert _memo_entry(front.memo, stmt) is not first
 
     def test_layout_and_keyword_case_variants_share_one_server_entry(self):
         db = _make_db()
@@ -754,14 +781,67 @@ class TestStatementMemo:
             "select z, sum(w) as s\n  from lb(v, 't', :bars)  group by z",
             "  Select z,  SUM(w) As s FROM LB(v, 't', :bars) Group  By z ",
         ]
+        entries = len(db._statements)
         with db.serve(readers=1) as server:
             snap = server.snapshot()
             answers = [
                 server.sql(text, params={"bars": [0]}, snapshot=snap)
                 for text in variants
             ]
-            assert server.stats()["prepared"] == 1
-            assert len(server._statements) == 1
+            assert server.stats()["prepared"] == entries + 1
             # One answer-memo entry: every variant got the same result.
             assert all(answer is answers[0] for answer in answers)
             assert len(snap._answers) == 1
+
+
+def _db_registered_by_plan():
+    """``_make_db`` without a memo entry: the view registers from a raw
+    plan, so the statement memo starts empty."""
+    db = Database()
+    db.create_table("t", _make_db().table("t"))
+    db.execute(
+        db.parse(REGISTER),
+        options=ExecOptions(capture=CaptureMode.INJECT, name="v", pin=True),
+    )
+    assert len(db._statements) == 0
+    return db
+
+
+class TestOneOwner:
+    """The database owns the one statement memo and the one rid cache;
+    ``Session`` adds only default options, and raw plans run uncached."""
+
+    def test_session_statement_is_the_entry_database_and_server_hit(self):
+        db = _db_registered_by_plan()
+        db.session().sql(BRUSH, params={"bars": [0]})
+        entry = _memo_entry(db._statements, BRUSH)
+        assert entry is not None
+        db.sql(BRUSH, params={"bars": [1]})
+        with db.serve(readers=1) as server:
+            server.sql(BRUSH, params={"bars": [2]})
+            assert server.stats()["prepared"] == 1
+        assert _memo_entry(db._statements, BRUSH) is entry
+
+    @pytest.mark.parametrize("capturing_first", [True, False])
+    def test_sessions_share_an_entry_under_their_own_options(self, capturing_first):
+        db = _db_registered_by_plan()
+        capturing = db.session(options=ExecOptions(capture=CaptureMode.INJECT))
+        plain = db.session()
+        order = (capturing, plain) if capturing_first else (plain, capturing)
+        runs = {session: session.sql(BRUSH, params={"bars": [0]}) for session in order}
+        assert len(db._statements) == 1  # whichever session bound it
+        assert runs[capturing].lineage is not None
+        assert runs[plain].lineage is None
+        assert runs[capturing].table.to_rows() == runs[plain].table.to_rows()
+
+    def test_raw_plans_run_uncached(self):
+        db = _db_registered_by_plan()
+        params = {"bars": [0, 1]}
+        plan = db.parse(BRUSH)
+        capture = ExecOptions(capture=CaptureMode.INJECT)
+        for options in (None, capture):
+            db.execute(plan, params=params, options=options)
+            db.session(options=options).execute(plan, params=params)
+            db.snapshot().sql(BRUSH, params=params, options=options)
+        assert len(db.lineage_cache) == 0
+        assert db.lineage_cache.stats()["misses"] == 0

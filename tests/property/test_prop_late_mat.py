@@ -241,8 +241,8 @@ def test_memoized_path_matches_materialized(rows, cut, brushes, out_of_range):
             params = {"cut": cut, "bars": bars}
             memo, memo_error = _outcome(lambda p=params: session.sql(stmt, params=p))
             plain, plain_error = _outcome(
-                lambda p=params: db.sql(
-                    stmt, params=p, options=ExecOptions(late_materialize=False)
+                lambda p=params: db.execute(
+                    db.parse(stmt), params=p, options=ExecOptions(late_materialize=False)
                 )
             )
             assert memo_error == plain_error

@@ -317,7 +317,7 @@ def test_backends_agree_on_chains(rows, d1, d2, d3, e1, spec, cut):
 @settings(deadline=None)  # example budget governed by the profile
 def test_prepared_chain_pushes_match_one_shot(rows, d1, d2, subset, backend):
     """The precomputed RewriteIndex takes the same chain-flattening
-    decisions as live matching: prepared runs == one-shot runs."""
+    decisions as live matching: prepared runs == raw-plan runs."""
     db = _db(rows, d1, d2, [], [])
     rids = sorted({r % max(len(db.result("prev")), 1) for r in subset})
     stmt = (
@@ -328,8 +328,8 @@ def test_prepared_chain_pushes_match_one_shot(rows, d1, d2, subset, backend):
         stmt, options=ExecOptions(capture=CaptureMode.INJECT, backend=backend)
     )
     via_prepared = prepared.run(params={"bars": rids})
-    one_shot = db.sql(
-        stmt,
+    one_shot = db.execute(
+        prepared.plan,
         params={"bars": rids},
         options=ExecOptions(capture=CaptureMode.INJECT, backend=backend),
     )

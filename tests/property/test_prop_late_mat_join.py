@@ -216,7 +216,7 @@ def test_backends_agree_on_pushed_join_distinct(rows, drows, cut, stmt_idx):
 @settings(deadline=None)  # example budget governed by the profile
 def test_prepared_join_pushes_match_one_shot(rows, drows, subset, backend):
     """The precomputed RewriteIndex takes the same join/DISTINCT push
-    decisions as live matching: prepared runs == one-shot runs."""
+    decisions as live matching: prepared runs == raw-plan runs."""
     db = _db(rows, drows)
     rids = sorted({r % max(len(db.result("prev")), 1) for r in subset})
     stmt = (
@@ -227,8 +227,8 @@ def test_prepared_join_pushes_match_one_shot(rows, drows, subset, backend):
         stmt, options=ExecOptions(capture=CaptureMode.INJECT, backend=backend)
     )
     via_prepared = prepared.run(params={"bars": rids})
-    one_shot = db.sql(
-        stmt,
+    one_shot = db.execute(
+        prepared.plan,
         params={"bars": rids},
         options=ExecOptions(capture=CaptureMode.INJECT, backend=backend),
     )

@@ -1,6 +1,7 @@
 """Property tests: prepared execution is indistinguishable from one-shot
-execution — ``PreparedQuery.run()`` results and captured lineage are
-bit-identical to a fresh ``Database.sql()`` of the same statement, across
+execution — ``PreparedQuery.run()`` and ``Session.sql`` results and
+captured lineage are bit-identical to the uncached raw plan
+(``Database.execute(Database.parse(...))``) of the same statement, across
 random parameter sequences, interleaved re-registrations of the consumed
 result, and both backends.
 
@@ -117,8 +118,8 @@ def test_prepared_matches_one_shot(rows, steps, backend):
         if stmt not in prepared:
             prepared[stmt] = session.prepare(stmt)
         got = prepared[stmt].run(params)
-        want = db.sql(
-            stmt, params=params, options=CAPTURE.with_(backend=backend)
+        want = db.execute(
+            db.parse(stmt), params=params, options=CAPTURE.with_(backend=backend)
         )
         assert got.table.schema == want.table.schema
         assert got.table.to_rows() == want.table.to_rows()
@@ -147,7 +148,7 @@ def test_session_sql_matches_one_shot_across_backends(rows, steps):
         results = {
             b: sessions[b].sql(stmt, params=params) for b in sessions
         }
-        want = db.sql(stmt, params=params, options=CAPTURE)
+        want = db.execute(db.parse(stmt), params=params, options=CAPTURE)
         for res in results.values():
             assert res.table.to_rows() == want.table.to_rows()
             _assert_same_lineage(db, res, want)

@@ -181,11 +181,9 @@ class TestStarSchemaCrossfilter:
         session.close()
 
     @pytest.mark.parametrize("technique", ("bt", "bt+ft"))
-    @pytest.mark.parametrize("prepared", (True, False))
-    def test_brush_base_dim_updates_joined_view(self, db, technique, prepared):
+    def test_brush_base_dim_updates_joined_view(self, db, technique):
         session = CrossfilterSession.from_database(
-            db, "flights", self.DIMS, technique,
-            prepared=prepared, joins=self._join(),
+            db, "flights", self.DIMS, technique, joins=self._join()
         )
         view = session.views["delay_bin"]
         got = session.brush("delay_bin", 1)
@@ -231,7 +229,7 @@ class TestStarSchemaCrossfilter:
         )
         materialized = CrossfilterSession.from_database(
             db, "flights", self.DIMS, "bt",
-            late_materialize=False, prepared=False, joins=self._join(),
+            late_materialize=False, joins=self._join(),
         )
         for dim in self.DIMS:
             got = pushed.brush(dim, 0)
@@ -325,13 +323,9 @@ class TestSnowflakeCrossfilter:
         session.close()
 
     @pytest.mark.parametrize("technique", ("bt", "bt+ft"))
-    @pytest.mark.parametrize("prepared", (True, False))
-    def test_brush_base_dim_updates_snowflake_view(
-        self, db, technique, prepared
-    ):
+    def test_brush_base_dim_updates_snowflake_view(self, db, technique):
         session = CrossfilterSession.from_database(
-            db, "flights", self.DIMS, technique,
-            prepared=prepared, joins=self._join(),
+            db, "flights", self.DIMS, technique, joins=self._join()
         )
         view = session.views["delay_bin"]
         got = session.brush("delay_bin", 1)
@@ -368,7 +362,7 @@ class TestSnowflakeCrossfilter:
         )
         materialized = CrossfilterSession.from_database(
             db, "flights", self.DIMS, "bt",
-            late_materialize=False, prepared=False, joins=self._join(),
+            late_materialize=False, joins=self._join(),
         )
         for dim in self.DIMS:
             got = pushed.brush(dim, 0)
@@ -382,8 +376,7 @@ class TestSnowflakeCrossfilter:
         """The generated re-aggregation statement for the snowflake view
         is a 2-join chain executing as one pushed core."""
         session = CrossfilterSession.from_database(
-            db, "flights", self.DIMS, "bt", prepared=False,
-            joins=self._join(),
+            db, "flights", self.DIMS, "bt", joins=self._join(),
         )
         statement = session._view_statement("region_name", "carrier")
         res = db.sql(statement, params={"bars": [0]})

@@ -38,7 +38,9 @@ def _replace_t(db):
 
 
 def _plain(db, stmt, bars):
-    return db.sql(stmt, params={"bars": bars}, options=PLAIN).table.to_rows()
+    """The reference: the raw plan, materialized and uncached."""
+    plan = db.parse(stmt)
+    return db.execute(plan, params={"bars": bars}, options=PLAIN).table.to_rows()
 
 
 def _bar_traffic(stats):
@@ -126,7 +128,9 @@ def test_negative_zero_key_comes_from_the_brushs_own_first_rid():
     stmt = "SELECT k, COUNT(*) AS c FROM Lb(v, 't', :bars) GROUP BY k"
     for bars in ([0, 1], [1], [0, 1]):  # bar 1 (g=0) memoized, then merged
         memo = session.sql(stmt, params={"bars": bars}).table.column("k")
-        plain = db.sql(stmt, params={"bars": bars}, options=PLAIN).table.column("k")
+        plain = db.execute(
+            db.parse(stmt), params={"bars": bars}, options=PLAIN
+        ).table.column("k")
         assert np.array_equal(np.signbit(memo), np.signbit(plain))
 
 

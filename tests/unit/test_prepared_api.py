@@ -1,7 +1,8 @@
 """The prepared-statement / session API surface: ExecOptions validation
-and the one execute/sql signature, PreparedQuery caching, Session
-sharing, the LineageResolutionCache, registry byte budgets, and
-base-relation epoch guards."""
+and the one execute/sql signature, PreparedQuery caching, the memoized
+``Database.sql`` and the Session defaults over it, the
+LineageResolutionCache, registry byte budgets, and base-relation epoch
+guards."""
 
 import inspect
 
@@ -10,7 +11,7 @@ import pytest
 
 import repro.api as api
 from repro.api import Database, ExecOptions, Session, plan_param_names
-from repro.errors import PlanError, StaleBindingError
+from repro.errors import CatalogError, PlanError, SqlError, StaleBindingError
 from repro.lineage.cache import LineageResolutionCache
 from repro.lineage.capture import CaptureConfig, CaptureMode
 from repro.storage import Table
@@ -88,7 +89,7 @@ class TestPreparedQuery:
         prepared = db.prepare(stmt, options=CAPTURE)
         for bars in ([0], [1, 2], []):
             got = prepared.run(params={"bars": bars})
-            want = db.sql(stmt, params={"bars": bars}, options=CAPTURE)
+            want = db.execute(prepared.plan, params={"bars": bars}, options=CAPTURE)
             assert got.table.to_rows() == want.table.to_rows()
             probes = np.arange(len(got))
             assert np.array_equal(
@@ -139,8 +140,9 @@ class TestPreparedQuery:
         assert "late_mat_subtrees" not in off.timings
         assert off.table.to_rows() == res.table.to_rows()
 
-    def test_standalone_prepared_owns_a_cache(self, db, prev):
+    def test_prepared_runs_through_the_database_cache(self, db, prev):
         prepared = db.prepare("SELECT z FROM Lb(prev, 't', :bars)")
+        assert prepared.lineage_cache is db.lineage_cache
         prepared.run(params={"bars": [0]})
         prepared.run(params={"bars": [0]})
         assert prepared.lineage_cache.stats()["hits"] == 1
@@ -167,9 +169,9 @@ class TestSession:
         stmt = "SELECT z FROM Lb(prev, 't', :bars)"
         session.sql(stmt, params={"bars": [0]})
         key = api.normalize_statement(stmt)
-        first = session._statements.get(key, lambda: pytest.fail("not memoized"))
+        first = db._statements.get(key, lambda: pytest.fail("not memoized"))
         session.sql(stmt, params={"bars": [1]})
-        assert session._statements.get(key, lambda: pytest.fail("evicted")) is first
+        assert db._statements.get(key, lambda: pytest.fail("evicted")) is first
 
     def test_sql_memo_normalizes_whitespace_and_keyword_case(self, db, prev):
         """Generated SQL differing only in layout or keyword casing must
@@ -178,6 +180,7 @@ class TestSession:
         session.sql(
             "SELECT z FROM Lb(prev, 't', :bars)", params={"bars": [0]}
         )
+        entries = len(db._statements)
         equivalents = [
             "select   z\n  from Lb(prev, 't', :bars)",
             "SELECT z FROM LB(prev, 't', :bars)",
@@ -186,7 +189,7 @@ class TestSession:
         for text in equivalents:
             res = session.sql(text, params={"bars": [0]})
             assert len(res) == 2
-        assert len(session._statements) == 1  # all four share one entry
+        assert len(db._statements) == entries  # all four share one entry
 
     def test_sql_memo_keeps_literals_and_identifiers_exact(self, db, prev):
         """Normalization must never conflate meaning-bearing case: string
@@ -196,11 +199,12 @@ class TestSession:
             Table({"name": np.array(["Foo", "foo"], dtype=object)}),
         )
         session = db.session()
+        entries = len(db._statements)
         lower = session.sql("SELECT name FROM s WHERE name = 'foo'")
         upper = session.sql("SELECT name FROM s WHERE name = 'Foo'")
         assert lower.table.column("name").tolist() == ["foo"]
         assert upper.table.column("name").tolist() == ["Foo"]
-        assert len(session._statements) == 2
+        assert len(db._statements) == entries + 2
         # Identifier case distinguishes relations as well.
         assert api.normalize_statement(
             "SELECT z FROM t"
@@ -213,13 +217,14 @@ class TestSession:
         fold into :max — the lexer keeps parameter-name case, so the two
         statements expect different params."""
         session = db.session()
+        entries = len(db._statements)
         upper = session.sql(
             "SELECT z FROM t WHERE v < :MAX", params={"MAX": 3.0}
         )
         lower = session.sql(
             "SELECT z FROM t WHERE v < :max", params={"max": 2.0}
         )
-        assert len(session._statements) == 2
+        assert len(db._statements) == entries + 2
         assert len(upper) == 2 and len(lower) == 1
 
     def test_reregistration_invalidates_cache(self, db, prev):
@@ -258,13 +263,55 @@ class TestSession:
         res = session.execute(db.parse("SELECT z FROM t"))
         assert res.lineage is not None  # session default applied
 
-    def test_close_clears_caches(self, db, prev):
-        session = db.session()
-        session.sql("SELECT z FROM Lb(prev, 't', :bars)", params={"bars": [0]})
-        with session:
-            pass
-        assert len(session._statements) == 0
-        assert len(session.lineage_cache) == 0
+
+
+class TestDatabaseSql:
+    """``Database.sql`` is the memoized text path every front shares."""
+
+    def test_repeated_text_binds_once_and_keeps_each_callers_text(self, db, prev):
+        texts = ["SELECT z FROM t WHERE v > :cut", "select  z from t where v > :cut"]
+        results = [db.sql(text, params={"cut": 2.0}) for text in texts]
+        key = api.normalize_statement(texts[0])
+        entry = db._statements.get(key, lambda: pytest.fail("not memoized"))
+        assert entry.statement == texts[0]  # the text that bound it
+        assert [r.statement for r in results] == texts  # what each call ran
+        assert results[0].table.to_rows() == results[1].table.to_rows()
+
+    def test_base_table_schema_change_rebinds(self, db):
+        """A memoized plan bound ``k`` to ``u``; once ``t`` gains a ``k``
+        too, running the old binding would silently read ``t.k``."""
+        db.create_table("u", Table({"z": np.array([1, 2]), "k": np.array([10, 20])}))
+        stmt = "SELECT k FROM t JOIN u ON t.z = u.z"
+        assert sorted(db.sql(stmt).table.column("k").tolist()) == [10, 10, 20]
+        widened = dict(db.table("t").columns(), k=np.arange(6))
+        db.create_table("t", Table(widened), replace=True)
+        with pytest.raises(SqlError, match="ambiguous column 'k'"):
+            db.sql(stmt)
+
+    @pytest.mark.parametrize("backend", ["vector", "compiled"])
+    def test_same_schema_replacement_rebinds(self, db, backend):
+        """Binding reads data: unique build keys bind the join as pk-fk.
+        Replacing the build table with duplicate keys under the same
+        schema must re-bind, not run the stale pk-fk plan."""
+        opts = ExecOptions(backend=backend)
+        stmt = "SELECT u.w, t.v FROM u JOIN t ON u.k = t.z"
+        db.create_table("u", Table({"k": np.array([1, 2]), "w": np.array([10, 20])}))
+        db.sql(stmt, options=opts)
+        dup = Table({"k": np.array([1, 1, 3]), "w": np.array([10, 11, 30])})
+        db.create_table("u", dup, replace=True)
+        fresh = db.execute(db.parse(stmt), options=opts).table.to_rows()
+        assert len(fresh) == 7
+        assert sorted(db.sql(stmt, options=opts).table.to_rows()) == sorted(fresh)
+
+    def test_dropped_objects_raise_like_a_fresh_parse(self, db, prev):
+        db.sql("SELECT z FROM Lb(prev, 't', :bars)", params={"bars": [0]})
+        db.drop_result("prev")
+        with pytest.raises(SqlError, match="unknown result"):
+            db.sql("SELECT z FROM Lb(prev, 't', :bars)", params={"bars": [0]})
+        db.sql("SELECT z FROM t")
+        db.drop_table("t")
+        with pytest.raises(CatalogError, match="unknown table 't'"):
+            db.sql("SELECT z FROM t")
 
 
 class TestLineageResolutionCache:
@@ -277,8 +324,9 @@ class TestLineageResolutionCache:
         with pytest.raises(ValueError):
             rids[0] = 99
 
-    def test_lru_bound(self):
-        cache = LineageResolutionCache(max_entries=2)
+    def test_lru_bound(self, monkeypatch):
+        monkeypatch.setattr(LineageResolutionCache, "MAX_ENTRIES", 2)
+        cache = LineageResolutionCache()
         for i in range(4):
             cache.resolve(
                 "r", "backward", "t", bytes([i]), lambda i=i: np.array([i]), 0
