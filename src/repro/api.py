@@ -47,7 +47,8 @@ The N per-view statements of one brush resolve the brushed lineage
 **once**: the cache memoizes resolved backward/forward rid sets per
 ``(result, relation, rid-subset)`` and invalidates entries by registry
 epoch when a result name is re-registered.  Capture-off brushes over a
-GROUP BY view skip rid resolution altogether: each keeps a per-bar memo
+GROUP BY view, alone or joined to plain tables, skip rid resolution
+altogether: each keeps a per-bar memo
 in the same cache (:func:`repro.exec.late_mat.execute_pushed`) and
 merges the brushed bars' partial answers.  ``Database.sql`` also
 re-prepares transparently when a table a memoized plan scans is replaced

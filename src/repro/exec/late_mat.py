@@ -10,11 +10,14 @@ output*:
 1. resolve the traced rid array(s) against the result registry
    (:func:`repro.exec.lineage_scan.resolve_scan_source`, so every
    schema-drift and shrink guard of the materializing path applies) —
-   or, for a capture-off statement over one backward scan of a GROUP BY
-   view with a shared :class:`~repro.lineage.cache.LineageResolutionCache`,
-   answer from its **per-bar memo** instead: partial answers per brushed
-   bar (the paper's partial data cube, §4.2), filled lazily from the
-   bar's CSR slice and merged per brush (:func:`_memo_tables`);
+   or, for a capture-off statement whose one lineage leaf is a backward
+   scan of a GROUP BY view (alone, or in a join core whose other leaves
+   are plain catalog scans, :func:`memo_scan`) with a shared
+   :class:`~repro.lineage.cache.LineageResolutionCache`, answer from its
+   **per-bar memo** instead: partial answers per brushed bar (the
+   paper's partial data cube, §4.2), filled lazily from the bars' CSR
+   slices — through the chain interpreter below for a join core — and
+   merged per brush by order key (:func:`_memo_tables`);
 2. evaluate pushed predicates on rid-gathered slices of **only the
    predicates' columns**, narrowing the rid arrays to survivors;
 3. for a join core, probe the chain hop by hop: each hop gathers **only
@@ -76,7 +79,8 @@ from ..lineage.composer import (
     merge_binary,
     selection_locals,
 )
-from ..plan.logical import LogicalPlan, Scan, Select
+from ..lineage.indexes import stable_group_order
+from ..plan.logical import LineageScan, LogicalPlan, Scan, Select
 from ..plan.rewrite import PushedJoin, PushedJoinHop, PushedJoinSide, PushedLineageQuery
 from ..plan.schema import infer_expr_type, infer_schema, join_output_fields
 from ..storage.catalog import Catalog
@@ -99,6 +103,12 @@ from .timings import (
 )
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+#: Most base rids one per-bar memo fill runs over: a brush's missing bars
+#: are filled in consecutive runs of at most this many rids (a heavier bar
+#: alone), so a first brush over the heaviest bars allocates a working set
+#: bounded by one run, not by the whole window.
+FILL_RUN_RIDS = 1 << 18
 
 #: Executes one plan subtree through the calling backend's own recursion
 #: (used for the plain, non-lineage leaves of a pushed join chain).
@@ -304,24 +314,29 @@ class _ChainState:
         )
 
 
-def _plain_base_table(plan: LogicalPlan) -> Optional[str]:
-    """The catalog table behind a plain ``[Select*] Scan`` leaf (filters
+def _plain_scan(plan: LogicalPlan) -> Optional[Scan]:
+    """The catalog ``Scan`` under a plain ``[Select*] Scan`` leaf (filters
     preserve column uniqueness), else ``None``."""
     while isinstance(plan, Select):
         plan = plan.child
-    return plan.table if isinstance(plan, Scan) else None
+    return plan if isinstance(plan, Scan) else None
 
 
 class _ChainContext:
-    """Execution-scoped handles threaded through the chain recursion."""
+    """Execution-scoped handles threaded through the chain recursion.
+
+    ``traced`` is ``None`` on a brush; a per-bar memo fill sets it to the
+    lineage leaf's already-filtered ``(source, rids, source name, domain,
+    epoch)`` (see :func:`_fill_chain`)."""
 
     __slots__ = (
         "catalog", "results", "config", "params",
-        "next_key", "run_child", "cache", "stats",
+        "next_key", "run_child", "cache", "stats", "traced",
     )
 
     def __init__(
-        self, catalog, results, config, params, next_key, run_child, cache, stats
+        self, catalog, results, config, params, next_key, run_child, cache, stats,
+        traced=None,
     ):
         self.catalog = catalog
         self.results = results
@@ -331,27 +346,23 @@ class _ChainContext:
         self.run_child = run_child
         self.cache = cache
         self.stats = stats
+        self.traced = traced
 
 
-def _resolve_scan_side(
-    side: PushedJoinSide,
-    key: str,
-    catalog: Catalog,
-    results: Optional[Mapping[str, object]],
-    config: CaptureConfig,
-    params: Optional[dict],
-    cache: Optional[LineageResolutionCache],
-) -> _JoinInput:
+def _resolve_scan_side(side: PushedJoinSide, key: str, ctx: _ChainContext) -> _JoinInput:
     """Resolve a lineage-backed chain leaf to ``(source, surviving rids)``
     plus its node lineage, filtering in the rid domain (identical to the
     linear pushed path's scan+Select handling)."""
-    source, rids, source_name, domain, epoch = resolve_scan_source(
-        side.scan, catalog, results, params, cache
-    )
-    if side.predicate is not None:
-        rids = rids[_passing(side.predicate, source, rids, params)]
+    if ctx.traced is None:
+        source, rids, source_name, domain, epoch = resolve_scan_source(
+            side.scan, ctx.catalog, ctx.results, ctx.params, ctx.cache
+        )
+        if side.predicate is not None:
+            rids = rids[_passing(side.predicate, source, rids, ctx.params)]
+    else:
+        source, rids, source_name, domain, epoch = ctx.traced
     node = scan_node_lineage(
-        side.scan, key, rids, source_name, domain, config, epoch
+        side.scan, key, rids, source_name, domain, ctx.config, epoch
     )
     return _JoinInput(
         source=source,
@@ -420,14 +431,12 @@ def _run_hop(hop: PushedJoinHop, ctx: _ChainContext) -> _ChainState:
             state = _chain_select(state, hop.predicate, ctx.config, ctx.params)
         return state
     if hop.scan is not None:
-        leaf = _resolve_scan_side(
-            hop, ctx.next_key(), ctx.catalog, ctx.results,
-            ctx.config, ctx.params, ctx.cache,
-        )
+        leaf = _resolve_scan_side(hop, ctx.next_key(), ctx)
     else:
         table, node = ctx.run_child(hop.plan)
+        scan = _plain_scan(hop.plan)
         leaf = _JoinInput(
-            table=table, node=node, base_table=_plain_base_table(hop.plan)
+            table=table, node=node, base_table=None if scan is None else scan.table
         )
     return _ChainState.for_leaf(leaf)
 
@@ -556,9 +565,23 @@ def execute_pushed(
     """
     from .vector.groupby import execute_distinct, execute_groupby
 
+    if pushed.join is not None and stats is not None:
+        stats.chain_hops += pushed.chain_hops
+    if cache is not None:
+        answered = _memo_tables(pushed, catalog, results, config, [params], cache, stats)
+        if answered is not None:
+            # Capture is off on this path: the node carries each leaf's
+            # metadata only, one occurrence key per leaf in pre-order, as
+            # the interpreter consumes them.
+            (table,), leaves = answered
+            node = NodeLineage(output_size=table.num_rows)
+            for alias, name, size, epoch in leaves:
+                leaf = NodeLineage.for_scan(
+                    next_key(), name, size, False, False, alias=alias, epoch=epoch
+                )
+                node.absorb(leaf, None, None)
+            return table, node
     if pushed.join is not None:
-        if stats is not None:
-            stats.chain_hops += pushed.chain_hops
         ctx = _ChainContext(
             catalog, results, config, params, next_key, run_child, cache, stats
         )
@@ -575,17 +598,6 @@ def execute_pushed(
             return table, node
     else:
         scan = pushed.scan
-        answered = None
-        if cache is not None:
-            answered = _memo_tables(pushed, catalog, results, config, [params], cache)
-        if answered is not None:
-            # Capture is off on this path: the node carries metadata only.
-            (table,), part = answered
-            node = scan_node_lineage(
-                scan, next_key(), _EMPTY, part.base_name, part.base.num_rows,
-                config, part.epoch,
-            )
-            return table, compose_node(table.num_rows, node, None, None)
         source, rids, source_name, domain, epoch = resolve_scan_source(
             scan, catalog, results, params, cache
         )
@@ -632,18 +644,71 @@ def execute_pushed(
     return table, node
 
 
+def _join_leaves(hop: PushedJoinHop) -> List[PushedJoinSide]:
+    """A join core's leaves in pre-order (left before right): the order in
+    which the interpreter consumes occurrence keys and lays out
+    :attr:`_ChainState.inputs`."""
+    if isinstance(hop, PushedJoin):
+        return _join_leaves(hop.left) + _join_leaves(hop.right)
+    return [hop]
+
+
+def _order_leaves(hop: PushedJoinHop, first: int = 0) -> List[int]:
+    """Indices into :func:`_join_leaves` of the leaves whose positions
+    order ``hop``'s output, most significant first.  A hop's canonical
+    output runs right side first, recursively, so its rows are sorted by
+    the tuple of these positions."""
+    if isinstance(hop, PushedJoin):
+        split = first + hop.left.num_joins + 1
+        return _order_leaves(hop.right, split) + _order_leaves(hop.left, first)
+    return [first]
+
+
+def _core_predicates(hop: PushedJoinHop) -> list:
+    """Every predicate inside a join core: hop predicates, a lineage
+    leaf's pushed predicate, and the ``Select`` stack of a plain leaf."""
+    if isinstance(hop, PushedJoin):
+        own = [] if hop.predicate is None else [hop.predicate]
+        return own + _core_predicates(hop.left) + _core_predicates(hop.right)
+    if hop.scan is not None:
+        return [] if hop.predicate is None else [hop.predicate]
+    predicates, plan = [], hop.plan
+    while isinstance(plan, Select):
+        predicates.append(plan.predicate)
+        plan = plan.child
+    return predicates
+
+
+def memo_scan(pushed: PushedLineageQuery) -> Optional[LineageScan]:
+    """The per-bar memo's lineage leaf: a linear core's scan, or the only
+    lineage leaf of a join core whose other leaves are all plain
+    ``[Select*] Scan`` s of catalog tables; ``None`` for any other core.
+    Its rid argument is what the memo (and so ``sql_batch``) varies."""
+    if pushed.join is None:
+        return pushed.scan
+    leaves = _join_leaves(pushed.join)
+    scans = [side.scan for side in leaves if side.scan is not None]
+    if len(scans) != 1 or any(
+        side.scan is None and _plain_scan(side.plan) is None for side in leaves
+    ):
+        return None
+    return scans[0]
+
+
 def _memo_kind(pushed: PushedLineageQuery, config: CaptureConfig) -> Optional[str]:
     """Which per-bar partial answers ``pushed`` (see :func:`_memo_tables`),
     or ``None`` when the memo does not apply: capture must be off and the
-    core one *backward* lineage scan with a rid argument, whose value no
-    other expression reads.
+    memo's lineage leaf (:func:`memo_scan`) a *backward* scan with a rid
+    argument, whose value no other expression reads (predicates inside a
+    join core included).
 
     * ``"groups"`` — a ``COUNT(*)``-only GROUP BY without HAVING,
       optionally under a bag projection;
-    * ``"distinct"`` — ``SELECT DISTINCT`` over the scan;
-    * ``"rows"`` — predicate-only and bag-projection trees.
+    * ``"distinct"`` — ``SELECT DISTINCT`` over the core;
+    * ``"rows"`` — predicate-only and bag-projection trees over one scan
+      (a join core's rows would have to merge by order key).
     """
-    scan = pushed.scan
+    scan = memo_scan(pushed)
     if config.enabled or scan is None or scan.direction != "backward" or scan.rids is None:
         return None
     gb, project = pushed.groupby, pushed.project
@@ -656,23 +721,30 @@ def _memo_kind(pushed: PushedLineageQuery, config: CaptureConfig) -> Optional[st
         return None
     if isinstance(scan.rids, Param):
         exprs = [pushed.predicate] if pushed.predicate is not None else []
+        exprs += _core_predicates(pushed.join) if pushed.join is not None else []
         exprs += [e for e, _ in gb.keys] if gb is not None else []
         exprs += [e for e, _ in project.exprs] if project is not None else []
         if any(scan.rids.name in collect_params(e) for e in exprs):
             return None
     if gb is not None:
         return "groups"
-    return "distinct" if distinct else "rows"
+    if distinct:
+        return "distinct"
+    return "rows" if pushed.join is None else None
 
 
 class _BarMemo:
-    """Per-bar partial answers of one pushed statement over one (view,
-    base table) state: one entry of the shared
+    """Per-bar partial answers of one pushed statement over one state of
+    its view, base table and plain join leaves: one entry of the shared
     :class:`~repro.lineage.cache.LineageResolutionCache`, filled lazily.
     A bar maps to ``None`` when no row survives, else to a list of arrays
     — a ``"rows"`` bar to ``[sorted surviving rids]``, a ``"groups"`` /
-    ``"distinct"`` bar to ``[key columns..., counts, first rids]`` with
-    one entry per group in first-occurrence order."""
+    ``"distinct"`` bar to ``[key columns..., counts, order key...]`` with
+    one entry per group in order-key order.  A row's **order key** is the
+    tuple of leaf positions its output order follows — ``(rid,)`` over one
+    scan, :func:`_order_leaves` over a join core, with the lineage leaf's
+    position being the base rid — and a group's entry holds its first
+    row's."""
 
     __slots__ = ("pinned", "schema", "bars")
 
@@ -692,60 +764,113 @@ def _split_by(owner: np.ndarray, n: int, columns: List[np.ndarray]) -> list:
     ]
 
 
-def _fill_bars(pushed, kind: str, part, bars: List[int], params: Optional[dict]) -> list:
+def _plain_leaf(plan: LogicalPlan, tables: dict, config, params) -> Table:
+    """A plain ``[Select*] Scan`` join leaf over the catalog table the memo
+    holds, filtered as the executor's ``Select`` filters."""
+    from .vector.select import execute_select
+
+    if isinstance(plan, Select):
+        child = _plain_leaf(plan.child, tables, config, params)
+        return execute_select(child, plan.predicate, config, params)[0]
+    return tables[plan.table][0]
+
+
+def _fill_chain(pushed, chain, part, rids, owner, params):
+    """A fill's join core: the chain interpreter (:func:`_run_hop`) run
+    once, with the lineage leaf resolved to the bars' concatenated slices
+    ``rids`` instead of a brush's rid set.  Returns the narrow output
+    table, each output row's bar and its order-key columns."""
+    catalog, config, tables, stats = chain
+    leaves = _join_leaves(pushed.join)
+    lineage = next(i for i, side in enumerate(leaves) if side.scan is not None)
+    predicate = leaves[lineage].predicate
+    if predicate is not None:
+        keep = _passing(predicate, part.base, rids, params)
+        rids, owner = rids[keep], owner[keep]
+
+    def run_plain(plan):
+        table = _plain_leaf(plan, tables, config, params)
+        return table, NodeLineage(output_size=table.num_rows)
+
+    traced = (part.base, rids, part.base_name, part.base.num_rows, part.epoch)
+    ctx = _ChainContext(
+        catalog, None, config, params, lambda: "", run_plain, None, stats, traced
+    )
+    state = _run_hop(pushed.join, ctx)
+    if pushed.predicate is not None:
+        state = _chain_select(state, pushed.predicate, config, params)
+    at = state.positions[lineage]
+    order = [
+        rids[at] if leaf == lineage else state.positions[leaf]
+        for leaf in _order_leaves(pushed.join)
+    ]
+    return _gather_chain_output(state, pushed.columns), owner[at], order
+
+
+def _fill_bars(pushed, kind: str, part, bars: List[int], params: Optional[dict], chain) -> list:
     """Partials of ``bars`` from one pass over their concatenated CSR
-    slices of the backward index: the predicate, the key gather and the
-    factorize each run once, with the bar as the leading group key, so
-    each bar's groups come out as one block in first-occurrence order."""
+    slices of the backward index: the predicates, the join core (one
+    interpreter run, :func:`_fill_chain`), the key gather and the factorize
+    each run once, with the bar as the leading group key, so each bar's
+    groups come out as one block in order-key order."""
     from .vector.kernels import factorize
 
     buckets = [part.bucket(bar) for bar in bars]
     rids = np.concatenate(buckets)
     owner = np.repeat(np.arange(len(bars)), [b.size for b in buckets])
-    source = part.base
-    if pushed.predicate is not None:
-        keep = _passing(pushed.predicate, source, rids, params)
-        rids, owner = rids[keep], owner[keep]
-    if kind == "rows":
-        return _split_by(owner, len(bars), [sanitize.freeze(rids)])
-    table = _gather(source, rids, _slice_names(source, pushed.columns))
+    if pushed.join is not None:
+        table, owner, order = _fill_chain(pushed, chain, part, rids, owner, params)
+    else:
+        source = part.base
+        if pushed.predicate is not None:
+            keep = _passing(pushed.predicate, source, rids, params)
+            rids, owner = rids[keep], owner[keep]
+        if kind == "rows":
+            return _split_by(owner, len(bars), [sanitize.freeze(rids)])
+        table = _gather(source, rids, _slice_names(source, pushed.columns))
+        order = [rids]
     if kind == "groups":
         keys = [np.asarray(evaluate(e, table, params)) for e, _ in pushed.groupby.keys]
     else:
         projected = _project(pushed.project, table, params)
         keys = [projected.column(n) for n in projected.schema.names]
     codes, num, reps = factorize([owner] + keys)
-    columns = [k[reps] for k in keys] + [np.bincount(codes, minlength=num), rids[reps]]
+    # Chain output is not in bar order, but within one bar it runs in
+    # order-key order: each group's first row holds its least order key.
+    by_bar = stable_group_order(owner[reps], len(bars))
+    reps = reps[by_bar]
+    counts = np.bincount(codes, minlength=num)[by_bar]
+    columns = [k[reps] for k in keys] + [counts] + [o[reps] for o in order]
     return _split_by(owner[reps], len(bars), [sanitize.freeze(c) for c in columns])
 
 
-def _merge_groups(groups: List[List[list]]) -> list:
+def _merge_groups(groups: List[List[list]], width: int) -> list:
     """Per binding, ``[key columns..., counts]`` from its bars' partials
-    ``groups[i]`` (``None`` when it has none), groups ordered by first
-    rid — what factorize's first-occurrence order over the binding's
-    sorted rids gives.  The bars partition the base, so first rids are
-    distinct: order the partials by first rid, factorize their key
-    values, and each group's first partial holds its minimum rid and the
-    key values at that rid; counts sum.  All bindings share one
-    factorize, the binding being the leading key."""
+    ``groups[i]`` (``None`` when it has none), groups ordered by order key
+    (the last ``width`` columns of a partial) — the first-occurrence order
+    the interpreter's factorize gives over the binding's output, which
+    runs in order-key order.  Each output row has one lineage-leaf
+    position, so the bars partition the output and order keys are
+    distinct: sort the partials by order key, factorize their key values,
+    and each group's first partial holds its least order key and the key
+    values at that row; counts sum.  All bindings share one factorize,
+    the binding being the leading key."""
     from .vector.kernels import factorize
 
     parts = [p for g in groups for p in g]
     if not parts:
         return [None] * len(groups)
     if len(groups) == 1 and len(parts) == 1:
-        return [[a.copy() for a in parts[0][:-1]]]
+        return [[a.copy() for a in parts[0][:-width]]]
     sizes = [sum(p[-1].size for p in g) for g in groups]
     binding = np.repeat(np.arange(len(groups)), sizes)
     columns = [np.concatenate(cols) for cols in zip(*parts, strict=True)]
-    if len(groups) == 1:
-        order = np.argsort(columns[-1])
-    else:
-        order = np.lexsort((columns[-1], binding))
-    keys = [c[order] for c in columns[:-2]]
+    # lexsort's last key is the primary one.
+    order = np.lexsort(columns[: -width - 1 : -1] + [binding])
+    keys = [c[order] for c in columns[: -width - 1]]
     # Parts are concatenated binding by binding: ``binding`` is in order.
     codes, num, reps = factorize([binding] + keys)
-    counts = np.bincount(codes, weights=columns[-2][order], minlength=num)
+    counts = np.bincount(codes, weights=columns[-width - 1][order], minlength=num)
     return _split_by(binding[reps], len(groups), [k[reps] for k in keys] + [counts.astype(np.int64)])
 
 
@@ -776,20 +901,33 @@ def _rows_table(pushed, source: Table, parts: List[list], params) -> Table:
     return _project(pushed.project, table, params)
 
 
-def _memo_answers(pushed, kind, memo, part, params_list, cache) -> List[Table]:
+def _fill_runs(bars: List[int], offsets: np.ndarray) -> List[List[int]]:
+    """``bars`` cut into consecutive runs of at most
+    :data:`FILL_RUN_RIDS` rids by the CSR ``offsets``."""
+    runs, start, total = [], 0, 0
+    for i, bar in enumerate(bars):
+        size = int(offsets[bar + 1] - offsets[bar])
+        if i > start and total + size > FILL_RUN_RIDS:
+            runs.append(bars[start:i])
+            start, total = i, 0
+        total += size
+    return runs + [bars[start:]] if bars else runs
+
+
+def _memo_answers(pushed, kind, memo, part, params_list, cache, fill) -> List[Table]:
     """Each binding's output table, merged from its bars' partials; the
-    bars no brush filled before are filled together first."""
+    bars no brush filled before are filled first, a run of them per
+    ``fill`` call (:func:`_fill_runs`)."""
     num_keys = part.index.num_keys
     per_binding = []
     for params in params_list:
-        bars = sorted(set(resolve_rid_spec(pushed.scan.rids, params, 0).tolist()))
+        bars = sorted(set(resolve_rid_spec(part.plan.rids, params, 0).tolist()))
         if bars and (bars[0] < 0 or bars[-1] >= num_keys):
             raise LineageError(f"rids out of range [0, {num_keys})")
         per_binding.append(bars)
     missing = sorted({bar for bars in per_binding for bar in bars if bar not in memo.bars})
-    if missing:
-        filled = _fill_bars(pushed, kind, part, missing, params_list[0])
-        for bar, partial in zip(missing, filled, strict=True):
+    for run in _fill_runs(missing, part.index.as_csr()[0]):
+        for bar, partial in zip(run, fill(run), strict=True):
             memo.bars.setdefault(bar, partial)
     requested = sum(map(len, per_binding))
     cache.count_bars(len(missing), requested - len(missing))
@@ -802,9 +940,10 @@ def _memo_answers(pushed, kind, memo, part, params_list, cache) -> List[Table]:
             _rows_table(pushed, part.base, parts, params)
             for parts, params in zip(groups, params_list, strict=True)
         ]
+    width = 1 if pushed.join is None else pushed.join.num_joins + 1
     return [
         _groups_table(pushed, kind, memo.schema, m, params)
-        for m, params in zip(_merge_groups(groups), params_list, strict=True)
+        for m, params in zip(_merge_groups(groups, width), params_list, strict=True)
     ]
 
 
@@ -815,15 +954,18 @@ def _memo_tables(
     config: CaptureConfig,
     params_list: Sequence[Optional[dict]],
     cache: LineageResolutionCache,
+    stats: Optional[PushedStats] = None,
 ):
     """Answer ``pushed`` for each binding from its per-bar memo; returns
-    ``(tables, partition)``, or ``None`` when the memo does not apply
-    (:func:`_memo_kind`, or an index that is not a partition).
+    ``(tables, leaves)`` — ``leaves`` holding ``(alias, table name, rows,
+    epoch)`` per core leaf in pre-order, for the node metadata — or
+    ``None`` when the memo does not apply (:func:`_memo_kind`, or an index
+    that is not a partition).
 
     The memo is one cache entry per (pushed tree, parameters other than
     the rid argument), live while the registry epoch of the view, the
-    catalog epoch of its base table and the identity of both objects are
-    unchanged.  The guards of
+    catalog epochs of its base table and of every plain join leaf, and
+    the identity of all these objects are unchanged.  The guards of
     :func:`~repro.exec.lineage_scan.resolve_scan_source` run once per
     call; the shrink guard once per bar fill.  All bindings must agree on
     every parameter but the rid argument.
@@ -831,7 +973,7 @@ def _memo_tables(
     kind = _memo_kind(pushed, config)
     if kind is None:
         return None
-    scan = pushed.scan
+    scan = memo_scan(pushed)
     shared = {
         k: v for k, v in (params_list[0] or {}).items()
         if not (isinstance(scan.rids, Param) and k == scan.rids.name)
@@ -839,23 +981,36 @@ def _memo_tables(
     part = resolve_scan_partition(scan, catalog, results)
     if part is None:
         return None
+    leaves, tables = [], {}
+    for side in _join_leaves(pushed.join) if pushed.join is not None else [None]:
+        plain = None if side is None else _plain_scan(side.plan)
+        if plain is None:
+            leaves.append((scan.alias, part.base_name, part.base.num_rows, part.epoch))
+        else:
+            table, epoch = tables.setdefault(plain.table, catalog.get_versioned(plain.table))
+            leaves.append((plain.alias, plain.table, table.num_rows, epoch))
 
     def build() -> _BarMemo:
         schema = None
         if kind == "groups":
             schema = infer_schema(pushed.groupby, catalog)
         elif kind == "distinct":
-            names = _slice_names(part.base, pushed.columns)
-            empty = _gather(part.base, _EMPTY, names)
-            schema = _project(pushed.project, empty, params_list[0]).schema
-        return _BarMemo((pushed, part.result, part.base), schema)
+            schema = infer_schema(pushed.project, catalog)
+        pinned = (pushed, part.result, part.base) + tuple(t for t, _ in tables.values())
+        return _BarMemo(pinned, schema)
 
     memo = cache.memo(
         (scan.result, "bars", scan.relation, (id(pushed), param_fingerprint(shared))),
-        (part.registry_epoch, part.epoch, id(part.result), id(part.base)),
+        (part.registry_epoch, part.epoch, id(part.result), id(part.base))
+        + tuple((epoch, id(table)) for table, epoch in tables.values()),
         build,
     )
-    return _memo_answers(pushed, kind, memo, part, params_list, cache), part
+    chain = (catalog, config, tables, stats)
+
+    def fill(bars):
+        return _fill_bars(pushed, kind, part, bars, params_list[0], chain)
+
+    return _memo_answers(pushed, kind, memo, part, params_list, cache, fill), leaves
 
 
 def execute_pushed_batch(

@@ -14,9 +14,11 @@ a brush's per-view statements resolve lineage once and repeated
 identical brushes resolve it zero times.  The same entries hold each
 brush statement's **per-bar memo** (:meth:`~LineageResolutionCache.memo`,
 filled by :func:`~repro.exec.late_mat.execute_pushed`): partial answers
-per bar of a GROUP BY view, so a brush re-visiting bars merges partials
-instead of re-scanning rows, and single brushes and ``sql_batch`` share
-them.
+per bar of a GROUP BY view — for single-table brushes and for join
+chains with one lineage leaf alike — so a brush re-visiting bars merges
+partials instead of re-scanning rows or re-running the join chain, and
+single brushes and ``sql_batch`` share them.  A memo entry lives while
+the view, its base table and every plain join leaf are unchanged.
 
 Correctness rests on two invariants:
 

@@ -411,10 +411,11 @@ class DatabaseServer:
         binding (in submission order).
 
         When the prepared plan is a pushed lineage subtree the per-bar
-        memo answers (see :func:`~repro.exec.late_mat.execute_pushed`),
-        the bindings agree on every parameter except the lineage scan's
-        rid subset, and the view's backward index is a partition, the N
-        brushes coalesce (:func:`~repro.exec.late_mat.execute_pushed_batch`):
+        memo answers (see :func:`~repro.exec.late_mat.execute_pushed`) —
+        over one lineage scan or a join core with one lineage leaf — the
+        bindings agree on every parameter except that leaf's rid subset,
+        and the view's backward index is a partition, the N brushes
+        coalesce (:func:`~repro.exec.late_mat.execute_pushed_batch`):
         the guards and the memo lookup run once, then each binding is one
         merge of its bars' memoized partials.  Anything else falls back
         to per-binding :meth:`sql` — the batch form is an optimization,
@@ -445,7 +446,7 @@ class DatabaseServer:
         statement/bindings are not batch-eligible (caller falls back)."""
         from time import perf_counter
 
-        from .exec.late_mat import execute_pushed_batch
+        from .exec.late_mat import execute_pushed_batch, memo_scan
         from .exec.timings import EXECUTE, LATE_MAT_SUBTREES
         from .exec.vector.executor import ExecResult
         from .expr.ast import Param
@@ -456,9 +457,10 @@ class DatabaseServer:
             return None
         prepared = self._db._statements.get(key, lambda: self._bind(statement, snap))
         pushed = prepared.rewrites.lookup(prepared.plan)
-        if pushed is None or pushed.scan is None:
+        scan = None if pushed is None else memo_scan(pushed)
+        if scan is None:
             return None
-        rid_param = pushed.scan.rids
+        rid_param = scan.rids
         if not isinstance(rid_param, Param):
             return None
         if not _params_shared_except(params_list, rid_param.name):

@@ -203,8 +203,9 @@ class TestCatalogStatsHammer:
 class TestBarMemoHammer:
     def test_concurrent_brushes_share_one_memo(self):
         """Reader threads brushing overlapping bars fill and read one
-        per-bar memo: every answer equals the plain path, and the bar
-        counters add up (a lost update would break the sum)."""
+        per-bar memo per statement, over one table and through a join:
+        every answer equals the plain path, and the bar counters add up
+        (a lost update would break the sum)."""
         from repro import CaptureMode, Database, ExecOptions
         from repro.serve import DatabaseServer
 
@@ -220,12 +221,21 @@ class TestBarMemoHammer:
             "SELECT z, COUNT(*) AS c FROM t GROUP BY z",
             options=ExecOptions(capture=CaptureMode.INJECT, name="v", pin=True),
         )
-        stmt = "SELECT g, COUNT(*) AS c FROM Lb(v, 't', :bars) WHERE w >= 0.25 GROUP BY g"
+        db.create_table("d", Table({
+            "g": rng.permutation(np.arange(25) % 20),
+            "region": rng.integers(0, 6, 25),
+        }))
+        stmts = [
+            "SELECT g, COUNT(*) AS c FROM Lb(v, 't', :bars) WHERE w >= 0.25 GROUP BY g",
+            "SELECT region, COUNT(*) AS c FROM Lb(v, 't', :bars) JOIN d ON t.g = d.g "
+            "WHERE w >= 0.25 GROUP BY region",
+        ]
         brushes = [rng.integers(0, bars, int(rng.integers(1, 9))) for _ in range(32)]
         plain = ExecOptions(late_materialize=False)
-        plan = db.parse(stmt)
         expected = [
-            db.execute(plan, params={"bars": b}, options=plain).table.to_rows() for b in brushes
+            [db.execute(db.parse(stmt), params={"bars": b}, options=plain).table.to_rows()
+             for stmt in stmts]
+            for b in brushes
         ]
         requested = []
         interval = sys.getswitchinterval()
@@ -236,13 +246,14 @@ class TestBarMemoHammer:
                 def worker(seed):
                     order = np.random.default_rng(seed).permutation(len(brushes))
                     for i in order.tolist():
-                        got = server.sql(stmt, params={"bars": brushes[i]})
-                        assert got.table.to_rows() == expected[i]
-                        requested.append(len(set(brushes[i].tolist())))
+                        for stmt, want in zip(stmts, expected[i], strict=True):
+                            got = server.sql(stmt, params={"bars": brushes[i]})
+                            assert got.table.to_rows() == want
+                            requested.append(len(set(brushes[i].tolist())))
 
                 _hammer(worker)
                 stats = server.stats()["lineage_cache"]
         finally:
             sys.setswitchinterval(interval)
         assert stats["bar_fills"] + stats["bar_reuses"] == sum(requested)
-        assert stats["bar_fills"] >= len({b for br in brushes for b in br.tolist()})
+        assert stats["bar_fills"] >= len(stmts) * len({b for br in brushes for b in br.tolist()})

@@ -565,6 +565,37 @@ class TestSqlBatch:
         assert np.signbit(batched[0].table.column("k")).tolist() == [True, False]
         assert np.signbit(batched[1].table.column("k")).tolist() == [False, False, False]
 
+    def test_chain_statement_coalesces(self):
+        # The memo's lineage leaf sits under a two-hop chain: the batch
+        # still coalesces, and each binding equals its own `sql` and the
+        # materialized plan.
+        db = _make_db()
+        db.create_table("d1", Table({
+            "z": np.array([2, 0, 1, 0], dtype=np.int64),
+            "g": np.array([1, 0, 1, 2], dtype=np.int64),
+        }))
+        db.create_table("d2", Table({
+            "g": np.array([2, 1, 0], dtype=np.int64),
+            "h": np.array(["x", "y", "x"], dtype=object),
+        }))
+        stmt = (
+            "SELECT h, COUNT(*) AS c FROM Lb(v, 't', :bars) JOIN d1 ON t.z = d1.z "
+            "JOIN d2 ON d1.g = d2.g WHERE w >= :cut GROUP BY h"
+        )
+        params_list = [
+            {"bars": [2, 0], "cut": 2.0},
+            {"bars": [1, 2, 1], "cut": 2.0},
+            {"bars": [], "cut": 2.0},
+        ]
+        plain = ExecOptions(late_materialize=False)
+        with db.serve(readers=1) as server:
+            _assert_batch_route(server, stmt, params_list, "coalesced")
+            batched = server.sql_batch(stmt, params_list)
+            for params, batch in zip(params_list, batched, strict=True):
+                want = server.sql(stmt, params=params, options=plain).table
+                assert batch.table.schema == want.schema
+                assert batch.table.to_rows() == want.to_rows()
+
     def test_batch_respects_pinned_snapshot(self):
         db = _make_db()
         with db.serve(readers=2) as server:

@@ -336,3 +336,83 @@ def test_prepared_chain_pushes_match_one_shot(rows, d1, d2, subset, backend):
     assert via_prepared.timings.get("late_mat_chain_hops") == 1.0
     assert via_prepared.table.to_rows() == one_shot.table.to_rows()
     _assert_same_lineage(db, via_prepared, one_shot)
+
+
+# Capture-off chain brushes the per-bar memo answers, over a view ``pm``
+# whose bars partition ``t`` by ``m``: the lineage leaf first, in the
+# middle and last in pre-order, hop predicates (a filtered derived-table
+# hop), leaf predicates on lineage and plain leaves, residual predicates,
+# a snowflake branch, and GROUP BY / DISTINCT roots.  The dimensions keep
+# the generated row order, so their keys repeat and run against key order.
+MEMO_STATEMENTS = [
+    "SELECT label, COUNT(*) AS c FROM Lb(pm, 't', :bars) JOIN d1 ON t.k = d1.k "
+    "JOIN d2 ON d1.g = d2.g JOIN d3 ON d2.h = d3.h GROUP BY label",
+    "SELECT name, COUNT(*) AS c FROM d2 JOIN (SELECT * FROM d1 JOIN "
+    "Lb(pm, 't', :bars) ON d1.k = t.k WHERE v >= :cut) AS s ON d2.g = s.g "
+    "GROUP BY name",
+    "SELECT DISTINCT h, name FROM (SELECT * FROM Lb(pm, 't', :bars) WHERE v < :cut) "
+    "AS s JOIN d1 ON s.k = d1.k JOIN (SELECT * FROM d2 WHERE h >= 1) AS dd "
+    "ON d1.g = dd.g",
+    "SELECT v, COUNT(*) AS c FROM Lb(pm, 't', :bars) JOIN d1 ON t.k = d1.k "
+    "JOIN e1 ON t.m = e1.m WHERE d1.g + u >= 1 GROUP BY v",
+    "SELECT COUNT(*) AS c FROM d1 JOIN Lb(pm, 't', :bars) ON d1.k = t.k "
+    "JOIN e1 ON t.m = e1.m GROUP BY u",
+]
+
+
+def _assert_identical(got, want):
+    assert got.schema == want.schema
+    for name in want.schema.names:
+        assert got.column(name).dtype == want.column(name).dtype
+    assert got.to_rows() == want.to_rows()
+
+
+def _outcome(run):
+    try:
+        return run().table, None
+    except Exception as exc:  # noqa: BLE001 - both arms must fail alike
+        return None, type(exc)
+
+
+@given(
+    fact_rows,
+    d1_rows,
+    d2_rows,
+    d3_rows,
+    e1_rows,
+    st.integers(min_value=0, max_value=31),
+    st.lists(st.lists(st.integers(min_value=0, max_value=3), max_size=5), min_size=1, max_size=4),
+    st.booleans(),
+)
+@settings(deadline=None)  # example budget governed by the profile
+def test_memoized_chain_matches_materialized(
+    rows, d1, d2, d3, e1, cut, brushes, out_of_range
+):
+    db = _db(rows, d1, d2, d3, e1)
+    db.sql(
+        "SELECT m, COUNT(*) AS c FROM t GROUP BY m",
+        options=ExecOptions(capture=CaptureMode.INJECT, name="pm"),
+    )
+    n_bars = len(db.result("pm"))
+    # Duplicate, unsorted and empty brushes, the first one repeated;
+    # optionally one bar past the end.
+    brushes = [[b % n_bars for b in bars] for bars in brushes]
+    if out_of_range:
+        brushes[0].append(n_bars)
+    memoized_bars = 0
+    for stmt in MEMO_STATEMENTS:
+        for bars in brushes + brushes[:1]:
+            params = {"cut": cut, "bars": bars}
+            memo, memo_error = _outcome(lambda p=params: db.sql(stmt, params=p))
+            plain, plain_error = _outcome(
+                lambda p=params: db.execute(
+                    db.parse(stmt), params=p, options=ExecOptions(late_materialize=False)
+                )
+            )
+            assert memo_error == plain_error
+            if plain_error is None:
+                _assert_identical(memo, plain)
+                memoized_bars += len(set(bars))
+    # Every answered brush went through the memo, bar by bar.
+    stats = db.lineage_cache.stats()
+    assert stats["bar_fills"] + stats["bar_reuses"] == memoized_bars

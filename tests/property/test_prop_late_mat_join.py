@@ -235,3 +235,75 @@ def test_prepared_join_pushes_match_one_shot(rows, drows, subset, backend):
     assert via_prepared.timings.get("late_mat_joins") == 1.0
     assert via_prepared.table.to_rows() == one_shot.table.to_rows()
     _assert_same_lineage(db, via_prepared, one_shot)
+
+
+# Capture-off join brushes the per-bar memo answers, over a view ``pw``
+# whose bars partition ``t`` by ``w``: the lineage leaf on either side of
+# the hop, leaf predicates on both leaves, residual predicates, and
+# GROUP BY / DISTINCT roots.  ``d`` keeps the generated row order, so its
+# keys repeat and run against key order.
+MEMO_STATEMENTS = [
+    "SELECT g, COUNT(*) AS c FROM Lb(pw, 't', :bars) JOIN d ON t.k = d.k GROUP BY g",
+    "SELECT name, COUNT(*) AS c FROM d JOIN Lb(pw, 't', :bars) ON d.k = t.k "
+    "WHERE v >= :cut GROUP BY name",
+    "SELECT COUNT(*) AS c FROM (SELECT * FROM Lb(pw, 't', :bars) WHERE v >= :cut) AS s "
+    "JOIN (SELECT * FROM d WHERE g >= 1) AS dd ON s.k = dd.k GROUP BY name",
+    "SELECT DISTINCT name, g FROM Lb(pw, 't', :bars) JOIN d ON t.k = d.k "
+    "WHERE v + g >= :cut",
+    "SELECT DISTINCT v FROM (SELECT * FROM d WHERE g <> 2) AS dd "
+    "JOIN Lb(pw, 't', :bars) ON dd.k = t.k",
+    "SELECT COUNT(*) AS c FROM Lb(pw, 't', :bars) JOIN d ON t.k = d.k",
+]
+
+
+def _assert_identical(got, want):
+    assert got.schema == want.schema
+    for name in want.schema.names:
+        assert got.column(name).dtype == want.column(name).dtype
+    assert got.to_rows() == want.to_rows()
+
+
+def _outcome(run):
+    try:
+        return run().table, None
+    except Exception as exc:  # noqa: BLE001 - both arms must fail alike
+        return None, type(exc)
+
+
+@given(
+    fact_rows,
+    dim_rows,
+    st.integers(min_value=0, max_value=31),
+    st.lists(st.lists(st.integers(min_value=0, max_value=5), max_size=6), min_size=1, max_size=4),
+    st.booleans(),
+)
+@settings(deadline=None)  # example budget governed by the profile
+def test_memoized_join_matches_materialized(rows, drows, cut, brushes, out_of_range):
+    db = _db(rows, drows)
+    db.sql(
+        "SELECT w, COUNT(*) AS c FROM t GROUP BY w",
+        options=ExecOptions(capture=CaptureMode.INJECT, name="pw"),
+    )
+    n_bars = len(db.result("pw"))
+    # Duplicate, unsorted and empty brushes, the first one repeated;
+    # optionally one bar past the end.
+    brushes = [[b % n_bars for b in bars] for bars in brushes]
+    if out_of_range:
+        brushes[0].append(n_bars)
+    memoized_bars = 0
+    for stmt in MEMO_STATEMENTS:
+        for bars in brushes + brushes[:1]:
+            params = {"cut": cut, "bars": bars}
+            memo, memo_error = _outcome(lambda p=params: db.sql(stmt, params=p))
+            plain, plain_error = _outcome(
+                lambda p=params: db.execute(
+                    db.parse(stmt), params=p, options=ExecOptions(late_materialize=False)
+                )
+            )
+            assert memo_error == plain_error
+            if plain_error is None:
+                _assert_identical(memo, plain)
+                memoized_bars += len(set(bars))
+    # Every answered brush went through the memo, bar by bar.
+    stats = db.lineage_cache.stats()
+    assert stats["bar_fills"] + stats["bar_reuses"] == memoized_bars

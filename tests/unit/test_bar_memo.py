@@ -142,3 +142,137 @@ def test_param_fingerprint_tells_equal_values_of_other_types_apart():
     assert param_fingerprint({"x": np.array([1, 2])}) == param_fingerprint(
         {"x": np.array([1, 2])}
     )
+
+
+JOIN = (
+    "SELECT region, COUNT(*) AS c FROM Lb(v, 't', :bars) "
+    "JOIN carriers ON t.g = carriers.g GROUP BY region"
+)
+
+
+def _carriers(regions):
+    # Keys repeat and run against key order.
+    return Table({
+        "g": np.array(list("caba"), dtype=object),
+        "region": np.asarray(regions, dtype=np.int64),
+    })
+
+
+def _join_db():
+    db = _db()
+    db.create_table("carriers", _carriers([1, 0, 1, 2]))
+    db.create_table("regions", Table({
+        "region": np.array([2, 0, 1], dtype=np.int64),
+        "continent": np.array([0, 1, 0], dtype=np.int64),
+    }))
+    return db
+
+
+@pytest.mark.parametrize("preserve_rids", [False, True])
+def test_replacing_a_plain_join_leaf_never_serves_a_stale_memo(preserve_rids):
+    db = _join_db()
+    params = {"bars": [0, 2]}
+
+    def replace(d):  # same schema, another region mapping
+        d.create_table(
+            "carriers", _carriers([2, 2, 0, 1]), replace=True, preserve_rids=preserve_rids
+        )
+
+    with DatabaseServer(db, readers=1, memoize_answers=False) as server:
+        old = server.snapshot()
+        before = db.sql(JOIN, params=params).table.to_rows()
+        assert server.sql(JOIN, params=params, snapshot=old).table.to_rows() == before
+        server.write(replace)
+        after = db.sql(JOIN, params=params).table.to_rows()
+        assert after == _plain(db, JOIN, params["bars"]) != before
+        pinned = server.sql(JOIN, params=params, snapshot=old).table.to_rows()
+        assert pinned == old.sql(JOIN, params=params, options=PLAIN).table.to_rows()
+        assert pinned == before
+    # One memo entry per statement: each state change refills both bars.
+    assert _bar_traffic(db.lineage_cache.stats()) == (6, 2)
+
+
+def test_rid_parameter_read_in_a_hop_predicate_bypasses_the_memo():
+    db = _join_db()
+    stmt = (
+        "SELECT continent, COUNT(*) AS c FROM (SELECT * FROM Lb(v, 't', :bars) "
+        "JOIN carriers ON t.g = carriers.g WHERE z IN :bars) AS s "
+        "JOIN regions ON s.region = regions.region GROUP BY continent"
+    )
+    for bars in ([0, 1], [1, 2]):
+        assert db.sql(stmt, params={"bars": bars}).table.to_rows() == _plain(db, stmt, bars)
+    assert _bar_traffic(db.lineage_cache.stats()) == (0, 0)
+
+
+def test_join_rows_shape_and_capture_on_join_decline_the_memo():
+    db = _join_db()
+    rows = "SELECT w, region FROM Lb(v, 't', :bars) JOIN carriers ON t.g = carriers.g"
+    for bars in ([0, 1], [1, 2]):
+        assert db.sql(rows, params={"bars": bars}).table.to_rows() == _plain(db, rows, bars)
+    captured = db.sql(JOIN, params={"bars": [0, 1]}, options=INJECT.with_(pin=False))
+    plain = db.execute(
+        db.parse(JOIN), params={"bars": [0, 1]},
+        options=INJECT.with_(pin=False, late_materialize=False),
+    )
+    assert captured.table.to_rows() == plain.table.to_rows()
+    out = list(range(len(plain)))
+    assert captured.backward(out, "t").tolist() == plain.backward(out, "t").tolist()
+    assert _bar_traffic(db.lineage_cache.stats()) == (0, 0)
+
+
+def test_memo_answer_carries_the_interpreters_node_metadata(monkeypatch):
+    """A memo answer skips every leaf, yet consumes one occurrence key per
+    leaf and returns the capture-off node the chain interpreter builds."""
+    from repro.exec.vector import executor
+
+    nodes = []
+
+    def recording(*args, **kwargs):
+        table, node = execute_pushed(*args, **kwargs)
+        nodes.append(node)
+        return table, node
+
+    execute_pushed = executor.execute_pushed
+    monkeypatch.setattr(executor, "execute_pushed", recording)
+    db = _join_db()
+    # carriers is scanned twice: occurrence keys differ from table names.
+    stmt = (
+        "SELECT region AS continent, COUNT(*) AS c FROM carriers GROUP BY region "
+        "UNION ALL SELECT continent, COUNT(*) AS c FROM Lb(v, 't', :bars) AS f "
+        "JOIN carriers AS cr ON f.g = cr.g JOIN regions ON cr.region = regions.region "
+        "GROUP BY continent"
+    )
+    params = {"bars": [0, 2]}
+    db.sql(stmt, params=params)  # fills
+    db.sql(stmt, params=params)  # reuses
+    db.execute(db.parse(stmt), params=params)  # the interpreter, uncached
+    assert _bar_traffic(db.lineage_cache.stats()) == (2, 2)
+    fields = ("output_size", "backward", "forward", "names", "aliases", "base_sizes",
+              "base_epochs")
+    filled, reused, interpreted = (
+        [getattr(node, f) for f in fields] for node in nodes
+    )
+    assert filled == reused == interpreted
+
+
+@pytest.mark.parametrize("stmt", [BRUSH, ROWS, JOIN])
+def test_fill_runs_bounded_by_rids_answer_like_one_run(stmt, monkeypatch):
+    """Missing bars heavier together than ``FILL_RUN_RIDS`` fill in
+    several runs (a heavier bar alone); the answers do not change."""
+    from repro.exec import late_mat
+
+    runs = []
+    fill_bars = late_mat._fill_bars
+
+    def recording(pushed, kind, part, bars, *args):
+        runs.append(list(bars))
+        return fill_bars(pushed, kind, part, bars, *args)
+
+    monkeypatch.setattr(late_mat, "_fill_bars", recording)
+    monkeypatch.setattr(late_mat, "FILL_RUN_RIDS", 5)
+    db = _join_db()
+    # Bars 0, 1 and 2 hold 3, 3 and 2 rids.
+    for bars in ([2, 0, 1], [1, 2]):
+        assert db.sql(stmt, params={"bars": bars}).table.to_rows() == _plain(db, stmt, bars)
+    assert runs == [[0], [1, 2]]
+    assert _bar_traffic(db.lineage_cache.stats()) == (3, 2)
