@@ -51,12 +51,7 @@ from ...storage.catalog import Catalog
 from ...storage.table import ColumnType, Schema, Table
 from ..late_mat import PushedStats, execute_pushed, fold_push_stats
 from ..lineage_scan import execute_lineage_scan
-from ..timings import (
-    EXECUTE,
-    LATE_MAT_DISTINCTS,
-    LATE_MAT_JOINS,
-    LATE_MAT_SUBTREES,
-)
+from ..timings import EXECUTE
 from ..vector.executor import ExecResult, check_relation_pruning
 from .codegen import (
     CodeContext,
@@ -118,12 +113,6 @@ class CompiledExecutor:
         elapsed = time.perf_counter() - start
         lineage = node.to_query_lineage() if config.enabled else None
         timings = {EXECUTE: elapsed}
-        if state.pushed_subtrees:
-            timings[LATE_MAT_SUBTREES] = float(state.pushed_subtrees)
-        if state.pushed_joins:
-            timings[LATE_MAT_JOINS] = float(state.pushed_joins)
-        if state.pushed_distincts:
-            timings[LATE_MAT_DISTINCTS] = float(state.pushed_distincts)
         fold_push_stats(timings, state.push_stats)
         return ExecResult(table, lineage, timings)
 
@@ -145,9 +134,6 @@ class _ExecState:
         self.late_mat = bool(late_mat)
         self.rewrites = rewrites
         self.cache = cache
-        self.pushed_subtrees = 0
-        self.pushed_joins = 0
-        self.pushed_distincts = 0
         self.push_stats = PushedStats()
         self.scan_keys = None
         self._scan_counter = 0
@@ -187,11 +173,6 @@ class _ExecState:
         # non-lineage input re-enters this recursion via run_child.
         pushed = self._match(plan)
         if pushed is not None:
-            self.pushed_subtrees += 1
-            if pushed.has_join:
-                self.pushed_joins += 1
-            if pushed.has_distinct:
-                self.pushed_distincts += 1
             return execute_pushed(
                 pushed,
                 self.catalog,

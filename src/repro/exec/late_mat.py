@@ -1,23 +1,23 @@
 """Late-materializing execution of lineage-scan trees (rid domain).
 
 Runs a :class:`~repro.plan.rewrite.PushedLineageQuery` — a
-``[Project?][GroupBy?][Select*]`` tree over one
-:class:`~repro.plan.logical.LineageScan` or over a flattened **chain**
-(or snowflake tree) of hash equi-joins with lineage-backed leaves —
-without ever materializing the traced subset *or any intermediate join
-output*:
+``[Project?][GroupBy?][Select*]`` tree over one pushed **core**: a single
+:class:`~repro.plan.logical.LineageScan` leaf (a zero-join core) or a
+flattened **chain** (or snowflake tree) of hash equi-joins with
+lineage-backed leaves — through one chain interpreter, without ever
+materializing the traced subset *or any intermediate join output*:
 
 1. resolve the traced rid array(s) against the result registry
    (:func:`repro.exec.lineage_scan.resolve_scan_source`, so every
    schema-drift and shrink guard of the materializing path applies) —
-   or, for a capture-off statement whose one lineage leaf is a backward
-   scan of a GROUP BY view (alone, or in a join core whose other leaves
-   are plain catalog scans, :func:`memo_scan`) with a shared
+   or, for a capture-off statement whose core's one lineage leaf is a
+   backward scan of a GROUP BY view (the whole core, or a join core whose
+   other leaves are plain catalog scans, :func:`memo_scan`) with a shared
    :class:`~repro.lineage.cache.LineageResolutionCache`, answer from its
    **per-bar memo** instead: partial answers per brushed bar (the
    paper's partial data cube, §4.2), filled lazily from the bars' CSR
-   slices — through the chain interpreter below for a join core — and
-   merged per brush by order key (:func:`_memo_tables`);
+   slices through the same chain interpreter, and merged per brush by
+   order key (:func:`_memo_tables`);
 2. evaluate pushed predicates on rid-gathered slices of **only the
    predicates' columns**, narrowing the rid arrays to survivors;
 3. for a join core, probe the chain hop by hop: each hop gathers **only
@@ -99,7 +99,10 @@ from .lineage_scan import (
 from .timings import (
     LATE_MAT_BUILD_SWAPS,
     LATE_MAT_CHAIN_HOPS,
+    LATE_MAT_DISTINCTS,
+    LATE_MAT_JOINS,
     LATE_MAT_PKFK_DETECTED,
+    LATE_MAT_SUBTREES,
 )
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -117,48 +120,67 @@ RunChild = Callable[[LogicalPlan], Tuple[Table, NodeLineage]]
 
 @dataclass
 class PushedStats:
-    """Runtime decisions of one execution's pushed cores, surfaced by the
-    executors as ``timings`` counters so tests and benchmarks can assert
-    *what* ran (chain flattening, build-side swaps, detected pk-fk
-    probes) without timing anything."""
+    """What one execution's pushed cores did, surfaced by the executors
+    (and the server's coalesced batches) as ``timings`` counters so tests
+    and benchmarks can assert *what* ran (pushed subtrees, chain
+    flattening, build-side swaps, detected pk-fk probes) without timing
+    anything."""
 
+    subtrees: int = 0  # pushed trees executed
+    joins: int = 0  # ... of them over a join core
+    distincts: int = 0  # ... of them under SELECT DISTINCT
     chain_hops: int = 0  # joins flattened beyond the first, per core
     build_swaps: int = 0  # hops that built on the plan-right side
     pkfk_detected: int = 0  # hops upgraded to the pk-fk probe by stats
 
+    def count(self, pushed: PushedLineageQuery) -> None:
+        """Count one executed pushed tree."""
+        self.subtrees += 1
+        self.joins += pushed.has_join
+        self.distincts += pushed.has_distinct
+        self.chain_hops += pushed.chain_hops
+
 
 def fold_push_stats(timings: Dict[str, float], stats: PushedStats) -> None:
-    """Surface a run's pushed-chain decisions as ``timings`` counters
-    (both backends call this): ``late_mat_chain_hops`` counts joins
-    flattened beyond each core's first (PR 4 materialized at those
-    hops), ``late_mat_build_swaps`` hops that built on the plan-right
-    side, and ``late_mat_pkfk_detected`` hops upgraded to the pk-fk
-    probe by column statistics alone."""
-    if stats.chain_hops:
-        timings[LATE_MAT_CHAIN_HOPS] = float(stats.chain_hops)
-    if stats.build_swaps:
-        timings[LATE_MAT_BUILD_SWAPS] = float(stats.build_swaps)
-    if stats.pkfk_detected:
-        timings[LATE_MAT_PKFK_DETECTED] = float(stats.pkfk_detected)
+    """Surface a run's pushed decisions as ``timings`` counters, each only
+    when non-zero: ``late_mat_{subtrees,joins,distincts}`` count pushed
+    trees, ``late_mat_chain_hops`` joins flattened beyond each core's
+    first (hops a single-join push would materialize at),
+    ``late_mat_build_swaps`` hops that built on the plan-right side, and
+    ``late_mat_pkfk_detected`` hops upgraded to the pk-fk probe by column
+    statistics alone."""
+    for key, value in (
+        (LATE_MAT_SUBTREES, stats.subtrees),
+        (LATE_MAT_JOINS, stats.joins),
+        (LATE_MAT_DISTINCTS, stats.distincts),
+        (LATE_MAT_CHAIN_HOPS, stats.chain_hops),
+        (LATE_MAT_BUILD_SWAPS, stats.build_swaps),
+        (LATE_MAT_PKFK_DETECTED, stats.pkfk_detected),
+    ):
+        if value:
+            timings[key] = float(value)
 
 
-def _slice_names(source: Table, columns) -> List[str]:
-    """The source columns to gather, in schema order (deterministic
+def _narrow_names(schema: Schema, columns) -> List[str]:
+    """The columns of ``schema`` to gather for a stage reading
+    ``columns`` (``None``: all of them), in schema order (deterministic
     narrow schema), or one cheap stand-in column when the stage reads
     none (``SELECT COUNT(*)``, constant predicates) — a zero-column
-    :class:`Table` cannot carry a row count."""
-    names = [n for n in source.schema.names if n in columns]
-    missing = sorted(set(columns) - set(source.schema.names))
-    if missing:
-        # Same canonical unknown-column error the materializing path's
-        # operators would raise when evaluating over the full subset.
-        source.column(missing[0])
-    if names:
+    :class:`Table` cannot carry a row count.  An unknown name raises the
+    canonical error the materializing path's operators raise."""
+    names = schema.names
+    if columns is None:
         return names
-    for name, ctype in source.schema.fields:
+    missing = sorted(set(columns) - set(names))
+    if missing:
+        raise SchemaError(f"unknown column {missing[0]!r}; available: {names}")
+    narrow = [n for n in names if n in columns]
+    if narrow:
+        return narrow
+    for name, ctype in schema.fields:
         if ctype is not ColumnType.STR:
             return [name]
-    return source.schema.names[:1]
+    return names[:1]
 
 
 def _gather(source: Table, rids: np.ndarray, names: Sequence[str]) -> Table:
@@ -172,7 +194,7 @@ def _gather(source: Table, rids: np.ndarray, names: Sequence[str]) -> Table:
 def _passing(predicate, source: Table, rids: np.ndarray, params) -> np.ndarray:
     """Mask of the ``rids`` whose rows pass ``predicate``, evaluated over
     a gather of only its own columns."""
-    pred_table = _gather(source, rids, _slice_names(source, predicate.columns()))
+    pred_table = _gather(source, rids, _narrow_names(source.schema, predicate.columns()))
     return np.asarray(evaluate(predicate, pred_table, params), dtype=bool)
 
 
@@ -323,11 +345,12 @@ def _plain_scan(plan: LogicalPlan) -> Optional[Scan]:
 
 
 class _ChainContext:
-    """Execution-scoped handles threaded through the chain recursion.
+    """Execution-scoped handles threaded through the chain recursion over
+    one pushed core (a single leaf or a join tree).
 
     ``traced`` is ``None`` on a brush; a per-bar memo fill sets it to the
-    lineage leaf's already-filtered ``(source, rids, source name, domain,
-    epoch)`` (see :func:`_fill_chain`)."""
+    core's lineage leaf's already-filtered ``(source, rids, source name,
+    domain, epoch)`` (see :func:`_fill_chain`)."""
 
     __slots__ = (
         "catalog", "results", "config", "params",
@@ -350,9 +373,9 @@ class _ChainContext:
 
 
 def _resolve_scan_side(side: PushedJoinSide, key: str, ctx: _ChainContext) -> _JoinInput:
-    """Resolve a lineage-backed chain leaf to ``(source, surviving rids)``
-    plus its node lineage, filtering in the rid domain (identical to the
-    linear pushed path's scan+Select handling)."""
+    """Resolve a lineage-backed core leaf to ``(source, surviving rids)``
+    plus its node lineage, filtering its folded ``Select`` stack in the
+    rid domain (a leaf core's WHERE included)."""
     if ctx.traced is None:
         source, rids, source_name, domain, epoch = resolve_scan_source(
             side.scan, ctx.catalog, ctx.results, ctx.params, ctx.cache
@@ -385,40 +408,12 @@ def _chain_select(
     the passing rows, and compose the same 1-to-1 selection locals the
     materializing path's :func:`~repro.exec.vector.select.execute_select`
     builds."""
-    referenced = predicate.columns()
-    names = [n for n in state.schema.names if n in referenced]
-    missing = sorted(set(referenced) - set(state.schema.names))
-    if missing:
-        raise SchemaError(
-            f"unknown column {missing[0]!r}; available: {state.schema.names}"
-        )
-    if not names:
-        # Constant predicate: one cheap stand-in column carries the rows.
-        names = _slice_names(_StandInSchema(state.schema), referenced)
-    pred_table = Table(
-        {n: state.column_values(n) for n in names},
-        Schema([(n, state.schema.type_of(n)) for n in names]),
-    )
+    pred_table = _gather_chain_output(state, predicate.columns())
     mask = np.asarray(evaluate(predicate, pred_table, params), dtype=bool)
     kept = np.nonzero(mask)[0].astype(np.int64)
     local_bw, local_fw = selection_locals(kept, mask.shape[0], config)
     node = compose_node(int(kept.shape[0]), state.node, local_bw, local_fw)
     return state.narrow(kept, node)
-
-
-class _StandInSchema:
-    """Adapter exposing a chain node's schema to :func:`_slice_names`
-    (which only reads ``.schema`` and raises through ``.column``)."""
-
-    __slots__ = ("schema",)
-
-    def __init__(self, schema: Schema):
-        self.schema = schema
-
-    def column(self, name: str):
-        raise SchemaError(
-            f"unknown column {name!r}; available: {self.schema.names}"
-        )
 
 
 def _run_hop(hop: PushedJoinHop, ctx: _ChainContext) -> _ChainState:
@@ -457,11 +452,10 @@ def _join_states(
         right.key_stats(join.right_keys, ctx.catalog),
         join.pkfk,
     )
-    if ctx.stats is not None:
-        if decision.swapped:
-            ctx.stats.build_swaps += 1
-        if decision.pkfk and not join.pkfk:
-            ctx.stats.pkfk_detected += 1
+    if decision.swapped:
+        ctx.stats.build_swaps += 1
+    if decision.pkfk and not join.pkfk:
+        ctx.stats.pkfk_detected += 1
     matches = compute_matches_oriented(
         left_keys, right_keys, decision.build_left, decision.pkfk
     )
@@ -501,32 +495,13 @@ def _join_states(
 
 
 def _gather_chain_output(state: _ChainState, columns) -> Table:
-    """Materialize the chain's narrow output table: only the referenced
-    columns (or, for ``columns=None``, the full core schema), gathered at
-    the final surviving positions only — the late gather."""
-    needed = None if columns is None else set(columns)
-    names = state.schema.names
-    if needed is not None:
-        missing = sorted(needed - set(names))
-        if missing:
-            # Same canonical error the materializing path raises when an
-            # operator evaluates the name over the full join output.
-            raise SchemaError(
-                f"unknown column {missing[0]!r}; available: {names}"
-            )
-    keep = [n for n in names if needed is None or n in needed]
-    if not keep:
-        # Nothing referenced (SELECT COUNT(*) over a chain): one cheap
-        # stand-in column carries the row count.
-        keep = [
-            next(
-                (n for n, t in state.schema.fields if t is not ColumnType.STR),
-                names[0],
-            )
-        ]
+    """A narrow table of the chain node's ``columns`` (see
+    :func:`_narrow_names`), gathered at its surviving positions only —
+    a predicate's slices, or the core's output (the late gather)."""
+    names = _narrow_names(state.schema, columns)
     return Table(
-        {n: state.column_values(n) for n in keep},
-        Schema([(n, state.schema.type_of(n)) for n in keep]),
+        {n: state.column_values(n) for n in names},
+        Schema([(n, state.schema.type_of(n)) for n in names]),
     )
 
 
@@ -551,22 +526,22 @@ def execute_pushed(
     params: Optional[dict],
     next_key: Callable[[], str],
     run_child: RunChild,
+    stats: PushedStats,
     cache: Optional[LineageResolutionCache] = None,
-    stats: Optional[PushedStats] = None,
 ) -> Tuple[Table, NodeLineage]:
     """Execute a pushed tree; returns ``(output table, node lineage)``.
 
     ``next_key`` yields the backend's pre-order occurrence keys (one per
     lineage-scan leaf); ``run_child`` executes a plain chain leaf through
-    the backend's own recursion; ``stats`` (when provided) accumulates
-    the run's chain-hop / build-side / pk-fk decisions for the executors'
-    ``timings`` counters.  With ``cache``, shapes :func:`_memo_kind`
-    accepts answer from the statement's per-bar memo in that cache.
+    the backend's own recursion; ``stats`` counts the tree and
+    accumulates its chain-hop / build-side / pk-fk decisions for the
+    executors' ``timings`` counters.  With ``cache``, shapes
+    :func:`_memo_kind` accepts answer from the statement's per-bar memo
+    in that cache.
     """
     from .vector.groupby import execute_distinct, execute_groupby
 
-    if pushed.join is not None and stats is not None:
-        stats.chain_hops += pushed.chain_hops
+    stats.count(pushed)
     if cache is not None:
         answered = _memo_tables(pushed, catalog, results, config, [params], cache, stats)
         if answered is not None:
@@ -581,44 +556,17 @@ def execute_pushed(
                 )
                 node.absorb(leaf, None, None)
             return table, node
-    if pushed.join is not None:
-        ctx = _ChainContext(
-            catalog, results, config, params, next_key, run_child, cache, stats
-        )
-        state = _run_hop(pushed.join, ctx)
-        if pushed.predicate is not None:
-            # The residual WHERE binds above the chain; evaluate it in
-            # the position domain (only its columns gathered, standard
-            # selection lineage) so the late gather below sees only the
-            # final survivors.
-            state = _chain_select(state, pushed.predicate, config, params)
-        table = _gather_chain_output(state, pushed.columns)
-        node = state.node
-        if pushed.groupby is None and pushed.project is None:
-            return table, node
-    else:
-        scan = pushed.scan
-        source, rids, source_name, domain, epoch = resolve_scan_source(
-            scan, catalog, results, params, cache
-        )
-
-        if pushed.predicate is not None:
-            rids = rids[_passing(pushed.predicate, source, rids, params)]
-
-        # Selection in the rid domain composes away: the scan's node
-        # lineage over the *surviving* rids equals the materialized
-        # path's scan-then-select composition (RidArray compose is a
-        # gather).
-        node = scan_node_lineage(
-            scan, next_key(), rids, source_name, domain, config, epoch
-        )
-
-        if pushed.groupby is None and pushed.project is None:
-            # Predicate-only tree: the output is the traced relation
-            # itself, full schema, late-gathered at the surviving rids.
-            return source.take(rids), node
-
-        table = _gather(source, rids, _slice_names(source, pushed.columns))
+    ctx = _ChainContext(
+        catalog, results, config, params, next_key, run_child, cache, stats
+    )
+    state = _run_hop(pushed.core, ctx)
+    if pushed.predicate is not None:
+        # The residual WHERE binds above a join core; evaluate it in the
+        # position domain (only its columns gathered, standard selection
+        # lineage) so the late gather below sees only the final survivors.
+        state = _chain_select(state, pushed.predicate, config, params)
+    table = _gather_chain_output(state, pushed.columns)
+    node = state.node
 
     if pushed.groupby is not None:
         # The tree's static output schema (keys + aggregate types),
@@ -645,7 +593,7 @@ def execute_pushed(
 
 
 def _join_leaves(hop: PushedJoinHop) -> List[PushedJoinSide]:
-    """A join core's leaves in pre-order (left before right): the order in
+    """A core's leaves in pre-order (left before right): the order in
     which the interpreter consumes occurrence keys and lays out
     :attr:`_ChainState.inputs`."""
     if isinstance(hop, PushedJoin):
@@ -665,8 +613,8 @@ def _order_leaves(hop: PushedJoinHop, first: int = 0) -> List[int]:
 
 
 def _core_predicates(hop: PushedJoinHop) -> list:
-    """Every predicate inside a join core: hop predicates, a lineage
-    leaf's pushed predicate, and the ``Select`` stack of a plain leaf."""
+    """Every predicate inside a core: hop predicates, a lineage leaf's
+    pushed predicate, and the ``Select`` stack of a plain leaf."""
     if isinstance(hop, PushedJoin):
         own = [] if hop.predicate is None else [hop.predicate]
         return own + _core_predicates(hop.left) + _core_predicates(hop.right)
@@ -680,13 +628,11 @@ def _core_predicates(hop: PushedJoinHop) -> list:
 
 
 def memo_scan(pushed: PushedLineageQuery) -> Optional[LineageScan]:
-    """The per-bar memo's lineage leaf: a linear core's scan, or the only
-    lineage leaf of a join core whose other leaves are all plain
-    ``[Select*] Scan`` s of catalog tables; ``None`` for any other core.
-    Its rid argument is what the memo (and so ``sql_batch``) varies."""
-    if pushed.join is None:
-        return pushed.scan
-    leaves = _join_leaves(pushed.join)
+    """The per-bar memo's lineage leaf: the only lineage leaf of a core
+    whose other leaves (if any) are all plain ``[Select*] Scan`` s of
+    catalog tables; ``None`` for any other core.  Its rid argument is
+    what the memo (and so ``sql_batch``) varies."""
+    leaves = _join_leaves(pushed.core)
     scans = [side.scan for side in leaves if side.scan is not None]
     if len(scans) != 1 or any(
         side.scan is None and _plain_scan(side.plan) is None for side in leaves
@@ -699,14 +645,14 @@ def _memo_kind(pushed: PushedLineageQuery, config: CaptureConfig) -> Optional[st
     """Which per-bar partial answers ``pushed`` (see :func:`_memo_tables`),
     or ``None`` when the memo does not apply: capture must be off and the
     memo's lineage leaf (:func:`memo_scan`) a *backward* scan with a rid
-    argument, whose value no other expression reads (predicates inside a
-    join core included).
+    argument, whose value no other expression reads (predicates inside
+    the core included).
 
     * ``"groups"`` — a ``COUNT(*)``-only GROUP BY without HAVING,
       optionally under a bag projection;
     * ``"distinct"`` — ``SELECT DISTINCT`` over the core;
-    * ``"rows"`` — predicate-only and bag-projection trees over one scan
-      (a join core's rows would have to merge by order key).
+    * ``"rows"`` — predicate-only and bag-projection trees over a leaf
+      core (a join core's rows would have to merge by order key).
     """
     scan = memo_scan(pushed)
     if config.enabled or scan is None or scan.direction != "backward" or scan.rids is None:
@@ -721,7 +667,7 @@ def _memo_kind(pushed: PushedLineageQuery, config: CaptureConfig) -> Optional[st
         return None
     if isinstance(scan.rids, Param):
         exprs = [pushed.predicate] if pushed.predicate is not None else []
-        exprs += _core_predicates(pushed.join) if pushed.join is not None else []
+        exprs += _core_predicates(pushed.core)
         exprs += [e for e, _ in gb.keys] if gb is not None else []
         exprs += [e for e, _ in project.exprs] if project is not None else []
         if any(scan.rids.name in collect_params(e) for e in exprs):
@@ -730,7 +676,7 @@ def _memo_kind(pushed: PushedLineageQuery, config: CaptureConfig) -> Optional[st
         return "groups"
     if distinct:
         return "distinct"
-    return "rows" if pushed.join is None else None
+    return "rows" if isinstance(pushed.core, PushedJoinSide) else None
 
 
 class _BarMemo:
@@ -741,10 +687,9 @@ class _BarMemo:
     — a ``"rows"`` bar to ``[sorted surviving rids]``, a ``"groups"`` /
     ``"distinct"`` bar to ``[key columns..., counts, order key...]`` with
     one entry per group in order-key order.  A row's **order key** is the
-    tuple of leaf positions its output order follows — ``(rid,)`` over one
-    scan, :func:`_order_leaves` over a join core, with the lineage leaf's
-    position being the base rid — and a group's entry holds its first
-    row's."""
+    tuple of leaf positions its output order follows (:func:`_order_leaves`
+    — ``(rid,)`` for a leaf core), with the lineage leaf's position being
+    the base rid — and a group's entry holds its first row's."""
 
     __slots__ = ("pinned", "schema", "bars")
 
@@ -775,18 +720,14 @@ def _plain_leaf(plan: LogicalPlan, tables: dict, config, params) -> Table:
     return tables[plan.table][0]
 
 
-def _fill_chain(pushed, chain, part, rids, owner, params):
-    """A fill's join core: the chain interpreter (:func:`_run_hop`) run
-    once, with the lineage leaf resolved to the bars' concatenated slices
-    ``rids`` instead of a brush's rid set.  Returns the narrow output
-    table, each output row's bar and its order-key columns."""
+def _fill_chain(pushed, chain, part, rids, owner, lineage: int, params):
+    """A fill's core: the chain interpreter (:func:`_run_hop`) run once,
+    with the lineage leaf (``lineage``, an index into
+    :func:`_join_leaves`) resolved to the bars' concatenated, already
+    filtered slices ``rids`` instead of a brush's rid set.  Returns the
+    narrow output table, each output row's bar and its order-key
+    columns."""
     catalog, config, tables, stats = chain
-    leaves = _join_leaves(pushed.join)
-    lineage = next(i for i, side in enumerate(leaves) if side.scan is not None)
-    predicate = leaves[lineage].predicate
-    if predicate is not None:
-        keep = _passing(predicate, part.base, rids, params)
-        rids, owner = rids[keep], owner[keep]
 
     def run_plain(plan):
         table = _plain_leaf(plan, tables, config, params)
@@ -796,39 +737,39 @@ def _fill_chain(pushed, chain, part, rids, owner, params):
     ctx = _ChainContext(
         catalog, None, config, params, lambda: "", run_plain, None, stats, traced
     )
-    state = _run_hop(pushed.join, ctx)
+    state = _run_hop(pushed.core, ctx)
     if pushed.predicate is not None:
         state = _chain_select(state, pushed.predicate, config, params)
     at = state.positions[lineage]
+    if at is not None:  # None: a leaf core, every slice rid survives
+        rids, owner = rids[at], owner[at]
     order = [
-        rids[at] if leaf == lineage else state.positions[leaf]
-        for leaf in _order_leaves(pushed.join)
+        rids if leaf == lineage else state.positions[leaf]
+        for leaf in _order_leaves(pushed.core)
     ]
-    return _gather_chain_output(state, pushed.columns), owner[at], order
+    return _gather_chain_output(state, pushed.columns), owner, order
 
 
 def _fill_bars(pushed, kind: str, part, bars: List[int], params: Optional[dict], chain) -> list:
     """Partials of ``bars`` from one pass over their concatenated CSR
-    slices of the backward index: the predicates, the join core (one
-    interpreter run, :func:`_fill_chain`), the key gather and the factorize
-    each run once, with the bar as the leading group key, so each bar's
-    groups come out as one block in order-key order."""
+    slices of the backward index: the lineage leaf's predicate, the core
+    (one interpreter run, :func:`_fill_chain`), the key gather and the
+    factorize each run once, with the bar as the leading group key, so
+    each bar's groups come out as one block in order-key order."""
     from .vector.kernels import factorize
 
     buckets = [part.bucket(bar) for bar in bars]
     rids = np.concatenate(buckets)
     owner = np.repeat(np.arange(len(bars)), [b.size for b in buckets])
-    if pushed.join is not None:
-        table, owner, order = _fill_chain(pushed, chain, part, rids, owner, params)
-    else:
-        source = part.base
-        if pushed.predicate is not None:
-            keep = _passing(pushed.predicate, source, rids, params)
-            rids, owner = rids[keep], owner[keep]
-        if kind == "rows":
-            return _split_by(owner, len(bars), [sanitize.freeze(rids)])
-        table = _gather(source, rids, _slice_names(source, pushed.columns))
-        order = [rids]
+    leaves = _join_leaves(pushed.core)
+    lineage = next(i for i, side in enumerate(leaves) if side.scan is not None)
+    predicate = leaves[lineage].predicate
+    if predicate is not None:
+        keep = _passing(predicate, part.base, rids, params)
+        rids, owner = rids[keep], owner[keep]
+    if kind == "rows":
+        return _split_by(owner, len(bars), [sanitize.freeze(rids)])
+    table, owner, order = _fill_chain(pushed, chain, part, rids, owner, lineage, params)
     if kind == "groups":
         keys = [np.asarray(evaluate(e, table, params)) for e, _ in pushed.groupby.keys]
     else:
@@ -897,7 +838,7 @@ def _rows_table(pushed, source: Table, parts: List[list], params) -> Table:
         rids = np.sort(rids, kind="stable")  # sorted runs: one timsort merge
     if pushed.project is None:
         return source.take(rids)
-    table = _gather(source, rids, _slice_names(source, pushed.columns))
+    table = _gather(source, rids, _narrow_names(source.schema, pushed.columns))
     return _project(pushed.project, table, params)
 
 
@@ -940,7 +881,7 @@ def _memo_answers(pushed, kind, memo, part, params_list, cache, fill) -> List[Ta
             _rows_table(pushed, part.base, parts, params)
             for parts, params in zip(groups, params_list, strict=True)
         ]
-    width = 1 if pushed.join is None else pushed.join.num_joins + 1
+    width = pushed.core.num_joins + 1
     return [
         _groups_table(pushed, kind, memo.schema, m, params)
         for m, params in zip(_merge_groups(groups, width), params_list, strict=True)
@@ -954,7 +895,7 @@ def _memo_tables(
     config: CaptureConfig,
     params_list: Sequence[Optional[dict]],
     cache: LineageResolutionCache,
-    stats: Optional[PushedStats] = None,
+    stats: PushedStats,
 ):
     """Answer ``pushed`` for each binding from its per-bar memo; returns
     ``(tables, leaves)`` — ``leaves`` holding ``(alias, table name, rows,
@@ -982,8 +923,8 @@ def _memo_tables(
     if part is None:
         return None
     leaves, tables = [], {}
-    for side in _join_leaves(pushed.join) if pushed.join is not None else [None]:
-        plain = None if side is None else _plain_scan(side.plan)
+    for side in _join_leaves(pushed.core):
+        plain = _plain_scan(side.plan)
         if plain is None:
             leaves.append((scan.alias, part.base_name, part.base.num_rows, part.epoch))
         else:
@@ -1020,11 +961,16 @@ def execute_pushed_batch(
     config: CaptureConfig,
     params_list: Sequence[Optional[dict]],
     cache: LineageResolutionCache,
+    stats: PushedStats,
 ) -> Optional[List[Table]]:
     """:func:`execute_pushed` for N bindings that differ only in the rid
     argument: the guards and the memo lookup run once, then each binding
     is one merge of its bars' partials — bit-identical to running it
-    alone.  ``None`` when the per-bar memo does not apply and the caller
-    must run the bindings one by one."""
-    answered = _memo_tables(pushed, catalog, results, config, params_list, cache)
-    return None if answered is None else answered[0]
+    alone, ``stats`` counting what one binding's run counts.  ``None``
+    when the per-bar memo does not apply and the caller must run the
+    bindings one by one."""
+    answered = _memo_tables(pushed, catalog, results, config, params_list, cache, stats)
+    if answered is None:
+        return None
+    stats.count(pushed)
+    return answered[0]

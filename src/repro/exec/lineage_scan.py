@@ -22,12 +22,12 @@ Late materialization
 :func:`execute_lineage_scan` is the *materializing* path: it copies the
 traced subset (``source.take(rids)``, every column) into a fresh table
 that the enclosing operators then scan.  When a ``Select`` / ``Project``
-(bag or DISTINCT) / ``GroupBy`` tree sits on the scan — directly, or
-through a hash join whose input(s) are ``Select*``-over-``LineageScan``
-chains — both executors instead compile the tree to operate in the rid
-domain — gathering only the columns the tree reads (join keys first,
-payload at matched rids only) and filtering/deduplicating/aggregating
-the gathered slices — via
+(bag or DISTINCT) / ``GroupBy`` tree sits on a pushable *core* — the
+scan itself, or a hash-join tree with ``Select*``-over-``LineageScan``
+leaves — both executors instead run the tree in the rid domain through
+one chain interpreter — gathering only the columns the tree reads (join
+keys first, payload at matched rids only) and
+filtering/deduplicating/aggregating the gathered slices — via
 :func:`repro.plan.rewrite.match_late_materialization` and
 :func:`repro.exec.late_mat.execute_pushed`.  The rewrite's match and
 fallback rules are documented in :mod:`repro.plan.rewrite`; shapes it

@@ -49,12 +49,7 @@ from ...plan.logical import (
 )
 from ..late_mat import PushedStats, execute_pushed, fold_push_stats
 from ..lineage_scan import execute_lineage_scan
-from ..timings import (
-    EXECUTE,
-    LATE_MAT_DISTINCTS,
-    LATE_MAT_JOINS,
-    LATE_MAT_SUBTREES,
-)
+from ..timings import EXECUTE
 from ...lineage.cache import LineageResolutionCache
 from ...plan.rewrite import RewriteIndex, match_late_materialization
 from ...plan.schema import infer_schema, join_output_fields
@@ -96,7 +91,7 @@ class ExecResult:
 class _RunState:
     """Per-execution traversal state: the pre-order occurrence-key
     cursor, whether the late-materialization rewrite is enabled for this
-    run, and how many subtrees it pushed.  Local to one ``execute`` call
+    run, and what its pushed subtrees did.  Local to one ``execute`` call
     so runs can never clobber each other's settings (the compiled
     backend's ``_ExecState`` plays the same role).
 
@@ -107,9 +102,6 @@ class _RunState:
     """
 
     late_mat: bool = True
-    pushed_subtrees: int = 0
-    pushed_joins: int = 0
-    pushed_distincts: int = 0
     scan_cursor: int = 0
     rewrites: Optional[RewriteIndex] = None
     cache: Optional[LineageResolutionCache] = None
@@ -172,12 +164,6 @@ class VectorExecutor:
         elapsed = time.perf_counter() - start
         lineage = node.to_query_lineage() if config.enabled else None
         timings = {EXECUTE: elapsed}
-        if state.pushed_subtrees:
-            timings[LATE_MAT_SUBTREES] = float(state.pushed_subtrees)
-        if state.pushed_joins:
-            timings[LATE_MAT_JOINS] = float(state.pushed_joins)
-        if state.pushed_distincts:
-            timings[LATE_MAT_DISTINCTS] = float(state.pushed_distincts)
         fold_push_stats(timings, state.push_stats)
         return ExecResult(table, lineage, timings)
 
@@ -204,11 +190,6 @@ class VectorExecutor:
         # through this very recursion via run_child.
         pushed = state.match(plan)
         if pushed is not None:
-            state.pushed_subtrees += 1
-            if pushed.has_join:
-                state.pushed_joins += 1
-            if pushed.has_distinct:
-                state.pushed_distincts += 1
             return execute_pushed(
                 pushed, self.catalog, self.results, config, params,
                 next_key=lambda: state.next_key(scan_keys),

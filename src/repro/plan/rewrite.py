@@ -142,34 +142,37 @@ PushedJoinHop = Union[PushedJoin, PushedJoinSide]
 
 @dataclass(frozen=True)
 class PushedLineageQuery:
-    """A matched Project/GroupBy/Select tree over a pushable core.
+    """A matched Project/GroupBy/Select tree over one pushable ``core``.
 
-    ``predicate`` is the conjunction of all Select predicates *above the
-    core* (``None`` when there is no filter); ``groupby`` / ``project``
-    are the original plan nodes (their ``child`` links are ignored — the
-    pushed executor supplies the rid-gathered slices instead; ``project``
-    may carry ``distinct=True``, which the pushed path deduplicates with
-    the same group-lineage semantics as the executors).
+    ``core`` is a single lineage leaf (:class:`PushedJoinSide` — a linear
+    ``[Select*] LineageScan`` stack, its WHERE folded onto the leaf) or a
+    flattened hash-join tree (:class:`PushedJoin`); the pushed executor
+    runs both through the same chain interpreter.  ``predicate`` is the
+    conjunction of the Select predicates *above a join core* (``None``
+    when there is no filter, and always for a leaf core); ``groupby`` /
+    ``project`` are the original plan nodes (their ``child`` links are
+    ignored — the pushed executor supplies the rid-gathered slices
+    instead; ``project`` may carry ``distinct=True``, which the pushed
+    path deduplicates with the same group-lineage semantics as the
+    executors).
 
-    Exactly one of ``scan`` (linear stack over one lineage scan) and
-    ``join`` (hash-join core) is set.  ``columns`` is the set of columns
-    the stack reads — scan-source columns for a linear core, join
-    *output* (post-rename) columns for a join core; the pushed path
-    gathers only these.  ``None`` means the stack's output is the core's
-    **full** schema (``SELECT * ... [WHERE]``): every column is gathered,
-    but only at the rids that survive (for joins: that matched).
+    ``columns`` is the set of core *output* (for joins: post-rename)
+    columns the GroupBy / Project reads; the pushed path gathers only
+    these, after every filter has run over a gather of its own columns.
+    ``None`` means the stack's output is the core's **full** schema
+    (``SELECT * ... [WHERE]``): every column is gathered, but only at the
+    rids that survive (for joins: that matched).
     """
 
-    scan: Optional[LineageScan] = None
+    core: PushedJoinHop
     predicate: Optional[Expr] = None
     groupby: Optional[GroupBy] = None
     project: Optional[Project] = None
     columns: Optional[FrozenSet[str]] = frozenset()
-    join: Optional[PushedJoin] = None
 
     @property
     def has_join(self) -> bool:
-        return self.join is not None
+        return isinstance(self.core, PushedJoin)
 
     @property
     def has_distinct(self) -> bool:
@@ -177,9 +180,10 @@ class PushedLineageQuery:
 
     @property
     def chain_hops(self) -> int:
-        """Joins flattened into the core beyond the first — the hops
-        PR 4's single-join push would have materialized at."""
-        return self.join.num_joins - 1 if self.join is not None else 0
+        """Joins flattened into the core beyond the first — the hops a
+        single-join push would materialize at (0 for a leaf core, which
+        has no join)."""
+        return max(self.core.num_joins - 1, 0)
 
 
 def _fold_selects(node: LogicalPlan) -> Tuple[Optional[Expr], LogicalPlan]:
@@ -238,51 +242,47 @@ def match_late_materialization(plan: LogicalPlan) -> Optional[PushedLineageQuery
     if isinstance(node, GroupBy):
         groupby = node
         node = node.child
-    predicate, node = _fold_selects(node)
+    stack = node
+    predicate, node = _fold_selects(stack)
 
-    join: Optional[PushedJoin] = None
     if isinstance(node, HashJoin):
-        join = _match_join(node, None)
-        if join is None:
+        core = _match_join(node, None)
+        if core is None:
             return None  # no lineage leaf: nothing to late-materialize
     elif isinstance(node, LineageScan):
         if project is None and groupby is None and predicate is None:
             return None  # bare scan: nothing to push
+        # A linear stack is a zero-join core: its WHERE filters the leaf
+        # in the rid domain, exactly like a join leaf's folded Selects.
+        core, predicate = PushedJoinSide(scan=node, predicate=predicate, plan=stack), None
     else:
         return None
 
+    # Filters evaluate over a gather of their own columns, so only what
+    # the GroupBy / Project reads is gathered for the survivors.
+    columns: set = set()
     if groupby is not None:
-        columns: set = set()
         for expr, _ in groupby.keys:
             columns |= expr.columns()
         for agg in groupby.aggs:
             if agg.arg is not None:
                 columns |= agg.arg.columns()
         # HAVING runs over the aggregate *output*, not base columns.
-        if predicate is not None:
-            columns |= predicate.columns()
     elif project is not None:
-        columns = set(predicate.columns()) if predicate is not None else set()
         for expr, _ in project.exprs:
             columns |= expr.columns()
     else:
         # Predicate-only (or, for joins, bare) core: the output is the
         # core's full schema, so every column is (late-)gathered at
         # surviving/matched rids.
-        return PushedLineageQuery(
-            scan=None if join is not None else node,
-            predicate=predicate,
-            columns=None,
-            join=join,
-        )
+        return PushedLineageQuery(core=core, predicate=predicate, columns=None)
 
     return PushedLineageQuery(
-        scan=None if join is not None else node,
+        core=core,
         predicate=predicate,
         groupby=groupby,
         project=project,
         columns=frozenset(columns),
-        join=join,
     )
 
 

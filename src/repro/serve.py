@@ -412,16 +412,17 @@ class DatabaseServer:
 
         When the prepared plan is a pushed lineage subtree the per-bar
         memo answers (see :func:`~repro.exec.late_mat.execute_pushed`) —
-        over one lineage scan or a join core with one lineage leaf — the
-        bindings agree on every parameter except that leaf's rid subset,
-        and the view's backward index is a partition, the N brushes
-        coalesce (:func:`~repro.exec.late_mat.execute_pushed_batch`):
-        the guards and the memo lookup run once, then each binding is one
-        merge of its bars' memoized partials.  Anything else falls back
-        to per-binding :meth:`sql` — the batch form is an optimization,
-        never a semantic change: answers are bit-identical to the
-        per-binding loop.  :meth:`stats` counts which route each call
-        took.
+        a core with exactly one lineage leaf, alone or joined to plain
+        catalog scans — the bindings agree on every parameter except that
+        leaf's rid subset, and the view's backward index is a partition,
+        the N brushes coalesce
+        (:func:`~repro.exec.late_mat.execute_pushed_batch`): the guards
+        and the memo lookup run once, then each binding is one merge of
+        its bars' memoized partials, its ``late_mat_*`` counters those of
+        a per-binding run.  Anything else falls back to per-binding
+        :meth:`sql` — the batch form is an optimization, never a semantic
+        change: answers are bit-identical to the per-binding loop.
+        :meth:`stats` counts which route each call took.
         """
         snap = snapshot if snapshot is not None else self._snapshot
         opts = options if options is not None else self._options
@@ -446,8 +447,8 @@ class DatabaseServer:
         statement/bindings are not batch-eligible (caller falls back)."""
         from time import perf_counter
 
-        from .exec.late_mat import execute_pushed_batch, memo_scan
-        from .exec.timings import EXECUTE, LATE_MAT_SUBTREES
+        from .exec.late_mat import PushedStats, execute_pushed_batch, fold_push_stats, memo_scan
+        from .exec.timings import EXECUTE
         from .exec.vector.executor import ExecResult
         from .expr.ast import Param
 
@@ -468,24 +469,23 @@ class DatabaseServer:
         for params in params_list:
             require_params(prepared.param_names, params)
         start = perf_counter()
+        stats = PushedStats()
         try:
             prepared.check_bound(snap.catalog, snap.results)
             tables = execute_pushed_batch(
                 pushed, snap.catalog, snap.results, opts.config,
-                params_list, prepared.lineage_cache,
+                params_list, prepared.lineage_cache, stats,
             )
         except StaleBindingError:
             # Let the per-binding fallback re-bind and retry.
             return None
         if tables is None:
             return None
-        elapsed = perf_counter() - start
+        timings = {EXECUTE: perf_counter() - start}
+        fold_push_stats(timings, stats)
         return [
             QueryResult(
-                self._db,
-                prepared.plan,
-                ExecResult(table, None, {EXECUTE: elapsed, LATE_MAT_SUBTREES: 1.0}),
-                options=opts,
+                self._db, prepared.plan, ExecResult(table, None, dict(timings)), options=opts
             )
             for table in tables
         ]

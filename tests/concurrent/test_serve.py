@@ -565,10 +565,8 @@ class TestSqlBatch:
         assert np.signbit(batched[0].table.column("k")).tolist() == [True, False]
         assert np.signbit(batched[1].table.column("k")).tolist() == [False, False, False]
 
-    def test_chain_statement_coalesces(self):
-        # The memo's lineage leaf sits under a two-hop chain: the batch
-        # still coalesces, and each binding equals its own `sql` and the
-        # materialized plan.
+    @staticmethod
+    def _make_chain_db():
         db = _make_db()
         db.create_table("d1", Table({
             "z": np.array([2, 0, 1, 0], dtype=np.int64),
@@ -578,6 +576,13 @@ class TestSqlBatch:
             "g": np.array([2, 1, 0], dtype=np.int64),
             "h": np.array(["x", "y", "x"], dtype=object),
         }))
+        return db
+
+    def test_chain_statement_coalesces(self):
+        # The memo's lineage leaf sits under a two-hop chain: the batch
+        # still coalesces, and each binding equals its own `sql` and the
+        # materialized plan.
+        db = self._make_chain_db()
         stmt = (
             "SELECT h, COUNT(*) AS c FROM Lb(v, 't', :bars) JOIN d1 ON t.z = d1.z "
             "JOIN d2 ON d1.g = d2.g WHERE w >= :cut GROUP BY h"
@@ -595,6 +600,27 @@ class TestSqlBatch:
                 want = server.sql(stmt, params=params, options=plain).table
                 assert batch.table.schema == want.schema
                 assert batch.table.to_rows() == want.to_rows()
+
+    def test_coalesced_counters_match_sql(self):
+        # A coalesced result reports the same pushed counters as a
+        # per-binding `sql` run answered from the same per-bar memo.
+        db = self._make_chain_db()
+        stmt = (
+            "SELECT DISTINCT h FROM Lb(v, 't', :bars) JOIN d1 ON t.z = d1.z "
+            "JOIN d2 ON d1.g = d2.g"
+        )
+        keys = [
+            f"late_mat_{k}" for k in ("subtrees", "joins", "distincts", "chain_hops")
+        ]
+        with db.serve(readers=1) as server:
+            server.sql(stmt, params={"bars": [0, 1]})  # fills both bars
+            single = server.sql(stmt, params={"bars": [1, 0]})
+            assert {k: single.timings.get(k) for k in keys} == dict.fromkeys(keys, 1.0)
+            before = server.stats()["batch_coalesced"]
+            batched = server.sql_batch(stmt, [{"bars": [0]}, {"bars": [0, 1]}])
+            assert server.stats()["batch_coalesced"] == before + 1
+            for result in batched:
+                assert {k: result.timings.get(k) for k in keys} == dict.fromkeys(keys, 1.0)
 
     def test_batch_respects_pinned_snapshot(self):
         db = _make_db()

@@ -82,7 +82,24 @@ class TestRewriteMatch:
         )
         pushed = match_late_materialization(plan)
         assert pushed is not None
-        assert pushed.columns == frozenset({"v", "w", "z"})
+        assert pushed.core.predicate.op == "and"
+        # The filter gathers its own columns: survivors gather only `z`.
+        assert pushed.columns == frozenset({"z"})
+
+    def test_linear_stack_is_a_leaf_core(self):
+        plan = GroupBy(
+            Select(_scan(), col("v") > 12),
+            [(col("z"), "z")],
+            [AggCall("count", None, "c")],
+        )
+        pushed = match_late_materialization(plan)
+        assert isinstance(pushed.core, PushedJoinSide)
+        assert pushed.core.scan is not None
+        assert pushed.core.predicate is not None  # the WHERE sits on the leaf
+        assert pushed.core.plan is plan.child
+        assert pushed.predicate is None
+        assert not pushed.has_join
+        assert pushed.chain_hops == 0
 
     def test_full_stack_pushed(self, db, prev):
         plan = db.parse(
@@ -91,7 +108,7 @@ class TestRewriteMatch:
         pushed = match_late_materialization(plan)
         assert pushed is not None
         assert pushed.project is not None and pushed.groupby is not None
-        assert pushed.columns == frozenset({"z", "v"})
+        assert pushed.columns == frozenset({"z"})
 
     def test_groupby_columns_include_agg_args_not_having(self):
         plan = GroupBy(
@@ -113,8 +130,8 @@ class TestRewriteMatch:
         plan = HashJoin(_scan(), Scan("t"), ("z",), ("z",))
         pushed = match_late_materialization(plan)
         assert pushed is not None and pushed.has_join
-        assert pushed.join.left.scan is not None
-        assert pushed.join.right.scan is None  # plain side: run_child
+        assert pushed.core.left.scan is not None
+        assert pushed.core.right.scan is None  # plain side: run_child
         # Bare join core: the output is the full join schema.
         assert pushed.columns is None
 
@@ -126,7 +143,7 @@ class TestRewriteMatch:
             ("z",),
         )
         pushed = match_late_materialization(plan)
-        assert pushed is not None and pushed.join.left.predicate is not None
+        assert pushed is not None and pushed.core.left.predicate is not None
 
     def test_join_without_lineage_side_falls_back(self):
         plan = HashJoin(Scan("t"), Scan("t"), ("z",), ("z",))
@@ -146,8 +163,10 @@ class TestRewriteMatch:
         )
         pushed = match_late_materialization(plan)
         assert pushed is not None and pushed.has_join
-        # Join-core column sets name *output* (post-rename) columns.
-        assert pushed.columns == frozenset({"label", "v"})
+        # Join-core column sets name *output* (post-rename) columns; the
+        # residual WHERE gathers its own.
+        assert pushed.predicate is not None
+        assert pushed.columns == frozenset({"label"})
 
     def test_sort_root_falls_back(self):
         plan = Sort(Select(_scan(), col("v") > 12), [("z", False)])
@@ -170,12 +189,12 @@ class TestChainRewriteMatch:
         )
         pushed = match_late_materialization(plan)
         assert pushed is not None and pushed.has_join
-        assert pushed.join.num_joins == 2
+        assert pushed.core.num_joins == 2
         assert pushed.chain_hops == 1
-        inner = pushed.join.left
+        inner = pushed.core.left
         assert isinstance(inner, PushedJoin)
         assert inner.left.scan is not None  # the lineage leaf
-        assert isinstance(pushed.join.right, PushedJoinSide)
+        assert isinstance(pushed.core.right, PushedJoinSide)
 
     def test_three_hop_chain_counts_two_hops(self):
         plan = HashJoin(
@@ -190,7 +209,7 @@ class TestChainRewriteMatch:
             ("h",),
         )
         pushed = match_late_materialization(plan)
-        assert pushed.join.num_joins == 3
+        assert pushed.core.num_joins == 3
         assert pushed.chain_hops == 2
 
     def test_snowflake_tree_with_nested_lineage_right(self):
@@ -203,7 +222,7 @@ class TestChainRewriteMatch:
         )
         pushed = match_late_materialization(plan)
         assert pushed is not None
-        assert isinstance(pushed.join.right, PushedJoin)
+        assert isinstance(pushed.core.right, PushedJoin)
         assert pushed.chain_hops == 1
 
     def test_lineage_free_nested_join_stays_plain(self):
@@ -217,9 +236,9 @@ class TestChainRewriteMatch:
         )
         pushed = match_late_materialization(plan)
         assert pushed is not None
-        assert pushed.join.num_joins == 1  # only the outer join flattens
-        assert isinstance(pushed.join.left, PushedJoinSide)
-        assert pushed.join.left.scan is None
+        assert pushed.core.num_joins == 1  # only the outer join flattens
+        assert isinstance(pushed.core.left, PushedJoinSide)
+        assert pushed.core.left.scan is None
         assert pushed.chain_hops == 0
 
     def test_mid_chain_select_folds_into_hop_predicate(self):
@@ -235,7 +254,7 @@ class TestChainRewriteMatch:
             ("g",),
         )
         pushed = match_late_materialization(plan)
-        inner = pushed.join.left
+        inner = pushed.core.left
         assert isinstance(inner, PushedJoin)
         assert inner.predicate is not None
 
@@ -795,6 +814,17 @@ class TestChainFallbackBoundary:
         )
         assert res.timings.get("late_mat_joins") == 1.0
         assert "late_mat_chain_hops" not in res.timings
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_linear_core_has_no_chain_counters(self, db, prev, backend):
+        """A single-table stack runs as a zero-join core: pushed, but
+        with no join and no (negative) chain hop counted."""
+        res = db.sql(
+            "SELECT z, COUNT(*) AS c FROM Lb(prev, 't') WHERE v > 10 GROUP BY z",
+            options=ExecOptions(backend=backend),
+        )
+        assert res.timings.get("late_mat_subtrees") == 1.0
+        self._assert_no_chain_counters(res)
 
 
 class TestResultRegistryBounds:
