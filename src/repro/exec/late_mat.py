@@ -71,7 +71,7 @@ import numpy as np
 from .. import sanitize
 from ..errors import LineageError, SchemaError
 from ..expr.ast import Col, Param, collect_params, evaluate
-from ..lineage.cache import LineageResolutionCache, param_fingerprint
+from ..lineage.cache import LineageResolutionCache, Pin, param_fingerprint
 from ..lineage.capture import CaptureConfig
 from ..lineage.composer import (
     NodeLineage,
@@ -82,7 +82,12 @@ from ..lineage.composer import (
 from ..lineage.indexes import stable_group_order
 from ..plan.logical import LineageScan, LogicalPlan, Scan, Select
 from ..plan.rewrite import PushedJoin, PushedJoinHop, PushedJoinSide, PushedLineageQuery
-from ..plan.schema import infer_expr_type, infer_schema, join_output_fields
+from ..plan.schema import (
+    JOIN_RENAME_SUFFIX,
+    infer_expr_type,
+    infer_schema,
+    join_output_fields,
+)
 from ..storage.catalog import Catalog
 from ..storage.table import ColumnType, Schema, Table
 from ..substrate.stats import (
@@ -681,7 +686,9 @@ def _memo_kind(pushed: PushedLineageQuery, config: CaptureConfig) -> Optional[st
 
 class _BarMemo:
     """Per-bar partial answers of one pushed statement over one state of
-    its view, base table and plain join leaves: one entry of the shared
+    what its fills read — the view's backward index, the base columns the
+    statement reads and the plain join leaves (:func:`_memo_tables`): one
+    entry of the shared
     :class:`~repro.lineage.cache.LineageResolutionCache`, filled lazily.
     A bar maps to ``None`` when no row survives, else to a list of arrays
     — a ``"rows"`` bar to ``[sorted surviving rids]``, a ``"groups"`` /
@@ -691,12 +698,45 @@ class _BarMemo:
     — ``(rid,)`` for a leaf core), with the lineage leaf's position being
     the base rid — and a group's entry holds its first row's."""
 
-    __slots__ = ("pinned", "schema", "bars")
+    __slots__ = ("schema", "bars")
 
-    def __init__(self, pinned: tuple, schema: Optional[Schema]):
-        self.pinned = pinned  # objects whose ids key the cache entry
+    def __init__(self, schema: Optional[Schema]):
         self.schema = schema  # group-shape output schema (before a bag projection)
         self.bars: Dict[int, object] = {}
+
+
+def _lineage_reads(pushed: PushedLineageQuery, base: Schema) -> List[str]:
+    """The columns of the traced ``base`` table a fill may read, sorted:
+    those named by an output column (``pushed.columns``; ``None``: all),
+    a join key or a predicate anywhere in the tree, each name also with
+    its join-rename suffixes stripped (a join output column is its leaf
+    column plus zero or more :data:`JOIN_RENAME_SUFFIX`).  A superset of
+    what the fill reads, found without a schema walk.  A stand-in column
+    :func:`_narrow_names` gathers for a row count alone is not read: its
+    values never reach an answer."""
+    if pushed.columns is None:
+        return base.names
+    names = set(pushed.columns)
+    predicates = _core_predicates(pushed.core)
+    if pushed.predicate is not None:
+        predicates.append(pushed.predicate)
+    for predicate in predicates:
+        names |= predicate.columns()
+    hops = [pushed.core]
+    while hops:
+        hop = hops.pop()
+        if isinstance(hop, PushedJoin):
+            names.update(hop.join.left_keys, hop.join.right_keys)
+            hops += [hop.left, hop.right]
+    reads = set()
+    for name in names:
+        while True:
+            if name in base:
+                reads.add(name)
+            if not name.endswith(JOIN_RENAME_SUFFIX):
+                break
+            name = name[: -len(JOIN_RENAME_SUFFIX)]
+    return sorted(reads)
 
 
 def _split_by(owner: np.ndarray, n: int, columns: List[np.ndarray]) -> list:
@@ -904,9 +944,22 @@ def _memo_tables(
     that is not a partition).
 
     The memo is one cache entry per (pushed tree, parameters other than
-    the rid argument), live while the registry epoch of the view, the
-    catalog epochs of its base table and of every plain join leaf, and
-    the identity of all these objects are unchanged.  The guards of
+    the rid argument), live while what its fills read is unchanged:
+
+    * the traced base table's name and catalog epoch, and the array
+      objects of the columns of it the statement reads
+      (:func:`_lineage_reads`) — catalog columns never change in place, so
+      a ``preserve_rids`` refresh that rebuilds the table around the same
+      arrays keeps the memo unless it swaps a read column;
+    * each plain join leaf's catalog epoch and table object;
+    * the view's backward index object.  A re-registration builds a new
+      one; the lookup compares it with the old one and re-stamps the
+      entry when they are bit-equal, so re-capturing an unchanged view
+      refills no bar.  The check runs here, on the first brush, never on
+      registration.
+
+    The key and the epoch pin these objects, not the view's result or the
+    base table.  The guards of
     :func:`~repro.exec.lineage_scan.resolve_scan_source` run once per
     call; the shrink guard once per bar fill.  All bindings must agree on
     every parameter but the rid argument.
@@ -930,6 +983,9 @@ def _memo_tables(
         else:
             table, epoch = tables.setdefault(plain.table, catalog.get_versioned(plain.table))
             leaves.append((plain.alias, plain.table, table.num_rows, epoch))
+    inputs = (part.base_name, part.epoch) + tuple(
+        Pin(part.base.column(name)) for name in _lineage_reads(pushed, part.base.schema)
+    ) + tuple((epoch, Pin(table)) for table, epoch in tables.values())
 
     def build() -> _BarMemo:
         schema = None
@@ -937,14 +993,17 @@ def _memo_tables(
             schema = infer_schema(pushed.groupby, catalog)
         elif kind == "distinct":
             schema = infer_schema(pushed.project, catalog)
-        pinned = (pushed, part.result, part.base) + tuple(t for t, _ in tables.values())
-        return _BarMemo(pinned, schema)
+        return _BarMemo(schema)
+
+    def same(stored) -> bool:
+        # Only the index object differs, and its lineage is bit-equal.
+        return stored[0] == inputs and stored[1].obj == part.index
 
     memo = cache.memo(
-        (scan.result, "bars", scan.relation, (id(pushed), param_fingerprint(shared))),
-        (part.registry_epoch, part.epoch, id(part.result), id(part.base))
-        + tuple((epoch, id(table)) for table, epoch in tables.values()),
+        (scan.result, "bars", scan.relation, (Pin(pushed), param_fingerprint(shared))),
+        (inputs, Pin(part.index)),
         build,
+        same,
     )
     chain = (catalog, config, tables, stats)
 

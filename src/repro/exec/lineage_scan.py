@@ -327,8 +327,6 @@ class BarPartition(NamedTuple):
     exploits."""
 
     plan: LineageScan
-    result: object
-    registry_epoch: object
     base: Table
     base_name: str
     epoch: int
@@ -357,14 +355,12 @@ def resolve_scan_partition(
     :func:`resolve_scan_source` for a *backward* scan, without resolving
     any rids; ``None`` unless its index is a partitioned
     :class:`~repro.lineage.indexes.RidIndex`."""
-    result, registry_epoch = _resolve_result(plan, results)
+    result, _ = _resolve_result(plan, results)
     base, base_name, epoch, captured_epoch = _backward_base(plan, catalog, result)
     index = result.lineage.backward_index(plan.relation)
     if not isinstance(index, RidIndex) or not index.is_partitioned():
         return None
-    return BarPartition(
-        plan, result, registry_epoch, base, base_name, epoch, captured_epoch, index
-    )
+    return BarPartition(plan, base, base_name, epoch, captured_epoch, index)
 
 
 def scan_node_lineage(

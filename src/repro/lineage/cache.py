@@ -17,19 +17,29 @@ filled by :func:`~repro.exec.late_mat.execute_pushed`): partial answers
 per bar of a GROUP BY view — for single-table brushes and for join
 chains with one lineage leaf alike — so a brush re-visiting bars merges
 partials instead of re-scanning rows or re-running the join chain, and
-single brushes and ``sql_batch`` share them.  A memo entry lives while
-the view, its base table and every plain join leaf are unchanged.
+single brushes and ``sql_batch`` share them.
 
 Correctness rests on two invariants:
 
-* **Epoch-based invalidation** — every entry records the registry epoch of
-  the named result at resolution time, taken from the registry the read
-  goes through (:meth:`~repro.api.ResultRegistry.epoch` for the live
-  database, :meth:`~repro.serve.RegistrySnapshot.epoch` for a pinned
-  snapshot; both advance on re-registration).  A lookup whose stored
-  epoch differs from the caller's recomputes, so re-registering a name
-  can never serve another result's rids.  The cache keeps no registry of
-  its own: the caller always passes the epoch.
+* **Epoch-based invalidation** — every entry records an epoch, and a
+  lookup whose stored epoch differs from the caller's recomputes.  The
+  cache keeps no registry of its own: the caller always passes the epoch.
+
+  - A rid resolution's epoch is the registry epoch of the named result,
+    taken from the registry the read goes through
+    (:meth:`~repro.api.ResultRegistry.epoch` for the live database,
+    :meth:`~repro.serve.RegistrySnapshot.epoch` for a pinned snapshot;
+    both advance on re-registration), so re-registering a name can never
+    serve another result's rids.
+  - A per-bar memo's epoch is what its fills read: the catalog epoch of
+    the traced base table, the very column arrays of it the statement
+    reads, every plain join leaf's table, and the view's backward index,
+    each held by a :class:`Pin`.  Catalog columns never change in place
+    (``REPRO_SANITIZE`` freezes them on registration), so an unchanged
+    array object is unchanged content: a ``preserve_rids`` refresh of a
+    column no brush reads keeps the memo.  Re-registering a view builds a
+    new index object; the memo's lookup compares it with the old one and
+    re-stamps the entry when they are bit-equal (``revalidated``).
 * **Immutability** — cached arrays are handed out with the writeable flag
   cleared; every consumer treats rid arrays as read-only (filters copy via
   fancy indexing), so sharing one array across statements is safe, and an
@@ -94,6 +104,25 @@ def param_fingerprint(params: Optional[dict]) -> tuple:
     return tuple(items)
 
 
+class Pin:
+    """An epoch (or key) component standing for one object: equal only to
+    a pin of the very same object, hashed by identity, and holding the
+    object alive, so no other object can take its ``id`` while an entry
+    filed under the pin lives.  Arrays and indexes define ``==`` by
+    content; a pin compares them in O(1)."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj: object):
+        self.obj = obj
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Pin) and other.obj is self.obj
+
+    def __hash__(self) -> int:
+        return id(self.obj)
+
+
 class LineageResolutionCache:
     """Memoizes resolved backward/forward rid sets per
     ``(result, relation, rid-subset)``, each live while the caller's
@@ -108,9 +137,11 @@ class LineageResolutionCache:
         )
         self.hits = 0
         self.misses = 0
-        # Per-bar memo traffic (see memo()): bars filled vs found filled.
+        # Per-bar memo traffic (see memo()): bars filled vs found filled,
+        # and entries re-stamped under a new epoch instead of rebuilt.
         self.bar_fills = 0
         self.bar_reuses = 0
+        self.revalidated = 0
         self._lock = threading.RLock()
 
     # -- keys -----------------------------------------------------------------
@@ -163,14 +194,33 @@ class LineageResolutionCache:
             self._install(key, epoch, rids)
         return rids
 
-    def memo(self, key: _CacheKey, epoch: object, build: Callable[[], object]) -> object:
+    def memo(
+        self,
+        key: _CacheKey,
+        epoch: object,
+        build: Callable[[], object],
+        same: Optional[Callable[[object], bool]] = None,
+    ) -> object:
         """A derived per-statement artifact (the per-bar memo of
         :func:`~repro.exec.late_mat.execute_pushed`) filed as one entry
         under ``key`` (whose first element is the result name) and live
-        while ``epoch`` is unchanged.  ``epoch`` may hold ``id()``s of objects the built
-        value pins (so no other object can take those ids while the entry
-        lives).  Lookups count in ``hits``/``misses``."""
+        while ``epoch`` is unchanged; ``epoch`` holds objects by
+        :class:`Pin`.  An entry filed under another epoch is shown to
+        ``same`` (its stored epoch): true vouches that the value still
+        holds under ``epoch``, and the entry is re-stamped (a hit, counted
+        in ``revalidated`` too) instead of rebuilt.  ``same`` runs outside
+        the lock, so it may compare whole arrays.  Lookups count in
+        ``hits``/``misses``."""
         value = self._lookup(key, epoch)
+        if value is None and same is not None:
+            with self._lock:
+                entry = self._entries.get(key)
+            if entry is not None and same(entry[0]):
+                value = entry[1]
+                with self._lock:
+                    self._put(key, epoch, value)
+                    self.hits += 1
+                    self.revalidated += 1
         if value is None:
             value = build()
             self._install(key, epoch, value)
@@ -194,11 +244,15 @@ class LineageResolutionCache:
 
     def _install(self, key: _CacheKey, epoch: object, value: object) -> None:
         with self._lock:
-            self._entries[key] = (epoch, value)
-            self._entries.move_to_end(key)
+            self._put(key, epoch, value)
             self.misses += 1
-            while len(self._entries) > self.MAX_ENTRIES:
-                self._entries.popitem(last=False)
+
+    def _put(self, key: _CacheKey, epoch: object, value: object) -> None:
+        """File ``value`` under ``key`` and ``epoch``; the lock is held."""
+        self._entries[key] = (epoch, value)
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.MAX_ENTRIES:
+            self._entries.popitem(last=False)
 
     # -- maintenance ----------------------------------------------------------
 
@@ -216,11 +270,13 @@ class LineageResolutionCache:
 
     def stats(self) -> dict:
         """Hit/miss counters, the live entry count, and the per-bar memo's
-        fills/reuses (for benchmarks and ``DatabaseServer.stats``)."""
+        fills/reuses and re-stamped entries (for benchmarks and
+        ``DatabaseServer.stats``)."""
         return {
             "hits": self.hits,
             "misses": self.misses,
             "entries": len(self),
             "bar_fills": self.bar_fills,
             "bar_reuses": self.bar_reuses,
+            "revalidated": self.revalidated,
         }

@@ -5,8 +5,10 @@ module checks at runtime that the data flowing through them *is* safe.
 With ``REPRO_SANITIZE=1`` in the environment:
 
 * rid arrays handed out by lineage indexes, the resolution cache, and
-  registered results are frozen (``flags.writeable = False``) for real,
-  so an in-place mutation of shared lineage state raises immediately;
+  registered results — and the columns of every catalog table — are
+  frozen (``flags.writeable = False``) for real, so an in-place mutation
+  of shared lineage state, or of a column the per-bar memo keys by its
+  array object, raises immediately;
 * captured CSR lineage is validated on construction — monotone
   non-negative indptr, in-bounds indices, ``int64`` dtype — instead of
   corrupting downstream joins silently;

@@ -656,7 +656,8 @@ class DatabaseServer:
         ``prepared`` and ``lineage_cache`` describe the database's
         statement memo and rid cache, which every front shares;
         ``lineage_cache`` includes the per-bar memo's ``bar_fills`` /
-        ``bar_reuses``."""
+        ``bar_reuses`` and the memo entries ``revalidated`` across a
+        re-registration that left the view's lineage bit-equal."""
         return {
             "version": self._snapshot.version,
             "prepared": len(self._db._statements),

@@ -23,6 +23,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, Iterator, Optional, Tuple
 
+from .. import sanitize
 from ..errors import CatalogError
 from ..substrate.stats import ColumnStats, collect_column_stats
 from .table import Table
@@ -81,6 +82,12 @@ class Catalog:
                         "replace without preserve_rids to invalidate "
                         "captured lineage instead"
                     )
+            if sanitize.enabled():
+                # Derived state (the per-bar memo) keys a column by its
+                # array object; debug mode makes "never written in place"
+                # physical, so an in-place write raises.
+                for values in table.columns().values():
+                    sanitize.freeze(values)
             self._tables[name] = table
             if replacing:
                 self._evict_column_stats(name)

@@ -257,3 +257,61 @@ class TestBarMemoHammer:
             sys.setswitchinterval(interval)
         assert stats["bar_fills"] + stats["bar_reuses"] == sum(requested)
         assert stats["bar_fills"] >= len(stmts) * len({b for br in brushes for b in br.tolist()})
+
+    def test_snapshots_across_a_refresh_share_one_memo(self):
+        """Readers on snapshots from both sides of a refresh that swapped
+        an unread column and re-registered the view with bit-equal
+        lineage race to re-stamp one memo entry back and forth: every
+        answer is right and no bar is filled again."""
+        from repro import CaptureMode, Database, ExecOptions
+        from repro.serve import DatabaseServer
+
+        rng = np.random.default_rng(7)
+        n, bars = 4000, 40
+        view = ("SELECT z, COUNT(*) AS c FROM t GROUP BY z",
+                ExecOptions(capture=CaptureMode.INJECT, name="v", pin=True))
+        db = Database()
+        db.create_table("t", Table({
+            "z": rng.integers(0, bars, n),
+            "g": rng.integers(0, 25, n),
+            "u": rng.random(n),
+        }))
+        db.sql(view[0], options=view[1])
+        stmt = "SELECT g, COUNT(*) AS c FROM Lb(v, 't', :bars) GROUP BY g"
+        brushes = [rng.integers(0, bars, int(rng.integers(1, 9))) for _ in range(16)]
+        plain = ExecOptions(late_materialize=False)
+        expected = [
+            db.execute(db.parse(stmt), params={"bars": b}, options=plain).table.to_rows()
+            for b in brushes
+        ]
+
+        def refresh(d):
+            columns = d.table("t").columns()
+            columns["u"] = columns["u"] + 1.0
+            d.create_table("t", Table(columns), replace=True, preserve_rids=True)
+            d.sql(view[0], options=view[1])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with DatabaseServer(db, readers=1, memoize_answers=False) as server:
+                for b in brushes:  # fill every bar before the refresh
+                    server.sql(stmt, params={"bars": b})
+                snapshots = [server.snapshot()]
+                fills = server.stats()["lineage_cache"]["bar_fills"]
+                server.write(refresh)
+                snapshots.append(server.snapshot())
+
+                def worker(seed):
+                    snapshot = snapshots[seed % 2]
+                    order = np.random.default_rng(seed).permutation(len(brushes))
+                    for i in order.tolist():
+                        got = server.sql(stmt, params={"bars": brushes[i]}, snapshot=snapshot)
+                        assert got.table.to_rows() == expected[i]
+
+                _hammer(worker)
+                stats = server.stats()["lineage_cache"]
+        finally:
+            sys.setswitchinterval(interval)
+        assert stats["bar_fills"] == fills
+        assert stats["revalidated"] >= 1

@@ -165,6 +165,11 @@ def _join_db():
         "region": np.array([2, 0, 1], dtype=np.int64),
         "continent": np.array([0, 1, 0], dtype=np.int64),
     }))
+    # Shares t's column names: joined with Lb on its right, t.w is w_r.
+    db.create_table("wt", Table({
+        "g": np.array(list("abc"), dtype=object),
+        "w": np.array([1.0, 2.0, 3.0]),
+    }))
     return db
 
 
@@ -276,3 +281,84 @@ def test_fill_runs_bounded_by_rids_answer_like_one_run(stmt, monkeypatch):
         assert db.sql(stmt, params={"bars": bars}).table.to_rows() == _plain(db, stmt, bars)
     assert runs == [[0], [1, 2]]
     assert _bar_traffic(db.lineage_cache.stats()) == (3, 2)
+
+
+VIEW = "SELECT z, COUNT(*) AS c FROM t GROUP BY z"
+#: Same bars as VIEW, other lineage: row 0 (w = 0.0) is filtered out.
+OTHER_VIEW = "SELECT z, COUNT(*) AS c FROM t WHERE w >= 1.0 GROUP BY z"
+RENAMED = (
+    "SELECT t.w AS w, COUNT(*) AS c FROM wt JOIN Lb(v, 't', :bars) "
+    "ON wt.g = t.g GROUP BY t.w"
+)
+#: A column each statement reads, and one it does not.
+READS = {BRUSH: ("g", "w"), ROWS: ("w", "g"), JOIN: ("g", "w"), RENAMED: ("w", None)}
+
+
+def _write(db, column=None, view=VIEW, preserve_rids=True):
+    """A refresh: ``t`` rebuilt around its column arrays, ``column`` (if
+    any) swapped for a new one, then the view ``v`` re-registered."""
+    columns = db.table("t").columns()
+    if column is not None:
+        columns[column] = columns[column][::-1].copy()
+    db.create_table("t", Table(columns), replace=True, preserve_rids=preserve_rids)
+    db.sql(view, options=INJECT.with_(name="v"))
+
+
+def _fresh(db, stmt, bars, view=VIEW):
+    """The answer of a fresh ``Database`` over ``db``'s tables."""
+    fresh = Database()
+    for name in db.tables():
+        fresh.create_table(name, db.table(name))
+    fresh.sql(view, options=INJECT.with_(name="v"))
+    return fresh.sql(stmt, params={"bars": bars}).table.to_rows()
+
+
+@pytest.mark.parametrize("stmt", [BRUSH, ROWS, JOIN])
+def test_refresh_of_an_unread_column_keeps_the_memo(stmt):
+    db = _join_db()
+    params = {"bars": [0, 2]}
+    db.sql(stmt, params=params)
+    fills = db.lineage_cache.stats()["bar_fills"]
+    _write(db, READS[stmt][1])
+    after = db.sql(stmt, params=params).table.to_rows()
+    stats = db.lineage_cache.stats()
+    assert (stats["bar_fills"] - fills, stats["revalidated"]) == (0, 1)
+    assert after == _fresh(db, stmt, [0, 2]) == _plain(db, stmt, [0, 2])
+
+
+@pytest.mark.parametrize("stmt", [BRUSH, ROWS, JOIN, RENAMED])
+@pytest.mark.parametrize("write", [
+    {"column": "read"},
+    {"view": OTHER_VIEW},
+    {"preserve_rids": False},  # same arrays, same lineage, new epoch
+], ids=["read-column", "other-lineage", "replace"])
+def test_write_to_what_a_fill_reads_refills_the_memo(stmt, write):
+    db = _join_db()
+    params = {"bars": [0, 2]}
+    db.sql(stmt, params=params)
+    fills = db.lineage_cache.stats()["bar_fills"]
+    if write.get("column") == "read":
+        write = {"column": READS[stmt][0]}
+    _write(db, **write)
+    after = db.sql(stmt, params=params).table.to_rows()
+    stats = db.lineage_cache.stats()
+    assert (stats["bar_fills"] - fills, stats["revalidated"]) == (2, 0)
+    view = write.get("view", VIEW)
+    assert after == _fresh(db, stmt, [0, 2], view) == _plain(db, stmt, [0, 2])
+
+
+def test_server_stats_count_revalidated_entries():
+    db = _db()
+    params = {"bars": [0, 1]}
+    with DatabaseServer(db, readers=1, memoize_answers=False) as server:
+        old = server.snapshot()
+        before = server.sql(BRUSH, params=params).table.to_rows()
+        server.write(lambda d: _write(d, "w"))
+        # The new snapshot's index is bit-equal: re-stamped, not refilled;
+        # the old snapshot's index is re-stamped back.
+        assert server.sql(BRUSH, params=params).table.to_rows() == before
+        assert server.sql(BRUSH, params=params, snapshot=old).table.to_rows() == before
+        stats = server.stats()["lineage_cache"]
+    assert _bar_traffic(stats) == (2, 4)
+    assert stats["revalidated"] == 2
+    assert before == _fresh(db, BRUSH, [0, 1])

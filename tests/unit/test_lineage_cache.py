@@ -1,4 +1,4 @@
-"""Regression tests for the lineage rid-resolution cache's keying.
+"""Tests for the lineage rid-resolution cache's keying and epochs.
 
 ``subset_key`` once fingerprinted rid subsets by raw buffer bytes, so an
 int32 subset and an int64 subset with identical bytes collided to one
@@ -7,7 +7,7 @@ entry.
 
 import numpy as np
 
-from repro.lineage.cache import LineageResolutionCache
+from repro.lineage.cache import LineageResolutionCache, Pin
 
 
 class TestSubsetKeyDtype:
@@ -43,3 +43,40 @@ class TestSubsetKeyDtype:
             LineageResolutionCache.subset_key(narrow), lambda: np.array([20]), 0,
         )
         assert list(out_wide) == [10] and list(out_narrow) == [20]
+
+
+class TestMemoEpochs:
+    KEY = ("view", "bars", "t", 0)
+
+    def test_pin_compares_by_identity(self):
+        arr = np.arange(3)
+        assert Pin(arr) == Pin(arr) and hash(Pin(arr)) == hash(Pin(arr))
+        assert Pin(arr) != Pin(arr.copy())
+        assert (1, Pin(arr)) == (1, Pin(arr))
+
+    def test_vouched_entry_is_restamped_not_rebuilt(self):
+        cache = LineageResolutionCache()
+        built = []
+
+        def build():
+            built.append(object())
+            return built[-1]
+
+        def lookup(arr, vouch=True):
+            def same(stored):
+                return np.array_equal(stored.obj, arr)
+
+            return cache.memo(self.KEY, Pin(arr), build, same if vouch else None)
+
+        old, new = np.arange(3), np.arange(3)
+        first = lookup(old)
+        assert lookup(new) is first  # bit-equal: re-stamped
+        assert lookup(new) is first  # a plain hit
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["revalidated"]) == (2, 1, 1)
+        # A refused vouch, or none at all, rebuilds.
+        assert lookup(np.arange(4)) is built[1]
+        assert lookup(np.arange(4), vouch=False) is built[2]
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["revalidated"]) == (2, 3, 1)
+        assert stats["entries"] == 1

@@ -162,6 +162,7 @@ class TestSession:
         stats = session.lineage_cache.stats()
         assert stats == {
             "hits": 1, "misses": 1, "entries": 1, "bar_fills": 0, "bar_reuses": 0,
+            "revalidated": 0,
         }
 
     def test_sql_memoizes_by_text(self, db, prev):

@@ -201,6 +201,22 @@ class TestRegistryFreeze:
             for values in res.table.columns().values():
                 assert not values.flags.writeable
 
+    def test_registered_table_columns_are_frozen(self):
+        # The per-bar memo keys a base column by its array object, so an
+        # in-place write to a registered column must raise.
+        with sanitize.force(True):
+            db = _tiny_db()
+            column = db.table("t").column("v")
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 99
+            unchanged = db.table("t").columns()
+            unchanged["k"] = unchanged["k"] + 1  # a new array: allowed
+            db.create_table("t", Table(unchanged), replace=True, preserve_rids=True)
+            assert db.table("t").column("v") is column
+            with pytest.raises(ValueError, match="read-only"):
+                db.table("t").column("k")[0] = 0
+        assert db.table("t").column("v").tolist() == [10, 20, 30, 40]
+
     def test_capture_pipeline_runs_under_sanitizer(self):
         # End-to-end smoke check: capture + backward resolution with every
         # construction hook armed.
