@@ -10,11 +10,13 @@ run the BT interaction as lineage-consuming SQL over registered views
 * ``sql-prepared`` — ``Database.sql``'s memoized path: per-view
   statements are parsed/bound/rewritten once, ``:bars`` binds into the
   cached plan, the late-materializing rewrite executes each
-  re-aggregation in the rid domain (:mod:`repro.plan.rewrite`), and the
-  database's :class:`~repro.lineage.cache.LineageResolutionCache`
-  resolves each brush's rid set once across all views;
+  re-aggregation in the rid domain (:mod:`repro.plan.rewrite`), and
+  each ``COUNT(*)`` statement merges the brushed bars' partials from its
+  per-bar memo in the database's
+  :class:`~repro.lineage.cache.LineageResolutionCache`;
 * ``sql-materialized`` — the same statements with the rewrite disabled,
-  i.e. the PR-1 materialize-then-scan baseline.
+  i.e. the materialize-then-scan baseline: every statement resolves the
+  brushed rid set from the view's index and copies the traced subset.
 
 Two further axes add a *star-schema* view (``carrier_region``: the
 carrier's region, an attribute of a joined ``carriers`` lookup table).

@@ -26,11 +26,11 @@ interactive workloads should issue these statements:
 * ``db.prepare(stmt)`` caches lex/parse/bind and the late-materialization
   rewrite once; ``run(params=...)`` only binds ``:params`` (including the
   rid argument of ``Lb``/``Lf`` and ``IN :list`` selections);
-* ``db.sql`` memoizes statements by text, and every statement — through
-  ``db.sql``, ``db.prepare`` or a ``db.session()`` — resolves lineage
-  through the database's one rid-resolution cache, so a brush's N
-  per-view statements resolve the brushed rid set once — and repeated
-  identical brushes, zero times.
+* ``db.sql`` memoizes statements by text, and every capture-off brush
+  over a GROUP BY view — through ``db.sql``, ``db.prepare`` or a
+  ``db.session()`` — keeps a per-bar memo in the database's one cache:
+  a bar's partial answer is computed once per statement, and a brush
+  revisiting it merges the stored partial instead.
 
 Every step cross-checks against the Python-level lineage API and the
 uncached raw-plan path (``db.execute(db.parse(...))``), so this is an
@@ -44,7 +44,7 @@ import time
 import numpy as np
 
 from repro.api import Database, ExecOptions
-from repro.lineage.capture import CaptureConfig, CaptureMode
+from repro.lineage.capture import CaptureMode
 from repro.storage import Table
 
 CAPTURE = ExecOptions(capture=CaptureMode.INJECT)
@@ -211,36 +211,40 @@ def main() -> None:
     assert a.table.to_rows() == b.table.to_rows()
     print(f"\nPrepared statement {stmt!r}\n  matches the raw-plan path.")
 
-    # 8. Sessions: a brush's statements share the database's one
-    #    rid-resolution cache.  Both statements below trace (prev,
-    #    'sales', :bars) — the second one reuses the first one's resolved
-    #    rid set, and a repeated brush reuses everything.
-    sess = db.session(options=ExecOptions(
-        capture=CaptureConfig.inject(forward=False)
-    ))
+    # 8. Sessions: capture-off brushes keep per-bar memos in the
+    #    database's one cache.  Each statement below fills bar `bar`
+    #    once; the repeated brush merges the stored partials instead.
+    sess = db.session()
+    brush = ("SELECT region FROM Lb(prev, 'sales', :bars)",
+             "SELECT product, COUNT(*) AS c "
+             "FROM Lb(prev, 'sales', :bars) GROUP BY product")
     db.lineage_cache.invalidate()  # count this brush's traffic alone
     before = sess.lineage_cache.stats()
-    for _ in range(2):  # two identical "brushes"
-        sess.sql("SELECT region FROM Lb(prev, 'sales', :bars)",
-                 params={"bars": [bar]})
-        sess.sql("SELECT product, COUNT(*) AS c "
-                 "FROM Lb(prev, 'sales', :bars) GROUP BY product",
-                 params={"bars": [bar]})
-    stats = {
-        key: value - before[key] for key, value in sess.lineage_cache.stats().items()
-    }
-    assert stats["misses"] == 1 and stats["hits"] == 3
-    print(f"Session lineage cache after 2 brushes x 2 statements: {stats} "
-          "(one resolution served all four).")
 
-    # 9. Re-registering 'prev' advances its epoch: the session re-resolves
-    #    instead of serving stale rids, with no re-preparation needed.
+    def memo_traffic():
+        after = sess.lineage_cache.stats()
+        return {key: after[key] - before[key]
+                for key in ("bar_fills", "bar_reuses", "revalidated")}
+
+    for _ in range(2):  # two identical "brushes"
+        answers = [sess.sql(text, params={"bars": [bar]}) for text in brush]
+    assert memo_traffic() == {"bar_fills": 2, "bar_reuses": 2, "revalidated": 0}
+    print(f"Per-bar memos after 2 brushes x 2 statements: {memo_traffic()} "
+          "(each statement filled its bar once).")
+
+    # 9. Re-registering 'prev' re-captures its lineage.  The memos' next
+    #    lookup finds the new index bit-equal to the old one and
+    #    re-stamps each memo (`revalidated`) instead of refilling it —
+    #    with no re-preparation — and the answers equal the uncached
+    #    raw-plan path's.
     db.sql("SELECT region, COUNT(*) AS orders FROM sales GROUP BY region",
            options=CAPTURE.with_(name="prev"))
-    sess.sql("SELECT region FROM Lb(prev, 'sales', :bars)",
-             params={"bars": [bar]})
-    assert sess.lineage_cache.stats()["misses"] - before["misses"] == 2
-    print("Epoch-based invalidation re-resolved after re-registration.")
+    for text, answer in zip(brush, answers, strict=True):
+        again = sess.sql(text, params={"bars": [bar]})
+        raw = db.execute(db.parse(text), params={"bars": [bar]})
+        assert again.table.to_rows() == answer.table.to_rows() == raw.table.to_rows()
+    assert memo_traffic() == {"bar_fills": 2, "bar_reuses": 4, "revalidated": 2}
+    print("Re-registration with identical lineage re-stamped both memos.")
 
     # 10. Late materialization + preparation: the drill-down statement is
     #     a GroupBy-over-Lb stack, so it runs in the rid domain — only

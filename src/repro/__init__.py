@@ -13,9 +13,9 @@ Quick tour::
     outs = res.forward("zipf", rids)        # forward lineage query
 
 Repeated statements cost one parse: ``db.sql`` memoizes plan binding by
-statement text and lineage rid-resolution across statements, in one
-memo and one cache per database that ``db.prepare(...)`` and
-``db.session()`` share (see :mod:`repro.api`).
+statement text, and brushes over a GROUP BY view merge memoized per-bar
+partial answers, in one memo and one cache per database that
+``db.prepare(...)`` and ``db.session()`` share (see :mod:`repro.api`).
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every reproduced figure.

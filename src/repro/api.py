@@ -43,14 +43,12 @@ both:
 >>> sess.sql("SELECT a, COUNT(*) AS c FROM Lb(v, 't', :bars) GROUP BY a",
 ...          params={"bars": bars})    # auto-prepared, memoized by text
 
-The N per-view statements of one brush resolve the brushed lineage
-**once**: the cache memoizes resolved backward/forward rid sets per
-``(result, relation, rid-subset)`` and invalidates entries by registry
-epoch when a result name is re-registered.  Capture-off brushes over a
-GROUP BY view, alone or joined to plain tables, skip rid resolution
-altogether: each keeps a per-bar memo
-in the same cache (:func:`repro.exec.late_mat.execute_pushed`) and
-merges the brushed bars' partial answers.  ``Database.sql`` also
+Capture-off brushes over a GROUP BY view, alone or joined to plain
+tables, skip rid resolution altogether: each keeps a per-bar memo in
+that cache (:func:`repro.exec.late_mat.execute_pushed`) and merges the
+brushed bars' partial answers.  Every other lineage-consuming statement
+resolves its rids from the view's index on each run, as the paper's
+lineage queries do.  ``Database.sql`` also
 re-prepares transparently when a table a memoized plan scans is replaced
 (:class:`~repro.errors.StaleBindingError`).  Raw plans
 (``Database.execute``) run uncached.
@@ -96,7 +94,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, replace as _dc_replace
-from typing import Callable, Dict, FrozenSet, Iterator, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
@@ -133,7 +131,7 @@ class ExecOptions:
     name:
         Register the result under this name for lineage-consuming SQL
         (``FROM Lb(name, ...)``); re-registering advances the name's
-        epoch, invalidating cached rid resolutions.
+        epoch and retargets every statement that reads it.
     pin:
         Exempt the registered result from registry eviction bounds.
     late_materialize:
@@ -391,8 +389,7 @@ class ResultRegistry(Mapping):
     registration traffic (app sessions pin their views until ``close()``).
 
     Every registration of a name advances its **epoch**
-    (:meth:`epoch`), which the lineage rid-resolution cache uses to
-    invalidate memoized resolutions on re-registration.
+    (:meth:`epoch`), which checkpoints persist with the entries.
 
     Durability and graceful degradation
     -----------------------------------
@@ -507,19 +504,15 @@ class ResultRegistry(Mapping):
         including re-registration after a drop); 0 when never seen."""
         return self._epochs.get(name, 0)
 
-    def snapshot_state(
-        self,
-    ) -> "Tuple[Dict[str, QueryResult], Dict[str, int]]":
-        """Consistent copy of ``(entries, epochs)`` for snapshot views.
-
-        Taken under the lock so a concurrent registration can never
-        yield a new result paired with its pre-registration epoch.
-        Evicted stubs are deliberately absent: serving one would require
-        re-execution against *live* state, which is a write — snapshot
-        readers treat evicted names as unknown.
+    def snapshot_state(self) -> "Dict[str, QueryResult]":
+        """Consistent copy of the entries for snapshot views, taken under
+        the lock so a concurrent registration is either wholly in it or
+        absent.  Evicted stubs are deliberately absent: serving one would
+        require re-execution against *live* state, which is a write —
+        snapshot readers treat evicted names as unknown.
         """
         with self._lock:
-            return dict(self._entries), dict(self._epochs)
+            return dict(self._entries)
 
     # -- durability plumbing -----------------------------------------------
 
@@ -688,9 +681,9 @@ class PreparedQuery:
 
     Caches the lex/parse/bind product (the logical plan) and the
     late-materialization rewrite decisions
-    (:class:`~repro.plan.rewrite.RewriteIndex`); every run resolves
-    ``Lb``/``Lf`` rid sets and per-bar partial answers through the
-    database's one :class:`~repro.lineage.cache.LineageResolutionCache`.
+    (:class:`~repro.plan.rewrite.RewriteIndex`); every run reads
+    per-bar partial answers through the database's one
+    :class:`~repro.lineage.cache.LineageResolutionCache`.
     ``run()`` binds ``:params`` without re-planning; all parameter slots —
     scalar predicates, ``IN :list``, and lineage-scan rid arguments —
     survive binding.
@@ -717,7 +710,7 @@ class PreparedQuery:
         self.statement = statement
         self.param_names = plan_param_names(plan)
         self.rewrites: RewriteIndex = precompute_rewrites(plan)
-        #: The database's rid-resolution cache, which every run resolves
+        #: The database's per-bar memo cache, which every run reads
         #: through (so its ``invalidate()`` is database-wide).
         self.lineage_cache = database.lineage_cache
         catalog = catalog if catalog is not None else database.catalog
@@ -831,16 +824,16 @@ class Session:
     per-statement ``options=`` arguments override them wholesale (use
     ``session.options.with_(...)`` for field-wise overrides).  Everything
     else belongs to the database: :meth:`sql` and :meth:`prepare` run
-    through its one :class:`StatementMemo` and rid-resolution cache, so
+    through its one :class:`StatementMemo` and per-bar memo cache, so
     sessions running the same text share one prepared statement and its
-    memoized lineage, each under its own options.  :meth:`execute` runs a
+    memos, each under its own options.  :meth:`execute` runs a
     raw plan uncached, like :meth:`Database.execute`.
     """
 
     def __init__(self, database: "Database", options: Optional[ExecOptions] = None):
         self.database = database
         self.options = options if options is not None else ExecOptions()
-        #: The database's rid cache (so its ``invalidate()`` is database-wide).
+        #: The database's memo cache (so its ``invalidate()`` is database-wide).
         self.lineage_cache = database.lineage_cache
 
     def prepare(
@@ -907,7 +900,7 @@ class Database:
     ):
         self.catalog = Catalog()
         self._results = ResultRegistry(max_results, max_result_bytes)
-        #: The one rid cache and statement memo of every front; built
+        #: The one memo cache and statement memo of every front; built
         #: before recovery, whose stub re-execution prepares statements.
         self.lineage_cache = LineageResolutionCache()
         self._statements = StatementMemo()
@@ -1024,8 +1017,7 @@ class Database:
         ``FROM Lb(name, 'relation')`` / ``FROM Lf('relation', name)``
         resolve ``name`` against this registry at execution time.
         Re-registering a name replaces the previous result, re-targeting
-        any plan that references it and advancing the name's epoch (which
-        invalidates memoized rid resolutions in prepared sessions).
+        any plan that references it and advancing the name's epoch.
         Names must be SQL identifiers that are not keywords, so the bare
         ``Lb(name, ...)`` form always parses.
 
@@ -1194,7 +1186,7 @@ def run_plan(
 
     ``prepared`` is the :class:`PreparedQuery` ``plan`` came from: its
     parameters and binding are checked against this view, and its rewrite
-    index and the database's rid cache ride along.  A raw plan (``None``)
+    index and the database's memo cache ride along.  A raw plan (``None``)
     matches rewrites live and runs uncached."""
     rewrites = cache = None
     if prepared is not None:

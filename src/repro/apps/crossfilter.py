@@ -28,10 +28,11 @@ also what the Figure 13/14 benchmarks measure.
 
 Declarative sessions run their interactions through ``Database.sql``,
 the database's memoized text path: the per-view statements of a brush
-are parsed/bound/rewritten once and memoized by text, and every
-statement shares the database's lineage rid-resolution cache, so a
-brush's N re-aggregations resolve the brushed rid set once (and repeated
-identical brushes resolve it zero times).
+are parsed/bound/rewritten once and memoized by text, and (under late
+materialization, the default) every ``COUNT(*)`` re-aggregation merges
+the brushed bars' partial answers from its per-bar memo in the
+database's one cache, so a bar is counted once per statement however
+many brushes revisit it.
 
 Star-schema dimensions: ``from_database(..., joins={dim:
 DimensionJoin(...)})`` adds views whose binned attribute lives in a

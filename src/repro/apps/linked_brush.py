@@ -29,9 +29,8 @@ shrinks the materialized output without changing any answer).  Each
 view's two statements are
 **prepared once** (:meth:`repro.api.Database.prepare`) when the view is
 added: every brush binds ``:marks`` / ``:rids`` into the cached plan
-instead of re-lexing and re-binding SQL, and all statements share the
-database's lineage rid-resolution cache, so brushing the same marks
-twice resolves their lineage once.  Views are registered with
+instead of re-lexing and re-binding SQL; each run resolves the brushed
+marks' lineage from the view's index.  Views are registered with
 ``pin=True`` so a bounded result registry never evicts a live session's
 views.
 """
@@ -184,7 +183,7 @@ class LinkedBrushingSession:
     def _backward_to_shared(self, view_name: str, marks: np.ndarray) -> np.ndarray:
         """Lb(selection ⊆ view, shared): the shared-relation rids behind
         the selected marks — the view's prepared statement with ``:marks``
-        bound (no re-parse, shared rid-resolution cache)."""
+        bound (no re-parse)."""
         stmt = self._backward_stmts.get(view_name)
         if stmt is None:
             return self.views[view_name].lineage.backward(marks, self.shared_relation)

@@ -204,7 +204,7 @@ class _ExecState:
             key = self._next_scan_key()
             return execute_lineage_scan(
                 plan, key, self.catalog, self.executor.results, self.config,
-                self.params, cache=self.cache,
+                self.params,
             )
 
         if isinstance(plan, Sort):

@@ -359,12 +359,11 @@ class _ChainContext:
 
     __slots__ = (
         "catalog", "results", "config", "params",
-        "next_key", "run_child", "cache", "stats", "traced",
+        "next_key", "run_child", "stats", "traced",
     )
 
     def __init__(
-        self, catalog, results, config, params, next_key, run_child, cache, stats,
-        traced=None,
+        self, catalog, results, config, params, next_key, run_child, stats, traced=None
     ):
         self.catalog = catalog
         self.results = results
@@ -372,7 +371,6 @@ class _ChainContext:
         self.params = params
         self.next_key = next_key
         self.run_child = run_child
-        self.cache = cache
         self.stats = stats
         self.traced = traced
 
@@ -383,7 +381,7 @@ def _resolve_scan_side(side: PushedJoinSide, key: str, ctx: _ChainContext) -> _J
     rid domain (a leaf core's WHERE included)."""
     if ctx.traced is None:
         source, rids, source_name, domain, epoch = resolve_scan_source(
-            side.scan, ctx.catalog, ctx.results, ctx.params, ctx.cache
+            side.scan, ctx.catalog, ctx.results, ctx.params
         )
         if side.predicate is not None:
             rids = rids[_passing(side.predicate, source, rids, ctx.params)]
@@ -561,15 +559,8 @@ def execute_pushed(
                 )
                 node.absorb(leaf, None, None)
             return table, node
-    ctx = _ChainContext(
-        catalog, results, config, params, next_key, run_child, cache, stats
-    )
+    ctx = _ChainContext(catalog, results, config, params, next_key, run_child, stats)
     state = _run_hop(pushed.core, ctx)
-    if pushed.predicate is not None:
-        # The residual WHERE binds above a join core; evaluate it in the
-        # position domain (only its columns gathered, standard selection
-        # lineage) so the late gather below sees only the final survivors.
-        state = _chain_select(state, pushed.predicate, config, params)
     table = _gather_chain_output(state, pushed.columns)
     node = state.node
 
@@ -646,6 +637,15 @@ def memo_scan(pushed: PushedLineageQuery) -> Optional[LineageScan]:
     return scans[0]
 
 
+def shared_fingerprint(scan: LineageScan, params: Optional[dict]) -> tuple:
+    """:func:`~repro.lineage.cache.param_fingerprint` of a binding's
+    parameters other than the memo leaf ``scan``'s rid argument: the part
+    of the per-bar memo's key a binding sets, so the bindings of one
+    batch must agree on it."""
+    rid = scan.rids.name if isinstance(scan.rids, Param) else None
+    return param_fingerprint({k: v for k, v in (params or {}).items() if k != rid})
+
+
 def _memo_kind(pushed: PushedLineageQuery, config: CaptureConfig) -> Optional[str]:
     """Which per-bar partial answers ``pushed`` (see :func:`_memo_tables`),
     or ``None`` when the memo does not apply: capture must be off and the
@@ -671,8 +671,7 @@ def _memo_kind(pushed: PushedLineageQuery, config: CaptureConfig) -> Optional[st
     ):
         return None
     if isinstance(scan.rids, Param):
-        exprs = [pushed.predicate] if pushed.predicate is not None else []
-        exprs += _core_predicates(pushed.core)
+        exprs = _core_predicates(pushed.core)
         exprs += [e for e, _ in gb.keys] if gb is not None else []
         exprs += [e for e, _ in project.exprs] if project is not None else []
         if any(scan.rids.name in collect_params(e) for e in exprs):
@@ -717,10 +716,7 @@ def _lineage_reads(pushed: PushedLineageQuery, base: Schema) -> List[str]:
     if pushed.columns is None:
         return base.names
     names = set(pushed.columns)
-    predicates = _core_predicates(pushed.core)
-    if pushed.predicate is not None:
-        predicates.append(pushed.predicate)
-    for predicate in predicates:
+    for predicate in _core_predicates(pushed.core):
         names |= predicate.columns()
     hops = [pushed.core]
     while hops:
@@ -774,12 +770,8 @@ def _fill_chain(pushed, chain, part, rids, owner, lineage: int, params):
         return table, NodeLineage(output_size=table.num_rows)
 
     traced = (part.base, rids, part.base_name, part.base.num_rows, part.epoch)
-    ctx = _ChainContext(
-        catalog, None, config, params, lambda: "", run_plain, None, stats, traced
-    )
+    ctx = _ChainContext(catalog, None, config, params, lambda: "", run_plain, stats, traced)
     state = _run_hop(pushed.core, ctx)
-    if pushed.predicate is not None:
-        state = _chain_select(state, pushed.predicate, config, params)
     at = state.positions[lineage]
     if at is not None:  # None: a leaf core, every slice rid survives
         rids, owner = rids[at], owner[at]
@@ -944,7 +936,8 @@ def _memo_tables(
     that is not a partition).
 
     The memo is one cache entry per (pushed tree, parameters other than
-    the rid argument), live while what its fills read is unchanged:
+    the rid argument — :func:`shared_fingerprint`), live while what its
+    fills read is unchanged:
 
     * the traced base table's name and catalog epoch, and the array
       objects of the columns of it the statement reads
@@ -961,17 +954,13 @@ def _memo_tables(
     The key and the epoch pin these objects, not the view's result or the
     base table.  The guards of
     :func:`~repro.exec.lineage_scan.resolve_scan_source` run once per
-    call; the shrink guard once per bar fill.  All bindings must agree on
-    every parameter but the rid argument.
+    call; the shrink guard once per bar fill.  All bindings must share
+    one :func:`shared_fingerprint`.
     """
     kind = _memo_kind(pushed, config)
     if kind is None:
         return None
     scan = memo_scan(pushed)
-    shared = {
-        k: v for k, v in (params_list[0] or {}).items()
-        if not (isinstance(scan.rids, Param) and k == scan.rids.name)
-    }
     part = resolve_scan_partition(scan, catalog, results)
     if part is None:
         return None
@@ -1000,7 +989,7 @@ def _memo_tables(
         return stored[0] == inputs and stored[1].obj == part.index
 
     memo = cache.memo(
-        (scan.result, "bars", scan.relation, (Pin(pushed), param_fingerprint(shared))),
+        (Pin(pushed), shared_fingerprint(scan, params_list[0])),
         (inputs, Pin(part.index)),
         build,
         same,

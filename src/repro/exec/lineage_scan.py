@@ -10,7 +10,10 @@ result)`` behave identically on the vector and compiled engines:
   plan that references it.
 * The traced rid subset comes from the optional third argument (an int
   literal or a ``:param`` bound through ``params``); omitted, every row is
-  traced.
+  traced.  Its rids are looked up in the prior result's index on every
+  run (CSR slices, as in the paper's lineage queries) and never cached;
+  only the per-bar memo of :func:`~repro.exec.late_mat.execute_pushed`
+  keeps derived answers.
 * The scan's own lineage is captured like any base-relation scan, so
   lineage-consuming queries are themselves lineage-traceable: ``Lb``
   output rows map to the traced base relation's rids, and ``Lf`` output
@@ -49,7 +52,6 @@ import numpy as np
 from .. import sanitize
 from ..errors import LineageError, PlanError, StaleBindingError
 from ..expr.ast import Const, Param
-from ..lineage.cache import LineageResolutionCache
 from ..lineage.capture import CaptureConfig, QueryLineage
 from ..lineage.composer import NodeLineage
 from ..lineage.indexes import RidIndex
@@ -124,9 +126,8 @@ def resolve_rid_spec(rids_expr, params: Optional[dict], default_size: int) -> np
 
 
 def _resolve_result(plan: LineageScan, results: Optional[Mapping[str, object]]):
-    """The named prior result plus its epoch in ``results``, the registry
-    this execution reads (the live registry or a pinned snapshot view) —
-    the one epoch the rid cache files and checks entries under."""
+    """The named prior result in ``results``, the registry this execution
+    reads (the live registry or a pinned snapshot view)."""
     if results is None or plan.result not in results:
         known = sorted(results) if results else []
         raise PlanError(
@@ -139,7 +140,7 @@ def _resolve_result(plan: LineageScan, results: Optional[Mapping[str, object]]):
             f"result {plan.result!r} was executed without lineage capture; "
             "re-run it with capture enabled to consume its lineage"
         )
-    return result, results.epoch(plan.result)
+    return result
 
 
 def _backward_base(plan: LineageScan, catalog: Catalog, result):
@@ -169,32 +170,6 @@ def _backward_base(plan: LineageScan, catalog: Catalog, result):
             f"bound against {plan.schema!r}; re-parse the statement"
         )
     return base, base_name, epoch, captured_epoch
-
-
-def _resolve_backward(
-    plan: LineageScan,
-    result,
-    probe: Optional[np.ndarray],
-    cache: Optional[LineageResolutionCache],
-    registry_epoch,
-) -> np.ndarray:
-    """The (memoized) backward rid set of the output rids ``probe``
-    (``None`` = every output row)."""
-
-    def compute() -> np.ndarray:
-        out_rids = (
-            np.arange(result.table.num_rows, dtype=np.int64)
-            if probe is None
-            else probe
-        )
-        return result.lineage.backward(out_rids, plan.relation)
-
-    if cache is None:
-        return compute()
-    return cache.resolve(
-        plan.result, "backward", plan.relation,
-        LineageResolutionCache.subset_key(probe), compute, registry_epoch,
-    )
 
 
 def _check_backward_rids(
@@ -234,7 +209,6 @@ def resolve_scan_source(
     catalog: Catalog,
     results: Optional[Mapping[str, object]],
     params: Optional[dict],
-    cache: Optional[LineageResolutionCache] = None,
 ) -> Tuple[Table, np.ndarray, str, int, Optional[int]]:
     """Resolve a lineage scan to ``(source table, traced rids, source
     name, source domain, source epoch)`` without materializing any rows.
@@ -247,27 +221,18 @@ def resolve_scan_source(
     (:func:`repro.exec.late_mat.execute_pushed`) reject exactly the same
     states.  ``epoch`` is the traced base relation's catalog replacement
     epoch (``None`` for forward scans, whose source is a prior result).
-
-    ``cache`` memoizes the (dominant) rid-resolution step per ``(result,
-    relation, rid subset)``, filed under the result's epoch in
-    ``results`` — see
-    :class:`~repro.lineage.cache.LineageResolutionCache`; prepared
-    statements and sessions share one cache so a brush's N per-view
-    statements resolve lineage once.  Cached rid arrays are read-only;
-    both execution paths only gather through them.
+    The rids are one index lookup per call, never shared with the view's
+    index; both execution paths only gather through them.
     """
-    result, registry_epoch = _resolve_result(plan, results)
+    result = _resolve_result(plan, results)
 
     if plan.direction == "backward":
         base, base_name, epoch, captured_epoch = _backward_base(
             plan, catalog, result
         )
-        probe = (
-            None
-            if plan.rids is None  # trace every output row
-            else resolve_rid_spec(plan.rids, params, result.table.num_rows)
-        )
-        rids = _resolve_backward(plan, result, probe, cache, registry_epoch)
+        # No rid argument traces every output row.
+        probe = resolve_rid_spec(plan.rids, params, result.table.num_rows)
+        rids = result.lineage.backward(probe, plan.relation)
         # rids are sorted, so the tail is the largest.
         _check_backward_rids(
             plan, rids, int(rids[-1]) if rids.size else -1,
@@ -288,28 +253,9 @@ def resolve_scan_source(
             f"different schema ({result.table.schema!r} vs bound "
             f"{plan.schema!r}); re-parse the statement"
         )
-    if plan.rids is None:
-        in_rids = None
-        subset_key = LineageResolutionCache.subset_key(None)
-    else:
-        in_rids = resolve_rid_spec(plan.rids, params, 0)
-        subset_key = LineageResolutionCache.subset_key(in_rids)
-
-    def compute_forward() -> np.ndarray:
-        probe = (
-            np.arange(lineage.forward_index(plan.relation).num_keys, dtype=np.int64)
-            if in_rids is None
-            else in_rids
-        )
-        return lineage.forward(plan.relation, probe)
-
-    if cache is not None:
-        rids = cache.resolve(
-            plan.result, "forward", plan.relation,
-            subset_key, compute_forward, registry_epoch,
-        )
-    else:
-        rids = compute_forward()
+    # No rid argument traces every row of the relation.
+    size = lineage.forward_index(plan.relation).num_keys if plan.rids is None else 0
+    rids = lineage.forward(plan.relation, resolve_rid_spec(plan.rids, params, size))
     if sanitize.enabled():
         sanitize.check_rid_bounds(
             rids, result.table.num_rows, f"Lf({plan.relation!r}, {plan.result!r})"
@@ -355,7 +301,7 @@ def resolve_scan_partition(
     :func:`resolve_scan_source` for a *backward* scan, without resolving
     any rids; ``None`` unless its index is a partitioned
     :class:`~repro.lineage.indexes.RidIndex`."""
-    result, _ = _resolve_result(plan, results)
+    result = _resolve_result(plan, results)
     base, base_name, epoch, captured_epoch = _backward_base(plan, catalog, result)
     index = result.lineage.backward_index(plan.relation)
     if not isinstance(index, RidIndex) or not index.is_partitioned():
@@ -389,11 +335,10 @@ def execute_lineage_scan(
     results: Optional[Mapping[str, object]],
     config: CaptureConfig,
     params: Optional[dict],
-    cache: Optional[LineageResolutionCache] = None,
 ) -> Tuple[Table, NodeLineage]:
     """Materialize a lineage scan's output table and its node lineage."""
     source, rids, source_name, domain, epoch = resolve_scan_source(
-        plan, catalog, results, params, cache
+        plan, catalog, results, params
     )
     table = source.take(rids)
     node = scan_node_lineage(plan, key, rids, source_name, domain, config, epoch)

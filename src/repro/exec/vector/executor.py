@@ -97,8 +97,8 @@ class _RunState:
 
     ``rewrites`` is a prepared statement's precomputed
     :class:`~repro.plan.rewrite.RewriteIndex` (``None`` = match live per
-    node); ``cache`` is the shared lineage rid-resolution cache handle
-    threaded down to the lineage-scan paths.
+    node); ``cache`` is the database's per-bar memo cache, threaded down
+    to the pushed path.
     """
 
     late_mat: bool = True
@@ -147,8 +147,9 @@ class VectorExecutor:
         """Run ``plan``.  ``rewrites`` / ``lineage_cache`` are the
         prepared-statement fast-path handles: a precomputed
         late-materialization index (skips per-run structural matching)
-        and a shared rid-resolution cache (skips repeated ``Lb``/``Lf``
-        resolution across a session's statements)."""
+        and the database's per-bar memo cache (brushes over a GROUP BY
+        view merge memoized partials, see
+        :func:`~repro.exec.late_mat.execute_pushed`)."""
         config = capture or CaptureConfig.none()
         scan_keys = self._assign_scan_keys(plan)
         # Validate pruning entries up front: a misspelled `relations`
@@ -216,8 +217,7 @@ class VectorExecutor:
         if isinstance(plan, LineageScan):
             key = state.next_key(scan_keys)
             return execute_lineage_scan(
-                plan, key, self.catalog, self.results, config, params,
-                cache=state.cache,
+                plan, key, self.catalog, self.results, config, params
             )
 
         if isinstance(plan, Select):

@@ -1,60 +1,41 @@
-"""Memoized lineage rid-resolution for repeated interactive statements.
+"""The per-bar memos of repeated interactive brush statements.
 
 The paper's interactive workloads (crossfilter, linked brushing) issue the
 *same* lineage-consuming statements per interaction — one per view —
-varying only the traced subset.  Every such statement pays a
-``QueryLineage.backward`` / ``forward`` resolution (index lookup plus
-distinct-dedup) even though, within one brush, all N per-view statements
-trace the same ``(result, relation, rid subset)``.
-
-:class:`LineageResolutionCache` memoizes those resolutions.  A
-:class:`~repro.api.Database` owns exactly one, which every prepared
-statement of every front resolves through (raw plans run uncached), so
-a brush's per-view statements resolve lineage once and repeated
-identical brushes resolve it zero times.  The same entries hold each
-brush statement's **per-bar memo** (:meth:`~LineageResolutionCache.memo`,
+varying only the brushed bars.  :class:`LineageResolutionCache` holds
+each such statement's **per-bar memo** (:meth:`~LineageResolutionCache.memo`,
 filled by :func:`~repro.exec.late_mat.execute_pushed`): partial answers
 per bar of a GROUP BY view — for single-table brushes and for join
 chains with one lineage leaf alike — so a brush re-visiting bars merges
 partials instead of re-scanning rows or re-running the join chain, and
-single brushes and ``sql_batch`` share them.
+single brushes and ``sql_batch`` share them.  A
+:class:`~repro.api.Database` owns exactly one, which every prepared
+statement of every front reads through (raw plans run uncached).
+Statements the memo declines resolve their rids from the view's index
+on every run, as the paper's lineage queries do.
 
-Correctness rests on two invariants:
-
-* **Epoch-based invalidation** — every entry records an epoch, and a
-  lookup whose stored epoch differs from the caller's recomputes.  The
-  cache keeps no registry of its own: the caller always passes the epoch.
-
-  - A rid resolution's epoch is the registry epoch of the named result,
-    taken from the registry the read goes through
-    (:meth:`~repro.api.ResultRegistry.epoch` for the live database,
-    :meth:`~repro.serve.RegistrySnapshot.epoch` for a pinned snapshot;
-    both advance on re-registration), so re-registering a name can never
-    serve another result's rids.
-  - A per-bar memo's epoch is what its fills read: the catalog epoch of
-    the traced base table, the very column arrays of it the statement
-    reads, every plain join leaf's table, and the view's backward index,
-    each held by a :class:`Pin`.  Catalog columns never change in place
-    (``REPRO_SANITIZE`` freezes them on registration), so an unchanged
-    array object is unchanged content: a ``preserve_rids`` refresh of a
-    column no brush reads keeps the memo.  Re-registering a view builds a
-    new index object; the memo's lookup compares it with the old one and
-    re-stamps the entry when they are bit-equal (``revalidated``).
-* **Immutability** — cached arrays are handed out with the writeable flag
-  cleared; every consumer treats rid arrays as read-only (filters copy via
-  fancy indexing), so sharing one array across statements is safe, and an
-  accidental in-place mutation raises instead of corrupting the cache.
+Correctness rests on epoch-based invalidation: every entry records an
+epoch, and a lookup whose stored epoch differs from the caller's
+rebuilds.  The cache keeps no registry of its own: the caller always
+passes the epoch.  A per-bar memo's epoch is what its fills read: the
+catalog epoch of the traced base table, the very column arrays of it the
+statement reads, every plain join leaf's table, and the view's backward
+index, each held by a :class:`Pin`.  Catalog columns never change in
+place (``REPRO_SANITIZE`` freezes them on registration), so an unchanged
+array object is unchanged content: a ``preserve_rids`` refresh of a
+column no brush reads keeps the memo.  Re-registering a view builds a new
+index object; the memo's lookup compares it with the old one and
+re-stamps the entry when they are bit-equal (``revalidated``).
 
 The cache is LRU-bounded (:attr:`LineageResolutionCache.MAX_ENTRIES`) so
-a long session brushing thousands of distinct subsets cannot hold every
-resolved rid set alive.
+a long session over many statements cannot hold every memo alive.
 
 Thread-safety: lookups and installs take an internal lock, but
-``compute()`` runs outside it, so two threads racing the same cold key
-both compute and one install wins — wasted work, never a wrong answer.
+``build()`` runs outside it, so two threads racing the same cold key
+both build and one install wins — wasted work, never a wrong answer.
 This is what lets one cache be shared across the serving layer's reader
 pool (:mod:`repro.serve`): readers on different snapshots pass
-different epochs, so an old snapshot's rids are never filed under the
+different epochs, so an old snapshot's memo is never filed under the
 current epoch.
 """
 
@@ -67,21 +48,34 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-#: Key of one memoized resolution: (result name, direction, relation
-#: reference, rid-subset fingerprint).
-_CacheKey = Tuple[str, str, str, object]
+#: Key of one memo: (the pushed statement's :class:`Pin`, the
+#: fingerprint of its parameters other than the rid argument).
+_CacheKey = Tuple[object, tuple]
 
-#: Fingerprint of the "trace every row" subset (no rid argument).  The
-#: traced universe only changes when the result is re-registered, which
-#: the epoch check already covers.
-ALL_RIDS = "*"
-
-#: Rid subsets at most this many bytes are keyed by their raw bytes
-#: (exact, collision-free, cheap to hold).  Larger subsets — a brush
-#: selecting a million explicit rids — are keyed by ``(length, blake2b
-#: digest)`` instead, so a cache entry's key stays O(1)-sized rather
-#: than pinning a second copy of the whole rid array's bytes.
+#: Arrays at most this many bytes are fingerprinted by their raw bytes
+#: (exact, collision-free, cheap to hold).  Larger ones — a binding of a
+#: million explicit rids — are keyed by ``(length, blake2b digest)``
+#: instead, so a key stays O(1)-sized rather than pinning a second copy
+#: of the whole array's bytes.
 SUBSET_KEY_INLINE_BYTES = 4096
+
+
+def _subset_key(values: np.ndarray) -> tuple:
+    """Hashable fingerprint of a one-dimensional numeric array.
+
+    Both key forms carry the dtype string and the element count in
+    addition to the buffer bytes: raw bytes alone would make an int32
+    array and an int64 array with identical buffers collide.  Small
+    arrays key by ``(dtype, length, bytes)`` (exact, collision-free);
+    arrays beyond :data:`SUBSET_KEY_INLINE_BYTES` key by ``(dtype,
+    length, blake2b-128 digest)`` so the key is O(1)-sized regardless of
+    the binding's size.
+    """
+    data = values.tobytes()
+    if len(data) <= SUBSET_KEY_INLINE_BYTES:
+        return (values.dtype.str, values.shape[0], data)
+    digest = hashlib.blake2b(data, digest_size=16).digest()
+    return (values.dtype.str, values.shape[0], digest)
 
 
 def param_fingerprint(params: Optional[dict]) -> tuple:
@@ -89,14 +83,15 @@ def param_fingerprint(params: Optional[dict]) -> tuple:
     per-bar memo and the server's answer memo).  Scalars key by type and
     ``repr``, not by value alone: ``1``, ``1.0`` and ``True`` — or ``0.0``
     and ``-0.0`` — compare equal yet can answer with another dtype or
-    sign.  Numeric arrays key by :meth:`LineageResolutionCache.subset_key`;
-    object arrays, whose bytes are pointers, like sequences."""
+    sign.  Numeric arrays key by dtype, length and bytes (a digest of
+    them beyond :data:`SUBSET_KEY_INLINE_BYTES`); object arrays, whose
+    bytes are pointers, like sequences."""
     items = []
     for name in sorted(params or ()):
         value = params[name]
         array = isinstance(value, np.ndarray) and value.ndim > 0
         if array and value.ndim == 1 and value.dtype != object:
-            items.append((name, LineageResolutionCache.subset_key(value)))
+            items.append((name, _subset_key(value)))
         elif array or isinstance(value, (list, tuple)):
             items.append((name, "seq", tuple((type(v), repr(v)) for v in value)))
         else:
@@ -124,11 +119,10 @@ class Pin:
 
 
 class LineageResolutionCache:
-    """Memoizes resolved backward/forward rid sets per
-    ``(result, relation, rid-subset)``, each live while the caller's
-    registry epoch for the result is unchanged."""
+    """The per-bar memos of brush statements, each live while the
+    caller's epoch for it is unchanged."""
 
-    #: LRU bound on memoized resolutions and per-bar memos.
+    #: LRU bound on per-bar memos.
     MAX_ENTRIES = 512
 
     def __init__(self):
@@ -144,55 +138,7 @@ class LineageResolutionCache:
         self.revalidated = 0
         self._lock = threading.RLock()
 
-    # -- keys -----------------------------------------------------------------
-
-    @staticmethod
-    def subset_key(rids: Optional[np.ndarray]) -> object:
-        """Hashable fingerprint of a traced rid subset (``None`` = all).
-
-        Both key forms carry the dtype string and the element count in
-        addition to the buffer bytes: raw bytes alone would make an
-        int32 subset and an int64 subset with identical buffers collide
-        to one entry.  Small subsets key by ``(dtype, length, bytes)``
-        (exact, collision-free); subsets beyond
-        :data:`SUBSET_KEY_INLINE_BYTES` key by ``(dtype, length,
-        blake2b-128 digest)`` so the stored key is O(1)-sized regardless
-        of brush size (the length is included so a truncated-prefix
-        collision would also have to collide the digest).
-        """
-        if rids is None:
-            return ALL_RIDS
-        data = rids.tobytes()
-        if len(data) <= SUBSET_KEY_INLINE_BYTES:
-            return (rids.dtype.str, rids.shape[0], data)
-        digest = hashlib.blake2b(data, digest_size=16).digest()
-        return (rids.dtype.str, rids.shape[0], digest)
-
     # -- lookup ---------------------------------------------------------------
-
-    def resolve(
-        self,
-        name: str,
-        direction: str,
-        relation: str,
-        subset_key: object,
-        compute: Callable[[], np.ndarray],
-        epoch: object,
-    ) -> np.ndarray:
-        """The memoized resolution: cached rids when the entry was filed
-        under ``epoch`` (the registry epoch of ``name`` in the registry
-        being read), else ``compute()`` — stored read-only.
-
-        ``compute()`` runs without the lock held — it may execute index
-        lookups or recursive resolution and must not deadlock readers.
-        """
-        key = (name, direction, relation, subset_key)
-        rids = self._lookup(key, epoch)
-        if rids is None:
-            rids = np.asarray(compute())
-            rids.setflags(write=False)
-            self._install(key, epoch, rids)
-        return rids
 
     def memo(
         self,
@@ -201,29 +147,31 @@ class LineageResolutionCache:
         build: Callable[[], object],
         same: Optional[Callable[[object], bool]] = None,
     ) -> object:
-        """A derived per-statement artifact (the per-bar memo of
+        """A statement's per-bar memo (built by ``build()`` for
         :func:`~repro.exec.late_mat.execute_pushed`) filed as one entry
-        under ``key`` (whose first element is the result name) and live
-        while ``epoch`` is unchanged; ``epoch`` holds objects by
-        :class:`Pin`.  An entry filed under another epoch is shown to
-        ``same`` (its stored epoch): true vouches that the value still
-        holds under ``epoch``, and the entry is re-stamped (a hit, counted
-        in ``revalidated`` too) instead of rebuilt.  ``same`` runs outside
-        the lock, so it may compare whole arrays.  Lookups count in
-        ``hits``/``misses``."""
-        value = self._lookup(key, epoch)
-        if value is None and same is not None:
+        under ``key`` and live while ``epoch`` is unchanged; ``epoch``
+        holds objects by :class:`Pin`.  An entry filed under another
+        epoch is shown to ``same`` (its stored epoch): true vouches that
+        the value still holds under ``epoch``, and the entry is re-stamped
+        (a hit, counted in ``revalidated`` too) instead of rebuilt.
+        ``same`` runs outside the lock, so it may compare whole arrays.
+        Lookups count in ``hits``/``misses``."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry[0] == epoch:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return entry[1]
+        if entry is not None and same is not None and same(entry[0]):
             with self._lock:
-                entry = self._entries.get(key)
-            if entry is not None and same(entry[0]):
-                value = entry[1]
-                with self._lock:
-                    self._put(key, epoch, value)
-                    self.hits += 1
-                    self.revalidated += 1
-        if value is None:
-            value = build()
-            self._install(key, epoch, value)
+                self._put(key, epoch, entry[1])
+                self.hits += 1
+                self.revalidated += 1
+            return entry[1]
+        value = build()
+        with self._lock:
+            self._put(key, epoch, value)
+            self.misses += 1
         return value
 
     def count_bars(self, fills: int, reuses: int) -> None:
@@ -232,20 +180,6 @@ class LineageResolutionCache:
         with self._lock:
             self.bar_fills += fills
             self.bar_reuses += reuses
-
-    def _lookup(self, key: _CacheKey, epoch: object) -> Optional[object]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[0] == epoch:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return entry[1]
-        return None
-
-    def _install(self, key: _CacheKey, epoch: object, value: object) -> None:
-        with self._lock:
-            self._put(key, epoch, value)
-            self.misses += 1
 
     def _put(self, key: _CacheKey, epoch: object, value: object) -> None:
         """File ``value`` under ``key`` and ``epoch``; the lock is held."""
@@ -259,8 +193,8 @@ class LineageResolutionCache:
     def invalidate(self) -> None:
         """Drop every entry.  Epoch checks already catch re-registration;
         this is for explicit memory release and for timing cold runs.  The
-        cache is the database's one, so this drops every front's entries
-        and per-bar memos."""
+        cache is the database's one, so this drops every front's per-bar
+        memos."""
         with self._lock:
             self._entries.clear()
 

@@ -123,8 +123,8 @@ class PushedJoin:
     that never materializes the inner join's output.  ``predicate`` is
     the conjunction of ``Select`` nodes folded directly above this hop
     (a derived-table hop like ``(SELECT * FROM Lb(..) JOIN d WHERE p) AS
-    s JOIN d2``), evaluated over this hop's output columns in the
-    position domain.
+    s JOIN d2``, or the statement's WHERE over the core's top hop),
+    evaluated over this hop's output columns in the position domain.
     """
 
     join: HashJoin
@@ -146,15 +146,13 @@ class PushedLineageQuery:
 
     ``core`` is a single lineage leaf (:class:`PushedJoinSide` — a linear
     ``[Select*] LineageScan`` stack, its WHERE folded onto the leaf) or a
-    flattened hash-join tree (:class:`PushedJoin`); the pushed executor
-    runs both through the same chain interpreter.  ``predicate`` is the
-    conjunction of the Select predicates *above a join core* (``None``
-    when there is no filter, and always for a leaf core); ``groupby`` /
-    ``project`` are the original plan nodes (their ``child`` links are
-    ignored — the pushed executor supplies the rid-gathered slices
-    instead; ``project`` may carry ``distinct=True``, which the pushed
-    path deduplicates with the same group-lineage semantics as the
-    executors).
+    flattened hash-join tree (:class:`PushedJoin`, the WHERE folded onto
+    its top hop); the pushed executor runs both through the same chain
+    interpreter.  ``groupby`` / ``project`` are the original plan nodes
+    (their ``child`` links are ignored — the pushed executor supplies the
+    rid-gathered slices instead; ``project`` may carry ``distinct=True``,
+    which the pushed path deduplicates with the same group-lineage
+    semantics as the executors).
 
     ``columns`` is the set of core *output* (for joins: post-rename)
     columns the GroupBy / Project reads; the pushed path gathers only
@@ -165,7 +163,6 @@ class PushedLineageQuery:
     """
 
     core: PushedJoinHop
-    predicate: Optional[Expr] = None
     groupby: Optional[GroupBy] = None
     project: Optional[Project] = None
     columns: Optional[FrozenSet[str]] = frozenset()
@@ -246,7 +243,7 @@ def match_late_materialization(plan: LogicalPlan) -> Optional[PushedLineageQuery
     predicate, node = _fold_selects(stack)
 
     if isinstance(node, HashJoin):
-        core = _match_join(node, None)
+        core = _match_join(node, predicate)
         if core is None:
             return None  # no lineage leaf: nothing to late-materialize
     elif isinstance(node, LineageScan):
@@ -254,7 +251,7 @@ def match_late_materialization(plan: LogicalPlan) -> Optional[PushedLineageQuery
             return None  # bare scan: nothing to push
         # A linear stack is a zero-join core: its WHERE filters the leaf
         # in the rid domain, exactly like a join leaf's folded Selects.
-        core, predicate = PushedJoinSide(scan=node, predicate=predicate, plan=stack), None
+        core = PushedJoinSide(scan=node, predicate=predicate, plan=stack)
     else:
         return None
 
@@ -275,11 +272,10 @@ def match_late_materialization(plan: LogicalPlan) -> Optional[PushedLineageQuery
         # Predicate-only (or, for joins, bare) core: the output is the
         # core's full schema, so every column is (late-)gathered at
         # surviving/matched rids.
-        return PushedLineageQuery(core=core, predicate=predicate, columns=None)
+        return PushedLineageQuery(core=core, columns=None)
 
     return PushedLineageQuery(
         core=core,
-        predicate=predicate,
         groupby=groupby,
         project=project,
         columns=frozenset(columns),

@@ -6,9 +6,9 @@ registry assume one mutating thread.  This module puts a serving front
 on it —
 
 * :class:`Snapshot` — an immutable, consistently-pinned read view: the
-  catalog's ``(tables, epochs)`` and the registry's ``(entries,
-  epochs)`` copied together, plus an answer memo.  Reads against a
-  snapshot never see later writes.
+  catalog's ``(tables, epochs)`` and the registry's entries copied
+  together, plus an answer memo.  Reads against a snapshot never see
+  later writes.
 * :class:`DatabaseServer` — N pooled reader threads executing statements
   against pinned snapshots, and **one** writer thread applying queued
   mutations in submission order.  After each applied operation the
@@ -27,10 +27,10 @@ bit-identically, never a mix.
 Readers never block on writers: snapshot acquisition is a single
 attribute read of the latest published :class:`Snapshot` (atomic under
 the GIL), statement execution happens entirely against the pinned view,
-and the database's :class:`~repro.lineage.cache.LineageResolutionCache`
-is keyed by the *snapshot's* registry epochs (threaded through
-``resolve_scan_source``), so old-epoch and new-epoch resolutions coexist
-without poisoning each other.
+and each per-bar memo in the database's
+:class:`~repro.lineage.cache.LineageResolutionCache` is filed under the
+very index and column objects the *snapshot* holds, so memos of old and
+new snapshots coexist without poisoning each other.
 
 One read path: the server is a concurrency shell over the database's
 own.  Statements are :class:`~repro.api.PreparedQuery` objects in the
@@ -39,12 +39,12 @@ snapshot being read), and every execution ends in
 :func:`repro.api.run_plan`, the funnel the live database uses too.
 
 What a reader may never observe: a half-applied write, a table paired
-with another epoch's result entry, a rid set resolved against a
-different snapshot's registry epoch, or an acknowledged write that the
-WAL does not hold.  Within a group-commit batch, a *snapshot* may expose
-an operation whose WAL record fsyncs at batch exit — the submitting
-writer is only acknowledged (its future resolved) after the fsync, so
-the durability contract is kept at the acknowledgement boundary.
+with another epoch's result entry, a memo filled from another snapshot's
+lineage or columns, or an acknowledged write that the WAL does not
+hold.  Within a group-commit batch, a *snapshot* may expose an
+operation whose WAL record fsyncs at batch exit — the submitting writer
+is only acknowledged (its future resolved) after the fsync, so the
+durability contract is kept at the acknowledgement boundary.
 """
 
 from __future__ import annotations
@@ -55,8 +55,6 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
-
-import numpy as np
 
 from .api import (
     ExecOptions,
@@ -126,16 +124,14 @@ class CatalogSnapshot:
 class RegistrySnapshot(Mapping):
     """Immutable name→result view pinned at one serving version.
 
-    A plain mapping from the executors' point of view, plus the
-    ``epoch(name)`` accessor the lineage rid-resolution cache keys by.
-    No LRU touch on lookup (the live registry owns recency), and no
-    evicted-stub refresh: re-executing a stub is a *write*, so snapshot
-    readers treat evicted names as unknown.
+    A plain mapping from the executors' point of view.  No LRU touch on
+    lookup (the live registry owns recency), and no evicted-stub refresh:
+    re-executing a stub is a *write*, so snapshot readers treat evicted
+    names as unknown.
     """
 
-    def __init__(self, entries: Dict[str, object], epochs: Dict[str, int]):
+    def __init__(self, entries: Dict[str, object]):
         self._entries = entries
-        self._epochs = epochs
 
     def __getitem__(self, name: str):
         return self._entries[name]
@@ -148,9 +144,6 @@ class RegistrySnapshot(Mapping):
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def epoch(self, name: str) -> int:
-        return self._epochs.get(name, 0)
 
 
 class Snapshot:
@@ -200,12 +193,12 @@ class Snapshot:
         operation, and concurrent writes are serialized by the writer
         thread) keeps the pair mutually consistent."""
         tables, cat_epochs = database.catalog.snapshot_state()
-        entries, reg_epochs = database._results.snapshot_state()
+        entries = database._results.snapshot_state()
         return cls(
             database,
             version,
             CatalogSnapshot(tables, cat_epochs, database.catalog),
-            RegistrySnapshot(entries, reg_epochs),
+            RegistrySnapshot(entries),
             default_options=default_options,
         )
 
@@ -214,7 +207,7 @@ class Snapshot:
     def sql(self, statement: str, params: Optional[dict] = None, options=None):
         """Parse, bind, and execute one read statement against this
         pinned view (one-shot and uncached; the server adds the statement
-        memo, the rid cache and answer memoization on top)."""
+        memo, the per-bar memo and answer memoization on top)."""
         return self.execute_plan(self.parse(statement), params, options)
 
     def parse(self, statement: str) -> LogicalPlan:
@@ -261,37 +254,6 @@ def _check_read_only(opts: ExecOptions) -> None:
             "snapshot reads are read-only; submit the statement "
             "through DatabaseServer.write instead"
         )
-
-
-def _params_shared_except(params_list, free_name: str) -> bool:
-    """Whether every binding in ``params_list`` agrees on every parameter
-    except ``free_name`` (the lineage scan's rid subset).
-
-    The batched execution path evaluates shared expressions (predicate,
-    group-by keys, projections) once, reading non-rid parameters from the
-    first binding — sound only when the bindings genuinely agree.  Arrays
-    compare by value (``np.array_equal``); anything that resists
-    comparison disqualifies the batch (the caller falls back to the
-    per-binding loop, so correctness never depends on this check passing).
-    """
-    first = params_list[0] or {}
-    first_keys = set(first) - {free_name}
-    for params in params_list[1:]:
-        other = params or {}
-        if set(other) - {free_name} != first_keys:
-            return False
-        for name in first_keys:
-            a, b = first[name], other[name]
-            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-                if not np.array_equal(np.asarray(a), np.asarray(b)):
-                    return False
-            else:
-                try:
-                    if a != b:
-                        return False
-                except (TypeError, ValueError):
-                    return False
-    return True
 
 
 #: Queue sentinel that stops the writer thread.
@@ -414,8 +376,9 @@ class DatabaseServer:
         memo answers (see :func:`~repro.exec.late_mat.execute_pushed`) —
         a core with exactly one lineage leaf, alone or joined to plain
         catalog scans — the bindings agree on every parameter except that
-        leaf's rid subset, and the view's backward index is a partition,
-        the N brushes coalesce
+        leaf's rid subset (equal in type and value, as the memo keys them:
+        :func:`~repro.exec.late_mat.shared_fingerprint`), and the view's
+        backward index is a partition, the N brushes coalesce
         (:func:`~repro.exec.late_mat.execute_pushed_batch`): the guards
         and the memo lookup run once, then each binding is one merge of
         its bars' memoized partials, its ``late_mat_*`` counters those of
@@ -447,7 +410,13 @@ class DatabaseServer:
         statement/bindings are not batch-eligible (caller falls back)."""
         from time import perf_counter
 
-        from .exec.late_mat import PushedStats, execute_pushed_batch, fold_push_stats, memo_scan
+        from .exec.late_mat import (
+            PushedStats,
+            execute_pushed_batch,
+            fold_push_stats,
+            memo_scan,
+            shared_fingerprint,
+        )
         from .exec.timings import EXECUTE
         from .exec.vector.executor import ExecResult
         from .expr.ast import Param
@@ -464,7 +433,9 @@ class DatabaseServer:
         rid_param = scan.rids
         if not isinstance(rid_param, Param):
             return None
-        if not _params_shared_except(params_list, rid_param.name):
+        # One memo serves the batch: every binding must key it alike.
+        shared = shared_fingerprint(scan, params_list[0])
+        if any(shared_fingerprint(scan, p) != shared for p in params_list[1:]):
             return None
         for params in params_list:
             require_params(prepared.param_names, params)
@@ -654,8 +625,8 @@ class DatabaseServer:
         ``batch_coalesced`` / ``batch_fallback`` count :meth:`sql_batch`
         calls answered by the per-bar memo and by the per-binding loop;
         ``prepared`` and ``lineage_cache`` describe the database's
-        statement memo and rid cache, which every front shares;
-        ``lineage_cache`` includes the per-bar memo's ``bar_fills`` /
+        statement memo and per-bar memo cache, which every front shares;
+        ``lineage_cache`` includes the memo's ``bar_fills`` /
         ``bar_reuses`` and the memo entries ``revalidated`` across a
         re-registration that left the view's lineage bit-equal."""
         return {

@@ -1,5 +1,5 @@
-"""Thread-safety hammering for the shared lineage rid-resolution cache,
-the statement memo, and the catalog's column-stats memo.
+"""Thread-safety hammering for the shared lineage cache of per-bar
+memos, the statement memo, and the catalog's column-stats memo.
 
 These tests assert the *contract*, not scheduling: no exceptions under
 contention, bounded entry counts, and counter bookkeeping that adds up.
@@ -14,7 +14,7 @@ import threading
 import numpy as np
 
 from repro.api import StatementMemo
-from repro.lineage.cache import LineageResolutionCache
+from repro.lineage.cache import LineageResolutionCache, param_fingerprint
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 
@@ -44,34 +44,38 @@ def _hammer(worker, threads=THREADS):
 
 class TestCacheHammer:
     def test_mixed_keys_epochs_and_invalidations(self, monkeypatch):
+        """Eight threads looking up memos under random keys and epochs,
+        re-stamping some and invalidating now and then: every lookup
+        returns a value built for its own key, and each one counts as
+        exactly one hit or one miss."""
         monkeypatch.setattr(LineageResolutionCache, "MAX_ENTRIES", 64)
         cache = LineageResolutionCache()
-        names = [f"view{i}" for i in range(4)]
+        statements = [f"stmt{i}" for i in range(4)]
 
         def worker(seed):
             rng = np.random.default_rng(seed)
             for i in range(ITERATIONS):
-                name = names[int(rng.integers(0, len(names)))]
-                subset = LineageResolutionCache.subset_key(
-                    rng.integers(0, 50, int(rng.integers(1, 6)))
+                key = (
+                    statements[int(rng.integers(0, len(statements)))],
+                    param_fingerprint({"k": rng.integers(0, 5, int(rng.integers(1, 3)))}),
                 )
                 epoch = int(rng.integers(0, 3))
-                out = cache.resolve(
-                    name,
-                    "backward",
-                    "t",
-                    subset,
-                    lambda: np.arange(3),
-                    epoch=epoch,
+                out = cache.memo(
+                    key,
+                    epoch,
+                    lambda key=key: (key, object()),
+                    # Vouch for entries of an even epoch: re-stamped.
+                    lambda stored: stored % 2 == 0,
                 )
-                assert not out.flags.writeable
+                assert out[0] == key
                 if i % 97 == 0:
                     cache.invalidate()
 
         _hammer(worker)
         assert len(cache) <= 64
-        # Every resolve either hit or missed; invalidation never loses one.
+        # Every lookup either hit or missed; invalidation never loses one.
         assert cache.hits + cache.misses == THREADS * ITERATIONS
+        assert 0 < cache.revalidated <= cache.hits
 
     def test_lru_bound_holds_under_contention(self, monkeypatch):
         monkeypatch.setattr(LineageResolutionCache, "MAX_ENTRIES", 16)
@@ -79,12 +83,8 @@ class TestCacheHammer:
 
         def worker(seed):
             for i in range(ITERATIONS):
-                subset = LineageResolutionCache.subset_key(
-                    np.array([seed, i], dtype=np.int64)
-                )
-                cache.resolve(
-                    "view", "backward", "t", subset, lambda: np.arange(2), 0
-                )
+                key = ("stmt", param_fingerprint({"k": np.array([seed, i], dtype=np.int64)}))
+                cache.memo(key, 0, object)
                 assert len(cache) <= 16
 
         _hammer(worker)

@@ -510,6 +510,23 @@ class TestSqlBatch:
         with db.serve(readers=2) as server:
             _assert_batch_route(server, stmt, params_list, "fallback")
 
+    def test_shared_params_equal_in_value_but_not_type_fall_back(self):
+        """Bindings share a batch only when they key one per-bar memo
+        (``param_fingerprint``, by type and value): ``1`` and ``1.0``
+        compare equal but take the per-binding route."""
+        db = _make_db()
+        stmt = (
+            "SELECT z, COUNT(*) AS c FROM Lb(v, 't', :bars) "
+            "WHERE w >= :cut GROUP BY z"
+        )
+        with db.serve(readers=2) as server:
+            for cuts, route in (((1, 1.0), "fallback"), ((1.0, 1.0), "coalesced")):
+                params_list = [
+                    {"bars": [0, 1], "cut": cuts[0]},
+                    {"bars": [1, 2], "cut": cuts[1]},
+                ]
+                _assert_batch_route(server, stmt, params_list, route)
+
     def test_single_binding_and_empty_list(self):
         db = _make_db()
         with db.serve(readers=2) as server:

@@ -97,7 +97,7 @@ class TestRewriteMatch:
         assert pushed.core.scan is not None
         assert pushed.core.predicate is not None  # the WHERE sits on the leaf
         assert pushed.core.plan is plan.child
-        assert pushed.predicate is None
+        assert pushed.core.predicate is plan.child.predicate  # folded unchanged
         assert not pushed.has_join
         assert pushed.chain_hops == 0
 
@@ -164,8 +164,8 @@ class TestRewriteMatch:
         pushed = match_late_materialization(plan)
         assert pushed is not None and pushed.has_join
         # Join-core column sets name *output* (post-rename) columns; the
-        # residual WHERE gathers its own.
-        assert pushed.predicate is not None
+        # residual WHERE, folded onto the top hop, gathers its own.
+        assert pushed.core.predicate.columns() == {"v"}
         assert pushed.columns == frozenset({"label"})
 
     def test_sort_root_falls_back(self):

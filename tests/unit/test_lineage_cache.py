@@ -1,13 +1,18 @@
-"""Tests for the lineage rid-resolution cache's keying and epochs.
+"""Tests for the lineage cache's keys and epochs.
 
-``subset_key`` once fingerprinted rid subsets by raw buffer bytes, so an
-int32 subset and an int64 subset with identical bytes collided to one
-entry.
+Array parameters once fingerprinted by raw buffer bytes, so an int32
+array and an int64 array with identical bytes collided to one entry.
 """
 
 import numpy as np
 
-from repro.lineage.cache import LineageResolutionCache, Pin
+from repro.lineage.cache import LineageResolutionCache, Pin, param_fingerprint
+
+
+def _array_key(values):
+    """The fingerprint :func:`param_fingerprint` gives one array."""
+    ((_, key),) = param_fingerprint({"bars": values})
+    return key
 
 
 class TestSubsetKeyDtype:
@@ -16,16 +21,14 @@ class TestSubsetKeyDtype:
         wide = np.array([1], dtype=np.int64)
         narrow = np.array([1, 0], dtype=np.int32)
         assert wide.tobytes() == narrow.tobytes()
-        assert LineageResolutionCache.subset_key(wide) != (
-            LineageResolutionCache.subset_key(narrow)
-        )
+        assert _array_key(wide) != _array_key(narrow)
 
     def test_digest_form_also_carries_dtype(self):
         wide = np.arange(1024, dtype=np.int64)  # 8 KiB: digest form
         narrow = np.frombuffer(wide.tobytes(), dtype=np.int32)
         assert wide.tobytes() == narrow.tobytes()
-        key_wide = LineageResolutionCache.subset_key(wide)
-        key_narrow = LineageResolutionCache.subset_key(narrow)
+        key_wide = _array_key(wide)
+        key_narrow = _array_key(narrow)
         assert key_wide != key_narrow
         # Same buffer hashes identically; only dtype/length distinguish.
         assert key_wide[2] == key_narrow[2]
@@ -34,15 +37,13 @@ class TestSubsetKeyDtype:
         cache = LineageResolutionCache()
         wide = np.array([1], dtype=np.int64)
         narrow = np.array([1, 0], dtype=np.int32)
-        out_wide = cache.resolve(
-            "view", "backward", "t",
-            LineageResolutionCache.subset_key(wide), lambda: np.array([10]), 0,
+        out_wide = cache.memo(
+            ("stmt", param_fingerprint({"k": wide})), 0, lambda: "wide"
         )
-        out_narrow = cache.resolve(
-            "view", "backward", "t",
-            LineageResolutionCache.subset_key(narrow), lambda: np.array([20]), 0,
+        out_narrow = cache.memo(
+            ("stmt", param_fingerprint({"k": narrow})), 0, lambda: "narrow"
         )
-        assert list(out_wide) == [10] and list(out_narrow) == [20]
+        assert (out_wide, out_narrow) == ("wide", "narrow")
 
 
 class TestMemoEpochs:

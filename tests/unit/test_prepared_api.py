@@ -1,8 +1,8 @@
 """The prepared-statement / session API surface: ExecOptions validation
 and the one execute/sql signature, PreparedQuery caching, the memoized
 ``Database.sql`` and the Session defaults over it, the
-LineageResolutionCache, registry byte budgets, and base-relation epoch
-guards."""
+LineageResolutionCache and its parameter fingerprints, registry byte
+budgets, and base-relation epoch guards."""
 
 import inspect
 
@@ -12,7 +12,7 @@ import pytest
 import repro.api as api
 from repro.api import Database, ExecOptions, Session, plan_param_names
 from repro.errors import CatalogError, PlanError, SqlError, StaleBindingError
-from repro.lineage.cache import LineageResolutionCache
+from repro.lineage.cache import LineageResolutionCache, param_fingerprint
 from repro.lineage.capture import CaptureConfig, CaptureMode
 from repro.storage import Table
 
@@ -148,22 +148,45 @@ class TestPreparedQuery:
         assert prepared.lineage_cache.stats()["hits"] == 1
 
 
+def _answer(result):
+    """A result's rows and, per relation and output row, its backward
+    rids with their dtype: equal answers are bit-identical."""
+    lineage = result.lineage
+    if lineage is None:
+        return result.table.to_rows(), None
+    rids = {
+        relation: [
+            (r.dtype.str, r.tobytes())
+            for r in (lineage.backward([i], relation) for i in range(len(result)))
+        ]
+        for relation in lineage.relations
+    }
+    return result.table.to_rows(), rids
+
+
 class TestSession:
-    def test_statements_share_rid_resolution(self, db, prev):
-        # Capturing statements resolve rids (capture-off brushes answer
-        # from per-bar memos instead; see tests/unit/test_bar_memo.py).
+    def test_statements_the_memo_declines_leave_the_cache_empty(self, db, prev):
+        """A capture-on ``Lb`` brush, an ``Lf`` brush and a ``SUM``
+        brush resolve their rids from the view's index on every run:
+        the cache holds per-bar memos only, so through ``Database.sql``
+        and a session, twice each, they leave it empty and answer like
+        the uncached raw plan."""
         session = db.session(options=CAPTURE)
-        a = session.prepare("SELECT z FROM Lb(prev, 't', :bars)")
-        b = session.prepare(
-            "SELECT v, COUNT(*) AS c FROM Lb(prev, 't', :bars) GROUP BY v"
-        )
-        a.run(params={"bars": [0]})
-        b.run(params={"bars": [0]})  # same (result, relation, subset)
-        stats = session.lineage_cache.stats()
-        assert stats == {
-            "hits": 1, "misses": 1, "entries": 1, "bar_fills": 0, "bar_reuses": 0,
-            "revalidated": 0,
-        }
+        brushes = [
+            ("SELECT z, v FROM Lb(prev, 't', :bars)", {"bars": [0, 2]}, CAPTURE),
+            ("SELECT * FROM Lf('t', prev, :rows)", {"rows": [0, 3]}, CAPTURE),
+            (
+                "SELECT z, SUM(v) AS s FROM Lb(prev, 't', :bars) GROUP BY z",
+                {"bars": [1, 2]},
+                ExecOptions(),
+            ),
+        ]
+        for text, params, options in brushes:
+            raw = _answer(db.execute(db.parse(text), params=params, options=options))
+            for front in (db.sql, session.sql) * 2:
+                assert _answer(front(text, params=params, options=options)) == raw
+        assert len(db.lineage_cache) == 0
+        assert db.lineage_cache.stats()["misses"] == 0
 
     def test_sql_memoizes_by_text(self, db, prev):
         session = db.session()
@@ -315,61 +338,56 @@ class TestDatabaseSql:
             db.sql("SELECT z FROM t")
 
 
-class TestLineageResolutionCache:
-    def test_cached_arrays_are_read_only(self, db, prev):
-        prepared = db.prepare(
-            "SELECT * FROM Lb(prev, 't', :bars)", options=CAPTURE
-        )
-        res = prepared.run(params={"bars": [0]})
-        rids = res.lineage.backward_index("t").values
-        with pytest.raises(ValueError):
-            rids[0] = 99
+def _array_key(values):
+    """The fingerprint :func:`param_fingerprint` gives one array."""
+    ((_, key),) = param_fingerprint({"a": values})
+    return key
 
+
+class TestLineageResolutionCache:
     def test_lru_bound(self, monkeypatch):
         monkeypatch.setattr(LineageResolutionCache, "MAX_ENTRIES", 2)
         cache = LineageResolutionCache()
         for i in range(4):
-            cache.resolve(
-                "r", "backward", "t", bytes([i]), lambda i=i: np.array([i]), 0
-            )
+            cache.memo(("s", i), 0, lambda i=i: i)
         assert len(cache) == 2
+        assert cache.memo(("s", 3), 0, lambda: pytest.fail("evicted")) == 3
 
     def test_subset_key_small_subsets_stay_exact(self):
-        a = LineageResolutionCache.subset_key(np.arange(16, dtype=np.int64))
-        b = LineageResolutionCache.subset_key(np.arange(16, dtype=np.int64))
-        c = LineageResolutionCache.subset_key(np.arange(1, 17, dtype=np.int64))
+        a = _array_key(np.arange(16, dtype=np.int64))
+        b = _array_key(np.arange(16, dtype=np.int64))
+        c = _array_key(np.arange(1, 17, dtype=np.int64))
         assert a == b and a != c
         dtype, size, data = a
         assert dtype == np.dtype(np.int64).str and size == 16
         assert isinstance(data, bytes) and len(data) == 16 * 8
 
     def test_subset_key_large_subsets_hash_to_constant_size(self):
-        """A 1M-rid brush must not pin a second megabyte-scale byte copy
-        in every cache key: large subsets key by (dtype, length, digest)."""
+        """A 1M-rid binding must not pin a second megabyte-scale byte copy
+        in every memo key: large arrays key by (dtype, length, digest)."""
         rids = np.arange(1_000_000, dtype=np.int64)
-        key = LineageResolutionCache.subset_key(rids)
+        key = _array_key(rids)
         dtype, size, digest = key
         assert dtype == np.dtype(np.int64).str
         assert size == 1_000_000
         assert isinstance(digest, bytes) and len(digest) == 16  # O(1)-sized
-        assert key == LineageResolutionCache.subset_key(rids.copy())
+        assert key == _array_key(rids.copy())
         changed = rids.copy()
         changed[123_456] += 1
-        assert key != LineageResolutionCache.subset_key(changed)
+        assert key != _array_key(changed)
 
     def test_large_subset_resolution_still_memoizes(self):
         cache = LineageResolutionCache()
         rids = np.arange(1_000_000, dtype=np.int64)
-        key = LineageResolutionCache.subset_key(rids)
         calls = []
 
-        def compute():
+        def build():
             calls.append(1)
-            return np.array([7])
+            return object()
 
-        cache.resolve("a", "backward", "t", key, compute, 0)
-        cache.resolve("a", "backward", "t", key, compute, 0)
-        assert len(calls) == 1
+        first = cache.memo(("s", param_fingerprint({"a": rids})), 0, build)
+        again = cache.memo(("s", param_fingerprint({"a": rids.copy()})), 0, build)
+        assert again is first and len(calls) == 1
         assert cache.stats()["hits"] == 1
 
 

@@ -143,10 +143,10 @@ class NoInplaceOnHandout(Rule):
     """No in-place numpy ops on arrays handed out by caches/registries.
 
     Invariant: arrays returned by ``GrowableRidVector.view()`` /
-    ``GrowableRidIndex.bucket()``, ``LineageResolutionCache.resolve()``,
-    and ``resolve_scan_source`` are *shared* (zero-copy views or memoized
-    entries, ``storage/growable.py`` and ``lineage/cache.py``); consumers
-    must gather through them (fancy indexing copies), never mutate.  The
+    ``GrowableRidIndex.bucket()``, any ``*cache*.resolve()``, and
+    ``resolve_scan_source`` may be *shared* (zero-copy views,
+    ``storage/growable.py``, or memoized entries); consumers must gather
+    through them (fancy indexing copies), never mutate.  The
     read-only flag catches this at runtime only when ``REPRO_SANITIZE=1``;
     this rule catches it at review time.
 
