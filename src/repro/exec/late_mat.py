@@ -17,7 +17,7 @@ materializing the traced subset *or any intermediate join output*:
    **per-bar memo** instead: partial answers per brushed bar (the
    paper's partial data cube, §4.2), filled lazily from the bars' CSR
    slices through the same chain interpreter, and merged per brush by
-   order key (:func:`_memo_tables`);
+   order key and key-dictionary code, hashing no key (:func:`_memo_tables`);
 2. evaluate pushed predicates on rid-gathered slices of **only the
    predicates' columns**, narrowing the rid arrays to survivors;
 3. for a join core, probe the chain hop by hop: each hop gathers **only
@@ -63,7 +63,9 @@ over random trees and chains on both backends.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -106,6 +108,8 @@ from .timings import (
     LATE_MAT_CHAIN_HOPS,
     LATE_MAT_DISTINCTS,
     LATE_MAT_JOINS,
+    LATE_MAT_MEMO_FILL,
+    LATE_MAT_MEMO_MERGE,
     LATE_MAT_PKFK_DETECTED,
     LATE_MAT_SUBTREES,
 )
@@ -129,7 +133,7 @@ class PushedStats:
     (and the server's coalesced batches) as ``timings`` counters so tests
     and benchmarks can assert *what* ran (pushed subtrees, chain
     flattening, build-side swaps, detected pk-fk probes) without timing
-    anything."""
+    anything, plus the seconds the per-bar memo spent."""
 
     subtrees: int = 0  # pushed trees executed
     joins: int = 0  # ... of them over a join core
@@ -137,6 +141,8 @@ class PushedStats:
     chain_hops: int = 0  # joins flattened beyond the first, per core
     build_swaps: int = 0  # hops that built on the plan-right side
     pkfk_detected: int = 0  # hops upgraded to the pk-fk probe by stats
+    memo_fill_s: float = 0.0  # finding and filling missing bars
+    memo_merge_s: float = 0.0  # merging partials into answers
 
     def count(self, pushed: PushedLineageQuery) -> None:
         """Count one executed pushed tree."""
@@ -151,9 +157,10 @@ def fold_push_stats(timings: Dict[str, float], stats: PushedStats) -> None:
     when non-zero: ``late_mat_{subtrees,joins,distincts}`` count pushed
     trees, ``late_mat_chain_hops`` joins flattened beyond each core's
     first (hops a single-join push would materialize at),
-    ``late_mat_build_swaps`` hops that built on the plan-right side, and
+    ``late_mat_build_swaps`` hops that built on the plan-right side,
     ``late_mat_pkfk_detected`` hops upgraded to the pk-fk probe by column
-    statistics alone."""
+    statistics alone, and ``late_mat_memo_{fill,merge}_s`` the seconds of
+    per-bar memo answers."""
     for key, value in (
         (LATE_MAT_SUBTREES, stats.subtrees),
         (LATE_MAT_JOINS, stats.joins),
@@ -161,6 +168,8 @@ def fold_push_stats(timings: Dict[str, float], stats: PushedStats) -> None:
         (LATE_MAT_CHAIN_HOPS, stats.chain_hops),
         (LATE_MAT_BUILD_SWAPS, stats.build_swaps),
         (LATE_MAT_PKFK_DETECTED, stats.pkfk_detected),
+        (LATE_MAT_MEMO_FILL, stats.memo_fill_s),
+        (LATE_MAT_MEMO_MERGE, stats.memo_merge_s),
     ):
         if value:
             timings[key] = float(value)
@@ -691,17 +700,36 @@ class _BarMemo:
     :class:`~repro.lineage.cache.LineageResolutionCache`, filled lazily.
     A bar maps to ``None`` when no row survives, else to a list of arrays
     — a ``"rows"`` bar to ``[sorted surviving rids]``, a ``"groups"`` /
-    ``"distinct"`` bar to ``[key columns..., counts, order key...]`` with
-    one entry per group in order-key order.  A row's **order key** is the
-    tuple of leaf positions its output order follows (:func:`_order_leaves`
-    — ``(rid,)`` for a leaf core), with the lineage leaf's position being
-    the base rid — and a group's entry holds its first row's."""
+    ``"distinct"`` bar to ``[key columns..., codes, counts, order
+    key...]`` with one entry per group in order-key order.  A row's
+    **order key** is the tuple of leaf positions its output order follows
+    (:func:`_order_leaves` — ``(rid,)`` for a leaf core), with the lineage
+    leaf's position being the base rid — and a group's entry holds its
+    first row's key values and order key, and its **code**: its key tuple's
+    index in the entry's only-growing key dictionary (:meth:`encode`)."""
 
-    __slots__ = ("schema", "bars")
+    __slots__ = ("schema", "bars", "keys", "num_codes", "_lock")
 
     def __init__(self, schema: Optional[Schema]):
         self.schema = schema  # group-shape output schema (before a bag projection)
         self.bars: Dict[int, object] = {}
+        self.keys: List[np.ndarray] = []  # the dictionary: code c's key is k[c] per column
+        self.num_codes = 0
+        self._lock = threading.Lock()  # a server's reader threads share one entry
+
+    def encode(self, keys: List[np.ndarray], n: int) -> np.ndarray:
+        """The int32 codes of ``n`` rows of ``keys`` (``[]``: all 0), adding
+        the key tuples it lacks by one :func:`factorize` of the dictionary's
+        rows, then ``keys``: old codes stay; O(dictionary + n) per fill."""
+        from .vector.kernels import factorize
+
+        keys = keys or [np.zeros(n, dtype=np.int8)]  # keyless: one key tuple
+        with self._lock:
+            known = self.num_codes
+            keys = [np.concatenate(p) for p in zip(self.keys, keys, strict=True)] if known else keys
+            ids, self.num_codes, reps = factorize(keys)
+            self.keys = [k[reps] for k in keys]
+        return ids[known:].astype(np.int32)
 
 
 def _lineage_reads(pushed: PushedLineageQuery, base: Schema) -> List[str]:
@@ -782,12 +810,12 @@ def _fill_chain(pushed, chain, part, rids, owner, lineage: int, params):
     return _gather_chain_output(state, pushed.columns), owner, order
 
 
-def _fill_bars(pushed, kind: str, part, bars: List[int], params: Optional[dict], chain) -> list:
+def _fill_bars(pushed, kind, part, bars: List[int], params, chain, memo: _BarMemo) -> list:
     """Partials of ``bars`` from one pass over their concatenated CSR
     slices of the backward index: the lineage leaf's predicate, the core
     (one interpreter run, :func:`_fill_chain`), the key gather and the
     factorize each run once, with the bar as the leading group key, so
-    each bar's groups come out as one block in order-key order."""
+    each bar's groups come out as one block in order-key order, encoded."""
     from .vector.kernels import factorize
 
     buckets = [part.bucket(bar) for bar in bars]
@@ -807,44 +835,49 @@ def _fill_bars(pushed, kind: str, part, bars: List[int], params: Optional[dict],
     else:
         projected = _project(pushed.project, table, params)
         keys = [projected.column(n) for n in projected.schema.names]
-    codes, num, reps = factorize([owner] + keys)
+    ids, num, reps = factorize([owner] + keys)
     # Chain output is not in bar order, but within one bar it runs in
     # order-key order: each group's first row holds its least order key.
     by_bar = stable_group_order(owner[reps], len(bars))
     reps = reps[by_bar]
-    counts = np.bincount(codes, minlength=num)[by_bar]
-    columns = [k[reps] for k in keys] + [counts] + [o[reps] for o in order]
+    small = np.int32 if ids.size < 2**31 else np.int64  # a count is at most the fill's rows
+    counts = np.bincount(ids, minlength=num)[by_bar].astype(small)
+    keys = [k[reps] for k in keys]
+    columns = keys + [memo.encode(keys, num), counts] + [o[reps] for o in order]
     return _split_by(owner[reps], len(bars), [sanitize.freeze(c) for c in columns])
 
 
-def _merge_groups(groups: List[List[list]], width: int) -> list:
+def _merge_groups(groups: List[List[list]], width: int, num_codes: int) -> list:
     """Per binding, ``[key columns..., counts]`` from its bars' partials
     ``groups[i]`` (``None`` when it has none), groups ordered by order key
     (the last ``width`` columns of a partial) — the first-occurrence order
-    the interpreter's factorize gives over the binding's output, which
-    runs in order-key order.  Each output row has one lineage-leaf
-    position, so the bars partition the output and order keys are
-    distinct: sort the partials by order key, factorize their key values,
-    and each group's first partial holds its least order key and the key
-    values at that row; counts sum.  All bindings share one factorize,
-    the binding being the leading key."""
-    from .vector.kernels import factorize
+    the interpreter's factorize gives over the binding's output.  The bars
+    partition the output, so order keys are distinct: one sort by (binding,
+    order key), then a reversed scatter of ``binding * num_codes + code``
+    (ranked first when sparse) finds each group's first partial, holding
+    its least order key and the only key values gathered; counts sum.  No
+    key value is hashed."""
+    from .vector.kernels import DENSE_FACTORIZE_MAX, first_occurrence
 
     parts = [p for g in groups for p in g]
     if not parts:
         return [None] * len(groups)
+    keys = len(parts[0]) - width - 2
     if len(groups) == 1 and len(parts) == 1:
-        return [[a.copy() for a in parts[0][:-width]]]
+        return [[a.copy() for a in parts[0][:keys]] + [parts[0][keys + 1].astype(np.int64)]]
     sizes = [sum(p[-1].size for p in g) for g in groups]
     binding = np.repeat(np.arange(len(groups)), sizes)
     columns = [np.concatenate(cols) for cols in zip(*parts, strict=True)]
     # lexsort's last key is the primary one.
     order = np.lexsort(columns[: -width - 1 : -1] + [binding])
-    keys = [c[order] for c in columns[: -width - 1]]
-    # Parts are concatenated binding by binding: ``binding`` is in order.
-    codes, num, reps = factorize([binding] + keys)
-    counts = np.bincount(codes, weights=columns[-width - 1][order], minlength=num)
-    return _split_by(binding[reps], len(groups), [k[reps] for k in keys] + [counts.astype(np.int64)])
+    slot = binding * num_codes + columns[keys]
+    if len(groups) * num_codes > max(4 * slot.size, DENSE_FACTORIZE_MAX):
+        slot = np.unique(slot, return_inverse=True)[1]  # O(n log n), not O(domain)
+    first = first_occurrence(slot[order], int(slot.max()) + 1)
+    rows = order[np.sort(first[first >= 0])]
+    counts = np.bincount(slot, weights=columns[keys + 1], minlength=first.size)[slot[rows]]
+    merged = [k[rows] for k in columns[:keys]] + [counts.astype(np.int64)]
+    return _split_by(binding[rows], len(groups), merged)
 
 
 def _groups_table(pushed, kind, schema: Schema, merged, params) -> Table:
@@ -887,10 +920,11 @@ def _fill_runs(bars: List[int], offsets: np.ndarray) -> List[List[int]]:
     return runs + [bars[start:]] if bars else runs
 
 
-def _memo_answers(pushed, kind, memo, part, params_list, cache, fill) -> List[Table]:
+def _memo_answers(pushed, kind, memo, part, params_list, cache, fill, stats) -> List[Table]:
     """Each binding's output table, merged from its bars' partials; the
     bars no brush filled before are filled first, a run of them per
-    ``fill`` call (:func:`_fill_runs`)."""
+    ``fill`` call (:func:`_fill_runs`); ``stats`` times both phases."""
+    start = perf_counter()
     num_keys = part.index.num_keys
     per_binding = []
     for params in params_list:
@@ -904,20 +938,21 @@ def _memo_answers(pushed, kind, memo, part, params_list, cache, fill) -> List[Ta
             memo.bars.setdefault(bar, partial)
     requested = sum(map(len, per_binding))
     cache.count_bars(len(missing), requested - len(missing))
+    filled = perf_counter()
+    stats.memo_fill_s += filled - start
     groups = [
         [p for p in map(memo.bars.__getitem__, bars) if p is not None]
         for bars in per_binding
     ]
-    if kind == "rows":
-        return [
-            _rows_table(pushed, part.base, parts, params)
-            for parts, params in zip(groups, params_list, strict=True)
-        ]
-    width = pushed.core.num_joins + 1
-    return [
-        _groups_table(pushed, kind, memo.schema, m, params)
-        for m, params in zip(_merge_groups(groups, width), params_list, strict=True)
+    if kind != "rows":  # num_codes read after the partials: every code in them is below it
+        groups = _merge_groups(groups, pushed.core.num_joins + 1, memo.num_codes)
+    tables = [
+        _rows_table(pushed, part.base, g, p) if kind == "rows"
+        else _groups_table(pushed, kind, memo.schema, g, p)
+        for g, p in zip(groups, params_list, strict=True)
     ]
+    stats.memo_merge_s += perf_counter() - filled
+    return tables
 
 
 def _memo_tables(
@@ -997,9 +1032,9 @@ def _memo_tables(
     chain = (catalog, config, tables, stats)
 
     def fill(bars):
-        return _fill_bars(pushed, kind, part, bars, params_list[0], chain)
+        return _fill_bars(pushed, kind, part, bars, params_list[0], chain, memo)
 
-    return _memo_answers(pushed, kind, memo, part, params_list, cache, fill), leaves
+    return _memo_answers(pushed, kind, memo, part, params_list, cache, fill, stats), leaves
 
 
 def execute_pushed_batch(

@@ -39,6 +39,13 @@ LATE_MAT_BUILD_SWAPS = "late_mat_build_swaps"
 #: Chain hops probed with the pk-fk fast path (build keys unique).
 LATE_MAT_PKFK_DETECTED = "late_mat_pkfk_detected"
 
+#: Seconds one execution spent finding and filling the per-bar memo's
+#: missing bars; written whenever the memo answered, even with none missing.
+LATE_MAT_MEMO_FILL = "late_mat_memo_fill_s"
+
+#: Seconds one execution spent merging per-bar memo partials into answers.
+LATE_MAT_MEMO_MERGE = "late_mat_memo_merge_s"
+
 #: Registered but never written: the engine runs every kernel serially,
 #: so nothing in ``src/`` sets this key.  It stays because ``perfbench``
 #: still reads it into a count-exact metric that must stay 0; drop it
@@ -58,6 +65,8 @@ ALL_KEYS = frozenset(
         LATE_MAT_CHAIN_HOPS,
         LATE_MAT_BUILD_SWAPS,
         LATE_MAT_PKFK_DETECTED,
+        LATE_MAT_MEMO_FILL,
+        LATE_MAT_MEMO_MERGE,
         MORSEL_TASKS,
     }
 )

@@ -25,10 +25,10 @@ from ...plan.logical import AggCall
 from ...storage.table import Table
 
 
-#: Dense-domain factorize threshold: below this (or 4x the input size) the
-#: combined key codes are scattered into a first-occurrence array instead
-#: of sorted — O(n + width) versus np.unique's O(n log n).
-_DENSE_FACTORIZE_MAX = 1 << 16
+#: Dense-domain threshold: below this (or 4x the input size) codes are
+#: scattered into a first-occurrence array instead of sorted — O(n + width)
+#: versus np.unique's O(n log n) (factorize and the per-bar memo's merge).
+DENSE_FACTORIZE_MAX = 1 << 16
 
 
 def factorize(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, int, np.ndarray]:
@@ -50,15 +50,11 @@ def factorize(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, int, np.ndarray
         else:
             combined = combined * domain + codes
             width *= domain
-    if width <= max(4 * n, _DENSE_FACTORIZE_MAX):
+    if width <= max(4 * n, DENSE_FACTORIZE_MAX):
         # Dense code domain (the common crossfilter/TPC-H shape): skip the
-        # O(n log n) sort inside np.unique.  A reversed scatter leaves, per
-        # code, its *first* occurrence (later writes win, and we write
-        # positions in descending order), and ranking those first
-        # occurrences — num_groups elements, not n — restores
-        # first-occurrence group numbering in O(n + width).
-        first = np.full(width, -1, dtype=np.int64)
-        first[combined[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
+        # O(n log n) sort inside np.unique.  Ranking first occurrences —
+        # num_groups elements, not n — numbers groups in O(n + width).
+        first = first_occurrence(combined, width)
         present = np.flatnonzero(first >= 0)
         first_idx = first[present]
         order, rank = _rank_first_occurrence(first_idx)
@@ -73,6 +69,15 @@ def factorize(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, int, np.ndarray
     group_ids = rank[inverse.reshape(-1)]
     representatives = first_idx[order].astype(np.int64)
     return group_ids, int(uniq.shape[0]), representatives
+
+
+def first_occurrence(codes: np.ndarray, width: int) -> np.ndarray:
+    """Per code ``0..width-1``, the position of its first occurrence in
+    ``codes`` (``-1``: absent), in O(n + width): a reversed scatter, so
+    the last write — the least position — wins."""
+    first = np.full(width, -1, dtype=np.int64)
+    first[codes[::-1]] = np.arange(codes.shape[0] - 1, -1, -1, dtype=np.int64)
+    return first
 
 
 def _rank_first_occurrence(first_idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -315,3 +315,85 @@ class TestBarMemoHammer:
             sys.setswitchinterval(interval)
         assert stats["bar_fills"] == fills
         assert stats["revalidated"] >= 1
+
+    def test_concurrent_fills_grow_one_key_dictionary(self):
+        """Threads released together brush disjoint bars, each bar holding
+        keys no other bar holds, so every fill grows the statement's key
+        dictionary with keys it has not seen: every answer equals a
+        fresh single-threaded database's, and each dictionary holds every
+        distinct key exactly once."""
+        from repro import CaptureMode, Database, ExecOptions
+        from repro.serve import DatabaseServer
+
+        rng = np.random.default_rng(13)
+        n, bars = 6000, 8 * THREADS
+        z = rng.integers(0, bars, n)
+        columns = {
+            "z": z,
+            "g": z * 100 + rng.integers(0, 30, n),
+            "s": np.array(
+                [f"s{b}.{i}" for b, i in zip(z, rng.integers(0, 5, n), strict=True)], dtype=object
+            ),
+            "w": rng.random(n),
+        }
+        stmts = [
+            "SELECT g, COUNT(*) AS c FROM Lb(v, 't', :bars) GROUP BY g",
+            "SELECT s, COUNT(*) AS c FROM Lb(v, 't', :bars) WHERE w >= 0.25 GROUP BY s",
+            "SELECT DISTINCT s, g FROM Lb(v, 't', :bars)",
+        ]
+
+        def database():
+            db = Database()
+            db.create_table("t", Table(columns))
+            db.sql(
+                "SELECT z, COUNT(*) AS c FROM t GROUP BY z",
+                options=ExecOptions(capture=CaptureMode.INJECT, name="v", pin=True),
+            )
+            return db
+
+        # Thread i owns bars i, i + THREADS, ...: single bars, then pairs
+        # of its own bars, the second of each pair filled fresh.
+        brushes = []
+        for i in range(THREADS):
+            own = rng.permutation(np.arange(i, bars, THREADS)).tolist()
+            pairs = zip(own[::2], own[1::2], strict=True)
+            brushes.append([[b] for b in own[::2]] + [list(p) for p in pairs])
+        reference = database()
+        expected = [
+            [[reference.sql(stmt, params={"bars": b}).table.to_rows() for stmt in stmts]
+             for b in mine]
+            for mine in brushes
+        ]
+        db = database()
+        # Bind each statement and create its memo entry before the race:
+        # threads binding one cold statement at once each get a plan of
+        # their own, and so a memo entry of their own.
+        for stmt in stmts:
+            db.sql(stmt, params={"bars": []})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with DatabaseServer(db, readers=1, memoize_answers=False) as server:
+
+                def worker(seed):
+                    for b, want in zip(brushes[seed], expected[seed], strict=True):
+                        for stmt, rows in zip(stmts, want, strict=True):
+                            assert server.sql(stmt, params={"bars": b}).table.to_rows() == rows
+
+                _hammer(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        memos = [memo for _, memo in db.lineage_cache._entries.values()]
+        assert len(memos) == len(stmts)
+        assert sorted(len(memo.bars) for memo in memos) == [bars] * len(stmts)
+        distinct = {
+            frozenset(columns["g"].tolist()),
+            frozenset(columns["s"][columns["w"] >= 0.25].tolist()),
+            frozenset(zip(columns["s"].tolist(), columns["g"].tolist(), strict=True)),
+        }
+        for memo in memos:
+            keys = list(zip(*(k.tolist() for k in memo.keys), strict=True))
+            if len(memo.keys) == 1:
+                keys = [k for (k,) in keys]
+            assert len(keys) == memo.num_codes == len(set(keys))
+            assert frozenset(keys) in distinct

@@ -75,16 +75,18 @@ e1_rows = st.lists(
 )
 
 
-def _db(rows, d1, d2, d3, e1):
+def _db(rows, d1, d2, d3, e1, floats=False):
+    """``t`` from ``rows``, plus a float column ``f`` from each row's
+    fourth field when ``floats``; the dimensions from the others."""
+    columns = {
+        "k": np.array([r[0] for r in rows], dtype=np.int64),
+        "m": np.array([r[1] for r in rows], dtype=np.int64),
+        "v": np.array([r[2] for r in rows], dtype=np.int64),
+    }
+    if floats:
+        columns["f"] = np.array([r[3] for r in rows], dtype=np.float64)
     db = Database()
-    db.create_table(
-        "t",
-        Table({
-            "k": np.array([r[0] for r in rows], dtype=np.int64),
-            "m": np.array([r[1] for r in rows], dtype=np.int64),
-            "v": np.array([r[2] for r in rows], dtype=np.int64),
-        }),
-    )
+    db.create_table("t", Table(columns))
     names = np.empty(len(d1), dtype=object)
     names[:] = [r[2] for r in d1]
     db.create_table(
@@ -342,8 +344,9 @@ def test_prepared_chain_pushes_match_one_shot(rows, d1, d2, subset, backend):
 # whose bars partition ``t`` by ``m``: the lineage leaf first, in the
 # middle and last in pre-order, hop predicates (a filtered derived-table
 # hop), leaf predicates on lineage and plain leaves, residual predicates,
-# a snowflake branch, and GROUP BY / DISTINCT roots.  The dimensions keep
-# the generated row order, so their keys repeat and run against key order.
+# a snowflake branch, and GROUP BY / DISTINCT roots, over int, string and
+# float keys (-0.0/0.0 and NaN included).  The dimensions keep the
+# generated row order, so their keys repeat and run against key order.
 MEMO_STATEMENTS = [
     "SELECT label, COUNT(*) AS c FROM Lb(pm, 't', :bars) JOIN d1 ON t.k = d1.k "
     "JOIN d2 ON d1.g = d2.g JOIN d3 ON d2.h = d3.h GROUP BY label",
@@ -357,14 +360,34 @@ MEMO_STATEMENTS = [
     "JOIN e1 ON t.m = e1.m WHERE d1.g + u >= 1 GROUP BY v",
     "SELECT COUNT(*) AS c FROM d1 JOIN Lb(pm, 't', :bars) ON d1.k = t.k "
     "JOIN e1 ON t.m = e1.m GROUP BY u",
+    "SELECT f, u, COUNT(*) AS c FROM Lb(pm, 't', :bars) JOIN d1 ON t.k = d1.k "
+    "JOIN e1 ON t.m = e1.m GROUP BY f, u",
+    "SELECT DISTINCT f, name FROM d1 JOIN Lb(pm, 't', :bars) ON d1.k = t.k "
+    "JOIN d2 ON d1.g = d2.g",
 ]
+
+memo_fact_rows = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3),   # chain key k
+        st.integers(min_value=0, max_value=2),   # view key m (the bars)
+        st.integers(min_value=0, max_value=30),  # value v
+        st.sampled_from([0.0, -0.0, float("nan"), 1.5]),  # float key f
+    ),
+    min_size=1,
+    max_size=30,
+)
 
 
 def _assert_identical(got, want):
     assert got.schema == want.schema
     for name in want.schema.names:
-        assert got.column(name).dtype == want.column(name).dtype
-    assert got.to_rows() == want.to_rows()
+        a, b = got.column(name), want.column(name)
+        assert a.dtype == b.dtype
+        if a.dtype.kind == "f":
+            assert np.array_equal(a, b, equal_nan=True)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+        else:
+            assert a.tolist() == b.tolist()
 
 
 def _outcome(run):
@@ -375,7 +398,7 @@ def _outcome(run):
 
 
 @given(
-    fact_rows,
+    memo_fact_rows,
     d1_rows,
     d2_rows,
     d3_rows,
@@ -388,7 +411,7 @@ def _outcome(run):
 def test_memoized_chain_matches_materialized(
     rows, d1, d2, d3, e1, cut, brushes, out_of_range
 ):
-    db = _db(rows, d1, d2, d3, e1)
+    db = _db(rows, d1, d2, d3, e1, floats=True)
     db.sql(
         "SELECT m, COUNT(*) AS c FROM t GROUP BY m",
         options=ExecOptions(capture=CaptureMode.INJECT, name="pm"),

@@ -73,18 +73,18 @@ STATEMENTS = [
 ]
 
 
-def _db(rows, drows):
+def _db(rows, drows, floats=False):
+    """``t`` from ``rows``, plus a float column ``f`` from each row's
+    fourth field when ``floats``."""
+    columns = {
+        "k": np.array([r[0] for r in rows], dtype=np.int64),
+        "v": np.array([r[1] for r in rows], dtype=np.int64),
+        "w": np.array([r[2] for r in rows], dtype=np.int64),
+    }
+    if floats:
+        columns["f"] = np.array([r[3] for r in rows], dtype=np.float64)
     db = Database()
-    db.create_table(
-        "t",
-        Table(
-            {
-                "k": np.array([r[0] for r in rows], dtype=np.int64),
-                "v": np.array([r[1] for r in rows], dtype=np.int64),
-                "w": np.array([r[2] for r in rows], dtype=np.int64),
-            }
-        ),
-    )
+    db.create_table("t", Table(columns))
     dim = np.empty(len(drows), dtype=object)
     dim[:] = [r[2] for r in drows]
     db.create_table(
@@ -240,8 +240,9 @@ def test_prepared_join_pushes_match_one_shot(rows, drows, subset, backend):
 # Capture-off join brushes the per-bar memo answers, over a view ``pw``
 # whose bars partition ``t`` by ``w``: the lineage leaf on either side of
 # the hop, leaf predicates on both leaves, residual predicates, and
-# GROUP BY / DISTINCT roots.  ``d`` keeps the generated row order, so its
-# keys repeat and run against key order.
+# GROUP BY / DISTINCT roots, over int, string and float keys (-0.0/0.0
+# and NaN included).  ``d`` keeps the generated row order, so its keys
+# repeat and run against key order.
 MEMO_STATEMENTS = [
     "SELECT g, COUNT(*) AS c FROM Lb(pw, 't', :bars) JOIN d ON t.k = d.k GROUP BY g",
     "SELECT name, COUNT(*) AS c FROM d JOIN Lb(pw, 't', :bars) ON d.k = t.k "
@@ -253,14 +254,33 @@ MEMO_STATEMENTS = [
     "SELECT DISTINCT v FROM (SELECT * FROM d WHERE g <> 2) AS dd "
     "JOIN Lb(pw, 't', :bars) ON dd.k = t.k",
     "SELECT COUNT(*) AS c FROM Lb(pw, 't', :bars) JOIN d ON t.k = d.k",
+    "SELECT f, COUNT(*) AS c FROM Lb(pw, 't', :bars) JOIN d ON t.k = d.k GROUP BY f",
+    "SELECT DISTINCT f, name FROM d JOIN Lb(pw, 't', :bars) ON d.k = t.k "
+    "WHERE v >= :cut",
 ]
+
+memo_fact_rows = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=4),    # join key k
+        st.integers(min_value=0, max_value=30),   # value v
+        st.integers(min_value=0, max_value=2),    # view key w (the bars)
+        st.sampled_from([0.0, -0.0, float("nan"), 1.5]),  # float key f
+    ),
+    min_size=1,
+    max_size=40,
+)
 
 
 def _assert_identical(got, want):
     assert got.schema == want.schema
     for name in want.schema.names:
-        assert got.column(name).dtype == want.column(name).dtype
-    assert got.to_rows() == want.to_rows()
+        a, b = got.column(name), want.column(name)
+        assert a.dtype == b.dtype
+        if a.dtype.kind == "f":
+            assert np.array_equal(a, b, equal_nan=True)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+        else:
+            assert a.tolist() == b.tolist()
 
 
 def _outcome(run):
@@ -271,7 +291,7 @@ def _outcome(run):
 
 
 @given(
-    fact_rows,
+    memo_fact_rows,
     dim_rows,
     st.integers(min_value=0, max_value=31),
     st.lists(st.lists(st.integers(min_value=0, max_value=5), max_size=6), min_size=1, max_size=4),
@@ -279,7 +299,7 @@ def _outcome(run):
 )
 @settings(deadline=None)  # example budget governed by the profile
 def test_memoized_join_matches_materialized(rows, drows, cut, brushes, out_of_range):
-    db = _db(rows, drows)
+    db = _db(rows, drows, floats=True)
     db.sql(
         "SELECT w, COUNT(*) AS c FROM t GROUP BY w",
         options=ExecOptions(capture=CaptureMode.INJECT, name="pw"),

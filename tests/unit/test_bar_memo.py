@@ -362,3 +362,85 @@ def test_server_stats_count_revalidated_entries():
     assert _bar_traffic(stats) == (2, 4)
     assert stats["revalidated"] == 2
     assert before == _fresh(db, BRUSH, [0, 1])
+
+
+DISTINCT = "SELECT DISTINCT g FROM Lb(v, 't', :bars) WHERE w >= 1.0"
+
+
+def test_memo_fill_and_merge_seconds_mark_memo_answers_only():
+    """``late_mat_memo_{fill,merge}_s`` appear on every statement the
+    per-bar memo answers — fills, reuses, joins, ``sql_batch`` — and on
+    none it declines."""
+    from repro.exec.timings import LATE_MAT_MEMO_FILL, LATE_MAT_MEMO_MERGE
+
+    keys = {LATE_MAT_MEMO_FILL, LATE_MAT_MEMO_MERGE}
+    db = _join_db()
+    answered = [
+        db.sql(stmt, params={"bars": [0, 2]}) for stmt in (BRUSH, ROWS, JOIN, BRUSH, JOIN)
+    ]
+    with DatabaseServer(db, readers=1, memoize_answers=False) as server:
+        answered += server.sql_batch(BRUSH, [{"bars": [0]}, {"bars": [1, 2]}])
+    declined = [
+        db.sql(BRUSH, params={"bars": [0]}, options=INJECT.with_(pin=False)),
+        db.sql("SELECT g, SUM(w) AS s FROM Lb(v, 't', :bars) GROUP BY g", params={"bars": [0]}),
+        db.sql(BRUSH, params={"bars": [0]}, options=PLAIN),
+    ]
+    assert _bar_traffic(db.lineage_cache.stats()) == (7, 6)
+    for result in answered:
+        assert keys <= set(result.timings)
+        assert all(result.timings[key] >= 0.0 for key in keys)
+    for result in declined:
+        assert not keys & set(result.timings)
+
+
+@pytest.mark.parametrize("stmt", [BRUSH, JOIN, DISTINCT])
+def test_merging_filled_bars_encodes_no_key(stmt, monkeypatch):
+    """Once its bars are filled, a brush merges their partials by key code:
+    no key value is factorized again, and the answer is the plain path's."""
+    from repro.exec.vector import kernels
+
+    db = _join_db()
+    db.sql(stmt, params={"bars": [0, 1, 2]})
+    brushes = ([2, 0], [1], [0, 1, 2], [])
+    expected = [_plain(db, stmt, bars) for bars in brushes]
+
+    def refuse(arrays):
+        raise AssertionError("a merge factorized key values")
+
+    monkeypatch.setattr(kernels, "factorize", refuse)
+    for bars, want in zip(brushes, expected, strict=True):
+        assert db.sql(stmt, params={"bars": bars}).table.to_rows() == want
+    with DatabaseServer(db, readers=1, memoize_answers=False) as server:
+        batch = server.sql_batch(stmt, [{"bars": bars} for bars in brushes])
+    assert [r.table.to_rows() for r in batch] == expected
+
+
+def test_batch_over_a_large_dictionary_scatters_over_its_rows(monkeypatch):
+    """Bindings times a large key dictionary make a sparse slot domain:
+    the merge ranks the slots first, so its scatter stays within the
+    merged rows, and every binding answers as the plain path."""
+    from repro.exec.vector import kernels
+
+    n, bars = 40000, 8
+    db = Database()
+    db.create_table("t", Table({
+        "z": np.arange(n, dtype=np.int64) % bars,
+        "u": np.random.default_rng(3).permutation(n).astype(np.int64),
+    }))
+    db.sql("SELECT z, COUNT(*) AS c FROM t GROUP BY z", options=INJECT.with_(name="v"))
+    stmt = "SELECT DISTINCT u FROM Lb(v, 't', :bars)"
+    db.sql(stmt, params={"bars": list(range(bars))})  # a 40000-key dictionary
+    brushes = [[0], [1, 2], [3], [7, 4]]
+    expected = [_plain(db, stmt, b) for b in brushes]
+    widths = []
+    first_occurrence = kernels.first_occurrence
+
+    def recording(codes, width):
+        widths.append(width)
+        return first_occurrence(codes, width)
+
+    monkeypatch.setattr(kernels, "first_occurrence", recording)
+    with DatabaseServer(db, readers=1, memoize_answers=False) as server:
+        batch = server.sql_batch(stmt, [{"bars": b} for b in brushes])
+    assert [r.table.to_rows() for r in batch] == expected
+    assert widths == [6 * n // bars]  # the merged rows, not 4 bindings x 40000 codes
