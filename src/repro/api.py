@@ -94,6 +94,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, replace as _dc_replace
+from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, Iterator, Mapping, Optional, Union
 
 import numpy as np
@@ -189,6 +190,7 @@ def require_params(param_names: FrozenSet[str], params: Optional[dict]) -> None:
         )
 
 
+@lru_cache(maxsize=1024)
 def normalize_statement(text: str) -> str:
     """The statement-memo key: whitespace runs collapse to one space and
     *keyword* tokens case-fold, so generated SQL with varying layout or
@@ -198,6 +200,11 @@ def normalize_statement(text: str) -> str:
     identifiers keep their case (the lexer folds keywords only — table
     ``T`` and table ``t`` are different relations), and so do
     ``:parameter`` names, even ones spelled like keywords (``:MAX``).
+
+    A pure function of an immutable string, so its answers are memoized
+    (LRU-bounded, like the statement memo: texts that interpolate values
+    never grow it without limit): a repeated statement pays one dict
+    lookup, not a character scan.
     """
     from .sql.lexer import KEYWORDS, LINEAGE_TABLE_FUNCS
 
@@ -771,8 +778,9 @@ class StatementMemo:
     callable the caller passes — ``Database.sql`` binds against the live
     database, the server against the snapshot it is reading — and every
     front runs an entry under its own caller's options.  Binding runs
-    outside the lock, so two threads racing one cold statement both bind
-    and the later install wins.
+    outside the lock; threads racing one cold statement each bind, but
+    only the first install lands and every racer gets that entry, so they
+    share one plan (and so one per-bar memo entry, keyed on the plan).
     """
 
     #: LRU bound — a caller interpolating values into SQL instead of
@@ -790,26 +798,45 @@ class StatementMemo:
             if prepared is not None:
                 self._entries.move_to_end(key)
                 return prepared
-        return self.rebind(key, bind)
+        return self._install(key, bind(), None)
 
     def run(self, key: str, bind: Callable[[], PreparedQuery], fn: Callable):
         """``fn(entry)`` for ``key``'s entry; when the entry's binding is
-        stale, re-bind it and run ``fn`` once more."""
+        stale, re-bind it and run ``fn`` once more on the new binding,
+        which replaces the entry only if that is still the stale one."""
+        stale = self.get(key, bind)
         try:
-            return fn(self.get(key, bind))
+            return fn(stale)
         except StaleBindingError:
-            return fn(self.rebind(key, bind))
+            fresh = bind()
+            self._install(key, fresh, stale)
+            return fn(fresh)
 
     def rebind(self, key: str, bind: Callable[[], PreparedQuery]) -> PreparedQuery:
-        """Bind ``key`` afresh (its frozen tables went stale) and install
-        the result, evicting the least recently used entry past the bound."""
+        """Bind ``key`` afresh and install the result over any entry."""
         prepared = bind()
         with self._lock:
-            self._entries[key] = prepared
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.MAX_STATEMENTS:
-                self._entries.popitem(last=False)
+            self._put(key, prepared)
         return prepared
+
+    def _install(self, key: str, prepared: PreparedQuery, replaces) -> PreparedQuery:
+        """File ``prepared`` under ``key`` if the entry there is still
+        ``replaces`` (or gone); returns the entry filed."""
+        with self._lock:
+            current = self._entries.get(key)
+            if current is None or current is replaces:
+                self._put(key, prepared)
+                return prepared
+            self._entries.move_to_end(key)
+            return current
+
+    def _put(self, key: str, prepared: PreparedQuery) -> None:
+        """File ``prepared``, evicting the least recently used entry past
+        the bound; the lock is held."""
+        self._entries[key] = prepared
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.MAX_STATEMENTS:
+            self._entries.popitem(last=False)
 
     def __len__(self) -> int:
         with self._lock:

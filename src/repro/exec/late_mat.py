@@ -16,8 +16,9 @@ materializing the traced subset *or any intermediate join output*:
    :class:`~repro.lineage.cache.LineageResolutionCache`, answer from its
    **per-bar memo** instead: partial answers per brushed bar (the
    paper's partial data cube, §4.2), filled lazily from the bars' CSR
-   slices through the same chain interpreter, and merged per brush by
-   order key and key-dictionary code, hashing no key (:func:`_memo_tables`);
+   slices through the entry's core lowered once to key-index probes
+   (:func:`_lower`), and merged per brush by order key and
+   key-dictionary code, hashing no key (:func:`_memo_tables`);
 2. evaluate pushed predicates on rid-gathered slices of **only the
    predicates' columns**, narrowing the rid arrays to survivors;
 3. for a join core, probe the chain hop by hop: each hop gathers **only
@@ -71,7 +72,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import sanitize
-from ..errors import LineageError, SchemaError
+from ..errors import LineageError, PlanError, SchemaError
 from ..expr.ast import Col, Param, collect_params, evaluate
 from ..lineage.cache import LineageResolutionCache, Pin, param_fingerprint
 from ..lineage.capture import CaptureConfig
@@ -213,10 +214,11 @@ def _passing(predicate, source: Table, rids: np.ndarray, params) -> np.ndarray:
 
 
 class _JoinInput:
-    """One resolved leaf of a pushed join chain: either a lineage leaf
-    held as ``(source, rids)`` — rows are *never* materialized here,
-    payload columns are gathered through ``rids`` at chain-surviving
-    positions only — or a plain leaf already executed to a table.
+    """One resolved leaf of a pushed join chain: the table its row
+    positions index — a lineage leaf's traced source, whose rows are
+    *never* materialized here (payload columns are gathered at
+    chain-surviving positions only), or a plain leaf already executed to
+    a table — and its node lineage.
 
     ``base_table`` names the catalog relation the leaf's row *positions*
     index into (the traced base table of a backward scan, or the scanned
@@ -226,26 +228,12 @@ class _JoinInput:
     tables, nested plans).
     """
 
-    __slots__ = ("source", "rids", "table", "node", "base_table")
+    __slots__ = ("table", "node", "base_table")
 
-    def __init__(self, source=None, rids=None, table=None, node=None, base_table=None):
-        self.source = source
-        self.rids = rids
+    def __init__(self, table: Table, node=None, base_table=None):
         self.table = table
         self.node = node
         self.base_table = base_table
-
-    @property
-    def schema(self) -> Schema:
-        # The *full* leaf schema: join-output renaming must see every
-        # column, exactly as the materializing path's subset table would.
-        return (self.source if self.table is None else self.table).schema
-
-    @property
-    def num_rows(self) -> int:
-        if self.table is not None:
-            return self.table.num_rows
-        return int(self.rids.shape[0])
 
 
 class _ChainState:
@@ -281,16 +269,13 @@ class _ChainState:
         self._index: Dict[str, int] = {n: i for i, n in enumerate(schema.names)}
 
     @classmethod
-    def for_leaf(cls, leaf: _JoinInput) -> "_ChainState":
-        schema = leaf.schema
-        return cls(
-            [leaf],
-            [None],
-            leaf.num_rows,
-            schema,
-            [(0, name) for name in schema.names],
-            leaf.node,
-        )
+    def for_leaf(cls, leaf: _JoinInput, rows: Optional[np.ndarray] = None) -> "_ChainState":
+        """The node of ``leaf``'s ``rows`` (``None``: all of them)."""
+        # The *full* leaf schema: join-output renaming must see every
+        # column, exactly as the materializing path's subset table would.
+        schema = leaf.table.schema
+        size = leaf.table.num_rows if rows is None else int(rows.shape[0])
+        return cls([leaf], [rows], size, schema, [(0, n) for n in schema.names], leaf.node)
 
     def column_values(self, name: str) -> np.ndarray:
         """One output column of this chain node, gathered through the
@@ -303,15 +288,9 @@ class _ChainState:
                 f"unknown column {name!r}; available: {self.schema.names}"
             )
         leaf_idx, src = self.origins[idx]
-        leaf = self.inputs[leaf_idx]
+        values = self.inputs[leaf_idx].table.column(src)
         pos = self.positions[leaf_idx]
-        if leaf.table is not None:
-            values = leaf.table.column(src)
-            return values if pos is None else values[pos]
-        base = leaf.source.column(src)
-        if pos is None:
-            return base[leaf.rids]
-        return base[leaf.rids[pos]]
+        return values if pos is None else values[pos]
 
     def key_stats(self, keys: Sequence[str], catalog: Catalog) -> JoinSideStats:
         """Cardinality + key-uniqueness statistics for this node as one
@@ -360,20 +339,11 @@ def _plain_scan(plan: LogicalPlan) -> Optional[Scan]:
 
 class _ChainContext:
     """Execution-scoped handles threaded through the chain recursion over
-    one pushed core (a single leaf or a join tree).
+    one pushed core (a single leaf or a join tree)."""
 
-    ``traced`` is ``None`` on a brush; a per-bar memo fill sets it to the
-    core's lineage leaf's already-filtered ``(source, rids, source name,
-    domain, epoch)`` (see :func:`_fill_chain`)."""
+    __slots__ = ("catalog", "results", "config", "params", "next_key", "run_child", "stats")
 
-    __slots__ = (
-        "catalog", "results", "config", "params",
-        "next_key", "run_child", "stats", "traced",
-    )
-
-    def __init__(
-        self, catalog, results, config, params, next_key, run_child, stats, traced=None
-    ):
+    def __init__(self, catalog, results, config, params, next_key, run_child, stats):
         self.catalog = catalog
         self.results = results
         self.config = config
@@ -381,32 +351,28 @@ class _ChainContext:
         self.next_key = next_key
         self.run_child = run_child
         self.stats = stats
-        self.traced = traced
 
 
-def _resolve_scan_side(side: PushedJoinSide, key: str, ctx: _ChainContext) -> _JoinInput:
-    """Resolve a lineage-backed core leaf to ``(source, surviving rids)``
-    plus its node lineage, filtering its folded ``Select`` stack in the
-    rid domain (a leaf core's WHERE included)."""
-    if ctx.traced is None:
-        source, rids, source_name, domain, epoch = resolve_scan_source(
-            side.scan, ctx.catalog, ctx.results, ctx.params
-        )
-        if side.predicate is not None:
-            rids = rids[_passing(side.predicate, source, rids, ctx.params)]
-    else:
-        source, rids, source_name, domain, epoch = ctx.traced
+def _resolve_scan_side(side: PushedJoinSide, key: str, ctx: _ChainContext) -> _ChainState:
+    """Resolve a lineage-backed core leaf to the node of its source's
+    surviving rids, filtering its folded ``Select`` stack in the rid
+    domain (a leaf core's WHERE included)."""
+    source, rids, source_name, domain, epoch = resolve_scan_source(
+        side.scan, ctx.catalog, ctx.results, ctx.params
+    )
+    if side.predicate is not None:
+        rids = rids[_passing(side.predicate, source, rids, ctx.params)]
     node = scan_node_lineage(
         side.scan, key, rids, source_name, domain, ctx.config, epoch
     )
-    return _JoinInput(
-        source=source,
-        rids=rids,
-        node=node,
+    leaf = _JoinInput(
+        source,
+        node,
         # Positions of a backward scan index the traced base relation, so
         # that relation's column statistics transfer to the gathered keys.
         base_table=source_name if side.scan.direction == "backward" else None,
     )
+    return _ChainState.for_leaf(leaf, rids)
 
 
 def _chain_select(
@@ -420,12 +386,16 @@ def _chain_select(
     the passing rows, and compose the same 1-to-1 selection locals the
     materializing path's :func:`~repro.exec.vector.select.execute_select`
     builds."""
-    pred_table = _gather_chain_output(state, predicate.columns())
-    mask = np.asarray(evaluate(predicate, pred_table, params), dtype=bool)
-    kept = np.nonzero(mask)[0].astype(np.int64)
-    local_bw, local_fw = selection_locals(kept, mask.shape[0], config)
+    kept = _kept(state, predicate, params)
+    local_bw, local_fw = selection_locals(kept, state.num_rows, config)
     node = compose_node(int(kept.shape[0]), state.node, local_bw, local_fw)
     return state.narrow(kept, node)
+
+
+def _kept(state: _ChainState, predicate, params: Optional[dict]) -> np.ndarray:
+    """The rows of ``state`` passing ``predicate``, over a gather of its columns."""
+    pred_table = _gather_chain_output(state, predicate.columns())
+    return np.flatnonzero(np.asarray(evaluate(predicate, pred_table, params), dtype=bool))
 
 
 def _run_hop(hop: PushedJoinHop, ctx: _ChainContext) -> _ChainState:
@@ -438,14 +408,10 @@ def _run_hop(hop: PushedJoinHop, ctx: _ChainContext) -> _ChainState:
             state = _chain_select(state, hop.predicate, ctx.config, ctx.params)
         return state
     if hop.scan is not None:
-        leaf = _resolve_scan_side(hop, ctx.next_key(), ctx)
-    else:
-        table, node = ctx.run_child(hop.plan)
-        scan = _plain_scan(hop.plan)
-        leaf = _JoinInput(
-            table=table, node=node, base_table=None if scan is None else scan.table
-        )
-    return _ChainState.for_leaf(leaf)
+        return _resolve_scan_side(hop, ctx.next_key(), ctx)
+    table, node = ctx.run_child(hop.plan)
+    scan = _plain_scan(hop.plan)
+    return _ChainState.for_leaf(_JoinInput(table, node, None if scan is None else scan.table))
 
 
 def _join_states(
@@ -471,24 +437,6 @@ def _join_states(
     matches = compute_matches_oriented(
         left_keys, right_keys, decision.build_left, decision.pkfk
     )
-
-    fields = join_output_fields(left.schema, right.schema)
-    n_left_cols = len(left.schema.names)
-    origins: List[Tuple[int, str]] = []
-    for i in range(len(fields)):
-        if i < n_left_cols:
-            origins.append(left.origins[i])
-        else:
-            leaf_idx, src = right.origins[i - n_left_cols]
-            origins.append((leaf_idx + len(left.inputs), src))
-    positions = [
-        matches.out_left if p is None else p[matches.out_left]
-        for p in left.positions
-    ] + [
-        matches.out_right if p is None else p[matches.out_right]
-        for p in right.positions
-    ]
-
     # Lineage composes per hop exactly as the materializing executors do
     # (canonical-order matches, plan-level pkfk flag), so a chain's
     # captured lineage is the same merge_binary fold the fallback builds.
@@ -496,14 +444,25 @@ def _join_states(
     node = merge_binary(
         matches.num_out, left.node, right.node, l_bw, l_fw, r_bw, r_fw
     )
-    return _ChainState(
-        left.inputs + right.inputs,
-        positions,
-        matches.num_out,
-        Schema([(n, t) for n, t, _ in fields]),
-        origins,
-        node,
-    )
+    return _joined(left, right, matches.out_left, matches.out_right, node)
+
+
+def _joined(left: _ChainState, right: _ChainState, out_left, out_right, node, like=None):
+    """The chain node joining ``left`` row ``out_left[i]`` with ``right``
+    row ``out_right[i]`` into output row ``i``, positions composed; its
+    schema is ``like``'s when given (a node of the same leaves)."""
+    positions = [out_left if p is None else p[out_left] for p in left.positions] + [
+        out_right if p is None else p[out_right] for p in right.positions
+    ]
+    if like is None:
+        shift = len(left.inputs)
+        fields = join_output_fields(left.schema, right.schema)
+        schema = Schema([(n, t) for n, t, _ in fields])
+        origins = left.origins + [(leaf + shift, src) for leaf, src in right.origins]
+    else:
+        schema, origins = like.schema, like.origins
+    inputs = left.inputs + right.inputs
+    return _ChainState(inputs, positions, int(out_left.shape[0]), schema, origins, node)
 
 
 def _gather_chain_output(state: _ChainState, columns) -> Table:
@@ -706,16 +665,29 @@ class _BarMemo:
     (:func:`_order_leaves` — ``(rid,)`` for a leaf core), with the lineage
     leaf's position being the base rid — and a group's entry holds its
     first row's key values and order key, and its **code**: its key tuple's
-    index in the entry's only-growing key dictionary (:meth:`encode`)."""
+    index in the entry's only-growing key dictionary (:meth:`encode`).
 
-    __slots__ = ("schema", "bars", "keys", "num_codes", "_lock")
+    ``core`` is the core lowered by the entry's first ``"groups"`` /
+    ``"distinct"`` fill (:meth:`lowered`): per hop, its plain leaf filtered
+    once and a :class:`~repro.exec.vector.join.KeyIndex` over its keys,
+    which fills probe (:func:`_lower`); a zero-join core has no step."""
+
+    __slots__ = ("schema", "bars", "keys", "num_codes", "core", "_lock")
 
     def __init__(self, schema: Optional[Schema]):
         self.schema = schema  # group-shape output schema (before a bag projection)
         self.bars: Dict[int, object] = {}
         self.keys: List[np.ndarray] = []  # the dictionary: code c's key is k[c] per column
         self.num_codes = 0
+        self.core = None
         self._lock = threading.Lock()  # a server's reader threads share one entry
+
+    def lowered(self, lower: Callable[[], list]) -> list:
+        """:attr:`core`, lowered by ``lower()`` on the first call only."""
+        with self._lock:
+            if self.core is None:
+                self.core = lower()
+            return self.core
 
     def encode(self, keys: List[np.ndarray], n: int) -> np.ndarray:
         """The int32 codes of ``n`` rows of ``keys`` (``[]``: all 0), adding
@@ -784,52 +756,138 @@ def _plain_leaf(plan: LogicalPlan, tables: dict, config, params) -> Table:
     return tables[plan.table][0]
 
 
-def _fill_chain(pushed, chain, part, rids, owner, lineage: int, params):
-    """A fill's core: the chain interpreter (:func:`_run_hop`) run once,
-    with the lineage leaf (``lineage``, an index into
-    :func:`_join_leaves`) resolved to the bars' concatenated, already
-    filtered slices ``rids`` instead of a brush's rid set.  Returns the
-    narrow output table, each output row's bar and its order-key
-    columns."""
-    catalog, config, tables, stats = chain
+@dataclass
+class _Step:
+    """One lowered hop of a memo core (:func:`_lower`), with the hops
+    folded into it, and the key ``index`` over its ``plain`` side."""
 
-    def run_plain(plan):
-        table = _plain_leaf(plan, tables, config, params)
-        return table, NodeLineage(output_size=table.num_rows)
+    hop: PushedJoin
+    plain: _ChainState  # its leaf filtered and pre-joined, rows in canonical order
+    spine_left: bool  # the lineage side is the hop's left input
+    names: Sequence[str]  # the plain leaf's key columns
+    dtypes: list  # the lineage side's key column types
+    unique: Optional[bool]  # the lineage side's key uniqueness, from stats
+    stats: JoinSideStats  # the plain side's
+    joined: _ChainState  # the layout of the last folded hop's output (no rows)
+    predicate: object  # the last folded hop's
+    swaps: int = 0  # build-side decisions of the folded hops
+    detected: int = 0
+    index: object = None
 
-    traced = (part.base, rids, part.base_name, part.base.num_rows, part.epoch)
-    ctx = _ChainContext(catalog, None, config, params, lambda: "", run_plain, stats, traced)
-    state = _run_hop(pushed.core, ctx)
-    at = state.positions[lineage]
-    if at is not None:  # None: a leaf core, every slice rid survives
-        rids, owner = rids[at], owner[at]
-    order = [
-        rids if leaf == lineage else state.positions[leaf]
-        for leaf in _order_leaves(pushed.core)
-    ]
-    return _gather_chain_output(state, pushed.columns), owner, order
+
+def _lower(pushed, part, params, chain) -> List[_Step]:
+    """A memo entry's core lowered once (:class:`_BarMemo`).  Each hop
+    joins the lineage side to a plain ``[Select*] Scan`` leaf
+    (:func:`memo_scan`), filtered here over the table the entry pins.  A
+    hop with the lineage side left, keyed on the previous step's plain
+    leaves alone and probing unique keys (carrier → region → continent),
+    folds into that step unless a predicate stands between: its leaf is
+    pre-joined here, and its decision, which no row count sways, counted."""
+    from .vector.join import KeyIndex
+    from .vector.kernels import factorize
+
+    catalog, config, tables, _ = chain
+    leaf = _ChainState.for_leaf(_JoinInput(part.base, base_table=part.base_name), _EMPTY)
+    steps: List[_Step] = []
+
+    def fold(step: _Step, spine, names, other, keys, stats) -> bool:
+        shift = len(spine.inputs) - len(step.plain.inputs)  # lineage side's leaves
+        if any(spine.origins[spine.schema.index_of(k)][0] < shift for k in names):
+            return False
+        rows = _ChainState(spine.inputs, [None] * shift + step.plain.positions,
+                           step.plain.num_rows, spine.schema, spine.origins, None)
+        probe = [rows.column_values(k) for k in names]
+        found, matched = KeyIndex(keys, [k.dtype for k in probe]).probe(probe)
+        by = stable_group_order(matched, other.num_rows)  # rows by (this leaf, the earlier)
+        step.plain = _joined(step.plain, other, found[by], matched[by], None)
+        decision = choose_build_side(JoinSideStats(0), stats)  # no row count decides it
+        step.swaps += decision.swapped
+        step.detected += decision.pkfk
+        return True
+
+    def lower(hop) -> _ChainState:  # the hop's node; the lineage side's is empty
+        if isinstance(hop, PushedJoinSide):
+            if hop.scan is not None:
+                return leaf
+            table = _plain_leaf(hop.plan, tables, config, params)
+            return _ChainState.for_leaf(_JoinInput(table, base_table=_plain_scan(hop.plan).table))
+        left, right = lower(hop.left), lower(hop.right)
+        join = hop.join
+        spine_left = isinstance(hop.left, PushedJoin) or hop.left.scan is not None
+        sides = [(left, join.left_keys), (right, join.right_keys)]
+        keys = [[node.column_values(k) for k in names] for node, names in sides]
+        if not spine_left:
+            sides.reverse()
+            keys.reverse()
+        (spine, spine_names), (other, names) = sides
+        if join.pkfk and not spine_left and factorize(keys[1])[1] != other.num_rows:
+            raise PlanError("pk-fk join requested but left keys are not unique")
+        stats = other.key_stats(names, catalog)
+        joined = _joined(left, right, _EMPTY, _EMPTY, None)
+        last = steps[-1] if steps else None
+        if not (
+            spine_left and not join.pkfk and stats.keys_unique
+            and last is not None and last.spine_left and last.predicate is None
+            and fold(last, spine, spine_names, other, keys[1], stats)
+        ):
+            unique = spine.key_stats(spine_names, catalog).keys_unique
+            last = _Step(hop, other, spine_left, names, [k.dtype for k in keys[0]], unique, stats,
+                         joined, None)
+            steps.append(last)
+        last.joined, last.predicate = joined, hop.predicate
+        return joined
+
+    lower(pushed.core)
+    for step in steps:
+        step.index = KeyIndex([step.plain.column_values(k) for k in step.names], step.dtypes)
+    return steps
 
 
 def _fill_bars(pushed, kind, part, bars: List[int], params, chain, memo: _BarMemo) -> list:
     """Partials of ``bars`` from one pass over their concatenated CSR
-    slices of the backward index: the lineage leaf's predicate, the core
-    (one interpreter run, :func:`_fill_chain`), the key gather and the
-    factorize each run once, with the bar as the leading group key, so
-    each bar's groups come out as one block in order-key order, encoded."""
+    slices of the backward index: the lineage leaf's predicate, the core —
+    per step the entry lowered (:func:`_lower`), the lineage side's keys
+    probe the plain side's index, the canonical join order (right rows
+    ascending) is restored, the hop's predicate filters and the build side
+    the interpreter would pick is counted — then the key gather and the
+    factorize, with the bar as the leading group key, so each bar's groups
+    come out as one block in order-key order, encoded."""
     from .vector.kernels import factorize
 
     buckets = [part.bucket(bar) for bar in bars]
     rids = np.concatenate(buckets)
     owner = np.repeat(np.arange(len(bars)), [b.size for b in buckets])
-    leaves = _join_leaves(pushed.core)
-    lineage = next(i for i, side in enumerate(leaves) if side.scan is not None)
-    predicate = leaves[lineage].predicate
+    predicate = next(side for side in _join_leaves(pushed.core) if side.scan is not None).predicate
     if predicate is not None:
         keep = _passing(predicate, part.base, rids, params)
         rids, owner = rids[keep], owner[keep]
     if kind == "rows":
         return _split_by(owner, len(bars), [sanitize.freeze(rids)])
-    table, owner, order = _fill_chain(pushed, chain, part, rids, owner, lineage, params)
+    stats = chain[3]
+    state = _ChainState.for_leaf(_JoinInput(part.base, base_table=part.base_name), rids)
+    for step in memo.lowered(lambda: _lower(pushed, part, params, chain)):
+        join, plain = step.hop.join, step.plain
+        names = join.left_keys if step.spine_left else join.right_keys
+        keys = [state.column_values(k) for k in names]
+        sides = [JoinSideStats(state.num_rows, step.unique), step.stats]
+        decision = choose_build_side(*(sides if step.spine_left else sides[::-1]), join.pkfk)
+        stats.build_swaps += decision.swapped + step.swaps
+        stats.pkfk_detected += (decision.pkfk and not join.pkfk) + step.detected
+        if join.pkfk and step.spine_left and factorize(keys)[1] != state.num_rows:
+            raise PlanError("pk-fk join requested but left keys are not unique")
+        rows, matched = step.index.probe(keys)
+        if step.spine_left:
+            by = stable_group_order(matched, plain.num_rows)
+            rows, matched = rows[by], matched[by]
+            state = _joined(state, plain, rows, matched, None, step.joined)
+        else:
+            state = _joined(plain, state, matched, rows, None, step.joined)
+        owner = owner[rows]
+        if step.predicate is not None:
+            kept = _kept(state, step.predicate, params)
+            state, owner = state.narrow(kept, None), owner[kept]
+    table = _gather_chain_output(state, pushed.columns)
+    order = [state.positions[leaf] for leaf in _order_leaves(pushed.core)]
     if kind == "groups":
         keys = [np.asarray(evaluate(e, table, params)) for e, _ in pushed.groupby.keys]
     else:

@@ -20,6 +20,7 @@ Defer counts matches during the probe and allocates exactly afterwards
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,6 +75,91 @@ def _key_ids(
         return np.empty(0, np.int64), np.empty(0, np.int64), 0
     ids, num_keys, _ = factorize(combined)
     return ids[:n_left], ids[n_left:], num_keys
+
+
+def _find(values: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Index of each ``probe`` value in the sorted distinct ``values``
+    (``-1``: absent), one NaN and -0.0 == 0.0 as in ``np.unique``."""
+    if not values.size:
+        return np.full(probe.shape[0], -1, dtype=np.int64)
+    at = np.minimum(np.searchsorted(values, probe), values.size - 1)
+    found = values[at]
+    return np.where((found == probe) | ((found != found) & (probe != probe)), at, -1)
+
+
+def _look_up(table: np.ndarray, low: int, probe: np.ndarray) -> np.ndarray:
+    """``table[probe - low]``, ``-1`` outside the table."""
+    at = probe - low
+    if at.size and (at.min() < 0 or at.max() >= table.size):
+        inside = (at >= 0) & (at < table.size)
+        return np.where(inside, table[np.where(inside, at, 0)], -1)
+    return table[at]
+
+
+def _coder(column: np.ndarray):
+    """``(ids, width, code)``: dense ids of ``column``'s ``width`` distinct
+    values, and ``code(probe)`` giving each probe value's id (``-1``:
+    absent) under :func:`_key_ids`' equality — a dict on objects (first
+    occurrence, as ``factorize``), sorted values otherwise, or a lookup
+    table over an integer range at most four times the rows (``factorize``'s
+    dense criterion, without its floor: the table lives as long as the
+    index)."""
+    if column.dtype == object:
+        index: dict = {}
+        ids = np.fromiter((index.setdefault(v, len(index)) for v in column), np.int64, column.size)
+        return ids, len(index), lambda probe: np.fromiter(
+            (index.get(v, -1) for v in probe), np.int64, probe.size
+        )
+    distinct, ids = np.unique(column, return_inverse=True)
+    low = int(distinct[0]) if column.dtype.kind == "i" and distinct.size else None
+    if low is None or int(distinct[-1]) - low >= 4 * ids.size:
+        return ids, distinct.size, partial(_find, distinct)
+    table = np.full(int(distinct[-1]) - low + 1, -1, dtype=np.int64)
+    table[distinct - low] = np.arange(distinct.size)
+    return ids, distinct.size, partial(_look_up, table, low)
+
+
+class KeyIndex:
+    """One join side's key tuples, built once for many probes from the
+    other side: rows bucketed by dense key-tuple id (CSR, rows ascending
+    per bucket — with unique keys, the buckets are the key → position
+    array) and, per key column, a :func:`_coder`; a column after the
+    first codes the pair (tuple id so far, value id).  A probe finds
+    exactly the matches :func:`_key_ids` would: each column compares in
+    the type ``np.concatenate`` gives both sides (``dtypes``: the probe
+    side's)."""
+
+    __slots__ = ("coders", "buckets", "unique")
+
+    def __init__(self, columns: Sequence[np.ndarray], dtypes: Sequence[np.dtype]):
+        self.coders = []
+        for column, dtype in zip(columns, dtypes, strict=True):
+            dtype = np.result_type(column.dtype, dtype)  # as np.concatenate casts both
+            value_ids, width, code = _coder(column.astype(dtype, copy=False))
+            pair = None
+            if self.coders:
+                ids, num, pair = _coder(ids * width + value_ids)
+            else:
+                ids, num = value_ids, width
+            self.coders.append((dtype, code, width, pair))
+        self.buckets = RidIndex.from_group_ids(ids, num)
+        self.unique = num == ids.size
+
+    def probe(self, columns: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(probe rows, build rows)`` of every match, probe row major and
+        build rows ascending within one probe row."""
+        for column, (dtype, code, width, pair) in zip(columns, self.coders, strict=True):
+            value_ids = code(column.astype(dtype, copy=False))
+            if pair is None:
+                ids = value_ids
+            else:
+                ids = pair(np.where((ids < 0) | (value_ids < 0), -1, ids * width + value_ids))
+        rows = np.flatnonzero(ids >= 0)
+        if rows.size < ids.size:
+            ids = ids[rows]
+        if self.unique:
+            return rows, self.buckets.values[ids]
+        return np.repeat(rows, self.buckets.counts()[ids]), self.buckets.lookup_many(ids)
 
 
 def probe_pkfk(

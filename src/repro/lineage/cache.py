@@ -155,7 +155,9 @@ class LineageResolutionCache:
         the value still holds under ``epoch``, and the entry is re-stamped
         (a hit, counted in ``revalidated`` too) instead of rebuilt.
         ``same`` runs outside the lock, so it may compare whole arrays.
-        Lookups count in ``hits``/``misses``."""
+        Threads racing one cold key each ``build()``, but only the first
+        install lands and every racer gets its value, so they fill (and
+        lower) one entry.  Lookups count in ``hits``/``misses``."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and entry[0] == epoch:
@@ -170,6 +172,11 @@ class LineageResolutionCache:
             return entry[1]
         value = build()
         with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry[0] == epoch:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return entry[1]
             self._put(key, epoch, value)
             self.misses += 1
         return value

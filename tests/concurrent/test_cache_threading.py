@@ -365,11 +365,6 @@ class TestBarMemoHammer:
             for mine in brushes
         ]
         db = database()
-        # Bind each statement and create its memo entry before the race:
-        # threads binding one cold statement at once each get a plan of
-        # their own, and so a memo entry of their own.
-        for stmt in stmts:
-            db.sql(stmt, params={"bars": []})
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

@@ -40,39 +40,39 @@ fact_rows = st.lists(
 )
 
 # Dimension rows may repeat their key (m:n) or miss fact keys entirely.
-d1_rows = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=4),   # key k (4 never in fact)
-        st.integers(min_value=0, max_value=2),   # link g -> d2
-        st.sampled_from(["red", "green", "blue"]),
-    ),
-    min_size=0,
-    max_size=8,
+d1_row = st.tuples(
+    st.integers(min_value=0, max_value=4),   # key k (4 never in fact)
+    st.integers(min_value=0, max_value=2),   # link g -> d2
+    st.sampled_from(["red", "green", "blue"]),
 )
-d2_rows = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=3),   # key g (3 never in d1)
-        st.integers(min_value=0, max_value=1),   # link h -> d3
-    ),
-    min_size=0,
-    max_size=6,
+d2_row = st.tuples(
+    st.integers(min_value=0, max_value=3),   # key g (3 never in d1)
+    st.integers(min_value=0, max_value=1),   # link h -> d3
 )
-d3_rows = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=2),   # key h (2 never in d2)
-        st.sampled_from(["x", "y"]),
-    ),
-    min_size=0,
-    max_size=4,
+d3_row = st.tuples(
+    st.integers(min_value=0, max_value=2),   # key h (2 never in d2)
+    st.sampled_from(["x", "y"]),
 )
-e1_rows = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=3),   # key m (3 never in fact)
-        st.integers(min_value=0, max_value=2),   # attribute u
-    ),
-    min_size=0,
-    max_size=5,
+e1_row = st.tuples(
+    st.integers(min_value=0, max_value=3),   # key m (3 never in fact)
+    st.integers(min_value=0, max_value=2),   # attribute u
 )
+d1_rows = st.lists(d1_row, min_size=0, max_size=8)
+d2_rows = st.lists(d2_row, min_size=0, max_size=6)
+d3_rows = st.lists(d3_row, min_size=0, max_size=4)
+e1_rows = st.lists(e1_row, min_size=0, max_size=5)
+
+
+def _covering(row, keys, max_extra):
+    """Dimension rows holding each of ``keys`` at least once (their other
+    fields drawn by ``row``) plus up to ``max_extra`` free rows, shuffled:
+    never empty, and every key the rows upstream of the dimension carry
+    joins, so most brushes merge several non-empty bars."""
+    keyed = st.lists(row, min_size=len(keys), max_size=len(keys)).map(
+        lambda rows: [(key,) + r[1:] for key, r in zip(keys, rows, strict=True)]
+    )
+    free = st.lists(row, max_size=max_extra)
+    return st.tuples(keyed, free).flatmap(lambda t: st.permutations(t[0] + t[1]))
 
 
 def _db(rows, d1, d2, d3, e1, floats=False):
@@ -399,10 +399,10 @@ def _outcome(run):
 
 @given(
     memo_fact_rows,
-    d1_rows,
-    d2_rows,
-    d3_rows,
-    e1_rows,
+    _covering(d1_row, range(4), 4),  # every fact k
+    _covering(d2_row, range(3), 3),  # every d1.g
+    _covering(d3_row, range(2), 2),  # every d2.h
+    _covering(e1_row, range(3), 2),  # every fact m
     st.integers(min_value=0, max_value=31),
     st.lists(st.lists(st.integers(min_value=0, max_value=3), max_size=5), min_size=1, max_size=4),
     st.booleans(),

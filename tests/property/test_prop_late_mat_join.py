@@ -327,3 +327,48 @@ def test_memoized_join_matches_materialized(rows, drows, cut, brushes, out_of_ra
     # Every answered brush went through the memo, bar by bar.
     stats = db.lineage_cache.stats()
     assert stats["bar_fills"] + stats["bar_reuses"] == memoized_bars
+
+
+# A memo entry's key index (the lowered join build side) against the
+# hash join it replaces: key columns of either side drawn from pools
+# whose values collide across types — ints over a narrow and a wide
+# range, floats with -0.0/0.0 and NaN, objects mixing strings with equal
+# ints and floats — one or two columns per key, either side possibly
+# empty.  Matches must come out as the hash join's, in its order.
+_KEY_POOLS = {
+    "int": (np.int64, st.integers(min_value=-2, max_value=3)),
+    "wide": (np.int64, st.sampled_from([0, 1, -(10**6), 10**6])),
+    "float": (np.float64, st.sampled_from([0.0, -0.0, float("nan"), 1.0, 2.5])),
+    "object": (object, st.sampled_from(["a", "b", 1, 1.0, 2, float("nan")])),
+}
+
+
+@st.composite
+def key_sides(draw):
+    kind = st.sampled_from(sorted(_KEY_POOLS))
+    kinds = draw(st.lists(st.tuples(kind, kind), min_size=1, max_size=2))
+
+    def side(which):
+        n = draw(st.integers(min_value=0, max_value=12))
+        columns = []
+        for pair in kinds:
+            dtype, values = _KEY_POOLS[pair[which]]
+            column = np.empty(n, dtype=dtype)
+            column[:] = draw(st.lists(values, min_size=n, max_size=n))
+            columns.append(column)
+        return columns
+
+    return side(0), side(1)
+
+
+@given(key_sides())
+@settings(deadline=None)  # example budget governed by the profile
+def test_key_index_probe_matches_the_hash_join(sides):
+    from repro.exec.vector.join import KeyIndex, compute_matches_narrow
+
+    build, probe = sides
+    note(f"build: {build!r}\nprobe: {probe!r}")
+    rows, matched = KeyIndex(build, [c.dtype for c in probe]).probe(probe)
+    want = compute_matches_narrow(build, probe, pkfk=False)
+    assert rows.tolist() == want.out_right.tolist()
+    assert matched.tolist() == want.out_left.tolist()

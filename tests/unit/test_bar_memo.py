@@ -444,3 +444,193 @@ def test_batch_over_a_large_dictionary_scatters_over_its_rows(monkeypatch):
         batch = server.sql_batch(stmt, [{"bars": b} for b in brushes])
     assert [r.table.to_rows() for r in batch] == expected
     assert widths == [6 * n // bars]  # the merged rows, not 4 bindings x 40000 codes
+
+
+CHAIN = (
+    "SELECT continent, COUNT(*) AS c FROM Lb(v, 't', :bars) JOIN carriers ON t.g = carriers.g "
+    "JOIN regions ON carriers.region = regions.region GROUP BY continent"
+)
+#: A plain join leaf behind a filter of its own.
+FILTERED = (
+    "SELECT region, COUNT(*) AS c FROM Lb(v, 't', :bars) JOIN "
+    "(SELECT * FROM carriers WHERE region >= 1) AS c ON t.g = c.g GROUP BY region"
+)
+
+
+def test_join_fills_probe_key_indexes_not_a_hash_join(monkeypatch):
+    """A memo entry lowers its join core once; its fills probe the plain
+    sides' key indexes: with the interpreter's hash join patched to raise,
+    join and chain brushes over unfilled bars, and a batch, answer as the
+    plain path."""
+    from repro.exec.vector import join
+
+    db = _join_db()
+    brushes = ([0], [2, 1], [0, 1, 2])
+    stmts = (JOIN, CHAIN, RENAMED)
+    expected = [[_plain(db, stmt, bars) for bars in brushes] for stmt in stmts]
+    distinct = "SELECT DISTINCT region, w FROM Lb(v, 't', :bars) JOIN carriers ON t.g = carriers.g"
+    batch = [[1, 0], [2]]
+    expected_batch = [_plain(db, distinct, bars) for bars in batch]
+
+    def refuse(*args):
+        raise AssertionError("a fill ran the hash join")
+
+    monkeypatch.setattr(join, "compute_matches_oriented", refuse)
+    for stmt, want in zip(stmts, expected, strict=True):
+        assert [db.sql(stmt, params={"bars": b}).table.to_rows() for b in brushes] == want
+    with DatabaseServer(db, readers=1, memoize_answers=False) as server:
+        answers = server.sql_batch(distinct, [{"bars": bars} for bars in batch])
+    assert [r.table.to_rows() for r in answers] == expected_batch
+    assert _bar_traffic(db.lineage_cache.stats()) == (12, 9)
+
+
+def _counting_selects(monkeypatch, pause=0.0) -> list:
+    """Patch the vector ``Select`` to record each call, then sleep
+    ``pause`` seconds (other threads run meanwhile)."""
+    import time
+
+    from repro.exec.vector import select
+
+    calls = []
+    execute_select = select.execute_select
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        time.sleep(pause)
+        return execute_select(*args, **kwargs)
+
+    monkeypatch.setattr(select, "execute_select", counting)
+    return calls
+
+
+def test_a_plain_leaf_is_filtered_once_per_entry(monkeypatch):
+    db = _join_db()
+    brushes = ([0], [1], [2], [2, 0, 1])
+    expected = [_plain(db, FILTERED, bars) for bars in brushes]
+    calls = _counting_selects(monkeypatch)
+    assert [db.sql(FILTERED, params={"bars": b}).table.to_rows() for b in brushes] == expected
+    assert len(calls) == 1
+    assert _bar_traffic(db.lineage_cache.stats()) == (3, 3)
+
+
+def test_threads_filling_a_cold_join_entry_lower_it_once(monkeypatch):
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    from threading import Barrier
+
+    db = _join_db()
+    brushes = [[0], [1], [2], [0, 1], [1, 2], [2, 0], [0, 1, 2], [1]]
+    expected = [_fresh(db, FILTERED, bars) for bars in brushes]
+    calls = _counting_selects(monkeypatch, pause=0.05)  # a lowering the others reach
+    barrier = Barrier(len(brushes))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with DatabaseServer(db, readers=1, memoize_answers=False) as server:
+
+            def brush(bars):
+                barrier.wait(timeout=10)
+                return server.sql(FILTERED, params={"bars": bars}).table.to_rows()
+
+            with ThreadPoolExecutor(len(brushes)) as pool:
+                answers = list(pool.map(brush, brushes, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert answers == expected
+    assert len(calls) == 1
+    assert len(db.lineage_cache) == 1
+
+
+def _with_pkfk(plan):
+    """``plan`` with its one hash join flagged pk-fk."""
+    import dataclasses
+
+    from repro.plan.logical import HashJoin
+
+    if isinstance(plan, HashJoin):
+        return HashJoin(plan.left, plan.right, plan.left_keys, plan.right_keys, pkfk=True)
+    return dataclasses.replace(plan, child=_with_pkfk(plan.child))
+
+
+@pytest.mark.parametrize("stmt", [
+    # regions' unique key folds into the carriers hop ...
+    CHAIN,
+    # ... under a WHERE over both sides' columns ...
+    CHAIN.replace("GROUP BY", "WHERE continent >= 1 OR w >= 5.0 GROUP BY"),
+    # ... but not across a predicate between the hops.
+    "SELECT continent, COUNT(*) AS c FROM (SELECT * FROM Lb(v, 't', :bars) JOIN carriers "
+    "ON t.g = carriers.g WHERE w >= 2.0) AS s JOIN regions ON s.region = regions.region "
+    "GROUP BY continent",
+    "SELECT DISTINCT regions.region, continent FROM regions JOIN (SELECT * FROM carriers JOIN "
+    "Lb(v, 't', :bars) ON carriers.g = t.g) AS s ON regions.region = s.region",
+])
+def test_folded_hops_answer_and_count_as_the_interpreter(stmt):
+    """A unique-keyed hop off a plain leaf folds into that leaf's hop: the
+    answers, and the build sides counted per fill, are the interpreter's."""
+    from repro.exec.timings import LATE_MAT_BUILD_SWAPS, LATE_MAT_PKFK_DETECTED
+
+    db = _join_db()
+    for bars in ([0], [2, 1], [0, 1, 2]):
+        memo = db.sql(stmt, params={"bars": bars})
+        assert memo.table.to_rows() == _plain(db, stmt, bars)
+    keys = (LATE_MAT_BUILD_SWAPS, LATE_MAT_PKFK_DETECTED)
+    reused = [db.sql(stmt, params={"bars": [b]}).timings for b in range(3)]
+    assert not any(set(keys) & set(t) for t in reused)  # nothing ran
+    db.lineage_cache.invalidate()
+    for b in range(3):  # a one-bar fill runs over the rids a raw run resolves
+        filled = db.sql(stmt, params={"bars": [b]}).timings
+        raw = db.execute(db.parse(stmt), params={"bars": [b]}).timings
+        assert [filled.get(k) for k in keys] == [raw.get(k) for k in keys]
+
+
+def test_mn_hops_and_a_pkfk_violation_behave_as_the_plain_path():
+    from repro.errors import PlanError
+
+    db = _join_db()
+    # carriers repeats its keys: every hop through it is m:n.
+    for stmt in (JOIN, CHAIN, FILTERED):
+        for bars in ([0], [1, 2], [2, 0], [0, 1, 2]):
+            assert db.sql(stmt, params={"bars": bars}).table.to_rows() == _plain(db, stmt, bars)
+    # A pk-fk flag over keys that repeat, on the plain side and on the
+    # lineage side (each bar repeats a key of t.g).
+    for stmt in (
+        "SELECT region, COUNT(*) AS c FROM carriers JOIN Lb(v, 't', :bars) "
+        "ON carriers.g = t.g GROUP BY region",
+        JOIN,
+    ):
+        plan = _with_pkfk(db.parse(stmt))
+        for bars in ([0], [1, 2]):
+            with pytest.raises(PlanError, match="not unique"):
+                db.execute(plan, params={"bars": bars}, options=PLAIN)
+            with pytest.raises(PlanError, match="not unique"):
+                db.prepare(plan).run(params={"bars": bars})
+
+
+def test_float_and_two_column_join_keys_answer_as_the_plain_path():
+    """-0.0 joins 0.0 and NaN joins NaN, as in the hash join; an int key
+    joins equal floats; a two-column key matches on both."""
+    db = Database()
+    db.create_table("t", Table({
+        "z": np.array([0, 1, 2, 0, 1, 2, 0, 1], dtype=np.int64),
+        "f": np.array([0.0, -0.0, np.nan, 1.5, np.nan, 0.0, 2.5, -0.0]),
+        "b": np.array([1, 2, 1, 2, 1, 2, 1, 2], dtype=np.int64),
+    }))
+    db.create_table("d", Table({
+        "f": np.array([-0.0, np.nan, 1.5, 0.0]),
+        "b": np.array([1, 1, 2, 2], dtype=np.int64),
+        "label": np.array(list("wxyz"), dtype=object),
+    }))
+    db.create_table("e", Table({
+        "fk": np.array([0, 2, 1], dtype=np.int64),
+        "lab": np.array(list("pqr"), dtype=object),
+    }))
+    db.sql("SELECT z, COUNT(*) AS c FROM t GROUP BY z", options=INJECT.with_(name="v"))
+    for stmt in (
+        "SELECT label, COUNT(*) AS c FROM Lb(v, 't', :bars) JOIN d ON t.f = d.f GROUP BY label",
+        "SELECT label, COUNT(*) AS c FROM Lb(v, 't', :bars) JOIN d "
+        "ON t.f = d.f AND t.b = d.b GROUP BY label",
+        "SELECT DISTINCT lab, t.f AS f FROM e JOIN Lb(v, 't', :bars) ON e.fk = t.f",
+    ):
+        for bars in ([0], [1, 2], [2, 0, 1]):
+            assert db.sql(stmt, params={"bars": bars}).table.to_rows() == _plain(db, stmt, bars)
+    assert _bar_traffic(db.lineage_cache.stats()) == (9, 9)
