@@ -155,7 +155,7 @@ def main() -> None:
     #     survived every hop.  `late_mat_chain_hops` counts the joins
     #     beyond the first; build sides are chosen per hop from column
     #     statistics (both lookup keys here are unique, so both hops
-    #     take the pk-fk fast probe the plan never asserted).
+    #     build there: pk-fk joins the plan never asserted).
     db.create_table(
         "zones",
         Table({

@@ -53,7 +53,7 @@ def capture(left: Table, right: Table, technique: str) -> int:
 
     Returns the number of output rows (for sanity reporting).
     """
-    matches = compute_matches(left, right, ("z",), ("z",), pkfk=False)
+    matches = compute_matches([left.column("z")], [right.column("z")])
     if technique == "smoke-i":
         # Inject populates the forward index while probing — the paper's
         # resize-prone path, run under tuple-append emulation so the
@@ -79,7 +79,7 @@ def run_report(repeats: int = 3) -> Report:
     )
     for left_groups, right_rows in sizes():
         left, right = make_tables(left_groups, right_rows)
-        n_out = compute_matches(left, right, ("z",), ("z",), pkfk=False).num_out
+        n_out = compute_matches([left.column("z")], [right.column("z")]).num_out
         for technique in TECHNIQUES:
             secs = time_median(
                 lambda t=technique: capture(left, right, t), repeats

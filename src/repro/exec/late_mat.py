@@ -12,7 +12,7 @@ materializing the traced subset *or any intermediate join output*:
    schema-drift and shrink guard of the materializing path applies) —
    or, for a capture-off statement whose core's one lineage leaf is a
    backward scan of a GROUP BY view (the whole core, or a join core whose
-   other leaves are plain catalog scans, :func:`memo_scan`) with a shared
+   other leaves are plain catalog scans, :class:`~repro.plan.rewrite.MemoShape`) with a shared
    :class:`~repro.lineage.cache.LineageResolutionCache`, answer from its
    **per-bar memo** instead: partial answers per brushed bar (the
    paper's partial data cube, §4.2), filled lazily from the bars' CSR
@@ -23,13 +23,14 @@ materializing the traced subset *or any intermediate join output*:
    predicates' columns**, narrowing the rid arrays to survivors;
 3. for a join core, probe the chain hop by hop: each hop gathers **only
    its join keys** through the per-leaf position arrays accumulated so
-   far (:func:`~repro.exec.vector.join.compute_matches_oriented`),
-   picks its hash-build side from cardinality statistics
-   (:func:`~repro.substrate.stats.choose_build_side` — the pk-fk fast
-   probe when one side's keys are known unique, e.g. a lineage scan
-   over a dimension table), and composes the match arrays into the
-   position arrays — a join output row is represented as one position
-   per leaf, never as materialized payload;
+   far, picks its hash-build side from cardinality statistics
+   (:func:`~repro.substrate.stats.choose_build_side` — a side whose keys
+   are known unique, e.g. a lineage scan over a dimension table, else
+   the smaller one), matches the keys through the one equi-join kernel
+   (:func:`~repro.exec.vector.join.compute_matches`, whose key index
+   finds unique build keys by itself), and composes the match arrays
+   into the position arrays — a join output row is represented as one
+   position per leaf, never as materialized payload;
 4. gather the columns the output actually needs — group keys and
    aggregate arguments, projection inputs, or (predicate-only trees)
    the full core schema — at the *final surviving* positions only, and
@@ -72,8 +73,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import sanitize
-from ..errors import LineageError, PlanError, SchemaError
-from ..expr.ast import Col, Param, collect_params, evaluate
+from ..errors import LineageError, SchemaError
+from ..expr.ast import Col, Param, evaluate
 from ..lineage.cache import LineageResolutionCache, Pin, param_fingerprint
 from ..lineage.capture import CaptureConfig
 from ..lineage.composer import (
@@ -83,10 +84,15 @@ from ..lineage.composer import (
     selection_locals,
 )
 from ..lineage.indexes import stable_group_order
-from ..plan.logical import LineageScan, LogicalPlan, Scan, Select
-from ..plan.rewrite import PushedJoin, PushedJoinHop, PushedJoinSide, PushedLineageQuery
+from ..plan.logical import LineageScan, LogicalPlan, Select
+from ..plan.rewrite import (
+    PushedJoin,
+    PushedJoinHop,
+    PushedJoinSide,
+    PushedLineageQuery,
+    plain_scan,
+)
 from ..plan.schema import (
-    JOIN_RENAME_SUFFIX,
     infer_expr_type,
     infer_schema,
     join_output_fields,
@@ -133,7 +139,7 @@ class PushedStats:
     """What one execution's pushed cores did, surfaced by the executors
     (and the server's coalesced batches) as ``timings`` counters so tests
     and benchmarks can assert *what* ran (pushed subtrees, chain
-    flattening, build-side swaps, detected pk-fk probes) without timing
+    flattening, build-side swaps, detected pk-fk builds) without timing
     anything, plus the seconds the per-bar memo spent."""
 
     subtrees: int = 0  # pushed trees executed
@@ -141,7 +147,7 @@ class PushedStats:
     distincts: int = 0  # ... of them under SELECT DISTINCT
     chain_hops: int = 0  # joins flattened beyond the first, per core
     build_swaps: int = 0  # hops that built on the plan-right side
-    pkfk_detected: int = 0  # hops upgraded to the pk-fk probe by stats
+    pkfk_detected: int = 0  # hops whose build keys stats alone know unique
     memo_fill_s: float = 0.0  # finding and filling missing bars
     memo_merge_s: float = 0.0  # merging partials into answers
 
@@ -159,8 +165,8 @@ def fold_push_stats(timings: Dict[str, float], stats: PushedStats) -> None:
     trees, ``late_mat_chain_hops`` joins flattened beyond each core's
     first (hops a single-join push would materialize at),
     ``late_mat_build_swaps`` hops that built on the plan-right side,
-    ``late_mat_pkfk_detected`` hops upgraded to the pk-fk probe by column
-    statistics alone, and ``late_mat_memo_{fill,merge}_s`` the seconds of
+    ``late_mat_pkfk_detected`` hops whose build keys column statistics
+    alone know unique (a pk-fk join the plan never asserted), and ``late_mat_memo_{fill,merge}_s`` the seconds of
     per-bar memo answers."""
     for key, value in (
         (LATE_MAT_SUBTREES, stats.subtrees),
@@ -297,7 +303,7 @@ class _ChainState:
         join input.  Uniqueness is only derivable for single-leaf nodes
         (joins may fan rows out) whose positions are subsets of a catalog
         base table: a unique base column stays unique under any subset
-        gather, which covers the ``Lb``-over-dimension-table fast path.
+        gather, which covers an ``Lb`` over a dimension table.
         """
         unique: Optional[bool] = None
         if len(self.inputs) == 1 and self.inputs[0].base_table is not None:
@@ -327,14 +333,6 @@ class _ChainState:
             self.origins,
             node,
         )
-
-
-def _plain_scan(plan: LogicalPlan) -> Optional[Scan]:
-    """The catalog ``Scan`` under a plain ``[Select*] Scan`` leaf (filters
-    preserve column uniqueness), else ``None``."""
-    while isinstance(plan, Select):
-        plan = plan.child
-    return plan if isinstance(plan, Scan) else None
 
 
 class _ChainContext:
@@ -410,7 +408,7 @@ def _run_hop(hop: PushedJoinHop, ctx: _ChainContext) -> _ChainState:
     if hop.scan is not None:
         return _resolve_scan_side(hop, ctx.next_key(), ctx)
     table, node = ctx.run_child(hop.plan)
-    scan = _plain_scan(hop.plan)
+    scan = plain_scan(hop.plan)
     return _ChainState.for_leaf(_JoinInput(table, node, None if scan is None else scan.table))
 
 
@@ -420,7 +418,7 @@ def _join_states(
     """One hash-join hop over two chain nodes: narrow key probe with a
     stats-chosen build side, position composition, and the same
     local-lineage merge the vector executor performs."""
-    from .vector.join import compute_matches_oriented, join_lineage_locals
+    from .vector.join import compute_matches, join_lineage_locals
 
     join = hop.join
     left_keys = [left.column_values(k) for k in join.left_keys]
@@ -434,9 +432,7 @@ def _join_states(
         ctx.stats.build_swaps += 1
     if decision.pkfk and not join.pkfk:
         ctx.stats.pkfk_detected += 1
-    matches = compute_matches_oriented(
-        left_keys, right_keys, decision.build_left, decision.pkfk
-    )
+    matches = compute_matches(left_keys, right_keys, join.pkfk, decision.build_left)
     # Lineage composes per hop exactly as the materializing executors do
     # (canonical-order matches, plan-level pkfk flag), so a chain's
     # captured lineage is the same merge_binary fold the fallback builds.
@@ -506,9 +502,9 @@ def execute_pushed(
     lineage-scan leaf); ``run_child`` executes a plain chain leaf through
     the backend's own recursion; ``stats`` counts the tree and
     accumulates its chain-hop / build-side / pk-fk decisions for the
-    executors' ``timings`` counters.  With ``cache``, shapes
-    :func:`_memo_kind` accepts answer from the statement's per-bar memo
-    in that cache.
+    executors' ``timings`` counters.  With ``cache``, the shapes a
+    :class:`~repro.plan.rewrite.MemoShape` describes answer from the
+    statement's per-bar memo in that cache.
     """
     from .vector.groupby import execute_distinct, execute_groupby
 
@@ -556,55 +552,6 @@ def execute_pushed(
     return table, node
 
 
-def _join_leaves(hop: PushedJoinHop) -> List[PushedJoinSide]:
-    """A core's leaves in pre-order (left before right): the order in
-    which the interpreter consumes occurrence keys and lays out
-    :attr:`_ChainState.inputs`."""
-    if isinstance(hop, PushedJoin):
-        return _join_leaves(hop.left) + _join_leaves(hop.right)
-    return [hop]
-
-
-def _order_leaves(hop: PushedJoinHop, first: int = 0) -> List[int]:
-    """Indices into :func:`_join_leaves` of the leaves whose positions
-    order ``hop``'s output, most significant first.  A hop's canonical
-    output runs right side first, recursively, so its rows are sorted by
-    the tuple of these positions."""
-    if isinstance(hop, PushedJoin):
-        split = first + hop.left.num_joins + 1
-        return _order_leaves(hop.right, split) + _order_leaves(hop.left, first)
-    return [first]
-
-
-def _core_predicates(hop: PushedJoinHop) -> list:
-    """Every predicate inside a core: hop predicates, a lineage leaf's
-    pushed predicate, and the ``Select`` stack of a plain leaf."""
-    if isinstance(hop, PushedJoin):
-        own = [] if hop.predicate is None else [hop.predicate]
-        return own + _core_predicates(hop.left) + _core_predicates(hop.right)
-    if hop.scan is not None:
-        return [] if hop.predicate is None else [hop.predicate]
-    predicates, plan = [], hop.plan
-    while isinstance(plan, Select):
-        predicates.append(plan.predicate)
-        plan = plan.child
-    return predicates
-
-
-def memo_scan(pushed: PushedLineageQuery) -> Optional[LineageScan]:
-    """The per-bar memo's lineage leaf: the only lineage leaf of a core
-    whose other leaves (if any) are all plain ``[Select*] Scan`` s of
-    catalog tables; ``None`` for any other core.  Its rid argument is
-    what the memo (and so ``sql_batch``) varies."""
-    leaves = _join_leaves(pushed.core)
-    scans = [side.scan for side in leaves if side.scan is not None]
-    if len(scans) != 1 or any(
-        side.scan is None and _plain_scan(side.plan) is None for side in leaves
-    ):
-        return None
-    return scans[0]
-
-
 def shared_fingerprint(scan: LineageScan, params: Optional[dict]) -> tuple:
     """:func:`~repro.lineage.cache.param_fingerprint` of a binding's
     parameters other than the memo leaf ``scan``'s rid argument: the part
@@ -612,43 +559,6 @@ def shared_fingerprint(scan: LineageScan, params: Optional[dict]) -> tuple:
     batch must agree on it."""
     rid = scan.rids.name if isinstance(scan.rids, Param) else None
     return param_fingerprint({k: v for k, v in (params or {}).items() if k != rid})
-
-
-def _memo_kind(pushed: PushedLineageQuery, config: CaptureConfig) -> Optional[str]:
-    """Which per-bar partial answers ``pushed`` (see :func:`_memo_tables`),
-    or ``None`` when the memo does not apply: capture must be off and the
-    memo's lineage leaf (:func:`memo_scan`) a *backward* scan with a rid
-    argument, whose value no other expression reads (predicates inside
-    the core included).
-
-    * ``"groups"`` — a ``COUNT(*)``-only GROUP BY without HAVING,
-      optionally under a bag projection;
-    * ``"distinct"`` — ``SELECT DISTINCT`` over the core;
-    * ``"rows"`` — predicate-only and bag-projection trees over a leaf
-      core (a join core's rows would have to merge by order key).
-    """
-    scan = memo_scan(pushed)
-    if config.enabled or scan is None or scan.direction != "backward" or scan.rids is None:
-        return None
-    gb, project = pushed.groupby, pushed.project
-    distinct = project is not None and project.distinct
-    if gb is not None and (
-        distinct
-        or gb.having is not None
-        or any(agg.func != "count" or agg.arg is not None for agg in gb.aggs)
-    ):
-        return None
-    if isinstance(scan.rids, Param):
-        exprs = _core_predicates(pushed.core)
-        exprs += [e for e, _ in gb.keys] if gb is not None else []
-        exprs += [e for e, _ in project.exprs] if project is not None else []
-        if any(scan.rids.name in collect_params(e) for e in exprs):
-            return None
-    if gb is not None:
-        return "groups"
-    if distinct:
-        return "distinct"
-    return "rows" if isinstance(pushed.core, PushedJoinSide) else None
 
 
 class _BarMemo:
@@ -662,7 +572,7 @@ class _BarMemo:
     ``"distinct"`` bar to ``[key columns..., codes, counts, order
     key...]`` with one entry per group in order-key order.  A row's
     **order key** is the tuple of leaf positions its output order follows
-    (:func:`_order_leaves` — ``(rid,)`` for a leaf core), with the lineage
+    (``MemoShape.order`` — ``(rid,)`` for a leaf core), with the lineage
     leaf's position being the base rid — and a group's entry holds its
     first row's key values and order key, and its **code**: its key tuple's
     index in the entry's only-growing key dictionary (:meth:`encode`).
@@ -702,37 +612,6 @@ class _BarMemo:
             ids, self.num_codes, reps = factorize(keys)
             self.keys = [k[reps] for k in keys]
         return ids[known:].astype(np.int32)
-
-
-def _lineage_reads(pushed: PushedLineageQuery, base: Schema) -> List[str]:
-    """The columns of the traced ``base`` table a fill may read, sorted:
-    those named by an output column (``pushed.columns``; ``None``: all),
-    a join key or a predicate anywhere in the tree, each name also with
-    its join-rename suffixes stripped (a join output column is its leaf
-    column plus zero or more :data:`JOIN_RENAME_SUFFIX`).  A superset of
-    what the fill reads, found without a schema walk.  A stand-in column
-    :func:`_narrow_names` gathers for a row count alone is not read: its
-    values never reach an answer."""
-    if pushed.columns is None:
-        return base.names
-    names = set(pushed.columns)
-    for predicate in _core_predicates(pushed.core):
-        names |= predicate.columns()
-    hops = [pushed.core]
-    while hops:
-        hop = hops.pop()
-        if isinstance(hop, PushedJoin):
-            names.update(hop.join.left_keys, hop.join.right_keys)
-            hops += [hop.left, hop.right]
-    reads = set()
-    for name in names:
-        while True:
-            if name in base:
-                reads.add(name)
-            if not name.endswith(JOIN_RENAME_SUFFIX):
-                break
-            name = name[: -len(JOIN_RENAME_SUFFIX)]
-    return sorted(reads)
 
 
 def _split_by(owner: np.ndarray, n: int, columns: List[np.ndarray]) -> list:
@@ -778,13 +657,12 @@ class _Step:
 def _lower(pushed, part, params, chain) -> List[_Step]:
     """A memo entry's core lowered once (:class:`_BarMemo`).  Each hop
     joins the lineage side to a plain ``[Select*] Scan`` leaf
-    (:func:`memo_scan`), filtered here over the table the entry pins.  A
+    (``MemoShape``), filtered here over the table the entry pins.  A
     hop with the lineage side left, keyed on the previous step's plain
     leaves alone and probing unique keys (carrier → region → continent),
     folds into that step unless a predicate stands between: its leaf is
     pre-joined here, and its decision, which no row count sways, counted."""
-    from .vector.join import KeyIndex
-    from .vector.kernels import factorize
+    from .vector.join import KeyIndex, compute_matches
 
     catalog, config, tables, _ = chain
     leaf = _ChainState.for_leaf(_JoinInput(part.base, base_table=part.base_name), _EMPTY)
@@ -796,10 +674,8 @@ def _lower(pushed, part, params, chain) -> List[_Step]:
             return False
         rows = _ChainState(spine.inputs, [None] * shift + step.plain.positions,
                            step.plain.num_rows, spine.schema, spine.origins, None)
-        probe = [rows.column_values(k) for k in names]
-        found, matched = KeyIndex(keys, [k.dtype for k in probe]).probe(probe)
-        by = stable_group_order(matched, other.num_rows)  # rows by (this leaf, the earlier)
-        step.plain = _joined(step.plain, other, found[by], matched[by], None)
+        matches = compute_matches([rows.column_values(k) for k in names], keys, build_left=False)
+        step.plain = _joined(step.plain, other, matches.out_left, matches.out_right, None)
         decision = choose_build_side(JoinSideStats(0), stats)  # no row count decides it
         step.swaps += decision.swapped
         step.detected += decision.pkfk
@@ -810,7 +686,7 @@ def _lower(pushed, part, params, chain) -> List[_Step]:
             if hop.scan is not None:
                 return leaf
             table = _plain_leaf(hop.plan, tables, config, params)
-            return _ChainState.for_leaf(_JoinInput(table, base_table=_plain_scan(hop.plan).table))
+            return _ChainState.for_leaf(_JoinInput(table, base_table=plain_scan(hop.plan).table))
         left, right = lower(hop.left), lower(hop.right)
         join = hop.join
         spine_left = isinstance(hop.left, PushedJoin) or hop.left.scan is not None
@@ -820,8 +696,6 @@ def _lower(pushed, part, params, chain) -> List[_Step]:
             sides.reverse()
             keys.reverse()
         (spine, spine_names), (other, names) = sides
-        if join.pkfk and not spine_left and factorize(keys[1])[1] != other.num_rows:
-            raise PlanError("pk-fk join requested but left keys are not unique")
         stats = other.key_stats(names, catalog)
         joined = _joined(left, right, _EMPTY, _EMPTY, None)
         last = steps[-1] if steps else None
@@ -852,12 +726,13 @@ def _fill_bars(pushed, kind, part, bars: List[int], params, chain, memo: _BarMem
     the interpreter would pick is counted — then the key gather and the
     factorize, with the bar as the leading group key, so each bar's groups
     come out as one block in order-key order, encoded."""
+    from .vector.join import compute_matches
     from .vector.kernels import factorize
 
     buckets = [part.bucket(bar) for bar in bars]
     rids = np.concatenate(buckets)
     owner = np.repeat(np.arange(len(bars)), [b.size for b in buckets])
-    predicate = next(side for side in _join_leaves(pushed.core) if side.scan is not None).predicate
+    predicate = next(side for side in pushed.memo.leaves if side.scan is not None).predicate
     if predicate is not None:
         keep = _passing(predicate, part.base, rids, params)
         rids, owner = rids[keep], owner[keep]
@@ -866,28 +741,23 @@ def _fill_bars(pushed, kind, part, bars: List[int], params, chain, memo: _BarMem
     stats = chain[3]
     state = _ChainState.for_leaf(_JoinInput(part.base, base_table=part.base_name), rids)
     for step in memo.lowered(lambda: _lower(pushed, part, params, chain)):
-        join, plain = step.hop.join, step.plain
+        join = step.hop.join
         names = join.left_keys if step.spine_left else join.right_keys
         keys = [state.column_values(k) for k in names]
         sides = [JoinSideStats(state.num_rows, step.unique), step.stats]
         decision = choose_build_side(*(sides if step.spine_left else sides[::-1]), join.pkfk)
         stats.build_swaps += decision.swapped + step.swaps
         stats.pkfk_detected += (decision.pkfk and not join.pkfk) + step.detected
-        if join.pkfk and step.spine_left and factorize(keys)[1] != state.num_rows:
-            raise PlanError("pk-fk join requested but left keys are not unique")
-        rows, matched = step.index.probe(keys)
-        if step.spine_left:
-            by = stable_group_order(matched, plain.num_rows)
-            rows, matched = rows[by], matched[by]
-            state = _joined(state, plain, rows, matched, None, step.joined)
-        else:
-            state = _joined(plain, state, matched, rows, None, step.joined)
-        owner = owner[rows]
+        nodes = [state, step.plain] if step.spine_left else [step.plain, state]
+        probe = (keys, None) if step.spine_left else (None, keys)
+        matches = compute_matches(*probe, join.pkfk, not step.spine_left, step.index)
+        state = _joined(*nodes, matches.out_left, matches.out_right, None, step.joined)
+        owner = owner[matches.out_left if step.spine_left else matches.out_right]
         if step.predicate is not None:
             kept = _kept(state, step.predicate, params)
             state, owner = state.narrow(kept, None), owner[kept]
     table = _gather_chain_output(state, pushed.columns)
-    order = [state.positions[leaf] for leaf in _order_leaves(pushed.core)]
+    order = [state.positions[leaf] for leaf in pushed.memo.order]
     if kind == "groups":
         keys = [np.asarray(evaluate(e, table, params)) for e, _ in pushed.groupby.keys]
     else:
@@ -1025,18 +895,19 @@ def _memo_tables(
     """Answer ``pushed`` for each binding from its per-bar memo; returns
     ``(tables, leaves)`` — ``leaves`` holding ``(alias, table name, rows,
     epoch)`` per core leaf in pre-order, for the node metadata — or
-    ``None`` when the memo does not apply (:func:`_memo_kind`, or an index
-    that is not a partition).
+    ``None`` when the memo does not apply (capture on, no
+    :class:`~repro.plan.rewrite.MemoShape`, or an index that is not a
+    partition).
 
     The memo is one cache entry per (pushed tree, parameters other than
     the rid argument — :func:`shared_fingerprint`), live while what its
     fills read is unchanged:
 
     * the traced base table's name and catalog epoch, and the array
-      objects of the columns of it the statement reads
-      (:func:`_lineage_reads`) — catalog columns never change in place, so
-      a ``preserve_rids`` refresh that rebuilds the table around the same
-      arrays keeps the memo unless it swaps a read column;
+      objects of the columns of it the statement reads (``MemoShape.reads``)
+      — catalog columns never change in place, so a ``preserve_rids``
+      refresh that rebuilds the table around the same arrays keeps the
+      memo unless it swaps a read column;
     * each plain join leaf's catalog epoch and table object;
     * the view's backward index object.  A re-registration builds a new
       one; the lookup compares it with the old one and re-stamps the
@@ -1050,24 +921,26 @@ def _memo_tables(
     call; the shrink guard once per bar fill.  All bindings must share
     one :func:`shared_fingerprint`.
     """
-    kind = _memo_kind(pushed, config)
-    if kind is None:
+    shape = None if config.enabled else pushed.memo
+    if shape is None:
         return None
-    scan = memo_scan(pushed)
+    kind, scan = shape.kind, shape.scan
     part = resolve_scan_partition(scan, catalog, results)
     if part is None:
         return None
     leaves, tables = [], {}
-    for side in _join_leaves(pushed.core):
-        plain = _plain_scan(side.plan)
+    for side in shape.leaves:
+        plain = plain_scan(side.plan)
         if plain is None:
             leaves.append((scan.alias, part.base_name, part.base.num_rows, part.epoch))
         else:
             table, epoch = tables.setdefault(plain.table, catalog.get_versioned(plain.table))
             leaves.append((plain.alias, plain.table, table.num_rows, epoch))
-    inputs = (part.base_name, part.epoch) + tuple(
-        Pin(part.base.column(name)) for name in _lineage_reads(pushed, part.base.schema)
-    ) + tuple((epoch, Pin(table)) for table, epoch in tables.values())
+    base = part.base.schema.names
+    reads = base if shape.reads is None else sorted(shape.reads.intersection(base))
+    inputs = (part.base_name, part.epoch) + tuple(Pin(part.base.column(n)) for n in reads) + tuple(
+        (epoch, Pin(table)) for table, epoch in tables.values()
+    )
 
     def build() -> _BarMemo:
         schema = None

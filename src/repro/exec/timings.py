@@ -36,7 +36,7 @@ LATE_MAT_CHAIN_HOPS = "late_mat_chain_hops"
 #: Chain hops whose build side was swapped by the cardinality rule.
 LATE_MAT_BUILD_SWAPS = "late_mat_build_swaps"
 
-#: Chain hops probed with the pk-fk fast path (build keys unique).
+#: Chain hops whose build keys column statistics alone know unique.
 LATE_MAT_PKFK_DETECTED = "late_mat_pkfk_detected"
 
 #: Seconds one execution spent finding and filling the per-bar memo's

@@ -263,7 +263,9 @@ class VectorExecutor:
                 plan.right, config, params, scan_keys, state
             )
             matches = compute_matches(
-                left_table, right_table, plan.left_keys, plan.right_keys, plan.pkfk
+                [left_table.column(k) for k in plan.left_keys],
+                [right_table.column(k) for k in plan.right_keys],
+                plan.pkfk,
             )
             fields = join_output_fields(left_table.schema, right_table.schema)
             src_names = left_table.schema.names + right_table.schema.names

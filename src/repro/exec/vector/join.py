@@ -1,8 +1,13 @@
 """Instrumented hash joins (paper Section 3.2.4, Figure 4 c/d).
 
-The build phase hashes the left relation; the probe phase streams the right
-relation and emits matches in right-row order (so outputs for one probe row
-are contiguous — the fact Defer exploits).  Lineage:
+One kernel computes every equi-join's matches (:func:`compute_matches`):
+the build phase indexes one side's key tuples once (:class:`KeyIndex`,
+which a per-bar memo keeps across fills) and the probe phase streams the
+other side through it.  The index's own uniqueness picks the probe's
+shape: with unique build keys (pk-fk) a probe is one gather through the
+key → position array, otherwise it expands CSR buckets.  Matches come out
+in right-row order whichever side built (so outputs for one probe row are
+contiguous — the fact Defer exploits).  Lineage:
 
 * backward: two rid *arrays* (output → left rid, output → right rid); these
   are byproducts of match computation,
@@ -36,7 +41,7 @@ from ...lineage.indexes import (
     stable_group_order,
 )
 from ...storage.table import Table
-from .kernels import chunk_ranges, factorize
+from .kernels import chunk_ranges
 
 
 class JoinMatches:
@@ -60,23 +65,6 @@ class JoinMatches:
         return int(self.out_left.shape[0])
 
 
-def _key_ids(
-    left_cols: Sequence[np.ndarray], right_cols: Sequence[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Factorize join keys over the union of both sides' values."""
-    n_left = left_cols[0].shape[0]
-    combined = []
-    for l, r in zip(left_cols, right_cols, strict=True):
-        if l.dtype == object or r.dtype == object:
-            combined.append(np.concatenate([l.astype(object), r.astype(object)]))
-        else:
-            combined.append(np.concatenate([l, r]))
-    if n_left + right_cols[0].shape[0] == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64), 0
-    ids, num_keys, _ = factorize(combined)
-    return ids[:n_left], ids[n_left:], num_keys
-
-
 def _find(values: np.ndarray, probe: np.ndarray) -> np.ndarray:
     """Index of each ``probe`` value in the sorted distinct ``values``
     (``-1``: absent), one NaN and -0.0 == 0.0 as in ``np.unique``."""
@@ -88,22 +76,20 @@ def _find(values: np.ndarray, probe: np.ndarray) -> np.ndarray:
 
 
 def _look_up(table: np.ndarray, low: int, probe: np.ndarray) -> np.ndarray:
-    """``table[probe - low]``, ``-1`` outside the table."""
-    at = probe - low
-    if at.size and (at.min() < 0 or at.max() >= table.size):
-        inside = (at >= 0) & (at < table.size)
-        return np.where(inside, table[np.where(inside, at, 0)], -1)
-    return table[at]
+    """``table[probe - low]``: an offset outside the key range clips to
+    ``-1`` or past the end, and both index the table's last entry, -1."""
+    at = np.subtract(probe, low, dtype=np.int64)
+    return table[np.clip(at, -1, table.size - 1, out=at)]
 
 
-def _coder(column: np.ndarray):
+def _coder(column: np.ndarray, probes: int):
     """``(ids, width, code)``: dense ids of ``column``'s ``width`` distinct
     values, and ``code(probe)`` giving each probe value's id (``-1``:
-    absent) under :func:`_key_ids`' equality — a dict on objects (first
-    occurrence, as ``factorize``), sorted values otherwise, or a lookup
-    table over an integer range at most four times the rows (``factorize``'s
-    dense criterion, without its floor: the table lives as long as the
-    index)."""
+    absent) — a dict on objects (first occurrence, as ``factorize``),
+    sorted values otherwise (one NaN, -0.0 == 0.0, as ``np.unique``), or a
+    lookup table over an integer range under four times the larger of the
+    rows and ``probes``, the rows one probe brings: a table never outgrows
+    the index it lives in, or the probe of a one-shot join."""
     if column.dtype == object:
         index: dict = {}
         ids = np.fromiter((index.setdefault(v, len(index)) for v in column), np.int64, column.size)
@@ -112,9 +98,9 @@ def _coder(column: np.ndarray):
         )
     distinct, ids = np.unique(column, return_inverse=True)
     low = int(distinct[0]) if column.dtype.kind == "i" and distinct.size else None
-    if low is None or int(distinct[-1]) - low >= 4 * ids.size:
+    if low is None or int(distinct[-1]) - low >= 4 * max(ids.size, probes):
         return ids, distinct.size, partial(_find, distinct)
-    table = np.full(int(distinct[-1]) - low + 1, -1, dtype=np.int64)
+    table = np.full(int(distinct[-1]) - low + 2, -1, dtype=np.int64)
     table[distinct - low] = np.arange(distinct.size)
     return ids, distinct.size, partial(_look_up, table, low)
 
@@ -124,31 +110,33 @@ class KeyIndex:
     other side: rows bucketed by dense key-tuple id (CSR, rows ascending
     per bucket — with unique keys, the buckets are the key → position
     array) and, per key column, a :func:`_coder`; a column after the
-    first codes the pair (tuple id so far, value id).  A probe finds
-    exactly the matches :func:`_key_ids` would: each column compares in
-    the type ``np.concatenate`` gives both sides (``dtypes``: the probe
-    side's)."""
+    first codes the pair (tuple id so far, value id).  Each column
+    compares in the type ``np.result_type`` gives both sides (``dtypes``:
+    the probe side's; the attribute: both sides'); ``probes``: the rows one probe brings, when known
+    (:func:`_coder`).  ``unique``: no key tuple repeats, so a probe is one
+    gather per match."""
 
-    __slots__ = ("coders", "buckets", "unique")
+    __slots__ = ("dtypes", "coders", "buckets", "unique", "rows")
 
-    def __init__(self, columns: Sequence[np.ndarray], dtypes: Sequence[np.dtype]):
+    def __init__(self, columns: Sequence[np.ndarray], dtypes: Sequence[np.dtype], probes: int = 0):
+        self.dtypes = [np.result_type(c.dtype, d) for c, d in zip(columns, dtypes, strict=True)]
         self.coders = []
-        for column, dtype in zip(columns, dtypes, strict=True):
-            dtype = np.result_type(column.dtype, dtype)  # as np.concatenate casts both
-            value_ids, width, code = _coder(column.astype(dtype, copy=False))
+        for column, dtype in zip(columns, self.dtypes):
+            value_ids, width, code = _coder(column.astype(dtype, copy=False), probes)
             pair = None
             if self.coders:
-                ids, num, pair = _coder(ids * width + value_ids)
+                ids, num, pair = _coder(ids * width + value_ids, probes)
             else:
                 ids, num = value_ids, width
-            self.coders.append((dtype, code, width, pair))
+            self.coders.append((code, width, pair))
         self.buckets = RidIndex.from_group_ids(ids, num)
-        self.unique = num == ids.size
+        self.rows = ids.size
+        self.unique = num == self.rows
 
     def probe(self, columns: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
         """``(probe rows, build rows)`` of every match, probe row major and
         build rows ascending within one probe row."""
-        for column, (dtype, code, width, pair) in zip(columns, self.coders, strict=True):
+        for column, dtype, (code, width, pair) in zip(columns, self.dtypes, self.coders, strict=True):
             value_ids = code(column.astype(dtype, copy=False))
             if pair is None:
                 ids = value_ids
@@ -162,121 +150,37 @@ class KeyIndex:
         return np.repeat(rows, self.buckets.counts()[ids]), self.buckets.lookup_many(ids)
 
 
-def probe_pkfk(
-    left_ids: np.ndarray,
-    right_ids: np.ndarray,
-    num_keys: int,
-    num_left: int,
+def compute_matches(
+    left_keys: Optional[Sequence[np.ndarray]],
+    right_keys: Optional[Sequence[np.ndarray]],
+    pkfk: bool = False,
+    build_left: bool = True,
+    index: Optional[KeyIndex] = None,
 ) -> JoinMatches:
-    """Probe for a pk-fk join (left keys unique).  Raises if they are not.
+    """The matches of the equi-join of ``left_keys`` with ``right_keys``
+    (one array per key column), in the canonical order: right row major,
+    left rows ascending within one right row — the order the lineage
+    locals (:func:`contiguous_forward_right`), the materializing path and
+    the equivalence suites assume, whichever side built.
 
-    One gather through the left-key position array; matches come out in
-    probe-row order, which is the canonical right-row-major order.
+    The build side (the left one when ``build_left``) is ``index`` when
+    given — a :class:`KeyIndex` over its keys, which then go unread — or
+    indexed here; the other side probes it.  A right-side build emits
+    left-row-major matches, restored by one stable sort by right row.
+    ``pkfk``: the plan asserts the left keys unique, and a
+    :class:`PlanError` says they are not.
     """
-    position = np.full(num_keys, NO_MATCH, dtype=np.int64)
-    position[left_ids] = np.arange(num_left, dtype=np.int64)
-    if np.unique(left_ids).shape[0] != num_left:
+    build, probe = (left_keys, right_keys) if build_left else (right_keys, left_keys)
+    num_probe = int(probe[0].shape[0])
+    if index is None:
+        index = KeyIndex(build, [c.dtype for c in probe], num_probe)
+    if pkfk and not (index if build_left else KeyIndex(left_keys, index.dtypes)).unique:
         raise PlanError("pk-fk join requested but left keys are not unique")
-    matches = position[right_ids] if right_ids.size else np.empty(0, np.int64)
-    mask = matches != NO_MATCH
-    out_left = matches[mask]
-    out_right = np.flatnonzero(mask)
-    return JoinMatches(out_left, out_right, num_left, right_ids.shape[0])
-
-
-def probe_mn(
-    left_ids: np.ndarray,
-    right_ids: np.ndarray,
-    num_keys: int,
-    num_left: int,
-) -> JoinMatches:
-    """Probe for a general m:n join; emits every (left, right) key match.
-
-    Build is one CSR counting sort over the left keys; the probe looks up
-    every right row's bucket.  Bucket entries are ascending within each
-    probe row and rows are emitted in probe-row order, so the output is
-    the canonical order with no re-sort.
-    """
-    if num_keys == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return JoinMatches(empty, empty, num_left, right_ids.shape[0])
-    buckets = RidIndex.from_group_ids(left_ids, num_keys)
-    counts = buckets.counts()[right_ids] if right_ids.size else np.empty(0, np.int64)
-    out_right = np.repeat(
-        np.arange(right_ids.shape[0], dtype=np.int64), counts
-    )
-    out_left = buckets.lookup_many(right_ids) if right_ids.size else np.empty(0, np.int64)
-    return JoinMatches(out_left, out_right, num_left, right_ids.shape[0])
-
-
-def compute_matches(  # the single entry point the executor and benches use
-    left: Table,
-    right: Table,
-    left_keys: Sequence[str],
-    right_keys: Sequence[str],
-    pkfk: bool,
-) -> JoinMatches:
-    return compute_matches_narrow(
-        [left.column(k) for k in left_keys],
-        [right.column(k) for k in right_keys],
-        pkfk,
-    )
-
-
-def compute_matches_narrow(
-    left_key_cols: Sequence[np.ndarray],
-    right_key_cols: Sequence[np.ndarray],
-    pkfk: bool,
-) -> JoinMatches:
-    """Probe with pre-gathered key columns only — the late-materializing
-    join path (:mod:`repro.exec.late_mat`) hands in one rid-gathered
-    array per join key instead of a full table, so the probe never sees
-    (or forces materialization of) any non-key column."""
-    left_ids, right_ids, num_keys = _key_ids(left_key_cols, right_key_cols)
-    num_left = int(left_key_cols[0].shape[0])
-    if pkfk:
-        return probe_pkfk(left_ids, right_ids, num_keys, num_left)
-    return probe_mn(left_ids, right_ids, num_keys, num_left)
-
-
-def compute_matches_oriented(
-    left_key_cols: Sequence[np.ndarray],
-    right_key_cols: Sequence[np.ndarray],
-    build_left: bool,
-    build_pkfk: bool,
-) -> JoinMatches:
-    """Probe with an *explicit* build side, emitting matches in the
-    canonical build-left order regardless of which side actually built.
-
-    The late-materializing chain executor picks its build side per hop
-    from cardinality statistics
-    (:func:`repro.substrate.stats.choose_build_side`); output order must
-    nevertheless stay bit-identical to the canonical probe — the right
-    (probe) side row-major, bucket entries ascending — because the
-    materializing fallback, lineage locals
-    (:func:`contiguous_forward_right` relies on that contiguity), and
-    the plan-equivalence harnesses all assume it.  A swapped probe emits
-    left-row-major order, so its matches are restored with one stable
-    sort by right row: within one right row, left matches then appear in
-    input order, i.e. ascending — exactly the canonical bucket order.
-
-    ``build_pkfk=True`` uses the pk-fk probe (position array instead of
-    CSR buckets, paper Section 3.2.4) and requires the build side's keys
-    to be unique — callers assert that via plan flags or column stats.
-    """
-    left_ids, right_ids, num_keys = _key_ids(left_key_cols, right_key_cols)
-    num_left = int(left_key_cols[0].shape[0])
-    num_right = int(right_key_cols[0].shape[0])
+    rows, matched = index.probe(probe)
     if build_left:
-        if build_pkfk:
-            return probe_pkfk(left_ids, right_ids, num_keys, num_left)
-        return probe_mn(left_ids, right_ids, num_keys, num_left)
-    probe = probe_pkfk if build_pkfk else probe_mn
-    swapped = probe(right_ids, left_ids, num_keys, num_right)
-    out_left = swapped.out_right  # probe side rows == canonical left
-    out_right = swapped.out_left  # build side rows == canonical right
-    order = stable_group_order(out_right, num_right)
-    return JoinMatches(out_left[order], out_right[order], num_left, num_right)
+        return JoinMatches(matched, rows, index.rows, num_probe)
+    order = stable_group_order(matched, index.rows)
+    return JoinMatches(rows[order], matched[order], num_probe, index.rows)
 
 
 def inject_forward_index(

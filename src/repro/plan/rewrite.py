@@ -33,8 +33,9 @@ executors hand to :func:`repro.exec.late_mat.execute_pushed`, which
   **every** hop of the chain (intermediate join outputs are never
   materialized — each hop narrows per-leaf position arrays instead),
 * picks each hop's hash-build side from cardinality statistics
-  (:func:`repro.substrate.stats.choose_build_side`), taking the pk-fk
-  fast probe when one side's keys are known unique,
+  (:func:`repro.substrate.stats.choose_build_side`), building on a side
+  whose keys are known unique, and matches every hop through the one
+  equi-join kernel (:func:`repro.exec.vector.join.compute_matches`),
 * evaluates predicates on the rid-gathered slices,
 * feeds the aggregation / DISTINCT kernels the (narrow) slice table,
 * deduplicates ``DISTINCT`` output in the rid domain (group lineage over
@@ -76,18 +77,21 @@ workloads pay N times per brush).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple, Union
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
-from ..expr.ast import BinOp, Expr
+from ..expr.ast import BinOp, Expr, Param, collect_params
 from .logical import (
     GroupBy,
     HashJoin,
     LineageScan,
     LogicalPlan,
     Project,
+    Scan,
     Select,
     walk,
 )
+from .schema import JOIN_RENAME_SUFFIX
 
 
 @dataclass(frozen=True)
@@ -141,6 +145,46 @@ PushedJoinHop = Union[PushedJoin, PushedJoinSide]
 
 
 @dataclass(frozen=True)
+class MemoShape:
+    """What the per-bar memo (:func:`repro.exec.late_mat._memo_tables`)
+    reads of a pushed tree's structure, derived once per tree
+    (:attr:`PushedLineageQuery.memo`).
+
+    ``kind`` names the per-bar partial that answers the tree:
+
+    * ``"groups"`` — a ``COUNT(*)``-only GROUP BY without HAVING,
+      optionally under a bag projection;
+    * ``"distinct"`` — ``SELECT DISTINCT`` over the core;
+    * ``"rows"`` — predicate-only and bag-projection trees over a leaf
+      core (a join core's rows would have to merge by order key).
+
+    ``scan`` is the core's only lineage leaf, a *backward* scan with a rid
+    argument whose value no other expression reads (predicates inside the
+    core included); the core's other leaves are plain ``[Select*] Scan`` s
+    of catalog tables.  Its rid argument is what the memo (and so
+    ``sql_batch``) varies.  ``leaves`` are the core's leaves in pre-order
+    (left before right): the order in which the interpreter consumes
+    occurrence keys and lays out its leaf positions.  ``order`` indexes
+    the leaves whose positions order the core's output, most significant
+    first: a hop's canonical output runs right side first, recursively,
+    so its rows are sorted by the tuple of these positions.  ``reads``
+    (``None``: every column) holds each name an output column, a join key
+    or a predicate of the tree reads, also with its join-rename suffixes
+    stripped (a join output column is its leaf column plus zero or more
+    :data:`~repro.plan.schema.JOIN_RENAME_SUFFIX`): a superset of the
+    traced table's columns a fill reads, found without a schema walk.  A
+    stand-in column gathered for a row count alone is not read: its
+    values never reach an answer.
+    """
+
+    kind: str
+    scan: LineageScan
+    leaves: Tuple[PushedJoinSide, ...]
+    order: Tuple[int, ...]
+    reads: Optional[FrozenSet[str]]
+
+
+@dataclass(frozen=True)
 class PushedLineageQuery:
     """A matched Project/GroupBy/Select tree over one pushable ``core``.
 
@@ -181,6 +225,99 @@ class PushedLineageQuery:
         single-join push would materialize at (0 for a leaf core, which
         has no join)."""
         return max(self.core.num_joins - 1, 0)
+
+    @cached_property
+    def memo(self) -> Optional[MemoShape]:
+        """The per-bar memo's facts about this tree, or ``None`` when no
+        per-bar partial answers it; derived on first use only."""
+        return _memo_shape(self)
+
+
+def plain_scan(plan: LogicalPlan) -> Optional[Scan]:
+    """The catalog ``Scan`` under a plain ``[Select*] Scan`` leaf (filters
+    preserve column uniqueness), else ``None``."""
+    while isinstance(plan, Select):
+        plan = plan.child
+    return plan if isinstance(plan, Scan) else None
+
+
+def _join_leaves(hop: PushedJoinHop) -> List[PushedJoinSide]:
+    if isinstance(hop, PushedJoin):
+        return _join_leaves(hop.left) + _join_leaves(hop.right)
+    return [hop]
+
+
+def _order_leaves(hop: PushedJoinHop, first: int = 0) -> List[int]:
+    if isinstance(hop, PushedJoin):
+        split = first + hop.left.num_joins + 1
+        return _order_leaves(hop.right, split) + _order_leaves(hop.left, first)
+    return [first]
+
+
+def _core_predicates(hop: PushedJoinHop) -> list:
+    """Every predicate inside a core: hop predicates, a lineage leaf's
+    pushed predicate, and the ``Select`` stack of a plain leaf."""
+    if isinstance(hop, PushedJoin):
+        own = [] if hop.predicate is None else [hop.predicate]
+        return own + _core_predicates(hop.left) + _core_predicates(hop.right)
+    if hop.scan is not None:
+        return [] if hop.predicate is None else [hop.predicate]
+    predicates, plan = [], hop.plan
+    while isinstance(plan, Select):
+        predicates.append(plan.predicate)
+        plan = plan.child
+    return predicates
+
+
+def _memo_shape(query: PushedLineageQuery) -> Optional[MemoShape]:
+    """:attr:`PushedLineageQuery.memo`, derived."""
+    leaves = tuple(_join_leaves(query.core))
+    scans = [side.scan for side in leaves if side.scan is not None]
+    if len(scans) != 1 or any(side.scan is None and plain_scan(side.plan) is None for side in leaves):
+        return None
+    scan = scans[0]
+    if scan.direction != "backward" or scan.rids is None:
+        return None
+    gb, project = query.groupby, query.project
+    if gb is not None and (
+        query.has_distinct
+        or gb.having is not None
+        or any(agg.func != "count" or agg.arg is not None for agg in gb.aggs)
+    ):
+        return None
+    predicates = _core_predicates(query.core)
+    if isinstance(scan.rids, Param):
+        exprs = predicates + ([e for e, _ in gb.keys] if gb is not None else [])
+        exprs += [e for e, _ in project.exprs] if project is not None else []
+        if any(scan.rids.name in collect_params(e) for e in exprs):
+            return None
+    if gb is not None:
+        kind = "groups"
+    elif query.has_distinct:
+        kind = "distinct"
+    elif isinstance(query.core, PushedJoinSide):
+        kind = "rows"
+    else:
+        return None
+    reads = None
+    if query.columns is not None:
+        names = set(query.columns)
+        for predicate in predicates:
+            names |= predicate.columns()
+        hops = [query.core]
+        while hops:
+            hop = hops.pop()
+            if isinstance(hop, PushedJoin):
+                names.update(hop.join.left_keys, hop.join.right_keys)
+                hops += [hop.left, hop.right]
+        stripped = set()
+        for name in names:
+            stripped.add(name)
+            while name.endswith(JOIN_RENAME_SUFFIX):
+                name = name[: -len(JOIN_RENAME_SUFFIX)]
+                stripped.add(name)
+        reads = frozenset(stripped)
+    return MemoShape(kind, scan, leaves, tuple(_order_leaves(query.core)), reads)
 
 
 def _fold_selects(node: LogicalPlan) -> Tuple[Optional[Expr], LogicalPlan]:

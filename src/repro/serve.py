@@ -414,7 +414,6 @@ class DatabaseServer:
             PushedStats,
             execute_pushed_batch,
             fold_push_stats,
-            memo_scan,
             shared_fingerprint,
         )
         from .exec.timings import EXECUTE
@@ -427,12 +426,10 @@ class DatabaseServer:
             return None
         prepared = self._db._statements.get(key, lambda: self._bind(statement, snap))
         pushed = prepared.rewrites.lookup(prepared.plan)
-        scan = None if pushed is None else memo_scan(pushed)
-        if scan is None:
+        shape = None if pushed is None else pushed.memo
+        if shape is None or not isinstance(shape.scan.rids, Param):
             return None
-        rid_param = scan.rids
-        if not isinstance(rid_param, Param):
-            return None
+        scan = shape.scan
         # One memo serves the batch: every binding must key it alike.
         shared = shared_fingerprint(scan, params_list[0])
         if any(shared_fingerprint(scan, p) != shared for p in params_list[1:]):

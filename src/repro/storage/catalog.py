@@ -113,7 +113,7 @@ class Catalog:
         """Distinct-count / uniqueness statistics of one stored column,
         computed once per ``(relation, epoch, column)`` and memoized —
         the late-materializing chain executor consults this per join hop
-        to pick build sides and detect pk-fk fast paths, so repeated
+        to pick build sides and detect pk-fk joins, so repeated
         interactive statements never re-scan the column."""
         table, epoch = self.get_versioned(name)
         return self.stats_for(name, table, epoch, column)

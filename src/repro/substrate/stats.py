@@ -18,9 +18,9 @@ The same cardinality knowledge drives the late-materializing chain
 executor's per-hop **build-side decision**
 (:func:`choose_build_side`): a hash join should build on its smaller
 input, and when one side's keys are known unique (a primary key — e.g.
-the lineage side of a ``Lb(view, dim)`` scan over a dimension table) the
-probe can take the pk-fk fast path, whose backward indexes are
-pre-allocatable (paper Section 3.2.4; cost-aware binary-join ordering
+the lineage side of a ``Lb(view, dim)`` scan over a dimension table) it
+should build there: each probe row then matches at most once, and the
+backward indexes are pre-allocatable (paper Section 3.2.4; cost-aware binary-join ordering
 under cardinality constraints is the lever of "Worst-case Optimal Binary
 Join Algorithms under General ℓp Constraints").  Uniqueness comes from
 :class:`ColumnStats` (:func:`collect_column_stats`), memoized per
@@ -128,7 +128,7 @@ def collect_column_stats(values: np.ndarray) -> ColumnStats:
 #: unbounded latency spike if the cold hit lands inside an interactive
 #: statement over a huge fact relation.  Above this row count callers
 #: should report ``keys_unique=None`` (unknown) and let the cardinality
-#: rule decide — only the pk-fk fast probe is forgone, never
+#: rule decide — only building on the unique side is forgone, never
 #: correctness.
 UNIQUENESS_PROBE_MAX_ROWS = 1 << 18
 
@@ -148,7 +148,7 @@ class BuildSideDecision:
     """Outcome of :func:`choose_build_side` for one join hop."""
 
     build_left: bool
-    pkfk: bool  # probe with the pk-fk fast path (build keys unique)
+    pkfk: bool  # the build keys are known unique (feeds a counter only)
     reason: str
 
     @property
@@ -162,14 +162,18 @@ def choose_build_side(
     """The per-hop build-side decision table.
 
     1. A plan-level ``pkfk`` flag asserts the *left* keys unique, so the
-       build stays left (the fast probe requires building on the unique
-       side).
-    2. Exactly one side known unique → build there with the pk-fk fast
-       path — this is how a unique *lineage* side (``Lb`` over a
-       dimension table) wins the pk-fk probe the plan never asserted.
+       build stays left.
+    2. Exactly one side known unique → build there — this is how a
+       unique *lineage* side (``Lb`` over a dimension table) becomes the
+       pk-fk build the plan never asserted.
     3. Both unique → the smaller unique side (ties left).
     4. Neither known unique → the smaller side (ties left — the
        deterministic tie-break the unit tests pin).
+
+    ``pkfk`` only feeds the ``late_mat_pkfk_detected`` counter: the
+    join's key index finds unique build keys by itself and then probes
+    with one gather per match
+    (:func:`~repro.exec.vector.join.compute_matches`).
     """
     if plan_pkfk:
         return BuildSideDecision(True, True, "plan-pkfk")

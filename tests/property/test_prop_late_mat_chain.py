@@ -364,12 +364,16 @@ MEMO_STATEMENTS = [
     "JOIN e1 ON t.m = e1.m GROUP BY f, u",
     "SELECT DISTINCT f, name FROM d1 JOIN Lb(pm, 't', :bars) ON d1.k = t.k "
     "JOIN d2 ON d1.g = d2.g",
+    "SELECT f, COUNT(*) AS c FROM Lb(pm, 't', :bars) JOIN d1 ON t.k = d1.k GROUP BY f",
+    "SELECT DISTINCT f FROM Lb(pm, 't', :bars) JOIN e1 ON t.m = e1.m",
+    "SELECT f, label, COUNT(*) AS c FROM d1 JOIN Lb(pm, 't', :bars) ON d1.k = t.k "
+    "JOIN d2 ON d1.g = d2.g JOIN d3 ON d2.h = d3.h GROUP BY f, label",
 ]
 
 memo_fact_rows = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=3),   # chain key k
-        st.integers(min_value=0, max_value=2),   # view key m (the bars)
+        st.integers(min_value=0, max_value=5),   # view key m (the bars)
         st.integers(min_value=0, max_value=30),  # value v
         st.sampled_from([0.0, -0.0, float("nan"), 1.5]),  # float key f
     ),
@@ -402,9 +406,9 @@ def _outcome(run):
     _covering(d1_row, range(4), 4),  # every fact k
     _covering(d2_row, range(3), 3),  # every d1.g
     _covering(d3_row, range(2), 2),  # every d2.h
-    _covering(e1_row, range(3), 2),  # every fact m
+    _covering(e1_row, range(6), 2),  # every fact m
     st.integers(min_value=0, max_value=31),
-    st.lists(st.lists(st.integers(min_value=0, max_value=3), max_size=5), min_size=1, max_size=4),
+    st.lists(st.lists(st.integers(min_value=0, max_value=5), max_size=6), min_size=2, max_size=4),
     st.booleans(),
 )
 @settings(deadline=None)  # example budget governed by the profile

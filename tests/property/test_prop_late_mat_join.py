@@ -10,6 +10,7 @@ linear-stack suite (``test_prop_late_mat.py``) never exercises.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
@@ -329,12 +330,13 @@ def test_memoized_join_matches_materialized(rows, drows, cut, brushes, out_of_ra
     assert stats["bar_fills"] + stats["bar_reuses"] == memoized_bars
 
 
-# A memo entry's key index (the lowered join build side) against the
-# hash join it replaces: key columns of either side drawn from pools
-# whose values collide across types — ints over a narrow and a wide
-# range, floats with -0.0/0.0 and NaN, objects mixing strings with equal
-# ints and floats — one or two columns per key, either side possibly
-# empty.  Matches must come out as the hash join's, in its order.
+# The one equi-join kernel against a pure-Python hash join: key columns
+# of either side drawn from pools whose values collide across types —
+# ints over a narrow and a wide range, floats with -0.0/0.0 and NaN,
+# objects mixing strings with equal ints and floats — one or two columns
+# per key, either side possibly empty; built on either side, from a key
+# index built here or handed in (a memo entry's), and as a plan-level
+# pk-fk join.  Matches must come out as the Python join's, in its order.
 _KEY_POOLS = {
     "int": (np.int64, st.integers(min_value=-2, max_value=3)),
     "wide": (np.int64, st.sampled_from([0, 1, -(10**6), 10**6])),
@@ -346,7 +348,9 @@ _KEY_POOLS = {
 @st.composite
 def key_sides(draw):
     kind = st.sampled_from(sorted(_KEY_POOLS))
-    kinds = draw(st.lists(st.tuples(kind, kind), min_size=1, max_size=2))
+    # Mostly one kind on both sides, so equal values (NaN among them) meet.
+    pair = kind.flatmap(lambda k: st.tuples(st.just(k), st.just(k) | kind))
+    kinds = draw(st.lists(pair, min_size=1, max_size=2))
 
     def side(which):
         n = draw(st.integers(min_value=0, max_value=12))
@@ -361,14 +365,43 @@ def key_sides(draw):
     return side(0), side(1)
 
 
-@given(key_sides())
-@settings(deadline=None)  # example budget governed by the profile
-def test_key_index_probe_matches_the_hash_join(sides):
-    from repro.exec.vector.join import KeyIndex, compute_matches_narrow
+def _key_tuples(side, other):
+    """``side``'s key tuples, each column cast to the ``np.result_type`` of
+    both sides; a float compares as ``np.unique`` groups it (one NaN,
+    -0.0 == 0.0), an object as a dict does."""
+    columns = []
+    for column, peer in zip(side, other, strict=True):
+        values = column.astype(np.result_type(column.dtype, peer.dtype))
+        nan = values.dtype.kind == "f"
+        columns.append([None if nan and v != v else v for v in values.tolist()])
+    return list(zip(*columns, strict=True))
 
-    build, probe = sides
-    note(f"build: {build!r}\nprobe: {probe!r}")
-    rows, matched = KeyIndex(build, [c.dtype for c in probe]).probe(probe)
-    want = compute_matches_narrow(build, probe, pkfk=False)
-    assert rows.tolist() == want.out_right.tolist()
-    assert matched.tolist() == want.out_left.tolist()
+
+def _python_join(left, right):
+    """``(matches, left keys unique)``: the (left row, right row) pairs of
+    the equi-join, right row major and left rows ascending."""
+    build = {}
+    for row, key in enumerate(_key_tuples(left, right)):
+        build.setdefault(key, []).append(row)
+    pairs = [(l, r) for r, key in enumerate(_key_tuples(right, left)) for l in build.get(key, [])]
+    return pairs, len(build) == left[0].shape[0]
+
+
+@given(key_sides(), st.booleans(), st.booleans(), st.booleans())
+@settings(deadline=None)  # example budget governed by the profile
+def test_key_index_probe_matches_the_hash_join(sides, build_left, handed, pkfk):
+    from repro.errors import PlanError
+    from repro.exec.vector.join import KeyIndex, compute_matches
+
+    left, right = sides
+    note(f"left: {left!r}\nright: {right!r}")
+    build, probe = (left, right) if build_left else (right, left)
+    index = KeyIndex(build, [c.dtype for c in probe]) if handed else None
+    want, left_unique = _python_join(left, right)
+    if pkfk and not left_unique:
+        with pytest.raises(PlanError):
+            compute_matches(left, right, pkfk, build_left, index)
+        return
+    matches = compute_matches(left, right, pkfk, build_left, index)
+    assert list(zip(matches.out_left.tolist(), matches.out_right.tolist(), strict=True)) == want
+    assert (matches.num_left, matches.num_right) == (left[0].shape[0], right[0].shape[0])

@@ -458,30 +458,64 @@ FILTERED = (
 
 
 def test_join_fills_probe_key_indexes_not_a_hash_join(monkeypatch):
-    """A memo entry lowers its join core once; its fills probe the plain
-    sides' key indexes: with the interpreter's hash join patched to raise,
-    join and chain brushes over unfilled bars, and a batch, answer as the
-    plain path."""
+    """A memo entry lowers its join core once: one key index per plain join
+    leaf, built on the entry's first fill; fills of further bars build
+    none, and join and chain brushes, and a batch, answer as the plain
+    path."""
     from repro.exec.vector import join
 
     db = _join_db()
     brushes = ([0], [2, 1], [0, 1, 2])
-    stmts = (JOIN, CHAIN, RENAMED)
+    stmts = {JOIN: 1, CHAIN: 2, RENAMED: 1}
     expected = [[_plain(db, stmt, bars) for bars in brushes] for stmt in stmts]
     distinct = "SELECT DISTINCT region, w FROM Lb(v, 't', :bars) JOIN carriers ON t.g = carriers.g"
     batch = [[1, 0], [2]]
     expected_batch = [_plain(db, distinct, bars) for bars in batch]
+    built = []
 
-    def refuse(*args):
-        raise AssertionError("a fill ran the hash join")
+    class Counted(join.KeyIndex):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(join, "compute_matches_oriented", refuse)
-    for stmt, want in zip(stmts, expected, strict=True):
-        assert [db.sql(stmt, params={"bars": b}).table.to_rows() for b in brushes] == want
+    monkeypatch.setattr(join, "KeyIndex", Counted)
+    for (stmt, leaves), want in zip(stmts.items(), expected, strict=True):
+        answers = []
+        for bars in brushes:
+            built.clear()
+            answers.append(db.sql(stmt, params={"bars": bars}).table.to_rows())
+            assert len(built) == (leaves if bars == brushes[0] else 0)
+        assert answers == want
+    built.clear()
     with DatabaseServer(db, readers=1, memoize_answers=False) as server:
         answers = server.sql_batch(distinct, [{"bars": bars} for bars in batch])
     assert [r.table.to_rows() for r in answers] == expected_batch
+    assert len(built) == 1
     assert _bar_traffic(db.lineage_cache.stats()) == (12, 9)
+
+
+def test_a_warm_statement_derives_no_memo_fact_again(monkeypatch):
+    """What the memo reads of a statement's plan (its lineage leaf and kind,
+    the core's leaves and order, the columns a fill may read) is derived
+    once per bound plan: a warm statement's next run, and a batch of it,
+    call none of the helpers that derive it."""
+    from repro.plan import rewrite
+
+    db = _join_db()
+    stmts = (BRUSH, ROWS, JOIN, CHAIN, RENAMED)
+    expected = [_plain(db, stmt, [2, 1]) for stmt in stmts]
+    for stmt in stmts:
+        db.sql(stmt, params={"bars": [0]})
+
+    def refuse(*args):
+        raise AssertionError("a plan fact was derived again")
+
+    for name in ("_memo_shape", "_join_leaves", "_order_leaves", "_core_predicates", "collect_params"):
+        monkeypatch.setattr(rewrite, name, refuse)
+    assert [db.sql(stmt, params={"bars": [2, 1]}).table.to_rows() for stmt in stmts] == expected
+    with DatabaseServer(db, readers=1, memoize_answers=False) as server:
+        batch = server.sql_batch(JOIN, [{"bars": [2, 1]}, {"bars": [2, 1]}])
+    assert [r.table.to_rows() for r in batch] == [expected[2]] * 2
 
 
 def _counting_selects(monkeypatch, pause=0.0) -> list:

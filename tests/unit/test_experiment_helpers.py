@@ -44,8 +44,8 @@ class TestFig07:
         left100, _ = make_tables(100, 2_000)
         from repro.exec.vector.join import compute_matches
 
-        out10 = compute_matches(left10, right, ("z",), ("z",), False).num_out
-        out100 = compute_matches(left100, right, ("z",), ("z",), False).num_out
+        out10 = compute_matches([left10.column("z")], [right.column("z")]).num_out
+        out100 = compute_matches([left100.column("z")], [right.column("z")]).num_out
         assert out10 > out100  # fewer left groups -> more matches
 
 

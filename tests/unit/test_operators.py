@@ -319,7 +319,7 @@ class TestHashJoin:
 
     def test_join_matches_kernel_direct(self, small_db):
         matches = compute_matches(
-            small_db.table("gids"), small_db.table("zipf"), ("id",), ("z",), True
+            [small_db.table("gids").column("id")], [small_db.table("zipf").column("z")], True
         )
         assert matches.num_out == 2000
         locals_ = join_lineage_locals(matches, CaptureConfig.inject(), pkfk=True)
