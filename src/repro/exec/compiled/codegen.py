@@ -380,7 +380,12 @@ class GroupByNode(Emitter):
 
     def setup(self, ctx: CodeContext) -> None:
         self._ht = ctx.fresh("ght")
-        ctx.prologue.append(f"{self._ht} = {{}}")
+        seed = ""
+        if not self.keys and all(a.func == "count" for a in self.aggs):
+            # A keyless COUNT over no row still answers one row of zeros.
+            inits = [_agg_init(a) for a in self.aggs] + ["[]" for _ in self.lineage_keys]
+            seed = f"(): [{', '.join(inits)}]"
+        ctx.prologue.append(f"{self._ht} = {{{seed}}}")
         # Epilogue: γ_agg scan over insertion-ordered dict.
         key_names = [a for _, a in self.keys]
         out_cols = key_names + [a.alias for a in self.aggs]

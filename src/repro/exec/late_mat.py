@@ -4,8 +4,8 @@ Runs a :class:`~repro.plan.rewrite.PushedLineageQuery` — a
 ``[Project?][GroupBy?][Select*]`` tree over one pushed **core**: a single
 :class:`~repro.plan.logical.LineageScan` leaf (a zero-join core) or a
 flattened **chain** (or snowflake tree) of hash equi-joins with
-lineage-backed leaves — through one chain interpreter, without ever
-materializing the traced subset *or any intermediate join output*:
+lineage-backed leaves — as one left-deep plan of key probes, without
+ever materializing the traced subset *or any intermediate join output*:
 
 1. resolve the traced rid array(s) against the result registry
    (:func:`repro.exec.lineage_scan.resolve_scan_source`, so every
@@ -16,21 +16,26 @@ materializing the traced subset *or any intermediate join output*:
    :class:`~repro.lineage.cache.LineageResolutionCache`, answer from its
    **per-bar memo** instead: partial answers per brushed bar (the
    paper's partial data cube, §4.2), filled lazily from the bars' CSR
-   slices through the entry's core lowered once to key-index probes
-   (:func:`_lower`), and merged per brush by order key and
-   key-dictionary code, hashing no key (:func:`_memo_tables`);
-2. evaluate pushed predicates on rid-gathered slices of **only the
-   predicates' columns**, narrowing the rid arrays to survivors;
-3. for a join core, probe the chain hop by hop: each hop gathers **only
-   its join keys** through the per-leaf position arrays accumulated so
-   far, picks its hash-build side from cardinality statistics
+   slices through the same lowered core and step loop, the entry's
+   plain leaves filtered and key-indexed once, and merged per brush by
+   order key and key-dictionary code, hashing no key (:func:`_memo_tables`);
+2. lower the core (:func:`_lower`): visit its leaves in pre-order,
+   filtering the lineage leaf's pushed predicates on rid-gathered slices
+   of **only the predicates' columns**, and lay its hops out as a
+   **spine** — the input carrying the lineage leaf — that joins one
+   other input per step (a core of its own when both inputs carry
+   lineage);
+3. run the steps (:func:`_run_steps`): each gathers **only the spine's
+   join keys** through the per-leaf position arrays accumulated so far,
+   picks its hash-build side from cardinality statistics
    (:func:`~repro.substrate.stats.choose_build_side` — a side whose keys
    are known unique, e.g. a lineage scan over a dimension table, else
    the smaller one), matches the keys through the one equi-join kernel
    (:func:`~repro.exec.vector.join.compute_matches`, whose key index
-   finds unique build keys by itself), and composes the match arrays
-   into the position arrays — a join output row is represented as one
-   position per leaf, never as materialized payload;
+   finds unique build keys by itself), composes the match arrays into
+   the position arrays — a join output row is represented as one
+   position per leaf, never as materialized payload — and filters by
+   the hop's predicate;
 4. gather the columns the output actually needs — group keys and
    aggregate arguments, projection inputs, or (predicate-only trees)
    the full core schema — at the *final surviving* positions only, and
@@ -51,7 +56,7 @@ materializing path: composing the scan's rid-array lineage with a
 selection's local rid array *is* the filtered rid array, so
 :func:`~repro.exec.lineage_scan.scan_node_lineage` over the surviving
 rids equals the materialized path's ``compose_node(select, scan)``;
-every chain hop composes its (canonical-order) match arrays through the
+every step composes its (canonical-order) match arrays through the
 same :func:`~repro.exec.vector.join.join_lineage_locals` /
 :func:`~repro.lineage.composer.merge_binary` calls the vector executor
 makes — a swapped build side re-sorts its matches back into canonical
@@ -204,44 +209,6 @@ def _narrow_names(schema: Schema, columns) -> List[str]:
     return names[:1]
 
 
-def _gather(source: Table, rids: np.ndarray, names: Sequence[str]) -> Table:
-    """Narrow gather: one fancy-index per listed column, nothing else."""
-    return Table(
-        {n: source.column(n)[rids] for n in names},
-        Schema([(n, source.schema.type_of(n)) for n in names]),
-    )
-
-
-def _passing(predicate, source: Table, rids: np.ndarray, params) -> np.ndarray:
-    """Mask of the ``rids`` whose rows pass ``predicate``, evaluated over
-    a gather of only its own columns."""
-    pred_table = _gather(source, rids, _narrow_names(source.schema, predicate.columns()))
-    return np.asarray(evaluate(predicate, pred_table, params), dtype=bool)
-
-
-class _JoinInput:
-    """One resolved leaf of a pushed join chain: the table its row
-    positions index — a lineage leaf's traced source, whose rows are
-    *never* materialized here (payload columns are gathered at
-    chain-surviving positions only), or a plain leaf already executed to
-    a table — and its node lineage.
-
-    ``base_table`` names the catalog relation the leaf's row *positions*
-    index into (the traced base table of a backward scan, or the scanned
-    table of a plain ``[Select*] Scan`` leaf); the chain executor uses it
-    to consult column statistics for build-side and pk-fk decisions.
-    ``None`` means no base-table statistics apply (forward scans, derived
-    tables, nested plans).
-    """
-
-    __slots__ = ("table", "node", "base_table")
-
-    def __init__(self, table: Table, node=None, base_table=None):
-        self.table = table
-        self.node = node
-        self.base_table = base_table
-
-
 class _ChainState:
     """A (partially joined) chain node held in the position domain.
 
@@ -253,20 +220,24 @@ class _ChainState:
     predicate slices per pushed ``Select``, payload only once at the
     chain root — so unmatched rows never surface any payload and
     intermediate hops move nothing but ``int64`` positions.
+
+    ``tables[k]`` is the table leaf ``k``'s positions index — a lineage
+    leaf's traced source, whose rows are *never* materialized here, or a
+    plain leaf already executed to a table.  ``bases[k]`` names the
+    catalog relation those positions index into (the traced base table
+    of a backward scan, or the scanned table of a plain ``[Select*]
+    Scan`` leaf), whose column statistics feed build-side and pk-fk
+    decisions; ``None`` means none apply (forward scans, derived tables,
+    nested plans).  ``node`` is the node lineage, ``None`` on the per-bar
+    memo's path, which composes none.
     """
 
-    __slots__ = ("inputs", "positions", "num_rows", "schema", "origins", "node", "_index")
+    __slots__ = ("tables", "bases", "positions", "num_rows", "schema", "origins", "node", "_index")
 
-    def __init__(
-        self,
-        inputs: List[_JoinInput],
-        positions: List[Optional[np.ndarray]],
-        num_rows: int,
-        schema: Schema,
-        origins: List[Tuple[int, str]],
-        node: NodeLineage,
-    ):
-        self.inputs = inputs
+    def __init__(self, tables: List[Table], bases: List[Optional[str]], positions: list,
+                 num_rows: int, schema: Schema, origins: List[Tuple[int, str]], node):
+        self.tables = tables
+        self.bases = bases
         self.positions = positions
         self.num_rows = num_rows
         self.schema = schema
@@ -275,13 +246,13 @@ class _ChainState:
         self._index: Dict[str, int] = {n: i for i, n in enumerate(schema.names)}
 
     @classmethod
-    def for_leaf(cls, leaf: _JoinInput, rows: Optional[np.ndarray] = None) -> "_ChainState":
-        """The node of ``leaf``'s ``rows`` (``None``: all of them)."""
+    def for_leaf(cls, table: Table, rows=None, node=None, base=None) -> "_ChainState":
+        """The node of ``table``'s ``rows`` (``None``: all of them)."""
         # The *full* leaf schema: join-output renaming must see every
         # column, exactly as the materializing path's subset table would.
-        schema = leaf.table.schema
-        size = leaf.table.num_rows if rows is None else int(rows.shape[0])
-        return cls([leaf], [rows], size, schema, [(0, n) for n in schema.names], leaf.node)
+        schema = table.schema
+        size = table.num_rows if rows is None else int(rows.shape[0])
+        return cls([table], [base], [rows], size, schema, [(0, n) for n in schema.names], node)
 
     def column_values(self, name: str) -> np.ndarray:
         """One output column of this chain node, gathered through the
@@ -294,7 +265,7 @@ class _ChainState:
                 f"unknown column {name!r}; available: {self.schema.names}"
             )
         leaf_idx, src = self.origins[idx]
-        values = self.inputs[leaf_idx].table.column(src)
+        values = self.tables[leaf_idx].column(src)
         pos = self.positions[leaf_idx]
         return values if pos is None else values[pos]
 
@@ -306,8 +277,8 @@ class _ChainState:
         gather, which covers an ``Lb`` over a dimension table.
         """
         unique: Optional[bool] = None
-        if len(self.inputs) == 1 and self.inputs[0].base_table is not None:
-            base = self.inputs[0].base_table
+        base = self.bases[0] if len(self.bases) == 1 else None
+        if base is not None:
             base_rows = catalog.get_versioned(base)[0].num_rows
             if base_rows <= UNIQUENESS_PROBE_MAX_ROWS:
                 # Deriving uniqueness scans the base column once per
@@ -323,124 +294,31 @@ class _ChainState:
                         break
         return JoinSideStats(rows=self.num_rows, keys_unique=unique)
 
-    def narrow(self, kept: np.ndarray, node: NodeLineage) -> "_ChainState":
+    def narrow(self, kept: np.ndarray, node: Optional[NodeLineage]) -> "_ChainState":
         """Keep only the listed output rows (a pushed ``Select``)."""
-        return _ChainState(
-            self.inputs,
-            [kept if p is None else p[kept] for p in self.positions],
-            int(kept.shape[0]),
-            self.schema,
-            self.origins,
-            node,
-        )
+        positions = [kept if p is None else p[kept] for p in self.positions]
+        return _ChainState(self.tables, self.bases, positions, int(kept.shape[0]), self.schema,
+                           self.origins, node)
 
 
-class _ChainContext:
-    """Execution-scoped handles threaded through the chain recursion over
-    one pushed core (a single leaf or a join tree)."""
-
-    __slots__ = ("catalog", "results", "config", "params", "next_key", "run_child", "stats")
-
-    def __init__(self, catalog, results, config, params, next_key, run_child, stats):
-        self.catalog = catalog
-        self.results = results
-        self.config = config
-        self.params = params
-        self.next_key = next_key
-        self.run_child = run_child
-        self.stats = stats
-
-
-def _resolve_scan_side(side: PushedJoinSide, key: str, ctx: _ChainContext) -> _ChainState:
-    """Resolve a lineage-backed core leaf to the node of its source's
-    surviving rids, filtering its folded ``Select`` stack in the rid
-    domain (a leaf core's WHERE included)."""
-    source, rids, source_name, domain, epoch = resolve_scan_source(
-        side.scan, ctx.catalog, ctx.results, ctx.params
-    )
-    if side.predicate is not None:
-        rids = rids[_passing(side.predicate, source, rids, ctx.params)]
-    node = scan_node_lineage(
-        side.scan, key, rids, source_name, domain, ctx.config, epoch
-    )
-    leaf = _JoinInput(
-        source,
-        node,
-        # Positions of a backward scan index the traced base relation, so
-        # that relation's column statistics transfer to the gathered keys.
-        base_table=source_name if side.scan.direction == "backward" else None,
-    )
-    return _ChainState.for_leaf(leaf, rids)
-
-
-def _chain_select(
-    state: _ChainState,
-    predicate,
-    config: CaptureConfig,
-    params: Optional[dict],
-) -> _ChainState:
-    """A pushed ``Select`` over a chain node, in the position domain:
-    gather only the predicate's columns, narrow every leaf's positions to
-    the passing rows, and compose the same 1-to-1 selection locals the
-    materializing path's :func:`~repro.exec.vector.select.execute_select`
-    builds."""
+def _chain_select(state: _ChainState, predicate, config: CaptureConfig, params):
+    """A pushed ``Select`` over a chain node, in the position domain, and
+    the rows it keeps: gather only the predicate's columns, narrow every
+    leaf's positions to the passing rows, and, when the node carries
+    lineage, compose the same 1-to-1 selection locals the materializing
+    path's :func:`~repro.exec.vector.select.execute_select` builds."""
     kept = _kept(state, predicate, params)
-    local_bw, local_fw = selection_locals(kept, state.num_rows, config)
-    node = compose_node(int(kept.shape[0]), state.node, local_bw, local_fw)
-    return state.narrow(kept, node)
+    node = None
+    if state.node is not None:
+        local_bw, local_fw = selection_locals(kept, state.num_rows, config)
+        node = compose_node(int(kept.shape[0]), state.node, local_bw, local_fw)
+    return state.narrow(kept, node), kept
 
 
 def _kept(state: _ChainState, predicate, params: Optional[dict]) -> np.ndarray:
     """The rows of ``state`` passing ``predicate``, over a gather of its columns."""
     pred_table = _gather_chain_output(state, predicate.columns())
     return np.flatnonzero(np.asarray(evaluate(predicate, pred_table, params), dtype=bool))
-
-
-def _run_hop(hop: PushedJoinHop, ctx: _ChainContext) -> _ChainState:
-    """Execute one chain hop (leaf or join) to a position-domain node."""
-    if isinstance(hop, PushedJoin):
-        left = _run_hop(hop.left, ctx)
-        right = _run_hop(hop.right, ctx)
-        state = _join_states(hop, left, right, ctx)
-        if hop.predicate is not None:
-            state = _chain_select(state, hop.predicate, ctx.config, ctx.params)
-        return state
-    if hop.scan is not None:
-        return _resolve_scan_side(hop, ctx.next_key(), ctx)
-    table, node = ctx.run_child(hop.plan)
-    scan = plain_scan(hop.plan)
-    return _ChainState.for_leaf(_JoinInput(table, node, None if scan is None else scan.table))
-
-
-def _join_states(
-    hop: PushedJoin, left: _ChainState, right: _ChainState, ctx: _ChainContext
-) -> _ChainState:
-    """One hash-join hop over two chain nodes: narrow key probe with a
-    stats-chosen build side, position composition, and the same
-    local-lineage merge the vector executor performs."""
-    from .vector.join import compute_matches, join_lineage_locals
-
-    join = hop.join
-    left_keys = [left.column_values(k) for k in join.left_keys]
-    right_keys = [right.column_values(k) for k in join.right_keys]
-    decision = choose_build_side(
-        left.key_stats(join.left_keys, ctx.catalog),
-        right.key_stats(join.right_keys, ctx.catalog),
-        join.pkfk,
-    )
-    if decision.swapped:
-        ctx.stats.build_swaps += 1
-    if decision.pkfk and not join.pkfk:
-        ctx.stats.pkfk_detected += 1
-    matches = compute_matches(left_keys, right_keys, join.pkfk, decision.build_left)
-    # Lineage composes per hop exactly as the materializing executors do
-    # (canonical-order matches, plan-level pkfk flag), so a chain's
-    # captured lineage is the same merge_binary fold the fallback builds.
-    l_bw, l_fw, r_bw, r_fw = join_lineage_locals(matches, ctx.config, join.pkfk)
-    node = merge_binary(
-        matches.num_out, left.node, right.node, l_bw, l_fw, r_bw, r_fw
-    )
-    return _joined(left, right, matches.out_left, matches.out_right, node)
 
 
 def _joined(left: _ChainState, right: _ChainState, out_left, out_right, node, like=None):
@@ -451,14 +329,14 @@ def _joined(left: _ChainState, right: _ChainState, out_left, out_right, node, li
         out_right if p is None else p[out_right] for p in right.positions
     ]
     if like is None:
-        shift = len(left.inputs)
+        shift = len(left.tables)
         fields = join_output_fields(left.schema, right.schema)
         schema = Schema([(n, t) for n, t, _ in fields])
         origins = left.origins + [(leaf + shift, src) for leaf, src in right.origins]
     else:
         schema, origins = like.schema, like.origins
-    inputs = left.inputs + right.inputs
-    return _ChainState(inputs, positions, int(out_left.shape[0]), schema, origins, node)
+    return _ChainState(left.tables + right.tables, left.bases + right.bases, positions,
+                       int(out_left.shape[0]), schema, origins, node)
 
 
 def _gather_chain_output(state: _ChainState, columns) -> Table:
@@ -470,6 +348,137 @@ def _gather_chain_output(state: _ChainState, columns) -> Table:
         {n: state.column_values(n) for n in names},
         Schema([(n, state.schema.type_of(n)) for n in names]),
     )
+
+
+@dataclass
+class _Step:
+    """One lowered hop of a core (:func:`_lower`), with the hops folded
+    into it: the spine joins the ``plain`` side, then ``predicate``
+    filters; ``index``, a memo entry's key index over ``plain``'s keys."""
+
+    hop: PushedJoin
+    plain: _ChainState  # the other input (pre-joined when folded), rows in canonical order
+    spine_left: bool  # the spine is the hop's left input
+    names: Sequence[str]  # the plain side's key columns
+    dtypes: list  # the spine's key column types
+    unique: Optional[bool]  # the spine's key uniqueness, from stats
+    stats: JoinSideStats  # the plain side's
+    joined: _ChainState  # the layout of the last folded hop's output (no rows)
+    predicate: object  # the last folded hop's
+    swaps: int = 0  # build-side decisions of the folded hops
+    detected: int = 0
+    index: object = None
+
+
+def _fold(step: _Step, spine: _ChainState, names, other: _ChainState, keys, stats) -> bool:
+    """Fold a hop keyed on ``names`` into ``step`` when they are columns
+    of ``step``'s plain leaves: pre-join its ``other`` input, whose
+    ``keys`` are unique, to ``step.plain``, and count its build-side
+    decision, which no row count sways."""
+    from .vector.join import compute_matches
+
+    shift = len(spine.tables) - len(step.plain.tables)  # leaves before step.plain's
+    if any(spine.origins[spine.schema.index_of(k)][0] < shift for k in names):
+        return False
+    rows = _ChainState(spine.tables, spine.bases, [None] * shift + step.plain.positions,
+                       step.plain.num_rows, spine.schema, spine.origins, None)
+    matches = compute_matches([rows.column_values(k) for k in names], keys, build_left=False)
+    step.plain = _joined(step.plain, other, matches.out_left, matches.out_right, None)
+    decision = choose_build_side(JoinSideStats(0), stats)
+    step.swaps += decision.swapped
+    step.detected += decision.pkfk
+    return True
+
+
+def _lower(hop: PushedJoinHop, leaf, plain: RunChild, catalog: Catalog, run, steps: List[_Step]):
+    """``hop`` lowered into ``steps``: a left-deep plan whose spine, the
+    input carrying the lineage leaf, joins one other input per step.
+    Returns ``hop``'s node (the spine's has no rows) and the lineage
+    leaf's node.  Leaves are visited in pre-order: ``leaf(side)`` gives
+    the lineage leaf's node, ``plain(plan)`` a plain leaf's ``(table,
+    node)``.  When both inputs of a hop carry lineage, the right one is
+    lowered into steps of its own, which ``run(leaf node, steps)`` runs.
+    With no node lineage to compose (a memo entry), a hop with the spine
+    left, keyed on the previous step's plain leaves alone and probing
+    unique keys (carrier → region → continent), folds into that step
+    unless a predicate stands between (:func:`_fold`)."""
+    if isinstance(hop, PushedJoinSide):
+        if hop.scan is not None:
+            node = leaf(hop)
+            return node.narrow(_EMPTY, None), node
+        table, node = plain(hop.plan)
+        scan = plain_scan(hop.plan)
+        base = None if scan is None else scan.table
+        return _ChainState.for_leaf(table, node=node, base=base), None
+    join, spine_left = hop.join, hop.left.has_lineage
+    left, spine_leaf = _lower(hop.left, leaf, plain, catalog, run, steps)
+    if spine_left and hop.right.has_lineage:
+        own: List[_Step] = []
+        right = run(_lower(hop.right, leaf, plain, catalog, run, own)[1], own)
+    else:
+        right, found = _lower(hop.right, leaf, plain, catalog, run, steps)
+        spine_leaf = spine_leaf if spine_left else found
+    sides = [(left, join.left_keys), (right, join.right_keys)]
+    keys = [[node.column_values(k) for k in names] for node, names in sides]
+    if not spine_left:
+        sides.reverse()
+        keys.reverse()
+    (spine, spine_names), (other, names) = sides
+    stats = other.key_stats(names, catalog)
+    joined = _joined(left, right, _EMPTY, _EMPTY, None)
+    last = steps[-1] if steps else None
+    if not (
+        spine_left and not join.pkfk and stats.keys_unique and other.node is None
+        and last is not None and last.spine_left and last.predicate is None
+        and _fold(last, spine, spine_names, other, keys[1], stats)
+    ):
+        unique = spine.key_stats(spine_names, catalog).keys_unique
+        last = _Step(hop, other, spine_left, names, [k.dtype for k in keys[0]], unique, stats,
+                     joined, None)
+        steps.append(last)
+    last.joined, last.predicate = joined, hop.predicate
+    return joined, spine_leaf
+
+
+def _run_steps(state: _ChainState, steps: List[_Step], config, params, stats, owner=None):
+    """A lowered core (:func:`_lower`) run from its spine leaf's node
+    ``state``; returns the core's node and ``owner``, a per-row array (a
+    fill's bar per row), carried through the matches.  Per step: gather
+    the spine's keys, count the build side
+    :func:`~repro.substrate.stats.choose_build_side` picks, probe the
+    step's key index or else build on that side, compose the join's
+    lineage locals when the spine carries a node, then filter by the
+    hop's predicate."""
+    from .vector.join import compute_matches, join_lineage_locals
+
+    for step in steps:
+        join = step.hop.join
+        names = join.left_keys if step.spine_left else join.right_keys
+        keys = [state.column_values(k) for k in names]
+        sides = [JoinSideStats(state.num_rows, step.unique), step.stats]
+        decision = choose_build_side(*(sides if step.spine_left else sides[::-1]), join.pkfk)
+        stats.build_swaps += decision.swapped + step.swaps
+        stats.pkfk_detected += (decision.pkfk and not join.pkfk) + step.detected
+        left, right = (state, step.plain) if step.spine_left else (step.plain, state)
+        other, build_left = None, not step.spine_left  # the index's side builds
+        if step.index is None:
+            other = [step.plain.column_values(k) for k in step.names]
+            build_left = decision.build_left
+        probe = (keys, other) if step.spine_left else (other, keys)
+        matches = compute_matches(*probe, join.pkfk, build_left, step.index)
+        node = None
+        if state.node is not None:
+            # Lineage composes per hop exactly as the materializing
+            # executors do (canonical-order matches, plan-level pkfk flag).
+            locals_ = join_lineage_locals(matches, config, join.pkfk)
+            node = merge_binary(matches.num_out, left.node, right.node, *locals_)
+        state = _joined(left, right, matches.out_left, matches.out_right, node, step.joined)
+        if owner is not None:
+            owner = owner[matches.out_left if step.spine_left else matches.out_right]
+        if step.predicate is not None:
+            state, kept = _chain_select(state, step.predicate, config, params)
+            owner = None if owner is None else owner[kept]
+    return state, owner
 
 
 def _project(project, table: Table, params: Optional[dict]) -> Table:
@@ -514,7 +523,7 @@ def execute_pushed(
         if answered is not None:
             # Capture is off on this path: the node carries each leaf's
             # metadata only, one occurrence key per leaf in pre-order, as
-            # the interpreter consumes them.
+            # the lowering consumes them.
             (table,), leaves = answered
             node = NodeLineage(output_size=table.num_rows)
             for alias, name, size, epoch in leaves:
@@ -523,8 +532,30 @@ def execute_pushed(
                 )
                 node.absorb(leaf, None, None)
             return table, node
-    ctx = _ChainContext(catalog, results, config, params, next_key, run_child, stats)
-    state = _run_hop(pushed.core, ctx)
+
+    def lineage_leaf(side: PushedJoinSide) -> _ChainState:
+        """The node of the leaf's surviving rids, its folded ``Select``
+        stack (a leaf core's WHERE included) filtered in the rid domain."""
+        key = next_key()
+        source, rids, source_name, domain, epoch = resolve_scan_source(
+            side.scan, catalog, results, params
+        )
+        if side.predicate is not None:
+            rids = rids[_kept(_ChainState.for_leaf(source, rids), side.predicate, params)]
+        node = scan_node_lineage(side.scan, key, rids, source_name, domain, config, epoch)
+        # Positions of a backward scan index the traced base relation, so
+        # that relation's column statistics transfer to the gathered keys.
+        base = source_name if side.scan.direction == "backward" else None
+        return _ChainState.for_leaf(source, rids, node, base)
+
+    # No closure here calls itself: one that did would be a reference
+    # cycle, holding the run's arrays until the collector's next pass.
+    def run(spine: _ChainState, steps: List[_Step]) -> _ChainState:
+        return _run_steps(spine, steps, config, params, stats)[0]
+
+    steps: List[_Step] = []
+    spine = _lower(pushed.core, lineage_leaf, run_child, catalog, run, steps)[1]
+    state = run(spine, steps)
     table = _gather_chain_output(state, pushed.columns)
     node = state.node
 
@@ -577,10 +608,11 @@ class _BarMemo:
     first row's key values and order key, and its **code**: its key tuple's
     index in the entry's only-growing key dictionary (:meth:`encode`).
 
-    ``core`` is the core lowered by the entry's first ``"groups"`` /
-    ``"distinct"`` fill (:meth:`lowered`): per hop, its plain leaf filtered
-    once and a :class:`~repro.exec.vector.join.KeyIndex` over its keys,
-    which fills probe (:func:`_lower`); a zero-join core has no step."""
+    ``core`` holds the steps of the core lowered by the entry's first
+    ``"groups"`` / ``"distinct"`` fill (:meth:`lowered`): per step, its
+    plain leaf filtered once and a
+    :class:`~repro.exec.vector.join.KeyIndex` over its keys, which fills
+    probe (:func:`_lower`); a zero-join core has no step."""
 
     __slots__ = ("schema", "bars", "keys", "num_codes", "core", "_lock")
 
@@ -635,127 +667,39 @@ def _plain_leaf(plan: LogicalPlan, tables: dict, config, params) -> Table:
     return tables[plan.table][0]
 
 
-@dataclass
-class _Step:
-    """One lowered hop of a memo core (:func:`_lower`), with the hops
-    folded into it, and the key ``index`` over its ``plain`` side."""
-
-    hop: PushedJoin
-    plain: _ChainState  # its leaf filtered and pre-joined, rows in canonical order
-    spine_left: bool  # the lineage side is the hop's left input
-    names: Sequence[str]  # the plain leaf's key columns
-    dtypes: list  # the lineage side's key column types
-    unique: Optional[bool]  # the lineage side's key uniqueness, from stats
-    stats: JoinSideStats  # the plain side's
-    joined: _ChainState  # the layout of the last folded hop's output (no rows)
-    predicate: object  # the last folded hop's
-    swaps: int = 0  # build-side decisions of the folded hops
-    detected: int = 0
-    index: object = None
-
-
-def _lower(pushed, part, params, chain) -> List[_Step]:
-    """A memo entry's core lowered once (:class:`_BarMemo`).  Each hop
-    joins the lineage side to a plain ``[Select*] Scan`` leaf
-    (``MemoShape``), filtered here over the table the entry pins.  A
-    hop with the lineage side left, keyed on the previous step's plain
-    leaves alone and probing unique keys (carrier → region → continent),
-    folds into that step unless a predicate stands between: its leaf is
-    pre-joined here, and its decision, which no row count sways, counted."""
-    from .vector.join import KeyIndex, compute_matches
-
-    catalog, config, tables, _ = chain
-    leaf = _ChainState.for_leaf(_JoinInput(part.base, base_table=part.base_name), _EMPTY)
-    steps: List[_Step] = []
-
-    def fold(step: _Step, spine, names, other, keys, stats) -> bool:
-        shift = len(spine.inputs) - len(step.plain.inputs)  # lineage side's leaves
-        if any(spine.origins[spine.schema.index_of(k)][0] < shift for k in names):
-            return False
-        rows = _ChainState(spine.inputs, [None] * shift + step.plain.positions,
-                           step.plain.num_rows, spine.schema, spine.origins, None)
-        matches = compute_matches([rows.column_values(k) for k in names], keys, build_left=False)
-        step.plain = _joined(step.plain, other, matches.out_left, matches.out_right, None)
-        decision = choose_build_side(JoinSideStats(0), stats)  # no row count decides it
-        step.swaps += decision.swapped
-        step.detected += decision.pkfk
-        return True
-
-    def lower(hop) -> _ChainState:  # the hop's node; the lineage side's is empty
-        if isinstance(hop, PushedJoinSide):
-            if hop.scan is not None:
-                return leaf
-            table = _plain_leaf(hop.plan, tables, config, params)
-            return _ChainState.for_leaf(_JoinInput(table, base_table=plain_scan(hop.plan).table))
-        left, right = lower(hop.left), lower(hop.right)
-        join = hop.join
-        spine_left = isinstance(hop.left, PushedJoin) or hop.left.scan is not None
-        sides = [(left, join.left_keys), (right, join.right_keys)]
-        keys = [[node.column_values(k) for k in names] for node, names in sides]
-        if not spine_left:
-            sides.reverse()
-            keys.reverse()
-        (spine, spine_names), (other, names) = sides
-        stats = other.key_stats(names, catalog)
-        joined = _joined(left, right, _EMPTY, _EMPTY, None)
-        last = steps[-1] if steps else None
-        if not (
-            spine_left and not join.pkfk and stats.keys_unique
-            and last is not None and last.spine_left and last.predicate is None
-            and fold(last, spine, spine_names, other, keys[1], stats)
-        ):
-            unique = spine.key_stats(spine_names, catalog).keys_unique
-            last = _Step(hop, other, spine_left, names, [k.dtype for k in keys[0]], unique, stats,
-                         joined, None)
-            steps.append(last)
-        last.joined, last.predicate = joined, hop.predicate
-        return joined
-
-    lower(pushed.core)
-    for step in steps:
-        step.index = KeyIndex([step.plain.column_values(k) for k in step.names], step.dtypes)
-    return steps
-
-
 def _fill_bars(pushed, kind, part, bars: List[int], params, chain, memo: _BarMemo) -> list:
     """Partials of ``bars`` from one pass over their concatenated CSR
-    slices of the backward index: the lineage leaf's predicate, the core —
-    per step the entry lowered (:func:`_lower`), the lineage side's keys
-    probe the plain side's index, the canonical join order (right rows
-    ascending) is restored, the hop's predicate filters and the build side
-    the interpreter would pick is counted — then the key gather and the
-    factorize, with the bar as the leading group key, so each bar's groups
-    come out as one block in order-key order, encoded."""
-    from .vector.join import compute_matches
+    slices of the backward index: the lineage leaf's predicate, the
+    entry's lowered core run by :func:`_run_steps` — each step probing its
+    plain side's key index, the bar of each row carried along — then the
+    key gather and the factorize, with the bar as the leading group key,
+    so each bar's groups come out as one block in order-key order,
+    encoded."""
+    from .vector.join import KeyIndex
     from .vector.kernels import factorize
 
+    catalog, config, tables, stats = chain
     buckets = [part.bucket(bar) for bar in bars]
     rids = np.concatenate(buckets)
     owner = np.repeat(np.arange(len(bars)), [b.size for b in buckets])
     predicate = next(side for side in pushed.memo.leaves if side.scan is not None).predicate
     if predicate is not None:
-        keep = _passing(predicate, part.base, rids, params)
+        keep = _kept(_ChainState.for_leaf(part.base, rids), predicate, params)
         rids, owner = rids[keep], owner[keep]
     if kind == "rows":
         return _split_by(owner, len(bars), [sanitize.freeze(rids)])
-    stats = chain[3]
-    state = _ChainState.for_leaf(_JoinInput(part.base, base_table=part.base_name), rids)
-    for step in memo.lowered(lambda: _lower(pushed, part, params, chain)):
-        join = step.hop.join
-        names = join.left_keys if step.spine_left else join.right_keys
-        keys = [state.column_values(k) for k in names]
-        sides = [JoinSideStats(state.num_rows, step.unique), step.stats]
-        decision = choose_build_side(*(sides if step.spine_left else sides[::-1]), join.pkfk)
-        stats.build_swaps += decision.swapped + step.swaps
-        stats.pkfk_detected += (decision.pkfk and not join.pkfk) + step.detected
-        nodes = [state, step.plain] if step.spine_left else [step.plain, state]
-        probe = (keys, None) if step.spine_left else (None, keys)
-        matches = compute_matches(*probe, join.pkfk, not step.spine_left, step.index)
-        state = _joined(*nodes, matches.out_left, matches.out_right, None, step.joined)
-        owner = owner[matches.out_left if step.spine_left else matches.out_right]
-        if step.predicate is not None:
-            kept = _kept(state, step.predicate, params)
-            state, owner = state.narrow(kept, None), owner[kept]
+
+    def lower() -> List[_Step]:  # one lineage leaf: no input runs as a core of its own
+        leaf = _ChainState.for_leaf(part.base, _EMPTY, base=part.base_name)
+        plain = lambda plan: (_plain_leaf(plan, tables, config, params), None)
+        steps: List[_Step] = []
+        _lower(pushed.core, lambda side: leaf, plain, catalog, None, steps)
+        for step in steps:
+            step.index = KeyIndex([step.plain.column_values(k) for k in step.names], step.dtypes)
+        return steps
+
+    state = _ChainState.for_leaf(part.base, rids, base=part.base_name)
+    state, owner = _run_steps(state, memo.lowered(lower), config, params, stats, owner)
     table = _gather_chain_output(state, pushed.columns)
     order = [state.positions[leaf] for leaf in pushed.memo.order]
     if kind == "groups":
@@ -779,7 +723,7 @@ def _merge_groups(groups: List[List[list]], width: int, num_codes: int) -> list:
     """Per binding, ``[key columns..., counts]`` from its bars' partials
     ``groups[i]`` (``None`` when it has none), groups ordered by order key
     (the last ``width`` columns of a partial) — the first-occurrence order
-    the interpreter's factorize gives over the binding's output.  The bars
+    the raw path's factorize gives over the binding's output.  The bars
     partition the output, so order keys are distinct: one sort by (binding,
     order key), then a reversed scatter of ``binding * num_codes + code``
     (ranked first when sparse) finds each group's first partial, holding
@@ -810,6 +754,8 @@ def _merge_groups(groups: List[List[list]], width: int, num_codes: int) -> list:
 
 def _groups_table(pushed, kind, schema: Schema, merged, params) -> Table:
     """One binding's output from its merged groups."""
+    if merged is None and kind == "groups" and not pushed.groupby.keys:
+        merged = [np.zeros(1, dtype=np.int64)]  # a keyless COUNT over no row
     if merged is None:
         table = Table.empty(schema)
     elif kind == "distinct":
@@ -831,7 +777,7 @@ def _rows_table(pushed, source: Table, parts: List[list], params) -> Table:
         rids = np.sort(rids, kind="stable")  # sorted runs: one timsort merge
     if pushed.project is None:
         return source.take(rids)
-    table = _gather(source, rids, _narrow_names(source.schema, pushed.columns))
+    table = _gather_chain_output(_ChainState.for_leaf(source, rids), pushed.columns)
     return _project(pushed.project, table, params)
 
 

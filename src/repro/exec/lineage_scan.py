@@ -27,9 +27,9 @@ traced subset (``source.take(rids)``, every column) into a fresh table
 that the enclosing operators then scan.  When a ``Select`` / ``Project``
 (bag or DISTINCT) / ``GroupBy`` tree sits on a pushable *core* — the
 scan itself, or a hash-join tree with ``Select*``-over-``LineageScan``
-leaves — both executors instead run the tree in the rid domain through
-one chain interpreter — gathering only the columns the tree reads (join
-keys first, payload at matched rids only) and
+leaves — both executors instead run the tree in the rid domain, its
+core lowered to one left-deep plan of key probes — gathering only the
+columns the tree reads (join keys first, payload at matched rids only) and
 filtering/deduplicating/aggregating the gathered slices — via
 :func:`repro.plan.rewrite.match_late_materialization` and
 :func:`repro.exec.late_mat.execute_pushed`.  The rewrite's match and

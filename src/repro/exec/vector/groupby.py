@@ -29,7 +29,7 @@ import numpy as np
 from ...expr.ast import evaluate
 from ...lineage.capture import CaptureConfig, CaptureMode, IndexOrThunk
 from ...lineage.indexes import GrowableRidIndex, RidArray, RidIndex, stable_group_order
-from ...plan.logical import GroupBy
+from ...plan.logical import AggCall, GroupBy
 from ...storage.table import Schema, Table
 from .kernels import GroupLayout, chunk_ranges, compute_aggregate, factorize
 
@@ -38,17 +38,22 @@ def build_groups(
     child: Table,
     key_exprs: Sequence,
     params: Optional[dict],
+    aggs: Sequence[AggCall],
 ) -> Tuple[np.ndarray, int, np.ndarray, List[np.ndarray]]:
     """The γ_ht phase: evaluate keys and assign dense group ids.
 
     A key-less (global) aggregate forms a single group over non-empty
-    input and zero groups over empty input, mirroring the hash-table
-    implementation (an empty table yields no entries to scan).
+    input.  Over empty input it forms one member-less group when every
+    aggregate is a ``COUNT`` (one row of zeros, as SQL answers), and zero
+    groups otherwise, as the hash-table implementation would (an empty
+    table yields no entries to scan): SQL answers NULL there, which this
+    engine cannot represent.
     """
     key_arrays = [np.asarray(evaluate(e, child, params)) for e, _ in key_exprs]
     if child.num_rows == 0:
         empty = np.empty(0, dtype=np.int64)
-        return empty, 0, empty, key_arrays
+        counts_only = not key_arrays and all(agg.func == "count" for agg in aggs)
+        return empty, int(counts_only), empty, key_arrays
     if not key_arrays:
         n = child.num_rows
         return (
@@ -97,7 +102,7 @@ def execute_groupby(
 ) -> Tuple[Table, Optional[IndexOrThunk], Optional[IndexOrThunk]]:
     """Run aggregation; returns ``(output, local backward, local forward)``."""
     group_ids, num_groups, representatives, key_arrays = build_groups(
-        child, node.keys, params
+        child, node.keys, params, node.aggs
     )
     layout = GroupLayout(group_ids, num_groups) if num_groups else None
 

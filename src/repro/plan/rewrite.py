@@ -115,6 +115,10 @@ class PushedJoinSide:
     def num_joins(self) -> int:
         return 0
 
+    @property
+    def has_lineage(self) -> bool:
+        return self.scan is not None
+
 
 @dataclass(frozen=True)
 class PushedJoin:
@@ -135,6 +139,7 @@ class PushedJoin:
     left: "PushedJoinHop"
     right: "PushedJoinHop"
     predicate: Optional[Expr] = None
+    has_lineage = True  # a hop only matches when lineage-backed
 
     @property
     def num_joins(self) -> int:
@@ -163,7 +168,7 @@ class MemoShape:
     core included); the core's other leaves are plain ``[Select*] Scan`` s
     of catalog tables.  Its rid argument is what the memo (and so
     ``sql_batch``) varies.  ``leaves`` are the core's leaves in pre-order
-    (left before right): the order in which the interpreter consumes
+    (left before right): the order in which the lowering consumes
     occurrence keys and lays out its leaf positions.  ``order`` indexes
     the leaves whose positions order the core's output, most significant
     first: a hop's canonical output runs right side first, recursively,
@@ -191,12 +196,12 @@ class PushedLineageQuery:
     ``core`` is a single lineage leaf (:class:`PushedJoinSide` — a linear
     ``[Select*] LineageScan`` stack, its WHERE folded onto the leaf) or a
     flattened hash-join tree (:class:`PushedJoin`, the WHERE folded onto
-    its top hop); the pushed executor runs both through the same chain
-    interpreter.  ``groupby`` / ``project`` are the original plan nodes
-    (their ``child`` links are ignored — the pushed executor supplies the
-    rid-gathered slices instead; ``project`` may carry ``distinct=True``,
-    which the pushed path deduplicates with the same group-lineage
-    semantics as the executors).
+    its top hop); the pushed executor lowers both to a spine leaf and join
+    steps, run by one step loop.  ``groupby`` / ``project`` are the
+    original plan nodes (their ``child`` links are ignored — the pushed
+    executor supplies the rid-gathered slices instead; ``project`` may
+    carry ``distinct=True``, which the pushed path deduplicates with the
+    same group-lineage semantics as the executors).
 
     ``columns`` is the set of core *output* (for joins: post-rename)
     columns the GroupBy / Project reads; the pushed path gathers only
@@ -347,17 +352,12 @@ def _match_join_hop(plan: LogicalPlan) -> PushedJoinHop:
     return PushedJoinSide(scan=None, predicate=None, plan=plan)
 
 
-def _hop_has_lineage(hop: PushedJoinHop) -> bool:
-    # A PushedJoin only matches when lineage-backed, so nesting implies it.
-    return isinstance(hop, PushedJoin) or hop.scan is not None
-
-
 def _match_join(join: HashJoin, predicate: Optional[Expr]) -> Optional[PushedJoin]:
     """Flatten a HashJoin tree into chain hops; ``None`` when no leaf
     below is lineage-backed (nothing to late-materialize)."""
     left = _match_join_hop(join.left)
     right = _match_join_hop(join.right)
-    if not (_hop_has_lineage(left) or _hop_has_lineage(right)):
+    if not (left.has_lineage or right.has_lineage):
         return None
     return PushedJoin(join=join, left=left, right=right, predicate=predicate)
 

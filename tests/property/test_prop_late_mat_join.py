@@ -11,7 +11,7 @@ linear-stack suite (``test_prop_late_mat.py``) never exercises.
 
 import numpy as np
 import pytest
-from hypothesis import given, note, settings
+from hypothesis import example, given, note, settings
 from hypothesis import strategies as st
 
 from repro.api import Database, ExecOptions
@@ -337,6 +337,8 @@ def test_memoized_join_matches_materialized(rows, drows, cut, brushes, out_of_ra
 # per key, either side possibly empty; built on either side, from a key
 # index built here or handed in (a memo entry's), and as a plan-level
 # pk-fk join.  Matches must come out as the Python join's, in its order.
+# The explicit examples meet NaN with NaN in a float column, which a
+# sorted-values index must find equal, on every run.
 _KEY_POOLS = {
     "int": (np.int64, st.integers(min_value=-2, max_value=3)),
     "wide": (np.int64, st.sampled_from([0, 1, -(10**6), 10**6])),
@@ -387,7 +389,16 @@ def _python_join(left, right):
     return pairs, len(build) == left[0].shape[0]
 
 
+_NAN = float("nan")
+
+
 @given(key_sides(), st.booleans(), st.booleans(), st.booleans())
+@example(([np.array([_NAN, 1.0, _NAN])], [np.array([0.0, _NAN])]), True, False, False)
+@example(
+    ([np.array([1, 2]), np.array([_NAN, -0.0])],
+     [np.array([2, 1, 1]), np.array([0.0, _NAN, _NAN])]),
+    False, True, False,
+)
 @settings(deadline=None)  # example budget governed by the profile
 def test_key_index_probe_matches_the_hash_join(sides, build_left, handed, pkfk):
     from repro.errors import PlanError

@@ -5,15 +5,13 @@ Capture-off brushes over a GROUP BY view are answered from per-bar
 partials merged per brush (:func:`repro.exec.late_mat._memo_tables`).
 Every other suite checks that route against the repo's own interpreter;
 this one runs memo-eligible ``COUNT(*) … GROUP BY``, ``WHERE … GROUP BY``,
+keyless ``COUNT(*)`` (one row holding 0 over an empty input, as in SQL),
 ``SELECT DISTINCT`` and join statements over int, string and finite-float
 keys through one :class:`~repro.api.Database` — repeated and overlapping
 brushes sharing its memos, then the same bindings through
 :meth:`~repro.serve.DatabaseServer.sql_batch` — and compares each answer,
 as a bag of rows, with sqlite's answer to the statement written over the
 base table with ``WHERE z IN (brushed values)``.
-
-A keyless ``COUNT(*)`` is left out: over an empty input the engine
-returns no row where SQL returns one row holding 0.
 """
 
 import sqlite3
@@ -56,6 +54,14 @@ STATEMENTS = [
     (
         "SELECT COUNT(*) AS c, f FROM Lb(pv, 't', :bars) WHERE v < :cut GROUP BY f",
         "SELECT COUNT(*), f FROM t WHERE z IN ({bars}) AND v < ? GROUP BY f",
+    ),
+    (
+        "SELECT COUNT(*) AS c FROM Lb(pv, 't', :bars)",
+        "SELECT COUNT(*) FROM t WHERE z IN ({bars})",
+    ),
+    (
+        "SELECT COUNT(*) AS c FROM Lb(pv, 't', :bars) WHERE v >= :cut",
+        "SELECT COUNT(*) FROM t WHERE z IN ({bars}) AND v >= ?",
     ),
     (
         "SELECT DISTINCT s, k FROM Lb(pv, 't', :bars)",

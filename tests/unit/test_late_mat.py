@@ -601,6 +601,23 @@ class TestChainExecution:
                 on.forward(rel, base_probes), off.forward(rel, base_probes)
             )
 
+    @pytest.mark.parametrize("capture", [CaptureMode.NONE, CaptureMode.INJECT])
+    def test_chain_run_leaves_no_reference_cycle(self, chain_db, capture):
+        """A pushed core's position arrays are freed when its statement
+        returns, not at the collector's next pass."""
+        import gc
+
+        plan = chain_db.parse(self.CHAIN)
+        opts = ExecOptions(capture=capture)
+        chain_db.execute(plan, params={"bars": [0, 1]}, options=opts)
+        gc.collect()
+        gc.disable()
+        try:
+            chain_db.execute(plan, params={"bars": [0, 1]}, options=opts)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_sort_over_chain_still_pushes_below(self, chain_db, backend):
         res = chain_db.sql(
@@ -615,6 +632,58 @@ class TestChainExecution:
             options=ExecOptions(backend=backend, late_materialize=False),
         )
         assert res.table.to_rows() == off.table.to_rows()
+
+
+class TestLoweredCoreShapes:
+    """The two lowered-core shapes the statement suites do not build: a
+    hop whose inputs both carry lineage, its right input a join (run as a
+    core of its own), and a spine on the right whose input is a join."""
+
+    SHAPES = {
+        "lineage_both_sides": lambda: HashJoin(
+            _scan(), HashJoin(_scan(), Scan("d1"), ("z",), ("z",)), ("w",), ("w",)
+        ),
+        "spine_right": lambda: HashJoin(
+            Scan("d1"), HashJoin(_scan(), Scan("d1"), ("z",), ("z",)), ("g",), ("g",)
+        ),
+    }
+
+    @pytest.fixture
+    def shape_db(self, db, prev):
+        db.create_table(
+            "d1",  # z and g repeat: no side is known unique
+            Table({
+                "z": np.array([1, 2, 2, 3], dtype=np.int64),
+                "g": np.array([0, 1, 0, 1], dtype=np.int64),
+            }),
+        )
+        return db
+
+    @pytest.mark.parametrize("capture", [CaptureMode.NONE, CaptureMode.INJECT])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_pushes_and_matches_materialized(self, shape_db, shape, backend, capture):
+        opts = ExecOptions(backend=backend, capture=capture)
+        on = shape_db.execute(self.SHAPES[shape](), options=opts)
+        off = shape_db.execute(self.SHAPES[shape](), options=opts.with_(late_materialize=False))
+        assert on.table.to_rows() == off.table.to_rows()
+        assert len(on) > 0
+        counters = {k: v for k, v in on.timings.items() if k.startswith("late_mat_")}
+        assert counters == {
+            "late_mat_subtrees": 1.0,
+            "late_mat_joins": 1.0,
+            "late_mat_chain_hops": 1.0,
+            "late_mat_build_swaps": 1.0,
+        }
+        if capture is CaptureMode.INJECT:
+            assert on.lineage.relations == off.lineage.relations
+            probes = list(range(len(on)))
+            for rel in on.lineage.relations:
+                assert np.array_equal(on.backward(probes, rel), off.backward(probes, rel))
+                base_probes = list(range(shape_db.table(rel.split("#")[0]).num_rows))
+                assert np.array_equal(
+                    on.forward(rel, base_probes), off.forward(rel, base_probes)
+                )
 
 
 class TestBuildSideDecisions:

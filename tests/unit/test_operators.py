@@ -191,7 +191,21 @@ class TestGroupBy:
             Select(Scan("zipf"), col("v") < -1.0), [], [AggCall("count", None, "c")]
         )
         res = small_db.execute(plan)
-        assert len(res.table) == 0
+        assert res.table.to_rows() == [(0,)]
+
+    @pytest.mark.parametrize("backend", ["vector", "compiled"])
+    def test_keyless_count_over_empty_input_is_one_zero_row(self, small_db, backend):
+        """As in SQL: one row of zeros, whose backward set is empty; a
+        keyless SUM there would be NULL, so it still answers no row."""
+        empty = Select(Scan("zipf"), col("v") < -1.0)
+        counts = [AggCall("count", None, "c"), AggCall("count", col("v"), "n")]
+        options = INJECT.with_(backend=backend)
+        res = small_db.execute(GroupBy(empty, [], counts), options=options)
+        assert res.table.to_rows() == [(0, 0)]
+        assert res.lineage.backward([0], "zipf").size == 0
+        assert res.lineage.forward("zipf", np.arange(2000)).size == 0
+        total = GroupBy(empty, [], [AggCall("count", None, "c"), AggCall("sum", col("v"), "s")])
+        assert small_db.execute(total, options=options).table.to_rows() == []
 
     def test_expression_keys(self, small_db):
         plan = GroupBy(
