@@ -29,7 +29,7 @@ import numpy as np
 
 from ..errors import PlanError
 from ..exec.vector.executor import VectorExecutor
-from ..exec.vector.kernels import factorize
+from ..exec.vector.groupby import build_groups
 from ..lineage.capture import QueryLineage
 from ..lineage.indexes import RidIndex, invert_rid_index
 from ..plan.logical import GroupBy, LogicalPlan, Project, Scan, walk
@@ -109,7 +109,7 @@ def logical_capture(
     if isinstance(node, GroupBy):
         inner = executor.execute(node.child).table  # I' materialized
         # O = γ(I'): aggregation sees annotation columns but ignores them.
-        group_ids, num_groups, reps, _ = _group(inner, node)
+        group_ids, num_groups, reps, _ = build_groups(inner, node.keys, None, node.aggs)
         output = _group_output(executor, inner, node, group_ids, num_groups, reps)
         # Denormalized O' = O ⋈_keys I' — one row per input row.
         annotated = _denormalize(
@@ -138,20 +138,6 @@ def logical_capture(
         seconds=seconds,
         annotation=annotation,
     )
-
-
-def _group(inner: Table, node: GroupBy):
-    from ..expr.ast import evaluate
-
-    key_arrays = [np.asarray(evaluate(e, inner)) for e, _ in node.keys]
-    if inner.num_rows == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, 0, empty, key_arrays
-    if not key_arrays:
-        n = inner.num_rows
-        return np.zeros(n, dtype=np.int64), 1, np.zeros(1, dtype=np.int64), key_arrays
-    ids, n_groups, reps = factorize(key_arrays)
-    return ids, n_groups, reps, key_arrays
 
 
 def _group_output(executor, inner, node, group_ids, num_groups, reps) -> Table:

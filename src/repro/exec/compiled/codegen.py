@@ -33,6 +33,7 @@ sources.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -107,7 +108,8 @@ def compile_source(source: str, name: str = "__block") -> Callable:
     namespace = {"_sqrt": math.sqrt, "_floor": math.floor}
     code = compile(source, f"<repro-codegen:{name}>", "exec")
     exec(code, namespace)
-    return namespace[name]
+    # Popped: a function its own globals held would be a reference cycle.
+    return namespace.pop(name)
 
 
 # -- operator emitters -------------------------------------------------------
@@ -117,7 +119,19 @@ def compile_source(source: str, name: str = "__block") -> Callable:
 
 
 class Emitter:
-    parent: Optional["Emitter"] = None
+    """A parent holds its children, so a child holds its ``parent``
+    weakly: a strong back link would make every emitter tree a reference
+    cycle, kept until the collector's next pass."""
+
+    _parent: Optional[Callable[[], "Emitter"]] = None
+
+    @property
+    def parent(self) -> "Emitter":
+        return self._parent()
+
+    @parent.setter
+    def parent(self, parent: "Emitter") -> None:
+        self._parent = weakref.ref(parent)
 
     def produce(self, ctx: CodeContext) -> None:
         raise NotImplementedError

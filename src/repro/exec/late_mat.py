@@ -12,13 +12,14 @@ ever materializing the traced subset *or any intermediate join output*:
    schema-drift and shrink guard of the materializing path applies) —
    or, for a capture-off statement whose core's one lineage leaf is a
    backward scan of a GROUP BY view (the whole core, or a join core whose
-   other leaves are plain catalog scans, :class:`~repro.plan.rewrite.MemoShape`) with a shared
-   :class:`~repro.lineage.cache.LineageResolutionCache`, answer from its
-   **per-bar memo** instead: partial answers per brushed bar (the
-   paper's partial data cube, §4.2), filled lazily from the bars' CSR
-   slices through the same lowered core and step loop, the entry's
-   plain leaves filtered and key-indexed once, and merged per brush by
-   order key and key-dictionary code, hashing no key (:func:`_memo_tables`);
+   other leaves are plain catalog scans, :class:`~repro.plan.rewrite.MemoShape`)
+   with a shared :class:`~repro.lineage.cache.LineageResolutionCache`,
+   answer from its **per-bar memo** instead: partial answers per brushed
+   bar (the paper's partial data cube, §4.2), filled lazily from the
+   bars' CSR slices through the same lowered core and step loop, the
+   entry's plain leaves filtered and key-indexed once, and merged per
+   brush by one packed order key and a key-dictionary code, sorting only
+   the merged groups and hashing no key (:func:`_memo_tables`);
 2. lower the core (:func:`_lower`): visit its leaves in pre-order,
    filtering the lineage leaf's pushed predicates on rid-gathered slices
    of **only the predicates' columns**, and lay its hops out as a
@@ -70,6 +71,7 @@ over random trees and chains on both backends.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from time import perf_counter
@@ -82,12 +84,7 @@ from ..errors import LineageError, SchemaError
 from ..expr.ast import Col, Param, evaluate
 from ..lineage.cache import LineageResolutionCache, Pin, param_fingerprint
 from ..lineage.capture import CaptureConfig
-from ..lineage.composer import (
-    NodeLineage,
-    compose_node,
-    merge_binary,
-    selection_locals,
-)
+from ..lineage.composer import NodeLineage, compose_node, merge_binary, selection_locals
 from ..lineage.indexes import stable_group_order
 from ..plan.logical import LineageScan, LogicalPlan, Select
 from ..plan.rewrite import (
@@ -97,18 +94,10 @@ from ..plan.rewrite import (
     PushedLineageQuery,
     plain_scan,
 )
-from ..plan.schema import (
-    infer_expr_type,
-    infer_schema,
-    join_output_fields,
-)
+from ..plan.schema import infer_expr_type, infer_schema, join_output_fields
 from ..storage.catalog import Catalog
 from ..storage.table import ColumnType, Schema, Table
-from ..substrate.stats import (
-    UNIQUENESS_PROBE_MAX_ROWS,
-    JoinSideStats,
-    choose_build_side,
-)
+from ..substrate.stats import UNIQUENESS_PROBE_MAX_ROWS, JoinSideStats, choose_build_side
 from .lineage_scan import (
     resolve_rid_spec,
     resolve_scan_partition,
@@ -599,14 +588,16 @@ class _BarMemo:
     entry of the shared
     :class:`~repro.lineage.cache.LineageResolutionCache`, filled lazily.
     A bar maps to ``None`` when no row survives, else to a list of arrays
-    — a ``"rows"`` bar to ``[sorted surviving rids]``, a ``"groups"`` /
-    ``"distinct"`` bar to ``[key columns..., codes, counts, order
-    key...]`` with one entry per group in order-key order.  A row's
-    **order key** is the tuple of leaf positions its output order follows
-    (``MemoShape.order`` — ``(rid,)`` for a leaf core), with the lineage
-    leaf's position being the base rid — and a group's entry holds its
-    first row's key values and order key, and its **code**: its key tuple's
-    index in the entry's only-growing key dictionary (:meth:`encode`).
+    — a ``"rows"`` bar to ``[sorted surviving rids]`` (int32 below 2**31
+    base rows: they sort in half the time), a ``"groups"`` /
+    ``"distinct"`` bar to ``[key columns..., codes, counts, order key]``
+    with one entry per group in order-key order.  A row's **order key**
+    packs the leaf positions its output order follows (``MemoShape.order``
+    — the lineage leaf's position being the base rid) into one int64,
+    mixed radix by leaf row count (:func:`_order_strides`), and a group's
+    entry holds its first row's key values and order key, and its
+    **code**: its key tuple's index in the entry's only-growing key
+    dictionary (:meth:`encode`).
 
     ``core`` holds the steps of the core lowered by the entry's first
     ``"groups"`` / ``"distinct"`` fill (:meth:`lowered`): per step, its
@@ -656,6 +647,16 @@ def _split_by(owner: np.ndarray, n: int, columns: List[np.ndarray]) -> list:
     ]
 
 
+def _order_strides(sizes: Sequence[int]) -> Optional[List[np.int64]]:
+    """The mixed-radix strides that pack one position below each of
+    ``sizes`` (most significant first) into an int64 order key ``sum(p *
+    s)`` ordered as the position tuples are; ``None`` when the product of
+    ``sizes`` does not fit in 63 bits."""
+    sizes = [max(size, 1) for size in sizes]  # a leaf without rows joins none
+    strides = [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
+    return [np.int64(s) for s in strides] if math.prod(sizes) < 2**63 else None
+
+
 def _plain_leaf(plan: LogicalPlan, tables: dict, config, params) -> Table:
     """A plain ``[Select*] Scan`` join leaf over the catalog table the memo
     holds, filtered as the executor's ``Select`` filters."""
@@ -674,11 +675,11 @@ def _fill_bars(pushed, kind, part, bars: List[int], params, chain, memo: _BarMem
     plain side's key index, the bar of each row carried along — then the
     key gather and the factorize, with the bar as the leading group key,
     so each bar's groups come out as one block in order-key order,
-    encoded."""
+    encoded, their first rows' leaf positions packed by ``strides``."""
     from .vector.join import KeyIndex
     from .vector.kernels import factorize
 
-    catalog, config, tables, stats = chain
+    catalog, config, tables, stats, strides = chain
     buckets = [part.bucket(bar) for bar in bars]
     rids = np.concatenate(buckets)
     owner = np.repeat(np.arange(len(bars)), [b.size for b in buckets])
@@ -687,6 +688,7 @@ def _fill_bars(pushed, kind, part, bars: List[int], params, chain, memo: _BarMem
         keep = _kept(_ChainState.for_leaf(part.base, rids), predicate, params)
         rids, owner = rids[keep], owner[keep]
     if kind == "rows":
+        rids = rids.astype(np.int32 if part.base.num_rows <= 2**31 else np.int64)
         return _split_by(owner, len(bars), [sanitize.freeze(rids)])
 
     def lower() -> List[_Step]:  # one lineage leaf: no input runs as a core of its own
@@ -701,7 +703,6 @@ def _fill_bars(pushed, kind, part, bars: List[int], params, chain, memo: _BarMem
     state = _ChainState.for_leaf(part.base, rids, base=part.base_name)
     state, owner = _run_steps(state, memo.lowered(lower), config, params, stats, owner)
     table = _gather_chain_output(state, pushed.columns)
-    order = [state.positions[leaf] for leaf in pushed.memo.order]
     if kind == "groups":
         keys = [np.asarray(evaluate(e, table, params)) for e, _ in pushed.groupby.keys]
     else:
@@ -715,41 +716,44 @@ def _fill_bars(pushed, kind, part, bars: List[int], params, chain, memo: _BarMem
     small = np.int32 if ids.size < 2**31 else np.int64  # a count is at most the fill's rows
     counts = np.bincount(ids, minlength=num)[by_bar].astype(small)
     keys = [k[reps] for k in keys]
-    columns = keys + [memo.encode(keys, num), counts] + [o[reps] for o in order]
+    packing = zip(pushed.memo.order, strides, strict=True)
+    order = sum(state.positions[leaf][reps] * stride for leaf, stride in packing)
+    columns = keys + [memo.encode(keys, num), counts, order]
     return _split_by(owner[reps], len(bars), [sanitize.freeze(c) for c in columns])
 
 
-def _merge_groups(groups: List[List[list]], width: int, num_codes: int) -> list:
+def _merge_groups(groups: List[List[list]], num_codes: int) -> list:
     """Per binding, ``[key columns..., counts]`` from its bars' partials
     ``groups[i]`` (``None`` when it has none), groups ordered by order key
-    (the last ``width`` columns of a partial) — the first-occurrence order
-    the raw path's factorize gives over the binding's output.  The bars
-    partition the output, so order keys are distinct: one sort by (binding,
-    order key), then a reversed scatter of ``binding * num_codes + code``
-    (ranked first when sparse) finds each group's first partial, holding
-    its least order key and the only key values gathered; counts sum.  No
-    key value is hashed."""
-    from .vector.kernels import DENSE_FACTORIZE_MAX, first_occurrence
+    — the first-occurrence order the raw path's factorize gives over the
+    binding's output.  A group's slot is ``binding * num_codes + code``
+    (ranked first when sparse); one scatter-min of the order keys per slot
+    finds each group's first partial, holding its least order key and the
+    only key values gathered.  The bars partition the output, so a
+    binding's order keys are distinct: one partial wins per slot, and only
+    the winners are sorted; counts sum.  No key value is hashed."""
+    from .vector.kernels import DENSE_FACTORIZE_MAX, least_per_slot
 
     parts = [p for g in groups for p in g]
     if not parts:
         return [None] * len(groups)
-    keys = len(parts[0]) - width - 2
+    keys = len(parts[0]) - 3
     if len(groups) == 1 and len(parts) == 1:
         return [[a.copy() for a in parts[0][:keys]] + [parts[0][keys + 1].astype(np.int64)]]
-    sizes = [sum(p[-1].size for p in g) for g in groups]
-    binding = np.repeat(np.arange(len(groups)), sizes)
     columns = [np.concatenate(cols) for cols in zip(*parts, strict=True)]
-    # lexsort's last key is the primary one.
-    order = np.lexsort(columns[: -width - 1 : -1] + [binding])
-    slot = binding * num_codes + columns[keys]
+    slot, order, binding = columns[keys], columns[-1], None
+    if len(groups) > 1:
+        binding = np.repeat(np.arange(len(groups)), [sum(p[-1].size for p in g) for g in groups])
+        slot = binding * num_codes + slot
     if len(groups) * num_codes > max(4 * slot.size, DENSE_FACTORIZE_MAX):
         slot = np.unique(slot, return_inverse=True)[1]  # O(n log n), not O(domain)
-    first = first_occurrence(slot[order], int(slot.max()) + 1)
-    rows = order[np.sort(first[first >= 0])]
-    counts = np.bincount(slot, weights=columns[keys + 1], minlength=first.size)[slot[rows]]
+    size = int(slot.max()) + 1
+    rows = np.flatnonzero(order == least_per_slot(slot, order, size)[slot])
+    first = order[rows]  # lexsort's last key is the primary one
+    rows = rows[first.argsort() if binding is None else np.lexsort((first, binding[rows]))]
+    counts = np.bincount(slot, weights=columns[keys + 1], minlength=size)[slot[rows]]
     merged = [k[rows] for k in columns[:keys]] + [counts.astype(np.int64)]
-    return _split_by(binding[rows], len(groups), merged)
+    return [merged] if binding is None else _split_by(binding[rows], len(groups), merged)
 
 
 def _groups_table(pushed, kind, schema: Schema, merged, params) -> Table:
@@ -774,7 +778,8 @@ def _rows_table(pushed, source: Table, parts: List[list], params) -> Table:
     """One binding's output from its bars' surviving rids."""
     rids = np.concatenate([p[0] for p in parts] or [_EMPTY])
     if len(parts) > 1:
-        rids = np.sort(rids, kind="stable")  # sorted runs: one timsort merge
+        rids = np.sort(rids)  # distinct (the index partitions them): any sort agrees
+    rids = rids.astype(np.int64, copy=False)  # an int32 index gathers slower
     if pushed.project is None:
         return source.take(rids)
     table = _gather_chain_output(_ChainState.for_leaf(source, rids), pushed.columns)
@@ -819,7 +824,7 @@ def _memo_answers(pushed, kind, memo, part, params_list, cache, fill, stats) -> 
         for bars in per_binding
     ]
     if kind != "rows":  # num_codes read after the partials: every code in them is below it
-        groups = _merge_groups(groups, pushed.core.num_joins + 1, memo.num_codes)
+        groups = _merge_groups(groups, memo.num_codes)
     tables = [
         _rows_table(pushed, part.base, g, p) if kind == "rows"
         else _groups_table(pushed, kind, memo.schema, g, p)
@@ -882,6 +887,9 @@ def _memo_tables(
         else:
             table, epoch = tables.setdefault(plain.table, catalog.get_versioned(plain.table))
             leaves.append((plain.alias, plain.table, table.num_rows, epoch))
+    strides = _order_strides([leaves[i][2] for i in shape.order])
+    if strides is None:
+        return None
     base = part.base.schema.names
     reads = base if shape.reads is None else sorted(shape.reads.intersection(base))
     inputs = (part.base_name, part.epoch) + tuple(Pin(part.base.column(n)) for n in reads) + tuple(
@@ -889,12 +897,8 @@ def _memo_tables(
     )
 
     def build() -> _BarMemo:
-        schema = None
-        if kind == "groups":
-            schema = infer_schema(pushed.groupby, catalog)
-        elif kind == "distinct":
-            schema = infer_schema(pushed.project, catalog)
-        return _BarMemo(schema)
+        stage = {"groups": pushed.groupby, "distinct": pushed.project}.get(kind)
+        return _BarMemo(None if stage is None else infer_schema(stage, catalog))
 
     def same(stored) -> bool:
         # Only the index object differs, and its lineage is bit-equal.
@@ -906,7 +910,7 @@ def _memo_tables(
         build,
         same,
     )
-    chain = (catalog, config, tables, stats)
+    chain = (catalog, config, tables, stats, strides)
 
     def fill(bars):
         return _fill_bars(pushed, kind, part, bars, params_list[0], chain, memo)

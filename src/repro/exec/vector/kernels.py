@@ -26,8 +26,9 @@ from ...storage.table import Table
 
 
 #: Dense-domain threshold: below this (or 4x the input size) codes are
-#: scattered into a first-occurrence array instead of sorted — O(n + width)
-#: versus np.unique's O(n log n) (factorize and the per-bar memo's merge).
+#: scattered into an array spanning their domain instead of sorted —
+#: O(n + width) versus np.unique's O(n log n) (factorize's first
+#: occurrences and the per-bar memo merge's scatter-min).
 DENSE_FACTORIZE_MAX = 1 << 16
 
 
@@ -78,6 +79,14 @@ def first_occurrence(codes: np.ndarray, width: int) -> np.ndarray:
     first = np.full(width, -1, dtype=np.int64)
     first[codes[::-1]] = np.arange(codes.shape[0] - 1, -1, -1, dtype=np.int64)
     return first
+
+
+def least_per_slot(slots: np.ndarray, keys: np.ndarray, size: int) -> np.ndarray:
+    """Per slot ``0..size-1``, the least of the int64 ``keys`` scattered to
+    it (int64 max: none), in O(n + size): one unbuffered scatter-min."""
+    least = np.full(size, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(least, slots, keys)
+    return least
 
 
 def _rank_first_occurrence(first_idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

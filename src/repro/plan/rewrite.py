@@ -172,7 +172,10 @@ class MemoShape:
     occurrence keys and lays out its leaf positions.  ``order`` indexes
     the leaves whose positions order the core's output, most significant
     first: a hop's canonical output runs right side first, recursively,
-    so its rows are sorted by the tuple of these positions.  ``reads``
+    so its rows are sorted by the tuple of these positions, which a memo
+    fill packs into one int64 order key, mixed radix by leaf row count (a
+    core whose product of those row counts needs 64 bits is declined to
+    the raw path).  ``reads``
     (``None``: every column) holds each name an output column, a join key
     or a predicate of the tree reads, also with its join-rename suffixes
     stripped (a join output column is its leaf column plus zero or more

@@ -417,7 +417,7 @@ def test_merging_filled_bars_encodes_no_key(stmt, monkeypatch):
 
 def test_batch_over_a_large_dictionary_scatters_over_its_rows(monkeypatch):
     """Bindings times a large key dictionary make a sparse slot domain:
-    the merge ranks the slots first, so its scatter stays within the
+    the merge ranks the slots first, so its scatter-min stays within the
     merged rows, and every binding answers as the plain path."""
     from repro.exec.vector import kernels
 
@@ -432,18 +432,18 @@ def test_batch_over_a_large_dictionary_scatters_over_its_rows(monkeypatch):
     db.sql(stmt, params={"bars": list(range(bars))})  # a 40000-key dictionary
     brushes = [[0], [1, 2], [3], [7, 4]]
     expected = [_plain(db, stmt, b) for b in brushes]
-    widths = []
-    first_occurrence = kernels.first_occurrence
+    sizes = []
+    least_per_slot = kernels.least_per_slot
 
-    def recording(codes, width):
-        widths.append(width)
-        return first_occurrence(codes, width)
+    def recording(slots, keys, size):
+        sizes.append(size)
+        return least_per_slot(slots, keys, size)
 
-    monkeypatch.setattr(kernels, "first_occurrence", recording)
+    monkeypatch.setattr(kernels, "least_per_slot", recording)
     with DatabaseServer(db, readers=1, memoize_answers=False) as server:
         batch = server.sql_batch(stmt, [{"bars": b} for b in brushes])
     assert [r.table.to_rows() for r in batch] == expected
-    assert widths == [6 * n // bars]  # the merged rows, not 4 bindings x 40000 codes
+    assert sizes == [6 * n // bars]  # the merged rows, not 4 bindings x 40000 codes
 
 
 CHAIN = (

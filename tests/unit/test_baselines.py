@@ -136,6 +136,20 @@ class TestLogical:
             lineage.backward([17], "gids"), smoke.backward([17], "gids")
         )
 
+    @pytest.mark.parametrize("annotation", ["rid", "tuple"])
+    def test_keyless_count_over_no_row_answers_as_the_engine(self, annotation):
+        """A keyless COUNT over an empty selection is one row holding 0,
+        as SQL and the engine answer it, not an empty table."""
+        from repro.api import Database
+        from repro.storage import Table
+
+        db = Database()
+        db.create_table("t", Table({"v": np.arange(4, dtype=np.int64)}))
+        plan = GroupBy(Select(Scan("t"), col("v") >= 5), [], [AggCall("count", None, "c")])
+        cap = logical_capture(db.catalog, plan, annotation)
+        assert cap.output.to_rows() == db.execute(plan).table.to_rows() == [(0,)]
+        assert len(cap.annotated) == 0  # no input row to pair with it
+
     def test_invalid_annotation_kind(self, small_db, groupby_plan):
         with pytest.raises(PlanError):
             logical_capture(small_db.catalog, groupby_plan, "hologram")

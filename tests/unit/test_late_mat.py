@@ -618,6 +618,28 @@ class TestChainExecution:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("capture", [CaptureMode.NONE, CaptureMode.INJECT])
+    @pytest.mark.parametrize("stmt", [
+        CHAIN,  # pushed: the compiled block loops over the core's output
+        "SELECT cat, COUNT(*) AS c FROM names JOIN cats ON names.label = cats.label "
+        "GROUP BY cat",  # plain: a generated hash join
+        "SELECT names.z, cat FROM names JOIN cats ON names.label = cats.label",
+    ])
+    def test_compiled_join_leaves_no_reference_cycle(self, chain_db, stmt, capture):
+        """A compiled block's generated function and emitter tree are freed
+        when its statement returns, not at the collector's next pass."""
+        import gc
+
+        opts = ExecOptions(backend="compiled", capture=capture)
+        chain_db.sql(stmt, params={"bars": [0, 1]}, options=opts)
+        gc.collect()
+        gc.disable()
+        try:
+            chain_db.sql(stmt, params={"bars": [0, 1]}, options=opts)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_sort_over_chain_still_pushes_below(self, chain_db, backend):
         res = chain_db.sql(
