@@ -101,6 +101,7 @@ import numpy as np
 
 from . import sanitize
 from .errors import PlanError, RecoveryError, StaleBindingError
+from .exec.late_mat import execute_pushed_batch
 from .exec.vector.executor import ExecResult, VectorExecutor
 from .lineage.cache import LineageResolutionCache
 from .lineage.capture import CaptureConfig, CaptureMode, QueryLineage
@@ -686,14 +687,13 @@ def _lineage_bytes(result: "QueryResult") -> int:
 class PreparedQuery:
     """A statement bound once, runnable many times.
 
-    Caches the lex/parse/bind product (the logical plan) and the
-    late-materialization rewrite decisions
-    (:class:`~repro.plan.rewrite.RewriteIndex`); every run reads
-    per-bar partial answers through the database's one
-    :class:`~repro.lineage.cache.LineageResolutionCache`.
-    ``run()`` binds ``:params`` without re-planning; all parameter slots —
-    scalar predicates, ``IN :list``, and lineage-scan rid arguments —
-    survive binding.
+    Caches the lex/parse/bind product (the logical plan), its occurrence
+    keys and rewrite decisions (:class:`~repro.plan.rewrite.RewriteIndex`)
+    and, per pushed subtree answered from a per-bar memo, its **bound
+    route** (:func:`repro.exec.late_mat._memo_tables`): valid while the
+    result, base and leaf tables it was derived from (with their epochs
+    and the catalog names the base resolved against) are the same objects
+    in the view a run reads, and rebound whole otherwise.
 
     Prepared plans freeze the relations they were bound against
     (``catalog``, the live one by default) — binding reads data, not just
@@ -1212,14 +1212,19 @@ def run_plan(
     :meth:`~repro.serve.Snapshot.execute_plan` both end here.
 
     ``prepared`` is the :class:`PreparedQuery` ``plan`` came from: its
-    parameters and binding are checked against this view, and its rewrite
-    index and the database's memo cache ride along.  A raw plan (``None``)
-    matches rewrites live and runs uncached."""
+    parameters and binding are checked against this view, its rewrite index
+    and the database's memo cache ride along, and a root its memo answers
+    needs no executor.  A raw plan (``None``) matches rewrites live and runs uncached."""
     rewrites = cache = None
     if prepared is not None:
         require_params(prepared.param_names, params)
         prepared.check_bound(catalog, results)
         rewrites, cache = prepared.rewrites, prepared.lineage_cache
+        pushed = rewrites.lookup(plan) if options.late_materialize else None
+        answered = pushed and execute_pushed_batch(pushed, catalog, results, options.config,
+                                                   [params], cache)
+        if answered is not None:
+            return answered[0]
     if options.backend == "vector":
         executor = VectorExecutor(catalog, results=results)
     else:

@@ -100,7 +100,7 @@ class CompiledExecutor:
         """Run ``plan``.  ``rewrites`` / ``lineage_cache`` are the
         prepared-statement fast-path handles (see the vector backend)."""
         config = capture or CaptureConfig.none()
-        scan_keys = assign_source_keys(plan)
+        scan_keys = assign_source_keys(plan) if rewrites is None else rewrites.source_keys
         # Validate pruning entries up front: a misspelled `relations`
         # entry must not discard a finished (possibly expensive) run.
         check_relation_pruning(config, plan, scan_keys, self.catalog, self.results)

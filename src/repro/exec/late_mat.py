@@ -2,80 +2,63 @@
 
 Runs a :class:`~repro.plan.rewrite.PushedLineageQuery` — a
 ``[Project?][GroupBy?][Select*]`` tree over one pushed **core**: a single
-:class:`~repro.plan.logical.LineageScan` leaf (a zero-join core) or a
-flattened **chain** (or snowflake tree) of hash equi-joins with
-lineage-backed leaves — as one left-deep plan of key probes, without
-ever materializing the traced subset *or any intermediate join output*:
+:class:`~repro.plan.logical.LineageScan` leaf or a flattened **chain** (or
+snowflake tree) of hash equi-joins with lineage-backed leaves — as one
+left-deep plan of key probes, never materializing the traced subset *or
+any intermediate join output*:
 
-1. resolve the traced rid array(s) against the result registry
-   (:func:`repro.exec.lineage_scan.resolve_scan_source`, so every
-   schema-drift and shrink guard of the materializing path applies) —
-   or, for a capture-off statement whose core's one lineage leaf is a
-   backward scan of a GROUP BY view (the whole core, or a join core whose
-   other leaves are plain catalog scans, :class:`~repro.plan.rewrite.MemoShape`)
+1. resolve the traced rids against the result registry
+   (:func:`repro.exec.lineage_scan.resolve_scan_source`, so every guard of
+   the materializing path applies) — or, for a capture-off statement whose
+   core's one lineage leaf is a backward scan of a GROUP BY view, alone or
+   joined to plain catalog scans (:class:`~repro.plan.rewrite.MemoShape`),
    with a shared :class:`~repro.lineage.cache.LineageResolutionCache`,
-   answer from its **per-bar memo** instead: partial answers per brushed
-   bar (the paper's partial data cube, §4.2), filled lazily from the
-   bars' CSR slices through the same lowered core and step loop, the
-   entry's plain leaves filtered and key-indexed once, and merged per
-   brush by one packed order key and a key-dictionary code, sorting only
-   the merged groups and hashing no key (:func:`_memo_tables`);
+   answer from its **per-bar memo**: partial answers per brushed bar (the
+   paper's partial data cube, §4.2), filled lazily from the bars' CSR
+   slices through the same lowered core and step loop, and merged per
+   brush by one packed order key and a key-dictionary code
+   (:func:`_memo_tables`).  A prepared tree reaches its memo through a
+   **bound route**, derived once and valid while every object it was
+   derived from is the same object in the view a run reads (:class:`_Route`);
 2. lower the core (:func:`_lower`): visit its leaves in pre-order,
    filtering the lineage leaf's pushed predicates on rid-gathered slices
-   of **only the predicates' columns**, and lay its hops out as a
-   **spine** — the input carrying the lineage leaf — that joins one
-   other input per step (a core of its own when both inputs carry
-   lineage);
-3. run the steps (:func:`_run_steps`): each gathers **only the spine's
-   join keys** through the per-leaf position arrays accumulated so far,
-   picks its hash-build side from cardinality statistics
-   (:func:`~repro.substrate.stats.choose_build_side` — a side whose keys
-   are known unique, e.g. a lineage scan over a dimension table, else
-   the smaller one), matches the keys through the one equi-join kernel
-   (:func:`~repro.exec.vector.join.compute_matches`, whose key index
-   finds unique build keys by itself), composes the match arrays into
-   the position arrays — a join output row is represented as one
-   position per leaf, never as materialized payload — and filters by
-   the hop's predicate;
-4. gather the columns the output actually needs — group keys and
-   aggregate arguments, projection inputs, or (predicate-only trees)
-   the full core schema — at the *final surviving* positions only, and
-   feed the aggregation / DISTINCT kernels that narrow slice table
-   (:func:`~repro.exec.vector.groupby.execute_groupby` /
-   :func:`~repro.exec.vector.groupby.execute_distinct`).
+   of only their columns, and lay its hops out as a **spine** — the input
+   carrying the lineage leaf — joining one other input per step;
+3. run the steps (:func:`_run_steps`): each gathers only the spine's join
+   keys through the per-leaf position arrays, picks its build side from
+   cardinality statistics (:func:`~repro.substrate.stats.choose_build_side`),
+   matches the keys through the one equi-join kernel
+   (:func:`~repro.exec.vector.join.compute_matches`), composes the match
+   arrays into the position arrays — a join output row is one position per
+   leaf, never materialized payload — and filters by the hop's predicate;
+4. gather the columns the output needs at the *final surviving* positions
+   only, and feed the aggregation / DISTINCT kernels that narrow table.
 
-Both backends funnel through :func:`execute_pushed` — exactly like
-:func:`~repro.exec.lineage_scan.execute_lineage_scan` — so the pushed
-path is backend-agnostic by construction.  ``run_child`` hands plain
-(non-lineage) chain leaves back to the calling backend's own recursion
-(so e.g. a derived-table join input executes — and possibly pushes —
-exactly as it would outside the rewrite), and ``next_key`` consumes the
-backend's pre-order occurrence keys, one per lineage leaf.
+Both backends funnel through :func:`execute_pushed`, so the pushed path is
+backend-agnostic by construction: ``run_child`` hands plain chain leaves
+back to the calling backend's own recursion, and ``next_key`` consumes its
+pre-order occurrence keys, one per lineage leaf.
 
-Output rows *and* captured lineage are bit-identical to the
-materializing path: composing the scan's rid-array lineage with a
-selection's local rid array *is* the filtered rid array, so
-:func:`~repro.exec.lineage_scan.scan_node_lineage` over the surviving
-rids equals the materialized path's ``compose_node(select, scan)``;
-every step composes its (canonical-order) match arrays through the
-same :func:`~repro.exec.vector.join.join_lineage_locals` /
+Output rows *and* captured lineage are bit-identical to the materializing
+path: :func:`~repro.exec.lineage_scan.scan_node_lineage` over the
+surviving rids equals its ``compose_node(select, scan)``, every step
+composes its (canonical-order) matches through the same
+:func:`~repro.exec.vector.join.join_lineage_locals` /
 :func:`~repro.lineage.composer.merge_binary` calls the vector executor
-makes — a swapped build side re-sorts its matches back into canonical
-probe order first — and aggregation / DISTINCT stages compose through
-the same :func:`~repro.lineage.composer.compose_node`.  The property
-suites (``tests/property/test_prop_late_mat.py``,
-``tests/property/test_prop_late_mat_join.py``,
-``tests/property/test_prop_late_mat_chain.py``) assert this equivalence
-over random trees and chains on both backends.
+makes, and aggregation / DISTINCT compose through the same
+:func:`~repro.lineage.composer.compose_node`.  The property suites
+(``tests/property/test_prop_late_mat*.py``) assert this over random trees
+and chains on both backends.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+import weakref
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,22 +81,11 @@ from ..plan.schema import infer_expr_type, infer_schema, join_output_fields
 from ..storage.catalog import Catalog
 from ..storage.table import ColumnType, Schema, Table
 from ..substrate.stats import UNIQUENESS_PROBE_MAX_ROWS, JoinSideStats, choose_build_side
-from .lineage_scan import (
-    resolve_rid_spec,
-    resolve_scan_partition,
-    resolve_scan_source,
-    scan_node_lineage,
-)
-from .timings import (
-    LATE_MAT_BUILD_SWAPS,
-    LATE_MAT_CHAIN_HOPS,
-    LATE_MAT_DISTINCTS,
-    LATE_MAT_JOINS,
-    LATE_MAT_MEMO_FILL,
-    LATE_MAT_MEMO_MERGE,
-    LATE_MAT_PKFK_DETECTED,
-    LATE_MAT_SUBTREES,
-)
+from .lineage_scan import BarPartition, PartitionKey, resolve_rid_spec, resolve_scan_partition
+from .lineage_scan import resolve_scan_source, scan_node_lineage
+from .timings import EXECUTE, LATE_MAT_BUILD_SWAPS, LATE_MAT_CHAIN_HOPS, LATE_MAT_DISTINCTS
+from .timings import LATE_MAT_JOINS, LATE_MAT_MEMO_FILL, LATE_MAT_MEMO_MERGE, LATE_MAT_PKFK_DETECTED
+from .timings import LATE_MAT_ROUTE, LATE_MAT_ROUTE_BINDS, LATE_MAT_SUBTREES
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -144,6 +116,8 @@ class PushedStats:
     pkfk_detected: int = 0  # hops whose build keys stats alone know unique
     memo_fill_s: float = 0.0  # finding and filling missing bars
     memo_merge_s: float = 0.0  # merging partials into answers
+    route_s: float = 0.0  # checking (or rebinding) routes and looking up memos
+    route_binds: int = 0  # routes (re)bound
 
     def count(self, pushed: PushedLineageQuery) -> None:
         """Count one executed pushed tree."""
@@ -154,14 +128,8 @@ class PushedStats:
 
 
 def fold_push_stats(timings: Dict[str, float], stats: PushedStats) -> None:
-    """Surface a run's pushed decisions as ``timings`` counters, each only
-    when non-zero: ``late_mat_{subtrees,joins,distincts}`` count pushed
-    trees, ``late_mat_chain_hops`` joins flattened beyond each core's
-    first (hops a single-join push would materialize at),
-    ``late_mat_build_swaps`` hops that built on the plan-right side,
-    ``late_mat_pkfk_detected`` hops whose build keys column statistics
-    alone know unique (a pk-fk join the plan never asserted), and ``late_mat_memo_{fill,merge}_s`` the seconds of
-    per-bar memo answers."""
+    """Surface a run's :class:`PushedStats` as the ``timings`` counters
+    :mod:`repro.exec.timings` documents, each only when non-zero."""
     for key, value in (
         (LATE_MAT_SUBTREES, stats.subtrees),
         (LATE_MAT_JOINS, stats.joins),
@@ -171,6 +139,8 @@ def fold_push_stats(timings: Dict[str, float], stats: PushedStats) -> None:
         (LATE_MAT_PKFK_DETECTED, stats.pkfk_detected),
         (LATE_MAT_MEMO_FILL, stats.memo_fill_s),
         (LATE_MAT_MEMO_MERGE, stats.memo_merge_s),
+        (LATE_MAT_ROUTE, stats.route_s),
+        (LATE_MAT_ROUTE_BINDS, stats.route_binds),
     ):
         if value:
             timings[key] = float(value)
@@ -498,15 +468,11 @@ def execute_pushed(
 
     ``next_key`` yields the backend's pre-order occurrence keys (one per
     lineage-scan leaf); ``run_child`` executes a plain chain leaf through
-    the backend's own recursion; ``stats`` counts the tree and
-    accumulates its chain-hop / build-side / pk-fk decisions for the
-    executors' ``timings`` counters.  With ``cache``, the shapes a
-    :class:`~repro.plan.rewrite.MemoShape` describes answer from the
-    statement's per-bar memo in that cache.
+    the backend's own recursion; ``stats`` counts the tree and what it
+    did for the executors' ``timings`` counters.  With ``cache``, the
+    shapes a :class:`~repro.plan.rewrite.MemoShape` describes answer from
+    the statement's per-bar memo in that cache.
     """
-    from .vector.groupby import execute_distinct, execute_groupby
-
-    stats.count(pushed)
     if cache is not None:
         answered = _memo_tables(pushed, catalog, results, config, [params], cache, stats)
         if answered is not None:
@@ -521,6 +487,7 @@ def execute_pushed(
                 )
                 node.absorb(leaf, None, None)
             return table, node
+    stats.count(pushed)
 
     def lineage_leaf(side: PushedJoinSide) -> _ChainState:
         """The node of the leaf's surviving rids, its folded ``Select``
@@ -541,6 +508,8 @@ def execute_pushed(
     # cycle, holding the run's arrays until the collector's next pass.
     def run(spine: _ChainState, steps: List[_Step]) -> _ChainState:
         return _run_steps(spine, steps, config, params, stats)[0]
+
+    from .vector.groupby import execute_distinct, execute_groupby
 
     steps: List[_Step] = []
     spine = _lower(pushed.core, lineage_leaf, run_child, catalog, run, steps)[1]
@@ -834,6 +803,41 @@ def _memo_answers(pushed, kind, memo, part, params_list, cache, fill, stats) -> 
     return tables
 
 
+class _Route(NamedTuple):
+    """A prepared pushed tree's bound route to its per-bar memo
+    (:func:`_memo_tables`): what :func:`_bind` derived from one
+    ``(catalog, results)`` view, valid while ``key`` holds; it holds each
+    object it read by weak reference, so it keeps none of them alive."""
+
+    key: PartitionKey  # the partition's, with each plain leaf's table
+    declined: Optional[str]  # the check that declined the memo, else None
+    leaves: tuple = ()  # (alias, table name, rows, epoch) per core leaf, pre-order
+    strides: tuple = ()  # the order key's (:func:`_order_strides`)
+    reads: Tuple[str, ...] = ()  # the base columns the memo is keyed on
+
+
+def _bind(shape, catalog, results) -> Tuple[_Route, BarPartition, dict]:
+    """A route for ``shape`` in this view, the partition and the plain
+    leaf tables (name → ``(table, epoch)``); every guard runs here."""
+    part, key = resolve_scan_partition(shape.scan, catalog, results)
+    if not part.partitioned:
+        return _Route(key, "index"), part, {}
+    leaves, tables = [], {}
+    for side in shape.leaves:
+        plain = plain_scan(side.plan)
+        if plain is None:
+            leaves.append((shape.scan.alias, part.base_name, part.base.num_rows, part.epoch))
+        else:
+            table, epoch = tables.setdefault(plain.table, catalog.get_versioned(plain.table))
+            leaves.append((plain.alias, plain.table, table.num_rows, epoch))
+    strides = _order_strides([leaves[i][2] for i in shape.order])
+    base = part.base.schema.names
+    reads = base if shape.reads is None else sorted(shape.reads.intersection(base))
+    key = key._replace(tables=tuple((n, weakref.ref(t), e) for n, (t, e) in tables.items()))
+    declined = None if strides is not None else "order key"
+    return _Route(key, declined, tuple(leaves), tuple(strides or ()), tuple(reads)), part, tables
+
+
 def _memo_tables(
     pushed: PushedLineageQuery,
     catalog: Catalog,
@@ -844,57 +848,46 @@ def _memo_tables(
     stats: PushedStats,
 ):
     """Answer ``pushed`` for each binding from its per-bar memo; returns
-    ``(tables, leaves)`` — ``leaves`` holding ``(alias, table name, rows,
-    epoch)`` per core leaf in pre-order, for the node metadata — or
-    ``None`` when the memo does not apply (capture on, no
-    :class:`~repro.plan.rewrite.MemoShape`, or an index that is not a
-    partition).
+    ``(tables, leaves)`` — ``leaves`` the route's, for the node metadata —
+    or ``None`` when the memo does not apply (capture on, no
+    :class:`~repro.plan.rewrite.MemoShape`, or a route that declined).
+
+    What a run derives before the memo lookup is bound once into the
+    tree's **route** (``pushed.route``, :class:`_Route`), valid while its
+    :class:`~repro.exec.lineage_scan.PartitionKey` holds in the view the
+    run reads, O(leaves).  A stale route is rebuilt whole — every guard
+    runs again — and installed as one object, so readers of other
+    snapshots may each rebind it but never see half of one.
 
     The memo is one cache entry per (pushed tree, parameters other than
-    the rid argument — :func:`shared_fingerprint`), live while what its
-    fills read is unchanged:
-
-    * the traced base table's name and catalog epoch, and the array
-      objects of the columns of it the statement reads (``MemoShape.reads``)
-      — catalog columns never change in place, so a ``preserve_rids``
-      refresh that rebuilds the table around the same arrays keeps the
-      memo unless it swaps a read column;
-    * each plain join leaf's catalog epoch and table object;
-    * the view's backward index object.  A re-registration builds a new
-      one; the lookup compares it with the old one and re-stamps the
-      entry when they are bit-equal, so re-capturing an unchanged view
-      refills no bar.  The check runs here, on the first brush, never on
-      registration.
-
-    The key and the epoch pin these objects, not the view's result or the
-    base table.  The guards of
-    :func:`~repro.exec.lineage_scan.resolve_scan_source` run once per
-    call; the shrink guard once per bar fill.  All bindings must share
-    one :func:`shared_fingerprint`.
+    the rid argument — :func:`shared_fingerprint`, which all bindings
+    share), live while what its fills read is unchanged, each object
+    pinned: the traced base table's name and epoch and the arrays of the
+    columns of it the statement reads (``MemoShape.reads``; catalog
+    columns never change in place, so a ``preserve_rids`` refresh keeps
+    the memo unless it swaps a read column); each plain join leaf's epoch
+    and table; and the view's backward index.  A re-registration's new
+    index is compared with the old one on the first brush, and a
+    bit-equal one re-stamps the entry, so re-capturing an unchanged view
+    refills no bar.  The shrink guard runs once per bar fill.
     """
     shape = None if config.enabled else pushed.memo
     if shape is None:
         return None
-    kind, scan = shape.kind, shape.scan
-    part = resolve_scan_partition(scan, catalog, results)
-    if part is None:
+    start = perf_counter()
+    scan, route = shape.scan, pushed.route
+    held = None if route is None else route.key.held(scan, catalog, results)
+    bound = held is None
+    if bound:
+        route, *held = _bind(shape, catalog, results)
+        object.__setattr__(pushed, "route", route)  # the tree's one mutable slot
+    if route.declined is not None:
         return None
-    leaves, tables = [], {}
-    for side in shape.leaves:
-        plain = plain_scan(side.plan)
-        if plain is None:
-            leaves.append((scan.alias, part.base_name, part.base.num_rows, part.epoch))
-        else:
-            table, epoch = tables.setdefault(plain.table, catalog.get_versioned(plain.table))
-            leaves.append((plain.alias, plain.table, table.num_rows, epoch))
-    strides = _order_strides([leaves[i][2] for i in shape.order])
-    if strides is None:
-        return None
-    base = part.base.schema.names
-    reads = base if shape.reads is None else sorted(shape.reads.intersection(base))
-    inputs = (part.base_name, part.epoch) + tuple(Pin(part.base.column(n)) for n in reads) + tuple(
-        (epoch, Pin(table)) for table, epoch in tables.values()
-    )
+    part, tables = held
+    kind = shape.kind
+    inputs = (part.base_name, part.epoch) + tuple(
+        Pin(part.base.column(n)) for n in route.reads
+    ) + tuple((epoch, Pin(table)) for table, epoch in tables.values())
 
     def build() -> _BarMemo:
         stage = {"groups": pushed.groupby, "distinct": pushed.project}.get(kind)
@@ -904,18 +897,17 @@ def _memo_tables(
         # Only the index object differs, and its lineage is bit-equal.
         return stored[0] == inputs and stored[1].obj == part.index
 
-    memo = cache.memo(
-        (Pin(pushed), shared_fingerprint(scan, params_list[0])),
-        (inputs, Pin(part.index)),
-        build,
-        same,
-    )
-    chain = (catalog, config, tables, stats, strides)
+    key = (Pin(pushed), shared_fingerprint(scan, params_list[0]))
+    memo = cache.memo(key, (inputs, Pin(part.index)), build, same)
+    stats.route_s += perf_counter() - start
+    stats.route_binds += bound
+    stats.count(pushed)
+    chain = (catalog, config, tables, stats, route.strides)
 
     def fill(bars):
         return _fill_bars(pushed, kind, part, bars, params_list[0], chain, memo)
 
-    return _memo_answers(pushed, kind, memo, part, params_list, cache, fill, stats), leaves
+    return _memo_answers(pushed, kind, memo, part, params_list, cache, fill, stats), route.leaves
 
 
 def execute_pushed_batch(
@@ -925,16 +917,19 @@ def execute_pushed_batch(
     config: CaptureConfig,
     params_list: Sequence[Optional[dict]],
     cache: LineageResolutionCache,
-    stats: PushedStats,
-) -> Optional[List[Table]]:
-    """:func:`execute_pushed` for N bindings that differ only in the rid
-    argument: the guards and the memo lookup run once, then each binding
-    is one merge of its bars' partials — bit-identical to running it
-    alone, ``stats`` counting what one binding's run counts.  ``None``
-    when the per-bar memo does not apply and the caller must run the
-    bindings one by one."""
+) -> Optional[list]:
+    """A prepared plan whose root is ``pushed`` run for N bindings that
+    differ only in the rid argument: the route check and the memo lookup
+    run once, then each binding is one merge of its bars' partials — an
+    :class:`~repro.exec.vector.executor.ExecResult` bit-identical to the
+    executors', with the ``timings`` one binding's run carries.  ``None``
+    when the per-bar memo does not answer and the caller must run it."""
+    from .vector.executor import ExecResult
+
+    start, stats = perf_counter(), PushedStats()
     answered = _memo_tables(pushed, catalog, results, config, params_list, cache, stats)
     if answered is None:
         return None
-    stats.count(pushed)
-    return answered[0]
+    timings = {EXECUTE: perf_counter() - start}
+    fold_push_stats(timings, stats)
+    return [ExecResult(table, None, dict(timings)) for table in answered[0]]

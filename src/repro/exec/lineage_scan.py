@@ -45,6 +45,7 @@ rows and captured lineage are identical by construction; pass
 
 from __future__ import annotations
 
+import weakref
 from typing import Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -128,13 +129,13 @@ def resolve_rid_spec(rids_expr, params: Optional[dict], default_size: int) -> np
 def _resolve_result(plan: LineageScan, results: Optional[Mapping[str, object]]):
     """The named prior result in ``results``, the registry this execution
     reads (the live registry or a pinned snapshot view)."""
-    if results is None or plan.result not in results:
+    result = None if results is None else results.get(plan.result)  # one registry lookup
+    if result is None:
         known = sorted(results) if results else []
         raise PlanError(
             f"unknown result {plan.result!r} in lineage scan; register the "
             f"prior query with Database.register_result (known: {known})"
         )
-    result = results[plan.result]
     if result.lineage is None:
         raise PlanError(
             f"result {plan.result!r} was executed without lineage capture; "
@@ -265,19 +266,23 @@ def resolve_scan_source(
 
 
 class BarPartition(NamedTuple):
-    """A guarded backward scan whose index partitions its base relation
-    (every base rid in at most one bar's bucket — the GROUP BY view
-    shape, :meth:`~repro.lineage.indexes.RidIndex.is_partitioned`): any
-    brush's backward set is the disjoint union of its bars' buckets,
-    which the per-bar memo of :func:`repro.exec.late_mat.execute_pushed`
-    exploits."""
+    """A guarded backward scan and the view's index for it.  When the
+    index partitions the base relation (every base rid in at most one
+    bar's bucket — the GROUP BY view shape,
+    :meth:`~repro.lineage.indexes.RidIndex.is_partitioned`), any brush's
+    backward set is the disjoint union of its bars' buckets, which the
+    per-bar memo of :func:`repro.exec.late_mat.execute_pushed` exploits."""
 
     plan: LineageScan
     base: Table
     base_name: str
     epoch: int
     captured_epoch: Optional[int]
-    index: RidIndex
+    index: object
+
+    @property
+    def partitioned(self) -> bool:
+        return isinstance(self.index, RidIndex) and self.index.is_partitioned()
 
     def bucket(self, bar: int) -> np.ndarray:
         """Bar ``bar``'s sorted backward rids, shrink-guarded."""
@@ -292,21 +297,59 @@ class BarPartition(NamedTuple):
         return rids
 
 
+class PartitionKey(NamedTuple):
+    """What a guarded partition (:func:`resolve_scan_partition`) and the
+    catalog tables read with it were derived from in one ``(catalog,
+    results)`` view, each object by weak reference: the result the scan
+    names, whether each catalog name :func:`resolve_base_table` looked up
+    was there, the traced base table and ``tables``, with their epochs.
+    The guards pass, with the same partition, in any view where each is
+    the same object (:meth:`held`)."""
+
+    result: weakref.ref
+    names: Tuple[str, ...]
+    present: Tuple[bool, ...]
+    base: weakref.ref
+    base_name: str
+    epoch: int
+    captured_epoch: Optional[int]
+    tables: Tuple[Tuple[str, weakref.ref, int], ...] = ()
+
+    def held(self, plan: LineageScan, catalog: Catalog, results):
+        """``(partition, {name: (table, epoch)} of tables)`` in this view,
+        or ``None`` unless the key holds in it: the registry lookup every
+        run makes, then O(tables) identity checks."""
+        result = _resolve_result(plan, results)
+        if result is not self.result() or tuple(n in catalog for n in self.names) != self.present:
+            return None
+        base, epoch = catalog.get_versioned(self.base_name)
+        if base is not self.base() or epoch != self.epoch:
+            return None
+        tables = {}
+        for name, ref, bound in self.tables:
+            table, now = tables[name] = catalog.get_versioned(name)
+            if table is not ref() or now != bound:
+                return None
+        index = result.lineage.backward_index(plan.relation)
+        return BarPartition(plan, base, self.base_name, epoch, self.captured_epoch, index), tables
+
+
 def resolve_scan_partition(
     plan: LineageScan,
     catalog: Catalog,
     results: Optional[Mapping[str, object]],
-) -> Optional[BarPartition]:
+) -> Tuple[BarPartition, PartitionKey]:
     """The registry, epoch and schema guards of
     :func:`resolve_scan_source` for a *backward* scan, without resolving
-    any rids; ``None`` unless its index is a partitioned
-    :class:`~repro.lineage.indexes.RidIndex`."""
+    any rids: the guarded scan and its :class:`PartitionKey`."""
     result = _resolve_result(plan, results)
     base, base_name, epoch, captured_epoch = _backward_base(plan, catalog, result)
     index = result.lineage.backward_index(plan.relation)
-    if not isinstance(index, RidIndex) or not index.is_partitioned():
-        return None
-    return BarPartition(plan, base, base_name, epoch, captured_epoch, index)
+    names = {key.split("#")[0] for key in result.lineage.keys_for(plan.relation)}
+    names = tuple(sorted(names | {plan.relation, plan.relation.split("#")[0]}))
+    key = PartitionKey(weakref.ref(result), names, tuple(n in catalog for n in names),
+                       weakref.ref(base), base_name, epoch, captured_epoch)
+    return BarPartition(plan, base, base_name, epoch, captured_epoch, index), key
 
 
 def scan_node_lineage(

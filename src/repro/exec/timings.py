@@ -46,6 +46,16 @@ LATE_MAT_MEMO_FILL = "late_mat_memo_fill_s"
 #: Seconds one execution spent merging per-bar memo partials into answers.
 LATE_MAT_MEMO_MERGE = "late_mat_memo_merge_s"
 
+#: Seconds one execution spent from entering the per-bar memo's route to
+#: holding its memo entry: the bound route's identity checks (and, when it
+#: was stale, the guards and derivations that rebind it) plus the memo
+#: lookup; written whenever the memo answered.
+LATE_MAT_ROUTE = "late_mat_route_s"
+
+#: Pushed trees whose bound route one execution (re)bound; absent on a
+#: warm run, whose route still held.
+LATE_MAT_ROUTE_BINDS = "late_mat_route_binds"
+
 #: Registered but never written: the engine runs every kernel serially,
 #: so nothing in ``src/`` sets this key.  It stays because ``perfbench``
 #: still reads it into a count-exact metric that must stay 0; drop it
@@ -67,6 +77,8 @@ ALL_KEYS = frozenset(
         LATE_MAT_PKFK_DETECTED,
         LATE_MAT_MEMO_FILL,
         LATE_MAT_MEMO_MERGE,
+        LATE_MAT_ROUTE,
+        LATE_MAT_ROUTE_BINDS,
         MORSEL_TASKS,
     }
 )

@@ -146,12 +146,12 @@ class VectorExecutor:
     ) -> ExecResult:
         """Run ``plan``.  ``rewrites`` / ``lineage_cache`` are the
         prepared-statement fast-path handles: a precomputed
-        late-materialization index (skips per-run structural matching)
-        and the database's per-bar memo cache (brushes over a GROUP BY
-        view merge memoized partials, see
+        late-materialization index and occurrence keys (skips per-run
+        structural matching) and the database's per-bar memo cache
+        (brushes over a GROUP BY view merge memoized partials, see
         :func:`~repro.exec.late_mat.execute_pushed`)."""
         config = capture or CaptureConfig.none()
-        scan_keys = self._assign_scan_keys(plan)
+        scan_keys = assign_source_keys(plan) if rewrites is None else rewrites.source_keys
         # Validate pruning entries up front: a misspelled `relations`
         # entry must not discard a finished (possibly expensive) run.
         check_relation_pruning(config, plan, scan_keys, self.catalog, self.results)
@@ -169,11 +169,6 @@ class VectorExecutor:
         return ExecResult(table, lineage, timings)
 
     # -- helpers -------------------------------------------------------------------
-
-    def _assign_scan_keys(self, plan: LogicalPlan) -> List[str]:
-        """Occurrence key per source leaf (Scan / LineageScan) in
-        pre-order; see :func:`repro.plan.logical.assign_source_keys`."""
-        return assign_source_keys(plan)
 
     def _run(
         self,

@@ -76,7 +76,7 @@ workloads pay N times per brush).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
@@ -89,6 +89,7 @@ from .logical import (
     Project,
     Scan,
     Select,
+    assign_source_keys,
     walk,
 )
 from .schema import JOIN_RENAME_SUFFIX
@@ -212,12 +213,17 @@ class PushedLineageQuery:
     ``None`` means the stack's output is the core's **full** schema
     (``SELECT * ... [WHERE]``): every column is gathered, but only at the
     rids that survive (for joins: that matched).
+
+    ``route`` is the slot of the per-bar memo's bound route
+    (:func:`repro.exec.late_mat._memo_tables`): set by the runs of a
+    prepared statement, replaced whole, and no part of the tree's value.
     """
 
     core: PushedJoinHop
     groupby: Optional[GroupBy] = None
     project: Optional[Project] = None
     columns: Optional[FrozenSet[str]] = frozenset()
+    route: object = field(default=None, compare=False, repr=False)
 
     @property
     def has_join(self) -> bool:
@@ -227,7 +233,7 @@ class PushedLineageQuery:
     def has_distinct(self) -> bool:
         return self.project is not None and self.project.distinct
 
-    @property
+    @cached_property
     def chain_hops(self) -> int:
         """Joins flattened into the core beyond the first — the hops a
         single-join push would materialize at (0 for a leaf core, which
@@ -431,12 +437,15 @@ class RewriteIndex:
     occurrence keys, exactly as the executors' recursion sees them.  The
     index holds a reference to the plan so node ids stay valid for its
     lifetime; it must only be consulted with nodes of that plan.
+    ``source_keys`` are the plan's occurrence keys
+    (:func:`~repro.plan.logical.assign_source_keys`).
     """
 
-    __slots__ = ("plan", "_matches")
+    __slots__ = ("plan", "source_keys", "_matches")
 
     def __init__(self, plan: LogicalPlan):
         self.plan = plan
+        self.source_keys = assign_source_keys(plan)
         self._matches: Dict[int, PushedLineageQuery] = {}
         for node in walk(plan):
             matched = match_late_materialization(node)

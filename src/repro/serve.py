@@ -379,8 +379,8 @@ class DatabaseServer:
         leaf's rid subset (equal in type and value, as the memo keys them:
         :func:`~repro.exec.late_mat.shared_fingerprint`), and the view's
         backward index is a partition, the N brushes coalesce
-        (:func:`~repro.exec.late_mat.execute_pushed_batch`): the guards
-        and the memo lookup run once, then each binding is one merge of
+        (:func:`~repro.exec.late_mat.execute_pushed_batch`): the route
+        check and the memo lookup run once, then each binding is one merge of
         its bars' memoized partials, its ``late_mat_*`` counters those of
         a per-binding run.  Anything else falls back to per-binding
         :meth:`sql` — the batch form is an optimization, never a semantic
@@ -408,16 +408,7 @@ class DatabaseServer:
     def _try_execute_batch(self, key, statement, params_list, opts, snap):
         """The coalesced path of :meth:`sql_batch`, or ``None`` when the
         statement/bindings are not batch-eligible (caller falls back)."""
-        from time import perf_counter
-
-        from .exec.late_mat import (
-            PushedStats,
-            execute_pushed_batch,
-            fold_push_stats,
-            shared_fingerprint,
-        )
-        from .exec.timings import EXECUTE
-        from .exec.vector.executor import ExecResult
+        from .exec.late_mat import execute_pushed_batch, shared_fingerprint
         from .expr.ast import Param
 
         if opts.name is not None or not opts.late_materialize:
@@ -436,27 +427,18 @@ class DatabaseServer:
             return None
         for params in params_list:
             require_params(prepared.param_names, params)
-        start = perf_counter()
-        stats = PushedStats()
         try:
             prepared.check_bound(snap.catalog, snap.results)
-            tables = execute_pushed_batch(
+            answered = execute_pushed_batch(
                 pushed, snap.catalog, snap.results, opts.config,
-                params_list, prepared.lineage_cache, stats,
+                params_list, prepared.lineage_cache,
             )
         except StaleBindingError:
             # Let the per-binding fallback re-bind and retry.
             return None
-        if tables is None:
+        if answered is None:
             return None
-        timings = {EXECUTE: perf_counter() - start}
-        fold_push_stats(timings, stats)
-        return [
-            QueryResult(
-                self._db, prepared.plan, ExecResult(table, None, dict(timings)), options=opts
-            )
-            for table in tables
-        ]
+        return [QueryResult(self._db, prepared.plan, r, options=opts) for r in answered]
 
     def submit_query(
         self,

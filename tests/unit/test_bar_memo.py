@@ -1,12 +1,17 @@
 """The per-bar memo behind capture-off brushes over GROUP BY views: its
 reuse is observable, and no state change ever serves a stale memo."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro import CaptureMode, Database, ExecOptions, Table
-from repro.errors import LineageError
+from repro.errors import LineageError, PlanError, ReproError, SqlError
+from repro.exec.timings import LATE_MAT_ROUTE_BINDS
 from repro.lineage.cache import param_fingerprint
+from repro.lineage.capture import CaptureConfig
 from repro.serve import DatabaseServer
 
 INJECT = ExecOptions(capture=CaptureMode.INJECT, pin=True)
@@ -294,13 +299,21 @@ RENAMED = (
 READS = {BRUSH: ("g", "w"), ROWS: ("w", "g"), JOIN: ("g", "w"), RENAMED: ("w", None)}
 
 
+def _swap(table="t", column=None, preserve_rids=True):
+    """A replace of ``table`` around its column arrays, ``column`` (if
+    any) swapped for a new one."""
+    def write(db):
+        columns = db.table(table).columns()
+        if column is not None:
+            columns[column] = columns[column][::-1].copy()
+        db.create_table(table, Table(columns), replace=True, preserve_rids=preserve_rids)
+    return write
+
+
 def _write(db, column=None, view=VIEW, preserve_rids=True):
     """A refresh: ``t`` rebuilt around its column arrays, ``column`` (if
     any) swapped for a new one, then the view ``v`` re-registered."""
-    columns = db.table("t").columns()
-    if column is not None:
-        columns[column] = columns[column][::-1].copy()
-    db.create_table("t", Table(columns), replace=True, preserve_rids=preserve_rids)
+    _swap(column=column, preserve_rids=preserve_rids)(db)
     db.sql(view, options=INJECT.with_(name="v"))
 
 
@@ -368,12 +381,12 @@ DISTINCT = "SELECT DISTINCT g FROM Lb(v, 't', :bars) WHERE w >= 1.0"
 
 
 def test_memo_fill_and_merge_seconds_mark_memo_answers_only():
-    """``late_mat_memo_{fill,merge}_s`` appear on every statement the
-    per-bar memo answers — fills, reuses, joins, ``sql_batch`` — and on
-    none it declines."""
-    from repro.exec.timings import LATE_MAT_MEMO_FILL, LATE_MAT_MEMO_MERGE
+    """``late_mat_memo_{fill,merge}_s`` and ``late_mat_route_s`` appear on
+    every statement the per-bar memo answers — fills, reuses, joins,
+    ``sql_batch`` — and on none it declines."""
+    from repro.exec.timings import LATE_MAT_MEMO_FILL, LATE_MAT_MEMO_MERGE, LATE_MAT_ROUTE
 
-    keys = {LATE_MAT_MEMO_FILL, LATE_MAT_MEMO_MERGE}
+    keys = {LATE_MAT_MEMO_FILL, LATE_MAT_MEMO_MERGE, LATE_MAT_ROUTE}
     db = _join_db()
     answered = [
         db.sql(stmt, params={"bars": [0, 2]}) for stmt in (BRUSH, ROWS, JOIN, BRUSH, JOIN)
@@ -390,7 +403,7 @@ def test_memo_fill_and_merge_seconds_mark_memo_answers_only():
         assert keys <= set(result.timings)
         assert all(result.timings[key] >= 0.0 for key in keys)
     for result in declined:
-        assert not keys & set(result.timings)
+        assert not (keys | {LATE_MAT_ROUTE_BINDS}) & set(result.timings)
 
 
 @pytest.mark.parametrize("stmt", [BRUSH, JOIN, DISTINCT])
@@ -516,6 +529,166 @@ def test_a_warm_statement_derives_no_memo_fact_again(monkeypatch):
     with DatabaseServer(db, readers=1, memoize_answers=False) as server:
         batch = server.sql_batch(JOIN, [{"bars": [2, 1]}, {"bars": [2, 1]}])
     assert [r.table.to_rows() for r in batch] == [expected[2]] * 2
+
+
+def _binds(result) -> float:
+    return result.timings.get(LATE_MAT_ROUTE_BINDS, 0)
+
+
+@pytest.mark.parametrize("backend", ["vector", "compiled"])
+def test_a_warm_route_derives_nothing_again(backend, monkeypatch):
+    """Once its route is bound, a statement's warm runs through
+    ``Database.sql``, ``PreparedQuery.run``, the server and ``sql_batch``
+    re-derive none of its facts — no partition guards, occurrence keys,
+    order-key strides or plain-leaf lookups — and answer as the plain path."""
+    from repro.exec import late_mat
+    from repro.exec.compiled import executor as compiled
+    from repro.exec.vector import executor as vector
+    from repro.plan import logical
+
+    db = _join_db()
+    opts = ExecOptions(backend=backend)
+    nested = f"SELECT region, COUNT(*) AS c FROM carriers GROUP BY region UNION ALL {JOIN}"
+    stmts = (BRUSH, ROWS, JOIN, CHAIN, RENAMED, DISTINCT, nested)
+    params = {"bars": [2, 1]}
+    expected = [_plain(db, stmt, params["bars"]) for stmt in stmts]
+    prepared = [db.prepare(stmt, opts) for stmt in stmts]
+    for stmt, statement in zip(stmts, prepared, strict=True):
+        assert _binds(db.sql(stmt, params={"bars": [0]}, options=opts)) == 1
+        assert _binds(statement.run(params={"bars": [0]})) == 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a route fact was derived again")
+
+    derived = ("resolve_scan_partition", "_order_strides", "plain_scan", "assign_source_keys")
+    for module in (late_mat, logical, vector, compiled):
+        for name in derived:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    warm = [db.sql(stmt, params=params, options=opts) for stmt in stmts]
+    warm += [statement.run(params=params) for statement in prepared]
+    with DatabaseServer(db, readers=1, memoize_answers=False) as server:
+        warm += [server.sql(stmt, params=params, options=opts) for stmt in stmts]
+        for stmt in stmts:
+            warm += server.sql_batch(stmt, [params, {"bars": [0]}], options=opts)[:1]
+    assert [r.table.to_rows() for r in warm] == expected * 4
+    assert not any(_binds(r) for r in warm)
+
+
+#: What a warm route may have been derived from, changed one way each.
+STALE = {
+    "view-bit-equal": lambda db, stmt: db.sql(VIEW, options=INJECT.with_(name="v")),
+    "view-changed": lambda db, stmt: db.sql(OTHER_VIEW, options=INJECT.with_(name="v")),
+    "base-replace": lambda db, stmt: _swap(preserve_rids=False)(db),
+    "read-column": lambda db, stmt: _swap(column=READS[stmt][0])(db),
+    "unread-column": lambda db, stmt: _swap(column=READS[stmt][1])(db),
+    "plain-leaf": lambda db, stmt: _swap("carriers", "region", preserve_rids=False)(db),
+    "dropped-view": lambda db, stmt: db.drop_result("v"),
+}
+
+
+def _same_state(db):
+    """A fresh ``Database`` over ``db``'s tables, epochs and results."""
+    fresh = Database()
+    for name in db.tables():
+        fresh.create_table(name, db.table(name))
+    fresh.catalog.restore_epochs(db.catalog.epochs_snapshot())
+    for name in db.results():
+        fresh.register_result(name, db.result(name), pin=True)
+    return fresh
+
+
+def _outcome(db, stmt, params):
+    """The answer's rows and route binds, or the error's type and text."""
+    try:
+        result = db.sql(stmt, params=params)
+    except ReproError as exc:
+        return type(exc), str(exc)
+    return result.table.to_rows(), _binds(result)
+
+
+def _rebinds_once(db, stmt, params, binds=1):
+    """``stmt``'s run after a change: it answers as a fresh database over
+    the same state, rebinding ``binds`` times, or raises what that one
+    raises."""
+    outcome = _outcome(db, stmt, params)
+    fresh = _outcome(_same_state(db), stmt, params)
+    if not isinstance(outcome[0], list):
+        assert outcome == fresh
+        return outcome
+    assert (outcome[0], outcome[1]) == (fresh[0], binds)
+    assert _outcome(db, stmt, params) == (outcome[0], 0)
+    return outcome
+
+
+@pytest.mark.parametrize("stmt", [BRUSH, ROWS, JOIN])
+@pytest.mark.parametrize("change", list(STALE))
+def test_each_source_of_staleness_rebinds_the_route_once(stmt, change):
+    db = _join_db()
+    params = {"bars": [0, 2]}
+    assert _binds(db.sql(stmt, params=params)) == 1
+    assert _binds(db.sql(stmt, params=params)) == 0
+    STALE[change](db, stmt)
+    read = change != "plain-leaf" or stmt == JOIN  # BRUSH and ROWS read no carriers
+    outcome = _rebinds_once(db, stmt, params, binds=int(read))
+    failed = {"base-replace": PlanError, "dropped-view": SqlError}.get(change)
+    assert outcome[0] is failed if failed else isinstance(outcome[0], list)
+
+
+def test_a_table_that_makes_the_relation_ambiguous_rebinds_and_raises():
+    """The alias ``r`` names a scan of ``t`` and one of ``u``, whose lineage
+    was not captured: ``Lb(v, 'r')`` resolves to ``t`` only while no table
+    ``u`` exists."""
+    db = Database()
+    db.create_table("t", _table("abcabcaa", np.arange(8)))
+    db.create_table("u", Table({"z": np.array([1, 2], dtype=np.int64)}))
+    db.sql(
+        "SELECT z, COUNT(*) AS c FROM (SELECT z FROM t AS r UNION ALL "
+        "SELECT z FROM u AS r) AS s GROUP BY z",
+        options=INJECT.with_(name="v", capture=CaptureConfig.inject(relations={"t"})),
+    )
+    u = db.table("u")
+    db.drop_table("u")
+    stmt, params = "SELECT g, COUNT(*) AS c FROM Lb(v, 'r', :bars) GROUP BY g", {"bars": [0, 2]}
+    assert _binds(db.sql(stmt, params=params)) == 1
+    assert _bar_traffic(db.lineage_cache.stats()) == (2, 0)
+    db.create_table("u", u)
+    outcome = _rebinds_once(db, stmt, params)
+    assert outcome[0] is LineageError and "multiple base tables" in outcome[1]
+    db.drop_table("u")  # the route bound without u, which no failed rebind replaced, holds again
+    assert _rebinds_once(db, stmt, params, binds=0)[0] == _plain(db, stmt, params["bars"])
+
+
+def test_an_evicted_view_reexecuted_rebinds_the_route_once():
+    db = Database(max_results=1, refresh_evicted=True)
+    db.create_table("t", _table("abcabcaa", np.arange(8)))
+    db.sql(VIEW, options=INJECT.with_(name="v", pin=False))
+    params = {"bars": [0, 2]}
+    assert _binds(db.sql(BRUSH, params=params)) == 1
+    db.sql(OTHER_VIEW, options=INJECT.with_(name="other", pin=False))
+    assert "v" in db._results._stubs  # evicted: the next lookup re-executes it
+    result = db.sql(BRUSH, params=params)
+    assert _binds(result) == 1 and "v" not in db._results._stubs
+    assert _binds(db.sql(BRUSH, params=params)) == 0
+    assert result.table.to_rows() == _fresh(db, BRUSH, params["bars"])
+
+
+def test_a_route_keeps_no_replaced_view_alive():
+    """A route holds what it was derived from by weak reference: a
+    re-registered view's old result is collectable before any statement
+    runs over the new one, and after."""
+    db = _join_db()
+    params = {"bars": [0, 2]}
+    for stmt in (BRUSH, JOIN):
+        db.sql(stmt, params=params)
+    old = weakref.ref(db.result("v"))
+    db.sql(OTHER_VIEW, options=INJECT.with_(name="v"))
+    gc.collect()
+    assert old() is None
+    for stmt in (BRUSH, JOIN):
+        assert _rebinds_once(db, stmt, params)[1] == 1
+    gc.collect()
+    assert old() is None
 
 
 def _counting_selects(monkeypatch, pause=0.0) -> list:
