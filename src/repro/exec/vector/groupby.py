@@ -26,12 +26,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...expr.ast import evaluate
+from ...expr.ast import Col, evaluate
 from ...lineage.capture import CaptureConfig, CaptureMode, IndexOrThunk
 from ...lineage.indexes import GrowableRidIndex, RidArray, RidIndex, stable_group_order
 from ...plan.logical import AggCall, GroupBy
-from ...storage.table import Schema, Table
-from .kernels import GroupLayout, chunk_ranges, compute_aggregate, factorize
+from ...storage.table import ColumnType, Schema, Table
+from .kernels import (
+    GroupLayout,
+    chunk_ranges,
+    codes_for,
+    compute_aggregate,
+    factorize,
+    factorize_codes,
+)
 
 
 def build_groups(
@@ -62,7 +69,16 @@ def build_groups(
             np.zeros(1, dtype=np.int64),
             key_arrays,
         )
-    group_ids, num_groups, representatives = factorize(key_arrays)
+    # A bare STR column keys by its table's memoized codes (one int
+    # gather on a table selected from a stored one); its values are read
+    # only at the representatives.
+    keys = [
+        child.codes(e.name)
+        if isinstance(e, Col) and child.schema.type_of(e.name) is ColumnType.STR
+        else codes_for(arr)
+        for (e, _), arr in zip(key_exprs, key_arrays, strict=True)
+    ]
+    group_ids, num_groups, representatives = factorize_codes(keys)
     return group_ids, num_groups, representatives, key_arrays
 
 

@@ -40,7 +40,7 @@ from ...lineage.indexes import (
     invert_rid_array,
     stable_group_order,
 )
-from ...storage.table import Table
+from ...storage.table import Table, dictionary_encode
 from .kernels import chunk_ranges
 
 
@@ -91,8 +91,7 @@ def _coder(column: np.ndarray, probes: int):
     rows and ``probes``, the rows one probe brings: a table never outgrows
     the index it lives in, or the probe of a one-shot join."""
     if column.dtype == object:
-        index: dict = {}
-        ids = np.fromiter((index.setdefault(v, len(index)) for v in column), np.int64, column.size)
+        ids, index = dictionary_encode(column)
         return ids, len(index), lambda probe: np.fromiter(
             (index.get(v, -1) for v in probe), np.int64, probe.size
         )

@@ -9,7 +9,12 @@ overhead Smoke is about — never appears (see DESIGN.md, substitution 1).
 occurrence* order, which is the order a hash table's insertion scan would
 produce.  The compiled backend builds groups with a Python dict (insertion
 ordered), so both backends emit groups in the same order and results can be
-compared exactly.
+compared exactly.  Group numbering comes from the rows, never from the key
+codes it combines, so those codes may be numbered arbitrarily and only
+their equality matters: a STR key arrives as its table's memoized codes
+(:meth:`~repro.storage.table.Table.codes`), and the one per-object pass
+left is :func:`~repro.storage.table.dictionary_encode` — once per stored
+STR column, and over the values of joins, DISTINCT and memo fills.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from ...errors import PlanError
 from ...expr.ast import evaluate
 from ...lineage.indexes import stable_group_order
 from ...plan.logical import AggCall
-from ...storage.table import Table
+from ...storage.table import Table, dictionary_encode
 
 
 #: Dense-domain threshold: below this (or 4x the input size) codes are
@@ -30,6 +35,13 @@ from ...storage.table import Table
 #: O(n + width) versus np.unique's O(n log n) (factorize's first
 #: occurrences and the per-bar memo merge's scatter-min).
 DENSE_FACTORIZE_MAX = 1 << 16
+
+#: :func:`least_per_slot`'s "none" fill.
+_INT64_MAX = np.iinfo(np.int64).max
+
+#: Key codes ``(codes, width)``: integers in ``0..width-1``, equal exactly
+#: where the key values are equal.
+Codes = Tuple[np.ndarray, int]
 
 
 def factorize(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, int, np.ndarray]:
@@ -40,17 +52,20 @@ def factorize(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, int, np.ndarray
     """
     if not arrays:
         raise PlanError("factorize requires at least one key array")
-    n = arrays[0].shape[0]
-    if n == 0:
+    if arrays[0].shape[0] == 0:
         return np.empty(0, dtype=np.int64), 0, np.empty(0, dtype=np.int64)
-    combined: Optional[np.ndarray] = None
-    for arr in arrays:
-        codes, domain = _codes_for(arr)
-        if combined is None:
-            combined, width = codes, domain
-        else:
-            combined = combined * domain + codes
-            width *= domain
+    return factorize_codes([codes_for(arr) for arr in arrays])
+
+
+def factorize_codes(keys: Sequence[Codes]) -> Tuple[np.ndarray, int, np.ndarray]:
+    """:func:`factorize` over at least one key, already coded
+    (:data:`Codes`), of at least one row."""
+    codes, width = keys[0]
+    combined = codes.astype(np.int64, copy=False)
+    for codes, domain in keys[1:]:
+        combined = combined * domain + codes
+        width *= domain
+    n = combined.shape[0]
     if width <= max(4 * n, DENSE_FACTORIZE_MAX):
         # Dense code domain (the common crossfilter/TPC-H shape): skip the
         # O(n log n) sort inside np.unique.  Ranking first occurrences —
@@ -84,7 +99,7 @@ def first_occurrence(codes: np.ndarray, width: int) -> np.ndarray:
 def least_per_slot(slots: np.ndarray, keys: np.ndarray, size: int) -> np.ndarray:
     """Per slot ``0..size-1``, the least of the int64 ``keys`` scattered to
     it (int64 max: none), in O(n + size): one unbuffered scatter-min."""
-    least = np.full(size, np.iinfo(np.int64).max, dtype=np.int64)
+    least = np.full(size, _INT64_MAX, dtype=np.int64)
     np.minimum.at(least, slots, keys)
     return least
 
@@ -100,23 +115,11 @@ def _rank_first_occurrence(first_idx: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     return order, rank
 
 
-def _codes_for(arr: np.ndarray) -> Tuple[np.ndarray, int]:
+def codes_for(arr: np.ndarray) -> Codes:
     """Dense integer codes for one key column plus its domain size."""
     if arr.dtype == object or arr.dtype.kind in "US":
-        # Dictionary-encode via a hash table rather than np.unique: sorting
-        # object arrays runs Python comparisons and is ~5x slower than one
-        # dict-building pass.  Codes come out in first-occurrence order.
-        mapping: dict = {}
-        out = np.empty(arr.shape[0], dtype=np.int64)
-        next_code = 0
-        get = mapping.get
-        for i, value in enumerate(arr):
-            code = get(value)
-            if code is None:
-                code = mapping[value] = next_code
-                next_code += 1
-            out[i] = code
-        return out, next_code
+        codes, index = dictionary_encode(arr)
+        return codes, len(index)
     if arr.dtype.kind == "f":
         uniq, inverse = np.unique(arr, return_inverse=True)
         return inverse.reshape(-1).astype(np.int64), int(uniq.shape[0])
@@ -188,7 +191,7 @@ def compute_aggregate(
     if agg.func == "count":
         return layout.counts().astype(np.int64)
     if agg.func == "count_distinct":
-        codes, domain = _codes_for(values)
+        codes, domain = codes_for(values)
         combined = layout.group_ids.astype(np.int64) * domain + codes
         uniq = np.unique(combined)
         return np.bincount(uniq // domain, minlength=n_groups).astype(np.int64)

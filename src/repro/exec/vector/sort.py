@@ -17,7 +17,6 @@ from ...lineage.capture import CaptureConfig
 from ...lineage.indexes import NO_MATCH, RidArray
 from ...plan.logical import Sort
 from ...storage.table import Table
-from .kernels import _codes_for
 
 
 def sort_order(table: Table, node: Sort) -> np.ndarray:
@@ -27,11 +26,12 @@ def sort_order(table: Table, node: Sort) -> np.ndarray:
         order = np.arange(n, dtype=np.int64)
     else:
         # np.lexsort treats its *last* key as primary and is stable, so we
-        # feed keys reversed; descending keys sort by negated dense codes
-        # (codes order like the values for every supported type).
+        # feed keys reversed; descending keys sort by negated dense codes,
+        # ranked by value (dictionary codes of strings would rank them by
+        # first occurrence).
         sort_keys = []
         for name, descending in reversed(node.keys):
-            codes, _ = _codes_for(table.column(name))
+            codes = np.unique(table.column(name), return_inverse=True)[1].reshape(-1)
             sort_keys.append(-codes if descending else codes)
         order = np.lexsort(tuple(sort_keys)).astype(np.int64)
     if node.limit is not None:

@@ -5,10 +5,12 @@ module checks at runtime that the data flowing through them *is* safe.
 With ``REPRO_SANITIZE=1`` in the environment:
 
 * rid arrays handed out by lineage indexes, the resolution cache, and
-  registered results — and the columns of every catalog table — are
-  frozen (``flags.writeable = False``) for real, so an in-place mutation
-  of shared lineage state, or of a column the per-bar memo keys by its
-  array object, raises immediately;
+  registered results — and the columns of every catalog table, and the
+  dictionary codes a table memoizes — are frozen
+  (``flags.writeable = False``) for real, so an in-place mutation of
+  shared lineage state, of a column the per-bar memo keys by its array
+  object, or of codes every later GROUP BY over the table reads, raises
+  immediately;
 * captured CSR lineage is validated on construction — monotone
   non-negative indptr, in-bounds indices, ``int64`` dtype — instead of
   corrupting downstream joins silently;
@@ -16,8 +18,10 @@ With ``REPRO_SANITIZE=1`` in the environment:
   table's live domain and epoch-checked against the capture epoch.
 
 All checks raise :class:`~repro.errors.SanitizeError`.  The mode is off
-by default and every hook is gated on :func:`enabled`, so production
-runs pay one cached boolean read per hook.
+by default and every hook is gated on :func:`enabled`, which reads
+``os.environ`` on every call — nothing is cached, so a change to the
+variable (a test's ``monkeypatch.setenv``) takes effect at the next
+hook — and production runs pay one environment lookup per hook.
 
 Tests toggle the mode deterministically with :func:`force`; the nightly
 ``ci-deep`` Hypothesis suites run entirely under ``REPRO_SANITIZE=1``.
@@ -41,7 +45,9 @@ _forced: Optional[bool] = None
 
 
 def enabled() -> bool:
-    """True when sanitizer checks should run."""
+    """True when sanitizer checks should run: the :func:`force` override,
+    else ``REPRO_SANITIZE`` as the environment holds it now (read live on
+    every call, not cached)."""
     if _forced is not None:
         return _forced
     return os.environ.get("REPRO_SANITIZE", "").strip().lower() not in _FALSY

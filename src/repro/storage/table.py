@@ -9,10 +9,12 @@ an array ``take`` rather than a key lookup (paper Section 3.1).
 from __future__ import annotations
 
 import enum
+import weakref
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import sanitize
 from ..errors import RidRangeError, SchemaError
 
 
@@ -123,15 +125,37 @@ def _coerce_column(values, ctype: Optional[ColumnType] = None) -> np.ndarray:
     return arr
 
 
+def dictionary_encode(values: np.ndarray, dtype=np.int64) -> Tuple[np.ndarray, Dict]:
+    """``(codes, index)`` of a column of Python objects (or numpy
+    strings): ``index`` maps each distinct value to its code, numbered
+    ``0..len(index)-1`` in first-occurrence order, and ``codes`` holds
+    each row's code as ``dtype``.  Hashing, not sorting: ordering objects
+    runs a Python comparison per step.  This is the engine's one per-row
+    pass over objects; every string-keyed kernel encodes through it."""
+    items = values.tolist()
+    index = {v: i for i, v in enumerate(dict.fromkeys(items))}
+    return np.fromiter(map(index.__getitem__, items), dtype, len(items)), index
+
+
 class Table:
     """A named-column, rid-addressable in-memory relation.
 
     Columns are immutable by convention: operators produce new tables rather
     than mutating inputs, so captured rid indexes stay valid for the
     lifetime of the table they reference.
+
+    Immutability also lets a table memoize the dictionary codes of its
+    STR columns (:meth:`codes`): a stored table encodes each such column
+    once, and a table derived from one by :meth:`take` or :meth:`filter`
+    gathers its codes from its source's instead of encoding its own rows.
+    Per-object work is left in that one encode per STR column per table
+    (and in a derived table whose source is gone), and in the kernels that
+    encode values no table memoizes: join keys, DISTINCT and the per-bar
+    memo's fills.  Code numbering is arbitrary — a derived table keeps
+    its source's — so consumers rely on code equality only, never order.
     """
 
-    __slots__ = ("schema", "_columns", "_nrows", "__weakref__")
+    __slots__ = ("schema", "_columns", "_nrows", "_codes", "_source", "__weakref__")
 
     def __init__(self, columns: Mapping[str, np.ndarray], schema: Optional[Schema] = None):
         if schema is None:
@@ -156,6 +180,10 @@ class Table:
         self.schema = schema
         self._columns = dict(columns)
         self._nrows = next(iter(lengths.values())) if lengths else 0
+        self._codes: Optional[Dict[str, Tuple[np.ndarray, int]]] = None
+        # (weak reference to the source table, the rids or mask that
+        # selected this table's rows from it); set only with a STR column
+        self._source: Optional[tuple] = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -205,17 +233,52 @@ class Table:
     def to_rows(self) -> List[Tuple]:
         return list(self.itertuples())
 
+    def codes(self, name: str) -> Tuple[np.ndarray, int]:
+        """``(codes, width)`` of STR column ``name``: int32 codes below
+        ``width`` with equal codes exactly where values are equal,
+        computed on first use and memoized (frozen under
+        ``REPRO_SANITIZE``).  A table derived by :meth:`take` or
+        :meth:`filter` from a live source gathers the source's codes —
+        one int gather — and shares its numbering and width, so some of
+        its codes may be absent.  Two threads on a cold column may both
+        compute it; either result is the same."""
+        entry = self._codes.get(name) if self._codes is not None else None
+        if entry is not None:
+            return entry
+        if self.schema.type_of(name) is not ColumnType.STR:
+            raise SchemaError(f"column {name!r} is not a STR column")
+        source = self._source[0]() if self._source is not None else None
+        if source is not None:
+            codes, width = source.codes(name)
+            entry = (codes[self._source[1]], width)
+        else:
+            codes, index = dictionary_encode(self._columns[name], np.int32)
+            entry = (codes, len(index))
+        sanitize.freeze(entry[0])
+        self._codes = {**(self._codes or {}), name: entry}
+        return entry
+
     # -- relational helpers ----------------------------------------------------
 
     def take(self, rids) -> "Table":
         """Gather rows by rid — the primitive behind every lineage lookup."""
         rids = np.asarray(rids, dtype=np.int64)
         cols = {n: arr[rids] for n, arr in self._columns.items()}
-        return Table(cols, self.schema)
+        return self._derive(Table(cols, self.schema), rids)
 
     def filter(self, mask: np.ndarray) -> "Table":
         cols = {n: arr[mask] for n, arr in self._columns.items()}
-        return Table(cols, self.schema)
+        return self._derive(Table(cols, self.schema), mask)
+
+    def _derive(self, table: "Table", selector: np.ndarray) -> "Table":
+        """``table``, selected from this one by ``selector``, recording
+        its source for :meth:`codes` when there are STR columns to code.
+        The reference is weak, so a derived table never keeps a replaced
+        catalog table alive; the selector is kept as is, as callers hand
+        over arrays they no longer write."""
+        if ColumnType.STR in self.schema._types:
+            table._source = (weakref.ref(self), selector)
+        return table
 
     def select_columns(self, names: Sequence[str]) -> "Table":
         fields = [(n, self.schema.type_of(n)) for n in names]

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.api import ExecOptions
+from repro.api import Database, ExecOptions
 from repro.errors import PlanError, SqlError
 from repro.lineage.capture import CaptureMode
 from repro.plan.logical import Scan, Sort
+from repro.storage import Table
 
 INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
@@ -35,6 +36,16 @@ class TestSortOperator:
         for i in range(len(res.table) - 1):
             if z[i] == z[i + 1]:
                 assert v[i] >= v[i + 1]
+
+    @pytest.mark.parametrize("backend", ["vector", "compiled"])
+    def test_strings_sort_by_value_not_first_occurrence(self, backend):
+        db = Database()
+        db.create_table("t", Table({"s": ["b", "a", "c", "a", "b"], "x": [1, 2, 3, 4, 5]}))
+        options = ExecOptions(backend=backend)
+        rows = db.sql("SELECT s, x FROM t ORDER BY s", options=options).table.to_rows()
+        assert [(s, int(x)) for s, x in rows] == [("a", 2), ("a", 4), ("b", 1), ("b", 5), ("c", 3)]
+        rows = db.sql("SELECT s, x FROM t ORDER BY s DESC, x DESC", options=options).table.to_rows()
+        assert [(s, int(x)) for s, x in rows] == [("c", 3), ("b", 5), ("b", 1), ("a", 4), ("a", 2)]
 
     def test_limit_without_keys(self, small_db):
         plan = Sort(Scan("zipf"), [], limit=7)
