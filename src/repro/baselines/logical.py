@@ -109,8 +109,8 @@ def logical_capture(
     if isinstance(node, GroupBy):
         inner = executor.execute(node.child).table  # I' materialized
         # O = γ(I'): aggregation sees annotation columns but ignores them.
-        group_ids, num_groups, reps, _ = build_groups(inner, node.keys, None, node.aggs)
-        output = _group_output(executor, inner, node, group_ids, num_groups, reps)
+        group_ids, num_groups, reps, counts, _ = build_groups(inner, node.keys, None, node.aggs)
+        output = _group_output(inner, node, group_ids, num_groups, reps, counts)
         # Denormalized O' = O ⋈_keys I' — one row per input row.
         annotated = _denormalize(
             output, inner, group_ids, rid_columns, annotation
@@ -140,11 +140,11 @@ def logical_capture(
     )
 
 
-def _group_output(executor, inner, node, group_ids, num_groups, reps) -> Table:
+def _group_output(inner, node, group_ids, num_groups, reps, counts) -> Table:
     from ..exec.vector.kernels import GroupLayout, compute_aggregate
     from ..expr.ast import evaluate
 
-    layout = GroupLayout(group_ids, num_groups) if num_groups else None
+    layout = GroupLayout(group_ids, num_groups, counts) if num_groups else None
     columns = {}
     for expr, alias in node.keys:
         arr = np.asarray(evaluate(expr, inner))

@@ -14,7 +14,7 @@ when emulating tuple-at-a-time appends, fills growable rid vectors: 10 /
 1.5x policy, per-group cardinality hints pre-allocate — Smoke-I-TC).
 Defer instead pins the group-id column and returns a thunk;
 finalization later counts the groups, allocates the CSR exactly once and
-fills it with one O(n) radix ordering of the dense ids
+fills it with one stable ordering of the dense ids
 (:func:`~repro.lineage.indexes.stable_group_order`), never resizing
 (paper: reuse the pinned hash table during user think time).  Either way
 the forward rid array *is* the group-id column — shared, not copied.
@@ -46,8 +46,10 @@ def build_groups(
     key_exprs: Sequence,
     params: Optional[dict],
     aggs: Sequence[AggCall],
-) -> Tuple[np.ndarray, int, np.ndarray, List[np.ndarray]]:
-    """The γ_ht phase: evaluate keys and assign dense group ids.
+) -> Tuple[np.ndarray, int, np.ndarray, np.ndarray, List[np.ndarray]]:
+    """The γ_ht phase: evaluate keys and assign dense group ids; returns
+    ``(group_ids, num_groups, representatives, counts, key_arrays)``,
+    ``counts`` holding each group's rows (:class:`GroupLayout` takes them).
 
     A key-less (global) aggregate forms a single group over non-empty
     input.  Over empty input it forms one member-less group when every
@@ -60,13 +62,14 @@ def build_groups(
     if child.num_rows == 0:
         empty = np.empty(0, dtype=np.int64)
         counts_only = not key_arrays and all(agg.func == "count" for agg in aggs)
-        return empty, int(counts_only), empty, key_arrays
+        return empty, int(counts_only), empty, np.zeros(int(counts_only), np.int64), key_arrays
     if not key_arrays:
         n = child.num_rows
         return (
             np.zeros(n, dtype=np.int64),
             1,
             np.zeros(1, dtype=np.int64),
+            np.array([n], dtype=np.int64),
             key_arrays,
         )
     # A bare STR column keys by its table's memoized codes (one int
@@ -78,8 +81,7 @@ def build_groups(
         else codes_for(arr)
         for (e, _), arr in zip(key_exprs, key_arrays, strict=True)
     ]
-    group_ids, num_groups, representatives = factorize_codes(keys)
-    return group_ids, num_groups, representatives, key_arrays
+    return (*factorize_codes(keys), key_arrays)
 
 
 def inject_backward_index(
@@ -117,10 +119,10 @@ def execute_groupby(
     label: str = "groupby",
 ) -> Tuple[Table, Optional[IndexOrThunk], Optional[IndexOrThunk]]:
     """Run aggregation; returns ``(output, local backward, local forward)``."""
-    group_ids, num_groups, representatives, key_arrays = build_groups(
+    group_ids, num_groups, representatives, counts, key_arrays = build_groups(
         child, node.keys, params, node.aggs
     )
-    layout = GroupLayout(group_ids, num_groups) if num_groups else None
+    layout = GroupLayout(group_ids, num_groups, counts) if num_groups else None
 
     columns: Dict[str, np.ndarray] = {}
     for (_expr, alias), arr in zip(node.keys, key_arrays, strict=True):

@@ -61,15 +61,41 @@ def stable_group_order(ids: np.ndarray, num_groups: int) -> np.ndarray:
     ``np.argsort(ids, kind="stable")`` for ids in ``[0, num_groups)``.
 
     This is the one kernel every rid inversion (group -> members, target
-    -> sources) goes through.  numpy's stable argsort radix-sorts keys of
-    16 bits or fewer in O(n) but runs a comparison sort on wider ones, so
-    the ids are narrowed to the smallest key that holds ``num_groups``;
-    up to 2**32 groups, two stable 16-bit passes (low half, then high
-    half — LSD radix) give the same unique stable order.
+    -> sources) goes through.  Up to 2**8 groups the ids narrow to uint8,
+    which numpy's stable argsort radix-sorts in one O(n) pass.  Past
+    that, each rid packs below its id into one key ``id << bits(n-1) |
+    rid`` — uint32 when it fits in 32 bits, else int64 — and the keys
+    are unique, so any sort of them gives the stable order; masking the
+    id off leaves the rids.  That is 1.7-2.2x faster than radix-sorting
+    uint16 ids (2M rows on a 2-CPU x86 box: 301 groups 47 -> 23 ms,
+    7,762 groups 65 -> 39 ms; 500k rows: 8.3 -> 4.7 and 10.3 -> 4.6 ms),
+    and ids already in order (a sorted key) skip the sort.  A key wider
+    than 63 bits (more than 2**31 rows, or a huge ``num_groups``) takes
+    :func:`_radix_order`.
 
-    The caller guarantees the range: narrowing wraps out-of-range ids
-    silently, so validate (count) before ordering.
+    The caller guarantees the range: narrowing and packing wrap
+    out-of-range ids silently, so validate (count) before ordering.
     """
+    n = ids.shape[0]
+    rid_bits = max(n - 1, 0).bit_length()
+    bits = rid_bits + (int(num_groups) - 1).bit_length()
+    if num_groups <= 1 << 8 or bits > 63:
+        return _radix_order(ids, num_groups)
+    key = ids.astype(np.uint32 if bits <= 32 else np.int64)
+    key <<= rid_bits
+    key |= np.arange(n, dtype=key.dtype)
+    if not (key[1:] > key[:-1]).all():
+        key.sort()
+    key &= (1 << rid_bits) - 1
+    return key.astype(np.intp, copy=False)
+
+
+def _radix_order(ids: np.ndarray, num_groups: int) -> np.ndarray:
+    """:func:`stable_group_order` by narrowing the ids: numpy's stable
+    argsort radix-sorts keys of 16 bits or fewer in O(n) but runs a
+    comparison sort on wider ones, so the ids narrow to the smallest key
+    that holds ``num_groups``; up to 2**32 groups, two stable 16-bit
+    passes (low half, then high half — LSD radix) give the same order."""
     if num_groups <= 1 << 8:
         return np.argsort(ids.astype(np.uint8), kind="stable")
     if num_groups <= 1 << 16:
@@ -199,8 +225,8 @@ class RidIndex:
 
         This is the Defer construction: cardinalities are counted in one
         vectorized pass, the CSR arrays are allocated exactly once, and
-        buckets are filled by :func:`stable_group_order` (an O(n) radix
-        order for up to 2**32 groups) — no resizing ever happens.
+        buckets are filled by :func:`stable_group_order` (one radix pass
+        or one sort of packed keys) — no resizing ever happens.
 
         The count doubles as the range check, and it runs *before* the
         ids are narrowed for ordering: a damaged id (negative, or

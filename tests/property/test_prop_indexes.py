@@ -1,6 +1,7 @@
 """Property tests: lineage index invariants (hypothesis)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,11 +14,12 @@ from repro.lineage import (
     invert_rid_array,
     invert_rid_index,
 )
-from repro.lineage.indexes import stable_group_order
+from repro.lineage import indexes
+from repro.lineage.indexes import _radix_order, stable_group_order
 
-#: Group counts on both sides of each narrowing boundary of
-#: ``stable_group_order``: uint8 (<= 2**8), uint16 (<= 2**16), the
-#: two-pass 16-bit radix (<= 2**32) and the plain-argsort fallback.
+#: Group counts on both sides of each narrowing boundary of the radix
+#: fallback ``_radix_order``: uint8 (<= 2**8), uint16 (<= 2**16), the
+#: two-pass 16-bit radix (<= 2**32) and the plain argsort.
 BOUNDARY_GROUPS = [1, 2, 255, 256, 257, 65_535, 65_536, 65_537, 2**32, 2**32 + 1]
 
 group_ids = st.one_of(
@@ -64,9 +66,56 @@ def dense_ids(draw):
 @settings(max_examples=300)
 def test_stable_group_order_equals_stable_argsort(data):
     ids, g = data
-    order = stable_group_order(ids, g)
-    assert order.dtype == np.intp
-    assert np.array_equal(order, np.argsort(ids, kind="stable"))
+    expected = np.argsort(ids, kind="stable")
+    for kernel in (stable_group_order, _radix_order):
+        order = kernel(ids, g)
+        assert order.dtype == np.intp
+        assert np.array_equal(order, expected)
+
+
+def _packed_case(n: int, g: int, seed: int) -> np.ndarray:
+    """``n`` ids below ``g``, tied often, with ``g - 1`` at the last rid so
+    the largest packed key ``(g - 1) << bits(n - 1) | n - 1`` occurs."""
+    rng = np.random.default_rng(seed)
+    pool = np.unique(np.append(rng.integers(0, g, 5, dtype=np.int64), [0, g - 1]))
+    ids = rng.choice(pool, n)
+    ids[-1] = g - 1
+    return ids
+
+
+@pytest.mark.parametrize(
+    "n, g, packed_bits",
+    [
+        (2**19, 2**13, 32),  # bits(n-1) = 19: uint32 keys
+        (2**19, 2**13 + 1, 33),  # one bit more: int64 keys
+        (2**19 + 1, 2**12, 32),  # bits(n-1) = 20
+        (2**19 + 1, 2**12 + 1, 33),
+        (2**10, 2**53, 63),  # the widest int64 key
+        (2**10, 2**53 + 1, 64),  # past it: the radix fallback (a plain argsort)
+        (2**10 + 1, 2**52, 63),
+        (2**10 + 1, 2**52 + 1, 64),
+    ],
+)
+def test_packed_key_boundaries(monkeypatch, n, g, packed_bits):
+    """Both sides of a packed key of 32 bits (uint32 -> int64) and of 63
+    bits (int64 -> the radix fallback): the order is the stable argsort's,
+    and only a key wider than 63 bits leaves the packed sort."""
+    assert (n - 1).bit_length() + (g - 1).bit_length() == packed_bits
+    fallbacks = []
+
+    def recording(ids, num_groups):
+        fallbacks.append(num_groups)
+        return _radix_order(ids, num_groups)
+
+    monkeypatch.setattr(indexes, "_radix_order", recording)
+    for seed in range(2):
+        ids = _packed_case(n, g, seed)
+        order = stable_group_order(ids, g)
+        assert order.dtype == np.intp
+        assert np.array_equal(order, np.argsort(ids, kind="stable"))
+        sorted_ids = np.sort(ids)  # a sorted key skips the sort
+        assert np.array_equal(stable_group_order(sorted_ids, g), np.arange(n))
+    assert fallbacks == ([g] * 4 if packed_bits > 63 else [])
 
 
 def test_stable_group_order_edges():

@@ -451,16 +451,16 @@ class DurableWritesOnly(Rule):
 
 
 class StableGroupOrderOnly(Rule):
-    """Rid inversions in exec/ and lineage/ must use the radix kernel.
+    """Rid inversions in exec/ and lineage/ must use the inversion kernel.
 
     Invariant: ordering rids by a dense id (group, key, target rid) goes
     through :func:`repro.lineage.indexes.stable_group_order`, which is
-    bit-identical to ``np.argsort(ids, kind="stable")`` but narrows the
-    ids so numpy radix-sorts them in O(n).  A direct stable argsort over
+    bit-identical to ``np.argsort(ids, kind="stable")`` but radix-sorts
+    uint8-narrowed ids, or sorts unique ``(id, rid)`` keys packed into
+    one integer, in a fraction of its time.  A direct stable argsort over
     int64 ids is a comparison sort — the one line that made group-by
     capture cost 4-11x the query.  Stable argsorts that rank something
-    other than dense ids (first-occurrence rids over ``num_groups``
-    entries) stay legal with a justified noqa.
+    other than dense ids stay legal with a justified noqa.
 
     Autofix hint: ``order = stable_group_order(ids, num_groups)``.
     """
@@ -468,8 +468,9 @@ class StableGroupOrderOnly(Rule):
     code = "RPR008"
     name = "stable-group-order-only"
 
-    #: The kernel itself is the one sanctioned home of the argsort.
-    KERNEL = ("src/repro/lineage/indexes.py", "stable_group_order")
+    #: The kernel (and its narrowing fallback) is the one sanctioned home
+    #: of the argsort.
+    KERNEL = ("src/repro/lineage/indexes.py", ("stable_group_order", "_radix_order"))
 
     def applies(self, ctx) -> bool:
         return ctx.in_dir("src/repro/exec/", "src/repro/lineage/")
@@ -491,7 +492,7 @@ class StableGroupOrderOnly(Rule):
         exempt: Set[int] = set()
         if ctx.is_file(self.KERNEL[0]):
             for fn in ast.walk(ctx.tree):
-                if isinstance(fn, ast.FunctionDef) and fn.name == self.KERNEL[1]:
+                if isinstance(fn, ast.FunctionDef) and fn.name in self.KERNEL[1]:
                     exempt.update(id(n) for n in ast.walk(fn))
         for node in ast.walk(ctx.tree):
             if self._is_stable_argsort(node) and id(node) not in exempt:
