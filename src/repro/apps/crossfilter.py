@@ -307,7 +307,7 @@ class CrossfilterSession:
                 backward = result.lineage.backward_index(relation)
                 group_of_row = result.lineage.forward_index(relation).values
             else:
-                group_ids, num_groups, _ = factorize([table.column(dim)])
+                group_ids = factorize([table.column(dim)])[0]
                 backward = None
                 group_of_row = group_ids
             session.views[dim] = View(
@@ -340,8 +340,7 @@ class CrossfilterSession:
         capture_backward = self.technique in ("bt", "bt+ft")
         for dim in self.dimensions:
             values = self.table.column(dim)
-            group_ids, num_groups, reps = factorize([values])
-            counts = np.bincount(group_ids, minlength=num_groups)
+            group_ids, num_groups, reps, counts = factorize([values])
             backward = None
             if capture_backward:
                 backward = RidIndex.from_group_ids(group_ids, num_groups)
@@ -551,12 +550,11 @@ class CrossfilterSession:
             # Rebuild the group-by over the subset (hash-table rebuild):
             # re-derive group ids from the dimension values themselves.
             values = self.table.column(other.dimension)[rids]
-            sub_ids, sub_groups, sub_reps = (
-                factorize([values]) if rids.size else (None, 0, None)
+            _, sub_groups, sub_reps, sub_counts = (
+                factorize([values]) if rids.size else (None, 0, None, None)
             )
             counts = np.zeros(other.num_bars, dtype=np.int64)
             if sub_groups:
-                sub_counts = np.bincount(sub_ids, minlength=sub_groups)
                 # Map subset bins back to view bar ids via bin values.
                 order = self._bar_index(other)
                 for g in range(sub_groups):

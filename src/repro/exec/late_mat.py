@@ -601,7 +601,7 @@ class _BarMemo:
         with self._lock:
             known = self.num_codes
             keys = [np.concatenate(p) for p in zip(self.keys, keys, strict=True)] if known else keys
-            ids, self.num_codes, reps = factorize(keys)
+            ids, self.num_codes, reps, _ = factorize(keys)
             self.keys = [k[reps] for k in keys]
         return ids[known:].astype(np.int32)
 
@@ -677,13 +677,13 @@ def _fill_bars(pushed, kind, part, bars: List[int], params, chain, memo: _BarMem
     else:
         projected = _project(pushed.project, table, params)
         keys = [projected.column(n) for n in projected.schema.names]
-    ids, num, reps = factorize([owner] + keys)
+    ids, num, reps, counts = factorize([owner] + keys)
     # Chain output is not in bar order, but within one bar it runs in
     # order-key order: each group's first row holds its least order key.
     by_bar = stable_group_order(owner[reps], len(bars))
     reps = reps[by_bar]
     small = np.int32 if ids.size < 2**31 else np.int64  # a count is at most the fill's rows
-    counts = np.bincount(ids, minlength=num)[by_bar].astype(small)
+    counts = counts[by_bar].astype(small)
     keys = [k[reps] for k in keys]
     packing = zip(pushed.memo.order, strides, strict=True)
     order = sum(state.positions[leaf][reps] * stride for leaf, stride in packing)

@@ -198,7 +198,7 @@ def execute_distinct(
     """
     if projected.num_rows == 0:
         return projected, RidIndex.empty(0), RidArray(np.empty(0, np.int64))
-    group_ids, num_groups, representatives = factorize(
+    group_ids, num_groups, representatives, _ = factorize(
         [projected.column(n) for n in projected.schema.names]
     )
     output = projected.take(representatives)

@@ -19,9 +19,10 @@ STR column, and over the values of joins, DISTINCT and memo fills.
 A capture-on GROUP BY needs two passes (reuse principle P4): the build's
 group-id column, which is the forward index, and its stable inversion
 (:func:`~repro.lineage.indexes.stable_group_order`), the backward one.
-The build keeps its other work small: a non-negative integer key is its
-own code array (:func:`codes_for`), one ``bincount`` gives both the
-present codes and the group sizes the layout's offsets take, and a key
+The build keeps its other work small: a non-negative integer key with a
+small offset is its own code array (:func:`codes_for`), one ``bincount`` gives both the
+present codes and the group sizes :func:`factorize` returns (the
+layout's offsets, the memo's partial counts), and a key
 with few groups finds their first rows in the first chunks of rows
 (:func:`_first_positions`).  This about halved the four crossfilter view
 queries at 2M rows, capture off (23-29 -> 9-13 ms).
@@ -60,25 +61,28 @@ _INT64_MAX = np.iinfo(np.int64).max
 Codes = Tuple[np.ndarray, int]
 
 
-def factorize(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, int, np.ndarray]:
+def factorize(
+    arrays: Sequence[np.ndarray],
+) -> Tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     """Dense group ids for composite keys, in first-occurrence order.
 
-    Returns ``(group_ids, num_groups, representative_rids)`` where
-    ``representative_rids[g]`` is the first input rid of group ``g``.
+    Returns ``(group_ids, num_groups, representative_rids, counts)`` where
+    ``representative_rids[g]`` is the first input rid of group ``g`` and
+    ``counts[g]`` its number of rows.
     """
     if not arrays:
         raise PlanError("factorize requires at least one key array")
     if arrays[0].shape[0] == 0:
-        return np.empty(0, dtype=np.int64), 0, np.empty(0, dtype=np.int64)
-    return factorize_codes([codes_for(arr) for arr in arrays])[:3]
+        empty = np.empty(0, dtype=np.int64)
+        return empty, 0, empty, empty
+    return factorize_codes([codes_for(arr) for arr in arrays])
 
 
 def factorize_codes(
     keys: Sequence[Codes],
 ) -> Tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     """:func:`factorize` over at least one key, already coded
-    (:data:`Codes`), of at least one row; a fourth array holds each
-    group's row count."""
+    (:data:`Codes`), of at least one row."""
     combined, width = _combine(keys)
     n = combined.shape[0]
     if width <= max(4 * n, DENSE_FACTORIZE_MAX):
@@ -185,9 +189,12 @@ def _rank_first_occurrence(first_idx: np.ndarray) -> Tuple[np.ndarray, np.ndarra
 def codes_for(arr: np.ndarray) -> Codes:
     """Dense integer codes for one key column plus its domain size.
 
-    A non-negative integer column below ``2n + 16`` is its own code
-    array — no copy, nothing subtracted — so the codes may alias a
-    (frozen) catalog column: nothing may write through them."""
+    A non-negative integer column below ``2n + 16`` whose offset at most
+    doubles its span is its own code array — no copy, nothing
+    subtracted — so the codes may alias a (frozen) catalog column:
+    nothing may write through them.  A larger offset is subtracted, so
+    the width stays the span: widths multiply in a composite key
+    (:func:`_combine`), and a wide one leaves the dense branch."""
     if arr.dtype == object or arr.dtype.kind in "US":
         codes, index = dictionary_encode(arr)
         return codes, len(index)
@@ -198,7 +205,7 @@ def codes_for(arr: np.ndarray) -> Codes:
     lo = int(values.min())
     hi = int(values.max())
     bound = 2 * values.shape[0] + 16
-    if lo >= 0 and hi < bound:
+    if lo >= 0 and hi < bound and hi + 1 <= 2 * (hi - lo + 1):
         return values, hi + 1
     if hi - lo < bound:
         return values - lo, hi - lo + 1
@@ -213,7 +220,7 @@ class GroupLayout:
     group (:func:`~repro.lineage.indexes.stable_group_order` — one uint8
     radix pass, or one sort of packed ``(id, rid)`` keys); ``offsets``
     delimit each group's segment, from the per-group ``counts`` the
-    build already took (:func:`factorize_codes`) or one ``bincount``.
+    build already took (:func:`factorize`).
     Shared by all aggregates of one GROUP BY so the ordering
     happens once (this is also precisely the backward rid index layout —
     the reuse principle P4 at work).  It is deferred until an aggregate
@@ -224,14 +231,10 @@ class GroupLayout:
 
     __slots__ = ("_order", "offsets", "group_ids", "num_groups")
 
-    def __init__(
-        self, group_ids: np.ndarray, num_groups: int, counts: Optional[np.ndarray] = None
-    ):
+    def __init__(self, group_ids: np.ndarray, num_groups: int, counts: np.ndarray):
         self.group_ids = group_ids
         self.num_groups = num_groups
         self._order = None
-        if counts is None:
-            counts = np.bincount(group_ids, minlength=num_groups)
         self.offsets = np.empty(num_groups + 1, dtype=np.int64)
         self.offsets[0] = 0
         np.cumsum(counts, out=self.offsets[1:])

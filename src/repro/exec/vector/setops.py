@@ -62,7 +62,7 @@ def _row_ids(left: Table, right: Table) -> Tuple[np.ndarray, np.ndarray, int]:
     total = n_left + right.num_rows
     if total == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64), 0
-    ids, num_values, _ = factorize(arrays)
+    ids, num_values, _, _ = factorize(arrays)
     return ids[:n_left], ids[n_left:], num_values
 
 

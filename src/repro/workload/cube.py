@@ -62,9 +62,9 @@ class LineageCube:
                 cols[agg.alias] = np.empty(0, dtype=np.float64)
             self._table = Table(cols)
             return
-        key_codes, num_key_codes, reps = factorize(key_arrays)
+        key_codes, num_key_codes, _, _ = factorize(key_arrays)
         combined = groups * num_key_codes + key_codes
-        cell_ids, num_cells, cell_reps = factorize([combined])
+        cell_ids, num_cells, cell_reps, cell_counts = factorize([combined])
         # Re-rank cells so they are sorted by (group, key code): the cube
         # is then a CSR over output groups.
         cell_value = combined[cell_reps]
@@ -73,6 +73,7 @@ class LineageCube:
         rank[order] = np.arange(num_cells, dtype=np.int64)
         cell_ids = rank[cell_ids]
         cell_reps = cell_reps[order]
+        cell_counts = cell_counts[order]
         cell_value = cell_value[order]
 
         # Gather only the columns the aggregates read — the cube
@@ -85,7 +86,7 @@ class LineageCube:
         subset = Table({c: base.column(c)[rows] for c in needed}) if needed else base.take(rows[:0])
         if not needed:
             subset = Table({"__dummy": np.zeros(rows.size, dtype=np.int64)})
-        layout = GroupLayout(cell_ids, num_cells)
+        layout = GroupLayout(cell_ids, num_cells, cell_counts)
         columns: Dict[str, np.ndarray] = {}
         for k, arr in zip(self.keys, key_arrays, strict=True):
             columns[k] = arr[cell_reps]

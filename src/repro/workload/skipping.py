@@ -31,7 +31,7 @@ class AttributePartitioner:
     def __init__(self, table: Table, attributes: Sequence[str]):
         self.attributes = tuple(attributes)
         arrays = [table.column(a) for a in self.attributes]
-        codes, num_codes, reps = factorize(arrays)
+        codes, num_codes, reps, _ = factorize(arrays)
         self.codes = codes
         self.num_codes = num_codes
         self._value_to_code: Dict[Tuple, int] = {}

@@ -14,12 +14,12 @@ from repro.lineage import (
     invert_rid_array,
     invert_rid_index,
 )
-from repro.lineage import indexes
-from repro.lineage.indexes import _radix_order, stable_group_order
+from repro.lineage.indexes import stable_group_order
 
-#: Group counts on both sides of each narrowing boundary of the radix
-#: fallback ``_radix_order``: uint8 (<= 2**8), uint16 (<= 2**16), the
-#: two-pass 16-bit radix (<= 2**32) and the plain argsort.
+#: Group counts on both sides of the uint8 radix of
+#: ``stable_group_order`` (<= 2**8) and of 16- and 32-bit ids, which a
+#: narrowing that truncated would merge; past 2**8 ids pack with their
+#: rids (see :func:`test_packed_key_boundaries` for the key widths).
 BOUNDARY_GROUPS = [1, 2, 255, 256, 257, 65_535, 65_536, 65_537, 2**32, 2**32 + 1]
 
 group_ids = st.one_of(
@@ -43,8 +43,8 @@ ID_DTYPES = [
 def dense_ids(draw):
     """``(ids, num_groups)`` with ids in ``[0, num_groups)`` of any integer
     dtype.  Ids come from a small pool so ties are common, and the pool
-    is seeded with values sharing their low 16 bits so the two-pass
-    radix's first pass ties on ids above 2**16."""
+    is seeded with values sharing their low 16 bits, which a kernel
+    that dropped the ids' high bits would tie."""
     dtype = draw(st.sampled_from(ID_DTYPES))
     limit = int(np.iinfo(dtype).max) + 1
     g = min(
@@ -66,11 +66,9 @@ def dense_ids(draw):
 @settings(max_examples=300)
 def test_stable_group_order_equals_stable_argsort(data):
     ids, g = data
-    expected = np.argsort(ids, kind="stable")
-    for kernel in (stable_group_order, _radix_order):
-        order = kernel(ids, g)
-        assert order.dtype == np.intp
-        assert np.array_equal(order, expected)
+    order = stable_group_order(ids, g)
+    assert order.dtype == np.intp
+    assert np.array_equal(order, np.argsort(ids, kind="stable"))
 
 
 def _packed_case(n: int, g: int, seed: int) -> np.ndarray:
@@ -91,23 +89,16 @@ def _packed_case(n: int, g: int, seed: int) -> np.ndarray:
         (2**19 + 1, 2**12, 32),  # bits(n-1) = 20
         (2**19 + 1, 2**12 + 1, 33),
         (2**10, 2**53, 63),  # the widest int64 key
-        (2**10, 2**53 + 1, 64),  # past it: the radix fallback (a plain argsort)
+        (2**10, 2**53 + 1, 64),  # past it: the plain stable argsort
         (2**10 + 1, 2**52, 63),
         (2**10 + 1, 2**52 + 1, 64),
     ],
 )
-def test_packed_key_boundaries(monkeypatch, n, g, packed_bits):
+def test_packed_key_boundaries(n, g, packed_bits):
     """Both sides of a packed key of 32 bits (uint32 -> int64) and of 63
-    bits (int64 -> the radix fallback): the order is the stable argsort's,
-    and only a key wider than 63 bits leaves the packed sort."""
+    bits (int64 -> the plain stable argsort): a key packed one bit too
+    narrow wraps, so the order would differ from the stable argsort's."""
     assert (n - 1).bit_length() + (g - 1).bit_length() == packed_bits
-    fallbacks = []
-
-    def recording(ids, num_groups):
-        fallbacks.append(num_groups)
-        return _radix_order(ids, num_groups)
-
-    monkeypatch.setattr(indexes, "_radix_order", recording)
     for seed in range(2):
         ids = _packed_case(n, g, seed)
         order = stable_group_order(ids, g)
@@ -115,7 +106,6 @@ def test_packed_key_boundaries(monkeypatch, n, g, packed_bits):
         assert np.array_equal(order, np.argsort(ids, kind="stable"))
         sorted_ids = np.sort(ids)  # a sorted key skips the sort
         assert np.array_equal(stable_group_order(sorted_ids, g), np.arange(n))
-    assert fallbacks == ([g] * 4 if packed_bits > 63 else [])
 
 
 def test_stable_group_order_edges():

@@ -7,6 +7,7 @@ composite-key fold past 2**63, against the compiled backend and stdlib
 
 import sqlite3
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro import sanitize
 from repro.api import Database, ExecOptions
+from repro.exec.vector import kernels
 from repro.exec.vector.kernels import GroupLayout, codes_for, factorize, factorize_codes
 from repro.lineage.capture import CaptureMode
 from repro.storage import Table
@@ -43,7 +45,7 @@ def _check(codes: np.ndarray, width: int) -> None:
     for g, w in zip((got[0], got[2], got[3]), (want[0], want[2], want[3]), strict=True):
         assert g.dtype == np.int64 and np.array_equal(g, w)
     layout = GroupLayout(got[0], got[1], got[3])
-    assert np.array_equal(layout.offsets, GroupLayout(got[0], got[1]).offsets)
+    assert np.array_equal(layout.counts(), np.bincount(got[0], minlength=got[1]))
 
 
 def _few_groups(n: int, groups: int, seed: int = 0) -> np.ndarray:
@@ -102,13 +104,24 @@ def test_width_beyond_the_present_codes():
             ),
             st.integers(0, 3),
         )
-    )
+    ),
+    st.sampled_from([None, (1, 1), (1, 2), (1, 7), (4, 64)]),
 )
 @settings(deadline=None)
-def test_factorize_codes_equals_reference(data):
+def test_factorize_codes_equals_reference(data, chunking):
+    """``chunking`` shrinks ``(_ROWS_PER_GROUP, _FIRST_CHUNK_ROWS)`` so
+    inputs this small scan for first occurrences in chunks too."""
     values, extra = data
     codes = np.asarray(values, dtype=np.int64)
-    _check(codes, int(codes.max()) + 1 + extra)
+    if chunking is None:
+        _check(codes, int(codes.max()) + 1 + extra)
+        return
+    rows_per_group, first_chunk = chunking
+    with (
+        mock.patch.object(kernels, "_ROWS_PER_GROUP", rows_per_group),
+        mock.patch.object(kernels, "_FIRST_CHUNK_ROWS", first_chunk),
+    ):
+        _check(codes, int(codes.max()) + 1 + extra)
 
 
 def test_integer_column_is_its_own_code_array():
@@ -118,6 +131,29 @@ def test_integer_column_is_its_own_code_array():
     shifted, width = codes_for(column - 3)  # a negative value: shifted
     assert shifted.tolist() == [4, 0, 7, 4, 2] and width == 8
     assert codes_for(np.array([5, 10**9]))[1] == 2  # a wide one: ranked
+
+
+def test_offset_integer_column_keeps_its_span():
+    """An offset past the span is subtracted, not aliased: a composite
+    key's width is the product of its spans, so ``100_000..100_050`` by
+    ``0..50`` stays a 2,601-code domain (the dense branch), not ~5.1M."""
+    rng = np.random.default_rng(5)
+    n = 100_000
+    year = rng.integers(1992, 1999, n)
+    codes, width = codes_for(year)
+    assert width == 7 and not np.shares_memory(codes, year)
+    assert np.array_equal(codes, year - 1992)
+    k1, k2 = rng.integers(100_000, 100_051, n), rng.integers(0, 51, n)
+    keys = [codes_for(k1), codes_for(k2)]
+    assert [w for _, w in keys] == [51, 51]
+    assert keys[1][0] is k2  # offset 0: its own code array
+    near = np.arange(10, 21)  # an offset below the span: still aliased
+    codes, width = codes_for(near)
+    assert codes is near and width == 21
+    ids, num, reps, counts = factorize_codes(keys)
+    pairs = np.stack([k1, k2], axis=1)
+    assert num == len(np.unique(pairs, axis=0)) and counts.sum() == n
+    assert np.array_equal(pairs[reps][ids], pairs)
 
 
 def test_codes_alias_a_frozen_catalog_column():
@@ -185,5 +221,5 @@ def test_four_wide_keys_against_compiled_and_sqlite():
         assert vec == comp
         assert Counter(vec) == Counter(conn.execute(text).fetchall())
     conn.close()
-    ids, num, _ = factorize([table.column(f"k{i}") for i in range(4)])
+    ids, num, _, _ = factorize([table.column(f"k{i}") for i in range(4)])
     assert num == table.num_rows and ids[1] != ids[0]

@@ -194,14 +194,6 @@ class TestRPR008StableGroupOrderOnly:
         # Only the kernel in indexes.py: a same-named helper elsewhere is not.
         assert codes(src, "src/repro/exec/late_mat.py") == ["RPR008"]
 
-    def test_radix_fallback_body_is_exempt(self):
-        src = (
-            "def _radix_order(ids, num_groups):\n"
-            '    return np.argsort(ids.astype(np.uint16), kind="stable")\n'
-        )
-        assert codes(src, "src/repro/lineage/indexes.py") == []
-        assert codes(src, "src/repro/exec/vector/kernels.py") == ["RPR008"]
-
     def test_justified_noqa_waives(self):
         src = (
             'order = np.argsort(first_idx, kind="stable")'

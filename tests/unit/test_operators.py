@@ -28,33 +28,37 @@ INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
 class TestKernels:
     def test_factorize_first_occurrence_order(self):
-        ids, n, reps = factorize([np.array([5, 3, 5, 9, 3])])
+        ids, n, reps, counts = factorize([np.array([5, 3, 5, 9, 3])])
         assert n == 3
         assert ids.tolist() == [0, 1, 0, 2, 1]
         assert reps.tolist() == [0, 1, 3]
+        assert counts.tolist() == [2, 2, 1]
 
     def test_factorize_multi_key(self):
         a = np.array([1, 1, 2, 2])
         b = np.array(["x", "y", "x", "x"], dtype=object)
-        ids, n, _ = factorize([a, b])
+        ids, n, _, _ = factorize([a, b])
         assert n == 3
         assert ids.tolist() == [0, 1, 2, 2]
 
     def test_factorize_empty(self):
-        ids, n, reps = factorize([np.array([], dtype=np.int64)])
-        assert n == 0 and ids.size == 0
+        ids, n, reps, counts = factorize([np.array([], dtype=np.int64)])
+        assert n == 0 and ids.size == 0 and counts.size == 0
 
     def test_factorize_requires_keys(self):
         with pytest.raises(PlanError):
             factorize([])
 
     def test_factorize_wide_int_domain_falls_back(self):
-        ids, n, _ = factorize([np.array([10**12, 5, 10**12])])
+        ids, n, _, _ = factorize([np.array([10**12, 5, 10**12])])
         assert n == 2 and ids.tolist() == [0, 1, 0]
 
     def test_group_layout_counts(self):
-        layout = GroupLayout(np.array([0, 1, 0, 1, 1]), 2)
+        ids, n, _, counts = factorize([np.array([7, 8, 7, 8, 8])])
+        layout = GroupLayout(ids, n, counts)
         assert layout.counts().tolist() == [2, 3]
+        assert layout.offsets.tolist() == [0, 2, 5]
+        assert layout.order.tolist() == [0, 2, 1, 3, 4]
 
     def test_chunk_ranges_cover(self):
         ranges = list(chunk_ranges(10, 3))

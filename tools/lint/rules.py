@@ -468,9 +468,8 @@ class StableGroupOrderOnly(Rule):
     code = "RPR008"
     name = "stable-group-order-only"
 
-    #: The kernel (and its narrowing fallback) is the one sanctioned home
-    #: of the argsort.
-    KERNEL = ("src/repro/lineage/indexes.py", ("stable_group_order", "_radix_order"))
+    #: The kernel itself is the one sanctioned home of the argsort.
+    KERNEL = ("src/repro/lineage/indexes.py", "stable_group_order")
 
     def applies(self, ctx) -> bool:
         return ctx.in_dir("src/repro/exec/", "src/repro/lineage/")
@@ -492,7 +491,7 @@ class StableGroupOrderOnly(Rule):
         exempt: Set[int] = set()
         if ctx.is_file(self.KERNEL[0]):
             for fn in ast.walk(ctx.tree):
-                if isinstance(fn, ast.FunctionDef) and fn.name in self.KERNEL[1]:
+                if isinstance(fn, ast.FunctionDef) and fn.name == self.KERNEL[1]:
                     exempt.update(id(n) for n in ast.walk(fn))
         for node in ast.walk(ctx.tree):
             if self._is_stable_argsort(node) and id(node) not in exempt:
