@@ -28,6 +28,7 @@ from .errors import (
     InvalidArgumentError,
     LineageError,
     PlanError,
+    RegistryFullError,
     ReproError,
     RidRangeError,
     SanitizeError,
@@ -71,6 +72,7 @@ __all__ = [
     "PreparedQuery",
     "QueryLineage",
     "QueryResult",
+    "RegistryFullError",
     "ReproError",
     "RidArray",
     "RidIndex",

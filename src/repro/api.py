@@ -72,11 +72,12 @@ subset; omitted, every row is traced.  Both work on either backend, join
 and aggregate like any other relation, and are themselves captured, so
 lineage chains across interactive sessions.
 
-Registered results live in a bounded registry: ``Database(max_results=N)``
-bounds the entry count, ``Database(max_result_bytes=B)`` bounds the bytes
-held by their lineage indexes (measured by
-:meth:`~repro.lineage.capture.QueryLineage.memory_bytes`); either bound
-evicts least-recently-used unpinned entries.  Replacing a *base table*
+Registered results stay in memory until dropped.
+``Database(max_result_bytes=B)`` budgets the bytes held by the unpinned
+results' lineage indexes (measured by
+:meth:`~repro.lineage.capture.QueryLineage.memory_bytes`): a registration
+past it raises :class:`~repro.errors.RegistryFullError` and changes
+nothing, so the caller drops something first.  Replacing a *base table*
 that captured lineage traces to advances a catalog epoch, so consuming
 stale rids raises instead of answering against the new rows.
 
@@ -100,18 +101,17 @@ from typing import Callable, Dict, FrozenSet, Iterator, Mapping, Optional, Union
 import numpy as np
 
 from . import sanitize
-from .errors import PlanError, RecoveryError, StaleBindingError
+from .errors import (
+    InvalidArgumentError,
+    PlanError,
+    RegistryFullError,
+    StaleBindingError,
+)
 from .exec.late_mat import execute_pushed_batch
 from .exec.vector.executor import ExecResult, VectorExecutor
 from .lineage.cache import LineageResolutionCache
 from .lineage.capture import CaptureConfig, CaptureMode, QueryLineage
-from .lineage.recovery import (
-    DurabilityManager,
-    EvictedStub,
-    RefreshPolicy,
-    reexecute_stub,
-    stub_for,
-)
+from .lineage.recovery import DurabilityManager
 from .plan.logical import LineageScan, LogicalPlan, Scan, walk
 from .plan.rewrite import RewriteIndex, precompute_rewrites
 from .storage.catalog import Catalog
@@ -135,7 +135,7 @@ class ExecOptions:
         (``FROM Lb(name, ...)``); re-registering advances the name's
         epoch and retargets every statement that reads it.
     pin:
-        Exempt the registered result from registry eviction bounds.
+        Exempt the registered result from the registry's byte budget.
     late_materialize:
         ``False`` disables the lineage-scan push-down rewrite
         (:mod:`repro.plan.rewrite`) — the benchmarks' baseline.
@@ -292,9 +292,8 @@ class QueryResult:
     """The outcome of one instrumented query execution.
 
     ``statement`` / ``options`` record how the result was produced (when
-    it came through the SQL layer): they are what lets a durable
-    registry re-execute an evicted result and what WAL ``register``
-    records persist alongside the payload.  ``plan`` is ``None`` for
+    it came through the SQL layer): WAL ``register`` records persist them
+    alongside the payload.  ``plan`` is ``None`` for
     results reconstructed from durable state (nothing was re-executed).
     """
 
@@ -380,132 +379,69 @@ class QueryResult:
 
 
 class ResultRegistry(Mapping):
-    """Named prior results with optional count and byte bounds.
+    """Named prior results under one admission budget.
 
     A plain mapping from the executors' point of view (``Lb``/``Lf``
-    leaves resolve names through ``__getitem__``, which marks the entry
-    recently used).  Two independent bounds trigger LRU eviction of
-    *unpinned* entries:
+    leaves resolve names through ``__getitem__``).  A registered result
+    stays until :meth:`drop`.
 
-    * ``max_results`` — entry count (as before);
-    * ``max_result_bytes`` — total bytes held by the entries' lineage
-      indexes, measured by :meth:`QueryLineage.memory_bytes` (which
-      finalizes deferred entries; sizing requires the indexes to exist).
-
-    ``pin=True`` exempts an entry from both bounds and from eviction —
-    the escape hatch for results that must outlive arbitrary
-    registration traffic (app sessions pin their views until ``close()``).
+    ``max_result_bytes`` budgets the bytes held by the *unpinned*
+    entries' lineage indexes, measured by
+    :meth:`QueryLineage.memory_bytes` (which finalizes deferred entries;
+    sizing requires the indexes to exist).  A registration, or an unpin,
+    that would take them past it raises
+    :class:`~repro.errors.RegistryFullError` before anything is logged or
+    changed; the caller drops something and retries.  Re-registering a
+    name counts only its new bytes, results with capture off cost 0, and
+    ``pin=True`` exempts an entry (app sessions pin their views until
+    ``close()``).
 
     Every registration of a name advances its **epoch**
     (:meth:`epoch`), which checkpoints persist with the entries.
 
-    Durability and graceful degradation
-    -----------------------------------
+    Durability
+    ----------
     With a :class:`~repro.lineage.recovery.DurabilityManager` attached
     (``Database.open``), every mutation is WAL-logged *before* it is
-    applied, so acknowledged registrations survive a crash.  With a
-    *refresher* attached (on by default for durable databases,
-    ``Database(refresh_evicted=True)`` otherwise), eviction leaves an
-    :class:`~repro.lineage.recovery.EvictedStub` behind and the next
-    lookup of the name transparently re-executes its statement.  A plain
-    in-memory registry keeps the historical behaviour exactly: evicted
-    names become unknown.
+    applied, so acknowledged registrations survive a crash.  Replay
+    (``replay=True``) never refuses: a directory reopened with a smaller
+    budget serves every acknowledged registration and refuses the next
+    unpinned one.
     """
 
-    def __init__(
-        self,
-        max_results: Optional[int] = None,
-        max_result_bytes: Optional[int] = None,
-    ):
-        self._entries: "OrderedDict[str, QueryResult]" = OrderedDict()
+    def __init__(self, max_result_bytes: Optional[int] = None):
+        if max_result_bytes is not None and max_result_bytes < 1:
+            raise InvalidArgumentError(
+                "max_result_bytes must be a positive bound or None, "
+                f"got {max_result_bytes}"
+            )
+        self.max_result_bytes = max_result_bytes
+        self._entries: Dict[str, QueryResult] = {}
         self._pinned: set = set()
         self._epochs: Dict[str, int] = {}
+        #: Lineage bytes of every entry, kept only under a budget.
         self._bytes: Dict[str, int] = {}
-        self.max_results = max_results
-        self.max_result_bytes = max_result_bytes
-        self._stubs: "OrderedDict[str, EvictedStub]" = OrderedDict()
         self._durability: Optional[DurabilityManager] = None
-        self._refresher = None  # Callable[[EvictedStub], None]
-        self._refreshing = threading.local()  # per-thread cycle guard
-        # Guards the in-memory maps (entries / pins / epochs / stubs /
-        # bytes) so reader threads resolving names while a writer
-        # registers can never observe a half-applied mutation.  Re-entrant
-        # because refresh/evict paths re-enter register() on the same
-        # thread.  Durability logging happens outside any long hold — the
-        # lock is for memory, not for fsync.
-        self._lock = threading.RLock()
+        # Guards the in-memory maps (entries / pins / epochs / bytes) so
+        # reader threads resolving names while a writer registers can
+        # never observe a half-applied mutation.  Durability logging
+        # happens outside any hold — the lock is for memory, not fsync.
+        self._lock = threading.Lock()
 
     # -- Mapping protocol (what executors and the binder consume) ----------
 
     def __getitem__(self, name: str) -> "QueryResult":
-        with self._lock:
-            entry = self._entries.get(name)
-            if entry is not None:
-                self._entries.move_to_end(name)
-                return entry
-        return self._refresh_evicted(name)
+        return self._entries[name]
 
     def __contains__(self, name) -> bool:
-        with self._lock:
-            if name in self._entries:
-                return True
-            return self._refresher is not None and name in self._stubs
+        return name in self._entries
 
     def __iter__(self) -> Iterator[str]:
         with self._lock:
-            if self._refresher is None:
-                return iter(list(self._entries))
-            names = list(self._entries)
-            names.extend(n for n in self._stubs if n not in self._entries)
-        return iter(names)
+            return iter(list(self._entries))
 
     def __len__(self) -> int:
-        with self._lock:
-            if self._refresher is None:
-                return len(self._entries)
-            return len(self._entries) + sum(
-                1 for n in self._stubs if n not in self._entries
-            )
-
-    def _refresh_evicted(self, name: str) -> "QueryResult":
-        """Serve an evicted-but-refreshable name by re-executing its
-        statement (graceful degradation); unknown names raise the
-        Mapping-contract ``KeyError``.
-
-        The re-execution itself runs without the registry lock held (it
-        plans and executes a whole statement); the self-dependency guard
-        is per-thread so two threads refreshing the same name race to
-        re-register rather than misdiagnose a cycle.
-        """
-        with self._lock:
-            stub = self._stubs.get(name)
-            if stub is None or self._refresher is None:
-                return self._entries[name]  # canonical KeyError
-        refreshing = self._refreshing_names()
-        if name in refreshing:
-            raise RecoveryError(
-                f"re-execution of evicted result {name!r} depends on "
-                "itself; the stub cannot be refreshed"
-            )
-        refreshing.add(name)
-        try:
-            self._refresher(stub)
-        finally:
-            refreshing.discard(name)
-        with self._lock:
-            entry = self._entries.get(name)
-        if entry is None:
-            raise RecoveryError(
-                f"re-execution of evicted result {name!r} completed "
-                "without re-registering it"
-            )
-        return entry
-
-    def _refreshing_names(self) -> set:
-        names = getattr(self._refreshing, "names", None)
-        if names is None:
-            names = self._refreshing.names = set()
-        return names
+        return len(self._entries)
 
     def epoch(self, name: str) -> int:
         """Registration epoch of ``name`` (advances on every register,
@@ -515,10 +451,7 @@ class ResultRegistry(Mapping):
     def snapshot_state(self) -> "Dict[str, QueryResult]":
         """Consistent copy of the entries for snapshot views, taken under
         the lock so a concurrent registration is either wholly in it or
-        absent.  Evicted stubs are deliberately absent: serving one would
-        require re-execution against *live* state, which is a write —
-        snapshot readers treat evicted names as unknown.
-        """
+        absent."""
         with self._lock:
             return dict(self._entries)
 
@@ -537,31 +470,18 @@ class ResultRegistry(Mapping):
         self, name: str, result: "QueryResult", pin: bool = False
     ) -> None:
         """Recovery-only: insert a checkpointed entry *without* advancing
-        its epoch (the checkpoint's epoch snapshot already counts it)."""
+        its epoch (the checkpoint's epoch snapshot already counts it) or
+        checking the budget."""
+        nbytes = self._admit(name, result, exempt=True)
         with self._lock:
-            self._entries[name] = result
-            self._entries.move_to_end(name)
-            if pin:
-                self._pinned.add(name)
-            else:
-                self._pinned.discard(name)
-            self._stubs.pop(name, None)
-            self._bytes.pop(name, None)
-            if self.max_result_bytes is not None:
-                self._bytes[name] = _lineage_bytes(result)
-
-    def apply_evict(self, name: str, stub: "EvictedStub") -> None:
-        """Recovery-only: re-apply a logged or checkpointed eviction."""
-        with self._lock:
-            self._entries.pop(name, None)
-            self._bytes.pop(name, None)
-            self._pinned.discard(name)
-            self._stubs[name] = stub
-            self._stubs.move_to_end(name)
+            self._install(name, result, pin, nbytes)
 
     # -- mutation ----------------------------------------------------------
 
-    def register(self, name: str, result: "QueryResult", pin: bool = False) -> None:
+    def register(
+        self, name: str, result: "QueryResult", pin: bool = False, replay: bool = False
+    ) -> None:
+        nbytes = self._admit(name, result, exempt=pin or replay)
         if self._durability is not None:
             # Write-ahead: the record is fsynced before memory changes,
             # so a failure here acknowledges nothing.
@@ -573,110 +493,66 @@ class ResultRegistry(Mapping):
             for values in result.table.columns().values():
                 sanitize.freeze(values)
         with self._lock:
-            self._entries[name] = result
-            self._entries.move_to_end(name)
+            self._install(name, result, pin, nbytes)
             self._epochs[name] = self._epochs.get(name, 0) + 1
+
+    def drop(self, name: str) -> None:
+        if self._durability is not None and name in self._entries:
+            self._durability.log_drop(name)
+        with self._lock:
+            del self._entries[name]
+            self._pinned.discard(name)
+            self._bytes.pop(name, None)
+
+    def set_pin(self, name: str, pin: bool, replay: bool = False) -> None:
+        """Pin or unpin a live entry (logged when durable); unpinning
+        is admitted against the budget like a registration."""
+        if name not in self._entries:
+            raise PlanError(f"unknown result {name!r}")
+        if not pin:
+            self._admit(name, self._entries[name], exempt=replay)
+        if self._durability is not None:
+            self._durability.log_pin(name, pin)
+        with self._lock:
             if pin:
                 self._pinned.add(name)
             else:
                 self._pinned.discard(name)
-            self._stubs.pop(name, None)
-            self._bytes.pop(name, None)
-            if self.max_result_bytes is not None:
-                self._bytes[name] = _lineage_bytes(result)
-            self._evict()
 
-    def drop(self, name: str) -> None:
-        if self._durability is not None and (
-            name in self._entries or name in self._stubs
-        ):
-            self._durability.log_drop(name)
-        with self._lock:
-            if self._stubs.pop(name, None) is not None:
-                self._entries.pop(name, None)
-            else:
-                del self._entries[name]
-            self._pinned.discard(name)
-            self._bytes.pop(name, None)
-
-    def set_pin(self, name: str, pin: bool) -> None:
-        """Pin or unpin a live entry or a stub (logged when durable);
-        unpinning re-applies the eviction bounds."""
-        if name not in self._entries and name not in self._stubs:
-            raise PlanError(f"unknown result {name!r}")
-        if self._durability is not None:
-            self._durability.log_pin(name, pin)
-        with self._lock:
-            stub = self._stubs.get(name)
-            if stub is not None:
-                stub.pin = bool(pin)
-            if name in self._entries:
-                if pin:
-                    self._pinned.add(name)
-                else:
-                    self._pinned.discard(name)
-                    self._evict()
-
-    def set_max_results(self, max_results: Optional[int]) -> None:
-        if max_results is not None and max_results < 1:
-            raise PlanError(
-                f"max_results must be a positive bound or None, got {max_results}"
-            )
-        with self._lock:
-            self.max_results = max_results
-            self._evict()
-
-    def set_max_result_bytes(self, max_result_bytes: Optional[int]) -> None:
-        if max_result_bytes is not None and max_result_bytes < 1:
-            raise PlanError(
-                "max_result_bytes must be a positive bound or None, "
-                f"got {max_result_bytes}"
-            )
-        with self._lock:
-            self.max_result_bytes = max_result_bytes
-            if max_result_bytes is not None:
-                for name, entry in self._entries.items():
-                    if name not in self._bytes:
-                        self._bytes[name] = _lineage_bytes(entry)
-            self._evict()
-
-    def _evict(self) -> None:
-        if self.max_results is None and self.max_result_bytes is None:
-            return
-        unpinned = [n for n in self._entries if n not in self._pinned]
-        count_excess = (
-            len(unpinned) - self.max_results
-            if self.max_results is not None
-            else 0
-        )
-        bytes_excess = 0
-        if self.max_result_bytes is not None:
-            bytes_excess = (
-                sum(self._bytes.get(n, 0) for n in unpinned)
-                - self.max_result_bytes
-            )
-        for name in unpinned:  # OrderedDict order == LRU order
-            if count_excess <= 0 and bytes_excess <= 0:
-                break
-            bytes_excess -= self._bytes.get(name, 0)
-            count_excess -= 1
-            stub = self._make_stub(name)
-            if stub is not None:
-                if self._durability is not None:
-                    self._durability.log_evict(stub)
-                self._stubs[name] = stub
-                self._stubs.move_to_end(name)
-            del self._entries[name]
-            self._bytes.pop(name, None)
-
-    def _make_stub(self, name: str) -> Optional["EvictedStub"]:
-        """Degradation stub for an entry about to be evicted, or ``None``
-        when the registry is plain (neither refreshable nor durable) —
-        plain registries keep the historical evicted-means-gone contract.
-        """
-        if self._refresher is None and self._durability is None:
+    def _admit(self, name: str, result: "QueryResult", exempt: bool) -> Optional[int]:
+        """``result``'s lineage bytes (``None`` without a budget); raises
+        :class:`RegistryFullError` unless ``exempt`` or ``name`` holding
+        ``result`` unpinned keeps the unpinned bytes within the budget."""
+        if self.max_result_bytes is None:
             return None
-        return stub_for(name, self._entries[name])
+        nbytes = _lineage_bytes(result)
+        if exempt:
+            return nbytes
+        with self._lock:
+            held = sum(
+                size
+                for other, size in self._bytes.items()
+                if other != name and other not in self._pinned
+            )
+        if held + nbytes > self.max_result_bytes:
+            raise RegistryFullError(
+                f"result {name!r} needs {nbytes} lineage bytes, but unpinned "
+                f"results already hold {held} of the {self.max_result_bytes}-"
+                "byte budget; drop a result, or pin this one"
+            )
+        return nbytes
+
+    def _install(
+        self, name: str, result: "QueryResult", pin: bool, nbytes: Optional[int]
+    ) -> None:
+        """Put ``name`` in the maps; the caller holds the lock."""
+        self._entries[name] = result
+        if pin:
+            self._pinned.add(name)
+        else:
+            self._pinned.discard(name)
+        if nbytes is not None:
+            self._bytes[name] = nbytes
 
 
 def _lineage_bytes(result: "QueryResult") -> int:
@@ -896,48 +772,34 @@ class Session:
 class Database:
     """An in-memory lineage-enabled database engine.
 
-    ``max_results`` / ``max_result_bytes`` bound the registry of named
-    prior results (LRU eviction of unpinned entries, see
-    :class:`ResultRegistry`); ``None`` keeps every registration until
+    ``max_result_bytes`` budgets the lineage bytes of the unpinned named
+    prior results (see :class:`ResultRegistry`): a registration past it
+    raises :class:`~repro.errors.RegistryFullError`.  ``None`` admits
+    every registration.  Nothing registered leaves except by
     :meth:`drop_result`.
 
     Durability
     ----------
     ``durable_path`` (or the :meth:`open` classmethod) attaches a
     write-ahead log and checkpoint under that directory: every result
-    registration, drop, pin change, and eviction is fsynced to the WAL
-    *before* it is acknowledged, and re-opening the same path replays
-    checkpoint + WAL so every registered view answers its lineage
-    queries again — same rids, same epochs, same stale-rid guards —
-    without recapture.  ``refresh_evicted`` (default: on for durable
-    databases, off otherwise) turns evictions into graceful degradation:
-    the registry keeps a statement stub and transparently re-executes it
-    when ``Lb``/``Lf`` next touch the name, retrying under
-    ``refresh_policy``.
+    registration, drop and pin change is fsynced to the WAL *before* it
+    is acknowledged, and re-opening the same path replays checkpoint +
+    WAL so every registered view answers its lineage queries again —
+    same rids, same epochs, same stale-rid guards — without recapture.
+    A refused registration is never logged.
     """
 
     def __init__(
         self,
-        max_results: Optional[int] = None,
         max_result_bytes: Optional[int] = None,
         durable_path=None,
-        refresh_evicted: Optional[bool] = None,
-        refresh_policy: Optional[RefreshPolicy] = None,
         failpoints=None,
     ):
         self.catalog = Catalog()
-        self._results = ResultRegistry(max_results, max_result_bytes)
-        #: The one memo cache and statement memo of every front; built
-        #: before recovery, whose stub re-execution prepares statements.
+        self._results = ResultRegistry(max_result_bytes)
+        #: The one memo cache and statement memo of every front.
         self.lineage_cache = LineageResolutionCache()
         self._statements = StatementMemo()
-        if refresh_evicted is None:
-            refresh_evicted = durable_path is not None
-        self._refresh_policy = (
-            refresh_policy if refresh_policy is not None else RefreshPolicy()
-        )
-        if refresh_evicted:
-            self._results._refresher = self._refresh_evicted_stub
         self._durability: Optional[DurabilityManager] = None
         if durable_path is not None:
             manager = DurabilityManager(durable_path, failpoints=failpoints)
@@ -988,11 +850,9 @@ class Database:
 
     def pin_result(self, name: str, pin: bool = True) -> None:
         """Pin (or unpin) a registered result; durable databases log the
-        change so it survives restart."""
+        change so it survives restart.  Unpinning is admitted against the
+        byte budget like a registration (:class:`RegistryFullError`)."""
         self._results.set_pin(name, pin)
-
-    def _refresh_evicted_stub(self, stub: "EvictedStub") -> None:
-        reexecute_stub(self, stub, self._refresh_policy)
 
     # -- catalog management -----------------------------------------------------
 
@@ -1032,12 +892,7 @@ class Database:
     # -- named results (lineage-consuming SQL) ---------------------------------
 
     def register_result(
-        self,
-        name: str,
-        result: "QueryResult",
-        pin: bool = False,
-        max_results: Optional[int] = None,
-        max_result_bytes: Optional[int] = None,
+        self, name: str, result: "QueryResult", pin: bool = False
     ) -> None:
         """Register a prior result so SQL can consume its lineage.
 
@@ -1048,17 +903,12 @@ class Database:
         Names must be SQL identifiers that are not keywords, so the bare
         ``Lb(name, ...)`` form always parses.
 
-        When the registry is bounded (``Database(max_results=N,
-        max_result_bytes=B)``, or the same keywords here, which update
-        the bounds), least-recently-used unpinned entries are evicted
-        past either bound; ``pin=True`` exempts this entry from the
-        bounds and from eviction until it is dropped.
+        Under ``Database(max_result_bytes=B)``, an unpinned result that
+        would take the unpinned results' lineage bytes past ``B`` raises
+        :class:`~repro.errors.RegistryFullError` and registers nothing;
+        ``pin=True`` exempts this entry from the budget.
         """
         _check_result_name(name)
-        if max_results is not None:
-            self._results.set_max_results(max_results)
-        if max_result_bytes is not None:
-            self._results.set_max_result_bytes(max_result_bytes)
         self._results.register(name, result, pin=pin)
 
     def drop_result(self, name: str) -> None:
@@ -1181,7 +1031,7 @@ class Database:
         runs both end here, then in :func:`run_plan`.  ``prepared`` is
         the statement ``plan`` came from (``None`` for a raw plan);
         ``statement`` is the SQL source text (when there is one), kept on
-        the result so a durable registry can log and re-execute it."""
+        the result so a durable registry can log it."""
         if options.name is not None:
             # Validate up front: a bad name must not discard a finished
             # (possibly expensive) execution.

@@ -205,9 +205,9 @@ class CrossfilterSession:
         per-view statements bind ``:bars`` into memoized plans, and the
         database's lineage cache resolves each brush's rid set once
         across all views.  View results are registered
-        with ``pin=True`` so a bounded result registry
-        (``Database(max_results=...)``) never evicts a live session's
-        views; ``close()`` drops them.
+        with ``pin=True``, exempt from the registry's byte budget
+        (``Database(max_result_bytes=...)``), so a full registry never
+        refuses a session's views; ``close()`` drops them.
 
         ``joins`` maps dimension names to :class:`DimensionJoin` specs:
         those views bin on an attribute of a joined lookup table, and
@@ -287,7 +287,7 @@ class CrossfilterSession:
                     options=ExecOptions(
                         capture=capture,
                         name=name,
-                        # Live sessions must survive registry LRU eviction.
+                        # Exempt from the registry's byte budget.
                         pin=name is not None,
                     ),
                 )

@@ -31,8 +31,8 @@ view's two statements are
 added: every brush binds ``:marks`` / ``:rids`` into the cached plan
 instead of re-lexing and re-binding SQL; each run resolves the brushed
 marks' lineage from the view's index.  Views are registered with
-``pin=True`` so a bounded result registry never evicts a live session's
-views.
+``pin=True``, exempt from the registry's byte budget, so a full registry
+never refuses a session's views.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class LinkedBrushingSession:
         self.views[name] = result
         if name.isidentifier():
             registered = f"_lbrush{self._session_id}_{name}"
-            # Pinned: a live session's views must survive LRU eviction.
+            # Pinned: exempt from the registry's byte budget.
             self.database.register_result(registered, result, pin=True)
             self._sql_names[name] = registered
             # SELECT DISTINCT: the interaction reads only the statement's

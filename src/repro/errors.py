@@ -109,12 +109,12 @@ class DurabilityError(ReproError):
 class RecoveryError(DurabilityError):
     """Replaying durable state could not reconstruct the registry.
 
-    Raised by :meth:`repro.api.Database.open` replay and by the
-    evicted-stub re-execution path when its retry budget is exhausted or
-    a stub's statement can no longer run (missing base table, cyclic
-    refresh).  Torn WAL *tails* are not errors — they are truncated as
-    un-acknowledged work — but inconsistencies that cannot be attributed
-    to a crash mid-append are.
+    Raised by :meth:`repro.api.Database.open` replay: on damaged
+    records or archives, on a checkpoint of another format version, and
+    on a WAL record kind this build does not know (such a log is
+    refused, never partly applied).  Torn WAL *tails* are not errors —
+    they are truncated as un-acknowledged work — but inconsistencies
+    that cannot be attributed to a crash mid-append are.
     """
 
 
@@ -125,6 +125,17 @@ class WalCorruptionError(RecoveryError):
     bad record *followed by further valid frames* cannot be explained by
     a crash during append and means the log bytes were damaged — replay
     refuses to guess which side of the corruption to trust.
+    """
+
+
+class RegistryFullError(ReproError):
+    """A registration would take the result registry past its byte budget.
+
+    ``Database(max_result_bytes=B)`` budgets the lineage bytes of the
+    unpinned registered results.  A registration (or an unpin) past ``B``
+    raises this before the WAL append and before any change in memory,
+    so nothing is acknowledged; drop a result, or pin this one, and
+    retry.  Nothing registered is removed to make room.
     """
 
 

@@ -90,9 +90,8 @@ def _first_occurrence_entries(
     combined = np.concatenate([left_ids, right_ids])
     if combined.size == 0:
         return np.empty(0, dtype=np.int64)
-    _, first_idx = np.unique(combined, return_index=True)
+    values, first_idx = np.unique(combined, return_index=True)
     order = np.argsort(first_idx, kind="stable")  # repro: noqa RPR008 -- ranks num_values distinct rids, not a dense-id inversion
-    values = np.unique(combined)
     return values[order]
 
 
@@ -124,9 +123,9 @@ def _set_union(left: Table, right: Table, config: CaptureConfig):
     combined = concat_tables([left, right.rename(dict(zip(right.schema.names, left.schema.names, strict=True)))])
     # Representative row per output entry: first occurrence in A-then-B.
     all_ids = np.concatenate([left_ids, right_ids])
-    _, first_idx = np.unique(all_ids, return_index=True)
+    values, first_idx = np.unique(all_ids, return_index=True)
     rep_of_value = np.empty(num_values, dtype=np.int64)
-    rep_of_value[np.unique(all_ids)] = first_idx
+    rep_of_value[values] = first_idx
     output = combined.take(rep_of_value[entries])
     if not config.enabled:
         return output, (None, None, None, None)

@@ -14,8 +14,8 @@ module owns every byte layout of the durability subsystem:
   JSON-able manifest; the shared payload format of WAL ``register``
   records and checkpoint entries.
 * :func:`write_checkpoint` / :func:`read_checkpoint` — the whole
-  registry (entries, evicted stubs, registry epochs, catalog epochs,
-  WAL watermark) as one atomic snapshot.
+  registry (entries, registry epochs, catalog epochs, WAL watermark)
+  as one atomic snapshot.
 
 All durable writes go through the fsync/replace helpers in
 :mod:`repro.lineage.wal` (:func:`~repro.lineage.wal.durable_atomic_write`)
@@ -47,7 +47,9 @@ from .indexes import RidArray, RidIndex
 from .wal import Failpoints, durable_atomic_write
 
 #: Checkpoint manifest format version (bump on incompatible layout change).
-CHECKPOINT_VERSION = 1
+#: A version-1 checkpoint may list results this build cannot restore;
+#: reading one raises :class:`RecoveryError`.
+CHECKPOINT_VERSION = 2
 
 
 # -- lineage <-> manifest -------------------------------------------------------
@@ -247,7 +249,7 @@ def load_lineage(path: str) -> QueryLineage:
 
 def capture_mode_value(options) -> Optional[str]:
     """The capture-mode string of an ``ExecOptions``-like object (``None``
-    when capture was off) — what a durable stub re-executes with."""
+    when capture was off) — what a recovered result's ``options`` report."""
     capture = getattr(options, "capture", None)
     if capture is None:
         return None
@@ -333,15 +335,12 @@ class CheckpointState:
     catalog_epochs: Dict[str, int]
     #: Live entries: dicts with name/pin/statement/capture/table/lineage.
     entries: List[dict]
-    #: Evicted-stub metadata dicts (name/statement/pin/capture).
-    stubs: List[dict]
 
 
 def write_checkpoint(
     path,
     *,
     entries,
-    stubs: List[dict],
     registry_epochs: Dict[str, int],
     catalog_epochs: Dict[str, int],
     wal_seqno: int,
@@ -360,7 +359,6 @@ def write_checkpoint(
         "registry_epochs": {k: int(v) for k, v in registry_epochs.items()},
         "catalog_epochs": {k: int(v) for k, v in catalog_epochs.items()},
         "entries": [],
-        "stubs": list(stubs),
     }
     for i, (name, result, pinned) in enumerate(entries):
         manifest["entries"].append(
@@ -414,7 +412,6 @@ def read_checkpoint(path) -> CheckpointState:
                     k: int(v) for k, v in manifest["catalog_epochs"].items()
                 },
                 entries=entries,
-                stubs=list(manifest.get("stubs", [])),
             )
     except RecoveryError:
         raise

@@ -1,45 +1,33 @@
-"""Crash recovery and graceful degradation for the result registry.
+"""Crash recovery for the result registry.
 
 :class:`DurabilityManager` is the orchestration layer between
 :class:`~repro.api.ResultRegistry` and the byte-level modules
 (:mod:`repro.lineage.wal`, :mod:`repro.lineage.persist`):
 
 * **Logging** — the registry calls ``log_register`` / ``log_drop`` /
-  ``log_pin`` / ``log_evict`` *before* mutating memory; each logs one
-  fsynced WAL record, so every acknowledged operation survives a crash.
+  ``log_pin`` *before* mutating memory (and after its byte budget
+  admitted the mutation); each logs one fsynced WAL record, so every
+  acknowledged operation survives a crash.
 * **Recovery** — :meth:`DurabilityManager.recover_into` (what
   ``Database.open`` runs) loads the latest checkpoint, truncates a torn
   WAL tail, replays the remaining records in order, and leaves the
   registry serving every acknowledged registration — same lineage
   answers, same epochs, stale-rid guards intact — without recapture.
+  Replay never refuses a record for the byte budget.
 * **Checkpointing** — :meth:`DurabilityManager.checkpoint` snapshots
   the registry atomically and resets the WAL; the snapshot records the
   WAL watermark it covers, so a crash between the two steps replays
   idempotently.
-
-Graceful degradation rides the same machinery: when the LRU byte budget
-evicts a result, an :class:`EvictedStub` (name, statement, capture
-options) stays behind — durably, via a WAL ``evict`` record — and the
-next ``Lb``/``Lf`` touching the name re-executes the statement through
-the prepared-statement layer (:func:`reexecute_stub`), bounded by a
-:class:`RefreshPolicy` retry/backoff budget and raising the typed
-:class:`~repro.errors.RecoveryError` when the budget runs out.
 """
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
 
-from ..errors import (
-    DurabilityError,
-    InjectedFault,
-    RecoveryError,
-    ReproError,
-)
+from ..errors import DurabilityError, RecoveryError
 from .capture import CaptureMode
 from .persist import (
     capture_mode_value,
@@ -60,76 +48,10 @@ from .wal import (
 KIND_REGISTER = "register"
 KIND_DROP = "drop"
 KIND_PIN = "pin"
-KIND_EVICT = "evict"
 
 #: On-disk names inside a durable directory.
 WAL_FILENAME = "registry.wal"
 CHECKPOINT_FILENAME = "checkpoint.npz"
-
-
-@dataclass(frozen=True)
-class RefreshPolicy:
-    """Retry/backoff budget for re-executing an evicted result's
-    statement (the refresh policy left open since PR 1)."""
-
-    max_attempts: int = 3
-    backoff_seconds: float = 0.01
-    multiplier: float = 2.0
-
-
-@dataclass
-class EvictedStub:
-    """What remains of a result evicted by the registry bounds.
-
-    ``statement``/``capture`` survive a restart (they are what WAL
-    ``evict`` records and checkpoints carry); ``plan``/``options`` are
-    the richer in-process handles used when the eviction and the
-    re-execution happen in the same process.
-    """
-
-    name: str
-    statement: Optional[str] = None
-    pin: bool = False
-    capture: Optional[str] = None
-    plan: object = None
-    options: object = None
-
-
-def stub_meta(stub: EvictedStub) -> dict:
-    """The durable (JSON-able) projection of a stub."""
-    return {
-        "name": stub.name,
-        "statement": stub.statement,
-        "pin": bool(stub.pin),
-        "capture": stub.capture,
-    }
-
-
-def stub_from_meta(meta: dict) -> EvictedStub:
-    return EvictedStub(
-        name=meta["name"],
-        statement=meta.get("statement"),
-        pin=bool(meta.get("pin", False)),
-        capture=meta.get("capture"),
-    )
-
-
-def stub_for(name: str, result) -> Optional[EvictedStub]:
-    """Build an eviction stub for a live entry, or ``None`` when the
-    entry cannot be re-executed (registered from a raw plan with no
-    statement and executed elsewhere)."""
-    statement = getattr(result, "statement", None)
-    plan = getattr(result, "plan", None)
-    if statement is None and plan is None:
-        return None
-    options = getattr(result, "options", None)
-    return EvictedStub(
-        name=name,
-        statement=statement,
-        plan=plan,
-        options=options,
-        capture=capture_mode_value(options),
-    )
 
 
 def _recovered_result(database, table, lineage, statement=None, capture=None):
@@ -150,57 +72,6 @@ def _recovered_result(database, table, lineage, statement=None, capture=None):
     )
 
 
-def reexecute_stub(database, stub: EvictedStub, policy: RefreshPolicy) -> None:
-    """Re-register an evicted result by re-running its statement.
-
-    Runs through the prepared-statement machinery with the original
-    registration options (name, pin, capture mode), retrying up to
-    ``policy.max_attempts`` times with exponential backoff.  Raises
-    :class:`RecoveryError` when the statement is gone, parameterized, or
-    keeps failing.  An :class:`InjectedFault` (simulated crash) is never
-    retried — the harness must observe it.
-    """
-    from ..api import ExecOptions
-
-    target = stub.statement if stub.statement is not None else stub.plan
-    if target is None:
-        raise RecoveryError(
-            f"evicted result {stub.name!r} kept no statement or plan; "
-            "it cannot be re-executed"
-        )
-    options = stub.options
-    if options is None:
-        capture = CaptureMode(stub.capture) if stub.capture is not None else None
-        options = ExecOptions(capture=capture)
-    options = options.with_(name=stub.name, pin=bool(stub.pin))
-    last_error: Optional[ReproError] = None
-    delay = policy.backoff_seconds
-    for attempt in range(max(1, policy.max_attempts)):
-        if attempt and delay > 0:
-            time.sleep(delay)
-            delay *= policy.multiplier
-        try:
-            prepared = database.prepare(target, options=options)
-            if prepared.param_names:
-                raise RecoveryError(
-                    f"evicted result {stub.name!r} was registered from a "
-                    f"parameterized statement ({sorted(prepared.param_names)}); "
-                    "it cannot be re-executed without its parameters"
-                )
-            prepared.run({})
-            return
-        except InjectedFault:
-            raise
-        except RecoveryError:
-            raise
-        except ReproError as exc:
-            last_error = exc
-    raise RecoveryError(
-        f"re-execution of evicted result {stub.name!r} failed after "
-        f"{policy.max_attempts} attempt(s): {last_error}"
-    ) from last_error
-
-
 @dataclass
 class RecoveryReport:
     """What :meth:`DurabilityManager.recover_into` found and did."""
@@ -209,7 +80,6 @@ class RecoveryReport:
     records_replayed: int = 0
     torn_bytes_truncated: int = 0
     entries: int = 0
-    stubs: int = 0
     skipped: int = field(default=0)  #: records at/below the checkpoint watermark
 
 
@@ -276,11 +146,6 @@ class DurabilityManager:
         if wal is not None:
             wal.append(KIND_PIN, {"name": name, "pin": bool(pin)})
 
-    def log_evict(self, stub: EvictedStub) -> None:
-        wal = self._wal_for_logging()
-        if wal is not None:
-            wal.append(KIND_EVICT, stub_meta(stub))
-
     @contextmanager
     def _suspend_logging(self) -> Iterator[None]:
         self._suspended += 1
@@ -326,8 +191,6 @@ class DurabilityManager:
                     registry.restore_entry(
                         entry["name"], result, pin=entry["pin"]
                     )
-                for meta in state.stubs:
-                    registry.apply_evict(meta["name"], stub_from_meta(meta))
                 watermark = state.wal_seqno
                 report.checkpoint_loaded = True
             scan = read_log(self.wal_path)
@@ -343,13 +206,10 @@ class DurabilityManager:
             next_seqno = max(
                 [watermark] + [r.seqno for r in scan.records]
             ) + 1
-            # Re-apply the (possibly different) live bounds.
-            registry._evict()
         self._wal = WriteAheadLog(
             self.wal_path, failpoints=self.failpoints, next_seqno=next_seqno
         )
-        report.entries = len(registry._entries)
-        report.stubs = len(registry._stubs)
+        report.entries = len(registry)
         self.last_recovery = report
         return report
 
@@ -365,18 +225,17 @@ class DurabilityManager:
                 capture=meta.get("capture"),
             )
             registry.register(
-                meta["name"], result, pin=bool(meta.get("pin", False))
+                meta["name"],
+                result,
+                pin=bool(meta.get("pin", False)),
+                replay=True,
             )
         elif record.kind == KIND_DROP:
-            name = meta["name"]
-            if name in registry._entries or name in registry._stubs:
-                registry.drop(name)
+            if meta["name"] in registry:
+                registry.drop(meta["name"])
         elif record.kind == KIND_PIN:
-            name = meta["name"]
-            if name in registry._entries or name in registry._stubs:
-                registry.set_pin(name, bool(meta["pin"]))
-        elif record.kind == KIND_EVICT:
-            registry.apply_evict(meta["name"], stub_from_meta(meta))
+            if meta["name"] in registry:
+                registry.set_pin(meta["name"], bool(meta["pin"]), replay=True)
         else:
             raise RecoveryError(
                 f"WAL record {record.seqno} has unknown kind {record.kind!r}"
@@ -393,11 +252,9 @@ class DurabilityManager:
             (name, result, name in registry._pinned)
             for name, result in registry._entries.items()
         ]
-        stubs = [stub_meta(stub) for stub in registry._stubs.values()]
         write_checkpoint(
             self.checkpoint_path,
             entries=entries,
-            stubs=stubs,
             registry_epochs=registry.epochs_snapshot(),
             catalog_epochs=database.catalog.epochs_snapshot(),
             wal_seqno=self._wal.last_seqno,

@@ -1,6 +1,6 @@
 """Write-ahead log for the result registry (durability subsystem).
 
-Registration, re-registration, pin changes, eviction, and drops of the
+Registration, re-registration, pin changes, and drops of the
 :class:`~repro.api.ResultRegistry` are logged here *before* they touch
 in-memory state, so an acknowledged operation is always reconstructible
 after a crash (``lineage/recovery.py`` replays the log on

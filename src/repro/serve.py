@@ -124,10 +124,8 @@ class CatalogSnapshot:
 class RegistrySnapshot(Mapping):
     """Immutable name→result view pinned at one serving version.
 
-    A plain mapping from the executors' point of view.  No LRU touch on
-    lookup (the live registry owns recency), and no evicted-stub refresh:
-    re-executing a stub is a *write*, so snapshot readers treat evicted
-    names as unknown.
+    A plain mapping from the executors' point of view: the entries the
+    live registry held when the snapshot was taken, and nothing else.
     """
 
     def __init__(self, entries: Dict[str, object]):

@@ -14,11 +14,11 @@ from repro import (
     CaptureMode,
     Database,
     ExecOptions,
+    RegistryFullError,
     ServingError,
     Table,
 )
 from repro.api import StatementMemo, normalize_statement
-from repro.errors import SqlError
 from repro.lineage.cache import LineageResolutionCache
 from repro.serve import DatabaseServer
 
@@ -109,19 +109,20 @@ class TestSnapshotIsolation:
             )
             assert res.table.num_rows >= 1
 
-    def test_snapshot_hides_evicted_stubs(self):
-        db = Database(max_results=1, refresh_evicted=True)
-        db.create_table(
-            "t", Table({"z": np.array([0, 1], dtype=np.int64)})
-        )
-        opts = ExecOptions(capture=CaptureMode.INJECT)
-        db.sql("SELECT z FROM t", options=opts.with_(name="first"))
-        db.sql("SELECT z FROM t", options=opts.with_(name="second"))
-        assert "first" in db.results()  # live registry refreshes the stub
-        snap = db.snapshot()
-        assert "first" not in snap.results  # snapshot readers cannot write
-        with pytest.raises(SqlError, match="unknown result"):
-            snap.sql("SELECT z FROM Lb(first, 't', :bars)", params={"bars": [0]})
+    def test_refused_registration_leaves_the_snapshot_serving(self):
+        db = _make_db(max_result_bytes=1)  # v is pinned: exempt
+        with db.serve(readers=1) as server:
+            before = server.sql(BRUSH, params={"bars": [0]})
+            with pytest.raises(RegistryFullError, match="'v2'"):
+                server.sql_write(
+                    REGISTER,
+                    options=ExecOptions(capture=CaptureMode.INJECT, name="v2"),
+                )
+            snap = server.snapshot()
+            assert sorted(snap.results) == ["v"]
+            after = server.sql(BRUSH, params={"bars": [0]}, snapshot=snap)
+            assert after.table.to_rows() == before.table.to_rows()
+        assert db.results() == ["v"]
 
     def test_answer_memo_shares_results_within_a_snapshot(self):
         db = _make_db()

@@ -32,8 +32,8 @@ def open_db(path, **kwargs) -> Database:
 
 def view_statement(cut: int) -> str:
     """Statements distinct enough that mixed-up recovery would produce
-    different tables/lineage (literal cutoffs; no parameters, so evicted
-    stubs can re-execute them)."""
+    different tables/lineage (literal cutoffs, so each cut has its own
+    row set and lineage bytes)."""
     return f"SELECT z, COUNT(*) AS c FROM t WHERE v < {cut * 10 + 25} GROUP BY z"
 
 

@@ -11,6 +11,11 @@ The one operation allowed to differ is the operation the crash
 interrupted (it was never acknowledged): its name is "tainted" and
 exempt from assertions — recovery may surface either the before or the
 after state for it, but must never damage anything else.
+
+The budgeted arm runs the same logs under a registry byte budget that
+holds about two views: a registration or unpin it refuses is
+unacknowledged (it never reached the WAL), and every name keeps its
+previously acknowledged state.
 """
 
 import tempfile
@@ -25,7 +30,7 @@ from harness import (
     register_view,
     snapshot_answers,
 )
-from repro.errors import InjectedFault
+from repro.errors import InjectedFault, RegistryFullError
 from repro.lineage.wal import (
     CHECKPOINT_BEFORE_RENAME,
     CHECKPOINT_BEFORE_WAL_RESET,
@@ -37,6 +42,9 @@ from repro.lineage.wal import (
 )
 
 NAMES = ["va", "vb", "vc"]
+
+#: Room for two of the harness views' lineage (128-168 bytes each).
+BUDGET = 300
 
 WAL_SITES = [WAL_BEFORE_APPEND, WAL_BEFORE_FSYNC, WAL_PARTIAL_APPEND]
 CHECKPOINT_SITES = [
@@ -74,20 +82,23 @@ def site_for(op, pick: int) -> str:
 
 def apply_op(db, op):
     kind = op[0]
-    if kind == "register":
-        name = NAMES[op[1]]
-        return name, snapshot_answers(register_view(db, name, cut=op[2]))
-    if kind == "drop":
-        name = NAMES[op[1]]
-        if name in db.results():
-            db.drop_result(name)
-            return name, None
-        return None, None
-    if kind == "pin":
-        name = NAMES[op[1]]
-        if name in db.results():
-            db.pin_result(name, op[2])
-        return None, None
+    try:
+        if kind == "register":
+            name = NAMES[op[1]]
+            return name, snapshot_answers(register_view(db, name, cut=op[2]))
+        if kind == "drop":
+            name = NAMES[op[1]]
+            if name in db.results():
+                db.drop_result(name)
+                return name, None
+            return None, None
+        if kind == "pin":
+            name = NAMES[op[1]]
+            if name in db.results():
+                db.pin_result(name, op[2])
+            return None, None
+    except RegistryFullError:
+        return None, None  # refused before the WAL: unacknowledged
     db.checkpoint()
     return None, None
 
@@ -95,12 +106,23 @@ def apply_op(db, op):
 @given(op_logs)
 @settings(deadline=None)
 def test_any_prefix_any_failpoint_recovers_acknowledged_state(log):
+    with tempfile.TemporaryDirectory() as root:
+        check_recovers_acknowledged_state(Path(root) / "state", log, budget=None)
+
+
+@given(op_logs)
+@settings(deadline=None)
+def test_budgeted_log_recovers_acknowledged_state(log):
+    with tempfile.TemporaryDirectory() as root:
+        check_recovers_acknowledged_state(Path(root) / "state", log, budget=BUDGET)
+
+
+def check_recovers_acknowledged_state(directory, log, budget):
     ops, crash_index, site_pick, do_crash = log
     crash_index = crash_index % len(ops)
 
-    directory = Path(tempfile.mkdtemp()) / "state"
     failpoints = Failpoints()
-    db = open_db(directory, failpoints=failpoints)
+    db = open_db(directory, failpoints=failpoints, max_result_bytes=budget)
 
     expected = {}  # name -> acked answers (None = acked drop)
     tainted = None
@@ -125,7 +147,7 @@ def test_any_prefix_any_failpoint_recovers_acknowledged_state(log):
                 expected[name] = snap
     db.close()
 
-    recovered = open_db(directory)
+    recovered = open_db(directory, max_result_bytes=budget)
     try:
         for name, snap in expected.items():
             if name == tainted:
@@ -135,8 +157,9 @@ def test_any_prefix_any_failpoint_recovers_acknowledged_state(log):
             else:
                 assert name in recovered.results()
                 assert_answers_identical(recovered.result(name), snap)
-        # The recovered log accepts new acknowledged work.
-        post = snapshot_answers(register_view(recovered, "post", cut=4))
+        # The recovered log accepts new acknowledged work (pinned, so a
+        # full budget admits it).
+        post = snapshot_answers(register_view(recovered, "post", cut=4, pin=True))
     finally:
         recovered.close()
 

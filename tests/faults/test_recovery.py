@@ -1,4 +1,4 @@
-"""Clean-restart recovery: replay, checkpoints, epochs, degradation."""
+"""Clean-restart recovery: replay, checkpoints, epochs, byte budget."""
 
 import json
 
@@ -11,11 +11,13 @@ from harness import (
     open_db,
     register_view,
     snapshot_answers,
+    view_statement,
 )
 from repro.api import Database, ExecOptions
-from repro.errors import PlanError, RecoveryError
+from repro.errors import PlanError, RecoveryError, RegistryFullError
+from repro.lineage import persist
 from repro.lineage.capture import CaptureMode
-from repro.lineage.recovery import RefreshPolicy
+from repro.lineage.wal import WriteAheadLog
 
 
 class TestReopen:
@@ -116,68 +118,101 @@ class TestReopen:
             Database().checkpoint()
 
 
-class TestGracefulDegradation:
-    def test_evicted_result_reexecutes_transparently(self, durable_dir):
-        db = open_db(durable_dir, max_results=1)
+class TestByteBudget:
+    """``max_result_bytes`` refuses a registration up front: a refused one
+    is never logged, and replay never refuses an acknowledged one."""
+
+    @staticmethod
+    def _bytes(db, cut):
+        return register_view(db, "probe", cut=cut).lineage.memory_bytes()
+
+    def test_refused_registration_appends_nothing(self, durable_dir):
+        probe = Database()
+        probe.create_table("t", make_base_table())
+        db = open_db(durable_dir, max_result_bytes=self._bytes(probe, cut=2))
         snap = snapshot_answers(register_view(db, "va", cut=2))
-        register_view(db, "vb", cut=4)  # evicts va -> durable stub
-        assert sorted(db.results()) == ["va", "vb"]
-        refreshed = db.result("va")  # transparent re-execution
-        assert_answers_identical(refreshed, snap)
+        wal_size = db.durability.wal_path.stat().st_size
+        with pytest.raises(RegistryFullError):
+            register_view(db, "vb", cut=4)
+        assert db.durability.wal_path.stat().st_size == wal_size
+        assert db.results() == ["va"]
+        assert db._results.epoch("vb") == 0
         db.close()
 
-    def test_stub_survives_restart_and_reexecutes(self, durable_dir):
-        db = open_db(durable_dir, max_results=1)
-        snap = snapshot_answers(register_view(db, "va", cut=2))
-        register_view(db, "vb", cut=4)
-        db.close()
-
-        db2 = open_db(durable_dir, max_results=1)
-        assert "va" in db2._results._stubs
-        rows = db2.sql("SELECT z, v FROM Lb(va, 't')").table.to_rows()
-        assert rows  # served through re-execution
+        db2 = open_db(durable_dir)
+        assert db2.results() == ["va"]
+        assert db2.durability.last_recovery.records_replayed == 1
         assert_answers_identical(db2.result("va"), snap)
         db2.close()
 
-    def test_reexecution_failure_is_typed_and_bounded(self, durable_dir):
-        policy = RefreshPolicy(max_attempts=2, backoff_seconds=0.0)
-        db = open_db(durable_dir, max_results=1, refresh_policy=policy)
-        register_view(db, "va", cut=2)
-        register_view(db, "vb", cut=4)  # va -> stub
-        db.drop_table("t")  # re-execution must now fail every attempt
-        with pytest.raises(RecoveryError, match="2 attempt"):
-            db.result("va")
+    def test_smaller_budget_on_reopen_recovers_everything(self, durable_dir):
+        db = open_db(durable_dir)
+        snaps = {"va": snapshot_answers(register_view(db, "va", cut=2))}
+        db.checkpoint()  # va comes back through the checkpoint ...
+        snaps["vb"] = snapshot_answers(register_view(db, "vb", cut=3))
+        snaps["vc"] = snapshot_answers(register_view(db, "vc", cut=4, pin=True))
+        db.pin_result("vc", False)  # ... vb, vc and this unpin through the WAL
         db.close()
 
-    def test_parameterized_statement_cannot_refresh(self, durable_dir):
-        db = open_db(durable_dir, max_results=1)
-        db.sql(
-            "SELECT z, COUNT(*) AS c FROM t WHERE v < :cut GROUP BY z",
-            params={"cut": 45.0},
-            options=ExecOptions(capture=CaptureMode.INJECT, name="va"),
-        )
-        register_view(db, "vb")  # va -> stub
-        with pytest.raises(RecoveryError, match="parameterized"):
-            db.result("va")
+        db2 = open_db(durable_dir, max_result_bytes=1)
+        assert db2.results() == ["va", "vb", "vc"]
+        for name, snap in snaps.items():
+            assert_answers_identical(db2.result(name), snap)
+        with pytest.raises(RegistryFullError):
+            register_view(db2, "vd")
+        register_view(db2, "vd", pin=True)  # pinned: exempt
+        assert db2.results() == ["va", "vb", "vc", "vd"]
+        db2.close()
+
+
+    def test_dropped_result_frees_its_bytes_across_restart(self, durable_dir):
+        probe = Database()
+        probe.create_table("t", make_base_table())
+        budget = self._bytes(probe, cut=4)
+        db = open_db(durable_dir, max_result_bytes=budget)
+        register_view(db, "va", cut=4)
+        with pytest.raises(RegistryFullError):
+            register_view(db, "vb", cut=3)
+        db.drop_result("va")  # the caller makes room
+        snap = snapshot_answers(register_view(db, "vb", cut=3))
         db.close()
 
-    def test_plain_database_keeps_hard_eviction(self):
-        # Historical contract: without durability or refresh_evicted,
-        # evicted names are simply unknown.
-        db = Database(max_results=1)
-        db.create_table("t", make_base_table())
+        db2 = open_db(durable_dir, max_result_bytes=budget)
+        assert db2.results() == ["vb"]
+        assert_answers_identical(db2.result("vb"), snap)
+        with pytest.raises(RegistryFullError):
+            register_view(db2, "va", cut=4)
+        db2.close()
+
+
+class TestLegacyDurableState:
+    """State written by builds whose registry evicted results to
+    re-executable stubs is refused with a typed error, never dropped."""
+
+    def test_version_1_checkpoint_is_refused(self, durable_dir, monkeypatch):
+        db = open_db(durable_dir)
         register_view(db, "va")
-        register_view(db, "vb")
-        assert db.results() == ["vb"]
-        with pytest.raises(PlanError, match="unknown result"):
-            db.result("va")
+        monkeypatch.setattr(persist, "CHECKPOINT_VERSION", 1)
+        db.checkpoint()
+        db.close()
+        monkeypatch.undo()
+        with pytest.raises(RecoveryError, match="format version 1"):
+            open_db(durable_dir)
 
-    def test_opt_in_refresh_without_durability(self):
-        db = Database(max_results=1, refresh_evicted=True)
-        db.create_table("t", make_base_table())
-        snap = snapshot_answers(register_view(db, "va", cut=2))
-        register_view(db, "vb", cut=4)
-        assert_answers_identical(db.result("va"), snap)
+    def test_wal_evict_record_is_refused(self, durable_dir):
+        db = open_db(durable_dir)
+        register_view(db, "va")
+        db.close()
+
+        wal = WriteAheadLog(db.durability.wal_path, next_seqno=2)
+        wal.append(
+            "evict",
+            {"name": "va", "statement": view_statement(3), "pin": False,
+             "capture": "inject"},
+        )
+        wal.close()
+        with pytest.raises(RecoveryError, match="unknown kind 'evict'"):
+            open_db(durable_dir)
 
 
 class TestCorruptionHandling:

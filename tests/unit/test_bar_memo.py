@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from repro import CaptureMode, Database, ExecOptions, Table
-from repro.errors import LineageError, PlanError, ReproError, SqlError
+from repro.errors import (
+    LineageError,
+    PlanError,
+    RegistryFullError,
+    ReproError,
+    SqlError,
+)
 from repro.exec.timings import LATE_MAT_ROUTE_BINDS
 from repro.lineage.cache import param_fingerprint
 from repro.lineage.capture import CaptureConfig
@@ -659,17 +665,20 @@ def test_a_table_that_makes_the_relation_ambiguous_rebinds_and_raises():
     assert _rebinds_once(db, stmt, params, binds=0)[0] == _plain(db, stmt, params["bars"])
 
 
-def test_an_evicted_view_reexecuted_rebinds_the_route_once():
-    db = Database(max_results=1, refresh_evicted=True)
+def test_a_refused_reregistration_leaves_the_route_bound():
+    """A re-registration the byte budget refuses changes nothing: the view
+    keeps its result and epoch, so its bound route stays warm."""
+    db = Database(max_result_bytes=1)
     db.create_table("t", _table("abcabcaa", np.arange(8)))
-    db.sql(VIEW, options=INJECT.with_(name="v", pin=False))
+    db.sql(VIEW, options=INJECT.with_(name="v"))  # pinned: exempt
     params = {"bars": [0, 2]}
     assert _binds(db.sql(BRUSH, params=params)) == 1
-    db.sql(OTHER_VIEW, options=INJECT.with_(name="other", pin=False))
-    assert "v" in db._results._stubs  # evicted: the next lookup re-executes it
+    view = db.result("v")
+    with pytest.raises(RegistryFullError, match="'v'"):
+        db.sql(OTHER_VIEW, options=INJECT.with_(name="v", pin=False))
+    assert db.result("v") is view and db._results.epoch("v") == 1
     result = db.sql(BRUSH, params=params)
-    assert _binds(result) == 1 and "v" not in db._results._stubs
-    assert _binds(db.sql(BRUSH, params=params)) == 0
+    assert _binds(result) == 0
     assert result.table.to_rows() == _fresh(db, BRUSH, params["bars"])
 
 

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from repro.api import Database, ExecOptions, ResultRegistry
-from repro.errors import PlanError, SqlError
+from repro.errors import (
+    InvalidArgumentError,
+    PlanError,
+    RegistryFullError,
+    SqlError,
+)
 from repro.expr.ast import Col
 from repro.lineage.capture import CaptureConfig, CaptureMode
 from repro.plan.logical import (
@@ -919,56 +924,61 @@ class TestChainFallbackBoundary:
 
 
 class TestResultRegistryBounds:
+    """One bound, set when the database is made: ``max_result_bytes``
+    refuses an unpinned registration past it and never removes an entry."""
+
     def _result(self, db):
         return db.sql(
             "SELECT z, COUNT(*) AS c FROM t GROUP BY z",
             options=INJECT,
         )
 
-    def test_lru_eviction(self, db):
-        db.register_result("a", self._result(db), max_results=2)
-        db.register_result("b", self._result(db))
-        db.register_result("c", self._result(db))
-        assert db.results() == ["b", "c"]
+    def _budgeted(self, db, budget):
+        db2 = Database(max_result_bytes=budget)
+        db2.create_table("t", db.table("t"))
+        return db2
 
-    def test_access_refreshes_recency(self, db):
-        db.register_result("a", self._result(db), max_results=2)
-        db.register_result("b", self._result(db))
-        db.result("a")  # touch: 'b' is now least recently used
-        db.register_result("c", self._result(db))
-        assert db.results() == ["a", "c"]
-
-    def test_sql_consumption_refreshes_recency(self, db):
-        db.sql("SELECT z, COUNT(*) AS c FROM t GROUP BY z",
-               options=INJECT.with_(name="a"))
-        db.register_result("b", self._result(db), max_results=2)
-        db.sql("SELECT COUNT(*) AS c FROM Lb(a, 't')")  # touches 'a'
-        db.register_result("c", self._result(db))
-        assert db.results() == ["a", "c"]
+    def test_unbounded_by_default(self, db):
+        res = self._result(db)
+        for name in ("a", "b", "c", "d"):
+            db.register_result(name, res)
+        assert db._results.max_result_bytes is None
+        assert db.results() == ["a", "b", "c", "d"]
 
     def test_pinned_entries_survive(self, db):
-        db.register_result("keep", self._result(db), pin=True, max_results=1)
-        db.register_result("a", self._result(db))
-        db.register_result("b", self._result(db))
-        assert db.results() == ["b", "keep"]
-
-    def test_constructor_bound(self):
-        db = Database(max_results=1)
-        db.create_table("t", Table({"z": np.array([1, 2], dtype=np.int64)}))
-        r = db.sql("SELECT z FROM t", options=INJECT)
-        db.register_result("a", r)
-        db.register_result("b", r)
-        assert db.results() == ["b"]
+        res = self._result(db)
+        db2 = self._budgeted(db, res.lineage.memory_bytes())
+        db2.register_result("keep", res, pin=True)
+        db2.register_result("a", res)
+        with pytest.raises(RegistryFullError, match="'b'"):
+            db2.register_result("b", res)
+        assert db2.results() == ["a", "keep"]
 
     def test_bad_bound_rejected(self):
-        with pytest.raises(PlanError, match="positive"):
-            ResultRegistry().set_max_results(0)
+        for bound in (0, -1):
+            with pytest.raises(InvalidArgumentError, match="positive"):
+                ResultRegistry(max_result_bytes=bound)
 
-    def test_evicted_result_unknown_to_sql(self, db):
-        db.register_result("a", self._result(db), max_results=1)
-        db.register_result("b", self._result(db))
+    def test_refused_result_unknown_to_sql(self, db):
+        db2 = self._budgeted(db, 1)
+        with pytest.raises(RegistryFullError):
+            db2.sql(
+                "SELECT z, COUNT(*) AS c FROM t GROUP BY z",
+                options=INJECT.with_(name="a"),
+            )
         with pytest.raises(SqlError, match="unknown result"):
-            db.parse("SELECT z FROM Lb(a, 't')")
+            db2.parse("SELECT z FROM Lb(a, 't')")
+
+    def test_lookups_leave_the_registry_unchanged(self, db):
+        res = self._result(db)
+        db2 = self._budgeted(db, res.lineage.memory_bytes())
+        db2.register_result("a", res)
+        db2.result("a")
+        db2.sql("SELECT COUNT(*) AS c FROM Lb(a, 't')")
+        with pytest.raises(RegistryFullError):
+            db2.register_result("b", res)
+        assert db2.results() == ["a"]
+        assert db2._results.epoch("a") == 1
 
     def test_drop_clears_pin(self, db):
         db.register_result("a", self._result(db), pin=True)
@@ -978,13 +988,16 @@ class TestResultRegistryBounds:
     def test_crossfilter_views_survive_registry_pressure(self, db):
         from repro.apps.crossfilter import CrossfilterSession
 
-        db.register_result("junk", self._result(db), max_results=1)
-        session = CrossfilterSession.from_database(db, "t", ("z", "w"), "bt")
-        for _ in range(3):
-            db.register_result("junk", self._result(db))
-        counts = session.brush("z", 1)  # still answers via SQL + registry
+        db2 = self._budgeted(db, self._result(db).lineage.memory_bytes())
+        session = CrossfilterSession.from_database(db2, "t", ("z", "w"), "bt")
+        for _ in range(3):  # re-registering replaces junk's bytes
+            db2.register_result("junk", self._result(db2))
+        with pytest.raises(RegistryFullError):
+            db2.register_result("more", self._result(db2))
+        counts = session.brush("z", 1)  # pinned views still answer via SQL
         assert counts["w"].sum() == 3
         session.close()
+        assert db2.results() == ["junk"]
 
 
 class TestOnQualifierTieBreak:

@@ -11,7 +11,14 @@ import pytest
 
 import repro.api as api
 from repro.api import Database, ExecOptions, Session, plan_param_names
-from repro.errors import CatalogError, PlanError, SqlError, StaleBindingError
+from repro.errors import (
+    CatalogError,
+    InvalidArgumentError,
+    PlanError,
+    RegistryFullError,
+    SqlError,
+    StaleBindingError,
+)
 from repro.lineage.cache import LineageResolutionCache, param_fingerprint
 from repro.lineage.capture import CaptureConfig, CaptureMode
 from repro.storage import Table
@@ -392,48 +399,92 @@ class TestLineageResolutionCache:
 
 
 class TestResultRegistryByteBudget:
+    """``Database(max_result_bytes=B)`` admits an unpinned registration
+    only while the unpinned results' lineage bytes stay within ``B``;
+    nothing is ever evicted to make room."""
+
     def _result(self, db, name=None, pin=False):
         return db.sql(
             "SELECT z, COUNT(*) AS c FROM t GROUP BY z",
             options=CAPTURE.with_(name=name, pin=pin),
         )
 
-    def test_byte_budget_evicts_lru(self, db):
-        res = self._result(db)
-        bytes_each = res.lineage.memory_bytes()
-        db2 = Database(max_result_bytes=2 * bytes_each)
+    def _budgeted(self, db, budget):
+        db2 = Database(max_result_bytes=budget)
         db2.create_table("t", db.table("t"))
-        for name in ("a", "b", "c"):
-            self._result(db2, name=name)
+        return db2
+
+    def test_refused_registration_changes_nothing(self, db):
+        bytes_each = self._result(db).lineage.memory_bytes()
+        db2 = self._budgeted(db, 2 * bytes_each)
+        self._result(db2, name="a")
+        self._result(db2, name="b")
+        with pytest.raises(RegistryFullError, match="'c' needs"):
+            self._result(db2, name="c")
+        assert db2.results() == ["a", "b"]
+        assert db2._results.epoch("c") == 0
+        db2.drop_result("a")  # the caller makes room
+        self._result(db2, name="c")
         assert db2.results() == ["b", "c"]
 
     def test_pinned_exempt_from_byte_budget(self, db):
-        res = self._result(db)
-        db2 = Database(max_result_bytes=res.lineage.memory_bytes())
-        db2.create_table("t", db.table("t"))
+        db2 = self._budgeted(db, self._result(db).lineage.memory_bytes())
+        self._result(db2, name="pinned", pin=True)
+        self._result(db2, name="also_pinned", pin=True)
+        self._result(db2, name="a")
+        assert db2.results() == ["a", "also_pinned", "pinned"]
+
+    def test_unpin_is_admitted_like_a_registration(self, db):
+        db2 = self._budgeted(db, self._result(db).lineage.memory_bytes())
         self._result(db2, name="pinned", pin=True)
         self._result(db2, name="a")
-        assert db2.results() == ["a", "pinned"]
+        with pytest.raises(RegistryFullError, match="'pinned'"):
+            db2.pin_result("pinned", False)
+        assert "pinned" in db2._results._pinned
+        db2.drop_result("a")
+        db2.pin_result("pinned", False)
+        assert "pinned" not in db2._results._pinned
 
-    def test_budget_set_via_register_result(self, db):
-        res = self._result(db)
-        self._result(db, name="a")
-        self._result(db, name="b")
-        db.register_result(
-            "c", res, max_result_bytes=res.lineage.memory_bytes()
-        )
-        assert db.results() == ["c", "prev"] or db.results() == ["c"]
-
-    def test_invalid_budget_rejected(self):
-        db = Database()
-        with pytest.raises(PlanError, match="max_result_bytes"):
-            db._results.set_max_result_bytes(0)
+    def test_reregistering_counts_only_new_bytes(self, db):
+        db2 = self._budgeted(db, self._result(db).lineage.memory_bytes())
+        self._result(db2, name="a")
+        self._result(db2, name="a")  # replaces a's bytes, does not add
+        assert db2.results() == ["a"]
+        assert db2._results.epoch("a") == 2
 
     def test_uncaptured_results_cost_nothing(self, db):
-        db2 = Database(max_result_bytes=1)
-        db2.create_table("t", db.table("t"))
+        db2 = self._budgeted(db, 1)
         db2.sql("SELECT z FROM t", options=ExecOptions(name="plain"))
-        assert "plain" in db2.results()  # 0 lineage bytes <= budget
+        db2.sql("SELECT v FROM t", options=ExecOptions(name="plain2"))
+        assert db2.results() == ["plain", "plain2"]  # 0 lineage bytes each
+
+    def test_the_constructor_is_the_only_bound(self, db):
+        res = self._result(db)
+        for keyword in ("max_results", "max_result_bytes"):
+            with pytest.raises(TypeError, match=keyword):
+                db.register_result("a", res, **{keyword: 1})
+        with pytest.raises(TypeError, match="max_results"):
+            Database(max_results=1)
+        assert "a" not in db.results()
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(InvalidArgumentError, match="max_result_bytes"):
+            Database(max_result_bytes=budget)
+
+    def test_crossfilter_views_register_under_a_one_byte_budget(self, db):
+        from repro.apps.crossfilter import CrossfilterSession
+
+        db2 = Database(max_result_bytes=1)
+        z = db.table("t").column("z")  # bars 1, 2, 3 hold 2, 1, 3 rows
+        db2.create_table("t", Table({"z": z, "w": z % 2}))
+        session = CrossfilterSession.from_database(db2, "t", ("z", "w"), "bt")
+        with pytest.raises(RegistryFullError):
+            self._result(db2, name="junk")
+        counts = session.brush("z", 1)  # pinned views answer via SQL
+        assert counts["w"].sum() == 1
+        session.close()
+        assert db2.results() == []
 
 
 class TestBaseEpochGuard:
