@@ -1,6 +1,6 @@
 """Ablation: rid-array growth policy vs exact pre-allocation.
 
-DESIGN.md calls out two capture-side design choices the paper analyzes:
+The paper analyzes two capture-side design choices:
 
 1. the 10-element / 1.5x growable-array policy (Inject's write path) vs
    exact allocation from known cardinalities (Defer / Smoke-I-TC) — the

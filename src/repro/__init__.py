@@ -17,8 +17,8 @@ statement text, and brushes over a GROUP BY view merge memoized per-bar
 partial answers, in one memo and one cache per database that
 ``db.prepare(...)`` and ``db.session()`` share (see :mod:`repro.api`).
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every reproduced figure.
+Each reproduced figure has a ``benchmarks/bench_*.py`` file that
+measures it; run one with ``python -m pytest <file>``.
 """
 
 from .api import Database, ExecOptions, PreparedQuery, QueryResult, Session

@@ -70,7 +70,20 @@ to (a subset of) ``prev``'s output; ``Lf('t', prev)`` scans the rows of
 argument — an int, an int list, or a ``:param`` — restricts the traced
 subset; omitted, every row is traced.  Both work on either backend, join
 and aggregate like any other relation, and are themselves captured, so
-lineage chains across interactive sessions.
+lineage chains across interactive sessions.  A cascade (the drill-downs
+of paper Section 6.4) is a registered statement over ``Lb``: its
+captured lineage traces straight to the base relation, and the next
+level reads it in turn:
+
+>>> db.sql("SELECT d, COUNT(*) AS c FROM Lb(prev, 't', :bars) GROUP BY d",
+...        params={"bars": [0]},
+...        options=ExecOptions(capture=CaptureMode.INJECT, name="drill"))
+>>> db.sql("SELECT * FROM Lb(drill, 't', 0)")    # rows of t behind bar 0
+
+Double-quoted identifiers (``"year"``, ``"my col"``, ``"a""b"`` for a
+name holding a quote) name any column or relation, keywords included;
+generated SQL quotes every name it interpolates
+(:func:`repro.sql.lexer.quote_identifier`).
 
 Registered results stay in memory until dropped.
 ``Database(max_result_bytes=B)`` budgets the bytes held by the unpinned
@@ -197,8 +210,9 @@ def normalize_statement(text: str) -> str:
     *keyword* tokens case-fold, so generated SQL with varying layout or
     keyword casing hits the same memo entry as its hand-written
     equivalent.  Everything meaning-bearing stays byte-exact: string
-    literals (``WHERE s = 'Foo'`` vs ``'foo'``) are copied verbatim,
-    identifiers keep their case (the lexer folds keywords only — table
+    literals (``WHERE s = 'Foo'`` vs ``'foo'``) and quoted identifiers
+    (``"YEAR"`` vs ``"year"``) are copied verbatim, identifiers keep
+    their case (the lexer folds keywords only — table
     ``T`` and table ``t`` are different relations), and so do
     ``:parameter`` names, even ones spelled like keywords (``:MAX``).
 
@@ -207,7 +221,7 @@ def normalize_statement(text: str) -> str:
     never grow it without limit): a repeated statement pays one dict
     lookup, not a character scan.
     """
-    from .sql.lexer import KEYWORDS, LINEAGE_TABLE_FUNCS
+    from .sql.lexer import KEYWORDS, LINEAGE_TABLE_FUNCS, read_quoted
 
     out = []
     i, n = 0, len(text)
@@ -226,18 +240,12 @@ def normalize_statement(text: str) -> str:
             pending_space = True
             i += 1
             continue
-        if ch == "'":
-            # Copy the literal verbatim, including '' escapes.
-            j = i + 1
-            while j < n:
-                if text[j] == "'":
-                    if j + 1 < n and text[j + 1] == "'":
-                        j += 2
-                        continue
-                    break
-                j += 1
-            emit(text[i : min(j + 1, n)])
-            i = j + 1
+        if ch == "'" or ch == '"':
+            # Copy string literals and quoted identifiers verbatim,
+            # including '' / "" escapes.
+            _, end = read_quoted(text, i)
+            emit(text[i:end])
+            i = end
             continue
         if ch.isalpha() or ch == "_":
             j = i
@@ -506,9 +514,12 @@ class ResultRegistry(Mapping):
 
     def set_pin(self, name: str, pin: bool, replay: bool = False) -> None:
         """Pin or unpin a live entry (logged when durable); unpinning
-        is admitted against the budget like a registration."""
+        is admitted against the budget like a registration.  A pin that
+        changes nothing is neither admitted nor logged."""
         if name not in self._entries:
             raise PlanError(f"unknown result {name!r}")
+        if (name in self._pinned) == bool(pin):
+            return
         if not pin:
             self._admit(name, self._entries[name], exempt=replay)
         if self._durability is not None:

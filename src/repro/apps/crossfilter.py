@@ -20,11 +20,14 @@ lineage query followed by re-aggregation, and compares four strategies:
 Sessions built with :meth:`CrossfilterSession.from_database` are fully
 declarative: each view is a SQL group-by registered as a named result,
 and BT / BT+FT interactions run as *lineage-consuming SQL* — the brushed
-bar's rows come from ``FROM Lb(view, 'relation', :bars)``, and the BT
+bar's rows come from ``FROM Lb(view, "relation", :bars)``, and the BT
 re-aggregation is itself a ``GROUP BY`` over that lineage scan (paper
-Section 2.1).  Sessions built directly over a :class:`Table` keep the
-hand-rolled kernels (that construction has no engine to query), which is
-also what the Figure 13/14 benchmarks measure.
+Section 2.1).  The generated statements double-quote every relation,
+dimension and join identifier, so a dimension named ``year`` or ``my
+col`` is registered and brushed through SQL like any other.  Sessions
+built directly over a :class:`Table` keep the hand-rolled kernels (that
+construction has no engine to query), which is also what the Figure
+13/14 benchmarks measure.
 
 Declarative sessions run their interactions through ``Database.sql``,
 the database's memoized text path: the per-view statements of a brush
@@ -60,7 +63,9 @@ import itertools
 from ..api import ExecOptions
 from ..errors import WorkloadError
 from ..exec.vector.kernels import factorize
+from ..lineage.capture import CaptureConfig
 from ..lineage.indexes import RidIndex
+from ..sql.lexer import quote_identifier as q
 from ..storage.table import Table
 
 #: Distinguishes the registry entries of concurrent sessions on one
@@ -94,10 +99,6 @@ class DimensionJoin:
     column: str
     parent: Optional["DimensionJoin"] = None
 
-    def identifiers(self):
-        own = (self.table, self.fact_key, self.dim_key, self.column)
-        return own if self.parent is None else self.parent.identifiers() + own
-
     def hops(self) -> Tuple["DimensionJoin", ...]:
         """The join path fact-outward: parents first, this table last."""
         return ((self,) if self.parent is None
@@ -114,8 +115,8 @@ class DimensionJoin:
         previous = relation
         for hop in self.hops():
             clauses.append(
-                f"JOIN {hop.table} "
-                f"ON {previous}.{hop.fact_key} = {hop.table}.{hop.dim_key}"
+                f"JOIN {q(hop.table)} ON {q(previous)}.{q(hop.fact_key)} "
+                f"= {q(hop.table)}.{q(hop.dim_key)}"
             )
             previous = hop.table
         return " ".join(clauses)
@@ -204,10 +205,11 @@ class CrossfilterSession:
         baseline axis).  Interactions run through ``Database.sql``:
         per-view statements bind ``:bars`` into memoized plans, and the
         database's lineage cache resolves each brush's rid set once
-        across all views.  View results are registered
-        with ``pin=True``, exempt from the registry's byte budget
-        (``Database(max_result_bytes=...)``), so a full registry never
-        refuses a session's views; ``close()`` drops them.
+        across all views.  View results are registered under ordinal
+        names (``_cf<session>_<i>``) with ``pin=True``, exempt from the
+        registry's byte budget (``Database(max_result_bytes=...)``), so
+        a full registry never refuses a session's views; ``close()``
+        drops them.
 
         ``joins`` maps dimension names to :class:`DimensionJoin` specs:
         those views bin on an attribute of a joined lookup table, and
@@ -216,13 +218,9 @@ class CrossfilterSession:
         join — snowflake specs (``DimensionJoin(..., parent=...)``,
         ``dim → sub-dim``) generate multi-join chains that execute as
         one pushed rid-domain core.  Joined dimensions require a
-        BT-family technique and SQL-safe identifiers (there is no
-        hand-rolled fallback kernel for a column that lives in another
-        relation).
+        BT-family technique (there is no hand-rolled kernel for a
+        column that lives in another relation).
         """
-        from ..lineage.capture import CaptureConfig
-        from ..plan.logical import AggCall, GroupBy, Scan, col
-
         table = database.table(relation)
         session = cls.__new__(cls)
         session._init_state(
@@ -230,14 +228,6 @@ class CrossfilterSession:
         )
         session.late_materialize = bool(late_materialize)
         session._joins = dict(joins) if joins else {}
-        from ..sql.lexer import is_safe_identifier
-
-        # The generated SQL (here and per interaction) interpolates the
-        # relation and every dimension; any SQL-unsafe name drops the whole
-        # session back to plan-based construction and direct index probes.
-        sql_ok = is_safe_identifier(relation) and all(
-            is_safe_identifier(d) for d in session.dimensions
-        )
         if session._joins:
             unknown = sorted(set(session._joins) - set(session.dimensions))
             if unknown:
@@ -249,56 +239,25 @@ class CrossfilterSession:
                     "joined dimensions require a lineage-backed technique "
                     f"('bt' or 'bt+ft'), got {technique!r}"
                 )
-            join_ok = all(
-                is_safe_identifier(part)
-                for dj in session._joins.values()
-                for part in dj.identifiers()
-            )
-            if not (sql_ok and join_ok):
-                raise WorkloadError(
-                    "joined dimensions require SQL-safe relation, "
-                    "dimension, and join identifiers"
-                )
+        capture = (
+            CaptureConfig.inject()
+            if technique in ("bt", "bt+ft")
+            else CaptureConfig.none()
+        )
         session_id = next(_SESSION_IDS)
         start = time.perf_counter()
-        for dim in session.dimensions:
-            capture = (
-                CaptureConfig.none()
-                if technique in ("lazy", "cube")
-                else CaptureConfig.inject()
+        for i, dim in enumerate(session.dimensions):
+            name = f"_cf{session_id}_{i}" if capture.enabled else None
+            result = database.sql(
+                session._view_statement(dim),
+                options=ExecOptions(
+                    capture=capture,
+                    name=name,
+                    # Exempt from the registry's byte budget.
+                    pin=name is not None,
+                ),
             )
-            joined = session._joins.get(dim)
-            if sql_ok:
-                name = f"_cf{session_id}_{dim}" if capture.enabled else None
-                if joined is not None:
-                    statement = (
-                        f"SELECT {joined.table}.{joined.column} AS {dim}, "
-                        f"COUNT(*) AS cnt FROM {relation} "
-                        f"{joined.join_sql(relation)} "
-                        f"GROUP BY {joined.table}.{joined.column}"
-                    )
-                else:
-                    statement = (
-                        f"SELECT {dim}, COUNT(*) AS cnt "
-                        f"FROM {relation} GROUP BY {dim}"
-                    )
-                result = database.sql(
-                    statement,
-                    options=ExecOptions(
-                        capture=capture,
-                        name=name,
-                        # Exempt from the registry's byte budget.
-                        pin=name is not None,
-                    ),
-                )
-                if capture.enabled:
-                    session._result_names[dim] = name
-            else:
-                plan = GroupBy(
-                    Scan(relation), [(col(dim), dim)], [AggCall("count", None, "cnt")]
-                )
-                result = database.execute(plan, options=ExecOptions(capture=capture))
-            if joined is not None:
+            if dim in session._joins:
                 # No per-fact-row bar array for star-schema views: their
                 # updates run as join-shaped lineage-consuming SQL.
                 backward = None
@@ -307,30 +266,19 @@ class CrossfilterSession:
                 backward = result.lineage.backward_index(relation)
                 group_of_row = result.lineage.forward_index(relation).values
             else:
-                group_ids = factorize([table.column(dim)])[0]
                 backward = None
-                group_of_row = group_ids
+                group_of_row = factorize([table.column(dim)])[0]
+            if name is not None:
+                session._result_names[dim] = name
             session.views[dim] = View(
                 dimension=dim,
                 bin_values=np.asarray(result.table.column(dim)),
                 counts=np.asarray(result.table.column("cnt"), dtype=np.int64),
                 group_of_row=group_of_row,
-                backward=backward if technique in ("bt", "bt+ft") else None,
+                backward=backward,
             )
         if technique == "cube":
-            for di in session.dimensions:
-                vi = session.views[di]
-                for dj in session.dimensions:
-                    if di == dj:
-                        continue
-                    vj = session.views[dj]
-                    combined = (
-                        vi.group_of_row.astype(np.int64) * vj.num_bars
-                        + vj.group_of_row
-                    )
-                    session.cube[(di, dj)] = np.bincount(
-                        combined, minlength=vi.num_bars * vj.num_bars
-                    ).reshape(vi.num_bars, vj.num_bars)
+            session._build_cubes()
         session.build_seconds = time.perf_counter() - start
         return session
 
@@ -352,40 +300,27 @@ class CrossfilterSession:
                 backward=backward,
             )
         if self.technique == "cube":
-            # Pairwise partial cubes: counts of (bar_i, bar_j) co-occurrence.
-            for di in self.dimensions:
-                vi = self.views[di]
-                for dj in self.dimensions:
-                    if di == dj:
-                        continue
-                    vj = self.views[dj]
-                    combined = (
-                        vi.group_of_row.astype(np.int64) * vj.num_bars
-                        + vj.group_of_row
-                    )
-                    matrix = np.bincount(
-                        combined, minlength=vi.num_bars * vj.num_bars
-                    ).reshape(vi.num_bars, vj.num_bars)
-                    self.cube[(di, dj)] = matrix
+            self._build_cubes()
+
+    def _build_cubes(self) -> None:
+        """Pairwise partial cubes: counts of (bar_i, bar_j) co-occurrence."""
+        for di, vi in self.views.items():
+            for dj, vj in self.views.items():
+                if di == dj:
+                    continue
+                combined = (
+                    vi.group_of_row.astype(np.int64) * vj.num_bars
+                    + vj.group_of_row
+                )
+                self.cube[(di, dj)] = np.bincount(
+                    combined, minlength=vi.num_bars * vj.num_bars
+                ).reshape(vi.num_bars, vj.num_bars)
 
     # -- interactions ----------------------------------------------------------------
 
     def brush(self, dimension: str, bar: int) -> Dict[str, np.ndarray]:
         """Highlight one bar; returns updated counts for every other view."""
-        if dimension not in self.views:
-            raise WorkloadError(f"unknown dimension {dimension!r}")
-        view = self.views[dimension]
-        if not 0 <= bar < view.num_bars:
-            raise WorkloadError(
-                f"bar {bar} out of range for {dimension} ({view.num_bars} bars)"
-            )
-        if self.technique == "lazy":
-            return self._brush_lazy(view, bar)
-        if self.technique == "bt":
-            return self._brush_bt(view, bar)
-        if self.technique == "bt+ft":
-            return self._brush_btft(view, bar)
-        return self._brush_cube(view, bar)
+        return self.brush_many(dimension, [bar])
 
     def brush_many(self, dimension: str, bars: Sequence[int]) -> Dict[str, np.ndarray]:
         """Highlight a *set* of bars (the paper's "bar (or set of bars)").
@@ -395,51 +330,59 @@ class CrossfilterSession:
         input is deduplicated first so repeated bars cannot double-count
         (keeping every technique and construction route consistent).
         """
+        view, bars = self._checked(dimension, bars)
+        if self.technique == "cube":
+            # Partial data cube: interactions are row lookups.
+            return {
+                other.dimension: self.cube[(dimension, other.dimension)][bars].sum(axis=0)
+                for other in self._others(dimension)
+            }
+        if self.technique == "lazy":
+            # Shared selection scan: evaluate the brush predicate once,
+            # then re-run each group-by over the qualifying rows.
+            mask = np.isin(self.table.column(dimension), view.bin_values[bars])
+            return self._reaggregate(dimension, np.nonzero(mask)[0])
+        if self.database is not None:
+            if self.technique == "bt":
+                return self._reaggregate_sql(dimension, bars)
+            rids = self._lineage_rids_sql(dimension, bars)
+        else:
+            rids = view.backward.lookup_many(np.asarray(bars, dtype=np.int64))
+        if self.technique == "bt":
+            return self._reaggregate(dimension, rids)
+        # BT+FT: each forward rid array is a perfect hash, so a view
+        # updates with one scatter-add; star-schema views have none and
+        # update through the pushed join-shaped re-aggregation.
+        params = {"bars": np.asarray(bars, dtype=np.int64)}
+        return {
+            other.dimension: (
+                self._reaggregate_sql_one(dimension, other, params)
+                if other.group_of_row is None
+                else np.bincount(
+                    other.group_of_row[rids], minlength=other.num_bars
+                ).astype(np.int64)
+            )
+            for other in self._others(dimension)
+        }
+
+    def _checked(self, dimension: str, bars: Sequence[int]) -> Tuple[View, List[int]]:
+        """The brushed view and its deduplicated bars; raises for an
+        unknown dimension or a bar out of range."""
         if dimension not in self.views:
             raise WorkloadError(f"unknown dimension {dimension!r}")
         view = self.views[dimension]
         bars = list(dict.fromkeys(bars))
         for bar in bars:
             if not 0 <= bar < view.num_bars:
-                raise WorkloadError(f"bar {bar} out of range for {dimension}")
-        if self.technique == "cube":
-            out = {}
-            for other in self._others(dimension):
-                matrix = self.cube[(dimension, other.dimension)]
-                out[other.dimension] = matrix[bars].sum(axis=0)
-            return out
-        if self.technique == "lazy":
-            values = self.table.column(dimension)
-            mask = np.isin(values, view.bin_values[bars])
-            rids = np.nonzero(mask)[0]
-            return self._reaggregate(dimension, rids)
-        if self._sql_backed(dimension):
-            if self.technique == "bt":
-                return self._reaggregate_sql(dimension, bars)
-            rids = self._lineage_rids_sql(dimension, bars)
-        else:
-            rids = view.backward.lookup_many(np.asarray(bars, dtype=np.int64))
-        if self.technique == "bt+ft":
-            params = {"bars": np.asarray(list(bars), dtype=np.int64)}
-            return {
-                other.dimension: (
-                    self._reaggregate_sql_one(dimension, other, params)
-                    if other.group_of_row is None
-                    else np.bincount(
-                        other.group_of_row[rids], minlength=other.num_bars
-                    ).astype(np.int64)
+                raise WorkloadError(
+                    f"bar {bar} out of range for {dimension} ({view.num_bars} bars)"
                 )
-                for other in self._others(dimension)
-            }
-        return self._reaggregate(dimension, rids)
+        return view, bars
 
     def _others(self, dimension: str) -> List[View]:
         return [v for d, v in self.views.items() if d != dimension]
 
     # -- lineage-consuming SQL routes (declarative sessions) -------------------
-
-    def _sql_backed(self, dimension: str) -> bool:
-        return self.database is not None and dimension in self._result_names
 
     def _lineage_rids_sql(self, dimension: str, bars: Sequence[int]) -> np.ndarray:
         """Rows behind the selected bars, via ``FROM Lb(view, relation)``.
@@ -455,13 +398,11 @@ class CrossfilterSession:
         O(base rows) per brush).  A star-schema view projects its fact
         join key: the joined attribute lives in the lookup table, and
         the traced rows are fact rows either way."""
-        from ..lineage.capture import CaptureConfig
-
         joined = self._joins.get(dimension)
         column = joined.root_fact_key() if joined is not None else dimension
         statement = (
-            f"SELECT DISTINCT {column} FROM "
-            f"Lb({self._result_names[dimension]}, '{self.relation}', :bars)"
+            f"SELECT DISTINCT {q(column)} FROM "
+            f"Lb({self._result_names[dimension]}, {q(self.relation)}, :bars)"
         )
         subset = self.database.sql(
             statement,
@@ -473,28 +414,27 @@ class CrossfilterSession:
         )
         return subset.backward(np.arange(len(subset)), self.relation)
 
-    def _view_statement(self, other_dim: str, brushed_dim: str) -> str:
-        """The re-aggregation statement updating view ``other_dim`` after
-        a brush on ``brushed_dim``: GROUP BY over the brushed bars'
-        lineage scan, joined to the lookup table for star-schema views —
+    def _view_statement(self, dim: str, brushed_dim: Optional[str] = None) -> str:
+        """View ``dim``'s COUNT statement: over the whole relation when
+        ``brushed_dim`` is omitted (the view itself), else over the
+        lineage scan of ``brushed_dim``'s brushed bars (its update after
+        a brush).  A star-schema view joins out to its lookup table —
         the join-shaped statement the pushed rewrite executes in the rid
         domain (only the fact join key is gathered to probe, only the
         joined attribute at matching rows)."""
-        registered = self._result_names[brushed_dim]
-        joined = self._joins.get(other_dim)
-        if joined is not None:
-            return (
-                f"SELECT {joined.table}.{joined.column} AS {other_dim}, "
-                f"COUNT(*) AS cnt "
-                f"FROM Lb({registered}, '{self.relation}', :bars) "
-                f"{joined.join_sql(self.relation)} "
-                f"GROUP BY {joined.table}.{joined.column}"
-            )
-        return (
-            f"SELECT {other_dim}, COUNT(*) AS cnt "
-            f"FROM Lb({registered}, '{self.relation}', :bars) "
-            f"GROUP BY {other_dim}"
+        source = (
+            q(self.relation)
+            if brushed_dim is None
+            else f"Lb({self._result_names[brushed_dim]}, {q(self.relation)}, :bars)"
         )
+        joined = self._joins.get(dim)
+        if joined is not None:
+            column = f"{q(joined.table)}.{q(joined.column)}"
+            return (
+                f"SELECT {column} AS {q(dim)}, COUNT(*) AS cnt FROM {source} "
+                f"{joined.join_sql(self.relation)} GROUP BY {column}"
+            )
+        return f"SELECT {q(dim)}, COUNT(*) AS cnt FROM {source} GROUP BY {q(dim)}"
 
     def _reaggregate_sql_one(
         self, brushed_dim: str, other: View, params: Dict[str, np.ndarray]
@@ -505,13 +445,7 @@ class CrossfilterSession:
             params=params,
             options=ExecOptions(late_materialize=self.late_materialize),
         )
-        counts = np.zeros(other.num_bars, dtype=np.int64)
-        order = self._bar_index(other)
-        for value, cnt in zip(
-            res.table.column(other.dimension), res.table.column("cnt"), strict=True
-        ):
-            counts[order[value]] = int(cnt)
-        return counts
+        return _counts_from(other, res, self._bar_index(other))
 
     def _reaggregate_sql(self, brushed_dim: str, bars: Sequence[int]) -> Dict[str, np.ndarray]:
         """BT interaction as pure lineage-consuming SQL: re-aggregate each
@@ -530,19 +464,6 @@ class CrossfilterSession:
             other.dimension: self._reaggregate_sql_one(brushed_dim, other, params)
             for other in self._others(brushed_dim)
         }
-
-    def _brush_lazy(self, view: View, bar: int) -> Dict[str, np.ndarray]:
-        # Shared selection scan: evaluate the brush predicate once, then
-        # re-run each group-by over the qualifying rows.
-        mask = self.table.column(view.dimension) == view.bin_values[bar]
-        rids = np.nonzero(mask)[0]
-        return self._reaggregate(view.dimension, rids)
-
-    def _brush_bt(self, view: View, bar: int) -> Dict[str, np.ndarray]:
-        if self._sql_backed(view.dimension):
-            return self._reaggregate_sql(view.dimension, [bar])
-        rids = view.backward.lookup(bar)
-        return self._reaggregate(view.dimension, rids)
 
     def _reaggregate(self, brushed_dim: str, rids: np.ndarray) -> Dict[str, np.ndarray]:
         out = {}
@@ -570,39 +491,13 @@ class CrossfilterSession:
             self._bar_orders[view.dimension] = order
         return order
 
-    def _brush_btft(self, view: View, bar: int) -> Dict[str, np.ndarray]:
-        if self._sql_backed(view.dimension):
-            rids = self._lineage_rids_sql(view.dimension, [bar])
-        else:
-            rids = view.backward.lookup(bar)
-        out = {}
-        for other in self._others(view.dimension):
-            if other.group_of_row is None:
-                # Star-schema view: no per-fact-row bar array exists, so
-                # update through the pushed join-shaped re-aggregation.
-                out[other.dimension] = self._reaggregate_sql_one(
-                    view.dimension,
-                    other,
-                    {"bars": np.asarray([bar], dtype=np.int64)},
-                )
-                continue
-            # Forward rid array as a perfect hash: one scatter-add per view.
-            out[other.dimension] = np.bincount(
-                other.group_of_row[rids], minlength=other.num_bars
-            ).astype(np.int64)
-        return out
-
-    def _brush_cube(self, view: View, bar: int) -> Dict[str, np.ndarray]:
-        out = {}
-        for other in self._others(view.dimension):
-            out[other.dimension] = self.cube[(view.dimension, other.dimension)][bar].copy()
-        return out
-
     def close(self) -> None:
         """Drop this session's registered results from the Database so
         their tables and lineage indexes become collectable.  Declarative
         sessions that are rebuilt repeatedly (a notebook re-running
-        ``from_database``) should close the old session first."""
+        ``from_database``) should close the old session first.  A closed
+        declarative session has no views: a later brush raises for an
+        unknown dimension."""
         from ..errors import PlanError
 
         if self.database is not None:
@@ -611,6 +506,7 @@ class CrossfilterSession:
                     self.database.drop_result(name)
                 except PlanError:
                     pass  # already dropped by the user
+            self.views = {}
         self._result_names = {}
 
     def serve(self, server) -> "ConcurrentCrossfilter":
@@ -641,6 +537,17 @@ class CrossfilterSession:
         return latencies
 
 
+def _counts_from(view: View, result, order: Dict[object, int]) -> np.ndarray:
+    """Dense bar-order counts of ``view`` from one re-aggregation result;
+    ``order`` maps each bin value to its bar id."""
+    counts = np.zeros(view.num_bars, dtype=np.int64)
+    for value, cnt in zip(
+        result.table.column(view.dimension), result.table.column("cnt"), strict=True
+    ):
+        counts[order[value]] = int(cnt)
+    return counts
+
+
 class ConcurrentCrossfilter:
     """Thread-safe brushing front for one declarative crossfilter session.
 
@@ -666,12 +573,6 @@ class ConcurrentCrossfilter:
                 "concurrent brushing requires a lineage-backed technique "
                 f"('bt' or 'bt+ft'), got {session.technique!r}"
             )
-        missing = [d for d in session.views if d not in session._result_names]
-        if missing:
-            raise WorkloadError(
-                f"dimensions {missing} have no registered view result; "
-                "concurrent brushing needs every view SQL-backed"
-            )
         self.session = session
         self.server = server
         # Prebuild the per-view bin-value -> bar-id maps: the session
@@ -693,20 +594,16 @@ class ConcurrentCrossfilter:
         if omitted): every per-view statement of this brush reads the
         same epoch."""
         session = self.session
-        if dimension not in session.views:
-            raise WorkloadError(f"unknown dimension {dimension!r}")
-        view = session.views[dimension]
-        bars = list(dict.fromkeys(bars))
-        for bar in bars:
-            if not 0 <= bar < view.num_bars:
-                raise WorkloadError(f"bar {bar} out of range for {dimension}")
+        _, bars = session._checked(dimension, bars)
         snap = snapshot if snapshot is not None else self.server.snapshot()
         params = {"bars": np.asarray(bars, dtype=np.int64)}
         out: Dict[str, np.ndarray] = {}
         for other in session._others(dimension):
             statement = session._view_statement(other.dimension, dimension)
             res = self.server.sql(statement, params=params, snapshot=snap)
-            out[other.dimension] = self._counts_from(other, res)
+            out[other.dimension] = _counts_from(
+                other, res, self._orders[other.dimension]
+            )
         return out
 
     def brush_batch(
@@ -724,18 +621,8 @@ class ConcurrentCrossfilter:
         paper's "millions of users" serving story.
         """
         session = self.session
-        if dimension not in session.views:
-            raise WorkloadError(f"unknown dimension {dimension!r}")
-        view = session.views[dimension]
-        cleaned = []
-        for bars in bars_list:
-            bars = list(dict.fromkeys(bars))
-            for bar in bars:
-                if not 0 <= bar < view.num_bars:
-                    raise WorkloadError(
-                        f"bar {bar} out of range for {dimension}"
-                    )
-            cleaned.append(bars)
+        session._checked(dimension, ())
+        cleaned = [session._checked(dimension, bars)[1] for bars in bars_list]
         if not cleaned:
             return []
         snap = snapshot if snapshot is not None else self.server.snapshot()
@@ -749,17 +636,7 @@ class ConcurrentCrossfilter:
                 statement, params_list, snapshot=snap
             )
             for user, res in enumerate(results):
-                out[user][other.dimension] = self._counts_from(other, res)
+                out[user][other.dimension] = _counts_from(
+                    other, res, self._orders[other.dimension]
+                )
         return out
-
-    def _counts_from(self, view, result) -> np.ndarray:
-        """Dense bar-order counts from one re-aggregation result."""
-        counts = np.zeros(view.num_bars, dtype=np.int64)
-        order = self._orders[view.dimension]
-        for value, cnt in zip(
-            result.table.column(view.dimension),
-            result.table.column("cnt"),
-            strict=True,
-        ):
-            counts[order[value]] = int(cnt)
-        return counts

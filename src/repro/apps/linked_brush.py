@@ -11,13 +11,14 @@ followed by a forward query into the other view.  Views are registered as
 named results on the owning :class:`~repro.api.Database`, and each
 interaction runs as *lineage-consuming SQL* (paper Section 2.1)::
 
-    SELECT * FROM Lb(v1, 'X', :marks)   -- selected marks -> shared rows
-    SELECT * FROM Lf('X', v2, :rids)    -- shared rows -> derived marks
+    SELECT * FROM Lb(v1, "X", :marks)   -- selected marks -> shared rows
+    SELECT * FROM Lf("X", v2, :rids)    -- shared rows -> derived marks
 
 The lineage of those statements' own outputs identifies the shared rids
 and highlighted marks, so the whole interaction stays declarative.
-Views whose names are not SQL identifiers fall back to direct index
-probes with identical results.
+Views are registered under ordinal names and the statements
+double-quote every relation and column they name, so a view may be
+called anything (``by z``, ``order``).
 
 Both interaction statements are single-column ``DISTINCT`` projections
 over a lineage scan, so the late-materializing push-down
@@ -48,6 +49,7 @@ from ..api import ExecOptions
 from ..errors import WorkloadError
 from ..lineage.capture import CaptureConfig, CaptureMode
 from ..plan.logical import LogicalPlan
+from ..sql.lexer import quote_identifier as q
 
 #: Interaction statements capture backward-only: the brush reads nothing
 #: else, and a forward index would cost O(shared rows) per brush.
@@ -72,10 +74,10 @@ class BrushResult:
 class LinkedBrushingSession:
     """Coordinates any number of views over one shared base relation.
 
-    Identifier-named views are registered with
-    :meth:`~repro.api.Database.register_result` under a session-unique
-    name (``_lbrush<session>_<view>``), so two sessions on one Database
-    can reuse view names without redirecting each other's brushes.
+    Views are registered with :meth:`~repro.api.Database.register_result`
+    under a session-unique ordinal name (``_lbrush<session>_<i>``), so
+    two sessions on one Database can reuse view names without
+    redirecting each other's brushes.
     """
 
     def __init__(self, database, shared_relation: str):
@@ -88,11 +90,9 @@ class LinkedBrushingSession:
         self._forward_stmts: Dict[str, object] = {}
 
     def add_view(self, name: str, plan: LogicalPlan, params: Optional[dict] = None):
-        """Run a base query with capture and register it as a view.
-
-        Identifier-named views also get their two interaction statements
-        (``Lb`` to the shared relation, ``Lf`` into the view) prepared
-        here, once."""
+        """Run a base query with capture and register it as a view, and
+        prepare its two interaction statements (``Lb`` to the shared
+        relation, ``Lf`` into the view) here, once."""
         if name in self.views:
             raise WorkloadError(f"view {name!r} already registered")
         result = self.database.execute(
@@ -105,31 +105,27 @@ class LinkedBrushingSession:
                 f"view {name!r} does not read shared relation "
                 f"{self.shared_relation!r}"
             )
+        registered = f"_lbrush{self._session_id}_{len(self.views)}"
+        # Pinned: exempt from the registry's byte budget.
+        self.database.register_result(registered, result, pin=True)
         self.views[name] = result
-        if name.isidentifier():
-            registered = f"_lbrush{self._session_id}_{name}"
-            # Pinned: exempt from the registry's byte budget.
-            self.database.register_result(registered, result, pin=True)
-            self._sql_names[name] = registered
-            # SELECT DISTINCT: the interaction reads only the statement's
-            # lineage, and the backward union over deduplicated groups is
-            # the same rid set — so the pushed path dedups in the rid
-            # domain and materializes one row per distinct value instead
-            # of one per traced row.
-            shared_col = self._narrow_projection(
-                self.database.table(self.shared_relation)
-            )
-            self._backward_stmts[name] = self.database.prepare(
-                f"SELECT DISTINCT {shared_col} FROM Lb({registered}, "
-                f"'{self.shared_relation}', :marks)",
-                _BRUSH_OPTIONS,
-            )
-            view_col = self._narrow_projection(result.table)
-            self._forward_stmts[name] = self.database.prepare(
-                f"SELECT DISTINCT {view_col} FROM Lf('{self.shared_relation}', "
-                f"{registered}, :rids)",
-                _BRUSH_OPTIONS,
-            )
+        self._sql_names[name] = registered
+        # SELECT DISTINCT of one column: the interaction reads only the
+        # statement's lineage, and the backward union over deduplicated
+        # groups is the same rid set — so the pushed path gathers one
+        # column, dedups in the rid domain and materializes one row per
+        # distinct value instead of every column of every traced row.
+        shared = q(self.shared_relation)
+        shared_col = q(self.database.table(self.shared_relation).schema.names[0])
+        self._backward_stmts[name] = self.database.prepare(
+            f"SELECT DISTINCT {shared_col} FROM Lb({registered}, {shared}, :marks)",
+            _BRUSH_OPTIONS,
+        )
+        view_col = q(result.table.schema.names[0])
+        self._forward_stmts[name] = self.database.prepare(
+            f"SELECT DISTINCT {view_col} FROM Lf({shared}, {registered}, :rids)",
+            _BRUSH_OPTIONS,
+        )
         return result
 
     def brush(self, view_name: str, mark_rids: Sequence[int]) -> BrushResult:
@@ -153,8 +149,9 @@ class LinkedBrushingSession:
         )
 
     def close(self) -> None:
-        """Drop this session's registered results from the Database so
-        their tables and lineage indexes become collectable."""
+        """Drop this session's views and their registered results from
+        the Database so their tables and lineage indexes become
+        collectable; a later brush raises for an unknown view."""
         from ..errors import PlanError
 
         for name in self._sql_names.values():
@@ -162,41 +159,24 @@ class LinkedBrushingSession:
                 self.database.drop_result(name)
             except PlanError:
                 pass  # already dropped by the user
+        self.views = {}
         self._sql_names = {}
         self._backward_stmts = {}
         self._forward_stmts = {}
 
     # -- lineage-consuming SQL interaction steps --------------------------------
 
-    @staticmethod
-    def _narrow_projection(table) -> str:
-        """One SQL-safe column to project in generated statements — the
-        interaction only needs the statement's lineage, so materializing
-        every column of the subset would be wasted gather."""
-        from ..sql.lexer import is_safe_identifier
-
-        for name in table.schema.names:
-            if is_safe_identifier(name):
-                return name
-        return "*"
-
     def _backward_to_shared(self, view_name: str, marks: np.ndarray) -> np.ndarray:
         """Lb(selection ⊆ view, shared): the shared-relation rids behind
         the selected marks — the view's prepared statement with ``:marks``
         bound (no re-parse)."""
-        stmt = self._backward_stmts.get(view_name)
-        if stmt is None:
-            return self.views[view_name].lineage.backward(marks, self.shared_relation)
-        subset = stmt.run(params={"marks": marks})
+        subset = self._backward_stmts[view_name].run(params={"marks": marks})
         # The statement's own lineage identifies the scanned shared rows.
         return subset.backward(np.arange(len(subset)), self.shared_relation)
 
     def _forward_to_view(self, view_name: str, shared: np.ndarray) -> np.ndarray:
         """Lf(shared rows, view): the view's marks derived from them."""
-        stmt = self._forward_stmts.get(view_name)
-        if stmt is None:
-            return self.views[view_name].lineage.forward(self.shared_relation, shared)
-        derived = stmt.run(params={"rids": shared})
+        derived = self._forward_stmts[view_name].run(params={"rids": shared})
         # An Lf scan's base "relation" is the prior result itself, so the
         # statement's backward lineage is exactly the highlighted marks.
         return derived.backward(np.arange(len(derived)), self._sql_names[view_name])

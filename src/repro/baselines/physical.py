@@ -71,12 +71,6 @@ class PhysBdbStore:
     def backward_cursor(self, out_rid: int) -> Iterator[int]:
         return self._backward.cursor(out_rid)
 
-    def backward_bulk(self, out_rid: int):
-        return self._backward.get_bulk(out_rid)
-
-    def forward_cursor(self, in_rid: int) -> Iterator[int]:
-        return self._forward.cursor(in_rid)
-
 
 @dataclass
 class PhysicalCapture:

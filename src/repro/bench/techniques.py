@@ -59,18 +59,6 @@ def run_smoke_d(db, plan, hints=None, params=None) -> CaptureRun:
     )
 
 
-def run_smoke_d_deferforw(db, plan, hints=None, params=None) -> CaptureRun:
-    config = CaptureConfig.inject(hints=hints)
-    config.defer_forward_only = True
-    start = time.perf_counter()
-    res = db.execute(plan, params=params, options=ExecOptions(capture=config))
-    base = time.perf_counter() - start
-    finalize = res.lineage.finalize()
-    return CaptureRun(
-        "smoke-d-deferforw", base + finalize, base, res.lineage, {"finalize": finalize}
-    )
-
-
 def run_logic(annotation: str):
     def runner(db, plan, hints=None, params=None) -> CaptureRun:
         cap = logical_capture(db.catalog, plan, annotation)

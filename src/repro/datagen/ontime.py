@@ -1,4 +1,4 @@
-"""Synthetic Ontime flight dataset (DESIGN.md substitution 3).
+"""Synthetic Ontime flight dataset (stands in for the real BTS data).
 
 The paper's crossfilter study uses the BTS on-time performance dataset
 (123.5M rows) with four group-by COUNT views: ``<lat, lon>`` (65,536

@@ -1,4 +1,4 @@
-"""Synthetic Physician Compare dataset (DESIGN.md substitution 3).
+"""Synthetic Physician Compare dataset (stands in for the real CMS data).
 
 The data profiling experiment (paper Section 6.5.2, Figure 15) checks four
 functional dependencies over the Physician Compare dataset:

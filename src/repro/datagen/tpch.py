@@ -1,4 +1,4 @@
-"""A deterministic TPC-H-like data generator (DESIGN.md substitution 4).
+"""A deterministic TPC-H-like data generator (stands in for dbgen).
 
 The official ``dbgen`` is not available offline, so this module generates
 the four tables the evaluation needs — ``lineitem``, ``orders``,

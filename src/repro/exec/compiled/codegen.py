@@ -7,7 +7,7 @@ loops, and lineage capture inlined in the same loops (the Inject listings
 of Section 3.2 and Appendix F).  Python is our IR instead of C++/LLVM; the
 *shape* of the emitted code is the point — tight integration with zero
 cross-subsystem calls per tuple — while raw speed is the vector backend's
-job (DESIGN.md, substitution 1).
+job (numpy kernels stand in for the paper's compiled C++ engine).
 
 A block is a tree of per-row operators (scan, select, bag project, hash /
 θ / cross joins) optionally rooted at one group-by.  Each operator

@@ -3,7 +3,8 @@
 The vector backend plays the role of the paper's compiled query engine:
 each kernel makes a small, fixed number of passes over columnar data, so
 per-tuple interpretation cost — which would drown the instrumentation
-overhead Smoke is about — never appears (see DESIGN.md, substitution 1).
+overhead Smoke is about — never appears (numpy kernels stand in for the
+paper's compiled C++ engine).
 
 ``factorize`` deserves a note: it assigns dense group ids in *first
 occurrence* order, which is the order a hash table's insertion scan would

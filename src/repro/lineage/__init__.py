@@ -3,7 +3,6 @@ queries, and provenance semantics."""
 
 from .capture import CaptureConfig, CaptureMode, QueryLineage
 from .composer import NodeLineage, compose_node, merge_binary
-from .chain import SUBSET_RELATION, execute_over_lineage
 from .persist import load_lineage, save_lineage
 from .refresh import AggregateRefresher, multi_backward, multi_forward
 from .indexes import (
@@ -28,8 +27,6 @@ __all__ = [
     "QueryLineage",
     "RidArray",
     "RidIndex",
-    "SUBSET_RELATION",
-    "execute_over_lineage",
     "load_lineage",
     "save_lineage",
     "compose",

@@ -119,10 +119,6 @@ class RidArray:
     def identity(cls, n: int) -> "RidArray":
         return cls(np.arange(n, dtype=np.int64))
 
-    @classmethod
-    def full_no_match(cls, n: int) -> "RidArray":
-        return cls(np.full(n, NO_MATCH, dtype=np.int64))
-
     @property
     def num_keys(self) -> int:
         return int(self.values.shape[0])

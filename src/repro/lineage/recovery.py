@@ -104,10 +104,6 @@ class DurabilityManager:
 
     # -- logging (called by the registry BEFORE it mutates) -----------------
 
-    @property
-    def logging_enabled(self) -> bool:
-        return self._wal is not None and self._suspended == 0
-
     def _wal_for_logging(self) -> Optional[WriteAheadLog]:
         """The WAL to log to, ``None`` while replay re-applies recorded
         operations (they are already on disk).  A *closed* manager

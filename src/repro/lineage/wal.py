@@ -311,11 +311,6 @@ def _encode_chunks(
     ]
 
 
-def pack_record(kind: str, meta: dict, arrays: Optional[Dict[str, np.ndarray]] = None) -> bytes:
-    """Serialize one record payload (see the module docstring)."""
-    return b"".join(_encode_chunks(kind, meta, arrays))
-
-
 def unpack_record(payload: bytes, seqno: int) -> WalRecord:
     """Decode one checksum-verified payload back into a :class:`WalRecord`."""
     try:

@@ -116,18 +116,6 @@ class _Scope:
             raise SqlError(f"ambiguous column {ref.name!r}; qualify it")
         return hits[0]
 
-    def side_of(self, ref: RawColumn, boundary: int) -> str:
-        """'left' if the reference resolves into entries[:boundary]."""
-        if ref.qualifier is not None:
-            for i, entry in enumerate(self.entries):
-                if entry.alias == ref.qualifier or entry.table == ref.qualifier:
-                    return "left" if i < boundary else "right"
-            raise SqlError(f"unknown table qualifier {ref.qualifier!r}")
-        for i, entry in enumerate(self.entries):
-            if ref.name in entry.col_map:
-                return "left" if i < boundary else "right"
-        raise SqlError(f"unknown column {ref.name!r}")
-
 
 class _SelectBinder:
     def __init__(self, stmt: SelectStatement, catalog: Catalog, results=None):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional, Tuple
 
 from ..errors import SqlError
 
@@ -28,6 +28,31 @@ def is_safe_identifier(name: str) -> bool:
     not lex as a single ident token."""
     return name.isidentifier() and name.lower() not in KEYWORDS
 
+
+def quote_identifier(name: str) -> str:
+    """``name`` as a double-quoted identifier, which lexes as one ident
+    token whatever it spells (a keyword, ``my col``, ``a"b``)."""
+    return '"' + name.replace('"', '""') + '"'
+
+
+def read_quoted(text: str, start: int) -> Tuple[Optional[str], int]:
+    """The body of the quoted token opening at ``text[start]`` (a doubled
+    quote character is one escaped quote) and the index just past its
+    closing quote; ``(None, len(text))`` when it is never closed."""
+    quote = text[start]
+    parts = []
+    j = start + 1
+    while True:
+        k = text.find(quote, j)
+        if k < 0:
+            return None, len(text)
+        parts.append(text[j:k])
+        if not text.startswith(quote, k + 1):
+            return "".join(parts), k + 1
+        parts.append(quote)
+        j = k + 2
+
+
 _PUNCT = {
     "<=", ">=", "<>", "!=", "=", "<", ">", "(", ")", ",", "*", "+", "-",
     "/", ".", ";",
@@ -39,6 +64,7 @@ class Token:
     kind: str  # 'ident', 'keyword', 'int', 'float', 'string', 'param', 'punct', 'eof'
     value: str
     position: int
+    quoted: bool = False  # a "double-quoted" ident: never a table function
 
     def is_kw(self, *names: str) -> bool:
         return self.kind == "keyword" and self.value in names
@@ -47,7 +73,11 @@ class Token:
         return self.kind == "punct" and self.value in values
 
     def is_lineage_func(self) -> bool:
-        return self.kind == "ident" and self.value.lower() in LINEAGE_TABLE_FUNCS
+        return (
+            self.kind == "ident"
+            and not self.quoted
+            and self.value.lower() in LINEAGE_TABLE_FUNCS
+        )
 
 
 def tokenize(text: str) -> List[Token]:
@@ -63,21 +93,20 @@ def tokenize(text: str) -> List[Token]:
                 i += 1
             continue
         if ch == "'":
-            j = i + 1
-            buf = []
-            while j < n:
-                if text[j] == "'":
-                    if text[j : j + 2] == "''":  # escaped quote
-                        buf.append("'")
-                        j += 2
-                        continue
-                    break
-                buf.append(text[j])
-                j += 1
-            else:
+            value, end = read_quoted(text, i)
+            if value is None:
                 raise SqlError("unterminated string literal", i)
-            tokens.append(Token("string", "".join(buf), i))
-            i = j + 1
+            tokens.append(Token("string", value, i))
+            i = end
+            continue
+        if ch == '"':
+            value, end = read_quoted(text, i)
+            if value is None:
+                raise SqlError("unterminated quoted identifier", i)
+            if not value:
+                raise SqlError("empty quoted identifier", i)
+            tokens.append(Token("ident", value, i, quoted=True))
+            i = end
             continue
         if ch == ":":
             j = i + 1

@@ -24,7 +24,7 @@ import threading
 from typing import Dict, Iterator, Optional, Tuple
 
 from .. import sanitize
-from ..errors import CatalogError
+from ..errors import CatalogError, SchemaError
 from ..substrate.stats import ColumnStats, collect_column_stats
 from .table import Table
 
@@ -57,6 +57,10 @@ class Catalog:
     ) -> None:
         if not name or not name.isidentifier():
             raise CatalogError(f"invalid table name {name!r}")
+        if not isinstance(table, Table):
+            raise SchemaError(
+                f"table {name!r} must be a Table, got {type(table).__name__}"
+            )
         with self._lock:
             if name in self._tables and not replace:
                 raise CatalogError(f"table {name!r} already exists")

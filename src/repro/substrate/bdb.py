@@ -12,7 +12,7 @@ so this module reproduces the *costs that experiment measures*:
 * cursor-based duplicate iteration for reads, which the paper found faster
   than bulk fetches for this workload.
 
-DESIGN.md Section 3 documents this substitution.
+This pure-Python store stands in for BerkeleyDB, which we cannot ship.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ from typing import Iterator, List, Optional, Tuple
 
 #: Maximum number of keys a node may hold before splitting (order 2t = 64).
 MAX_KEYS = 63
-_MIN_DEGREE = (MAX_KEYS + 1) // 2
 
 
 class _Node:

@@ -89,6 +89,32 @@ class TestReopen:
         assert "va" not in db2._results._pinned
         db2.close()
 
+    def test_unchanged_pins_are_not_logged(self, durable_dir):
+        db = open_db(durable_dir)
+        register_view(db, "va")
+        register_view(db, "vb", pin=True)
+        wal_path = db.durability.wal_path
+        size = wal_path.stat().st_size
+        db.pin_result("va", False)
+        db.pin_result("va", False)
+        db.pin_result("vb", True)
+        assert wal_path.stat().st_size == size
+        with pytest.raises(PlanError, match="unknown result"):
+            db.pin_result("nope", True)
+        db.close()
+
+        db2 = open_db(durable_dir)
+        assert db2.durability.last_recovery.records_replayed == 2
+        assert db2.durability.wal_path.stat().st_size == size
+        db2.pin_result("va", True)  # a real change is still logged
+        assert db2.durability.wal_path.stat().st_size > size
+        db2.close()
+
+        db3 = open_db(durable_dir)
+        assert db3.durability.last_recovery.records_replayed == 3
+        assert db3._results._pinned == {"va", "vb"}
+        db3.close()
+
     def test_stale_rid_guard_survives_restart(self, durable_dir):
         db = open_db(durable_dir)
         register_view(db, "prev")

@@ -1,8 +1,9 @@
 """Property tests: chained consuming queries re-root lineage correctly.
 
-For random tables and random drill-downs, a chained query's backward
-lineage into the original base relation must equal recomputing the chained
-query's semantics directly against the base table.
+For random tables and random drill-downs, a chained query — a registered
+INJECT statement over ``Lb(overview, 't', :bars)`` — must trace backward
+into the original base relation exactly as recomputing the chained
+query's semantics directly against the base table does.
 """
 
 import numpy as np
@@ -11,8 +12,6 @@ from hypothesis import strategies as st
 
 from repro.api import Database, ExecOptions
 from repro.lineage.capture import CaptureMode
-from repro.lineage.chain import SUBSET_RELATION, execute_over_lineage
-from repro.plan.logical import AggCall, GroupBy, Scan, col
 from repro.storage import Table
 
 INJECT = ExecOptions(capture=CaptureMode.INJECT)
@@ -28,9 +27,7 @@ rows = st.lists(
 )
 
 
-@given(rows, st.integers(min_value=0, max_value=4))
-@settings(max_examples=80, deadline=None)
-def test_chain_backward_equals_direct_recomputation(data, bar_seed):
+def _database(data) -> Database:
     db = Database()
     db.create_table(
         "t",
@@ -42,21 +39,26 @@ def test_chain_backward_equals_direct_recomputation(data, bar_seed):
             }
         ),
     )
-    overview = db.execute(
-        GroupBy(Scan("t"), [(col("g"), "g")], [AggCall("count", None, "c")]),
-        options=INJECT,
+    return db
+
+
+def _overview(db):
+    return db.sql(
+        "SELECT g, COUNT(*) AS c FROM t GROUP BY g",
+        options=INJECT.with_(name="overview"),
     )
+
+
+@given(rows, st.integers(min_value=0, max_value=4))
+@settings(max_examples=80, deadline=None)
+def test_chain_backward_equals_direct_recomputation(data, bar_seed):
+    db = _database(data)
+    overview = _overview(db)
     bar = bar_seed % len(overview.table)
-    drill = execute_over_lineage(
-        db,
-        overview,
-        [bar],
-        "t",
-        GroupBy(
-            Scan(SUBSET_RELATION),
-            [(col("d"), "d")],
-            [AggCall("sum", col("v"), "s")],
-        ),
+    drill = db.sql(
+        "SELECT d, SUM(v) AS s FROM Lb(overview, 't', :bars) GROUP BY d",
+        params={"bars": [bar]},
+        options=INJECT,
     )
     base = db.table("t")
     g0 = overview.table.column("g")[bar]
@@ -73,31 +75,11 @@ def test_chain_backward_equals_direct_recomputation(data, bar_seed):
 @given(rows)
 @settings(max_examples=60, deadline=None)
 def test_chain_forward_covers_exactly_subset(data):
-    db = Database()
-    db.create_table(
-        "t",
-        Table(
-            {
-                "g": np.array([r[0] for r in data], dtype=np.int64),
-                "d": np.array([r[1] for r in data], dtype=np.int64),
-                "v": np.array([r[2] for r in data], dtype=np.int64),
-            }
-        ),
-    )
-    overview = db.execute(
-        GroupBy(Scan("t"), [(col("g"), "g")], [AggCall("count", None, "c")]),
+    db = _database(data)
+    overview = _overview(db)
+    drill = db.sql(
+        "SELECT d, COUNT(*) AS c FROM Lb(overview, 't', 0) GROUP BY d",
         options=INJECT,
-    )
-    drill = execute_over_lineage(
-        db,
-        overview,
-        [0],
-        "t",
-        GroupBy(
-            Scan(SUBSET_RELATION),
-            [(col("d"), "d")],
-            [AggCall("count", None, "c")],
-        ),
     )
     subset = set(overview.backward([0], "t").tolist())
     for rid in range(db.table("t").num_rows):

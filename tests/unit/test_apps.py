@@ -278,3 +278,117 @@ class TestLinkedBrush:
         expected = small_db.table("zipf").column("z") == s1.views["v"].table.column("z")[0]
         result = s1.brush("v", [0])
         assert result.shared_rids.size == int(expected.sum())
+
+    def test_any_view_name_brushes_through_sql(self, small_db):
+        """A view named ``by z`` (no SQL identifier) is registered and
+        brushed through its prepared statements, and its answers equal
+        the views' own lineage."""
+        s = LinkedBrushingSession(small_db, "zipf")
+        by_z = s.add_view(
+            "by z",
+            GroupBy(Scan("zipf"), [(col("z"), "z")], [AggCall("count", None, "c")]),
+        )
+        by_all = s.add_view(
+            "order",
+            GroupBy(Scan("zipf"), [(col("z") * 0, "all")], [AggCall("count", None, "c")]),
+        )
+        assert sorted(s._sql_names.values()) == sorted(small_db.results())
+        for marks in ([0], [1, 2]):
+            result = s.brush("by z", marks)
+            shared = by_z.lineage.backward(marks, "zipf")
+            assert np.array_equal(np.sort(result.shared_rids), np.sort(shared))
+            assert np.array_equal(
+                np.sort(result.highlighted["order"]),
+                np.unique(by_all.lineage.forward("zipf", shared)),
+            )
+        back = s.brush("order", [0])
+        assert np.array_equal(
+            np.sort(back.highlighted["by z"]), np.arange(len(by_z.table))
+        )
+        s.close()
+        assert small_db.results() == []
+        with pytest.raises(WorkloadError, match="unknown view"):
+            s.brush("by z", [0])
+
+
+class TestQuotedIdentifierSessions:
+    """Declarative sessions quote every name they generate, so relations
+    and dimensions named like keywords or with spaces run through the
+    same SQL as any other."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        rng = np.random.default_rng(7)
+        return Table({
+            "year": rng.integers(2000, 2004, 3_000),
+            "my col": rng.integers(0, 6, 3_000),
+            "month": rng.integers(1, 13, 3_000),
+        })
+
+    DIMS = ("year", "my col", "month")
+
+    def _db(self, table):
+        db = Database()
+        db.create_table("order", table)
+        return db
+
+    def _assert_equal(self, got, expected):
+        assert sorted(got) == sorted(expected)
+        for dim, counts in expected.items():
+            assert np.array_equal(got[dim], counts), dim
+
+    @pytest.mark.parametrize("technique", CrossfilterSession.TECHNIQUES)
+    def test_session_equals_direct(self, table, technique):
+        db = self._db(table)
+        session = CrossfilterSession.from_database(db, "order", self.DIMS, technique)
+        direct = CrossfilterSession(table, self.DIMS, technique)
+        for dim in self.DIMS:
+            assert np.array_equal(
+                session.views[dim].counts, direct.views[dim].counts
+            )
+            for bars in ([0], [1, 0], [session.views[dim].num_bars - 1]):
+                self._assert_equal(
+                    session.brush_many(dim, bars), direct.brush_many(dim, bars)
+                )
+        registered = sorted(session._result_names.values())
+        assert registered == sorted(db.results())
+        assert len(registered) == (3 if technique in ("bt", "bt+ft") else 0)
+        session.close()
+        assert db.results() == []
+        with pytest.raises(WorkloadError, match="unknown dimension"):
+            session.brush("year", 0)
+
+    def test_keyword_dimensions_ride_the_bar_memo(self, table):
+        db = self._db(table)
+        session = CrossfilterSession.from_database(db, "order", self.DIMS, "bt")
+        results = []
+        sql = db.sql
+
+        def spy(*args, **kwargs):
+            results.append(sql(*args, **kwargs))
+            return results[-1]
+
+        db.sql = spy
+        session.brush("year", 0)
+        assert len(results) == 2
+        for res in results:
+            assert "late_mat_memo_merge_s" in res.timings
+        session.close()
+
+    def test_concurrent_session_equals_direct(self, table):
+        db = self._db(table)
+        direct = CrossfilterSession(table, self.DIMS, "bt")
+        for technique in ("bt", "bt+ft"):
+            session = CrossfilterSession.from_database(
+                db, "order", self.DIMS, technique
+            )
+            with db.serve(readers=1) as server:
+                concurrent = session.serve(server)
+                for dim in self.DIMS:
+                    self._assert_equal(
+                        concurrent.brush(dim, 1), direct.brush(dim, 1)
+                    )
+                    batch = concurrent.brush_batch(dim, [[0], [0, 2]])
+                    self._assert_equal(batch[0], direct.brush(dim, 0))
+                    self._assert_equal(batch[1], direct.brush_many(dim, [0, 2]))
+            session.close()

@@ -1,42 +1,43 @@
-"""Consuming-query chains with re-rooted lineage, and index persistence."""
+"""Consuming-query chains with re-rooted lineage, and index persistence.
+
+A chain (a cascade) is lineage-consuming SQL: a registered INJECT
+statement over ``Lb(parent, 'zipf', :bars)`` captures lineage that
+traces straight to ``zipf``, and a deeper level reads it in turn.
+"""
 
 import numpy as np
 import pytest
 
 from repro.api import ExecOptions
-from repro.errors import LineageError
+from repro.errors import LineageError, SqlError
 from repro.lineage.capture import CaptureMode
-from repro.lineage.chain import SUBSET_RELATION, execute_over_lineage
 from repro.lineage.persist import load_lineage, save_lineage
 from repro.plan.logical import AggCall, GroupBy, Scan, Select, col
 
 INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
+OVERVIEW = "SELECT z, COUNT(*) AS c FROM zipf GROUP BY z"
+
 
 @pytest.fixture
 def overview(small_db):
-    plan = GroupBy(
-        Scan("zipf"), [(col("z"), "z")], [AggCall("count", None, "c")]
-    )
-    return small_db.execute(plan, options=INJECT)
+    return small_db.sql(OVERVIEW, options=INJECT.with_(name="overview"))
 
 
-def _drill_plan():
-    """Drill into a bar by coarse buckets of v."""
-    from repro.expr.ast import Func
-
-    return GroupBy(
-        Scan(SUBSET_RELATION),
-        [(Func("floor", [col("v") / 25]), "bucket")],
-        [AggCall("count", None, "c"), AggCall("sum", col("v"), "s")],
+def _drill(db, bars=(0,)):
+    """Drill into the overview's bars by coarse buckets of v, registered
+    as ``drill`` for a deeper level to read."""
+    return db.sql(
+        "SELECT floor(v / 25) AS bucket, COUNT(*) AS c, SUM(v) AS s "
+        "FROM Lb(overview, 'zipf', :bars) GROUP BY floor(v / 25)",
+        params={"bars": list(bars)},
+        options=INJECT.with_(name="drill"),
     )
 
 
 class TestChains:
     def test_chained_backward_reaches_original_base(self, small_db, overview):
-        drill = execute_over_lineage(
-            small_db, overview, [0], "zipf", _drill_plan()
-        )
+        drill = _drill(small_db)
         zipf = small_db.table("zipf")
         z0 = overview.table.column("z")[0]
         for out in range(len(drill.table)):
@@ -47,9 +48,7 @@ class TestChains:
             assert rids.size == drill.table.column("c")[out]
 
     def test_chained_forward_from_original_base(self, small_db, overview):
-        drill = execute_over_lineage(
-            small_db, overview, [0], "zipf", _drill_plan()
-        )
+        drill = _drill(small_db)
         subset_rids = overview.backward([0], "zipf")
         rid = int(subset_rids[0])
         out = drill.forward("zipf", [rid])
@@ -60,25 +59,15 @@ class TestChains:
         )
 
     def test_rows_outside_subset_have_no_forward_image(self, small_db, overview):
-        drill = execute_over_lineage(
-            small_db, overview, [0], "zipf", _drill_plan()
-        )
+        drill = _drill(small_db)
         subset = set(overview.backward([0], "zipf").tolist())
         outside = next(r for r in range(2000) if r not in subset)
         assert drill.forward("zipf", [outside]).size == 0
 
     def test_two_level_chain(self, small_db, overview):
-        drill = execute_over_lineage(
-            small_db, overview, [0], "zipf", _drill_plan()
-        )
-        deeper = execute_over_lineage(
-            small_db,
-            drill,
-            [0],
-            "zipf",
-            GroupBy(
-                Scan(SUBSET_RELATION), [], [AggCall("count", None, "c")]
-            ),
+        drill = _drill(small_db)
+        deeper = small_db.sql(
+            "SELECT COUNT(*) AS c FROM Lb(drill, 'zipf', 0)", options=INJECT
         )
         # the single global group counts exactly the drill bar's rows
         assert deeper.table.column("c")[0] == drill.table.column("c")[0]
@@ -86,15 +75,9 @@ class TestChains:
         assert rids.size == drill.backward([0], "zipf").size
 
     def test_uncaptured_parent_rejected(self, small_db):
-        plan = GroupBy(Scan("zipf"), [(col("z"), "z")], [AggCall("count", None, "c")])
-        res = small_db.execute(plan)
-        with pytest.raises(LineageError):
-            execute_over_lineage(small_db, res, [0], "zipf", _drill_plan())
-
-    def test_direct_base_scan_in_chain_rejected(self, small_db, overview):
-        bad = GroupBy(Scan("zipf"), [(col("z"), "z")], [AggCall("count", None, "c")])
-        with pytest.raises(LineageError, match="collide"):
-            execute_over_lineage(small_db, overview, [0], "zipf", bad)
+        small_db.sql(OVERVIEW, options=ExecOptions(name="overview"))
+        with pytest.raises(SqlError, match="without lineage capture"):
+            _drill(small_db)
 
 
 class TestPersistence:

@@ -243,6 +243,23 @@ class TestSession:
         # Whitespace inside literals is preserved too.
         assert "'a  b'" in api.normalize_statement("SELECT  'a  b'  FROM t")
 
+    def test_sql_memo_keeps_quoted_identifiers_exact(self, db, prev):
+        """A quoted identifier is copied byte for byte into the memo key,
+        as a string literal is: "YEAR" and "year" name different columns
+        and never share an entry, and a "" escape survives."""
+        db.create_table("k", Table({"YEAR": [1, 2], "year": [3, 4], 'a"b': [5, 6]}))
+        session = db.session()
+        entries = len(db._statements)
+        upper = session.sql('SELECT "YEAR" FROM k')
+        lower = session.sql('SELECT "year" FROM k')
+        assert upper.table.column("YEAR").tolist() == [1, 2]
+        assert lower.table.column("year").tolist() == [3, 4]
+        assert len(db._statements) == entries + 2
+        assert api.normalize_statement('select  "YEAR"  FROM k') == 'select "YEAR" from k'
+        assert api.normalize_statement('SELECT "a""b"  FROM k') == 'select "a""b" from k'
+        assert session.sql('SELECT "a""b" FROM k').table.column('a"b').tolist() == [5, 6]
+        assert len(db._statements) == entries + 3
+
     def test_sql_memo_keeps_param_name_case(self, db, prev):
         """Regression: a parameter named like a keyword (:MAX) must not
         fold into :max — the lexer keeps parameter-name case, so the two

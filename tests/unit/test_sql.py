@@ -56,6 +56,38 @@ class TestLexer:
         with pytest.raises(SqlError):
             tokenize("select @")
 
+    def test_quoted_identifiers(self):
+        tokens = tokenize('"YEAR" "year" "my col" "a""b" "lb"(')
+        assert [(t.kind, t.value) for t in tokens[:5]] == [
+            ("ident", "YEAR"), ("ident", "year"), ("ident", "my col"),
+            ("ident", 'a"b'), ("ident", "lb"),
+        ]
+        # Quoted, a name is never a keyword or a lineage table function.
+        assert not tokens[4].is_lineage_func()
+        assert tokenize("lb(")[0].is_lineage_func()
+
+    def test_bad_quoted_identifiers(self):
+        with pytest.raises(SqlError, match="unterminated quoted"):
+            tokenize('select "oops')
+        with pytest.raises(SqlError, match="empty quoted"):
+            tokenize('select ""')
+
+    def test_quoted_names_reach_every_clause(self):
+        from repro.api import Database
+        from repro.storage import Table
+
+        db = Database()
+        db.create_table(
+            "order", Table({"year": [1, 1, 2], "my col": [3, 4, 4], 'a"b': [5, 6, 7]})
+        )
+        res = db.sql(
+            'SELECT "order"."my col", COUNT(*) AS "count", SUM("a""b") AS s '
+            'FROM "order" WHERE "year" = 1 GROUP BY "order"."my col" '
+            'ORDER BY "count"'
+        )
+        assert res.table.schema.names == ["my col", "count", "s"]
+        assert res.table.to_rows() == [(3, 1, 5), (4, 1, 6)]
+
 
 class TestParser:
     def test_trailing_garbage_rejected(self):
