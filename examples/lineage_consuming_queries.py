@@ -10,14 +10,14 @@ aggregate under a name, then drives it entirely from SQL:
 * ``FROM Lf('sales', prev, :rows)`` — prev's output marks derived from
   selected base rows;
 * aggregations, filters, DISTINCT, and joins compose over those scans
-  like over any other relation, on both the vector and the compiled
-  backend — and all of those shapes now execute **in the rid domain**
-  (late materialization, :mod:`repro.plan.rewrite`): joins probe narrow
-  key slices and gather payload only at matching rows, DISTINCT dedups
-  the gathered slices before materializing anything full-width.
+  like over any other relation — and all of those shapes execute **in
+  the rid domain** (late materialization, :mod:`repro.plan.rewrite`):
+  joins probe narrow key slices and gather payload only at matching rows,
+  DISTINCT dedups the gathered slices before materializing anything
+  full-width.
 
 Execution is configured with one value, :class:`repro.ExecOptions`
-(capture, backend, result name, pin, late materialization), passed as
+(capture, result name, pin, late materialization), passed as
 ``options=`` to ``sql``/``execute``/``prepare``/``session``.
 
 The second half demonstrates the **prepared / session API**, the way
@@ -90,17 +90,7 @@ def main() -> None:
     print(f"\nDrill-down into bar {bar} ({region}): "
           f"{len(drill)} products over {expected_rows} rows")
 
-    # 3. The same statement on the compiled backend is bit-identical.
-    compiled = db.sql(
-        "SELECT product, COUNT(*) AS c, SUM(amount) AS rev "
-        "FROM Lb(prev, 'sales', :bars) GROUP BY product",
-        params={"bars": [bar]},
-        options=ExecOptions(backend="compiled"),
-    )
-    assert np.array_equal(compiled.table.column("c"), drill.table.column("c"))
-    print("Compiled backend agrees with the vector backend.")
-
-    # 4. Lineage of the lineage scan: the Lb statement is itself captured,
+    # 3. Lineage of the lineage scan: the Lb statement is itself captured,
     #    so its output traces back to the scanned sales rows.
     traced = db.sql(
         "SELECT * FROM Lb(prev, 'sales', :bars)",
@@ -112,7 +102,7 @@ def main() -> None:
     print(f"Lb scan lineage identifies the same {rids.size} base rows as "
           "the Python API.")
 
-    # 5. Lf as a relation: which output marks derive from chosen base rows?
+    # 4. Lf as a relation: which output marks derive from chosen base rows?
     rows = rids[:3]
     marks = db.sql(
         "SELECT * FROM Lf('sales', prev, :rows)",
@@ -124,7 +114,7 @@ def main() -> None:
     print(f"Lf highlights marks {highlighted.tolist()} "
           "(matches QueryResult.forward).")
 
-    # 6. Lineage scans join like any relation: pair surviving rows with a
+    # 5. Lineage scans join like any relation: pair surviving rows with a
     #    per-region label table.  The whole GROUP BY-over-join tree is
     #    *pushed through the join*: the Lb side resolves its rid set,
     #    gathers only `region` to probe, and `label` is gathered only at
@@ -147,7 +137,7 @@ def main() -> None:
     print(f"Join over the lineage scan (pushed through the join): label "
           f"{joined.table.column('label')[0]!r} -> {expected_rows} rows")
 
-    # 6a. Snowflake chains flatten into ONE pushed core: a second lookup
+    # 5a. Snowflake chains flatten into ONE pushed core: a second lookup
     #     hop (labels -> zones) makes the re-aggregation a multi-join
     #     chain, and the rewrite executes *all* hops in the rid domain —
     #     the inner join's output is never materialized; each hop probes
@@ -176,7 +166,7 @@ def main() -> None:
     print(f"Snowflake chain (2 joins, one pushed core): "
           f"{len(chained)} zones over {expected_rows} rows")
 
-    # 6b. DISTINCT dedups in the rid domain: one narrow gather of
+    # 5b. DISTINCT dedups in the rid domain: one narrow gather of
     #     `product`, factorized to representatives — the full-width
     #     subset is never copied.  Fallback shapes that still
     #     materialize-then-scan: bare `SELECT * FROM Lb(...)` (nothing
@@ -196,7 +186,7 @@ def main() -> None:
     print(f"DISTINCT in the rid domain: {len(distinct)} products, lineage "
           f"still covers all {rids.size} traced rows.")
 
-    # 7. Prepared statements: bind once, run many times.  ``run`` only
+    # 6. Prepared statements: bind once, run many times.  ``run`` only
     #    fills the parameter slots — here the Lb rid argument and an
     #    ``IN :products`` value selection — into the cached plan.
     stmt = db.prepare(
@@ -211,7 +201,7 @@ def main() -> None:
     assert a.table.to_rows() == b.table.to_rows()
     print(f"\nPrepared statement {stmt!r}\n  matches the raw-plan path.")
 
-    # 8. Sessions: capture-off brushes keep per-bar memos in the
+    # 7. Sessions: capture-off brushes keep per-bar memos in the
     #    database's one cache.  Each statement below fills bar `bar`
     #    once; the repeated brush merges the stored partials instead.
     sess = db.session()
@@ -232,7 +222,7 @@ def main() -> None:
     print(f"Per-bar memos after 2 brushes x 2 statements: {memo_traffic()} "
           "(each statement filled its bar once).")
 
-    # 9. Re-registering 'prev' re-captures its lineage.  The memos' next
+    # 8. Re-registering 'prev' re-captures its lineage.  The memos' next
     #    lookup finds the new index bit-equal to the old one and
     #    re-stamps each memo (`revalidated`) instead of refilling it —
     #    with no re-preparation — and the answers equal the uncached
@@ -246,7 +236,7 @@ def main() -> None:
     assert memo_traffic() == {"bar_fills": 2, "bar_reuses": 4, "revalidated": 2}
     print("Re-registration with identical lineage re-stamped both memos.")
 
-    # 10. Late materialization + preparation: the drill-down statement is
+    # 9. Late materialization + preparation: the drill-down statement is
     #     a GroupBy-over-Lb stack, so it runs in the rid domain — only
     #     `product` and `amount` are ever gathered — and the prepared
     #     path additionally skips re-parse/re-bind/re-match per run.

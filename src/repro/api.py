@@ -1,17 +1,23 @@
 """Public entry point: the :class:`Database` facade and its session layer.
 
 A :class:`Database` owns a catalog of named in-memory tables and executes
-logical plans (or SQL) on either backend, with lineage capture configured
-per query.  Query results are :class:`QueryResult` objects bundling the
-output table, the lineage handle, and helpers for running *lineage
-consuming queries* — queries whose input relation is the backward (or
-forward) lineage of a previous result (paper Section 2.1).
+logical plans (or SQL) with lineage capture configured per query.  Query
+results are :class:`QueryResult` objects bundling the output table, the
+lineage handle, and helpers for running *lineage consuming queries* —
+queries whose input relation is the backward (or forward) lineage of a
+previous result (paper Section 2.1).
+
+Every statement runs on one executor, the vectorized engine
+(:mod:`repro.exec.vector`).  The compiled produce/consume engine
+(:mod:`repro.exec.compiled`) is a test-only reference: it materializes
+every subtree, and the test suites check this executor's rows and
+lineage against it.
 
 Execution options
 -----------------
 How a statement runs is described by one value, :class:`ExecOptions` —
-capture configuration, backend, result registration (``name`` / ``pin``),
-and the late-materialization toggle:
+capture configuration, result registration (``name`` / ``pin``), and the
+late-materialization toggle:
 
 >>> db.sql("SELECT z, COUNT(*) AS c FROM t GROUP BY z",
 ...        options=ExecOptions(capture=CaptureMode.INJECT, name="prev"))
@@ -68,12 +74,11 @@ expressions in later statements:
 to (a subset of) ``prev``'s output; ``Lf('t', prev)`` scans the rows of
 ``prev``'s output derived from (a subset of) ``t``.  The optional third
 argument — an int, an int list, or a ``:param`` — restricts the traced
-subset; omitted, every row is traced.  Both work on either backend, join
-and aggregate like any other relation, and are themselves captured, so
-lineage chains across interactive sessions.  A cascade (the drill-downs
-of paper Section 6.4) is a registered statement over ``Lb``: its
-captured lineage traces straight to the base relation, and the next
-level reads it in turn:
+subset; omitted, every row is traced.  Both join and aggregate like any
+other relation, and are themselves captured, so lineage chains across
+interactive sessions.  A cascade (the drill-downs of paper Section 6.4)
+is a registered statement over ``Lb``: its captured lineage traces
+straight to the base relation, and the next level reads it in turn:
 
 >>> db.sql("SELECT d, COUNT(*) AS c FROM Lb(prev, 't', :bars) GROUP BY d",
 ...        params={"bars": [0]},
@@ -141,8 +146,6 @@ class ExecOptions:
         A :class:`CaptureMode` for the common case, a full
         :class:`CaptureConfig` for pruning/hints, or ``None`` for no
         capture (the paper's Baseline).
-    backend:
-        ``"vector"`` or ``"compiled"``.
     name:
         Register the result under this name for lineage-consuming SQL
         (``FROM Lb(name, ...)``); re-registering advances the name's
@@ -157,22 +160,16 @@ class ExecOptions:
     concurrency lives between statements (``DatabaseServer``'s reader
     pool and writer thread), never inside one.
 
-    Construction (including :meth:`with_`) validates ``backend`` and
-    ``capture``, so an options value that exists is one every execution
-    path can run.
+    Construction (including :meth:`with_`) validates ``capture``, so an
+    options value that exists is one every execution path can run.
     """
 
     capture: Union[CaptureConfig, CaptureMode, None] = None
-    backend: str = "vector"
     name: Optional[str] = None
     pin: bool = False
     late_materialize: bool = True
 
     def __post_init__(self) -> None:
-        if self.backend not in ("vector", "compiled"):
-            raise PlanError(
-                f"unknown backend {self.backend!r}; use 'vector' or 'compiled'"
-            )
         if self.capture is not None and not isinstance(
             self.capture, (CaptureMode, CaptureConfig)
         ):
@@ -623,7 +620,7 @@ class PreparedQuery:
         """Execute with ``params`` bound into the cached plan.
 
         ``options`` overrides this statement's options for one run (e.g.
-        ``prepared.options.with_(backend="compiled")``).  Missing
+        ``prepared.options.with_(late_materialize=False)``).  Missing
         parameters raise before execution starts.
         """
         opts = options if options is not None else self.options
@@ -911,8 +908,8 @@ class Database:
         resolve ``name`` against this registry at execution time.
         Re-registering a name replaces the previous result, re-targeting
         any plan that references it and advancing the name's epoch.
-        Names must be SQL identifiers that are not keywords, so the bare
-        ``Lb(name, ...)`` form always parses.
+        A name is any non-empty string: SQL spells one that is a keyword
+        or not an identifier quoted, as in ``Lb("order", 't')``.
 
         Under ``Database(max_result_bytes=B)``, an unpinned result that
         would take the unpinned results' lineage bytes past ``B`` raises
@@ -1066,7 +1063,7 @@ def run_plan(
     params: Optional[dict],
     prepared: Optional[PreparedQuery] = None,
 ) -> ExecResult:
-    """Run ``plan`` on the ``options.backend`` executor over one
+    """Run ``plan`` on the vector executor over one
     ``(catalog, results)`` view — the live database's, or a pinned
     snapshot's.  Executors hold nothing but that view, so one is built
     per call; :meth:`Database._execute_plan` and
@@ -1086,13 +1083,7 @@ def run_plan(
                                                    [params], cache)
         if answered is not None:
             return answered[0]
-    if options.backend == "vector":
-        executor = VectorExecutor(catalog, results=results)
-    else:
-        from .exec.compiled.executor import CompiledExecutor
-
-        executor = CompiledExecutor(catalog, results=results)
-    return executor.execute(
+    return VectorExecutor(catalog, results=results).execute(
         plan,
         options.config,
         params,
@@ -1103,11 +1094,5 @@ def run_plan(
 
 
 def _check_result_name(name: str) -> None:
-    from .sql.lexer import is_safe_identifier
-
-    if not is_safe_identifier(name):
-        raise PlanError(
-            f"result name {name!r} is not a plain SQL identifier "
-            "(or is a keyword); lineage-consuming SQL could not "
-            "reference it"
-        )
+    if not isinstance(name, str) or not name:
+        raise PlanError(f"result name must be a non-empty string, not {name!r}")

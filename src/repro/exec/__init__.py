@@ -1,1 +1,2 @@
-"""Execution backends: vectorized (performance) and compiled (reference)."""
+"""Execution engines: the vectorized executor every statement runs on, and
+the compiled produce/consume engine, a test-only reference."""

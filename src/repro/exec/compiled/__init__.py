@@ -1,4 +1,5 @@
-"""Compiled (produce/consume code generation) reference backend."""
+"""Compiled (produce/consume code generation) engine: the test-only
+reference the vector executor is checked against."""
 
 from .executor import CompiledExecutor
 

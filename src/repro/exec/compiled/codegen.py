@@ -1,13 +1,14 @@
 """Produce/consume code generation (paper Appendix A).
 
-This backend transpiles a query *block* into one Python function whose
+This engine transpiles a query *block* into one Python function whose
 structure mirrors the paper's compiled plans: one ``for`` loop per
 pipeline, pipeline breakers (hash-table builds) materializing between
 loops, and lineage capture inlined in the same loops (the Inject listings
 of Section 3.2 and Appendix F).  Python is our IR instead of C++/LLVM; the
 *shape* of the emitted code is the point — tight integration with zero
-cross-subsystem calls per tuple — while raw speed is the vector backend's
-job (numpy kernels stand in for the paper's compiled C++ engine).
+cross-subsystem calls per tuple — while raw speed is the vector executor's
+job (numpy kernels stand in for the paper's compiled C++ engine), and
+this engine serves only as the tests' reference.
 
 A block is a tree of per-row operators (scan, select, bag project, hash /
 θ / cross joins) optionally rooted at one group-by.  Each operator
@@ -22,12 +23,10 @@ bindings: one rid expression per lineage source, which is exactly the
 "propagate rids that point to R rather than the intermediate relation"
 behaviour of Section 3.3.
 
-Late-materialized lineage-scan stacks (:mod:`repro.plan.rewrite`) never
-reach code generation: the executor materializes them through the
-backend-agnostic pushed path (:mod:`repro.exec.late_mat`) and hands this
-module a pre-lineaged ``SourceNode`` — the same contract breaker
-children use — so generated blocks only ever loop over plain columnar
-sources.
+Lineage scans (``Lb``/``Lf``) never reach code generation: the executor
+materializes each one and hands this module a pre-lineaged
+``SourceNode`` — the same contract breaker children use — so generated
+blocks only ever loop over plain columnar sources.
 """
 
 from __future__ import annotations

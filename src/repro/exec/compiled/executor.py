@@ -1,17 +1,20 @@
-"""The compiled (produce/consume) execution engine.
+"""The compiled (produce/consume) execution engine: a test-only reference.
 
-This backend is the faithful, reference realization of the paper's
-architecture (Figure 2): every query block becomes generated Python whose
+This engine is the faithful realization of the paper's architecture
+(Figure 2, Appendix A): every query block becomes generated Python whose
 loops interleave relational work and lineage writes exactly as the
 Section 3.2 / Appendix F listings do.  Plans are split into *blocks* at
 pipeline breakers — group-by, distinct projection, and set operations —
 and each block's local lineage is composed with its children's end-to-end
 lineage (Section 3.3 propagation), so only output↔base indexes survive.
 
-Capture here is always Inject-shaped; Defer is a scheduling optimization,
-not a semantic one, so the vector backend owns that distinction.  Results
-(tables and lineage query answers) are bit-identical to the vector
-backend — invariant I3, enforced by the property test suite.
+The product runs the vector executor only; tests run this engine as the
+independent oracle it is checked against.  It materializes every subtree
+(including ``Lb``/``Lf`` scans) and shares neither the vector engine's
+rid-domain pushed path nor its per-bar memo, so an answer or lineage
+comparison against it is evidence about that code rather than a
+comparison of the code with itself.  Capture here is always
+Inject-shaped; Defer is a scheduling optimization, not a semantic one.
 """
 
 from __future__ import annotations
@@ -44,12 +47,9 @@ from ...plan.logical import (
     ThetaJoin,
     assign_source_keys,
 )
-from ...lineage.cache import LineageResolutionCache
-from ...plan.rewrite import RewriteIndex, match_late_materialization
 from ...plan.schema import infer_schema, join_output_fields
 from ...storage.catalog import Catalog
 from ...storage.table import ColumnType, Schema, Table
-from ..late_mat import PushedStats, execute_pushed, fold_push_stats
 from ..lineage_scan import execute_lineage_scan
 from ..timings import EXECUTE
 from ..vector.executor import ExecResult, check_relation_pruning
@@ -93,61 +93,29 @@ class CompiledExecutor:
         plan: LogicalPlan,
         capture: Optional[CaptureConfig] = None,
         params: Optional[dict] = None,
-        late_materialize: bool = True,
-        rewrites: Optional[RewriteIndex] = None,
-        lineage_cache: Optional[LineageResolutionCache] = None,
     ) -> ExecResult:
-        """Run ``plan``.  ``rewrites`` / ``lineage_cache`` are the
-        prepared-statement fast-path handles (see the vector backend)."""
+        """Run ``plan``, materializing every subtree."""
         config = capture or CaptureConfig.none()
-        scan_keys = assign_source_keys(plan) if rewrites is None else rewrites.source_keys
+        scan_keys = assign_source_keys(plan)
         # Validate pruning entries up front: a misspelled `relations`
         # entry must not discard a finished (possibly expensive) run.
         check_relation_pruning(config, plan, scan_keys, self.catalog, self.results)
         start = time.perf_counter()
-        state = _ExecState(
-            self, config, params, late_materialize,
-            rewrites=rewrites, cache=lineage_cache,
-        )
-        table, node = state.run(plan, scan_keys)
+        table, node = _ExecState(self, config, params).run(plan, scan_keys)
         elapsed = time.perf_counter() - start
         lineage = node.to_query_lineage() if config.enabled else None
-        timings = {EXECUTE: elapsed}
-        fold_push_stats(timings, state.push_stats)
-        return ExecResult(table, lineage, timings)
+        return ExecResult(table, lineage, {EXECUTE: elapsed})
 
 
 class _ExecState:
-    def __init__(
-        self,
-        executor: CompiledExecutor,
-        config: CaptureConfig,
-        params,
-        late_mat: bool = True,
-        rewrites: Optional[RewriteIndex] = None,
-        cache: Optional[LineageResolutionCache] = None,
-    ):
+    def __init__(self, executor: CompiledExecutor, config: CaptureConfig, params):
         self.executor = executor
         self.catalog = executor.catalog
         self.config = config
         self.params = params
-        self.late_mat = bool(late_mat)
-        self.rewrites = rewrites
-        self.cache = cache
-        self.push_stats = PushedStats()
         self.scan_keys = None
         self._scan_counter = 0
         self._tmp_counter = 0
-
-    def _match(self, plan: LogicalPlan):
-        """Late-materialization decision — precomputed index when the
-        statement was prepared, else matched live (see the vector
-        backend's ``_RunState.match``)."""
-        if not self.late_mat:
-            return None
-        if self.rewrites is not None:
-            return self.rewrites.lookup(plan)
-        return match_late_materialization(plan)
 
     # -- key assignment (must match the vector executor's pre-order scheme) --
 
@@ -158,33 +126,13 @@ class _ExecState:
 
     def run(self, plan: LogicalPlan, scan_keys) -> Tuple[Table, NodeLineage]:
         # Pre-order key assignment shared with the vector executor, so the
-        # two backends agree on occurrence keys by construction.
+        # two engines agree on occurrence keys by construction.
         self.scan_keys = scan_keys
         return self._exec(plan)
 
     # -- recursive block execution ---------------------------------------------
 
     def _exec(self, plan: LogicalPlan) -> Tuple[Table, NodeLineage]:
-        # Late materialization: a Select/Project/GroupBy tree over a
-        # lineage scan — or over a hash join with lineage-backed
-        # inputs — runs in the rid domain via the shared pushed path
-        # (backend-agnostic, like execute_lineage_scan), instead of
-        # compiling per-row code over a materialized subset.  A join's
-        # non-lineage input re-enters this recursion via run_child.
-        pushed = self._match(plan)
-        if pushed is not None:
-            return execute_pushed(
-                pushed,
-                self.catalog,
-                self.executor.results,
-                self.config,
-                self.params,
-                next_key=self._next_scan_key,
-                run_child=self._exec,
-                cache=self.cache,
-                stats=self.push_stats,
-            )
-
         if isinstance(plan, SetOp):
             left_t, left_n = self._exec(plan.left)
             right_t, right_n = self._exec(plan.right)
@@ -285,13 +233,6 @@ class _ExecState:
     ) -> Tuple[Emitter, Schema]:
         """Build the per-row emitter tree for ``plan``; breaker children are
         materialized recursively and become block sources."""
-        if self._match(plan) is not None:
-            # A pushed lineage-scan stack inside a per-row tree (e.g. the
-            # Lb side of a join) enters the block like a breaker child:
-            # _exec routes it through the pushed path and its narrow
-            # output becomes a pre-lineaged source.
-            return self._materialized_source(plan, sources, child_lineage)
-
         if isinstance(plan, Scan):
             key = self._next_scan_key()
             table, epoch = self.catalog.get_versioned(plan.table)
@@ -365,7 +306,7 @@ class _ExecState:
         child_lineage: Dict[str, NodeLineage],
     ) -> Tuple[Emitter, Schema]:
         """Execute a subtree eagerly and register its output (and lineage)
-        as a block source — breaker children and pushed lineage stacks."""
+        as a block source — breaker children and lineage scans."""
         table, node_lineage = self._exec(plan)
         src_name = f"__tmp{self._tmp_counter}"
         self._tmp_counter += 1

@@ -34,10 +34,11 @@ any intermediate join output*:
 4. gather the columns the output needs at the *final surviving* positions
    only, and feed the aggregation / DISTINCT kernels that narrow table.
 
-Both backends funnel through :func:`execute_pushed`, so the pushed path is
-backend-agnostic by construction: ``run_child`` hands plain chain leaves
-back to the calling backend's own recursion, and ``next_key`` consumes its
-pre-order occurrence keys, one per lineage leaf.
+The vector executor calls :func:`execute_pushed` for every subtree the
+rewrite matched: ``run_child`` hands plain chain leaves back to the
+executor's own recursion, and ``next_key`` consumes its pre-order
+occurrence keys, one per lineage leaf.  The compiled reference engine
+never calls it; it materializes every subtree.
 
 Output rows *and* captured lineage are bit-identical to the materializing
 path: :func:`~repro.exec.lineage_scan.scan_node_lineage` over the
@@ -48,7 +49,7 @@ composes its (canonical-order) matches through the same
 makes, and aggregation / DISTINCT compose through the same
 :func:`~repro.lineage.composer.compose_node`.  The property suites
 (``tests/property/test_prop_late_mat*.py``) assert this over random trees
-and chains on both backends.
+and chains, and check both paths against the compiled reference.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ _EMPTY = np.empty(0, dtype=np.int64)
 #: bounded by one run, not by the whole window.
 FILL_RUN_RIDS = 1 << 18
 
-#: Executes one plan subtree through the calling backend's own recursion
+#: Executes one plan subtree through the calling executor's own recursion
 #: (used for the plain, non-lineage leaves of a pushed join chain).
 RunChild = Callable[[LogicalPlan], Tuple[Table, NodeLineage]]
 
@@ -466,9 +467,9 @@ def execute_pushed(
 ) -> Tuple[Table, NodeLineage]:
     """Execute a pushed tree; returns ``(output table, node lineage)``.
 
-    ``next_key`` yields the backend's pre-order occurrence keys (one per
+    ``next_key`` yields the executor's pre-order occurrence keys (one per
     lineage-scan leaf); ``run_child`` executes a plain chain leaf through
-    the backend's own recursion; ``stats`` counts the tree and what it
+    the executor's own recursion; ``stats`` counts the tree and what it
     did for the executors' ``timings`` counters.  With ``cache``, the
     shapes a :class:`~repro.plan.rewrite.MemoShape` describes answer from
     the statement's per-bar memo in that cache.

@@ -337,7 +337,6 @@ class DatabaseServer:
             answer_key = (
                 key,
                 param_fingerprint(params),
-                opts.backend,
                 opts.late_materialize,
                 repr(opts.capture),
             )

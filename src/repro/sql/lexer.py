@@ -22,13 +22,6 @@ KEYWORDS = {
 LINEAGE_TABLE_FUNCS = {"lb", "lf"}
 
 
-def is_safe_identifier(name: str) -> bool:
-    """Can ``name`` be embedded in *generated* SQL as a bare identifier?
-    False for keywords (``year``, ``order``, ...) and anything that would
-    not lex as a single ident token."""
-    return name.isidentifier() and name.lower() not in KEYWORDS
-
-
 def quote_identifier(name: str) -> str:
     """``name`` as a double-quoted identifier, which lexes as one ident
     token whatever it spells (a keyword, ``my col``, ``a"b``)."""

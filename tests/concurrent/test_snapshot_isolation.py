@@ -7,20 +7,22 @@ Hypothesis drives an interleaving: a writer applies a random op sequence
 re-registrations with a shifting filter threshold) while reader threads
 brush pinned snapshots.  Every observed ``(version, bar, rows)`` record
 is then checked against a *sequential replay*: a fresh single-threaded
-database that applies the same op prefix and runs the same brush.
+database that applies the same op prefix and runs the same brush on the
+compiled reference engine.
 Replay is a valid oracle because every op is deterministic and the
 serving version counts applied operations, so version ``base + j``
 corresponds exactly to the replay state after ``ops[:j]``.
 """
 
 import threading
+from functools import partial
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import CaptureMode, Database, ExecOptions, Table
+from reference import reference
 
 N = 64
 READERS = 2
@@ -81,13 +83,8 @@ def _apply(db, op):
         raise AssertionError(f"unknown op {op!r}")
 
 
-def _brush(runner, bar, backend, **kwargs):
-    res = runner(
-        BRUSH,
-        params={"bars": np.array([bar], dtype=np.int64)},
-        options=ExecOptions(backend=backend),
-        **kwargs,
-    )
+def _brush(runner, bar, **kwargs):
+    res = runner(BRUSH, params={"bars": np.array([bar], dtype=np.int64)}, **kwargs)
     table = res.table
     names = tuple(table.schema.names)
     return (
@@ -116,12 +113,9 @@ _bar_sets = st.lists(
 
 
 class TestSnapshotIsolationProperty:
-    @pytest.mark.parametrize("backend", ["vector", "compiled"])
     @given(ops=_ops, bar_sets=_bar_sets)
     @settings(deadline=None)
-    def test_brush_racing_refresh_is_bit_identical(
-        self, backend, ops, bar_sets
-    ):
+    def test_brush_racing_refresh_is_bit_identical(self, ops, bar_sets):
         db = _make_db()
         records = []
         failures = []
@@ -134,9 +128,7 @@ class TestSnapshotIsolationProperty:
                     for _ in range(PASSES):
                         snap = server.snapshot()
                         for bar in bars:
-                            rows = _brush(
-                                server.sql, bar, backend, snapshot=snap
-                            )
+                            rows = _brush(server.sql, bar, snapshot=snap)
                             records.append((snap.version, bar, rows))
                 except Exception as exc:  # any reader error is a failure
                     failures.append(exc)
@@ -167,7 +159,7 @@ class TestSnapshotIsolationProperty:
                 replay = _make_db()
                 for op in ops[:j]:
                     _apply(replay, op)
-                expected[(j, bar)] = _brush(replay.sql, bar, backend)
+                expected[(j, bar)] = _brush(partial(reference, replay), bar)
             assert rows == expected[(j, bar)], (
                 f"snapshot v{version} (op prefix {j}) bar {bar}: "
                 f"observed {rows} != replay {expected[(j, bar)]}"

@@ -45,6 +45,25 @@ class TestReopen:
         assert db2.sql("SELECT z, v FROM Lb(prev, 't')").table.to_rows() == before
         db2.close()
 
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    def test_keyword_named_result_reopens(self, durable_dir, checkpoint):
+        """A result name is any string: one spelled like a keyword is
+        logged (and checkpointed), recovered, and consumed as quoted SQL."""
+        stmt = "SELECT z, v FROM Lb(\"order\", 't')"
+        db = open_db(durable_dir)
+        snap = snapshot_answers(register_view(db, "order"))
+        before = db.sql(stmt).table.to_rows()
+        if checkpoint:
+            db.checkpoint()
+        db.close()
+
+        db2 = open_db(durable_dir)
+        assert db2.results() == ["order"]
+        assert db2.durability.last_recovery.checkpoint_loaded is checkpoint
+        assert_answers_identical(db2.result("order"), snap)
+        assert db2.sql(stmt).table.to_rows() == before
+        db2.close()
+
     def test_drop_and_reregister_survive(self, durable_dir):
         db = open_db(durable_dir)
         register_view(db, "va", cut=2)

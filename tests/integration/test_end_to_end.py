@@ -14,6 +14,7 @@ from repro.workload import (
     Workload,
     execute_with_workload,
 )
+from reference import ENGINES
 
 INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
@@ -82,8 +83,8 @@ class TestDrillDownFlow:
         v = subset.column("v")
         assert detail.table.column("c")[0] == int((v < 50).sum())
 
-    @pytest.mark.parametrize("backend", ["vector", "compiled"])
-    def test_sql_consuming_query_chain(self, db, backend):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_sql_consuming_query_chain(self, db, engine):
         """The same drill-down, fully declarative: the zoom query's input
         relation *is* ``Lb(overview, 'zipf')`` — no manual table staging."""
         overview = db.sql(
@@ -91,22 +92,20 @@ class TestDrillDownFlow:
             options=INJECT.with_(name="overview"),
         )
         big = int(np.argmax(overview.table.column("c")))
-        detail = db.sql(
-            "SELECT COUNT(*) AS c FROM Lb(overview, 'zipf', :bars) "
-            "WHERE v < 50",
+        detail = ENGINES[engine](
+            db,
+            "SELECT COUNT(*) AS c FROM Lb(overview, 'zipf', :bars) WHERE v < 50",
             params={"bars": [big]},
-            options=ExecOptions(backend=backend),
         )
         subset = overview.backward_table([big], "zipf")
         assert detail.table.column("c")[0] == int(
             (subset.column("v") < 50).sum()
         )
         # Re-aggregation over the lineage scan matches the staged route.
-        regroup = db.sql(
-            "SELECT z, COUNT(*) AS c FROM Lb(overview, 'zipf', :bars) "
-            "GROUP BY z",
+        regroup = ENGINES[engine](
+            db,
+            "SELECT z, COUNT(*) AS c FROM Lb(overview, 'zipf', :bars) GROUP BY z",
             params={"bars": [big]},
-            options=ExecOptions(backend=backend),
         )
         assert regroup.table.column("c")[0] == overview.table.column("c")[big]
 

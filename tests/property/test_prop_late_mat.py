@@ -1,7 +1,8 @@
 """Property tests: the late-materializing pushed path is indistinguishable
 from the materialize-then-scan path — identical output rows *and* identical
 captured lineage — across random tables, predicates, aggregates, and rid
-subsets, on both backends."""
+subsets; the materialize-then-scan side is the vector executor's or the
+compiled reference's (``tests/reference.py``)."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from repro.api import Database, ExecOptions
 from repro.lineage.capture import CaptureMode
 from repro.storage import Table
+from reference import ENGINES, reference
 
 
 rows_strategy = st.lists(
@@ -89,11 +91,11 @@ def _assert_same_lineage(db, pushed, materialized):
     st.integers(min_value=0, max_value=31),
     st.integers(min_value=0, max_value=len(STATEMENTS) - 1),
     st.lists(st.integers(min_value=0, max_value=4), max_size=6),
-    st.sampled_from(["vector", "compiled"]),
+    st.sampled_from(list(ENGINES)),  # the materializing arm
 )
 @settings(deadline=None)  # example budget governed by the profile
 def test_pushed_path_matches_materialized(
-    rows, cut, stmt_idx, subset, backend
+    rows, cut, stmt_idx, subset, engine
 ):
     db = _db(rows)
     prev = db.result("prev")
@@ -105,17 +107,9 @@ def test_pushed_path_matches_materialized(
     plan = db.parse(stmt)
     # Pushed arm vs materialized arm: rows AND lineage must stay
     # bit-identical.
-    pushed = db.execute(
-        plan,
-        params=params,
-        options=ExecOptions(capture=CaptureMode.INJECT, backend=backend),
-    )
-    materialized = db.execute(
-        plan,
-        params=params,
-        options=ExecOptions(
-            capture=CaptureMode.INJECT, backend=backend, late_materialize=False
-        ),
+    pushed = db.execute(plan, params=params, options=ExecOptions(capture=CaptureMode.INJECT))
+    materialized = ENGINES[engine](
+        db, plan, params, ExecOptions(capture=CaptureMode.INJECT, late_materialize=False)
     )
     assert pushed.timings.get("late_mat_subtrees") == 1.0
     assert "late_mat_subtrees" not in materialized.timings
@@ -137,11 +131,7 @@ def test_backends_agree_on_pushed_path(rows, cut, stmt_idx):
     vec = db.sql(
         stmt, params=params, options=ExecOptions(capture=CaptureMode.INJECT)
     )
-    comp = db.sql(
-        stmt,
-        params=params,
-        options=ExecOptions(capture=CaptureMode.INJECT, backend="compiled"),
-    )
+    comp = reference(db, stmt, params, ExecOptions(capture=CaptureMode.INJECT))
     assert vec.table.to_rows() == comp.table.to_rows()
     _assert_same_lineage(db, vec, comp)
 

@@ -1,7 +1,9 @@
 """Property tests: the flattened multi-join *chain* core is
 indistinguishable from the materialize-then-scan path — identical output
 rows *and* identical captured lineage — across Hypothesis-generated
-2–4-hop chains and snowflake trees, on both backends.
+2–4-hop chains and snowflake trees; the materialize-then-scan side is
+the vector executor's or the compiled reference's
+(``tests/reference.py``).
 
 This extends the single-join harness (``test_prop_late_mat_join.py``) to
 the shapes PR 4 materialized at the second hop: every generated
@@ -9,7 +11,7 @@ statement joins a lineage scan through **two or more** hash joins, so
 the whole tree must execute as one pushed rid-domain core
 (``late_mat_chain_hops == joins - 1``).  Generated dimensions include
 m:n and missing keys, ``Lf`` leaves, both-sides-lineage chains,
-derived-table hops (plain leaves run through backend recursion),
+derived-table hops (plain leaves run through executor recursion),
 residual WHERE / HAVING, and DISTINCT roots.  Build sides are chosen
 per hop from column statistics at execution time, so these tests also
 pin that a swapped build (or a detected pk-fk probe) never perturbs row
@@ -26,6 +28,7 @@ from hypothesis import strategies as st
 from repro.api import Database, ExecOptions
 from repro.lineage.capture import CaptureMode
 from repro.storage import Table
+from reference import ENGINES, reference
 
 
 # Fact rows: k links to d1 (chain), m links to e1 (snowflake branch).
@@ -241,11 +244,11 @@ def _assert_same_lineage(db, pushed, materialized):
     chain_specs,
     st.integers(min_value=0, max_value=31),
     st.lists(st.integers(min_value=0, max_value=3), max_size=5),
-    st.sampled_from(["vector", "compiled"]),
+    st.sampled_from(list(ENGINES)),  # the materializing arm
 )
 @settings(deadline=None)  # example budget governed by the profile
 def test_pushed_chain_matches_materialized(
-    rows, d1, d2, d3, e1, spec, cut, subset, backend
+    rows, d1, d2, d3, e1, spec, cut, subset, engine
 ):
     db = _db(rows, d1, d2, d3, e1)
     stmt = _statement(spec)
@@ -258,17 +261,9 @@ def test_pushed_chain_matches_materialized(
     _note_plan(stmt, plan, params)
     # Pushed arm vs materialized arm: the flattened per-hop probes must
     # stay bit-identical to the hop-by-hop materialized joins.
-    pushed = db.execute(
-        plan,
-        params=params,
-        options=ExecOptions(capture=CaptureMode.INJECT, backend=backend),
-    )
-    materialized = db.execute(
-        plan,
-        params=params,
-        options=ExecOptions(
-            capture=CaptureMode.INJECT, backend=backend, late_materialize=False
-        ),
+    pushed = db.execute(plan, params=params, options=ExecOptions(capture=CaptureMode.INJECT))
+    materialized = ENGINES[engine](
+        db, plan, params, ExecOptions(capture=CaptureMode.INJECT, late_materialize=False)
     )
     num_joins = stmt.count("JOIN ")
     assert num_joins >= 2
@@ -300,11 +295,7 @@ def test_backends_agree_on_chains(rows, d1, d2, d3, e1, spec, cut):
     vec = db.sql(
         stmt, params=params, options=ExecOptions(capture=CaptureMode.INJECT)
     )
-    comp = db.sql(
-        stmt,
-        params=params,
-        options=ExecOptions(capture=CaptureMode.INJECT, backend="compiled"),
-    )
+    comp = reference(db, stmt, params, ExecOptions(capture=CaptureMode.INJECT))
     assert vec.table.to_rows() == comp.table.to_rows()
     _assert_same_lineage(db, vec, comp)
 
@@ -314,10 +305,10 @@ def test_backends_agree_on_chains(rows, d1, d2, d3, e1, spec, cut):
     d1_rows,
     d2_rows,
     st.lists(st.integers(min_value=0, max_value=3), max_size=5),
-    st.sampled_from(["vector", "compiled"]),
+    st.sampled_from(list(ENGINES)),  # the one-shot arm
 )
 @settings(deadline=None)  # example budget governed by the profile
-def test_prepared_chain_pushes_match_one_shot(rows, d1, d2, subset, backend):
+def test_prepared_chain_pushes_match_one_shot(rows, d1, d2, subset, engine):
     """The precomputed RewriteIndex takes the same chain-flattening
     decisions as live matching: prepared runs == raw-plan runs."""
     db = _db(rows, d1, d2, [], [])
@@ -326,14 +317,10 @@ def test_prepared_chain_pushes_match_one_shot(rows, d1, d2, subset, backend):
         "SELECT d2.g, COUNT(*) AS c FROM Lb(prev, 't', :bars) "
         "JOIN d1 ON t.k = d1.k JOIN d2 ON d1.g = d2.g GROUP BY d2.g"
     )
-    prepared = db.prepare(
-        stmt, options=ExecOptions(capture=CaptureMode.INJECT, backend=backend)
-    )
+    prepared = db.prepare(stmt, options=ExecOptions(capture=CaptureMode.INJECT))
     via_prepared = prepared.run(params={"bars": rids})
-    one_shot = db.execute(
-        prepared.plan,
-        params={"bars": rids},
-        options=ExecOptions(capture=CaptureMode.INJECT, backend=backend),
+    one_shot = ENGINES[engine](
+        db, prepared.plan, {"bars": rids}, ExecOptions(capture=CaptureMode.INJECT)
     )
     assert via_prepared.timings.get("late_mat_chain_hops") == 1.0
     assert via_prepared.table.to_rows() == one_shot.table.to_rows()

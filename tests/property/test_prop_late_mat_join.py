@@ -1,7 +1,9 @@
 """Property tests: late materialization *through joins and DISTINCT* is
 indistinguishable from the materialize-then-scan path — identical output
 rows *and* identical captured lineage — across random tables, join
-shapes, predicates, aggregates, and rid subsets, on both backends.
+shapes, predicates, aggregates, and rid subsets; the materialize-then-scan
+side is the vector executor's or the compiled reference's
+(``tests/reference.py``).
 
 This is the randomized plan-equivalence harness for the tree-shaped
 rewrite (:mod:`repro.plan.rewrite`): every statement here contains a
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from repro.api import Database, ExecOptions
 from repro.lineage.capture import CaptureMode
 from repro.storage import Table
+from reference import ENGINES, reference
 
 
 fact_rows = st.lists(
@@ -144,11 +147,11 @@ def _assert_same_lineage(db, pushed, materialized):
     st.integers(min_value=0, max_value=31),
     st.integers(min_value=0, max_value=len(STATEMENTS) - 1),
     st.lists(st.integers(min_value=0, max_value=4), max_size=6),
-    st.sampled_from(["vector", "compiled"]),
+    st.sampled_from(list(ENGINES)),  # the materializing arm
 )
 @settings(deadline=None)  # example budget governed by the profile
 def test_pushed_join_distinct_matches_materialized(
-    rows, drows, cut, stmt_idx, subset, backend
+    rows, drows, cut, stmt_idx, subset, engine
 ):
     db = _db(rows, drows)
     prev = db.result("prev")
@@ -161,17 +164,9 @@ def test_pushed_join_distinct_matches_materialized(
     _note_plan(stmt, plan, params)
     # Pushed arm vs materialized arm: rid-domain probes and late gathers
     # must stay bit-identical to the materialized joins.
-    pushed = db.execute(
-        plan,
-        params=params,
-        options=ExecOptions(capture=CaptureMode.INJECT, backend=backend),
-    )
-    materialized = db.execute(
-        plan,
-        params=params,
-        options=ExecOptions(
-            capture=CaptureMode.INJECT, backend=backend, late_materialize=False
-        ),
+    pushed = db.execute(plan, params=params, options=ExecOptions(capture=CaptureMode.INJECT))
+    materialized = ENGINES[engine](
+        db, plan, params, ExecOptions(capture=CaptureMode.INJECT, late_materialize=False)
     )
     assert pushed.timings.get("late_mat_subtrees", 0) >= 1
     assert "late_mat_subtrees" not in materialized.timings
@@ -199,11 +194,7 @@ def test_backends_agree_on_pushed_join_distinct(rows, drows, cut, stmt_idx):
     vec = db.sql(
         stmt, params=params, options=ExecOptions(capture=CaptureMode.INJECT)
     )
-    comp = db.sql(
-        stmt,
-        params=params,
-        options=ExecOptions(capture=CaptureMode.INJECT, backend="compiled"),
-    )
+    comp = reference(db, stmt, params, ExecOptions(capture=CaptureMode.INJECT))
     assert vec.table.to_rows() == comp.table.to_rows()
     _assert_same_lineage(db, vec, comp)
 
@@ -212,10 +203,10 @@ def test_backends_agree_on_pushed_join_distinct(rows, drows, cut, stmt_idx):
     fact_rows,
     dim_rows,
     st.lists(st.integers(min_value=0, max_value=4), max_size=6),
-    st.sampled_from(["vector", "compiled"]),
+    st.sampled_from(list(ENGINES)),  # the one-shot arm
 )
 @settings(deadline=None)  # example budget governed by the profile
-def test_prepared_join_pushes_match_one_shot(rows, drows, subset, backend):
+def test_prepared_join_pushes_match_one_shot(rows, drows, subset, engine):
     """The precomputed RewriteIndex takes the same join/DISTINCT push
     decisions as live matching: prepared runs == raw-plan runs."""
     db = _db(rows, drows)
@@ -224,14 +215,10 @@ def test_prepared_join_pushes_match_one_shot(rows, drows, subset, backend):
         "SELECT g, COUNT(*) AS c FROM Lb(prev, 't', :bars) "
         "JOIN d ON t.k = d.k GROUP BY g"
     )
-    prepared = db.prepare(
-        stmt, options=ExecOptions(capture=CaptureMode.INJECT, backend=backend)
-    )
+    prepared = db.prepare(stmt, options=ExecOptions(capture=CaptureMode.INJECT))
     via_prepared = prepared.run(params={"bars": rids})
-    one_shot = db.execute(
-        prepared.plan,
-        params={"bars": rids},
-        options=ExecOptions(capture=CaptureMode.INJECT, backend=backend),
+    one_shot = ENGINES[engine](
+        db, prepared.plan, {"bars": rids}, ExecOptions(capture=CaptureMode.INJECT)
     )
     assert via_prepared.timings.get("late_mat_joins") == 1.0
     assert via_prepared.table.to_rows() == one_shot.table.to_rows()

@@ -1,9 +1,9 @@
 """Property tests: prepared execution is indistinguishable from one-shot
 execution — ``PreparedQuery.run()`` and ``Session.sql`` results and
 captured lineage are bit-identical to the uncached raw plan
-(``Database.execute(Database.parse(...))``) of the same statement, across
-random parameter sequences, interleaved re-registrations of the consumed
-result, and both backends.
+(``Database.execute(Database.parse(...))``) of the same statement and to
+the compiled reference's answer, across random parameter sequences and
+interleaved re-registrations of the consumed result.
 
 This is the correctness contract of the whole prepared layer: the cached
 plan, the precomputed rewrite index, and the shared
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.api import Database, ExecOptions
 from repro.lineage.capture import CaptureMode
 from repro.storage import Table
+from reference import ENGINES, reference
 
 rows_strategy = st.lists(
     st.tuples(
@@ -97,12 +98,12 @@ def _assert_same_lineage(db, got, want):
 @given(
     rows_strategy,
     st.lists(step_strategy, min_size=1, max_size=6),
-    st.sampled_from(["vector", "compiled"]),
+    st.sampled_from(list(ENGINES)),  # the one-shot arm
 )
 @settings(max_examples=40, deadline=None)
-def test_prepared_matches_one_shot(rows, steps, backend):
+def test_prepared_matches_one_shot(rows, steps, engine):
     db = _db(rows)
-    session = db.session(options=CAPTURE.with_(backend=backend))
+    session = db.session(options=CAPTURE)
     prepared = {}
     for stmt_idx, subset, cut, reregister in steps:
         if reregister:
@@ -118,9 +119,7 @@ def test_prepared_matches_one_shot(rows, steps, backend):
         if stmt not in prepared:
             prepared[stmt] = session.prepare(stmt)
         got = prepared[stmt].run(params)
-        want = db.execute(
-            db.parse(stmt), params=params, options=CAPTURE.with_(backend=backend)
-        )
+        want = ENGINES[engine](db, db.parse(stmt), params, CAPTURE)
         assert got.table.schema == want.table.schema
         assert got.table.to_rows() == want.table.to_rows()
         _assert_same_lineage(db, got, want)
@@ -130,13 +129,10 @@ def test_prepared_matches_one_shot(rows, steps, backend):
 @settings(max_examples=20, deadline=None)
 def test_session_sql_matches_one_shot_across_backends(rows, steps):
     """Session.sql (auto-prepared, text-memoized) agrees with one-shot
-    execution on both backends for every step of a random interaction
-    sequence."""
+    execution, and with the compiled reference, for every step of a
+    random interaction sequence."""
     db = _db(rows)
-    sessions = {
-        b: db.session(options=CAPTURE.with_(backend=b))
-        for b in ("vector", "compiled")
-    }
+    session = db.session(options=CAPTURE)
     for stmt_idx, subset, cut, reregister in steps:
         if reregister:
             _register_prev(db)
@@ -145,10 +141,10 @@ def test_session_sql_matches_one_shot_across_backends(rows, steps):
         domain = db.table("t").num_rows if ":rows" in stmt else len(prev)
         rids = sorted({r % max(domain, 1) for r in subset}) if domain else []
         params = {"cut": cut, "bars": rids, "rows": rids, "ks": [1, 3]}
-        results = {
-            b: sessions[b].sql(stmt, params=params) for b in sessions
-        }
-        want = db.execute(db.parse(stmt), params=params, options=CAPTURE)
-        for res in results.values():
+        res = session.sql(stmt, params=params)
+        for want in (
+            db.execute(db.parse(stmt), params=params, options=CAPTURE),
+            reference(db, stmt, params, CAPTURE),
+        ):
             assert res.table.to_rows() == want.table.to_rows()
             _assert_same_lineage(db, res, want)

@@ -1,7 +1,8 @@
 """Property tests: randomized SQL statements over a template grammar.
 
 Generates structurally diverse SELECT statements, binds and executes them
-on both backends, and checks (a) no crash, (b) backend agreement, and
+on the vector executor and the compiled reference, and checks (a) no
+crash, (b) agreement with the reference, and
 (c) lineage round-trips for captured queries — a fuzz layer above the
 hand-written SQL tests.
 """
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from repro.api import Database, ExecOptions
 from repro.lineage.capture import CaptureMode
 from repro.storage import Table
+from reference import reference
 
 INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
@@ -76,7 +78,7 @@ def test_generated_sql_executes_on_both_backends(data, where, aggs, keys, tail):
     if "ORDER BY c" in tail and " c" not in aggs.split(",")[0]:
         sql = sql.replace("ORDER BY c", "ORDER BY " + first_key)
     vec = db.sql(sql, options=INJECT)
-    comp = db.sql(sql, options=INJECT.with_(backend="compiled"))
+    comp = reference(db, sql, options=INJECT)
     assert len(vec) == len(comp)
     for a, b in zip(vec.table.to_rows(), comp.table.to_rows(), strict=True):
         for x, y in zip(a, b, strict=True):

@@ -1,6 +1,6 @@
-"""Property test: GROUP BY over STR keys, which the vector backend keys
+"""Property test: GROUP BY over STR keys, which the vector executor keys
 by its tables' memoized dictionary codes (``Table.codes``), against the
-compiled backend — answers and lineage — and against stdlib
+compiled reference — answers and lineage — and against stdlib
 :mod:`sqlite3` as bags of rows.
 
 The WHERE clause makes the grouped table one selected from the stored
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.api import Database, ExecOptions
 from repro.lineage.capture import CaptureMode
 from repro.storage import Table
+from reference import reference
 
 rows_strategy = st.lists(
     st.tuples(
@@ -64,8 +65,8 @@ def _check(db, rows, keys, cut):
     )
     oracle = _sqlite(rows, keys, cut)
     for options in OPTIONS:
-        vec = db.sql(text, options=options.with_(backend="vector"))
-        comp = db.sql(text, options=options.with_(backend="compiled"))
+        vec = db.sql(text, options=options)
+        comp = reference(db, text, options=options)
         got = vec.table.to_rows()
         assert got == comp.table.to_rows()
         assert Counter(got) == oracle

@@ -388,8 +388,9 @@ class TestSnowflakeCrossfilter:
 class TestDeclarativeCrossfilterKeywords:
     @pytest.mark.parametrize("technique", CrossfilterSession.TECHNIQUES)
     def test_from_database_keyword_dimension_names(self, technique):
-        """Dimensions named after SQL keywords must fall back to the
-        plan-based construction instead of failing to parse."""
+        """Dimensions named after SQL keywords answer through the
+        generated SQL, which quotes every name, as the direct session
+        does."""
         from repro.storage import Table
 
         rng = np.random.default_rng(2)

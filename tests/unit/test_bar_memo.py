@@ -541,42 +541,39 @@ def _binds(result) -> float:
     return result.timings.get(LATE_MAT_ROUTE_BINDS, 0)
 
 
-@pytest.mark.parametrize("backend", ["vector", "compiled"])
-def test_a_warm_route_derives_nothing_again(backend, monkeypatch):
+def test_a_warm_route_derives_nothing_again(monkeypatch):
     """Once its route is bound, a statement's warm runs through
     ``Database.sql``, ``PreparedQuery.run``, the server and ``sql_batch``
     re-derive none of its facts — no partition guards, occurrence keys,
     order-key strides or plain-leaf lookups — and answer as the plain path."""
     from repro.exec import late_mat
-    from repro.exec.compiled import executor as compiled
     from repro.exec.vector import executor as vector
     from repro.plan import logical
 
     db = _join_db()
-    opts = ExecOptions(backend=backend)
     nested = f"SELECT region, COUNT(*) AS c FROM carriers GROUP BY region UNION ALL {JOIN}"
     stmts = (BRUSH, ROWS, JOIN, CHAIN, RENAMED, DISTINCT, nested)
     params = {"bars": [2, 1]}
     expected = [_plain(db, stmt, params["bars"]) for stmt in stmts]
-    prepared = [db.prepare(stmt, opts) for stmt in stmts]
+    prepared = [db.prepare(stmt) for stmt in stmts]
     for stmt, statement in zip(stmts, prepared, strict=True):
-        assert _binds(db.sql(stmt, params={"bars": [0]}, options=opts)) == 1
+        assert _binds(db.sql(stmt, params={"bars": [0]})) == 1
         assert _binds(statement.run(params={"bars": [0]})) == 1
 
     def refuse(*args, **kwargs):
         raise AssertionError("a route fact was derived again")
 
     derived = ("resolve_scan_partition", "_order_strides", "plain_scan", "assign_source_keys")
-    for module in (late_mat, logical, vector, compiled):
+    for module in (late_mat, logical, vector):
         for name in derived:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-    warm = [db.sql(stmt, params=params, options=opts) for stmt in stmts]
+    warm = [db.sql(stmt, params=params) for stmt in stmts]
     warm += [statement.run(params=params) for statement in prepared]
     with DatabaseServer(db, readers=1, memoize_answers=False) as server:
-        warm += [server.sql(stmt, params=params, options=opts) for stmt in stmts]
+        warm += [server.sql(stmt, params=params) for stmt in stmts]
         for stmt in stmts:
-            warm += server.sql_batch(stmt, [params, {"bars": [0]}], options=opts)[:1]
+            warm += server.sql_batch(stmt, [params, {"bars": [0]}])[:1]
     assert [r.table.to_rows() for r in warm] == expected * 4
     assert not any(_binds(r) for r in warm)
 

@@ -1,4 +1,5 @@
-"""Compiled (produce/consume codegen) backend."""
+"""The compiled (produce/consume codegen) engine: the test-only reference
+the vector executor is checked against, and the shape of its code."""
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from repro.plan.logical import (
     ThetaJoin,
     col,
 )
+from reference import reference
 
 INJECT = ExecOptions(capture=CaptureMode.INJECT)
-COMPILED = ExecOptions(backend="compiled")
 
 
 @pytest.fixture
@@ -74,14 +75,14 @@ class TestBackendEquivalence:
     def test_tables_match_vector_backend(self, small_db, name):
         plan = PLANS[name]()
         vec = small_db.execute(plan, options=INJECT)
-        comp = small_db.execute(plan, options=INJECT.with_(backend="compiled"))
+        comp = reference(small_db, plan, options=INJECT)
         _tables_equal(vec.table, comp.table)
 
     @pytest.mark.parametrize("name", sorted(PLANS))
     def test_lineage_matches_vector_backend(self, small_db, name):
         plan = PLANS[name]()
         vec = small_db.execute(plan, options=INJECT)
-        comp = small_db.execute(plan, options=INJECT.with_(backend="compiled"))
+        comp = reference(small_db, plan, options=INJECT)
         for rel in vec.lineage.relations:
             n = len(vec.table)
             probes = list(range(min(n, 8)))
@@ -115,11 +116,13 @@ class TestBackendEquivalence:
             }),
         )
         stmt = "SELECT g, COUNT(*) AS c FROM t JOIN d ON t.k = d.k GROUP BY g"
-        for backend in ("vector", "compiled"):
-            res = db.sql(stmt, options=INJECT.with_(backend=backend))
+        for engine, res in (
+            ("vector", db.sql(stmt, options=INJECT)),
+            ("reference", reference(db, stmt, options=INJECT)),
+        ):
             # The single t row reaches both output groups.
-            assert res.forward("t", [0]).tolist() == [0, 1], backend
-            assert res.forward("d", [0, 1]).tolist() == [0, 1], backend
+            assert res.forward("t", [0]).tolist() == [0, 1], engine
+            assert res.forward("d", [0, 1]).tolist() == [0, 1], engine
 
 
 class TestCodegen:
@@ -138,8 +141,7 @@ class TestCodegen:
         assert "{}" in cex.last_source  # ht initialization
 
     def test_capture_none_produces_no_lineage(self, small_db):
-        res = small_db.execute(PLANS["groupby"](), options=COMPILED)
-        assert res.lineage is None
+        assert reference(small_db, PLANS["groupby"]()).lineage is None
 
     def test_having_in_compiled_backend(self, small_db):
         plan = GroupBy(
@@ -149,7 +151,7 @@ class TestCodegen:
             having=col("c") > 150,
         )
         vec = small_db.execute(plan, options=INJECT)
-        comp = small_db.execute(plan, options=INJECT.with_(backend="compiled"))
+        comp = reference(small_db, plan, options=INJECT)
         _tables_equal(vec.table, comp.table)
         for i in range(len(vec.table)):
             assert np.array_equal(
@@ -162,7 +164,7 @@ class TestCodegen:
 
         plan = Select(Scan("zipf"), col("v") < Param("p"))
         vec = small_db.execute(plan, params={"p": 33.0})
-        comp = small_db.execute(plan, params={"p": 33.0}, options=COMPILED)
+        comp = reference(small_db, plan, params={"p": 33.0})
         _tables_equal(vec.table, comp.table)
 
 
@@ -197,9 +199,10 @@ class TestGeneratedSourceShape:
         assert "bw" in src or "].append(i" in src
 
 
-class TestCompiledChainPush:
-    """The flattened join chain on the *compiled* backend: same shared
-    pushed core, same fallback boundary (regression pins for the chain
+class TestChainMatchesReference:
+    """The vector executor's flattened join chain and its fallback
+    boundary, answer for answer and edge for edge against the reference,
+    which materializes every join (regression pins for the chain
     counters)."""
 
     CHAIN_COUNTERS = (
@@ -247,13 +250,8 @@ class TestCompiledChainPush:
             "SELECT name, COUNT(*) AS c FROM Lb(prev, 't', :bars) "
             "JOIN d1 ON t.k = d1.k JOIN d2 ON d1.g = d2.g GROUP BY name"
         )
-        opts = INJECT.with_(backend="compiled")
-        pushed = chain_db.sql(stmt, params={"bars": [0, 1]}, options=opts)
-        materialized = chain_db.sql(
-            stmt,
-            params={"bars": [0, 1]},
-            options=opts.with_(late_materialize=False),
-        )
+        pushed = chain_db.sql(stmt, params={"bars": [0, 1]}, options=INJECT)
+        materialized = reference(chain_db, stmt, params={"bars": [0, 1]}, options=INJECT)
         assert pushed.timings.get("late_mat_joins") == 1.0
         assert pushed.timings.get("late_mat_chain_hops") == 1.0
         assert pushed.table.to_rows() == materialized.table.to_rows()
@@ -273,19 +271,7 @@ class TestCompiledChainPush:
             [],
             [AggCall("count", None, "c")],
         )
-        res = chain_db.execute(plan, options=COMPILED)
-        off = chain_db.execute(
-            plan, options=COMPILED.with_(late_materialize=False)
-        )
-        assert res.table.to_rows() == off.table.to_rows()
+        res = chain_db.execute(plan)
+        assert res.table.to_rows() == reference(chain_db, plan).table.to_rows()
         for key in self.CHAIN_COUNTERS:
             assert key not in res.timings, key
-
-    def test_lineage_free_join_has_no_chain_counters(self, chain_db):
-        res = chain_db.sql(
-            "SELECT COUNT(*) AS c FROM d1 JOIN d2 ON d1.g = d2.g",
-            options=COMPILED,
-        )
-        for key in self.CHAIN_COUNTERS:
-            assert key not in res.timings, key
-        assert "late_mat_subtrees" not in res.timings

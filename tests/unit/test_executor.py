@@ -132,10 +132,6 @@ class TestApiSurface:
         with pytest.raises(PlanError):
             res.backward([0], "zipf")
 
-    def test_unknown_backend(self, small_db):
-        with pytest.raises(PlanError):
-            small_db.execute(Scan("zipf"), options=ExecOptions(backend="quantum"))
-
     def test_capture_mode_shorthand(self, small_db):
         res = small_db.execute(Scan("zipf"), options=INJECT)
         assert res.lineage is not None

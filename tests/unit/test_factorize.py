@@ -2,7 +2,7 @@
 scatter of first occurrences and a stable rank, which the kernel
 replaces with one count pass, first occurrences from the first chunks
 of rows when the key has few groups, and in-place integer codes.  Also the
-composite-key fold past 2**63, against the compiled backend and stdlib
+composite-key fold past 2**63, against the compiled reference and stdlib
 :mod:`sqlite3`."""
 
 import sqlite3
@@ -20,6 +20,7 @@ from repro.exec.vector import kernels
 from repro.exec.vector.kernels import GroupLayout, codes_for, factorize, factorize_codes
 from repro.lineage.capture import CaptureMode
 from repro.storage import Table
+from reference import reference
 
 
 def _reference(codes: np.ndarray, width: int):
@@ -159,7 +160,7 @@ def test_offset_integer_column_keeps_its_span():
 def test_codes_alias_a_frozen_catalog_column():
     """Under the sanitizer the catalog freezes its columns; integer codes
     are the column itself, so a write through them raises, and the
-    GROUP BY over it answers as the compiled backend does."""
+    GROUP BY over it answers as the compiled reference does."""
     rng = np.random.default_rng(3)
     table = Table({"k": rng.integers(0, 50, 5_000), "v": rng.integers(0, 9, 5_000)})
     with sanitize.force(True):
@@ -172,8 +173,8 @@ def test_codes_alias_a_frozen_catalog_column():
             codes[0] = 1
         text = "SELECT k, COUNT(*) AS c, SUM(v) AS s FROM t GROUP BY k"
         options = ExecOptions(capture=CaptureMode.INJECT)
-        vec = db.sql(text, options=options.with_(backend="vector"))
-        comp = db.sql(text, options=options.with_(backend="compiled"))
+        vec = db.sql(text, options=options)
+        comp = reference(db, text, options=options)
         assert vec.table.to_rows() == comp.table.to_rows()
         assert not column.flags.writeable
 
@@ -215,8 +216,8 @@ def test_four_wide_keys_against_compiled_and_sqlite():
         "SELECT k0, k1, k2, k3, COUNT(*) AS c FROM t GROUP BY k0, k1, k2, k3",
         "SELECT DISTINCT k0, k1, k2, k3 FROM t",
     ):
-        vec = db.sql(text, options=ExecOptions(backend="vector")).table.to_rows()
-        comp = db.sql(text, options=ExecOptions(backend="compiled")).table.to_rows()
+        vec = db.sql(text).table.to_rows()
+        comp = reference(db, text).table.to_rows()
         assert len(vec) == table.num_rows
         assert vec == comp
         assert Counter(vec) == Counter(conn.execute(text).fetchall())

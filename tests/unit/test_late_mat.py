@@ -35,11 +35,9 @@ from repro.plan.rewrite import (
     match_late_materialization,
 )
 from repro.storage import Table
+from reference import reference
 
 INJECT = ExecOptions(capture=CaptureMode.INJECT)
-
-BACKENDS = ("vector", "compiled")
-
 
 @pytest.fixture
 def db():
@@ -232,7 +230,7 @@ class TestChainRewriteMatch:
 
     def test_lineage_free_nested_join_stays_plain(self):
         """A join subtree with no lineage leaf is a plain hop executed
-        through backend recursion, not part of the chain."""
+        through executor recursion, not part of the chain."""
         plan = HashJoin(
             HashJoin(Scan("a"), Scan("b"), ("z",), ("z",)),
             _scan(),
@@ -274,32 +272,26 @@ class TestChainRewriteMatch:
 
 
 class TestPushedExecution:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_pushed_marks_timings(self, db, prev, backend):
-        res = db.sql(
-            "SELECT z, COUNT(*) AS c FROM Lb(prev, 't') GROUP BY z",
-            options=ExecOptions(backend=backend),
-        )
+    def test_pushed_marks_timings(self, db, prev):
+        stmt = "SELECT z, COUNT(*) AS c FROM Lb(prev, 't') GROUP BY z"
+        res = db.sql(stmt)
         assert res.timings.get("late_mat_subtrees") == 1.0
-        off = db.sql(
-            "SELECT z, COUNT(*) AS c FROM Lb(prev, 't') GROUP BY z",
-            options=ExecOptions(backend=backend, late_materialize=False),
-        )
+        off = db.sql(stmt, options=ExecOptions(late_materialize=False))
         assert "late_mat_subtrees" not in off.timings
         assert res.table.to_rows() == off.table.to_rows()
+        assert res.table.to_rows() == reference(db, stmt).table.to_rows()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_sort_over_pushed_stack_still_pushes_below(self, db, prev, backend):
-        res = db.sql(
+    def test_sort_over_pushed_stack_still_pushes_below(self, db, prev):
+        stmt = (
             "SELECT z, COUNT(*) AS c FROM Lb(prev, 't') WHERE v > 10 "
-            "GROUP BY z ORDER BY c DESC",
-            options=ExecOptions(backend=backend),
+            "GROUP BY z ORDER BY c DESC"
         )
+        res = db.sql(stmt)
         assert res.timings.get("late_mat_subtrees") == 1.0
         assert res.table.column("c").tolist() == [3, 1, 1]
+        assert res.table.to_rows() == reference(db, stmt).table.to_rows()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_join_input_stack_is_pushed(self, db, prev, backend):
+    def test_join_input_stack_is_pushed(self, db, prev):
         """A filtered-Lb *derived table* join input is a
         ``[Select*] LineageScan`` chain, so the whole tree matches as one
         join core (side predicate filtered in the rid domain)."""
@@ -315,18 +307,18 @@ class TestPushedExecution:
             "(SELECT * FROM Lb(prev, 't', :bars) WHERE v > 10) AS s "
             "JOIN names ON s.z = names.z GROUP BY label"
         )
-        opts = ExecOptions(backend=backend)
-        res = db.execute(plan, params={"bars": [0, 1]}, options=opts)
+        res = db.execute(plan, params={"bars": [0, 1]})
         assert res.timings.get("late_mat_subtrees") == 1.0
         off = db.execute(
             plan,
             params={"bars": [0, 1]},
-            options=opts.with_(late_materialize=False),
+            options=ExecOptions(late_materialize=False),
         )
         assert res.table.to_rows() == off.table.to_rows()
+        ref = reference(db, plan, params={"bars": [0, 1]})
+        assert res.table.to_rows() == ref.table.to_rows()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_plain_join_where_now_pushes_through_the_join(self, db, prev, backend):
+    def test_plain_join_where_now_pushes_through_the_join(self, db, prev):
         """`Lb(...) JOIN t WHERE p` binds the WHERE above the join; the
         whole tree now pushes as a join core (rid-domain Lb side, narrow
         key probe, residual WHERE over the narrow join output)."""
@@ -337,56 +329,44 @@ class TestPushedExecution:
                 "label": np.array(["one", "two", "three"], dtype=object),
             }),
         )
-        res = db.sql(
+        stmt = (
             "SELECT label, COUNT(*) AS c FROM Lb(prev, 't', :bars) "
-            "JOIN names ON t.z = names.z WHERE v > 10 GROUP BY label",
-            params={"bars": [0, 1]},
-            options=ExecOptions(backend=backend),
+            "JOIN names ON t.z = names.z WHERE v > 10 GROUP BY label"
         )
+        params = {"bars": [0, 1]}
+        res = db.sql(stmt, params=params)
         assert res.timings.get("late_mat_subtrees") == 1.0
         assert res.timings.get("late_mat_joins") == 1.0
         assert res.table.column("c").tolist() == [1, 3]
-        off = db.sql(
-            "SELECT label, COUNT(*) AS c FROM Lb(prev, 't', :bars) "
-            "JOIN names ON t.z = names.z WHERE v > 10 GROUP BY label",
-            params={"bars": [0, 1]},
-            options=ExecOptions(backend=backend, late_materialize=False),
-        )
+        off = db.sql(stmt, params=params, options=ExecOptions(late_materialize=False))
         assert "late_mat_joins" not in off.timings
         assert res.table.to_rows() == off.table.to_rows()
+        assert res.table.to_rows() == reference(db, stmt, params).table.to_rows()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_distinct_pushes_in_rid_domain(self, db, prev, backend):
-        res = db.sql(
-            "SELECT DISTINCT z FROM Lb(prev, 't', :bars)",
-            params={"bars": [0, 1]},
-            options=ExecOptions(backend=backend),
-        )
+    def test_distinct_pushes_in_rid_domain(self, db, prev):
+        stmt, params = "SELECT DISTINCT z FROM Lb(prev, 't', :bars)", {"bars": [0, 1]}
+        res = db.sql(stmt, params=params)
         assert res.timings.get("late_mat_subtrees") == 1.0
         assert res.timings.get("late_mat_distincts") == 1.0
-        off = db.sql(
-            "SELECT DISTINCT z FROM Lb(prev, 't', :bars)",
-            params={"bars": [0, 1]},
-            options=ExecOptions(backend=backend, late_materialize=False),
-        )
+        off = db.sql(stmt, params=params, options=ExecOptions(late_materialize=False))
         assert res.table.to_rows() == off.table.to_rows()
+        assert res.table.to_rows() == reference(db, stmt, params).table.to_rows()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_distinct_lineage_identical_to_materialized(self, db, prev, backend):
+    def test_distinct_lineage_identical_to_materialized(self, db, prev):
         stmt = "SELECT DISTINCT w FROM Lb(prev, 't') WHERE v > 10"
-        on = db.sql(stmt, options=INJECT.with_(backend=backend))
-        off = db.sql(
-            stmt, options=INJECT.with_(backend=backend, late_materialize=False),
-        )
+        on = db.sql(stmt, options=INJECT)
         probes = list(range(len(on)))
-        assert np.array_equal(on.backward(probes, "t"), off.backward(probes, "t"))
         base_probes = list(range(db.table("t").num_rows))
-        assert np.array_equal(
-            on.forward("t", base_probes), off.forward("t", base_probes)
-        )
+        for off in (
+            db.sql(stmt, options=INJECT.with_(late_materialize=False)),
+            reference(db, stmt, options=INJECT),
+        ):
+            assert np.array_equal(on.backward(probes, "t"), off.backward(probes, "t"))
+            assert np.array_equal(
+                on.forward("t", base_probes), off.forward("t", base_probes)
+            )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_join_lineage_identical_to_materialized(self, db, prev, backend):
+    def test_join_lineage_identical_to_materialized(self, db, prev):
         db.create_table(
             "names",
             Table({
@@ -398,26 +378,23 @@ class TestPushedExecution:
             "SELECT label, COUNT(*) AS c FROM Lb(prev, 't', :bars) "
             "JOIN names ON t.z = names.z GROUP BY label"
         )
-        on = db.sql(
-            stmt, params={"bars": [0, 2]},
-            options=INJECT.with_(backend=backend),
-        )
-        off = db.sql(
-            stmt, params={"bars": [0, 2]},
-            options=INJECT.with_(backend=backend, late_materialize=False),
-        )
+        params = {"bars": [0, 2]}
+        on = db.sql(stmt, params=params, options=INJECT)
         probes = list(range(len(on)))
-        for rel in ("t", "names"):
-            assert np.array_equal(
-                on.backward(probes, rel), off.backward(probes, rel)
-            )
-            base_probes = list(range(db.table(rel).num_rows))
-            assert np.array_equal(
-                on.forward(rel, base_probes), off.forward(rel, base_probes)
-            )
+        for off in (
+            db.sql(stmt, params=params, options=INJECT.with_(late_materialize=False)),
+            reference(db, stmt, params, INJECT),
+        ):
+            for rel in ("t", "names"):
+                assert np.array_equal(
+                    on.backward(probes, rel), off.backward(probes, rel)
+                )
+                base_probes = list(range(db.table(rel).num_rows))
+                assert np.array_equal(
+                    on.forward(rel, base_probes), off.forward(rel, base_probes)
+                )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_join_unknown_column_raises_like_materialized(self, db, prev, backend):
+    def test_join_unknown_column_raises_like_materialized(self, db, prev):
         db.create_table(
             "names",
             Table({
@@ -431,63 +408,51 @@ class TestPushedExecution:
             [(col("nope"), "nope")],
             [AggCall("count", None, "c")],
         )
-        opts = ExecOptions(backend=backend)
         with pytest.raises(Exception, match="nope"):
-            db.execute(plan, options=opts)
+            db.execute(plan)
         with pytest.raises(Exception, match="nope"):
-            db.execute(plan, options=opts.with_(late_materialize=False))
+            db.execute(plan, options=ExecOptions(late_materialize=False))
+        with pytest.raises(Exception, match="nope"):
+            reference(db, plan)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_count_star_only_touches_no_columns(self, db, prev, backend):
-        res = db.sql(
-            "SELECT COUNT(*) AS c FROM Lb(prev, 't')",
-            options=ExecOptions(backend=backend),
-        )
+    def test_count_star_only_touches_no_columns(self, db, prev):
+        stmt = "SELECT COUNT(*) AS c FROM Lb(prev, 't')"
+        res = db.sql(stmt)
         assert res.timings.get("late_mat_subtrees") == 1.0
         assert res.table.column("c").tolist() == [6]
+        assert reference(db, stmt).table.column("c").tolist() == [6]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_select_star_with_where_keeps_full_schema(self, db, prev, backend):
+    def test_select_star_with_where_keeps_full_schema(self, db, prev):
         """Regression: a predicate-only stack must output every source
         column, not just the predicate's (SELECT * emits no Project)."""
-        res = db.sql(
-            "SELECT * FROM Lb(prev, 't') WHERE v > 12",
-            options=ExecOptions(backend=backend),
-        )
+        stmt = "SELECT * FROM Lb(prev, 't') WHERE v > 12"
+        res = db.sql(stmt)
         assert res.timings.get("late_mat_subtrees") == 1.0
         assert res.table.schema.names == ["z", "v", "w"]
-        off = db.sql(
-            "SELECT * FROM Lb(prev, 't') WHERE v > 12",
-            options=ExecOptions(backend=backend, late_materialize=False),
-        )
-        assert res.table.to_rows() == off.table.to_rows()
+        for off in (
+            db.sql(stmt, options=ExecOptions(late_materialize=False)),
+            reference(db, stmt),
+        ):
+            assert off.table.schema.names == ["z", "v", "w"]
+            assert res.table.to_rows() == off.table.to_rows()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_distinct_over_filtered_scan(self, db, prev, backend):
+    def test_distinct_over_filtered_scan(self, db, prev):
         """Regression: DISTINCT above a pushed Select sees all columns."""
-        res = db.sql(
-            "SELECT DISTINCT z FROM Lb(prev, 't') WHERE v > 10",
-            options=ExecOptions(backend=backend),
-        )
-        assert res.table.column("z").tolist() == [1, 2, 3]
+        stmt = "SELECT DISTINCT z FROM Lb(prev, 't') WHERE v > 10"
+        for res in (db.sql(stmt), reference(db, stmt)):
+            assert res.table.column("z").tolist() == [1, 2, 3]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_order_by_over_filtered_scan(self, db, prev, backend):
-        res = db.sql(
-            "SELECT * FROM Lb(prev, 't') WHERE v > 12 ORDER BY v DESC",
-            options=ExecOptions(backend=backend),
-        )
-        assert res.table.column("v").tolist() == [15.0, 14.0, 13.0]
+    def test_order_by_over_filtered_scan(self, db, prev):
+        stmt = "SELECT * FROM Lb(prev, 't') WHERE v > 12 ORDER BY v DESC"
+        for res in (db.sql(stmt), reference(db, stmt)):
+            assert res.table.column("v").tolist() == [15.0, 14.0, 13.0]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_lf_stack_pushed(self, db, prev, backend):
-        res = db.sql(
-            "SELECT z FROM Lf('t', prev, :rows) WHERE c > 1",
-            params={"rows": [0, 2, 5]},
-            options=ExecOptions(backend=backend),
-        )
+    def test_lf_stack_pushed(self, db, prev):
+        stmt, params = "SELECT z FROM Lf('t', prev, :rows) WHERE c > 1", {"rows": [0, 2, 5]}
+        res = db.sql(stmt, params=params)
         assert res.timings.get("late_mat_subtrees") == 1.0
         assert res.table.column("z").tolist() == [1, 2]
+        assert reference(db, stmt, params).table.column("z").tolist() == [1, 2]
 
     def test_pushed_lineage_identical_to_materialized(self, db, prev):
         stmt = "SELECT z, COUNT(*) AS c FROM Lb(prev, 't') WHERE v > 10 GROUP BY z"
@@ -530,17 +495,17 @@ class TestPushedExecution:
         with pytest.raises(PlanError, match="replaced"):
             db.execute(plan)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_unknown_predicate_column_raises_like_materialized(
-        self, db, prev, backend
+        self, db, prev
     ):
         scan = LineageScan(result="prev", relation="t", direction="backward")
         plan = Select(scan, col("nope") > 1)
-        opts = ExecOptions(backend=backend)
         with pytest.raises(Exception, match="nope"):
-            db.execute(plan, options=opts)
+            db.execute(plan)
         with pytest.raises(Exception, match="nope"):
-            db.execute(plan, options=opts.with_(late_materialize=False))
+            db.execute(plan, options=ExecOptions(late_materialize=False))
+        with pytest.raises(Exception, match="nope"):
+            reference(db, plan)
 
 
 class TestChainExecution:
@@ -571,40 +536,38 @@ class TestChainExecution:
         "JOIN cats ON names.label = cats.label GROUP BY cat"
     )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_chain_counts_hops_and_matches_materialized(self, chain_db, backend):
-        opts = ExecOptions(backend=backend)
-        res = chain_db.sql(self.CHAIN, params={"bars": [0, 1]}, options=opts)
+    def test_chain_counts_hops_and_matches_materialized(self, chain_db):
+        params = {"bars": [0, 1]}
+        res = chain_db.sql(self.CHAIN, params=params)
         assert res.timings.get("late_mat_subtrees") == 1.0
         assert res.timings.get("late_mat_joins") == 1.0
         assert res.timings.get("late_mat_chain_hops") == 1.0
         off = chain_db.sql(
-            self.CHAIN,
-            params={"bars": [0, 1]},
-            options=opts.with_(late_materialize=False),
+            self.CHAIN, params=params, options=ExecOptions(late_materialize=False)
         )
         assert "late_mat_chain_hops" not in off.timings
         assert res.table.to_rows() == off.table.to_rows()
+        ref = reference(chain_db, self.CHAIN, params)
+        assert res.table.to_rows() == ref.table.to_rows()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_chain_lineage_identical_to_materialized(self, chain_db, backend):
-        on = chain_db.sql(
-            self.CHAIN, params={"bars": [0, 2]},
-            options=INJECT.with_(backend=backend),
-        )
-        off = chain_db.sql(
-            self.CHAIN, params={"bars": [0, 2]},
-            options=INJECT.with_(backend=backend, late_materialize=False),
-        )
+    def test_chain_lineage_identical_to_materialized(self, chain_db):
+        params = {"bars": [0, 2]}
+        on = chain_db.sql(self.CHAIN, params=params, options=INJECT)
         probes = list(range(len(on)))
-        for rel in ("t", "names", "cats"):
-            assert np.array_equal(
-                on.backward(probes, rel), off.backward(probes, rel)
-            )
-            base_probes = list(range(chain_db.table(rel).num_rows))
-            assert np.array_equal(
-                on.forward(rel, base_probes), off.forward(rel, base_probes)
-            )
+        for off in (
+            chain_db.sql(
+                self.CHAIN, params=params, options=INJECT.with_(late_materialize=False)
+            ),
+            reference(chain_db, self.CHAIN, params, INJECT),
+        ):
+            for rel in ("t", "names", "cats"):
+                assert np.array_equal(
+                    on.backward(probes, rel), off.backward(probes, rel)
+                )
+                base_probes = list(range(chain_db.table(rel).num_rows))
+                assert np.array_equal(
+                    on.forward(rel, base_probes), off.forward(rel, base_probes)
+                )
 
     @pytest.mark.parametrize("capture", [CaptureMode.NONE, CaptureMode.INJECT])
     def test_chain_run_leaves_no_reference_cycle(self, chain_db, capture):
@@ -625,7 +588,7 @@ class TestChainExecution:
 
     @pytest.mark.parametrize("capture", [CaptureMode.NONE, CaptureMode.INJECT])
     @pytest.mark.parametrize("stmt", [
-        CHAIN,  # pushed: the compiled block loops over the core's output
+        CHAIN,  # the Lb scan enters the block as a materialized source
         "SELECT cat, COUNT(*) AS c FROM names JOIN cats ON names.label = cats.label "
         "GROUP BY cat",  # plain: a generated hash join
         "SELECT names.z, cat FROM names JOIN cats ON names.label = cats.label",
@@ -635,30 +598,24 @@ class TestChainExecution:
         when its statement returns, not at the collector's next pass."""
         import gc
 
-        opts = ExecOptions(backend="compiled", capture=capture)
-        chain_db.sql(stmt, params={"bars": [0, 1]}, options=opts)
+        plan = chain_db.parse(stmt)
+        opts = ExecOptions(capture=capture)
+        reference(chain_db, plan, {"bars": [0, 1]}, opts)
         gc.collect()
         gc.disable()
         try:
-            chain_db.sql(stmt, params={"bars": [0, 1]}, options=opts)
+            reference(chain_db, plan, {"bars": [0, 1]}, opts)
             assert gc.collect() == 0
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_sort_over_chain_still_pushes_below(self, chain_db, backend):
-        res = chain_db.sql(
-            self.CHAIN + " ORDER BY c DESC",
-            params={"bars": [0, 1, 2]},
-            options=ExecOptions(backend=backend),
-        )
+    def test_sort_over_chain_still_pushes_below(self, chain_db):
+        stmt, params = self.CHAIN + " ORDER BY c DESC", {"bars": [0, 1, 2]}
+        res = chain_db.sql(stmt, params=params)
         assert res.timings.get("late_mat_chain_hops") == 1.0
-        off = chain_db.sql(
-            self.CHAIN + " ORDER BY c DESC",
-            params={"bars": [0, 1, 2]},
-            options=ExecOptions(backend=backend, late_materialize=False),
-        )
+        off = chain_db.sql(stmt, params=params, options=ExecOptions(late_materialize=False))
         assert res.table.to_rows() == off.table.to_rows()
+        assert res.table.to_rows() == reference(chain_db, stmt, params).table.to_rows()
 
 
 class TestLoweredCoreShapes:
@@ -687,13 +644,10 @@ class TestLoweredCoreShapes:
         return db
 
     @pytest.mark.parametrize("capture", [CaptureMode.NONE, CaptureMode.INJECT])
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_pushes_and_matches_materialized(self, shape_db, shape, backend, capture):
-        opts = ExecOptions(backend=backend, capture=capture)
+    def test_pushes_and_matches_materialized(self, shape_db, shape, capture):
+        opts = ExecOptions(capture=capture)
         on = shape_db.execute(self.SHAPES[shape](), options=opts)
-        off = shape_db.execute(self.SHAPES[shape](), options=opts.with_(late_materialize=False))
-        assert on.table.to_rows() == off.table.to_rows()
         assert len(on) > 0
         counters = {k: v for k, v in on.timings.items() if k.startswith("late_mat_")}
         assert counters == {
@@ -702,15 +656,20 @@ class TestLoweredCoreShapes:
             "late_mat_chain_hops": 1.0,
             "late_mat_build_swaps": 1.0,
         }
-        if capture is CaptureMode.INJECT:
-            assert on.lineage.relations == off.lineage.relations
-            probes = list(range(len(on)))
-            for rel in on.lineage.relations:
-                assert np.array_equal(on.backward(probes, rel), off.backward(probes, rel))
-                base_probes = list(range(shape_db.table(rel.split("#")[0]).num_rows))
-                assert np.array_equal(
-                    on.forward(rel, base_probes), off.forward(rel, base_probes)
-                )
+        for off in (
+            shape_db.execute(self.SHAPES[shape](), options=opts.with_(late_materialize=False)),
+            reference(shape_db, self.SHAPES[shape](), options=opts),
+        ):
+            assert on.table.to_rows() == off.table.to_rows()
+            if capture is CaptureMode.INJECT:
+                assert on.lineage.relations == off.lineage.relations
+                probes = list(range(len(on)))
+                for rel in on.lineage.relations:
+                    assert np.array_equal(on.backward(probes, rel), off.backward(probes, rel))
+                    base_probes = list(range(shape_db.table(rel.split("#")[0]).num_rows))
+                    assert np.array_equal(
+                        on.forward(rel, base_probes), off.forward(rel, base_probes)
+                    )
 
 
 class TestBuildSideDecisions:
@@ -738,26 +697,23 @@ class TestBuildSideDecisions:
         )
         return db
 
-    def _both_paths(self, sdb, stmt, backend="vector"):
-        opts = ExecOptions(backend=backend)
-        pushed = sdb.sql(stmt, options=opts)
-        materialized = sdb.sql(stmt, options=opts.with_(late_materialize=False))
+    def _both_paths(self, sdb, stmt):
+        pushed = sdb.sql(stmt)
+        materialized = sdb.sql(stmt, options=ExecOptions(late_materialize=False))
         assert pushed.table.to_rows() == materialized.table.to_rows()
+        assert pushed.table.to_rows() == reference(sdb, stmt).table.to_rows()
         return pushed
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_smaller_side_becomes_build_side(self, sdb, backend):
+    def test_smaller_side_becomes_build_side(self, sdb):
         """Neither side unique → build on the smaller (right) side."""
         res = self._both_paths(
             sdb,
             "SELECT COUNT(*) AS c FROM Lb(prev, 't') JOIN two ON t.z = two.z",
-            backend,
         )
         assert res.timings.get("late_mat_build_swaps") == 1.0
         assert "late_mat_pkfk_detected" not in res.timings
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_pkfk_detected_on_lineage_side(self, sdb, backend):
+    def test_pkfk_detected_on_lineage_side(self, sdb):
         """An Lb over a dimension table with a unique key keeps the
         build left *and* takes the pk-fk probe the plan never asserted."""
         sdb.sql(
@@ -768,39 +724,33 @@ class TestBuildSideDecisions:
             sdb,
             "SELECT label, COUNT(*) AS c FROM Lb(prevd, 'names') "
             "JOIN t ON names.z = t.z GROUP BY label",
-            backend,
         )
         assert res.timings.get("late_mat_pkfk_detected") == 1.0
         assert "late_mat_build_swaps" not in res.timings
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_pkfk_detected_on_plain_side_swaps_build(self, sdb, backend):
+    def test_pkfk_detected_on_plain_side_swaps_build(self, sdb):
         """A unique plain (right) side wins both the swap and the
         pk-fk fast path."""
         res = self._both_paths(
             sdb,
             "SELECT label, COUNT(*) AS c FROM Lb(prev, 't') "
             "JOIN names ON t.z = names.z GROUP BY label",
-            backend,
         )
         assert res.timings.get("late_mat_build_swaps") == 1.0
         assert res.timings.get("late_mat_pkfk_detected") == 1.0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_tie_breaks_deterministically_left(self, sdb, backend):
+    def test_tie_breaks_deterministically_left(self, sdb):
         """Equal cardinalities, no uniqueness → build left, always."""
         res = self._both_paths(
             sdb,
             "SELECT COUNT(*) AS c FROM Lb(prev, 't') AS a "
             "JOIN Lb(prev, 't') AS b ON a.w = b.w",
-            backend,
         )
         assert "late_mat_build_swaps" not in res.timings
         assert "late_mat_pkfk_detected" not in res.timings
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_uniqueness_probe_respects_row_budget(
-        self, sdb, backend, monkeypatch
+        self, sdb, monkeypatch
     ):
         """Deriving uniqueness scans the base column once per epoch;
         above the budget the side reports unknown and the cardinality
@@ -813,7 +763,6 @@ class TestBuildSideDecisions:
             sdb,
             "SELECT label, COUNT(*) AS c FROM Lb(prev, 't') "
             "JOIN names ON t.z = names.z GROUP BY label",
-            backend,
         )
         # `names` (3 rows) exceeds the patched budget: no pk-fk
         # detection, but the smaller side still becomes the build side.
@@ -856,44 +805,37 @@ class TestChainFallbackBoundary:
         for key in self.CHAIN_COUNTERS:
             assert key not in res.timings, key
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_theta_join_still_materializes(self, db, prev, backend):
+    def test_theta_join_still_materializes(self, db, prev):
         plan = GroupBy(
             ThetaJoin(_scan(), Scan("t"), Col("v") > Col("v_r")),
             [],
             [AggCall("count", None, "c")],
         )
-        opts = ExecOptions(backend=backend)
-        res = db.execute(plan, options=opts)
-        off = db.execute(plan, options=opts.with_(late_materialize=False))
+        res = db.execute(plan)
+        off = db.execute(plan, options=ExecOptions(late_materialize=False))
         assert res.table.to_rows() == off.table.to_rows()
+        assert res.table.to_rows() == reference(db, plan).table.to_rows()
         self._assert_no_chain_counters(res)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_cross_product_still_materializes(self, db, prev, backend):
+    def test_cross_product_still_materializes(self, db, prev):
         plan = GroupBy(
             CrossProduct(_scan(), Scan("t")),
             [],
             [AggCall("count", None, "c")],
         )
-        opts = ExecOptions(backend=backend)
-        res = db.execute(plan, options=opts)
-        off = db.execute(plan, options=opts.with_(late_materialize=False))
+        res = db.execute(plan)
+        off = db.execute(plan, options=ExecOptions(late_materialize=False))
         assert res.table.to_rows() == off.table.to_rows()
+        assert res.table.to_rows() == reference(db, plan).table.to_rows()
         assert res.table.column("c").tolist() == [36]
         self._assert_no_chain_counters(res)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_lineage_free_join_has_no_counters(self, db, prev, backend):
-        res = db.sql(
-            "SELECT COUNT(*) AS c FROM t JOIN t ON t.z = t.z",
-            options=ExecOptions(backend=backend),
-        )
+    def test_lineage_free_join_has_no_counters(self, db, prev):
+        res = db.sql("SELECT COUNT(*) AS c FROM t JOIN t ON t.z = t.z")
         self._assert_no_chain_counters(res)
         assert "late_mat_subtrees" not in res.timings
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_single_join_core_counts_no_chain_hops(self, db, prev, backend):
+    def test_single_join_core_counts_no_chain_hops(self, db, prev):
         """PR 4's single-join push is hop-free: the chain counter only
         fires beyond the first join of a core."""
         db.create_table(
@@ -906,18 +848,15 @@ class TestChainFallbackBoundary:
         res = db.sql(
             "SELECT label, COUNT(*) AS c FROM Lb(prev, 't') "
             "JOIN names ON t.z = names.z GROUP BY label",
-            options=ExecOptions(backend=backend),
         )
         assert res.timings.get("late_mat_joins") == 1.0
         assert "late_mat_chain_hops" not in res.timings
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_linear_core_has_no_chain_counters(self, db, prev, backend):
+    def test_linear_core_has_no_chain_counters(self, db, prev):
         """A single-table stack runs as a zero-join core: pushed, but
         with no join and no (negative) chain hop counted."""
         res = db.sql(
             "SELECT z, COUNT(*) AS c FROM Lb(prev, 't') WHERE v > 10 GROUP BY z",
-            options=ExecOptions(backend=backend),
         )
         assert res.timings.get("late_mat_subtrees") == 1.0
         self._assert_no_chain_counters(res)

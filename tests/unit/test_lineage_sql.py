@@ -15,10 +15,9 @@ from repro.lineage.capture import CaptureConfig, CaptureMode
 from repro.plan.logical import LineageScan, Scan, assign_source_keys
 from repro.sql.parser import RawLineageRef, RawParam, parse
 from repro.storage import Table
+from reference import ENGINES
 
 INJECT = ExecOptions(capture=CaptureMode.INJECT)
-
-BACKENDS = ("vector", "compiled")
 
 
 @pytest.fixture
@@ -126,50 +125,44 @@ def _find_lineage_scan(plan):
 
 
 class TestLineageScanExecution:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_acceptance_query(self, db, prev, backend):
-        res = db.sql(
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_acceptance_query(self, db, prev, engine):
+        res = ENGINES[engine](
+            db,
             "SELECT z, COUNT(*) AS c FROM Lb(prev, 't') GROUP BY z",
-            options=ExecOptions(backend=backend),
         )
         # Lb over every output row is all contributing rows of t.
         assert res.table.column("z").tolist() == [1, 2, 3]
         assert res.table.column("c").tolist() == [2, 3, 1]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_rid_subset_param(self, db, prev, backend):
-        res = db.sql(
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_rid_subset_param(self, db, prev, engine):
+        res = ENGINES[engine](
+            db,
             "SELECT * FROM Lb(prev, 't', :bars)",
             params={"bars": [1]},
-            options=ExecOptions(backend=backend),
         )
         assert res.table.column("z").tolist() == [2, 2, 2]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_rid_subset_literal(self, db, prev, backend):
-        res = db.sql(
-            "SELECT * FROM Lb(prev, 't', (0, 2))",
-            options=ExecOptions(backend=backend),
-        )
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_rid_subset_literal(self, db, prev, engine):
+        res = ENGINES[engine](db, "SELECT * FROM Lb(prev, 't', (0, 2))")
         assert res.table.column("z").tolist() == [1, 1, 3]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_forward_scan(self, db, prev, backend):
-        res = db.sql(
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_forward_scan(self, db, prev, engine):
+        res = ENGINES[engine](
+            db,
             "SELECT * FROM Lf('t', prev, :rows)",
             params={"rows": [2, 3]},
-            options=ExecOptions(backend=backend),
         )
         # Rows 2,3 of t have z == 2, which is prev's output mark 1.
         assert res.table.column("z").tolist() == [2]
         assert res.table.column("c").tolist() == [3]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_where_and_projection_over_lineage_scan(self, db, prev, backend):
-        res = db.sql(
-            "SELECT v FROM Lb(prev, 't') WHERE z = 2",
-            options=ExecOptions(backend=backend),
-        )
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_where_and_projection_over_lineage_scan(self, db, prev, engine):
+        res = ENGINES[engine](db, "SELECT v FROM Lb(prev, 't') WHERE z = 2")
         assert res.table.column("v").tolist() == [12.0, 13.0, 14.0]
 
     def test_lineage_of_the_lineage_scan(self, db, prev):
@@ -290,8 +283,8 @@ class TestLineageScanExecution:
         assert pruned.lineage.relations == ["a"]
         assert pruned.backward([0], "t").tolist() == [0]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_lb_over_self_joined_result_by_alias_and_key(self, db, backend):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_lb_over_self_joined_result_by_alias_and_key(self, db, engine):
         """Lb accepts the same relation forms as lineage lookups: a bare
         base name is ambiguous for a self-join, but the SQL alias and the
         occurrence key both resolve to the underlying catalog table."""
@@ -299,13 +292,11 @@ class TestLineageScanExecution:
             "SELECT a.z FROM t AS a JOIN t AS b ON a.z = b.z",
             options=INJECT.with_(name="selfjoin"),
         )
-        opts = ExecOptions(backend=backend)
+        run = ENGINES[engine]
         with pytest.raises(LineageError, match="multiple times"):
-            db.sql("SELECT z FROM Lb(selfjoin, 't', 0)", options=opts)
-        via_alias = db.sql("SELECT z FROM Lb(selfjoin, 'a', 0)", options=opts)
-        via_key = db.sql(
-            "SELECT z FROM Lb(selfjoin, 't#0', 0) AS x", options=opts
-        )
+            run(db, "SELECT z FROM Lb(selfjoin, 't', 0)")
+        via_alias = run(db, "SELECT z FROM Lb(selfjoin, 'a', 0)")
+        via_key = run(db, "SELECT z FROM Lb(selfjoin, 't#0', 0) AS x")
         assert via_alias.table.column("z").tolist() == [1]
         assert via_key.table.column("z").tolist() == [1]
 
@@ -331,20 +322,42 @@ class TestResultRegistry:
         assert db.results() == ["prev"]
         assert db.result("prev") is prev
 
-    def test_non_identifier_name_rejected(self, db, prev):
-        with pytest.raises(PlanError, match="identifier"):
-            db.register_result("not a name", prev)
+    @pytest.mark.parametrize("name", ["not a name", 'a"b'])
+    def test_non_identifier_name_is_consumable(self, db, prev, name):
+        """Any string names a result: SQL spells it quoted."""
+        db.register_result(name, prev)
+        quoted = '"' + name.replace('"', '""') + '"'
+        res = db.sql(f"SELECT * FROM Lb({quoted}, 't', 0)")
+        assert res.table.to_rows() == db.sql("SELECT * FROM Lb(prev, 't', 0)").table.to_rows()
+        res = db.sql(f"SELECT * FROM Lf('t', {quoted}, (0, 3))")
+        assert res.table.to_rows() == [(1, 2), (2, 3)]
 
-    def test_keyword_name_rejected(self, db, prev):
-        # 'count' would register fine as a Python identifier, but the
-        # bare Lb(count, ...) form could never parse afterwards.
-        with pytest.raises(PlanError, match="keyword"):
-            db.register_result("count", prev)
+    @pytest.mark.parametrize("name", ["order", "count"])
+    def test_keyword_name_is_consumable(self, db, name):
+        db.sql(
+            "SELECT z, COUNT(*) AS c FROM t GROUP BY z",
+            options=INJECT.with_(name=name),
+        )
+        for lb in (f'Lb("{name}", \'t\', 0)', f"Lb('{name}', 't', 0)"):
+            assert db.sql(f"SELECT z FROM {lb}").table.column("z").tolist() == [1, 1]
+        res = db.sql(f"SELECT c FROM Lf('t', \"{name}\", (0, 3))")
+        assert res.table.column("c").tolist() == [2, 3]
 
-    def test_bad_name_rejected_before_execution(self, db):
-        # Validated up front: the query must not run and then be lost.
-        with pytest.raises(PlanError, match="keyword"):
-            db.sql("SELECT z FROM t", options=ExecOptions(name="order"))
+    @pytest.mark.parametrize("name", ["", 7, b"prev"], ids=["empty", "int", "bytes"])
+    def test_bad_name_rejected_before_execution(self, db, prev, name, monkeypatch):
+        """A result name is a non-empty string, checked before the
+        statement runs so a finished execution is never lost."""
+        import repro.api as api
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("executed before the name was checked")
+
+        monkeypatch.setattr(api, "run_plan", refuse)
+        with pytest.raises(PlanError, match="non-empty string"):
+            db.sql("SELECT z FROM t", options=ExecOptions(name=name))
+        with pytest.raises(PlanError, match="non-empty string"):
+            db.register_result(name, prev)
+        assert db.results() == ["prev"]
 
     def test_drop_result(self, db, prev):
         db.drop_result("prev")
@@ -380,11 +393,10 @@ class TestAliasLineage:
         assert res.backward([0], "a").tolist() == [0]
         assert res.backward([0], "t").tolist() == [0]  # base name still works
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_self_join_alias_backward(self, db, backend):
-        res = db.sql(
-            "SELECT a.z FROM t AS a JOIN t AS b ON a.z = b.z",
-            options=INJECT.with_(backend=backend),
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_self_join_alias_backward(self, db, engine):
+        res = ENGINES[engine](
+            db, "SELECT a.z FROM t AS a JOIN t AS b ON a.z = b.z", options=INJECT
         )
         # Output row 0 joins t row 0 with itself; row 1 joins a-row 1
         # with b-row 0 (probe order).
@@ -437,13 +449,12 @@ class TestAliasPruning:
     """Satellite regression: relations pruning matches aliases, and
     unmatched entries raise instead of silently capturing nothing."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_prune_by_alias_captures(self, db, backend):
-        res = db.sql(
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_prune_by_alias_captures(self, db, engine):
+        res = ENGINES[engine](
+            db,
             "SELECT z FROM t AS a",
-            options=ExecOptions(
-                capture=CaptureConfig.inject(relations={"a"}), backend=backend
-            ),
+            options=ExecOptions(capture=CaptureConfig.inject(relations={"a"})),
         )
         assert res.lineage.relations == ["t"]
         assert res.backward([0], "a").tolist() == [0]
@@ -458,15 +469,13 @@ class TestAliasPruning:
         with pytest.raises(CaptureDisabledError):
             res.backward([0], "a")
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_unmatched_relations_entry_raises(self, db, backend):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_unmatched_relations_entry_raises(self, db, engine):
         with pytest.raises(LineageError, match="matched no scanned relation"):
-            db.sql(
+            ENGINES[engine](
+                db,
                 "SELECT z FROM t AS a",
-                options=ExecOptions(
-                    capture=CaptureConfig.inject(relations={"typo"}),
-                    backend=backend,
-                ),
+                options=ExecOptions(capture=CaptureConfig.inject(relations={"typo"})),
             )
 
     def test_partially_unmatched_entry_raises(self, db):

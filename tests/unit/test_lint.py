@@ -207,6 +207,40 @@ class TestRPR008StableGroupOrderOnly:
         assert codes(src, "benchmarks/bench_x.py") == []
 
 
+class TestRPR009CompiledReferenceTestOnly:
+    def test_flags_a_lazy_import_inside_a_function(self):
+        src = (
+            "def run_plan(catalog, results):\n"
+            "    from .exec.compiled.executor import CompiledExecutor\n"
+            "    return CompiledExecutor(catalog, results=results)\n"
+        )
+        assert codes(src, "src/repro/api.py") == ["RPR009"]
+
+    def test_flags_absolute_and_package_imports(self):
+        assert codes("import repro.exec.compiled.codegen\n", "src/repro/serve.py") == [
+            "RPR009"
+        ]
+        assert codes("from repro.exec import compiled\n", "src/repro/serve.py") == [
+            "RPR009"
+        ]
+        assert codes("from ..compiled import CompiledExecutor\n",
+                     "src/repro/exec/vector/executor.py") == ["RPR009"]
+
+    def test_passes_other_engine_imports(self):
+        src = (
+            "from .exec.vector.executor import VectorExecutor\n"
+            "from .exec import late_mat\n"
+        )
+        assert codes(src, "src/repro/api.py") == []
+
+    def test_engine_and_tests_out_of_scope(self):
+        assert codes("from .codegen import CodeContext\n",
+                     "src/repro/exec/compiled/executor.py") == []
+        src = "from repro.exec.compiled import CompiledExecutor\n"
+        assert codes(src, "tests/unit/test_compiled.py") == []
+        assert codes(src, "benchmarks/bench_x.py") == []
+
+
 class TestSuppressions:
     def test_justified_noqa_waives(self):
         src = 'raise ValueError("x")  # repro: noqa RPR004 -- fixture needs a builtin\n'
@@ -244,10 +278,11 @@ class TestRuleMetadata:
             assert rule.name
             assert rule.__doc__ and "Autofix hint" in rule.__doc__
 
-    def test_seven_rules_active(self):
+    def test_eight_rules_active(self):
         # A retired code is never reused: noqa comments cite codes.
         assert [rule.code for rule in ALL_RULES] == [
             "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR007", "RPR008",
+            "RPR009",
         ]
 
 

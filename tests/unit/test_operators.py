@@ -22,6 +22,7 @@ from repro.plan.logical import (
     col,
 )
 from repro.storage import Table
+from reference import ENGINES
 
 INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
@@ -197,19 +198,19 @@ class TestGroupBy:
         res = small_db.execute(plan)
         assert res.table.to_rows() == [(0,)]
 
-    @pytest.mark.parametrize("backend", ["vector", "compiled"])
-    def test_keyless_count_over_empty_input_is_one_zero_row(self, small_db, backend):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_keyless_count_over_empty_input_is_one_zero_row(self, small_db, engine):
         """As in SQL: one row of zeros, whose backward set is empty; a
         keyless SUM there would be NULL, so it still answers no row."""
         empty = Select(Scan("zipf"), col("v") < -1.0)
         counts = [AggCall("count", None, "c"), AggCall("count", col("v"), "n")]
-        options = INJECT.with_(backend=backend)
-        res = small_db.execute(GroupBy(empty, [], counts), options=options)
+        run = ENGINES[engine]
+        res = run(small_db, GroupBy(empty, [], counts), options=INJECT)
         assert res.table.to_rows() == [(0, 0)]
         assert res.lineage.backward([0], "zipf").size == 0
         assert res.lineage.forward("zipf", np.arange(2000)).size == 0
         total = GroupBy(empty, [], [AggCall("count", None, "c"), AggCall("sum", col("v"), "s")])
-        assert small_db.execute(total, options=options).table.to_rows() == []
+        assert run(small_db, total, options=INJECT).table.to_rows() == []
 
     def test_expression_keys(self, small_db):
         plan = GroupBy(
@@ -250,11 +251,11 @@ class TestHavingBackwardFilter:
         )
 
     @pytest.mark.parametrize("mode", [CaptureMode.INJECT, CaptureMode.DEFER])
-    @pytest.mark.parametrize("backend", ["vector", "compiled"])
-    def test_equals_per_bucket_build(self, db, backend, mode):
-        options = ExecOptions(capture=mode, backend=backend)
-        full = db.execute(self._plan(None), options=options)
-        filtered = db.execute(self._plan(col("c") >= 4), options=options)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_equals_per_bucket_build(self, db, engine, mode):
+        options = ExecOptions(capture=mode)
+        full = ENGINES[engine](db, self._plan(None), options=options)
+        filtered = ENGINES[engine](db, self._plan(col("c") >= 4), options=options)
         assert full.table.num_rows >= 10_000
         whole = full.lineage.backward_index("t")
         kept = np.flatnonzero(full.table.column("c") >= 4)

@@ -22,6 +22,7 @@ from repro.errors import (
 from repro.lineage.cache import LineageResolutionCache, param_fingerprint
 from repro.lineage.capture import CaptureConfig, CaptureMode
 from repro.storage import Table
+from reference import ENGINES, reference
 
 CAPTURE = ExecOptions(capture=CaptureMode.INJECT)
 
@@ -52,18 +53,16 @@ def prev(db):
 class TestExecOptions:
     def test_with_overrides_fields(self):
         opts = ExecOptions(capture=CaptureMode.INJECT)
-        other = opts.with_(backend="compiled", name="x")
-        assert other.backend == "compiled" and other.name == "x"
+        other = opts.with_(late_materialize=False, name="x")
+        assert other.late_materialize is False and other.name == "x"
         assert other.capture is CaptureMode.INJECT
-        assert opts.backend == "vector" and opts.name is None  # unchanged
+        assert opts.late_materialize is True and opts.name is None  # unchanged
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(PlanError, match="unknown backend 'nope'"):
-            ExecOptions(backend="nope")
-        with pytest.raises(PlanError, match="unknown backend 'nope'"):
-            CAPTURE.with_(backend="nope")
+    def test_invalid_capture_rejected(self):
         with pytest.raises(PlanError, match="invalid capture"):
             ExecOptions(capture="yes please")
+        with pytest.raises(PlanError, match="invalid capture"):
+            CAPTURE.with_(capture="yes please")
 
     def test_config_property(self):
         assert ExecOptions().config.mode is CaptureMode.NONE
@@ -121,12 +120,14 @@ class TestPreparedQuery:
             "SELECT z, COUNT(*) AS c FROM Lb(prev, 't', :bars) GROUP BY z",
             options=CAPTURE,
         )
-        compiled = prepared.run(
+        materialized = prepared.run(
             params={"bars": [0]},
-            options=prepared.options.with_(backend="compiled"),
+            options=prepared.options.with_(late_materialize=False),
         )
-        vector = prepared.run(params={"bars": [0]})
-        assert compiled.table.to_rows() == vector.table.to_rows()
+        pushed = prepared.run(params={"bars": [0]})
+        assert "late_mat_subtrees" not in materialized.timings
+        assert pushed.timings.get("late_mat_subtrees") == 1.0
+        assert materialized.table.to_rows() == pushed.table.to_rows()
 
     def test_plan_prepare_and_explain(self, db, prev):
         plan = db.parse("SELECT z FROM Lb(prev, 't', :bars)")
@@ -336,20 +337,19 @@ class TestDatabaseSql:
         with pytest.raises(SqlError, match="ambiguous column 'k'"):
             db.sql(stmt)
 
-    @pytest.mark.parametrize("backend", ["vector", "compiled"])
-    def test_same_schema_replacement_rebinds(self, db, backend):
+    def test_same_schema_replacement_rebinds(self, db):
         """Binding reads data: unique build keys bind the join as pk-fk.
         Replacing the build table with duplicate keys under the same
         schema must re-bind, not run the stale pk-fk plan."""
-        opts = ExecOptions(backend=backend)
         stmt = "SELECT u.w, t.v FROM u JOIN t ON u.k = t.z"
         db.create_table("u", Table({"k": np.array([1, 2]), "w": np.array([10, 20])}))
-        db.sql(stmt, options=opts)
+        db.sql(stmt)
         dup = Table({"k": np.array([1, 1, 3]), "w": np.array([10, 11, 30])})
         db.create_table("u", dup, replace=True)
-        fresh = db.execute(db.parse(stmt), options=opts).table.to_rows()
+        fresh = db.execute(db.parse(stmt)).table.to_rows()
         assert len(fresh) == 7
-        assert sorted(db.sql(stmt, options=opts).table.to_rows()) == sorted(fresh)
+        assert sorted(db.sql(stmt).table.to_rows()) == sorted(fresh)
+        assert sorted(reference(db, stmt).table.to_rows()) == sorted(fresh)
 
     def test_dropped_objects_raise_like_a_fresh_parse(self, db, prev):
         db.sql("SELECT z FROM Lb(prev, 't', :bars)", params={"bars": [0]})
@@ -561,13 +561,9 @@ class TestPlanParamNames:
 
 
 class TestParameterizedInList:
-    @pytest.mark.parametrize("backend", ["vector", "compiled"])
-    def test_in_param_both_backends(self, db, backend):
-        res = db.sql(
-            "SELECT z FROM t WHERE z IN :zs",
-            params={"zs": [1, 3]},
-            options=ExecOptions(backend=backend),
-        )
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_in_param_both_backends(self, db, engine):
+        res = ENGINES[engine](db, "SELECT z FROM t WHERE z IN :zs", params={"zs": [1, 3]})
         assert sorted(res.table.column("z").tolist()) == [1, 1, 3, 3, 3]
 
     def test_not_in_param(self, db):
@@ -576,14 +572,14 @@ class TestParameterizedInList:
         )
         assert res.table.column("z").tolist() == [2]
 
-    @pytest.mark.parametrize("backend", ["vector", "compiled"])
-    def test_numpy_scalars_in_list_binding(self, db, backend):
-        # The compiled backend repr-interpolates the choices into
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_numpy_scalars_in_list_binding(self, db, engine):
+        # The compiled engine repr-interpolates the choices into
         # generated source; numpy scalars must normalize to plain ints.
-        res = db.sql(
+        res = ENGINES[engine](
+            db,
             "SELECT z FROM t WHERE z IN :zs",
             params={"zs": [np.int64(1), np.int64(3)]},
-            options=ExecOptions(backend=backend),
         )
         assert sorted(res.table.column("z").tolist()) == [1, 1, 3, 3, 3]
 

@@ -8,6 +8,7 @@ from repro.errors import PlanError, SqlError
 from repro.lineage.capture import CaptureMode
 from repro.plan.logical import Scan, Sort
 from repro.storage import Table
+from reference import ENGINES, reference
 
 INJECT = ExecOptions(capture=CaptureMode.INJECT)
 
@@ -37,14 +38,14 @@ class TestSortOperator:
             if z[i] == z[i + 1]:
                 assert v[i] >= v[i + 1]
 
-    @pytest.mark.parametrize("backend", ["vector", "compiled"])
-    def test_strings_sort_by_value_not_first_occurrence(self, backend):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_strings_sort_by_value_not_first_occurrence(self, engine):
         db = Database()
         db.create_table("t", Table({"s": ["b", "a", "c", "a", "b"], "x": [1, 2, 3, 4, 5]}))
-        options = ExecOptions(backend=backend)
-        rows = db.sql("SELECT s, x FROM t ORDER BY s", options=options).table.to_rows()
+        run = ENGINES[engine]
+        rows = run(db, "SELECT s, x FROM t ORDER BY s").table.to_rows()
         assert [(s, int(x)) for s, x in rows] == [("a", 2), ("a", 4), ("b", 1), ("b", 5), ("c", 3)]
-        rows = db.sql("SELECT s, x FROM t ORDER BY s DESC, x DESC", options=options).table.to_rows()
+        rows = run(db, "SELECT s, x FROM t ORDER BY s DESC, x DESC").table.to_rows()
         assert [(s, int(x)) for s, x in rows] == [("c", 3), ("b", 5), ("b", 1), ("a", 4), ("a", 2)]
 
     def test_limit_without_keys(self, small_db):
@@ -83,7 +84,7 @@ class TestSortOperator:
     def test_compiled_backend_matches(self, small_db):
         plan = Sort(Scan("zipf"), [("z", False), ("v", True)], limit=50)
         vec = small_db.execute(plan, options=INJECT)
-        comp = small_db.execute(plan, options=INJECT.with_(backend="compiled"))
+        comp = reference(small_db, plan, options=INJECT)
         assert vec.table.to_rows() == comp.table.to_rows()
         assert np.array_equal(
             vec.lineage.backward(list(range(50)), "zipf"),

@@ -19,6 +19,7 @@ from repro.storage import Table
 from repro.storage import table as table_module
 from repro.storage.table import dictionary_encode
 from repro.tpch import q1
+from reference import reference
 
 
 def _table(n=60, seed=0):
@@ -149,7 +150,7 @@ def test_warm_q1_runs_the_string_kernel_zero_times(encode_calls):
     assert warm.table.to_rows() == cold
     assert db.execute(q1(), options=inject).table.to_rows() == cold
     assert encode_calls == []
-    compiled = db.execute(q1(), options=inject.with_(backend="compiled"))
+    compiled = reference(db, q1(), options=inject)
     groups = ["l_returnflag", "l_linestatus", "count_order"]  # float sums round apart
     exact = [r.table.select_columns(groups).to_rows() for r in (warm, compiled)]
     assert exact[0] == exact[1]

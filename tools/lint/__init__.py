@@ -6,8 +6,9 @@ folds, handed-out rid arrays are read-only, timings counters must be
 spelled from one registry, exceptions must come from the ``errors.py``
 taxonomy, catalog reads in executor code must carry epochs,
 durable-path modules must write files only through the fsync/rename
-helpers, and rids are ordered by dense id only through the inversion
-kernel ``stable_group_order``.  Each rule in :mod:`tools.lint.rules`
+helpers, rids are ordered by dense id only through the inversion
+kernel ``stable_group_order``, and only tests import the compiled
+reference engine.  Each rule in :mod:`tools.lint.rules`
 machine-checks one of them over the stdlib ``ast`` — no third-party
 dependencies.
 

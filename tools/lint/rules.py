@@ -1,4 +1,4 @@
-"""The seven repo-specific AST rules (see package docstring for noqa).
+"""The eight repo-specific AST rules (see package docstring for noqa).
 
 Every rule carries its error code, the invariant it enforces, and an
 autofix hint in its docstring; ``python -m tools.lint --list-rules``
@@ -502,6 +502,61 @@ class StableGroupOrderOnly(Rule):
                 )
 
 
+class CompiledReferenceTestOnly(Rule):
+    """Product code must not import the compiled reference engine.
+
+    Invariant: every statement runs on the vector executor; the compiled
+    produce/consume engine (``repro.exec.compiled``) is the independent
+    reference the test suites check it against, and materializes every
+    subtree.  An import of it from any other ``src/repro`` module lets
+    the reference creep back into serving, where the product's answers
+    would be compared with themselves.
+
+    Autofix hint: run plans through ``repro.api.run_plan`` (the vector
+    executor); construct ``CompiledExecutor`` in tests only.
+    """
+
+    code = "RPR009"
+    name = "compiled-reference-test-only"
+
+    TARGET = ("repro", "exec", "compiled")
+
+    def applies(self, ctx) -> bool:
+        return ctx.in_dir("src/repro/") and not ctx.in_dir("src/repro/exec/compiled/")
+
+    @staticmethod
+    def _package(ctx) -> Tuple[str, ...]:
+        """The dotted package a relative import in this file starts from."""
+        posix = ctx.posix
+        return tuple(posix[posix.index("src/repro/") + len("src/"):].split("/")[:-1])
+
+    def _is_target(self, parts: Tuple[str, ...]) -> bool:
+        return parts[: len(self.TARGET)] == self.TARGET
+
+    def check(self, ctx) -> Iterator[Finding]:
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Import):
+                modules = [tuple(alias.name.split(".")) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base: Tuple[str, ...] = ()
+                if node.level:
+                    package = self._package(ctx)
+                    base = package[: len(package) - (node.level - 1)]
+                if node.module:
+                    base += tuple(node.module.split("."))
+                # ``from repro.exec import compiled`` names the package too.
+                modules = [base] + [base + (alias.name,) for alias in node.names]
+            else:
+                continue
+            if any(self._is_target(parts) for parts in modules):
+                yield (
+                    node.lineno, node.col_offset,
+                    "import of repro.exec.compiled outside the engine; the "
+                    "compiled engine is a test-only reference (run plans "
+                    "through repro.api.run_plan)",
+                )
+
+
 ALL_RULES: List[Rule] = [
     LineageComposeOnly(),
     NoInplaceOnHandout(),
@@ -510,4 +565,5 @@ ALL_RULES: List[Rule] = [
     EpochThreading(),
     DurableWritesOnly(),
     StableGroupOrderOnly(),
+    CompiledReferenceTestOnly(),
 ]
