@@ -64,6 +64,13 @@ class TestExecOptions:
         with pytest.raises(PlanError, match="invalid capture"):
             CAPTURE.with_(capture="yes please")
 
+    def test_backend_is_not_an_option(self):
+        """The product runs one executor: there is no backend to choose."""
+        with pytest.raises(TypeError, match="backend"):
+            ExecOptions(backend="compiled")
+        with pytest.raises(TypeError, match="backend"):
+            CAPTURE.with_(backend="vector")
+
     def test_config_property(self):
         assert ExecOptions().config.mode is CaptureMode.NONE
         assert CAPTURE.config.mode is CaptureMode.INJECT
