@@ -130,7 +130,7 @@ from .exec.vector.executor import ExecResult, VectorExecutor
 from .lineage.cache import LineageResolutionCache
 from .lineage.capture import CaptureConfig, CaptureMode, QueryLineage
 from .lineage.recovery import DurabilityManager
-from .plan.logical import LineageScan, LogicalPlan, Scan, walk
+from .plan.logical import LineageScan, LogicalPlan, Scan, source_leaves, walk
 from .plan.rewrite import RewriteIndex, precompute_rewrites
 from .storage.catalog import Catalog
 from .storage.table import Table
@@ -534,8 +534,20 @@ class ResultRegistry(Mapping):
         if self.max_result_bytes is None:
             return None
         nbytes = _lineage_bytes(result)
-        if exempt:
-            return nbytes
+        if not exempt:
+            self._check_room(name, nbytes, "")
+        return nbytes
+
+    def refuse_early(self, name: str, least: int) -> None:
+        """Raise :class:`RegistryFullError` now if an unpinned result of
+        at least ``least`` lineage bytes under ``name`` is sure to be
+        refused, before a statement runs a capture that registration
+        would throw away.  :meth:`register` checks the result's own
+        bytes."""
+        if self.max_result_bytes is not None:
+            self._check_room(name, least, "at least ")
+
+    def _check_room(self, name: str, nbytes: int, bound: str) -> None:
         with self._lock:
             held = sum(
                 size
@@ -544,11 +556,10 @@ class ResultRegistry(Mapping):
             )
         if held + nbytes > self.max_result_bytes:
             raise RegistryFullError(
-                f"result {name!r} needs {nbytes} lineage bytes, but unpinned "
+                f"result {name!r} needs {bound}{nbytes} lineage bytes, but unpinned "
                 f"results already hold {held} of the {self.max_result_bytes}-"
                 "byte budget; drop a result, or pin this one"
             )
-        return nbytes
 
     def _install(
         self, name: str, result: "QueryResult", pin: bool, nbytes: Optional[int]
@@ -566,6 +577,20 @@ class ResultRegistry(Mapping):
 def _lineage_bytes(result: "QueryResult") -> int:
     lineage = result.lineage
     return int(lineage.memory_bytes()) if lineage is not None else 0
+
+
+def _least_lineage_bytes(plan: LogicalPlan, config: CaptureConfig, catalog) -> int:
+    """A lower bound on the lineage bytes a run of ``plan`` captures: 1
+    when it keeps a forward index over a non-empty table — forward
+    capture of every relation, and a first source leaf that scans a
+    non-empty table (the left input of each set operation, which keeps
+    its lineage under EXCEPT), whose forward index has a slot per row —
+    and 0 otherwise."""
+    if not (config.enabled and config.forward) or config.relations:
+        return 0
+    leaf = next(source_leaves(plan))
+    table = catalog.resolve(leaf.table) if isinstance(leaf, Scan) else None
+    return int(table is not None and table.num_rows > 0)
 
 
 class PreparedQuery:
@@ -1042,8 +1067,12 @@ class Database:
         the result so a durable registry can log it."""
         if options.name is not None:
             # Validate up front: a bad name must not discard a finished
-            # (possibly expensive) execution.
+            # (possibly expensive) execution, and neither may a full
+            # budget that is certain to refuse the result.
             _check_result_name(options.name)
+            if not options.pin:
+                least = _least_lineage_bytes(plan, options.config, self.catalog)
+                self._results.refuse_early(options.name, least)
         result = run_plan(
             self.catalog, self._results, plan, options, params, prepared
         )

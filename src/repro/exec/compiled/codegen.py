@@ -102,9 +102,20 @@ class _Block:
         return False
 
 
+#: The one NaN object every NaN key is replaced by (see :func:`_nan_key`).
+_NAN = float("nan")
+
+
+def _nan_key(value):
+    """``value``, or :data:`_NAN` when it is a NaN.  Dict lookups match a
+    key by identity before equality, so NaN keys group and join with one
+    another, as the vector kernels' do; any other value is its own key."""
+    return _NAN if value != value else value
+
+
 def compile_source(source: str, name: str = "__block") -> Callable:
     """Compile generated source into a callable (the "machine code")."""
-    namespace = {"_sqrt": math.sqrt, "_floor": math.floor}
+    namespace = {"_sqrt": math.sqrt, "_floor": math.floor, "_nk": _nan_key}
     code = compile(source, f"<repro-codegen:{name}>", "exec")
     exec(code, namespace)
     # Popped: a function its own globals held would be a reference cycle.
@@ -462,9 +473,8 @@ def _key_tuple(row: Row, names: Sequence[str]) -> str:
 
 
 def _key_tuple_exprs(exprs: Sequence[str]) -> str:
-    if len(exprs) == 1:
-        return f"({exprs[0]},)"
-    return "(" + ", ".join(exprs) + ")"
+    """A hash key: the tuple of ``exprs``, each NaN made one key."""
+    return "(" + "".join(f"_nk({e}), " for e in exprs) + ")"
 
 
 def _agg_init(agg: AggCall) -> str:

@@ -23,8 +23,8 @@ result)`` behave identically on the vector and compiled engines:
 Late materialization
 --------------------
 :func:`execute_lineage_scan` is the *materializing* path: it copies the
-traced subset (``source.take(rids)``, every column) into a fresh table
-that the enclosing operators then scan.  When a ``Select`` / ``Project``
+traced subset (``source.take(rids)``, the columns read above) into a fresh
+table that the enclosing operators then scan.  When a ``Select`` / ``Project``
 (bag or DISTINCT) / ``GroupBy`` tree sits on a pushable *core* — the
 scan itself, or a hash-join tree with ``Select*``-over-``LineageScan``
 leaves — both executors instead run the tree in the rid domain, its
@@ -46,7 +46,7 @@ rows and captured lineage are identical by construction; pass
 from __future__ import annotations
 
 import weakref
-from typing import Mapping, NamedTuple, Optional, Tuple
+from typing import AbstractSet, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -57,6 +57,7 @@ from ..lineage.capture import CaptureConfig, QueryLineage
 from ..lineage.composer import NodeLineage
 from ..lineage.indexes import RidIndex
 from ..plan.logical import LineageScan
+from ..plan.required import kept_names
 from ..storage.catalog import Catalog
 from ..storage.table import Table
 
@@ -378,11 +379,13 @@ def execute_lineage_scan(
     results: Optional[Mapping[str, object]],
     config: CaptureConfig,
     params: Optional[dict],
+    columns: Optional[AbstractSet[str]] = None,
 ) -> Tuple[Table, NodeLineage]:
-    """Materialize a lineage scan's output table and its node lineage."""
+    """Materialize a lineage scan's output table, of ``columns`` only
+    (``None``: every column), and its node lineage."""
     source, rids, source_name, domain, epoch = resolve_scan_source(
         plan, catalog, results, params
     )
-    table = source.take(rids)
+    table = source.take(rids, kept_names(columns, source.schema.names))
     node = scan_node_lineage(plan, key, rids, source_name, domain, config, epoch)
     return table, node

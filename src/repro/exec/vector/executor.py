@@ -44,14 +44,13 @@ from ...plan.logical import (
     SetOp,
     Sort,
     ThetaJoin,
-    assign_source_keys,
     source_leaves,
 )
 from ..late_mat import PushedStats, execute_pushed, fold_push_stats
 from ..lineage_scan import execute_lineage_scan
 from ..timings import EXECUTE
 from ...lineage.cache import LineageResolutionCache
-from ...plan.rewrite import RewriteIndex, match_late_materialization
+from ...plan.rewrite import RewriteIndex
 from ...plan.schema import infer_schema, join_output_fields
 from ...storage.catalog import Catalog
 from ...storage.table import Table
@@ -95,15 +94,15 @@ class _RunState:
     so runs can never clobber each other's settings (the compiled
     backend's ``_ExecState`` plays the same role).
 
-    ``rewrites`` is a prepared statement's precomputed
-    :class:`~repro.plan.rewrite.RewriteIndex` (``None`` = match live per
-    node); ``cache`` is the database's per-bar memo cache, threaded down
-    to the pushed path.
+    ``rewrites`` is the plan's :class:`~repro.plan.rewrite.RewriteIndex`
+    (a prepared statement's, or one built for this run): the rewrite
+    decision and the required columns of every node.  ``cache`` is the
+    database's per-bar memo cache, threaded down to the pushed path.
     """
 
+    rewrites: RewriteIndex
     late_mat: bool = True
     scan_cursor: int = 0
-    rewrites: Optional[RewriteIndex] = None
     cache: Optional[LineageResolutionCache] = None
     push_stats: PushedStats = field(default_factory=PushedStats)
 
@@ -113,13 +112,12 @@ class _RunState:
         return key
 
     def match(self, plan: LogicalPlan):
-        """The late-materialization decision for ``plan`` — from the
-        precomputed index when one was prepared, else matched live."""
-        if not self.late_mat:
-            return None
-        if self.rewrites is not None:
-            return self.rewrites.lookup(plan)
-        return match_late_materialization(plan)
+        """The late-materialization decision for ``plan``."""
+        return self.rewrites.lookup(plan) if self.late_mat else None
+
+    def columns(self, plan: LogicalPlan):
+        """The output columns of ``plan`` its parent reads (``None``: all)."""
+        return self.rewrites.required.of(plan)
 
 
 class VectorExecutor:
@@ -145,13 +143,14 @@ class VectorExecutor:
         lineage_cache: Optional[LineageResolutionCache] = None,
     ) -> ExecResult:
         """Run ``plan``.  ``rewrites`` / ``lineage_cache`` are the
-        prepared-statement fast-path handles: a precomputed
-        late-materialization index and occurrence keys (skips per-run
-        structural matching) and the database's per-bar memo cache
-        (brushes over a GROUP BY view merge memoized partials, see
+        prepared-statement fast-path handles: the plan's precomputed
+        :class:`~repro.plan.rewrite.RewriteIndex` (built here per run
+        without one) and the database's per-bar memo cache (brushes over
+        a GROUP BY view merge memoized partials, see
         :func:`~repro.exec.late_mat.execute_pushed`)."""
         config = capture or CaptureConfig.none()
-        scan_keys = assign_source_keys(plan) if rewrites is None else rewrites.source_keys
+        rewrites = rewrites if rewrites is not None else RewriteIndex(plan)
+        scan_keys = rewrites.source_keys
         # Validate pruning entries up front: a misspelled `relations`
         # entry must not discard a finished (possibly expensive) run.
         check_relation_pruning(config, plan, scan_keys, self.catalog, self.results)
@@ -212,7 +211,8 @@ class VectorExecutor:
         if isinstance(plan, LineageScan):
             key = state.next_key(scan_keys)
             return execute_lineage_scan(
-                plan, key, self.catalog, self.results, config, params
+                plan, key, self.catalog, self.results, config, params,
+                columns=state.columns(plan),
             )
 
         if isinstance(plan, Select):
@@ -220,7 +220,8 @@ class VectorExecutor:
                 plan.child, config, params, scan_keys, state
             )
             out, local_bw, local_fw = execute_select(
-                child_table, plan.predicate, config, params
+                child_table, plan.predicate, config, params,
+                columns=state.columns(plan),
             )
             node = compose_node(out.num_rows, child_node, local_bw, local_fw)
             return out, node
@@ -229,7 +230,9 @@ class VectorExecutor:
             child_table, child_node = self._run(
                 plan.child, config, params, scan_keys, state
             )
-            out, local_bw, local_fw = execute_sort(child_table, plan, config)
+            out, local_bw, local_fw = execute_sort(
+                child_table, plan, config, columns=state.columns(plan)
+            )
             node = compose_node(out.num_rows, child_node, local_bw, local_fw)
             return out, node
 
@@ -269,6 +272,7 @@ class VectorExecutor:
                 right_table,
                 matches,
                 [(n, s) for (n, _, _), s in zip(fields, src_names, strict=True)],
+                columns=state.columns(plan),
             )
             l_bw, l_fw, r_bw, r_fw = join_lineage_locals(matches, config, plan.pkfk)
             node = merge_binary(

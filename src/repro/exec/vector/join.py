@@ -26,7 +26,7 @@ Defer counts matches during the probe and allocates exactly afterwards
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from ...lineage.indexes import (
     invert_rid_array,
     stable_group_order,
 )
+from ...plan.required import kept_names
 from ...storage.table import Table, dictionary_encode
 from .kernels import chunk_ranges
 
@@ -291,15 +292,20 @@ def materialize_join_output(
     right: Table,
     matches: JoinMatches,
     output_names: List[Tuple[str, str]],
+    columns: Optional[AbstractSet[str]] = None,
 ) -> Table:
     """Gather the output table.  ``output_names`` pairs (output name,
     source column name) with left columns first, as produced by
-    :func:`repro.plan.schema.join_output_fields`."""
+    :func:`repro.plan.schema.join_output_fields`; only the output names
+    in ``columns`` are gathered (``None``: every one)."""
     n_left_cols = len(left.schema.names)
-    columns: Dict[str, np.ndarray] = {}
+    keep = kept_names(columns, [name for name, _ in output_names])
+    out: Dict[str, np.ndarray] = {}
     for i, (out_name, src_name) in enumerate(output_names):
+        if keep is not None and out_name not in keep:
+            continue
         if i < n_left_cols:
-            columns[out_name] = left.column(src_name)[matches.out_left]
+            out[out_name] = left.column(src_name)[matches.out_left]
         else:
-            columns[out_name] = right.column(src_name)[matches.out_right]
-    return Table(columns)
+            out[out_name] = right.column(src_name)[matches.out_right]
+    return Table(out)

@@ -17,7 +17,7 @@ Defer falls back to Inject here as well.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import AbstractSet, Optional, Tuple
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from ...expr.ast import Expr, evaluate
 from ...lineage.capture import CaptureConfig
 from ...lineage.composer import selection_locals
 from ...lineage.indexes import RidArray
+from ...plan.required import kept_names
 from ...storage.growable import GrowableRidVector
 from ...storage.table import Table
 from .kernels import chunk_ranges
@@ -36,15 +37,18 @@ def execute_select(
     config: CaptureConfig,
     params: Optional[dict],
     label: str = "select",
+    columns: Optional[AbstractSet[str]] = None,
 ) -> Tuple[Table, Optional[RidArray], Optional[RidArray]]:
     """Run the filter; returns ``(output, local backward, local forward)``.
 
-    Local indexes are ``None`` when capture is disabled.
+    The output gathers only ``columns`` (what the parent reads; ``None``:
+    every column).  Local indexes are ``None`` when capture is disabled.
     """
     n = child.num_rows
     mask = np.asarray(evaluate(predicate, child, params), dtype=bool)
+    names = kept_names(columns, child.schema.names)
     if not config.enabled:
-        return child.filter(mask), None, None
+        return child.filter(mask, names), None, None
 
     capacity = None
     if config.hints is not None:
@@ -59,4 +63,4 @@ def execute_select(
             backward_vec.extend(passing + lo)
     out_rids = backward_vec.view()
     local_backward, local_forward = selection_locals(out_rids, n, config)
-    return child.take(out_rids), local_backward, local_forward
+    return child.take(out_rids, names), local_backward, local_forward

@@ -9,13 +9,14 @@ code for, and sharing guarantees identical tie-breaking.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import AbstractSet, Optional, Tuple
 
 import numpy as np
 
 from ...lineage.capture import CaptureConfig
 from ...lineage.indexes import NO_MATCH, RidArray
 from ...plan.logical import Sort
+from ...plan.required import kept_names
 from ...storage.table import Table
 
 
@@ -43,10 +44,12 @@ def execute_sort(
     child: Table,
     node: Sort,
     config: CaptureConfig,
+    columns: Optional[AbstractSet[str]] = None,
 ) -> Tuple[Table, Optional[RidArray], Optional[RidArray]]:
-    """Apply the sort; returns ``(output, local backward, local forward)``."""
+    """Apply the sort; returns ``(output, local backward, local forward)``,
+    the output gathering only ``columns`` (``None``: every column)."""
     order = sort_order(child, node)
-    output = child.take(order)
+    output = child.take(order, kept_names(columns, child.schema.names))
     if not config.enabled:
         return output, None, None
     local_backward = RidArray(order.copy()) if config.backward else None

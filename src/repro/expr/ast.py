@@ -17,7 +17,7 @@ from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import SchemaError
-from ..storage.table import Table
+from ..storage.table import ColumnType, Table
 
 _ARITH = {"+", "-", "*", "/"}
 _COMPARE = {"=", "<>", "<", "<=", ">", ">="}
@@ -296,7 +296,18 @@ def bind_params(expr: Expr, params: dict) -> Expr:
 
 
 def evaluate(expr: Expr, table: Table, params: Optional[dict] = None) -> np.ndarray:
-    """Evaluate an expression over every row of ``table`` (vectorized)."""
+    """Evaluate an expression over every row of ``table`` (vectorized).
+
+    ``=``, ``<>`` and ``IN`` between a bare STR column and string
+    constants or ``:params`` read the table's shared dictionary codes
+    (:meth:`~repro.storage.table.Table.shared_codes`): one dictionary
+    lookup per string and one int compare per row.  Over a transient
+    table, which has no codes to share, they compare Python objects row
+    by row, as every other expression over a STR column does.
+    """
+    coded = _coded_compare(expr, table, params)
+    if coded is not None:
+        return coded
     n = table.num_rows
     if isinstance(expr, Col):
         return table.column(expr.name)
@@ -328,6 +339,46 @@ def evaluate(expr: Expr, table: Table, params: Optional[dict] = None) -> np.ndar
             mask |= operand == choice
         return mask
     raise SchemaError(f"cannot evaluate expression {expr!r}")
+
+
+def _coded_compare(expr: Expr, table: Table, params: Optional[dict]) -> Optional[np.ndarray]:
+    """The mask of a STR ``=`` / ``<>`` / ``IN`` over ``table``'s shared
+    codes, or ``None`` when ``expr`` is not one or ``table`` shares none."""
+    if isinstance(expr, BinOp) and expr.op in ("=", "<>"):
+        column, other = (
+            (expr.left, expr.right) if isinstance(expr.left, Col) else (expr.right, expr.left)
+        )
+        if isinstance(other, Param):
+            if params is None or other.name not in params:
+                return None  # the object path raises the canonical error
+            other = Const(params[other.name])
+        if not isinstance(other, Const):
+            return None
+        strings = (other.value,)
+    elif isinstance(expr, InList):
+        column = expr.operand
+        strings = _in_choices(expr, params)
+    else:
+        return None
+    if not (
+        isinstance(column, Col)
+        and all(isinstance(s, str) for s in strings)
+        and column.name in table.schema
+        and table.schema.type_of(column.name) is ColumnType.STR
+    ):
+        return None
+    shared = table.shared_codes(column.name)
+    if shared is None:
+        return None
+    codes, dictionary = shared
+    hits = [dictionary[s] for s in strings if s in dictionary]
+    if len(hits) <= 1:
+        mask = codes == hits[0] if hits else np.zeros(codes.shape[0], dtype=bool)
+    else:
+        member = np.zeros(len(dictionary), dtype=bool)
+        member[hits] = True
+        mask = member[codes]
+    return ~mask if isinstance(expr, BinOp) and expr.op == "<>" else mask
 
 
 def _apply_binop(op: str, left: np.ndarray, right: np.ndarray) -> np.ndarray:

@@ -92,6 +92,7 @@ from .logical import (
     assign_source_keys,
     walk,
 )
+from .required import RequiredColumns
 from .schema import JOIN_RENAME_SUFFIX
 
 
@@ -438,10 +439,13 @@ class RewriteIndex:
     index holds a reference to the plan so node ids stay valid for its
     lifetime; it must only be consulted with nodes of that plan.
     ``source_keys`` are the plan's occurrence keys
-    (:func:`~repro.plan.logical.assign_source_keys`).
+    (:func:`~repro.plan.logical.assign_source_keys`), and ``required``
+    the columns each node's gather keeps
+    (:class:`~repro.plan.required.RequiredColumns`; a pushed node's
+    inputs keep all of theirs).
     """
 
-    __slots__ = ("plan", "source_keys", "_matches")
+    __slots__ = ("plan", "source_keys", "required", "_matches")
 
     def __init__(self, plan: LogicalPlan):
         self.plan = plan
@@ -451,6 +455,7 @@ class RewriteIndex:
             matched = match_late_materialization(node)
             if matched is not None:
                 self._matches[id(node)] = matched
+        self.required = RequiredColumns(plan, lambda node: id(node) in self._matches)
 
     def lookup(self, node: LogicalPlan) -> Optional[PushedLineageQuery]:
         return self._matches.get(id(node))

@@ -92,6 +92,7 @@ class Catalog:
                 # physical, so an in-place write raises.
                 for values in table.columns().values():
                     sanitize.freeze(values)
+            table.mark_stored()
             self._tables[name] = table
             if replacing:
                 self._evict_column_stats(name)

@@ -145,17 +145,24 @@ class Table:
     lifetime of the table they reference.
 
     Immutability also lets a table memoize the dictionary codes of its
-    STR columns (:meth:`codes`): a stored table encodes each such column
-    once, and a table derived from one by :meth:`take` or :meth:`filter`
-    gathers its codes from its source's instead of encoding its own rows.
-    Per-object work is left in that one encode per STR column per table
-    (and in a derived table whose source is gone), and in the kernels that
-    encode values no table memoizes: join keys, DISTINCT and the per-bar
+    STR columns (:meth:`codes`) with the dictionary that numbered them: a
+    stored table encodes each such column once, and a table derived from
+    one by :meth:`take` or :meth:`filter` gathers its codes from its
+    source's and shares its dictionary instead of encoding its own rows.
+    GROUP BY keys read the codes, and ``=`` / ``<>`` / ``IN`` against a
+    string read them through :meth:`shared_codes`.  Per-object work is
+    left in that one encode per STR column per stored table (and in a
+    derived table whose source is gone); in predicates over a transient
+    table (a join output, a chain gather), which compare objects rather
+    than encode rows they read once; and in the kernels that encode values
+    no table memoizes: join keys, DISTINCT, ORDER BY and the per-bar
     memo's fills.  Code numbering is arbitrary — a derived table keeps
     its source's — so consumers rely on code equality only, never order.
     """
 
-    __slots__ = ("schema", "_columns", "_nrows", "_codes", "_source", "__weakref__")
+    __slots__ = (
+        "schema", "_columns", "_nrows", "_codes", "_source", "_stored", "__weakref__"
+    )
 
     def __init__(self, columns: Mapping[str, np.ndarray], schema: Optional[Schema] = None):
         if schema is None:
@@ -180,10 +187,12 @@ class Table:
         self.schema = schema
         self._columns = dict(columns)
         self._nrows = next(iter(lengths.values())) if lengths else 0
-        self._codes: Optional[Dict[str, Tuple[np.ndarray, int]]] = None
+        # column -> ((codes, width), the dictionary mapping value -> code)
+        self._codes: Optional[Dict[str, Tuple[Tuple[np.ndarray, int], Dict]]] = None
         # (weak reference to the source table, the rids or mask that
         # selected this table's rows from it); set only with a STR column
         self._source: Optional[tuple] = None
+        self._stored = False
 
     # -- construction helpers -------------------------------------------------
 
@@ -242,6 +251,33 @@ class Table:
         one int gather — and shares its numbering and width, so some of
         its codes may be absent.  Two threads on a cold column may both
         compute it; either result is the same."""
+        return self._coded(name)[0]
+
+    def shared_codes(self, name: str) -> Optional[Tuple[np.ndarray, Dict]]:
+        """``(codes, dictionary)`` of STR column ``name``, ``dictionary``
+        mapping each value of the numbering to its code; ``None`` when
+        this table has none to share.  A table has them when it memoizes
+        them, when a catalog stores it (:meth:`mark_stored`: encoded once
+        here), or when it was derived from a live table that has them.
+        A transient table (a join output, a chain gather) answers
+        ``None`` rather than encode rows its caller reads once."""
+        if self._codes is None or name not in self._codes:
+            source = self._source[0]() if self._source is not None else None
+            if not self._stored and (source is None or source.shared_codes(name) is None):
+                return None
+        (codes, _), dictionary = self._coded(name)
+        return codes, dictionary
+
+    def mark_stored(self) -> None:
+        """Record that a catalog holds this table, so that a predicate
+        over one of its STR columns may encode it once
+        (:meth:`shared_codes`)."""
+        self._stored = True
+
+    def _coded(self, name: str) -> Tuple[Tuple[np.ndarray, int], Dict]:
+        """The memo entry ``((codes, width), dictionary)`` of ``name``,
+        computed on first use: gathered from a live source's, which
+        shares its dictionary, or encoded here."""
         entry = self._codes.get(name) if self._codes is not None else None
         if entry is not None:
             return entry
@@ -249,34 +285,40 @@ class Table:
             raise SchemaError(f"column {name!r} is not a STR column")
         source = self._source[0]() if self._source is not None else None
         if source is not None:
-            codes, width = source.codes(name)
-            entry = (codes[self._source[1]], width)
+            (codes, width), dictionary = source._coded(name)
+            entry = ((codes[self._source[1]], width), dictionary)
         else:
-            codes, index = dictionary_encode(self._columns[name], np.int32)
-            entry = (codes, len(index))
-        sanitize.freeze(entry[0])
+            codes, dictionary = dictionary_encode(self._columns[name], np.int32)
+            entry = ((codes, len(dictionary)), dictionary)
+        sanitize.freeze(entry[0][0])
         self._codes = {**(self._codes or {}), name: entry}
         return entry
 
     # -- relational helpers ----------------------------------------------------
 
-    def take(self, rids) -> "Table":
-        """Gather rows by rid — the primitive behind every lineage lookup."""
+    def take(self, rids, names: Optional[Sequence[str]] = None) -> "Table":
+        """Gather rows by rid — the primitive behind every lineage lookup
+        — of every column, or of ``names`` only (in that order)."""
         rids = np.asarray(rids, dtype=np.int64)
-        cols = {n: arr[rids] for n, arr in self._columns.items()}
-        return self._derive(Table(cols, self.schema), rids)
+        return self._derive(rids, names)
 
-    def filter(self, mask: np.ndarray) -> "Table":
-        cols = {n: arr[mask] for n, arr in self._columns.items()}
-        return self._derive(Table(cols, self.schema), mask)
+    def filter(self, mask: np.ndarray, names: Optional[Sequence[str]] = None) -> "Table":
+        """The rows ``mask`` keeps, of every column or of ``names`` only."""
+        return self._derive(mask, names)
 
-    def _derive(self, table: "Table", selector: np.ndarray) -> "Table":
-        """``table``, selected from this one by ``selector``, recording
-        its source for :meth:`codes` when there are STR columns to code.
+    def _derive(self, selector: np.ndarray, names: Optional[Sequence[str]]) -> "Table":
+        """The rows ``selector`` picks, recording this table as their
+        source for :meth:`codes` when there are STR columns to code.
         The reference is weak, so a derived table never keeps a replaced
         catalog table alive; the selector is kept as is, as callers hand
         over arrays they no longer write."""
-        if ColumnType.STR in self.schema._types:
+        if names is None:
+            schema = self.schema
+            names = schema._names
+        else:
+            schema = Schema([(n, self.schema.type_of(n)) for n in names])
+        table = Table({n: self._columns[n][selector] for n in names}, schema)
+        if ColumnType.STR in schema._types:
             table._source = (weakref.ref(self), selector)
         return table
 

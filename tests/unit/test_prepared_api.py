@@ -451,6 +451,35 @@ class TestResultRegistryByteBudget:
         self._result(db2, name="c")
         assert db2.results() == ["b", "c"]
 
+    def test_a_full_budget_refuses_before_anything_executes(self, db, monkeypatch):
+        bytes_each = self._result(db).lineage.memory_bytes()
+        db2 = self._budgeted(db, 2 * bytes_each)
+        self._result(db2, name="a")
+        self._result(db2, name="b")
+        runs = []
+        real = api.run_plan
+        monkeypatch.setattr(api, "run_plan", lambda *a, **k: runs.append(1) or real(*a, **k))
+        prepared = db2.prepare("SELECT z, COUNT(*) AS c FROM t GROUP BY z")
+        with pytest.raises(RegistryFullError, match="'c' needs at least 1 lineage bytes"):
+            self._result(db2, name="c")
+        with pytest.raises(RegistryFullError, match="'c' needs at least 1"):
+            prepared.run(options=CAPTURE.with_(name="c"))
+        assert runs == [] and db2.results() == ["a", "b"]
+        # Capture off, pinned or unnamed, nothing is refused before it runs.
+        db2.sql("SELECT z FROM t", options=ExecOptions(name="plain"))
+        self._result(db2, name="c", pin=True)
+        self._result(db2)
+        assert len(runs) == 3 and db2.results() == ["a", "b", "c", "plain"]
+
+    def test_reregistration_whose_freed_bytes_make_room_is_admitted(self, db):
+        bytes_each = self._result(db).lineage.memory_bytes()
+        db2 = self._budgeted(db, 2 * bytes_each)
+        self._result(db2, name="a")
+        self._result(db2, name="b")
+        self._result(db2, name="a")  # a's own bytes do not count against it
+        assert db2.results() == ["a", "b"]
+        assert db2._results.epoch("a") == 2
+
     def test_pinned_exempt_from_byte_budget(self, db):
         db2 = self._budgeted(db, self._result(db).lineage.memory_bytes())
         self._result(db2, name="pinned", pin=True)

@@ -169,3 +169,30 @@ def test_reference_takes_a_plan_a_capture_and_params_only():
     materialization, no rewrites, no lineage cache."""
     params = list(inspect.signature(CompiledExecutor.execute).parameters)
     assert params == ["self", "plan", "capture", "params"]
+
+
+@pytest.mark.parametrize("stmt", [
+    "SELECT f, COUNT(*) AS c FROM t GROUP BY f",
+    "SELECT DISTINCT f FROM t",
+    "SELECT t.i, d.k FROM t JOIN d ON t.f = d.f",
+])
+def test_nan_keys_group_and_join_alike_on_both_engines(stmt):
+    """NaN groups, deduplicates and joins with NaN on both engines, and
+    -0.0 with 0.0: a float key means the same on the oracle as on the
+    product, rows and lineage alike."""
+    db = Database()
+    nan = float("nan")
+    db.create_table("t", Table({"f": np.array([nan, 1.0, nan, -0.0, 0.0]),
+                                "i": np.arange(5, dtype=np.int64)}))
+    db.create_table("d", Table({"f": np.array([0.0, nan, 2.0]),
+                                "k": np.arange(3, dtype=np.int64)}))
+    product, ref = db.sql(stmt, options=INJECT), reference(db, stmt, options=INJECT)
+    assert repr(product.table.to_rows()) == repr(ref.table.to_rows())
+    assert _per_row_lineage(product, db) == _per_row_lineage(ref, db)
+    expected = {
+        "SELECT f, COUNT(*) AS c FROM t GROUP BY f": [(nan, 2), (1.0, 1), (-0.0, 2)],
+        "SELECT DISTINCT f FROM t": [(nan,), (1.0,), (-0.0,)],
+        "SELECT t.i, d.k FROM t JOIN d ON t.f = d.f": [(3, 0), (4, 0), (0, 1), (2, 1)],
+    }[stmt]
+    as_floats = [tuple(float(v) for v in row) for row in ref.table.to_rows()]
+    assert repr(as_floats) == repr([tuple(float(v) for v in row) for row in expected])

@@ -159,3 +159,62 @@ def test_warm_q1_runs_the_string_kernel_zero_times(encode_calls):
             warm.lineage.backward([out], "lineitem"),
             compiled.lineage.backward([out], "lineitem"),
         )
+
+
+def test_derived_tables_share_their_sources_dictionary():
+    table = _table(50, seed=9)
+    table.mark_stored()
+    codes, dictionary = table.shared_codes("s")
+    assert table.shared_codes("s")[1] is dictionary and set(dictionary) == set(table.column("s"))
+    middle = table.filter(table.column("x") >= 40)
+    derived = middle.take([2, 0], names=["s", "x"])
+    assert derived.schema.names == ["s", "x"]
+    derived_codes, shared = derived.shared_codes("s")
+    assert shared is dictionary
+    assert [dictionary[v] for v in derived.column("s")] == derived_codes.tolist()
+
+
+def test_a_transient_table_has_no_codes_to_share(encode_calls):
+    transient = _table(30, seed=10)  # no catalog holds it
+    assert transient.shared_codes("s") is None
+    assert transient.filter(transient.column("x") > 5).shared_codes("u") is None
+    assert encode_calls == []
+    transient.codes("s")  # a GROUP BY encoded it: now there is something to share
+    assert transient.take([1, 0]).shared_codes("s") is not None
+    assert encode_calls == [30]
+
+
+def test_str_predicates_read_a_stored_tables_codes_once(encode_calls):
+    db = Database()
+    db.create_table("t", _table(60, seed=11))
+    text = "SELECT x FROM t WHERE s IN :ps AND u <> 'y'"
+    expected = [
+        (x,) for s, u, x in db.table("t").to_rows() if s in ("v1", "v9") and u != "y"
+    ]
+    assert db.sql(text, params={"ps": ["v1", "v9"]}).table.to_rows() == expected
+    assert encode_calls == [60, 60]  # s and u, once each
+    filtered = "SELECT x FROM (SELECT * FROM t WHERE x >= 50) AS f WHERE s = :p"
+    rows = db.sql(filtered, params={"p": "v2"}).table.to_rows()
+    assert rows == [(x,) for s, _, x in db.table("t").to_rows() if x >= 50 and s == "v2"]
+    assert encode_calls == [60, 60]
+
+
+def test_predicates_over_transient_tables_encode_nothing(encode_calls):
+    """A join output and the pushed path's chain gathers compare objects:
+    encoding rows read once would cost more than the compare."""
+    db = Database()
+    db.create_table("t", _table(60, seed=12))
+    db.create_table("d", Table({"x": np.arange(0, 100, 7),
+                                "name": np.array(["a", "b"] * 7 + ["a"], dtype=object)}))
+    joined = db.sql("SELECT t.x, name FROM t JOIN d ON t.x = d.x WHERE name = 'a'")
+    assert all(name == "a" for _, name in joined.table.to_rows())
+    db.sql("SELECT u, COUNT(*) AS c FROM t GROUP BY u",
+           options=ExecOptions(capture=CaptureMode.INJECT, name="v", pin=True))
+    del encode_calls[:]
+    brushed = db.sql("SELECT x FROM Lb(v, 't', 0) WHERE s <> 'v3'")
+    assert encode_calls == []
+    rids = db.result("v").backward([0], "t")
+    assert brushed.table.column("x").tolist() == [
+        x for x, s in zip(db.table("t").column("x")[rids], db.table("t").column("s")[rids],
+                          strict=True) if s != "v3"
+    ]
