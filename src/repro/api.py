@@ -111,9 +111,9 @@ from __future__ import annotations
 
 import threading
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass, replace as _dc_replace
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Callable, Dict, FrozenSet, Iterator, Mapping, Optional, Union
 
 import numpy as np
@@ -127,7 +127,7 @@ from .errors import (
 )
 from .exec.late_mat import execute_pushed_batch
 from .exec.vector.executor import ExecResult, VectorExecutor
-from .lineage.cache import LineageResolutionCache
+from .lineage.cache import LineageResolutionCache, Memo
 from .lineage.capture import CaptureConfig, CaptureMode, QueryLineage
 from .lineage.recovery import DurabilityManager
 from .plan.logical import LineageScan, LogicalPlan, Scan, source_leaves, walk
@@ -453,12 +453,12 @@ class ResultRegistry(Mapping):
         including re-registration after a drop); 0 when never seen."""
         return self._epochs.get(name, 0)
 
-    def snapshot_state(self) -> "Dict[str, QueryResult]":
-        """Consistent copy of the entries for snapshot views, taken under
-        the lock so a concurrent registration is either wholly in it or
-        absent."""
+    def view(self) -> "Mapping[str, QueryResult]":
+        """A consistent, read-only copy of the entries for snapshots,
+        taken under the lock so a concurrent registration is either
+        wholly in it or absent."""
         with self._lock:
-            return dict(self._entries)
+            return MappingProxyType(dict(self._entries))
 
     # -- durability plumbing -----------------------------------------------
 
@@ -677,7 +677,7 @@ class PreparedQuery:
         return f"PreparedQuery({label!r}, params={sorted(self.param_names)})"
 
 
-class StatementMemo:
+class StatementMemo(Memo):
     """Prepared statements by normalized text (:func:`normalize_statement`):
     the one statement memo a :class:`Database` owns, which
     ``Database.sql``, :class:`Session` and
@@ -686,10 +686,10 @@ class StatementMemo:
     A miss, or a stale entry in :meth:`run`, binds through the ``bind``
     callable the caller passes — ``Database.sql`` binds against the live
     database, the server against the snapshot it is reading — and every
-    front runs an entry under its own caller's options.  Binding runs
-    outside the lock; threads racing one cold statement each bind, but
-    only the first install lands and every racer gets that entry, so they
-    share one plan (and so one per-bar memo entry, keyed on the plan).
+    front runs an entry under its own caller's options.  Threads racing
+    one cold statement each bind, but every racer gets the first install
+    (:meth:`~repro.lineage.cache.Memo.get`), so they share one plan (and
+    so one per-bar memo entry, keyed on the plan).
     """
 
     #: LRU bound — a caller interpolating values into SQL instead of
@@ -697,17 +697,7 @@ class StatementMemo:
     MAX_STATEMENTS = 256
 
     def __init__(self):
-        self._entries: "OrderedDict[str, PreparedQuery]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: str, bind: Callable[[], PreparedQuery]) -> PreparedQuery:
-        """The entry for ``key`` (now most recently used), bound on a miss."""
-        with self._lock:
-            prepared = self._entries.get(key)
-            if prepared is not None:
-                self._entries.move_to_end(key)
-                return prepared
-        return self._install(key, bind(), None)
+        super().__init__(self.MAX_STATEMENTS)
 
     def run(self, key: str, bind: Callable[[], PreparedQuery], fn: Callable):
         """``fn(entry)`` for ``key``'s entry; when the entry's binding is
@@ -718,38 +708,8 @@ class StatementMemo:
             return fn(stale)
         except StaleBindingError:
             fresh = bind()
-            self._install(key, fresh, stale)
+            self.replace(key, stale, fresh)
             return fn(fresh)
-
-    def rebind(self, key: str, bind: Callable[[], PreparedQuery]) -> PreparedQuery:
-        """Bind ``key`` afresh and install the result over any entry."""
-        prepared = bind()
-        with self._lock:
-            self._put(key, prepared)
-        return prepared
-
-    def _install(self, key: str, prepared: PreparedQuery, replaces) -> PreparedQuery:
-        """File ``prepared`` under ``key`` if the entry there is still
-        ``replaces`` (or gone); returns the entry filed."""
-        with self._lock:
-            current = self._entries.get(key)
-            if current is None or current is replaces:
-                self._put(key, prepared)
-                return prepared
-            self._entries.move_to_end(key)
-            return current
-
-    def _put(self, key: str, prepared: PreparedQuery) -> None:
-        """File ``prepared``, evicting the least recently used entry past
-        the bound; the lock is held."""
-        self._entries[key] = prepared
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.MAX_STATEMENTS:
-            self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
 
 class Session:

@@ -33,7 +33,7 @@ from ..exec.vector.groupby import build_groups
 from ..lineage.capture import QueryLineage
 from ..lineage.indexes import RidIndex, invert_rid_index
 from ..plan.logical import GroupBy, LogicalPlan, Project, Scan, walk
-from ..storage.catalog import Catalog
+from ..storage.catalog import Catalog, CatalogView
 from ..storage.table import Table
 
 RID_PREFIX = "__rid_"
@@ -58,7 +58,7 @@ class AnnotatedCapture:
         return np.unique(self.annotated.column(rid_col)[mask])
 
 
-def _annotated_catalog(catalog: Catalog, plan: LogicalPlan) -> Tuple[Catalog, Dict[str, str]]:
+def _annotated_catalog(catalog: CatalogView, plan: LogicalPlan) -> Tuple[Catalog, Dict[str, str]]:
     """A catalog whose scanned tables carry an explicit rid column."""
     out = Catalog()
     rid_columns: Dict[str, str] = {}
@@ -88,7 +88,7 @@ def _annotated_catalog(catalog: Catalog, plan: LogicalPlan) -> Tuple[Catalog, Di
 
 
 def logical_capture(
-    catalog: Catalog,
+    catalog: CatalogView,
     plan: LogicalPlan,
     annotation: str = "rid",
 ) -> AnnotatedCapture:

@@ -48,7 +48,7 @@ from ...plan.logical import (
     assign_source_keys,
 )
 from ...plan.schema import infer_schema, join_output_fields
-from ...storage.catalog import Catalog
+from ...storage.catalog import CatalogView
 from ...storage.table import ColumnType, Schema, Table
 from ..lineage_scan import execute_lineage_scan
 from ..timings import EXECUTE
@@ -83,7 +83,7 @@ class CompiledExecutor:
     :class:`~repro.plan.logical.LineageScan` leaves at execution time.
     """
 
-    def __init__(self, catalog: Catalog, results=None):
+    def __init__(self, catalog: CatalogView, results=None):
         self.catalog = catalog
         self.results = results
         self.last_source: Optional[str] = None  # generated code, for tests/docs

@@ -79,7 +79,7 @@ from ..plan.rewrite import (
     plain_scan,
 )
 from ..plan.schema import infer_expr_type, infer_schema, join_output_fields
-from ..storage.catalog import Catalog
+from ..storage.catalog import CatalogView
 from ..storage.table import ColumnType, Schema, Table
 from ..substrate.stats import UNIQUENESS_PROBE_MAX_ROWS, JoinSideStats, choose_build_side
 from .lineage_scan import BarPartition, PartitionKey, resolve_rid_spec, resolve_scan_partition
@@ -229,7 +229,7 @@ class _ChainState:
         pos = self.positions[leaf_idx]
         return values if pos is None else values[pos]
 
-    def key_stats(self, keys: Sequence[str], catalog: Catalog) -> JoinSideStats:
+    def key_stats(self, keys: Sequence[str], catalog: CatalogView) -> JoinSideStats:
         """Cardinality + key-uniqueness statistics for this node as one
         join input.  Uniqueness is only derivable for single-leaf nodes
         (joins may fan rows out) whose positions are subsets of a catalog
@@ -239,16 +239,16 @@ class _ChainState:
         unique: Optional[bool] = None
         base = self.bases[0] if len(self.bases) == 1 else None
         if base is not None:
-            base_rows = catalog.get_versioned(base)[0].num_rows
-            if base_rows <= UNIQUENESS_PROBE_MAX_ROWS:
+            base_table = catalog.get_versioned(base)[0]
+            if base_table.num_rows <= UNIQUENESS_PROBE_MAX_ROWS:
                 # Deriving uniqueness scans the base column once per
-                # epoch; keep that cold hit out of interactive statements
+                # table; keep that cold hit out of interactive statements
                 # over huge relations (cardinality still decides there).
                 for key in keys:
                     idx = self._index.get(key)
                     if idx is None:
                         continue  # the probe will raise the canonical error
-                    stats = catalog.column_stats(base, self.origins[idx][1])
+                    stats = base_table.column_stats(self.origins[idx][1])
                     if stats.is_unique:
                         unique = True
                         break
@@ -350,7 +350,7 @@ def _fold(step: _Step, spine: _ChainState, names, other: _ChainState, keys, stat
     return True
 
 
-def _lower(hop: PushedJoinHop, leaf, plain: RunChild, catalog: Catalog, run, steps: List[_Step]):
+def _lower(hop: PushedJoinHop, leaf, plain: RunChild, catalog: CatalogView, run, steps: List[_Step]):
     """``hop`` lowered into ``steps``: a left-deep plan whose spine, the
     input carrying the lineage leaf, joins one other input per step.
     Returns ``hop``'s node (the spine's has no rows) and the lineage
@@ -456,7 +456,7 @@ def _project(project, table: Table, params: Optional[dict]) -> Table:
 
 def execute_pushed(
     pushed: PushedLineageQuery,
-    catalog: Catalog,
+    catalog: CatalogView,
     results: Optional[Mapping[str, object]],
     config: CaptureConfig,
     params: Optional[dict],
@@ -841,7 +841,7 @@ def _bind(shape, catalog, results) -> Tuple[_Route, BarPartition, dict]:
 
 def _memo_tables(
     pushed: PushedLineageQuery,
-    catalog: Catalog,
+    catalog: CatalogView,
     results: Optional[Mapping[str, object]],
     config: CaptureConfig,
     params_list: Sequence[Optional[dict]],
@@ -899,7 +899,7 @@ def _memo_tables(
         return stored[0] == inputs and stored[1].obj == part.index
 
     key = (Pin(pushed), shared_fingerprint(scan, params_list[0]))
-    memo = cache.memo(key, (inputs, Pin(part.index)), build, same)
+    memo = cache.get(key, build, (inputs, Pin(part.index)), same)
     stats.route_s += perf_counter() - start
     stats.route_binds += bound
     stats.count(pushed)
@@ -913,7 +913,7 @@ def _memo_tables(
 
 def execute_pushed_batch(
     pushed: PushedLineageQuery,
-    catalog: Catalog,
+    catalog: CatalogView,
     results: Optional[Mapping[str, object]],
     config: CaptureConfig,
     params_list: Sequence[Optional[dict]],

@@ -58,11 +58,11 @@ from ..lineage.composer import NodeLineage
 from ..lineage.indexes import RidIndex
 from ..plan.logical import LineageScan
 from ..plan.required import kept_names
-from ..storage.catalog import Catalog
+from ..storage.catalog import CatalogView
 from ..storage.table import Table
 
 
-def resolve_base_table(catalog: Catalog, lineage: QueryLineage, relation: str) -> str:
+def resolve_base_table(catalog: CatalogView, lineage: QueryLineage, relation: str) -> str:
     """The catalog table underlying a lineage-relation reference.
 
     ``Lb`` accepts the same three relation forms as lineage lookups — the
@@ -145,7 +145,7 @@ def _resolve_result(plan: LineageScan, results: Optional[Mapping[str, object]]):
     return result
 
 
-def _backward_base(plan: LineageScan, catalog: Catalog, result):
+def _backward_base(plan: LineageScan, catalog: CatalogView, result):
     """The traced base table of a backward scan, after the epoch and
     schema-drift guards.  Returns ``(base, base_name, epoch,
     captured_epoch)``."""
@@ -208,7 +208,7 @@ def _check_backward_rids(
 
 def resolve_scan_source(
     plan: LineageScan,
-    catalog: Catalog,
+    catalog: CatalogView,
     results: Optional[Mapping[str, object]],
     params: Optional[dict],
 ) -> Tuple[Table, np.ndarray, str, int, Optional[int]]:
@@ -316,7 +316,7 @@ class PartitionKey(NamedTuple):
     captured_epoch: Optional[int]
     tables: Tuple[Tuple[str, weakref.ref, int], ...] = ()
 
-    def held(self, plan: LineageScan, catalog: Catalog, results):
+    def held(self, plan: LineageScan, catalog: CatalogView, results):
         """``(partition, {name: (table, epoch)} of tables)`` in this view,
         or ``None`` unless the key holds in it: the registry lookup every
         run makes, then O(tables) identity checks."""
@@ -337,7 +337,7 @@ class PartitionKey(NamedTuple):
 
 def resolve_scan_partition(
     plan: LineageScan,
-    catalog: Catalog,
+    catalog: CatalogView,
     results: Optional[Mapping[str, object]],
 ) -> Tuple[BarPartition, PartitionKey]:
     """The registry, epoch and schema guards of
@@ -375,7 +375,7 @@ def scan_node_lineage(
 def execute_lineage_scan(
     plan: LineageScan,
     key: str,
-    catalog: Catalog,
+    catalog: CatalogView,
     results: Optional[Mapping[str, object]],
     config: CaptureConfig,
     params: Optional[dict],

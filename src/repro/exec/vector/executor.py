@@ -52,7 +52,7 @@ from ..timings import EXECUTE
 from ...lineage.cache import LineageResolutionCache
 from ...plan.rewrite import RewriteIndex
 from ...plan.schema import infer_schema, join_output_fields
-from ...storage.catalog import Catalog
+from ...storage.catalog import CatalogView
 from ...storage.table import Table
 from .groupby import execute_distinct, execute_groupby
 from .join import compute_matches, join_lineage_locals, materialize_join_output
@@ -127,7 +127,7 @@ class VectorExecutor:
     :class:`~repro.plan.logical.LineageScan` leaves resolve against.
     """
 
-    def __init__(self, catalog: Catalog, results=None):
+    def __init__(self, catalog: CatalogView, results=None):
         self.catalog = catalog
         self.results = results
 
@@ -375,7 +375,7 @@ def check_relation_pruning(
     config: CaptureConfig,
     plan: LogicalPlan,
     scan_keys: List[str],
-    catalog: Optional[Catalog] = None,
+    catalog: Optional[CatalogView] = None,
     results=None,
 ) -> None:
     """Raise when a ``relations`` pruning entry matched no scanned

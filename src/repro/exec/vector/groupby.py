@@ -32,6 +32,7 @@ from ...lineage.indexes import GrowableRidIndex, RidArray, RidIndex, stable_grou
 from ...plan.logical import AggCall, GroupBy
 from ...storage.table import ColumnType, Schema, Table
 from .kernels import (
+    CHUNK_SIZE,
     GroupLayout,
     chunk_ranges,
     codes_for,
@@ -90,7 +91,9 @@ def inject_backward_index(
     chunk_size: int,
     capacities: Optional[np.ndarray] = None,
 ) -> Tuple[RidIndex, int]:
-    """Build the backward rid index with Inject-style growable appends.
+    """Build the backward rid index with Inject-style growable appends
+    (also an m:n join's left forward index, whose "groups" are the left
+    rids of the outputs).
 
     Returns the finished index and the number of bucket resizes incurred
     (zero when exact capacities were provided — the Smoke-I-TC effect).
@@ -154,7 +157,7 @@ def execute_groupby(
                 if config.hints is not None:
                     capacities = config.hints.group_count_for(label)
                 index, _resizes = inject_backward_index(
-                    group_ids, num_groups, config.chunk_size, capacities
+                    group_ids, num_groups, CHUNK_SIZE, capacities
                 )
                 # Chunked stable appends land bucket-by-bucket in rid
                 # order — the canonical inversion of the group ids, which

@@ -34,7 +34,6 @@ from ...errors import PlanError
 from ...lineage.capture import CaptureConfig, CaptureMode, IndexOrThunk
 from ...lineage.indexes import (
     NO_MATCH,
-    GrowableRidIndex,
     RidArray,
     RidIndex,
     invert_rid_array,
@@ -42,7 +41,8 @@ from ...lineage.indexes import (
 )
 from ...plan.required import kept_names
 from ...storage.table import Table, dictionary_encode
-from .kernels import chunk_ranges
+from .groupby import inject_backward_index
+from .kernels import CHUNK_SIZE
 
 
 class JoinMatches:
@@ -183,33 +183,6 @@ def compute_matches(
     return JoinMatches(rows[order], matched[order], num_probe, index.rows)
 
 
-def inject_forward_index(
-    targets: np.ndarray,
-    num_keys: int,
-    chunk_size: int,
-    capacities: Optional[np.ndarray] = None,
-) -> Tuple[RidIndex, int]:
-    """Growable-bucket construction of ``input rid -> output rids``.
-
-    ``targets[k]`` is the input rid of output ``k``.  This is the
-    resize-prone structure the m:n experiments stress; ``capacities``
-    reproduces the Smoke-I-TC variant.
-    """
-    growable = GrowableRidIndex(num_keys, capacities)
-    for lo, hi in chunk_ranges(targets.shape[0], chunk_size):
-        chunk = targets[lo:hi]
-        order = stable_group_order(chunk, num_keys)
-        sorted_ids = chunk[order]
-        boundaries = np.nonzero(np.diff(sorted_ids))[0] + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [sorted_ids.shape[0]]))
-        for s, e in zip(starts, ends, strict=True):
-            if s == e:
-                continue
-            growable.extend(int(sorted_ids[s]), order[s:e] + lo)
-    return growable.finalize(), growable.total_resizes
-
-
 def contiguous_forward_right(matches: JoinMatches) -> RidIndex:
     """Forward index for the probe side: outputs per right row are
     contiguous, so the CSR materializes without any partitioning work."""
@@ -272,8 +245,8 @@ def join_lineage_locals(
             # Append-per-match construction with the 10 / 1.5x growth
             # policy: exposes the rid-array resizing behaviour the m:n
             # experiments analyze (Smoke-I vs Smoke-I-TC, Figures 6-7).
-            index, _resizes = inject_forward_index(
-                matches.out_left, matches.num_left, config.chunk_size, capacities
+            index, _resizes = inject_backward_index(
+                matches.out_left, matches.num_left, CHUNK_SIZE, capacities
             )
             left_fw = index
         else:

@@ -296,6 +296,11 @@ def compute_aggregate(
     raise PlanError(f"unknown aggregate {agg.func!r}")
 
 
+#: Rows per chunk of Inject's chunked appends (selection capture and the
+#: growable-bucket index builds).
+CHUNK_SIZE = 1 << 16
+
+
 def chunk_ranges(n: int, chunk_size: int):
     """Yield ``(lo, hi)`` covering ``[0, n)`` in chunks (Inject's unit of
     appending work)."""

@@ -28,7 +28,7 @@ from ...lineage.indexes import RidArray
 from ...plan.required import kept_names
 from ...storage.growable import GrowableRidVector
 from ...storage.table import Table
-from .kernels import chunk_ranges
+from .kernels import CHUNK_SIZE, chunk_ranges
 
 
 def execute_select(
@@ -57,7 +57,7 @@ def execute_select(
             capacity = max(1, int(np.ceil(n * selectivity)))
 
     backward_vec = GrowableRidVector(capacity if capacity is not None else 10)
-    for lo, hi in chunk_ranges(n, config.chunk_size):
+    for lo, hi in chunk_ranges(n, CHUNK_SIZE):
         passing = np.nonzero(mask[lo:hi])[0]
         if passing.size:
             backward_vec.extend(passing + lo)

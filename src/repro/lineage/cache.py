@@ -1,22 +1,36 @@
-"""The per-bar memos of repeated interactive brush statements.
+"""The engine's one keyed memo, and the per-bar memos of repeated
+interactive brush statements.
+
+:class:`Memo` is the engine's one keyed LRU memo: a map from key to a
+value built on a miss, bounded by least-recently-used eviction, whose
+entries may carry an epoch.  Three memos are instances of it, and lint
+rule RPR010 keeps hand-written LRUs out of the rest of ``src/``:
+
+* the database's statement memo (:class:`~repro.api.StatementMemo`),
+  prepared statements by normalized text;
+* the database's :class:`LineageResolutionCache`, the per-bar memos;
+* each :class:`~repro.serve.Snapshot`'s answer memo, whole results by
+  statement, parameters and options.
+
+Per-table derived state — STR codes and column statistics — is not
+keyed: it lives on the immutable :class:`~repro.storage.table.Table`.
 
 The paper's interactive workloads (crossfilter, linked brushing) issue the
 *same* lineage-consuming statements per interaction — one per view —
 varying only the brushed bars.  :class:`LineageResolutionCache` holds
-each such statement's **per-bar memo** (:meth:`~LineageResolutionCache.memo`,
-filled by :func:`~repro.exec.late_mat.execute_pushed`): partial answers
-per bar of a GROUP BY view — for single-table brushes and for join
-chains with one lineage leaf alike — so a brush re-visiting bars merges
-partials instead of re-scanning rows or re-running the join chain, and
-single brushes and ``sql_batch`` share them.  A
-:class:`~repro.api.Database` owns exactly one, which every prepared
-statement of every front reads through (raw plans run uncached).
-Statements the memo declines resolve their rids from the view's index
-on every run, as the paper's lineage queries do.
+each such statement's **per-bar memo** (filled by
+:func:`~repro.exec.late_mat.execute_pushed`): partial answers per bar of
+a GROUP BY view — for single-table brushes and for join chains with one
+lineage leaf alike — so a brush re-visiting bars merges partials instead
+of re-scanning rows or re-running the join chain, and single brushes and
+``sql_batch`` share them.  A :class:`~repro.api.Database` owns exactly
+one, which every prepared statement of every front reads through (raw
+plans run uncached).  Statements the memo declines resolve their rids
+from the view's index on every run, as the paper's lineage queries do.
 
 Correctness rests on epoch-based invalidation: every entry records an
 epoch, and a lookup whose stored epoch differs from the caller's
-rebuilds.  The cache keeps no registry of its own: the caller always
+rebuilds.  A memo keeps no registry of its own: the caller always
 passes the epoch.  A per-bar memo's epoch is what its fills read: the
 catalog epoch of the traced base table, the very column arrays of it the
 statement reads, every plain join leaf's table, and the view's backward
@@ -24,17 +38,14 @@ index, each held by a :class:`Pin`.  Catalog columns never change in
 place (``REPRO_SANITIZE`` freezes them on registration), so an unchanged
 array object is unchanged content: a ``preserve_rids`` refresh of a
 column no brush reads keeps the memo.  Re-registering a view builds a new
-index object; the memo's lookup compares it with the old one and
-re-stamps the entry when they are bit-equal (``revalidated``).
+index object; the lookup compares it with the old one and re-stamps the
+entry when they are bit-equal (``revalidated``).
 
-The cache is LRU-bounded (:attr:`LineageResolutionCache.MAX_ENTRIES`) so
-a long session over many statements cannot hold every memo alive.
-
-Thread-safety: lookups and installs take an internal lock, but
+Thread-safety: lookups and installs take the memo's lock, but
 ``build()`` runs outside it, so two threads racing the same cold key
-both build and one install wins — wasted work, never a wrong answer.
-This is what lets one cache be shared across the serving layer's reader
-pool (:mod:`repro.serve`): readers on different snapshots pass
+both build and the first install wins — wasted work, never a wrong
+answer.  This is what lets one memo be shared across the serving layer's
+reader pool (:mod:`repro.serve`): readers on different snapshots pass
 different epochs, so an old snapshot's memo is never filed under the
 current epoch.
 """
@@ -47,10 +58,6 @@ from collections import OrderedDict
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-
-#: Key of one memo: (the pushed statement's :class:`Pin`, the
-#: fingerprint of its parameters other than the rid argument).
-_CacheKey = Tuple[object, tuple]
 
 #: Arrays at most this many bytes are fingerprinted by their raw bytes
 #: (exact, collision-free, cheap to hold).  Larger ones — a binding of a
@@ -118,46 +125,38 @@ class Pin:
         return id(self.obj)
 
 
-class LineageResolutionCache:
-    """The per-bar memos of brush statements, each live while the
-    caller's epoch for it is unchanged."""
+class Memo:
+    """Values by key, each built on a miss and filed under an epoch,
+    least recently used entries evicted past ``max_entries``.
 
-    #: LRU bound on per-bar memos.
-    MAX_ENTRIES = 512
+    An entry is live while the caller's epoch equals the one it was filed
+    under; memos whose values never go stale leave the epoch ``None``.
+    ``hits``, ``misses`` and ``revalidated`` count lookups."""
 
-    def __init__(self):
-        self._entries: "OrderedDict[_CacheKey, Tuple[object, object]]" = (
-            OrderedDict()
-        )
+    def __init__(self, max_entries: int):
+        self.max_entries = max_entries
+        self._entries: "OrderedDict[object, Tuple[object, object]]" = OrderedDict()
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        # Per-bar memo traffic (see memo()): bars filled vs found filled,
-        # and entries re-stamped under a new epoch instead of rebuilt.
-        self.bar_fills = 0
-        self.bar_reuses = 0
         self.revalidated = 0
-        self._lock = threading.RLock()
 
-    # -- lookup ---------------------------------------------------------------
-
-    def memo(
+    def get(
         self,
-        key: _CacheKey,
-        epoch: object,
+        key: object,
         build: Callable[[], object],
+        epoch: object = None,
         same: Optional[Callable[[object], bool]] = None,
     ) -> object:
-        """A statement's per-bar memo (built by ``build()`` for
-        :func:`~repro.exec.late_mat.execute_pushed`) filed as one entry
-        under ``key`` and live while ``epoch`` is unchanged; ``epoch``
-        holds objects by :class:`Pin`.  An entry filed under another
+        """The value filed under ``key`` and ``epoch`` (now most recently
+        used), or ``build()``'s on a miss.  An entry filed under another
         epoch is shown to ``same`` (its stored epoch): true vouches that
         the value still holds under ``epoch``, and the entry is re-stamped
         (a hit, counted in ``revalidated`` too) instead of rebuilt.
-        ``same`` runs outside the lock, so it may compare whole arrays.
-        Threads racing one cold key each ``build()``, but only the first
-        install lands and every racer gets its value, so they fill (and
-        lower) one entry.  Lookups count in ``hits``/``misses``."""
+        ``same`` and ``build`` run outside the lock, so they may compare
+        whole arrays or run a statement.  Threads racing one cold key each
+        ``build()``, but only the first install lands and every racer gets
+        its value."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and entry[0] == epoch:
@@ -181,21 +180,49 @@ class LineageResolutionCache:
             self.misses += 1
         return value
 
+    def replace(self, key: object, old: object, new: object) -> object:
+        """File ``new`` under ``key`` (epoch ``None``) if the entry there
+        is still ``old``, or gone; returns the value filed."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None or entry[1] is old:
+                self._put(key, None, new)
+                return new
+            self._entries.move_to_end(key)
+            return entry[1]
+
+    def _put(self, key: object, epoch: object, value: object) -> None:
+        """File ``value`` under ``key`` and ``epoch``; the lock is held."""
+        self._entries[key] = (epoch, value)
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+
+class LineageResolutionCache(Memo):
+    """The per-bar memos of brush statements, keyed by ``(the pushed
+    statement's Pin, the fingerprint of its parameters other than the rid
+    argument)``, each live while the caller's epoch for it is unchanged."""
+
+    #: LRU bound on per-bar memos.
+    MAX_ENTRIES = 512
+
+    def __init__(self):
+        super().__init__(self.MAX_ENTRIES)
+        # Per-bar memo traffic: bars filled vs found filled.
+        self.bar_fills = 0
+        self.bar_reuses = 0
+
     def count_bars(self, fills: int, reuses: int) -> None:
         """Record one memo merge: ``fills`` bars computed, ``reuses``
         found already filled."""
         with self._lock:
             self.bar_fills += fills
             self.bar_reuses += reuses
-
-    def _put(self, key: _CacheKey, epoch: object, value: object) -> None:
-        """File ``value`` under ``key`` and ``epoch``; the lock is held."""
-        self._entries[key] = (epoch, value)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.MAX_ENTRIES:
-            self._entries.popitem(last=False)
-
-    # -- maintenance ----------------------------------------------------------
 
     def invalidate(self) -> None:
         """Drop every entry.  Epoch checks already catch re-registration;
@@ -204,10 +231,6 @@ class LineageResolutionCache:
         memos."""
         with self._lock:
             self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
     def stats(self) -> dict:
         """Hit/miss counters, the live entry count, and the per-bar memo's

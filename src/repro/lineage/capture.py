@@ -80,8 +80,6 @@ class CaptureConfig:
     defer_forward_only:
         Smoke-D-DeferForw (Section 6.1.3): defer only the left-relation
         forward index of an m:n join, populate everything else inline.
-    chunk_size:
-        Rows per processing chunk for chunked Inject appends.
     emulate_tuple_appends:
         When True, group-by Inject builds its backward index through the
         growable-bucket append path (10-element / 1.5x growth) instead of
@@ -98,7 +96,6 @@ class CaptureConfig:
     relations: Optional[Set[str]] = None
     hints: Optional[CardinalityHints] = None
     defer_forward_only: bool = False
-    chunk_size: int = 1 << 16
     emulate_tuple_appends: bool = False
 
     @property

@@ -6,7 +6,7 @@ from typing import Dict, List, Tuple
 
 from ..errors import PlanError, SchemaError
 from ..expr.ast import BinOp, Col, Const, Expr, Func, InList, Not, Param
-from ..storage.catalog import Catalog
+from ..storage.catalog import CatalogView
 from ..storage.table import ColumnType, Schema
 from .logical import (
     AggCall,
@@ -98,7 +98,7 @@ def join_output_fields(left: Schema, right: Schema) -> List[Tuple[str, ColumnTyp
     return fields
 
 
-def infer_schema(plan: LogicalPlan, catalog: Catalog) -> Schema:
+def infer_schema(plan: LogicalPlan, catalog: CatalogView) -> Schema:
     """Output schema of ``plan`` against ``catalog``."""
     if isinstance(plan, Scan):
         return catalog.get(plan.table).schema
@@ -158,7 +158,7 @@ def infer_schema(plan: LogicalPlan, catalog: Catalog) -> Schema:
     raise PlanError(f"cannot infer schema for {plan!r}")
 
 
-def column_sources(plan: LogicalPlan, catalog: Catalog) -> Dict[str, str]:
+def column_sources(plan: LogicalPlan, catalog: CatalogView) -> Dict[str, str]:
     """Map each output column of a join tree to the base relation it came
     from (used by workload pruning to decide which lineage to keep)."""
     if isinstance(plan, Scan):

@@ -5,10 +5,12 @@ A :class:`Database` is a single-writer object: its catalog and result
 registry assume one mutating thread.  This module puts a serving front
 on it —
 
-* :class:`Snapshot` — an immutable, consistently-pinned read view: the
-  catalog's ``(tables, epochs)`` and the registry's entries copied
-  together, plus an answer memo.  Reads against a snapshot never see
-  later writes.
+* :class:`Snapshot` — an immutable, consistently-pinned read view: a
+  :class:`~repro.storage.catalog.CatalogView` of the catalog's tables
+  and epochs and a read-only mapping of the registry's entries, copied
+  together and without mutators, plus an answer memo (a
+  :class:`~repro.lineage.cache.Memo`).  Reads against a snapshot never
+  see later writes.
 * :class:`DatabaseServer` — N pooled reader threads executing statements
   against pinned snapshots, and **one** writer thread applying queued
   mutations in submission order.  After each applied operation the
@@ -37,6 +39,8 @@ own.  Statements are :class:`~repro.api.PreparedQuery` objects in the
 database's :class:`~repro.api.StatementMemo` (a miss binds against the
 snapshot being read), and every execution ends in
 :func:`repro.api.run_plan`, the funnel the live database uses too.
+Column statistics and STR codes live on the immutable tables the
+snapshot pins, so the snapshot needs no stats memo of its own.
 
 What a reader may never observe: a half-applied write, a table paired
 with another epoch's result entry, a memo filled from another snapshot's
@@ -54,7 +58,7 @@ import queue
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
-from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Callable, Mapping, Optional
 
 from .api import (
     ExecOptions,
@@ -64,84 +68,10 @@ from .api import (
     require_params,
     run_plan,
 )
-from .errors import CatalogError, ServingError, StaleBindingError
-from .lineage.cache import param_fingerprint
+from .errors import ServingError, StaleBindingError
+from .lineage.cache import Memo, param_fingerprint
 from .plan.logical import LogicalPlan
-from .storage.table import Table
-
-
-class CatalogSnapshot:
-    """Immutable name→table view pinned at one serving version.
-
-    Duck-types the read surface of :class:`~repro.storage.catalog
-    .Catalog` (``get`` / ``get_versioned`` / ``epoch`` / ``column_stats``
-    / containment / iteration) so binder and executors run against it
-    unchanged.  Column statistics delegate to the live catalog's
-    epoch-pinned memo — stats are keyed ``(name, epoch, column)`` and
-    hit only for the very table they were computed over, so a
-    snapshot's lookups are filed under *its* epoch and table even after
-    the live catalog moves on.
-    """
-
-    def __init__(
-        self,
-        tables: Dict[str, Table],
-        epochs: Dict[str, int],
-        stats_source,
-    ):
-        self._tables = tables
-        self._epochs = epochs
-        self._stats_source = stats_source
-
-    def get(self, name: str) -> Table:
-        try:
-            return self._tables[name]
-        except KeyError:
-            raise CatalogError(
-                f"unknown table {name!r}; known: {sorted(self._tables)}"
-            ) from None
-
-    def get_versioned(self, name: str) -> Tuple[Table, int]:
-        return self.get(name), self.epoch(name)
-
-    def epoch(self, name: str) -> int:
-        return self._epochs.get(name, 0)
-
-    def column_stats(self, name: str, column: str):
-        table, epoch = self.get_versioned(name)
-        return self._stats_source.stats_for(name, table, epoch, column)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._tables
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._tables)
-
-    def names(self):
-        return sorted(self._tables)
-
-
-class RegistrySnapshot(Mapping):
-    """Immutable name→result view pinned at one serving version.
-
-    A plain mapping from the executors' point of view: the entries the
-    live registry held when the snapshot was taken, and nothing else.
-    """
-
-    def __init__(self, entries: Dict[str, object]):
-        self._entries = entries
-
-    def __getitem__(self, name: str):
-        return self._entries[name]
-
-    def __contains__(self, name) -> bool:
-        return name in self._entries
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
+from .storage.catalog import CatalogView
 
 
 class Snapshot:
@@ -154,20 +84,31 @@ class Snapshot:
     read-only: registration (``options.name``) raises
     :class:`ServingError`.
 
-    The per-snapshot **answer memo** caches whole ``QueryResult`` objects
-    by ``(normalized statement text, params, options)``.  Results are
-    immutable, so handing the same object to every reader asking the same
-    question on the same snapshot is sound — and it is what lets brush throughput
-    *scale* with readers even on one core: within one epoch window, N
-    readers asking overlapping questions pay the resolution once.
+    ``catalog`` is a :class:`~repro.storage.catalog.CatalogView` and
+    ``results`` a read-only mapping, both copied under their owners'
+    locks; neither has a mutator.
+
+    The per-snapshot **answer memo** (``answers``, a
+    :class:`~repro.lineage.cache.Memo` bounded at :attr:`MAX_ANSWERS`)
+    caches whole ``QueryResult`` objects by ``(normalized statement text,
+    params, options)``.  Results are immutable, so handing the same object
+    to every reader asking the same question on the same snapshot is
+    sound — and it is what lets brush throughput *scale* with readers
+    even on one core: within one epoch window, N readers asking
+    overlapping questions pay the resolution once.
     """
+
+    #: LRU bound on memoized answers; mostly relevant for long-lived
+    #: explicit snapshots — the rolling latest snapshot is replaced on
+    #: every write.
+    MAX_ANSWERS = 4096
 
     def __init__(
         self,
         database,
         version: int,
-        catalog: CatalogSnapshot,
-        results: RegistrySnapshot,
+        catalog: CatalogView,
+        results: Mapping[str, object],
         default_options=None,
     ):
         self._database = database
@@ -175,8 +116,7 @@ class Snapshot:
         self.catalog = catalog
         self.results = results
         self._default_options = default_options
-        self._lock = threading.Lock()
-        self._answers: Dict[object, object] = {}
+        self.answers = Memo(self.MAX_ANSWERS)
 
     @classmethod
     def capture(
@@ -190,13 +130,8 @@ class Snapshot:
         (registry mutations follow their catalog mutations within one
         operation, and concurrent writes are serialized by the writer
         thread) keeps the pair mutually consistent."""
-        tables, cat_epochs = database.catalog.snapshot_state()
-        entries = database._results.snapshot_state()
         return cls(
-            database,
-            version,
-            CatalogSnapshot(tables, cat_epochs, database.catalog),
-            RegistrySnapshot(entries),
+            database, version, database.catalog.view(), database._results.view(),
             default_options=default_options,
         )
 
@@ -228,19 +163,9 @@ class Snapshot:
         result = run_plan(self.catalog, self.results, plan, opts, params, prepared)
         return QueryResult(self._database, plan, result, options=opts)
 
-    # -- answer memo -------------------------------------------------------
-
-    def cached_answer(self, key: object):
-        with self._lock:
-            return self._answers.get(key)
-
-    def remember_answer(self, key: object, result) -> None:
-        with self._lock:
-            self._answers.setdefault(key, result)
-
     def __repr__(self) -> str:
         return (
-            f"Snapshot(version={self.version}, tables={len(self.catalog._tables)}, "
+            f"Snapshot(version={self.version}, tables={len(self.catalog.names())}, "
             f"results={len(self.results)})"
         )
 
@@ -272,11 +197,6 @@ class DatabaseServer:
     commits under one WAL ``group_commit`` and each applied operation
     publishes a fresh snapshot (``version`` += 1).
     """
-
-    #: Bound on per-snapshot memoized answers; mostly relevant for
-    #: long-lived explicit snapshots — the rolling latest snapshot is
-    #: replaced on every write.
-    MAX_ANSWERS = 4096
 
     def __init__(
         self,
@@ -331,24 +251,17 @@ class DatabaseServer:
         # Before the answer memo, whose key leaves the name out.
         _check_read_only(opts)
         statements, bind = self._db._statements, lambda: self._bind(statement, snap)
-        statements.get(key, bind)  # an answer hit is a use of the statement too
-        answer_key = None
-        if self._memoize_answers:
-            answer_key = (
-                key,
-                param_fingerprint(params),
-                opts.late_materialize,
-                repr(opts.capture),
+
+        def run():
+            return statements.run(
+                key, bind, lambda p: snap.execute_plan(p.plan, params, opts, p)
             )
-            cached = snap.cached_answer(answer_key)
-            if cached is not None:
-                return cached
-        result = statements.run(
-            key, bind, lambda p: snap.execute_plan(p.plan, params, opts, p)
-        )
-        if answer_key is not None and len(snap._answers) < self.MAX_ANSWERS:
-            snap.remember_answer(answer_key, result)
-        return result
+
+        if not self._memoize_answers:
+            return run()
+        statements.get(key, bind)  # an answer hit is a use of the statement too
+        answer_key = (key, param_fingerprint(params), opts.late_materialize, repr(opts.capture))
+        return snap.answers.get(answer_key, run)
 
     def _bind(self, statement: str, snap: Snapshot) -> PreparedQuery:
         """The statement memo's bind step: bind against ``snap``, the

@@ -31,7 +31,7 @@ from ..plan.logical import (
     Sort,
 )
 from ..plan.schema import JOIN_RENAME_SUFFIX
-from ..storage.catalog import Catalog
+from ..storage.catalog import CatalogView
 from .parser import (
     JoinClause,
     RawAgg,
@@ -50,7 +50,7 @@ from .parser import (
 )
 
 
-def parse_sql(text: str, catalog: Catalog, results=None) -> LogicalPlan:
+def parse_sql(text: str, catalog: CatalogView, results=None) -> LogicalPlan:
     """Parse and bind a SQL statement into a logical plan.
 
     ``results`` is the registry of named prior query results (mapping name
@@ -63,7 +63,7 @@ def parse_sql(text: str, catalog: Catalog, results=None) -> LogicalPlan:
     return bind(parse(text), catalog, results)
 
 
-def bind(statement: Statement, catalog: Catalog, results=None) -> LogicalPlan:
+def bind(statement: Statement, catalog: CatalogView, results=None) -> LogicalPlan:
     if isinstance(statement, SetStatement):
         left = bind(statement.left, catalog, results)
         right = bind(statement.right, catalog, results)
@@ -118,7 +118,7 @@ class _Scope:
 
 
 class _SelectBinder:
-    def __init__(self, stmt: SelectStatement, catalog: Catalog, results=None):
+    def __init__(self, stmt: SelectStatement, catalog: CatalogView, results=None):
         self.stmt = stmt
         self.catalog = catalog
         self.results = results

@@ -1,8 +1,11 @@
-"""Database catalog: named base relations, views, and their statistics.
+"""Database catalog: named base relations and their replacement epochs.
 
 The catalog is deliberately small — Smoke is an analytical engine operating
 on immutable in-memory relations — but it is the anchor that lineage
 queries trace *to*: a backward query names a base relation registered here.
+What the engine derives from one table (STR codes, column statistics)
+lives on the immutable :class:`~repro.storage.table.Table`, so the
+catalog keeps no memo of its own.
 
 Relation epochs
 ---------------
@@ -16,6 +19,14 @@ stale-rid answers into errors.  ``preserve_rids=True`` opts a replacement
 out of the bump — the contract that rows were updated *in place* (same
 positions, same identity), which is exactly what
 :class:`~repro.lineage.refresh.AggregateRefresher` does.
+
+Views
+-----
+:class:`CatalogView` is the read surface every binder and executor uses;
+:class:`Catalog` extends it with a lock and the mutators.
+:meth:`Catalog.view` copies the name maps under the lock into a
+:class:`CatalogView`, which has no mutators: that is the catalog a
+serving :class:`~repro.serve.Snapshot` pins.
 """
 
 from __future__ import annotations
@@ -25,27 +36,72 @@ from typing import Dict, Iterator, Optional, Tuple
 
 from .. import sanitize
 from ..errors import CatalogError, SchemaError
-from ..substrate.stats import ColumnStats, collect_column_stats
 from .table import Table
 
 
-class Catalog:
-    """Name → table mapping with helpers for base-relation identity.
+class CatalogView:
+    """Name → table mapping with each name's replacement epoch: the
+    read side of a catalog."""
 
-    Thread-safety: mutations (register / drop / epoch restore) and the
-    column-stats memo take an internal lock, so a writer replacing a
-    table while reader threads compute stats cannot corrupt either map.
-    Plain reads (``get``, ``epoch``) are single dict lookups — atomic
-    under the GIL — and stay lock-free; readers wanting a *consistent*
-    multi-name view pin a snapshot via :meth:`snapshot_state` (the
-    serving layer's :class:`~repro.serve.CatalogSnapshot` does).
+    def __init__(
+        self,
+        tables: Optional[Dict[str, Table]] = None,
+        epochs: Optional[Dict[str, int]] = None,
+    ):
+        self._tables: Dict[str, Table] = {} if tables is None else tables
+        self._epochs: Dict[str, int] = {} if epochs is None else epochs
+
+    def epoch(self, name: str) -> int:
+        """Replacement epoch of a relation name (0 until first replaced).
+
+        Unknown names answer their *next* epoch so that lineage captured
+        against a since-dropped table can still be compared.
+        """
+        return self._epochs.get(name, 0)
+
+    def get(self, name: str) -> Table:
+        try:
+            return self._tables[name]
+        except KeyError:
+            raise CatalogError(
+                f"unknown table {name!r}; known: {sorted(self._tables)}"
+            ) from None
+
+    def get_versioned(self, name: str) -> Tuple[Table, int]:
+        """The table *and* its replacement epoch, read together.
+
+        This is the accessor executor and lineage code must use (lint
+        rule RPR005): reading a table without its epoch invites lineage
+        that silently outlives a replacement.  Unknown names raise the
+        same canonical error as :meth:`get`.
+        """
+        return self.get(name), self.epoch(name)
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._tables
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._tables)
+
+    def names(self):
+        return sorted(self._tables)
+
+    def resolve(self, name: str, default: Optional[Table] = None) -> Optional[Table]:
+        return self._tables.get(name, default)
+
+
+class Catalog(CatalogView):
+    """The live catalog: a :class:`CatalogView` plus its mutators.
+
+    Thread-safety: mutations (register / drop / epoch restore) take an
+    internal lock.  Plain reads (``get``, ``epoch``) are single dict
+    lookups — atomic under the GIL — and stay lock-free; readers wanting
+    a *consistent* multi-name view pin one via :meth:`view` (the serving
+    layer's :class:`~repro.serve.Snapshot` does).
     """
 
     def __init__(self):
-        self._tables: Dict[str, Table] = {}
-        self._epochs: Dict[str, int] = {}
-        # (name, epoch, column) -> (the table scanned, its stats)
-        self._column_stats: Dict[Tuple[str, int, str], tuple] = {}
+        super().__init__()
         self._lock = threading.RLock()
 
     def register(
@@ -94,8 +150,6 @@ class Catalog:
                     sanitize.freeze(values)
             table.mark_stored()
             self._tables[name] = table
-            if replacing:
-                self._evict_column_stats(name)
             if replacing and not preserve_rids:
                 self._epochs[name] = self._epochs.get(name, 0) + 1
 
@@ -104,50 +158,13 @@ class Catalog:
             if name not in self._tables:
                 raise CatalogError(f"cannot drop unknown table {name!r}")
             del self._tables[name]
-            self._evict_column_stats(name)
             # A later re-registration under this name is a different
             # relation; advancing here makes drop+create
             # indistinguishable from replace.
             self._epochs[name] = self._epochs.get(name, 0) + 1
 
-    def _evict_column_stats(self, name: str) -> None:
-        for key in [k for k in self._column_stats if k[0] == name]:
-            del self._column_stats[key]
-
-    def column_stats(self, name: str, column: str) -> ColumnStats:
-        """Distinct-count / uniqueness statistics of one stored column,
-        computed once per ``(relation, epoch, column)`` and memoized —
-        the late-materializing chain executor consults this per join hop
-        to pick build sides and detect pk-fk joins, so repeated
-        interactive statements never re-scan the column."""
-        table, epoch = self.get_versioned(name)
-        return self.stats_for(name, table, epoch, column)
-
-    def stats_for(
-        self, name: str, table: Table, epoch: int, column: str
-    ) -> ColumnStats:
-        """Epoch-pinned variant of :meth:`column_stats` for snapshot
-        views: the caller supplies the table and epoch it pinned, so a
-        reader on an old snapshot memoizes under the old epoch while the
-        live catalog has moved on.  The scan itself runs outside the
-        lock; two racing readers may both compute, the last install wins.
-        A hit also requires the memoized stats to describe ``table``
-        itself: a ``preserve_rids`` replace keeps the epoch, and a reader
-        on an older snapshot must not file its table's stats for the new
-        one.
-        """
-        key = (name, epoch, column)
-        with self._lock:
-            entry = self._column_stats.get(key)
-        if entry is not None and entry[0] is table:
-            return entry[1]
-        stats = collect_column_stats(table.column(column))
-        with self._lock:
-            self._column_stats[key] = (table, stats)
-        return stats
-
-    def snapshot_state(self) -> Tuple[Dict[str, Table], Dict[str, int]]:
-        """Consistent copy of ``(tables, epochs)`` for snapshot views.
+    def view(self) -> CatalogView:
+        """A consistent, read-only copy of the catalog for snapshots.
 
         Taken under the lock so a concurrent replacement can never yield
         a new table paired with its pre-replacement epoch.  Tables are
@@ -155,15 +172,7 @@ class Catalog:
         image.
         """
         with self._lock:
-            return dict(self._tables), dict(self._epochs)
-
-    def epoch(self, name: str) -> int:
-        """Replacement epoch of a relation name (0 until first replaced).
-
-        Unknown names answer their *next* epoch so that lineage captured
-        against a since-dropped table can still be compared.
-        """
-        return self._epochs.get(name, 0)
+            return CatalogView(dict(self._tables), dict(self._epochs))
 
     def epochs_snapshot(self) -> Dict[str, int]:
         """Every recorded replacement epoch (what a durable checkpoint
@@ -191,33 +200,3 @@ class Catalog:
                         f"only move forward (live: {self._epochs.get(name, 0)})"
                     )
                 self._epochs[name] = epoch
-
-    def get(self, name: str) -> Table:
-        try:
-            return self._tables[name]
-        except KeyError:
-            raise CatalogError(
-                f"unknown table {name!r}; known: {sorted(self._tables)}"
-            ) from None
-
-    def get_versioned(self, name: str) -> Tuple[Table, int]:
-        """The table *and* its replacement epoch, read together.
-
-        This is the accessor executor and lineage code must use (lint
-        rule RPR005): reading a table without its epoch invites lineage
-        that silently outlives a replacement.  Unknown names raise the
-        same canonical error as :meth:`get`.
-        """
-        return self.get(name), self.epoch(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._tables
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._tables)
-
-    def names(self):
-        return sorted(self._tables)
-
-    def resolve(self, name: str, default: Optional[Table] = None) -> Optional[Table]:
-        return self._tables.get(name, default)

@@ -4,6 +4,12 @@ A :class:`Table` is Smoke's unit of storage: a schema plus one numpy array
 per column.  Record ids (*rids*) are implicit array positions ``0..n-1``,
 which is what makes rid-based lineage indexes cheap — a backward lookup is
 an array ``take`` rather than a key lookup (paper Section 3.1).
+
+Tables are immutable, so what the engine derives from one table alone
+lives on it, computed on first use and never invalidated: the dictionary
+codes of its STR columns (:meth:`Table.codes`) and its column statistics
+(:meth:`Table.column_stats`).  Replacing a catalog table installs a new
+object, which starts with none of either.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import numpy as np
 
 from .. import sanitize
 from ..errors import RidRangeError, SchemaError
+from ..substrate.stats import ColumnStats, collect_column_stats
 
 
 class ColumnType(enum.Enum):
@@ -147,21 +154,25 @@ class Table:
     Immutability also lets a table memoize the dictionary codes of its
     STR columns (:meth:`codes`) with the dictionary that numbered them: a
     stored table encodes each such column once, and a table derived from
-    one by :meth:`take` or :meth:`filter` gathers its codes from its
-    source's and shares its dictionary instead of encoding its own rows.
+    one by :meth:`take` or :meth:`filter`, directly or through other
+    derived tables, gathers its codes from that root source's and shares
+    its dictionary instead of encoding its own rows.
     GROUP BY keys read the codes, and ``=`` / ``<>`` / ``IN`` against a
     string read them through :meth:`shared_codes`.  Per-object work is
     left in that one encode per STR column per stored table (and in a
-    derived table whose source is gone); in predicates over a transient
+    derived table whose root source is gone); in predicates over a transient
     table (a join output, a chain gather), which compare objects rather
     than encode rows they read once; and in the kernels that encode values
     no table memoizes: join keys, DISTINCT, ORDER BY and the per-bar
     memo's fills.  Code numbering is arbitrary — a derived table keeps
     its source's — so consumers rely on code equality only, never order.
+    The join planner's column statistics (:meth:`column_stats`) are
+    memoized the same way, one scan per column per table.
     """
 
     __slots__ = (
-        "schema", "_columns", "_nrows", "_codes", "_source", "_stored", "__weakref__"
+        "schema", "_columns", "_nrows", "_codes", "_stats", "_source", "_stored",
+        "__weakref__",
     )
 
     def __init__(self, columns: Mapping[str, np.ndarray], schema: Optional[Schema] = None):
@@ -189,6 +200,7 @@ class Table:
         self._nrows = next(iter(lengths.values())) if lengths else 0
         # column -> ((codes, width), the dictionary mapping value -> code)
         self._codes: Optional[Dict[str, Tuple[Tuple[np.ndarray, int], Dict]]] = None
+        self._stats: Optional[Dict[str, ColumnStats]] = None
         # (weak reference to the source table, the rids or mask that
         # selected this table's rows from it); set only with a STR column
         self._source: Optional[tuple] = None
@@ -268,6 +280,23 @@ class Table:
         (codes, _), dictionary = self._coded(name)
         return codes, dictionary
 
+    def column_stats(self, name: str) -> ColumnStats:
+        """Row and distinct-value counts of column ``name``, computed on
+        first use and memoized — the late-materializing chain executor
+        consults them per join hop to pick build sides and detect pk-fk
+        joins, so repeated statements never re-scan the column.  A STR
+        column counts the distinct codes present (:meth:`codes`), not
+        its dictionary's width.  Two threads on a cold column may both
+        compute it; either result is the same."""
+        stats = self._stats.get(name) if self._stats is not None else None
+        if stats is None:
+            if self.schema.type_of(name) is ColumnType.STR:
+                stats = collect_column_stats(self.codes(name)[0])
+            else:
+                stats = collect_column_stats(self._columns[name])
+            self._stats = {**(self._stats or {}), name: stats}
+        return stats
+
     def mark_stored(self) -> None:
         """Record that a catalog holds this table, so that a predicate
         over one of its STR columns may encode it once
@@ -307,11 +336,14 @@ class Table:
         return self._derive(mask, names)
 
     def _derive(self, selector: np.ndarray, names: Optional[Sequence[str]]) -> "Table":
-        """The rows ``selector`` picks, recording this table as their
-        source for :meth:`codes` when there are STR columns to code.
-        The reference is weak, so a derived table never keeps a replaced
-        catalog table alive; the selector is kept as is, as callers hand
-        over arrays they no longer write."""
+        """The rows ``selector`` picks, recording where they come from
+        for :meth:`codes` when there are STR columns to code: this
+        table's live source with the selectors composed, so a chain of
+        selections gathers codes from its root however many intermediate
+        tables are freed; else this table, with ``selector`` kept as is
+        (callers hand over arrays they no longer write).  The reference
+        is weak, so a derived table never keeps a replaced catalog table
+        alive."""
         if names is None:
             schema = self.schema
             names = schema._names
@@ -319,7 +351,13 @@ class Table:
             schema = Schema([(n, self.schema.type_of(n)) for n in names])
         table = Table({n: self._columns[n][selector] for n in names}, schema)
         if ColumnType.STR in schema._types:
-            table._source = (weakref.ref(self), selector)
+            root = self._source[0] if self._source is not None else None
+            if root is not None and root() is not None:
+                rows = np.asarray(self._source[1])
+                rows = np.flatnonzero(rows) if rows.dtype == bool else rows
+                table._source = (root, rows[selector])
+            else:
+                table._source = (weakref.ref(self), selector)
         return table
 
     def select_columns(self, names: Sequence[str]) -> "Table":

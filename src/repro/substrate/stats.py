@@ -23,8 +23,8 @@ should build there: each probe row then matches at most once, and the
 backward indexes are pre-allocatable (paper Section 3.2.4; cost-aware binary-join ordering
 under cardinality constraints is the lever of "Worst-case Optimal Binary
 Join Algorithms under General ℓp Constraints").  Uniqueness comes from
-:class:`ColumnStats` (:func:`collect_column_stats`), memoized per
-relation epoch by :meth:`repro.storage.catalog.Catalog.column_stats`.
+:class:`ColumnStats` (:func:`collect_column_stats`), memoized per table
+by :meth:`repro.storage.table.Table.column_stats`.
 """
 
 from __future__ import annotations
@@ -112,19 +112,17 @@ class ColumnStats:
 
 
 def collect_column_stats(values: np.ndarray) -> ColumnStats:
-    """One-pass statistics for a column (piggy-backed like the paper's
-    cardinality collection; cached per relation epoch by the catalog)."""
+    """One-pass statistics for a numeric column, or a STR column's codes
+    (piggy-backed like the paper's cardinality collection; memoized per
+    table by :meth:`~repro.storage.table.Table.column_stats`)."""
     values = np.asarray(values)
-    if values.dtype == object:
-        distinct = len(set(values.tolist()))
-    else:
-        distinct = int(np.unique(values).shape[0])
+    distinct = int(np.unique(values).shape[0])
     return ColumnStats(rows=int(values.shape[0]), distinct=distinct)
 
 
 #: Caller-side budget for *deriving* key uniqueness from column
 #: statistics: computing :class:`ColumnStats` scans the whole base
-#: column once per epoch, which is fine for lookup tables but an
+#: column once per table, which is fine for lookup tables but an
 #: unbounded latency spike if the cold hit lands inside an interactive
 #: statement over a huge fact relation.  Above this row count callers
 #: should report ``keys_unique=None`` (unknown) and let the cardinality

@@ -1,5 +1,5 @@
 """Thread-safety hammering for the shared lineage cache of per-bar
-memos, the statement memo, and the catalog's column-stats memo.
+memos, the statement memo, and a table's column-stats memo.
 
 These tests assert the *contract*, not scheduling: no exceptions under
 contention, bounded entry counts, and counter bookkeeping that adds up.
@@ -60,10 +60,10 @@ class TestCacheHammer:
                     param_fingerprint({"k": rng.integers(0, 5, int(rng.integers(1, 3)))}),
                 )
                 epoch = int(rng.integers(0, 3))
-                out = cache.memo(
+                out = cache.get(
                     key,
-                    epoch,
                     lambda key=key: (key, object()),
+                    epoch,
                     # Vouch for entries of an even epoch: re-stamped.
                     lambda stored: stored % 2 == 0,
                 )
@@ -84,7 +84,7 @@ class TestCacheHammer:
         def worker(seed):
             for i in range(ITERATIONS):
                 key = ("stmt", param_fingerprint({"k": np.array([seed, i], dtype=np.int64)}))
-                cache.memo(key, 0, object)
+                cache.get(key, object, 0)
                 assert len(cache) <= 16
 
         _hammer(worker)
@@ -93,7 +93,7 @@ class TestCacheHammer:
 
 class TestStatementMemoHammer:
     def test_bound_holds_under_contention(self):
-        """Eight threads binding, hitting and re-binding overlapping keys:
+        """Eight threads binding, hitting and replacing overlapping keys:
         no exception, the LRU bound is never exceeded, every lookup
         returns the entry bound for its own key, and the memo ends up
         holding exactly min(bound, keys touched) entries (a lost install
@@ -108,10 +108,9 @@ class TestStatementMemoHammer:
             for i in range(ITERATIONS):
                 key = keys[int(rng.integers(0, len(keys)))]
                 touched.append(key)
+                entry = memo.get(key, lambda key=key: (key, seed))
                 if i % 7 == 0:
-                    entry = memo.rebind(key, lambda key=key: (key, seed))
-                else:
-                    entry = memo.get(key, lambda key=key: (key, seed))
+                    entry = memo.replace(key, entry, (key, seed))
                 assert entry[0] == key
                 assert len(memo) <= bound
 
@@ -185,8 +184,8 @@ class TestCatalogStatsHammer:
 
         def reader(seed):
             for _ in range(ITERATIONS):
-                table, epoch = catalog.get_versioned("t")
-                stats = catalog.stats_for("t", table, epoch, "z")
+                table = catalog.get_versioned("t")[0]
+                stats = table.column_stats("z")
                 assert stats.rows == table.num_rows
                 assert stats.is_unique
 

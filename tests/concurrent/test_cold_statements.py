@@ -87,7 +87,7 @@ def test_threads_racing_a_cold_memo_key_share_one_value():
 
     def lookup(_):
         barrier.wait(timeout=10)
-        return cache.memo(("statement",), ("epoch",), build)
+        return cache.get(("statement",), build, ("epoch",))
 
     with ThreadPoolExecutor(THREADS) as pool:
         values = list(pool.map(lookup, range(THREADS), timeout=60))

@@ -86,6 +86,16 @@ class TestSnapshotIsolation:
             with pytest.raises(ServingError, match="read-only"):
                 db.snapshot().sql(REGISTER, options=ExecOptions(name="v2"))
 
+    def test_snapshot_state_has_no_mutators(self):
+        db = _make_db()
+        snap = db.snapshot()
+        assert not hasattr(snap.catalog, "register")
+        assert not hasattr(snap.catalog, "drop")
+        with pytest.raises(TypeError):
+            snap.results["x"] = db.result("v")
+        db.drop_table("t")
+        assert "t" in snap.catalog and sorted(snap.results) == ["v"]
+
     def test_registering_read_raises_even_when_the_answer_is_memoized(self):
         db = _make_db()
         named = ExecOptions(name="x")
@@ -136,9 +146,9 @@ class TestSnapshotIsolation:
 
     def test_old_snapshot_stats_never_describe_a_preserve_rids_replacement(self):
         # preserve_rids keeps d's epoch; a reader still on the old
-        # snapshot recomputes d's key stats (unique) after the replace
-        # evicted them, and the live join must not trust them for the new
-        # d (duplicate keys) and pick the pk-fk probe.
+        # snapshot reads the old d's key stats (unique) after the
+        # replace, and the live join must not trust them for the new d
+        # (duplicate keys) and pick the pk-fk probe.
         db = Database()
         db.create_table("f", Table({
             "g": np.array([0, 0, 1, 1], dtype=np.int64),
@@ -832,7 +842,7 @@ class TestStatementMemo:
         second = _memo_entry(front.memo, stmt)
         assert second is not first
         assert len(front.memo) == entries  # replaced, not added
-        assert front.memo.rebind(normalize_statement(stmt), lambda: first) is first
+        assert front.memo.replace(normalize_statement(stmt), second, first) is first
         assert _memo_entry(front.memo, stmt) is first
 
     def test_same_schema_table_replacement_rebinds(self, front):
@@ -866,7 +876,7 @@ class TestStatementMemo:
             assert server.stats()["prepared"] == entries + 1
             # One answer-memo entry: every variant got the same result.
             assert all(answer is answers[0] for answer in answers)
-            assert len(snap._answers) == 1
+            assert len(snap.answers) == 1
 
 
 def _db_registered_by_plan():

@@ -51,13 +51,15 @@ class TestCatalog:
             small_db.create_table("not a name!", Table({"a": [1]}))
 
     def test_non_table_refused_before_any_change(self, small_db):
-        tables, epochs = small_db.catalog.snapshot_state()
+        catalog = small_db.catalog
+        tables, epochs = {n: catalog.get(n) for n in catalog}, catalog.epochs_snapshot()
         for replace in (False, True):
             with pytest.raises(SchemaError, match="must be a Table"):
                 small_db.create_table("zipf", {"a": [1]}, replace=replace)
             with pytest.raises(SchemaError, match="must be a Table"):
                 small_db.create_table("fresh", {"a": [1]})
-        assert small_db.catalog.snapshot_state() == (tables, epochs)
+        assert {n: catalog.get(n) for n in catalog} == tables
+        assert catalog.epochs_snapshot() == epochs
 
     def test_tables_listing(self, small_db):
         assert set(small_db.tables()) == {"zipf", "gids", "zipf2"}

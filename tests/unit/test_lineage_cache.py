@@ -37,11 +37,11 @@ class TestSubsetKeyDtype:
         cache = LineageResolutionCache()
         wide = np.array([1], dtype=np.int64)
         narrow = np.array([1, 0], dtype=np.int32)
-        out_wide = cache.memo(
-            ("stmt", param_fingerprint({"k": wide})), 0, lambda: "wide"
+        out_wide = cache.get(
+            ("stmt", param_fingerprint({"k": wide})), lambda: "wide", 0
         )
-        out_narrow = cache.memo(
-            ("stmt", param_fingerprint({"k": narrow})), 0, lambda: "narrow"
+        out_narrow = cache.get(
+            ("stmt", param_fingerprint({"k": narrow})), lambda: "narrow", 0
         )
         assert (out_wide, out_narrow) == ("wide", "narrow")
 
@@ -67,7 +67,7 @@ class TestMemoEpochs:
             def same(stored):
                 return np.array_equal(stored.obj, arr)
 
-            return cache.memo(self.KEY, Pin(arr), build, same if vouch else None)
+            return cache.get(self.KEY, build, Pin(arr), same if vouch else None)
 
         old, new = np.arange(3), np.arange(3)
         first = lookup(old)

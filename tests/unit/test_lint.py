@@ -241,6 +241,34 @@ class TestRPR009CompiledReferenceTestOnly:
         assert codes(src, "benchmarks/bench_x.py") == []
 
 
+class TestRPR010OneMemoClass:
+    def test_flags_a_hand_written_lru(self):
+        src = (
+            "from collections import OrderedDict\n"
+            "entries = OrderedDict()\n"
+            "entries.move_to_end(key)\n"
+            "entries.popitem(last=False)\n"
+        )
+        found = [v.line for v in lint_source(src, Path("src/repro/serve.py"))]
+        assert found == [1, 2, 3, 4]
+        assert codes("x = collections.OrderedDict()\n", "src/repro/api.py") == ["RPR010"]
+
+    def test_passes_lru_cache_and_plain_popitem(self):
+        src = (
+            "@lru_cache(maxsize=1024)\n"
+            "def normalize_statement(text):\n"
+            "    return text\n"
+            "entries.popitem()\n"
+        )
+        assert codes(src, "src/repro/api.py") == []
+
+    def test_memo_home_tests_and_benchmarks_out_of_scope(self):
+        src = "entries = OrderedDict()\nentries.move_to_end(key)\n"
+        assert codes(src, "src/repro/lineage/cache.py") == []
+        assert codes(src, "tests/unit/test_x.py") == []
+        assert codes(src, "benchmarks/bench_x.py") == []
+
+
 class TestSuppressions:
     def test_justified_noqa_waives(self):
         src = 'raise ValueError("x")  # repro: noqa RPR004 -- fixture needs a builtin\n'
@@ -278,11 +306,11 @@ class TestRuleMetadata:
             assert rule.name
             assert rule.__doc__ and "Autofix hint" in rule.__doc__
 
-    def test_eight_rules_active(self):
+    def test_nine_rules_active(self):
         # A retired code is never reused: noqa comments cite codes.
         assert [rule.code for rule in ALL_RULES] == [
             "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR007", "RPR008",
-            "RPR009",
+            "RPR009", "RPR010",
         ]
 
 

@@ -380,9 +380,9 @@ class TestLineageResolutionCache:
         monkeypatch.setattr(LineageResolutionCache, "MAX_ENTRIES", 2)
         cache = LineageResolutionCache()
         for i in range(4):
-            cache.memo(("s", i), 0, lambda i=i: i)
+            cache.get(("s", i), lambda i=i: i, 0)
         assert len(cache) == 2
-        assert cache.memo(("s", 3), 0, lambda: pytest.fail("evicted")) == 3
+        assert cache.get(("s", 3), lambda: pytest.fail("evicted"), 0) == 3
 
     def test_subset_key_small_subsets_stay_exact(self):
         a = _array_key(np.arange(16, dtype=np.int64))
@@ -416,8 +416,8 @@ class TestLineageResolutionCache:
             calls.append(1)
             return object()
 
-        first = cache.memo(("s", param_fingerprint({"a": rids})), 0, build)
-        again = cache.memo(("s", param_fingerprint({"a": rids.copy()})), 0, build)
+        first = cache.get(("s", param_fingerprint({"a": rids})), build, 0)
+        again = cache.get(("s", param_fingerprint({"a": rids.copy()})), build, 0)
         assert again is first and len(calls) == 1
         assert cache.stats()["hits"] == 1
 

@@ -138,27 +138,46 @@ class TestColumnStats:
         assert stats.distinct == 2 and not stats.is_unique
 
     def test_object_column(self):
+        from repro.storage.table import Table
+
         values = np.empty(4, dtype=object)
         values[:] = ["a", "b", "a", "c"]
-        stats = collect_column_stats(values)
+        stats = Table({"s": values}).column_stats("s")
         assert stats.rows == 4 and stats.distinct == 3
 
     def test_empty_column_is_trivially_unique(self):
         stats = collect_column_stats(np.empty(0, dtype=np.int64))
         assert stats.is_unique
 
-    def test_catalog_memoizes_per_epoch(self):
+    def test_table_memoizes_its_stats(self):
         from repro.storage.catalog import Catalog
         from repro.storage.table import Table
 
         catalog = Catalog()
         catalog.register("t", Table({"z": np.array([1, 1], dtype=np.int64)}))
-        first = catalog.column_stats("t", "z")
-        assert catalog.column_stats("t", "z") is first  # memo hit
+        first = catalog.get("t").column_stats("z")
+        assert catalog.get("t").column_stats("z") is first  # memo hit
         catalog.register(
-            "t", Table({"z": np.array([1, 2], dtype=np.int64)}), replace=True
+            "t", Table({"z": np.array([1, 2], dtype=np.int64)}),
+            replace=True, preserve_rids=True,
         )
-        assert catalog.column_stats("t", "z").is_unique  # recomputed
+        assert catalog.get("t").column_stats("z").is_unique  # its own stats
+
+    def test_filtered_table_counts_its_own_distinct_values(self):
+        from repro.storage.table import Table
+
+        table = Table({
+            "z": np.array([1, 1, 2, 3], dtype=np.int64),
+            "s": np.array(["a", "a", "b", "c"], dtype=object),
+        })
+        assert table.column_stats("s").distinct == 3
+        kept = table.filter(np.array([True, False, True, False]))
+        for name in ("z", "s"):
+            stats = kept.column_stats(name)
+            assert (stats.rows, stats.distinct) == (2, 2) and stats.is_unique
+        # Its codes share the source's dictionary: the count is of codes
+        # present, not of the dictionary's width.
+        assert kept.codes("s")[1] == 3
 
 
 class TestPreserveRidsGuard:

@@ -218,3 +218,31 @@ def test_predicates_over_transient_tables_encode_nothing(encode_calls):
         x for x, s in zip(db.table("t").column("x")[rids], db.table("t").column("s")[rids],
                           strict=True) if s != "v3"
     ]
+
+
+def test_a_selection_of_a_freed_selection_gathers_the_stored_tables_codes(encode_calls):
+    """The outer WHERE selects from the subquery's filtered table, which
+    is freed once read: its rows gather the stored table's codes through
+    the composed selectors instead of encoding themselves."""
+    db = Database()
+    db.create_table("t", _table(100_000, seed=13))
+    text = (
+        "SELECT s, COUNT(*) AS c FROM (SELECT * FROM t WHERE x > 10) AS f "
+        "WHERE x < 90 GROUP BY s"
+    )
+    cold = db.sql(text).table.to_rows()
+    assert encode_calls == [100_000]  # t's s, once
+    del encode_calls[:]
+    for _ in range(2):
+        assert db.sql(text).table.to_rows() == cold
+    assert encode_calls == []
+    t = db.table("t")
+    kept = t.column("s")[(t.column("x") > 10) & (t.column("x") < 90)].tolist()
+    assert sorted(cold) == sorted((s, kept.count(s)) for s in set(kept))
+    middle = t.filter(t.column("x") > 10)
+    derived = middle.take(np.flatnonzero(middle.column("x") < 90))
+    del middle
+    gc.collect()
+    assert np.array_equal(derived.codes("s")[0], t.codes("s")[0][np.flatnonzero(
+        (t.column("x") > 10) & (t.column("x") < 90))])
+    assert encode_calls == []

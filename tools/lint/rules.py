@@ -1,4 +1,4 @@
-"""The eight repo-specific AST rules (see package docstring for noqa).
+"""The nine repo-specific AST rules (see package docstring for noqa).
 
 Every rule carries its error code, the invariant it enforces, and an
 autofix hint in its docstring; ``python -m tools.lint --list-rules``
@@ -557,6 +557,61 @@ class CompiledReferenceTestOnly(Rule):
                 )
 
 
+class OneMemoClass(Rule):
+    """Keyed LRU caches in src/repro must be instances of ``Memo``.
+
+    Invariant: :class:`repro.lineage.cache.Memo` is the engine's one
+    keyed memo — LRU bound, build outside the lock, first install wins,
+    epoch re-stamping, compare-and-swap replace and hit/miss counters —
+    and the statement memo, the per-bar memos and each snapshot's answer
+    memo all use it.  A hand-written LRU (an ``OrderedDict`` with
+    ``move_to_end`` / ``popitem(last=False)``) repeats that logic and its
+    races.  ``functools.lru_cache`` on a pure function stays allowed.
+
+    Autofix hint: hold a ``Memo(max_entries)`` (or subclass it) and look
+    values up with ``memo.get(key, build, epoch)``.
+    """
+
+    code = "RPR010"
+    name = "one-memo-class"
+
+    HOME = "src/repro/lineage/cache.py"
+
+    def applies(self, ctx) -> bool:
+        return ctx.in_dir("src/repro/") and not ctx.is_file(self.HOME)
+
+    @staticmethod
+    def _finding(node: ast.AST) -> Optional[str]:
+        if isinstance(node, ast.Name) and node.id == "OrderedDict":
+            return "OrderedDict"
+        if isinstance(node, ast.Attribute) and node.attr == "OrderedDict":
+            return "OrderedDict"
+        if isinstance(node, ast.ImportFrom) and any(
+            alias.name == "OrderedDict" for alias in node.names
+        ):
+            return "OrderedDict"
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            return None
+        if node.func.attr == "move_to_end":
+            return ".move_to_end()"
+        if node.func.attr == "popitem" and any(
+            kw.arg == "last" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+            for kw in node.keywords
+        ):
+            return ".popitem(last=False)"
+        return None
+
+    def check(self, ctx) -> Iterator[Finding]:
+        for node in ast.walk(ctx.tree):
+            found = self._finding(node)
+            if found is not None:
+                yield (
+                    node.lineno, node.col_offset,
+                    f"{found} outside lineage/cache.py: a hand-written LRU; "
+                    "use repro.lineage.cache.Memo",
+                )
+
+
 ALL_RULES: List[Rule] = [
     LineageComposeOnly(),
     NoInplaceOnHandout(),
@@ -566,4 +621,5 @@ ALL_RULES: List[Rule] = [
     DurableWritesOnly(),
     StableGroupOrderOnly(),
     CompiledReferenceTestOnly(),
+    OneMemoClass(),
 ]
